@@ -32,8 +32,8 @@ def main() -> None:
 
     spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=300, master_seed=2020)
     print(f"running {spec.replicas} target-swap replicas ...")
-    ensemble = run_ensemble(graph, spec)
-    cells = significance(stats, ensemble)
+    stats_ensemble, _ = run_ensemble(graph, spec)
+    cells = significance(stats, stats_ensemble)
 
     print("\nstrongly significant cells (|preferred score| >= 3):")
     print("category              feature      empirical  null_mean      z   robust_z")

@@ -3,14 +3,21 @@
 
 Builds a scenario with 50 planted collector stars (two senders feeding one
 node), runs the 16-class census on each DAG category, and scores the
-counts against a target-swap ensemble. The collector triad 021U stands far
+counts against the censuses of a target-swap ensemble. The collector triad 021U stands far
 outside the null distribution: shuffled replicas absorb the feeding links
 into the giant component, so isolated collectors almost never survive.
 """
 
-from ledgerflow import EnsembleSpec, SwapMode, aggregate, categorize, triad_significance
+from ledgerflow import (
+    EnsembleSpec,
+    SwapMode,
+    aggregate,
+    categorize,
+    category_census,
+    run_ensemble,
+    triad_significance,
+)
 from ledgerflow.synthetic import ScenarioSpec, generate_synthetic
-from ledgerflow.triads import category_census
 
 SCENARIO = ScenarioSpec(cliques=30, clique_size=5, stars=50, star_arms=2, dyads=20)
 
@@ -28,7 +35,8 @@ def main() -> None:
 
     spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=200, master_seed=5)
     print(f"\nscoring against {spec.replicas} target-swap replicas ...")
-    cells = triad_significance(graph, partition, spec)
+    _, census_ensemble = run_ensemble(graph, spec)
+    cells = triad_significance(census, census_ensemble)
     print("triad significance for dag0 (nonzero empirical):")
     for cell in cells:
         if cell.category != "dag0" or cell.empirical == 0:

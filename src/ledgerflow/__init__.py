@@ -33,7 +33,6 @@ from .topology import (
 from .nullmodel import (
     EnsembleSpec,
     RandomizationError,
-    SignificanceCell,
     SwapMode,
     derive_seed,
     randomize,
@@ -41,6 +40,7 @@ from .nullmodel import (
     run_ensemble,
     significance,
 )
+from .stats import SignificanceCell
 from .triads import (
     TRIAD_LABELS,
     category_census,

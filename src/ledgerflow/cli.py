@@ -15,7 +15,7 @@ from pathlib import Path
 from .errors import AnalysisError, ConfigError, DataError, LedgerflowError
 from .ingest import ColumnMapping, FilterSpec
 from .nullmodel import SwapMode
-from .pipeline import PipelineConfig, write_scenario
+from .pipeline import ALL_STAGES, PipelineConfig, run_pipeline, write_scenario
 from .synthetic import ScenarioSpec
 from .util import write_json
 
@@ -167,14 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_stages(config: PipelineConfig, command: str) -> None:
-    # Single-stage commands reuse the pipeline; stage selection keeps their
-    # outputs byte-identical to the matching files of a full run.
-    from .pipeline import run_stage_subset
-
-    run_stage_subset(config, command)
-
-
 def _write_error_report(args: argparse.Namespace, exc: Exception, code: int) -> None:
     # Structured error report lands next to the outputs when a directory is
     # known; config errors before that point only reach stderr.
@@ -215,7 +207,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {ledger_path} and {truth_path}")
             return 0
         config = _build_pipeline_config(args)
-        _run_stages(config, args.command)
+        # A single-stage command runs the pipeline with only that stage
+        # selected, so its files are byte-identical to those of a full run.
+        stages = ALL_STAGES if args.command == "run" else (args.command,)
+        run_pipeline(config, stages=frozenset(stages))
         print(f"wrote outputs to {config.output_dir}")
         return 0
     except ConfigError as exc:

@@ -194,7 +194,10 @@ def parse_ledger(
             try:
                 amount = Decimal(row[idx_amt].strip())
             except InvalidOperation:
-                raise DataError(f"row {row_no}: bad amount {row[idx_amt]!r}") from None
+                amount = None
+            # NaN cannot be compared and Infinity cannot be summed exactly.
+            if amount is None or not amount.is_finite():
+                raise DataError(f"row {row_no}: bad amount {row[idx_amt]!r}")
             if amount < 0:
                 raise DataError(f"row {row_no}: negative amount {amount}")
             if not source or not target:

@@ -9,9 +9,12 @@ exactly. Self-loops produced by the permutation are repaired by pairwise
 exchanges within the permuted column (degree multisets stay intact); links
 that land on the same ordered pair are merged.
 
-An ensemble re-runs the topological categorisation on each replica and the
-empirical category sizes are scored against the ensemble with z-scores,
-robust z-scores, and an Anderson-Darling normality verdict per cell.
+An ensemble builds each replica once, re-runs the topological
+categorisation on it, and keeps two tables per replica: its category
+statistics and the triad census of its DAG categories. The empirical
+category sizes are scored against the first with z-scores, robust z-scores,
+and an Anderson-Darling normality verdict per cell; ``triads`` scores the
+empirical censuses against the second.
 """
 
 from __future__ import annotations
@@ -20,13 +23,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import triads
 from .errors import AnalysisError
 from .graph import LedgerGraph, LinkRecord
-from .stats import AndersonDarlingResult, anderson_darling_normal, robust_z_score, z_score
+from .stats import SignificanceCell, score_ensemble
 from .topology import CATEGORY_ORDER, CategoryRow, categorize, category_stats
 from .util import mix64
 
@@ -38,7 +42,6 @@ __all__ = [
     "randomize_endpoints",
     "randomize",
     "run_ensemble",
-    "SignificanceCell",
     "significance",
     "FEATURES",
 ]
@@ -46,7 +49,6 @@ __all__ = [
 FEATURES: tuple[str, ...] = ("wcc_count", "node_count", "link_count", "tx_count", "volume")
 
 _REPLICA_RETRIES = 3
-_MIN_ENSEMBLE = 8
 
 
 class SwapMode(str, Enum):
@@ -178,91 +180,55 @@ def _replica(g: LedgerGraph, spec: EnsembleSpec, index: int) -> LedgerGraph:
     raise AssertionError("unreachable")
 
 
-def _replica_stats(g: LedgerGraph, spec: EnsembleSpec, index: int) -> dict[str, CategoryRow]:
+def _replica_tables(
+    g: LedgerGraph, spec: EnsembleSpec, index: int
+) -> tuple[dict[str, CategoryRow], dict[str, dict[str, int]]]:
     replica = _replica(g, spec, index)
-    return category_stats(replica, categorize(replica))
+    partition = categorize(replica)
+    return category_stats(replica, partition), triads.category_census(replica, partition)
 
 
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(g: LedgerGraph, spec: EnsembleSpec, fn) -> None:
+def _init_worker(g: LedgerGraph, spec: EnsembleSpec) -> None:
     _WORKER_STATE["graph"] = g
     _WORKER_STATE["spec"] = spec
-    _WORKER_STATE["fn"] = fn
 
 
 def _run_worker(index: int):
-    return _WORKER_STATE["fn"](_WORKER_STATE["graph"], _WORKER_STATE["spec"], index)
-
-
-def ensemble_map(
-    g: LedgerGraph,
-    spec: EnsembleSpec,
-    fn: Callable[[LedgerGraph, EnsembleSpec, int], object],
-    jobs: int = 1,
-) -> list:
-    """Apply ``fn(graph, spec, replica_index)`` over the ensemble.
-
-    Results are ordered by replica index regardless of worker scheduling,
-    so output is identical for any job count.
-    """
-    indices = range(spec.replicas)
-    if jobs <= 1:
-        return [fn(g, spec, i) for i in indices]
-    chunk = max(1, spec.replicas // (jobs * 4))
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(g, spec, fn)
-    ) as executor:
-        return list(executor.map(_run_worker, indices, chunksize=chunk))
+    return _replica_tables(_WORKER_STATE["graph"], _WORKER_STATE["spec"], index)
 
 
 def run_ensemble(
     g: LedgerGraph,
     spec: EnsembleSpec,
     jobs: int = 1,
-) -> list[dict[str, CategoryRow]]:
-    """Category statistics of every replica, in replica-index order."""
-    return ensemble_map(g, spec, _replica_stats, jobs=jobs)
+) -> tuple[list[dict[str, CategoryRow]], list[dict[str, dict[str, int]]]]:
+    """Category statistics and category triad censuses of every replica.
+
+    Each replica is built and categorised once and yields both tables; the
+    censuses cover ``triads.DEFAULT_CENSUS_CATEGORIES``. Both lists are in
+    replica-index order regardless of worker scheduling, so output is
+    identical for any job count.
+    """
+    indices = range(spec.replicas)
+    if jobs <= 1:
+        pairs = [_replica_tables(g, spec, i) for i in indices]
+    else:
+        chunk = max(1, spec.replicas // (jobs * 4))
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(g, spec)
+        ) as executor:
+            pairs = list(executor.map(_run_worker, indices, chunksize=chunk))
+    return [stats for stats, _ in pairs], [census for _, census in pairs]
 
 
-@dataclass(frozen=True)
-class SignificanceCell:
-    """Empirical value of one (category, feature) scored against the ensemble."""
-
-    category: str
-    feature: str
-    empirical: float
-    null_mean: float
-    null_sd: float
-    null_median: float
-    null_iqr: float
-    z: float | None
-    robust_z: float | None
-    ad_statistic: float | None
-    ad_p_value: float | None
-    normality: str            # "rejected" | "not_rejected"
-    preferred: str            # "z" when normality holds, else "robust_z"
+_ZERO_ROW = CategoryRow(0, 0, 0, 0, 0, Decimal(0))
 
 
-def _cell(category: str, feature: str, empirical: float, samples: np.ndarray) -> SignificanceCell:
-    q1, q2, q3 = np.quantile(samples, [0.25, 0.5, 0.75])
-    ad: AndersonDarlingResult = anderson_darling_normal(samples)
-    return SignificanceCell(
-        category=category,
-        feature=feature,
-        empirical=float(empirical),
-        null_mean=float(samples.mean()),
-        null_sd=float(samples.std(ddof=1)),
-        null_median=float(q2),
-        null_iqr=float(q3 - q1),
-        z=z_score(empirical, samples),
-        robust_z=robust_z_score(empirical, samples),
-        ad_statistic=None if np.isinf(ad.statistic) else ad.statistic,
-        ad_p_value=ad.p_value,
-        normality=ad.verdict,
-        preferred="robust_z" if ad.rejected else "z",
-    )
+def _feature(stats: Mapping[str, CategoryRow], category: str, feature: str) -> float:
+    return float(getattr(stats.get(category, _ZERO_ROW), feature))
 
 
 def significance(
@@ -276,15 +242,4 @@ def significance(
     that replica (its table row is materialised as zeros). Requires at
     least 8 replicas for the Anderson-Darling approximation.
     """
-    if len(ensemble) < _MIN_ENSEMBLE:
-        raise AnalysisError(f"ensemble of {len(ensemble)} is below the minimum of {_MIN_ENSEMBLE}")
-    zero = CategoryRow(0, 0, 0, 0, 0, Decimal(0))
-    cells = []
-    for category in CATEGORY_ORDER:
-        emp_row = empirical.get(category, zero)
-        for feature in features:
-            samples = np.array(
-                [float(getattr(stats.get(category, zero), feature)) for stats in ensemble]
-            )
-            cells.append(_cell(category, feature, float(getattr(emp_row, feature)), samples))
-    return cells
+    return score_ensemble(empirical, ensemble, CATEGORY_ORDER, features, _feature)

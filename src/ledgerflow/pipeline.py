@@ -25,7 +25,7 @@ from .degrees import degree_stats
 from .errors import ConfigError
 from .graph import aggregate
 from .ingest import ColumnMapping, FilterSpec, parse_ledger, write_transactions
-from .nullmodel import EnsembleSpec, SignificanceCell, SwapMode, run_ensemble, significance
+from .nullmodel import EnsembleSpec, SwapMode, run_ensemble, significance
 from .recirculation import (
     ClassifiedOps,
     CrosstabResult,
@@ -36,6 +36,7 @@ from .recirculation import (
     extract_ops,
     user_signatures,
 )
+from .stats import SignificanceCell
 from .synthetic import ScenarioSpec, generate_synthetic
 from .topology import (
     CATEGORY_ORDER,
@@ -46,7 +47,7 @@ from .topology import (
     categorize,
     one_time_users,
 )
-from .triads import DEFAULT_CENSUS_CATEGORIES, TRIAD_LABELS, category_census, triad_significance
+from .triads import TRIAD_LABELS, category_census, triad_significance
 from .util import format_duration, write_csv, write_json
 
 __all__ = [
@@ -225,50 +226,42 @@ _SIGNIFICANCE_HEADER = (
 )
 
 
-def _cell_dict(cell: SignificanceCell, mode: str) -> dict:
-    return {"mode": mode, **cell.__dict__}
+def _write_cells(writer: _Writer, name: str, cells: Sequence[SignificanceCell], mode: str) -> None:
+    writer.csv(name, _SIGNIFICANCE_HEADER, _significance_rows(cells, mode))
+    writer.json(name, [{"mode": mode, **cell.__dict__} for cell in cells])
 
 
 ALL_STAGES: tuple[str, ...] = (
     "ingest", "topology", "significance", "triads", "recirculation", "report",
 )
 
-# Which stages each CLI subcommand writes; upstream results are computed in
-# memory as needed but not written.
-_COMMAND_STAGES: dict[str, frozenset[str]] = {
-    "ingest": frozenset({"ingest"}),
-    "topology": frozenset({"topology"}),
-    "significance": frozenset({"significance"}),
-    "triads": frozenset({"triads"}),
-    "recirculation": frozenset({"recirculation"}),
-    "report": frozenset({"report"}),
-    "run": frozenset(ALL_STAGES),
-}
-
-
-def run_stage_subset(config: PipelineConfig, command: str) -> PipelineResult:
-    return run_pipeline(config, stages=_COMMAND_STAGES[command])
-
-
 def run_pipeline(
     config: PipelineConfig,
     stages: frozenset[str] = frozenset(ALL_STAGES),
 ) -> PipelineResult:
-    """Execute the selected stages and write the report bundle."""
+    """Execute the selected stages and write the report bundle.
+
+    Stages that are not selected write nothing; the upstream results they
+    need are computed in memory.
+    """
     out_dir = Path(config.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output directory not writable: {out_dir}: {exc}") from None
     writer = _Writer(out_dir, tuple(config.formats))
-    stage_times: list[dict] = []
+    # A stage entered again adds to its time; the manifest lists stages in
+    # ALL_STAGES order.
+    stage_seconds: dict[str, float] = {}
+    running: tuple[str, float] | None = None
 
     def stage(name: str):
-        stage_times.append({"name": name, "started": time.perf_counter()})
+        nonlocal running
+        running = (name, time.perf_counter())
 
     def stage_done():
-        entry = stage_times[-1]
-        entry["seconds"] = round(time.perf_counter() - entry.pop("started"), 6)
+        name, started = running
+        stage_seconds[name] = stage_seconds.get(name, 0.0) + time.perf_counter() - started
 
     # ingest
     stage("ingest")
@@ -363,35 +356,13 @@ def run_pipeline(
         )
     stage_done()
 
-    # significance
+    # significance and triads: one ensemble per mode feeds both; the
+    # replica builds are timed under the first selected of the two stages
     seeds: dict[str, int] = {}
-    if "significance" in stages:
-        stage("significance")
-        for mode in config.modes:
-            spec = EnsembleSpec(
-                mode=mode,
-                replicas=config.replicas,
-                master_seed=config.master_seed,
-                max_repair_attempts=config.max_repair_attempts,
-            )
-            seeds[f"significance_{mode.value}"] = config.master_seed
-            ensemble = run_ensemble(graph, spec, jobs=config.jobs)
-            cells = significance(stats, ensemble)
-            writer.csv(
-                f"significance_{mode.value}",
-                _SIGNIFICANCE_HEADER,
-                _significance_rows(cells, mode.value),
-            )
-            writer.json(
-                f"significance_{mode.value}",
-                [_cell_dict(cell, mode.value) for cell in cells],
-            )
-        stage_done()
-
-    # triads
+    ensemble_stages = [name for name in ("significance", "triads") if name in stages]
     if "triads" in stages:
         stage("triads")
-        census_tables = category_census(graph, partition, DEFAULT_CENSUS_CATEGORIES)
+        census_tables = category_census(graph, partition)
         writer.csv(
             "triad_census",
             ("category",) + TRIAD_LABELS,
@@ -401,25 +372,29 @@ def run_pipeline(
             ),
         )
         writer.json("triad_census", census_tables)
-        for mode in config.modes:
-            spec = EnsembleSpec(
-                mode=mode,
-                replicas=config.replicas,
-                master_seed=config.master_seed,
-                max_repair_attempts=config.max_repair_attempts,
-            )
-            seeds[f"triads_{mode.value}"] = config.master_seed
-            cells = triad_significance(graph, partition, spec, jobs=config.jobs)
-            writer.csv(
-                f"triad_significance_{mode.value}",
-                _SIGNIFICANCE_HEADER,
-                _significance_rows(cells, mode.value),
-            )
-            writer.json(
-                f"triad_significance_{mode.value}",
-                [_cell_dict(cell, mode.value) for cell in cells],
-            )
         stage_done()
+    for mode in config.modes if ensemble_stages else ():
+        stage(ensemble_stages[0])
+        spec = EnsembleSpec(
+            mode=mode,
+            replicas=config.replicas,
+            master_seed=config.master_seed,
+            max_repair_attempts=config.max_repair_attempts,
+        )
+        stats_ensemble, census_ensemble = run_ensemble(graph, spec, jobs=config.jobs)
+        stage_done()
+        if "significance" in stages:
+            stage("significance")
+            seeds[f"significance_{mode.value}"] = config.master_seed
+            cells = significance(stats, stats_ensemble)
+            _write_cells(writer, f"significance_{mode.value}", cells, mode.value)
+            stage_done()
+        if "triads" in stages:
+            stage("triads")
+            seeds[f"triads_{mode.value}"] = config.master_seed
+            cells = triad_significance(census_tables, census_ensemble)
+            _write_cells(writer, f"triad_significance_{mode.value}", cells, mode.value)
+            stage_done()
 
     # recirculation
     signatures: list[TemporalSignature] = []
@@ -465,7 +440,11 @@ def run_pipeline(
             "numpy": numpy.__version__,
             "scipy": scipy.__version__,
         },
-        "stages": stage_times,
+        "stages": [
+            {"name": name, "seconds": round(stage_seconds[name], 6)}
+            for name in ALL_STAGES
+            if name in stage_seconds
+        ],
         "outputs": sorted(str(p.name) for p in writer.written),
     }
     write_json(out_dir / "manifest.json", manifest)

@@ -4,26 +4,33 @@ z-scores use the sample standard deviation (n-1 denominator); robust
 z-scores use the median and the interquartile range under linear-interpolation
 quantiles. Normality of an ensemble sample is judged with the Anderson-Darling
 test for estimated parameters, small-sample corrected, with the standard
-piecewise p-value approximation.
+piecewise p-value approximation. ``score_ensemble`` applies all three to
+every (row, column) cell of a table, empirical against replicas; category
+sizes and triad counts are both scored through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 from scipy.stats import norm
+
+from .errors import AnalysisError
 
 __all__ = [
     "z_score",
     "robust_z_score",
     "AndersonDarlingResult",
     "anderson_darling_normal",
+    "SignificanceCell",
+    "score_ensemble",
 ]
 
 ALPHA_LEVEL = 0.05
+_MIN_ENSEMBLE = 8
 
 
 def z_score(value: float, samples: Sequence[float]) -> float | None:
@@ -92,3 +99,68 @@ def anderson_darling_normal(samples: Sequence[float]) -> AndersonDarlingResult:
     a2c = a2 * (1.0 + 0.75 / n + 2.25 / (n * n))
     p = min(1.0, max(0.0, _ad_p_value(a2c)))
     return AndersonDarlingResult(float(a2), float(a2c), float(p), p < ALPHA_LEVEL)
+
+
+@dataclass(frozen=True)
+class SignificanceCell:
+    """Empirical value of one (category, feature) scored against the ensemble."""
+
+    category: str
+    feature: str
+    empirical: float
+    null_mean: float
+    null_sd: float
+    null_median: float
+    null_iqr: float
+    z: float | None
+    robust_z: float | None
+    ad_statistic: float | None
+    ad_p_value: float | None
+    normality: str            # "rejected" | "not_rejected"
+    preferred: str            # "z" when normality holds, else "robust_z"
+
+
+def _cell(category: str, feature: str, empirical: float, samples: np.ndarray) -> SignificanceCell:
+    q1, q2, q3 = np.quantile(samples, [0.25, 0.5, 0.75])
+    ad: AndersonDarlingResult = anderson_darling_normal(samples)
+    return SignificanceCell(
+        category=category,
+        feature=feature,
+        empirical=float(empirical),
+        null_mean=float(samples.mean()),
+        null_sd=float(samples.std(ddof=1)),
+        null_median=float(q2),
+        null_iqr=float(q3 - q1),
+        z=z_score(empirical, samples),
+        robust_z=robust_z_score(empirical, samples),
+        ad_statistic=None if np.isinf(ad.statistic) else ad.statistic,
+        ad_p_value=ad.p_value,
+        normality=ad.verdict,
+        preferred="robust_z" if ad.rejected else "z",
+    )
+
+
+Table = TypeVar("Table")
+
+
+def score_ensemble(
+    empirical: Table,
+    ensemble: Sequence[Table],
+    rows: Sequence[str],
+    columns: Sequence[str],
+    value: Callable[[Table, str, str], float],
+) -> list[SignificanceCell]:
+    """Score every (row, column) of the empirical table against the replicas.
+
+    ``value(table, row, column)`` reads one cell of the empirical table or
+    of a replica table. Cells come out row by row. Requires at least 8
+    replicas for the Anderson-Darling approximation.
+    """
+    if len(ensemble) < _MIN_ENSEMBLE:
+        raise AnalysisError(f"ensemble of {len(ensemble)} is below the minimum of {_MIN_ENSEMBLE}")
+    cells = []
+    for row in rows:
+        for column in columns:
+            samples = np.array([value(table, row, column) for table in ensemble])
+            cells.append(_cell(row, column, value(empirical, row, column), samples))
+    return cells

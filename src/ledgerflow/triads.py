@@ -7,22 +7,20 @@ neighborhoods and closes the disconnected-third-node classes (003, 012,
 result is checked against the C(n, 3) total identity on every call.
 
 Category censuses run on the subgraph induced by a category's nodes and
-internally-owned links; boundary links never enter. Triad counts per
-category are scored against null ensembles with the same machinery as the
-category-size significance.
+internally-owned links; boundary links never enter. ``triad_significance``
+scores the empirical per-category counts against the censuses that
+``nullmodel.run_ensemble`` takes of each replica, with the same scoring as
+the category-size significance.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .graph import LedgerGraph
-from .nullmodel import EnsembleSpec, SignificanceCell, _cell, _replica, ensemble_map
-from .errors import AnalysisError
-from .topology import NodeCategory, TopologyPartition, EdgeKind, categorize
+from .stats import SignificanceCell, score_ensemble
+from .topology import NodeCategory, TopologyPartition, EdgeKind
+from .topology import categorize  # noqa: F401  (perfbench/tracer.py wraps triads.categorize)
 
 __all__ = [
     "TRIAD_LABELS",
@@ -30,7 +28,6 @@ __all__ = [
     "census",
     "census_of_graph",
     "category_census",
-    "ensemble_censuses",
     "triad_significance",
 ]
 
@@ -139,50 +136,21 @@ def category_census(
     return result
 
 
-def _replica_census(
-    g: LedgerGraph,
-    spec: EnsembleSpec,
-    index: int,
-    categories: tuple[NodeCategory, ...] = DEFAULT_CENSUS_CATEGORIES,
-):
-    replica = _replica(g, spec, index)
-    return category_census(replica, categorize(replica), categories)
-
-
-def ensemble_censuses(
-    g: LedgerGraph,
-    spec: EnsembleSpec,
-    categories: Sequence[NodeCategory] = DEFAULT_CENSUS_CATEGORIES,
-    jobs: int = 1,
-) -> list[dict[str, dict[str, int]]]:
-    """Per-replica category censuses, in replica-index order."""
-    worker = partial(_replica_census, categories=tuple(categories))
-    return ensemble_map(g, spec, worker, jobs=jobs)
+def _triad_count(census_tables: dict[str, dict[str, int]], label: str, triad: str) -> float:
+    return float(census_tables[label][triad])
 
 
 def triad_significance(
-    g: LedgerGraph,
-    partition: TopologyPartition,
-    spec: EnsembleSpec,
+    empirical: dict[str, dict[str, int]],
+    ensemble: Sequence[dict[str, dict[str, int]]],
     categories: Sequence[NodeCategory] = DEFAULT_CENSUS_CATEGORIES,
-    jobs: int = 1,
 ) -> list[SignificanceCell]:
-    """Score empirical per-category triad counts against a null ensemble.
+    """Score empirical per-category triad counts against replica censuses.
 
-    One cell per (category, triad label); a category absent from a replica
-    contributes an all-zero census for that replica.
+    ``empirical`` and each entry of ``ensemble`` are ``category_census``
+    tables covering ``categories``. One cell per (category, triad label); a
+    category absent from a replica has an all-zero census there. Requires
+    at least 8 replicas for the Anderson-Darling approximation.
     """
-    categories = tuple(categories)
-    empirical = category_census(g, partition, categories)
-    ensemble = ensemble_censuses(g, spec, categories, jobs=jobs)
-    if len(ensemble) < 8:
-        raise AnalysisError(f"ensemble of {len(ensemble)} is below the minimum of 8")
-    cells: list[SignificanceCell] = []
-    for category in categories:
-        label = category.value
-        for triad in TRIAD_LABELS:
-            samples = np.array(
-                [float(replica[label][triad]) for replica in ensemble]
-            )
-            cells.append(_cell(label, triad, float(empirical[label][triad]), samples))
-    return cells
+    labels = [category.value for category in categories]
+    return score_ensemble(empirical, ensemble, labels, TRIAD_LABELS, _triad_count)

@@ -23,6 +23,7 @@ from ledgerflow.nullmodel import (
     derive_seed,
     randomize,
     randomize_endpoints,
+    run_ensemble,
 )
 from ledgerflow.recirculation import classify_ops, crosstab, extract_ops, user_signatures
 from ledgerflow.stats import anderson_darling_normal, robust_z_score, z_score
@@ -171,11 +172,12 @@ def test_criterion_6_planted_collector_significance():
     spec = ScenarioSpec(cliques=30, clique_size=5, stars=50, star_arms=2, dyads=20)
     ledger = generate_synthetic(spec, seed=11)
     g, _ = aggregate(ledger.transactions)
-    partition = categorize(g)
-    assert category_census(g, partition)["dag0"]["021U"] >= 50
+    census_tables = category_census(g, categorize(g))
+    assert census_tables["dag0"]["021U"] >= 50
 
     ensemble_spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=200, master_seed=5)
-    cells = triad_significance(g, partition, ensemble_spec)
+    _, census_ensemble = run_ensemble(g, ensemble_spec)
+    cells = triad_significance(census_tables, census_ensemble)
     cell = next(c for c in cells if c.category == "dag0" and c.feature == "021U")
     elapsed = time.perf_counter() - start
     assert cell.robust_z is not None

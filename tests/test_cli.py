@@ -78,6 +78,38 @@ def test_nonexistent_ledger_is_data_error(tmp_path):
     assert report["exit_code"] == 3
 
 
+def test_infinite_amount_is_data_error(tmp_path):
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text(
+        "id,timeset,source,target,weight,transfer_subtype\n"
+        "t1,2020-01-01T00:00:00Z,a,b,5,STANDARD\n"
+        "t2,2020-01-01T00:00:01Z,b,a,Infinity,STANDARD\n",
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "o"
+    assert main(["run", str(ledger), "--output", str(out_dir), "--replicas", "8"]) == 3
+    report = json.loads((out_dir / "error_report.json").read_text())
+    assert report["error_type"] == "DataError"
+    assert report["exit_code"] == 3
+
+
+def test_ensemble_commands_match_run(tmp_path):
+    # significance and triads write exactly the files a full run writes
+    # for them, byte for byte.
+    flags = ["--mode", "all", "--replicas", "8", "--seed", "3"]
+    assert main(["run", str(DEMO_LEDGER), "--output", str(tmp_path / "run")] + flags) == 0
+    for command, prefixes in (
+        ("significance", ("significance_",)),
+        ("triads", ("triad_census", "triad_significance_")),
+    ):
+        out_dir = tmp_path / command
+        assert main([command, str(DEMO_LEDGER), "--output", str(out_dir)] + flags) == 0
+        written = sorted(p.name for p in out_dir.iterdir() if p.name != "manifest.json")
+        assert written and all(name.startswith(prefixes) for name in written)
+        for name in written:
+            assert (out_dir / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+
+
 def test_bad_mode_is_config_error(tmp_path):
     code = main(
         ["significance", str(DEMO_LEDGER), "--output", str(tmp_path / "o"), "--mode", "spiral"]

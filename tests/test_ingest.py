@@ -96,9 +96,10 @@ def test_bad_timestamp_reports_row_number(tmp_path):
 
 
 def test_bad_amount_reports_row_number(tmp_path):
-    path = write(tmp_path, "t1,2020-01-01T00:00:00Z,a,b,abc,STANDARD\n")
-    with pytest.raises(DataError, match="row 2"):
-        parse_ledger(path)
+    for amount in ("abc", "NaN", "sNaN", "Infinity", "-Infinity"):
+        path = write(tmp_path, f"t1,2020-01-01T00:00:00Z,a,b,{amount},STANDARD\n")
+        with pytest.raises(DataError, match="row 2: bad amount"):
+            parse_ledger(path)
 
 
 def test_negative_amount_rejected(tmp_path):

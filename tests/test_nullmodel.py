@@ -16,7 +16,8 @@ from ledgerflow.nullmodel import (
     significance,
 )
 from ledgerflow.errors import AnalysisError
-from ledgerflow.topology import CategoryRow
+from ledgerflow.topology import CategoryRow, categorize, category_stats
+from ledgerflow.triads import category_census
 from ledgerflow.util import dsum, mix64
 
 from conftest import random_digraph
@@ -120,7 +121,7 @@ def test_run_ensemble_conserves_totals():
     rng = random.Random(8)
     g = random_digraph(rng, 50)
     spec = EnsembleSpec(mode=SwapMode.BOTH, replicas=12, master_seed=3)
-    for stats in run_ensemble(g, spec):
+    for stats in run_ensemble(g, spec)[0]:
         assert sum(r.tx_count for r in stats.values()) == g.tx_count
         assert dsum(r.volume for r in stats.values()) == g.volume
 
@@ -130,6 +131,18 @@ def test_run_ensemble_parallel_matches_serial():
     g = random_digraph(rng, 40)
     spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=8, master_seed=11)
     assert run_ensemble(g, spec, jobs=2) == run_ensemble(g, spec, jobs=1)
+
+
+def test_run_ensemble_tables_come_from_one_replica():
+    rng = random.Random(13)
+    g = random_digraph(rng, 40)
+    spec = EnsembleSpec(mode=SwapMode.SOURCE, replicas=3, master_seed=4)
+    stats_ensemble, census_ensemble = run_ensemble(g, spec)
+    for index in range(spec.replicas):
+        replica = randomize(g, spec.mode, derive_seed(spec.master_seed, index))
+        partition = categorize(replica)
+        assert stats_ensemble[index] == category_stats(replica, partition)
+        assert census_ensemble[index] == category_census(replica, partition)
 
 
 def test_randomization_concentrates_cyclic_mass():
@@ -144,7 +157,7 @@ def test_randomization_concentrates_cyclic_mass():
     g = LedgerGraph.from_edges(sorted(pairs))
     spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=100, master_seed=77)
     single = sum(
-        1 for stats in run_ensemble(g, spec)
+        1 for stats in run_ensemble(g, spec)[0]
         if sum(r.scc_count for r in stats.values()) == 1
     )
     assert single >= 95

@@ -66,6 +66,23 @@ def test_same_config_twice_is_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
+def test_ensemble_stages_build_each_replica_once(tmp_path, monkeypatch):
+    import ledgerflow.nullmodel as nullmodel
+
+    calls = []
+    original = nullmodel.randomize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nullmodel, "randomize", counting)
+    modes = (SwapMode.TARGET, SwapMode.SOURCE, SwapMode.BOTH)
+    config = small_config(DEMO_LEDGER, tmp_path / "out", modes=modes, replicas=8)
+    run_pipeline(config, stages=frozenset({"significance", "triads"}))
+    assert len(calls) == len(modes) * 8
+
+
 def test_json_only_format(tmp_path):
     result = run_pipeline(small_config(DEMO_LEDGER, tmp_path / "out", formats=("json",)))
     names = {p.name for p in result.output_files}

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ledgerflow.graph import LedgerGraph, aggregate
-from ledgerflow.nullmodel import EnsembleSpec, SwapMode
+from ledgerflow.nullmodel import EnsembleSpec, SwapMode, run_ensemble
 from ledgerflow.synthetic import ScenarioSpec, generate_synthetic
 from ledgerflow.topology import categorize
 from ledgerflow.triads import (
@@ -126,19 +126,19 @@ def test_boundary_links_never_enter_the_census():
 def test_triad_significance_parallel_matches_serial():
     ledger = generate_synthetic(ScenarioSpec(cliques=5, clique_size=4, stars=10), seed=3)
     g, _ = aggregate(ledger.transactions)
-    partition = categorize(g)
+    empirical = category_census(g, categorize(g))
     spec = EnsembleSpec(mode=SwapMode.BOTH, replicas=8, master_seed=6)
-    assert triad_significance(g, partition, spec, jobs=2) == triad_significance(
-        g, partition, spec, jobs=1
-    )
+    _, parallel = run_ensemble(g, spec, jobs=2)
+    _, serial = run_ensemble(g, spec, jobs=1)
+    assert triad_significance(empirical, parallel) == triad_significance(empirical, serial)
 
 
 def test_triad_absent_everywhere_is_undefined():
     ledger = generate_synthetic(ScenarioSpec(cliques=4, clique_size=4, stars=6), seed=9)
     g, _ = aggregate(ledger.transactions)
-    partition = categorize(g)
+    empirical = category_census(g, categorize(g))
     spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=10, master_seed=1)
-    cells = triad_significance(g, partition, spec)
+    cells = triad_significance(empirical, run_ensemble(g, spec)[1])
     by_key = {(c.category, c.feature): c for c in cells}
     cell = by_key[("dagTmix", "300")]  # impossible in any acyclic subgraph
     assert cell.empirical == 0.0
