@@ -3,7 +3,9 @@
 Subcommands: ingest, topology, significance, triads, recirculation,
 report, generate, run. Global flags pick the config file, seed, worker
 count, output directory, and table format. Exit codes: 0 success,
-2 configuration error, 3 data error, 4 analysis error.
+2 configuration error, 3 data error, 4 analysis error or any other
+failure; every failure writes ``error_report.json`` once the output
+directory is known.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def _parse_modes(value: str) -> tuple[SwapMode, ...]:
     return tuple(modes)
 
 
-def _build_pipeline_config(args: argparse.Namespace, stage_modes: bool = True) -> PipelineConfig:
+def _build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     file_values = load_config_file(args.config) if args.config else {}
 
     def pick(key: str, flag_value, default):
@@ -104,7 +106,7 @@ def _build_pipeline_config(args: argparse.Namespace, stage_modes: bool = True) -
             output_dir=output,
             column_mapping=mapping,
             filter_spec=filter_spec,
-            modes=modes if stage_modes else (SwapMode.TARGET,),
+            modes=modes,
             replicas=int(pick("replicas", getattr(args, "replicas", None), 1000)),
             master_seed=int(pick("seed", args.seed, 0)),
             max_repair_attempts=int(pick("max_repair_attempts", None, 100)),
@@ -223,6 +225,10 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (AnalysisError, LedgerflowError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
+        _write_error_report(args, exc, 4)
+        return 4
+    except Exception as exc:  # a defect, but still an exit code and a report
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         _write_error_report(args, exc, 4)
         return 4
 

@@ -10,6 +10,7 @@ with a diagnostics record.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
@@ -96,11 +97,16 @@ class IngestDiagnostics:
         }
 
 
+_EPOCH = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
+
+
 def parse_timestamp(raw: str, fmt: str) -> int:
     """Parse one timestamp cell to UTC epoch seconds (fraction truncated)."""
     text = raw.strip()
     if fmt == "epoch":
-        return int(text)
+        if not _EPOCH.fullmatch(text):
+            raise ValueError(f"not epoch seconds: {raw!r}")
+        return int(text.partition(".")[0])
     # ISO-8601; a trailing Z is normalised, a naive stamp is taken as UTC.
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
@@ -111,10 +117,7 @@ def parse_timestamp(raw: str, fmt: str) -> int:
 
 
 def _detect_timestamp_format(value: str) -> str:
-    text = value.strip()
-    if text and (text.isdigit() or (text[0] in "+-" and text[1:].isdigit())):
-        return "epoch"
-    return "iso8601"
+    return "epoch" if _EPOCH.fullmatch(value.strip()) else "iso8601"
 
 
 def parse_ledger(
@@ -139,7 +142,9 @@ def parse_ledger(
     transactions: list[Transaction] = []
     seen_ids: set[str] = set()
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops a byte-order mark, which would otherwise glue itself
+    # to the first column name.
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

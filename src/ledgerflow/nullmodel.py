@@ -9,12 +9,20 @@ exactly. Self-loops produced by the permutation are repaired by pairwise
 exchanges within the permuted column (degree multisets stay intact); links
 that land on the same ordered pair are merged.
 
+Replicas live on integer arrays: nodes are numbered once per ensemble in
+sorted order, so integer link order equals the graph's string link order,
+and a replica is one permuted int64 column with its self-loops repaired.
+Parallel links merge through ``np.unique`` on ``source * n + target``; the
+per-link counts and Decimal volumes stay in the original link order. Pool
+workers receive these columns, not a graph. ``randomize_endpoints`` and
+``randomize`` map the same engine back to account ids.
+
 An ensemble builds each replica once, re-runs the topological
-categorisation on it, and keeps two tables per replica: its category
-statistics and the triad census of its DAG categories. The empirical
-category sizes are scored against the first with z-scores, robust z-scores,
-and an Anderson-Darling normality verdict per cell; ``triads`` scores the
-empirical censuses against the second.
+categorisation (``topology.label``) on it, and keeps two tables per
+replica: its category statistics and the triad census of its DAG
+categories. The empirical category sizes are scored against the first with
+z-scores, robust z-scores, and an Anderson-Darling normality verdict per
+cell; ``triads`` scores the empirical censuses against the second.
 """
 
 from __future__ import annotations
@@ -31,7 +39,8 @@ from . import triads
 from .errors import AnalysisError
 from .graph import LedgerGraph, LinkRecord
 from .stats import SignificanceCell, score_ensemble
-from .topology import CATEGORY_ORDER, CategoryRow, categorize, category_stats
+from .topology import CATEGORY_ORDER, CategoryRow, LinkColumns, label, link_columns, tabulate
+from .topology import categorize, category_stats  # noqa: F401  (perfbench/tracer.py wraps these)
 from .util import mix64
 
 __all__ = [
@@ -82,6 +91,54 @@ def derive_seed(master_seed: int, index: int) -> int:
     return mix64(master_seed, index)
 
 
+def _swap(sources: np.ndarray, targets: np.ndarray, mode: SwapMode, seed: int,
+          max_repair_attempts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Swapped integer endpoint columns, before merging parallel links."""
+    m = sources.size
+    if m <= 1:
+        return sources, targets
+
+    rng = np.random.default_rng(seed & (2**64 - 1))
+    pool = None
+    if mode is SwapMode.BOTH:
+        pool = rng.integers(0, 2, size=m)
+        sources, targets = sources.copy(), targets.copy()
+        for column, idx in ((sources, np.flatnonzero(pool == 0)),
+                            (targets, np.flatnonzero(pool == 1))):
+            column[idx] = column[idx[rng.permutation(idx.size)]]
+    elif mode is SwapMode.TARGET:
+        targets = targets[rng.permutation(m)]
+    elif mode is SwapMode.SOURCE:
+        sources = sources[rng.permutation(m)]
+    else:
+        raise ValueError(f"unknown swap mode: {mode!r}")
+
+    # Repair self-loops by exchanging the permuted-column entry with a
+    # random partner; a swap inside one column never changes its multiset.
+    # An accepted swap never creates a self-loop, so only the positions
+    # that are loops now need visiting, in order, each re-checked when
+    # reached (an earlier swap may have repaired it).
+    for i in np.flatnonzero(sources == targets).tolist():
+        if sources[i] != targets[i]:
+            continue
+        if mode is SwapMode.SOURCE or (mode is SwapMode.BOTH and pool[i] == 0):
+            column, fixed = sources, targets
+        else:
+            column, fixed = targets, sources
+        for _ in range(max_repair_attempts):
+            j = int(rng.integers(0, m))
+            if j == i:
+                continue
+            # After the exchange neither position may be a self-loop.
+            if fixed[i] == column[j] or fixed[j] == column[i]:
+                continue
+            column[i], column[j] = column[j], column[i]
+            break
+        else:
+            raise RandomizationError(seed, i)
+    return sources, targets
+
+
 def randomize_endpoints(
     g: LedgerGraph,
     mode: SwapMode,
@@ -94,64 +151,13 @@ def randomize_endpoints(
     :class:`RandomizationError` when a self-loop cannot be repaired within
     the attempt budget.
     """
-    triples = g.link_list()
-    sources = [s for s, _, _ in triples]
-    targets = [t for _, t, _ in triples]
-    records = [rec for _, _, rec in triples]
-    m = len(triples)
-    if m <= 1:
-        return triples
-
-    rng = np.random.default_rng(seed & (2**64 - 1))
-    pool = None
-    if mode is SwapMode.BOTH:
-        pool = rng.integers(0, 2, size=m)
-        source_idx = np.flatnonzero(pool == 0)
-        target_idx = np.flatnonzero(pool == 1)
-        perm_s = source_idx[rng.permutation(source_idx.size)]
-        new_sources = list(sources)
-        for pos, j in zip(source_idx, perm_s):
-            new_sources[pos] = sources[j]
-        perm_t = target_idx[rng.permutation(target_idx.size)]
-        new_targets = list(targets)
-        for pos, j in zip(target_idx, perm_t):
-            new_targets[pos] = targets[j]
-        sources, targets = new_sources, new_targets
-    elif mode is SwapMode.TARGET:
-        perm = rng.permutation(m)
-        targets = [targets[j] for j in perm]
-    elif mode is SwapMode.SOURCE:
-        perm = rng.permutation(m)
-        sources = [sources[j] for j in perm]
-    else:
-        raise ValueError(f"unknown swap mode: {mode!r}")
-
-    # Repair self-loops by exchanging the permuted-column entry with a
-    # random partner; a swap inside one column never changes its multiset.
-    for i in range(m):
-        if sources[i] != targets[i]:
-            continue
-        if mode is SwapMode.SOURCE or (mode is SwapMode.BOTH and pool[i] == 0):
-            column = sources
-            fixed = targets
-        else:
-            column = targets
-            fixed = sources
-        repaired = False
-        for _ in range(max_repair_attempts):
-            j = int(rng.integers(0, m))
-            if j == i:
-                continue
-            # After the exchange neither position may be a self-loop.
-            if fixed[i] == column[j] or fixed[j] == column[i]:
-                continue
-            column[i], column[j] = column[j], column[i]
-            repaired = True
-            break
-        if not repaired:
-            raise RandomizationError(seed, i)
-
-    return list(zip(sources, targets, records))
+    cols = link_columns(g)
+    sources, targets = _swap(cols.sources, cols.targets, mode, seed, max_repair_attempts)
+    nodes = g.nodes
+    return [
+        (nodes[s], nodes[t], record)
+        for s, t, record in zip(sources.tolist(), targets.tolist(), g.links.values())
+    ]
 
 
 def randomize(
@@ -168,36 +174,51 @@ def randomize(
     return LedgerGraph(merged)
 
 
-def _replica(g: LedgerGraph, spec: EnsembleSpec, index: int) -> LedgerGraph:
+def _replica(links: LinkColumns, spec: EnsembleSpec, index: int) -> tuple[np.ndarray, ...]:
+    """Merged replica links as sorted (sources, targets), plus the merged
+    link that carries each original link record."""
     seed = derive_seed(spec.master_seed, index)
     for attempt in range(_REPLICA_RETRIES + 1):
         try:
-            return randomize(g, spec.mode, seed, spec.max_repair_attempts)
+            sources, targets = _swap(
+                links.sources, links.targets, spec.mode, seed, spec.max_repair_attempts
+            )
+            break
         except RandomizationError:
             if attempt == _REPLICA_RETRIES:
                 raise
             seed = derive_seed(derive_seed(spec.master_seed, index), attempt + 1)
-    raise AssertionError("unreachable")
+    keys, record_link = np.unique(sources * links.n + targets, return_inverse=True)
+    return keys // links.n, keys % links.n, record_link
 
 
 def _replica_tables(
-    g: LedgerGraph, spec: EnsembleSpec, index: int
+    links: LinkColumns, spec: EnsembleSpec, index: int
 ) -> tuple[dict[str, CategoryRow], dict[str, dict[str, int]]]:
-    replica = _replica(g, spec, index)
-    partition = categorize(replica)
-    return category_stats(replica, partition), triads.category_census(replica, partition)
+    sources, targets, record_link = _replica(links, spec, index)
+    labels, _ = label(links.n, sources, targets)
+    stats = tabulate(labels, sources, targets, links.counts, links.volumes, record_link)
+    censuses = {}
+    for category in triads.DEFAULT_CENSUS_CATEGORIES:
+        code = CATEGORY_ORDER.index(category.value)
+        owned = labels.link == code
+        censuses[category.value] = triads.census(
+            np.flatnonzero(labels.node == code).tolist(),
+            zip(sources[owned].tolist(), targets[owned].tolist()),
+        )
+    return stats, censuses
 
 
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(g: LedgerGraph, spec: EnsembleSpec) -> None:
-    _WORKER_STATE["graph"] = g
+def _init_worker(links: LinkColumns, spec: EnsembleSpec) -> None:
+    _WORKER_STATE["links"] = links
     _WORKER_STATE["spec"] = spec
 
 
 def _run_worker(index: int):
-    return _replica_tables(_WORKER_STATE["graph"], _WORKER_STATE["spec"], index)
+    return _replica_tables(_WORKER_STATE["links"], _WORKER_STATE["spec"], index)
 
 
 def run_ensemble(
@@ -207,18 +228,19 @@ def run_ensemble(
 ) -> tuple[list[dict[str, CategoryRow]], list[dict[str, dict[str, int]]]]:
     """Category statistics and category triad censuses of every replica.
 
-    Each replica is built and categorised once and yields both tables; the
-    censuses cover ``triads.DEFAULT_CENSUS_CATEGORIES``. Both lists are in
-    replica-index order regardless of worker scheduling, so output is
-    identical for any job count.
+    Each replica is built and categorised once on integer arrays and yields
+    both tables; the censuses cover ``triads.DEFAULT_CENSUS_CATEGORIES``.
+    Both lists are in replica-index order regardless of worker scheduling,
+    so output is identical for any job count.
     """
+    links = link_columns(g)
     indices = range(spec.replicas)
     if jobs <= 1:
-        pairs = [_replica_tables(g, spec, i) for i in indices]
+        pairs = [_replica_tables(links, spec, i) for i in indices]
     else:
         chunk = max(1, spec.replicas // (jobs * 4))
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(g, spec)
+            max_workers=jobs, initializer=_init_worker, initargs=(links, spec)
         ) as executor:
             pairs = list(executor.map(_run_worker, indices, chunksize=chunk))
     return [stats for stats, _ in pairs], [census for _, census in pairs]

@@ -22,7 +22,7 @@ import numpy
 import scipy
 
 from .degrees import degree_stats
-from .errors import ConfigError
+from .errors import AnalysisError, ConfigError
 from .graph import aggregate
 from .ingest import ColumnMapping, FilterSpec, parse_ledger, write_transactions
 from .nullmodel import EnsembleSpec, SwapMode, run_ensemble, significance
@@ -36,7 +36,7 @@ from .recirculation import (
     extract_ops,
     user_signatures,
 )
-from .stats import SignificanceCell
+from .stats import _MIN_ENSEMBLE, SignificanceCell
 from .synthetic import ScenarioSpec, generate_synthetic
 from .topology import (
     CATEGORY_ORDER,
@@ -242,8 +242,13 @@ def run_pipeline(
     """Execute the selected stages and write the report bundle.
 
     Stages that are not selected write nothing; the upstream results they
-    need are computed in memory.
+    need are computed in memory. An ensemble too small to score fails
+    before any work is done.
     """
+    if stages & {"significance", "triads"} and config.replicas < _MIN_ENSEMBLE:
+        raise AnalysisError(
+            f"ensemble of {config.replicas} is below the minimum of {_MIN_ENSEMBLE}"
+        )
     out_dir = Path(config.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -17,6 +17,14 @@ Links internal to a component, and links between a single-node and a cyclic
 component, are owned by that component; only the three boundary kinds stand
 alone. The partition is complete: category node/link/tx/volume totals add
 up exactly to the graph totals.
+
+The categoriser works on integer endpoint columns: strongly connected
+components and the weak components of non-cyclic links come from
+``scipy.sparse.csgraph``, boundary flags are boolean scatters per component,
+and every node and link gets one category code. Category statistics are
+``np.bincount`` tables over those codes. ``categorize`` and
+``category_stats`` wrap this for a string-keyed :class:`LedgerGraph`; null
+replicas call ``label`` and ``tabulate`` on their arrays directly.
 """
 
 from __future__ import annotations
@@ -24,7 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .graph import LedgerGraph
 from .util import dsum
@@ -40,8 +52,13 @@ __all__ = [
     "CATEGORY_ORDER",
     "NODE_CATEGORIES",
     "EDGE_CATEGORIES",
+    "LinkColumns",
+    "Labels",
     "strongly_connected_components",
+    "link_columns",
+    "label",
     "categorize",
+    "tabulate",
     "category_stats",
     "one_time_users",
     "verify_partition",
@@ -132,228 +149,6 @@ class TopologyPartition:
         return assignment.kind.value
 
 
-def strongly_connected_components(g: LedgerGraph) -> list[tuple[str, ...]]:
-    """All SCCs (including singletons) via iterative Tarjan, deterministic."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    out: list[tuple[str, ...]] = []
-    counter = 0
-    adj = g.out_adj
-
-    for root in g.nodes:
-        if root in index:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work: list[tuple[str, Iterable[str]]] = [(root, iter(adj[root]))]
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                if w in on_stack and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-            if low[v] == index[v]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    members.append(w)
-                    if w == v:
-                        break
-                out.append(tuple(sorted(members)))
-    return out
-
-
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, items: Iterable[str]):
-        self.parent = {item: item for item in items}
-
-    def find(self, x: str) -> str:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # Smaller id wins so roots are order-independent.
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
-def categorize(g: LedgerGraph) -> TopologyPartition:
-    """Partition a graph into the exclusive topological categories."""
-    # 1. Cyclic components: SCCs of size >= 2.
-    scc_of: dict[str, str] = {}
-    scc_members: dict[str, tuple[str, ...]] = {}
-    for members in strongly_connected_components(g):
-        if len(members) >= 2:
-            cid = f"scc:{members[0]}"
-            scc_members[cid] = members
-            for v in members:
-                scc_of[v] = cid
-
-    # 2. Non-cyclic nodes: weak components of the induced subgraph.
-    plain = [v for v in g.nodes if v not in scc_of]
-    uf = _UnionFind(plain)
-    for source, target in g.links:
-        if source not in scc_of and target not in scc_of:
-            uf.union(source, target)
-    groups: dict[str, list[str]] = {}
-    for v in plain:
-        groups.setdefault(uf.find(v), []).append(v)
-
-    dag_members: dict[str, tuple[str, ...]] = {}
-    dag_of: dict[str, str] = {}
-    singles: list[str] = []
-    for members in groups.values():
-        if len(members) >= 2:
-            members = tuple(sorted(members))
-            cid = f"dag:{members[0]}"
-            dag_members[cid] = members
-            for v in members:
-                dag_of[v] = cid
-        else:
-            singles.append(members[0])
-
-    # 3. Single-node classification. All links of a single-node attach to
-    # cyclic components (anything else would have merged it into a DAG).
-    single_category: dict[str, NodeCategory] = {}
-    for v in sorted(singles):
-        has_out = bool(g.out_adj[v])
-        has_in = bool(g.in_adj[v])
-        if has_out and has_in:
-            single_category[v] = NodeCategory.BRIDGE_SCC
-        elif has_out:
-            single_category[v] = NodeCategory.IN_SINGLE
-        else:
-            single_category[v] = NodeCategory.OUT_SINGLE
-
-    # 4./5. Boundary scan: one pass over all links collects, per component,
-    # whether it sends to / receives from the node kinds that matter.
-    dag_sends_to_cyc: set[str] = set()
-    dag_receives_from_cyc: set[str] = set()
-    scc_receives: set[str] = set()  # from DAG nodes or non-bridge single-nodes
-    scc_sends: set[str] = set()
-    for source, target in g.links:
-        cs = scc_of.get(source)
-        ct = scc_of.get(target)
-        if cs is not None and ct is None:
-            if target in dag_of:
-                dag_receives_from_cyc.add(dag_of[target])
-                scc_sends.add(cs)
-            elif single_category[target] is not NodeCategory.BRIDGE_SCC:
-                scc_sends.add(cs)
-        elif cs is None and ct is not None:
-            if source in dag_of:
-                dag_sends_to_cyc.add(dag_of[source])
-                scc_receives.add(ct)
-            elif single_category[source] is not NodeCategory.BRIDGE_SCC:
-                scc_receives.add(ct)
-
-    component_category: dict[str, NodeCategory] = {}
-    for cid in scc_members:
-        inbound = cid in scc_receives
-        outbound = cid in scc_sends
-        if inbound and outbound:
-            component_category[cid] = NodeCategory.SCC_TMIX
-        elif inbound:
-            component_category[cid] = NodeCategory.SCC_TIN
-        elif outbound:
-            component_category[cid] = NodeCategory.SCC_TOUT
-        else:
-            component_category[cid] = NodeCategory.SCC0
-    for cid in dag_members:
-        sends = cid in dag_sends_to_cyc
-        receives = cid in dag_receives_from_cyc
-        if sends and receives:
-            component_category[cid] = NodeCategory.DAG_TMIX
-        elif sends:
-            component_category[cid] = NodeCategory.DAG_TIN
-        elif receives:
-            component_category[cid] = NodeCategory.DAG_TOUT
-        else:
-            component_category[cid] = NodeCategory.DAG0
-
-    components: dict[str, tuple[str, ...]] = {}
-    components.update(scc_members)
-    components.update(dag_members)
-    node_component: dict[str, str] = {}
-    node_category: dict[str, NodeCategory] = {}
-    for cid, members in scc_members.items():
-        for v in members:
-            node_component[v] = cid
-            node_category[v] = component_category[cid]
-    for cid, members in dag_members.items():
-        for v in members:
-            node_component[v] = cid
-            node_category[v] = component_category[cid]
-    for v, category in single_category.items():
-        cid = f"node:{v}"
-        components[cid] = (v,)
-        component_category[cid] = category
-        node_component[v] = cid
-        node_category[v] = category
-
-    # 6. Edge assignment.
-    edge_assignment: dict[tuple[str, str], EdgeAssignment] = {}
-    for pair in g.links:
-        source, target = pair
-        cs = scc_of.get(source)
-        ct = scc_of.get(target)
-        if cs is not None and ct is not None:
-            if cs == ct:
-                edge_assignment[pair] = EdgeAssignment(EdgeKind.INTERNAL, cs)
-            else:
-                edge_assignment[pair] = EdgeAssignment(EdgeKind.SCC2SCC, None)
-        elif cs is None and ct is None:
-            edge_assignment[pair] = EdgeAssignment(EdgeKind.INTERNAL, dag_of[source])
-        elif cs is not None:  # SCC -> non-cyclic
-            if target in single_category:
-                edge_assignment[pair] = EdgeAssignment(EdgeKind.ATTACHMENT, node_component[target])
-            else:
-                edge_assignment[pair] = EdgeAssignment(EdgeKind.SCC2DAG, None)
-        else:  # non-cyclic -> SCC
-            if source in single_category:
-                edge_assignment[pair] = EdgeAssignment(EdgeKind.ATTACHMENT, node_component[source])
-            else:
-                edge_assignment[pair] = EdgeAssignment(EdgeKind.DAG2SCC, None)
-
-    return TopologyPartition(
-        node_category=node_category,
-        node_component=node_component,
-        components=components,
-        component_category=component_category,
-        edge_assignment=edge_assignment,
-    )
-
-
 @dataclass(frozen=True)
 class CategoryRow:
     scc_count: int
@@ -364,55 +159,221 @@ class CategoryRow:
     volume: Decimal
 
 
-_ZERO_ROW = CategoryRow(0, 0, 0, 0, 0, Decimal(0))
+class LinkColumns(NamedTuple):
+    """A graph's links as integer columns, in ``g.links`` order.
+
+    Node ids index the sorted ``g.nodes``, so integer (source, target) order
+    equals the graph's string link order.
+    """
+
+    n: int
+    sources: np.ndarray
+    targets: np.ndarray
+    counts: np.ndarray
+    volumes: np.ndarray  # Decimal objects
+
+
+def link_columns(g: LedgerGraph) -> LinkColumns:
+    index = {v: i for i, v in enumerate(g.nodes)}
+    ends = np.array([index[v] for pair in g.links for v in pair], dtype=np.int64)
+    records = list(g.links.values())
+    volumes = np.empty(len(records), dtype=object)
+    volumes[:] = [r.volume for r in records]
+    return LinkColumns(
+        n=g.node_count,
+        sources=ends[0::2].copy(),
+        targets=ends[1::2].copy(),
+        counts=np.array([r.count for r in records], dtype=np.int64),
+        volumes=volumes,
+    )
+
+
+class Labels(NamedTuple):
+    """Category codes (indices into ``CATEGORY_ORDER``) of one graph."""
+
+    node: np.ndarray       # per node
+    link: np.ndarray       # per link
+    scc_codes: np.ndarray  # per cyclic component
+
+
+_CODE = {label: code for code, label in enumerate(CATEGORY_ORDER)}
+_NODE_CATEGORY = {_CODE[c.value]: c for c in NodeCategory}
+_EDGE_CODES = np.array([_CODE[c] for c in EDGE_CATEGORIES])
+# Indexed by 2 * inbound + outbound (cyclic) or 2 * sends + receives (acyclic).
+_SCC_CODES = np.array([_CODE[c] for c in ("scc0", "sccTout", "sccTin", "sccTmix")])
+_DAG_CODES = np.array([_CODE[c] for c in ("dag0", "dagTout", "dagTin", "dagTmix")])
+
+
+def _components(n: int, sources: np.ndarray, targets: np.ndarray, connection: str) -> np.ndarray:
+    ones = np.ones(sources.size, dtype=np.int8)
+    graph = csr_matrix((ones, (sources, targets)), shape=(n, n))
+    return connected_components(graph, directed=True, connection=connection)[1]
+
+
+def _members(component: np.ndarray) -> dict[int, list[int]]:
+    """Node ids per component id, ascending; components by first member."""
+    groups: dict[int, list[int]] = {}
+    for i, c in enumerate(component.tolist()):
+        groups.setdefault(c, []).append(i)
+    return groups
+
+
+def strongly_connected_components(g: LedgerGraph) -> list[tuple[str, ...]]:
+    """All SCCs (including singletons) as sorted tuples, by first member."""
+    cols = link_columns(g)
+    scc = _components(cols.n, cols.sources, cols.targets, "strong")
+    return [tuple(g.nodes[i] for i in group) for group in _members(scc).values()]
+
+
+def label(n: int, sources: np.ndarray, targets: np.ndarray) -> tuple[Labels, np.ndarray]:
+    """Category codes of a simple digraph on nodes ``0..n-1``.
+
+    Returns the labels and each node's component id (its SCC for cyclic
+    nodes, its weak component of non-cyclic links offset by ``n`` otherwise).
+    """
+    scc = _components(n, sources, targets, "strong")
+    cyclic = np.bincount(scc, minlength=1)[scc] >= 2
+    s_cyc, t_cyc = cyclic[sources], cyclic[targets]
+    plain = ~s_cyc & ~t_cyc
+    wcc = _components(n, sources[plain], targets[plain], "weak")
+    dag = ~cyclic & (np.bincount(wcc, minlength=1)[wcc] >= 2)
+    single = ~cyclic & ~dag
+    has_out = np.bincount(sources, minlength=n) > 0
+    has_in = np.bincount(targets, minlength=n) > 0
+    bridge = single & has_out & has_in
+
+    # Boundary flags per component; links of bridge single-nodes do not count.
+    scc_in, scc_out, dag_sends, dag_receives = np.zeros((4, n), dtype=bool)
+    scc_out[scc[sources[s_cyc & ~t_cyc & ~bridge[targets]]]] = True
+    scc_in[scc[targets[~s_cyc & t_cyc & ~bridge[sources]]]] = True
+    dag_sends[wcc[sources[dag[sources] & t_cyc]]] = True
+    dag_receives[wcc[targets[s_cyc & dag[targets]]]] = True
+
+    node = np.select(
+        [cyclic, dag, bridge, has_out],
+        [_SCC_CODES[2 * scc_in[scc] + scc_out[scc]],
+         _DAG_CODES[2 * dag_sends[wcc] + dag_receives[wcc]],
+         _CODE["bridge_scc"], _CODE["in-single-node"]],
+        _CODE["out-single-node"],
+    )
+    # Internal links belong to their component, attachments to the
+    # single-node; the rest are boundary links.
+    internal = plain | (s_cyc & t_cyc & (scc[sources] == scc[targets]))
+    link = np.select(
+        [internal, s_cyc & t_cyc, s_cyc & single[targets], s_cyc, single[sources]],
+        [node[sources], _CODE["edge_scc2scc"], node[targets], _CODE["edge_scc2dag"],
+         node[sources]],
+        _CODE["edge_dag2scc"],
+    )
+    first = np.unique(scc[cyclic], return_index=True)[1]
+    labels = Labels(node=node, link=link, scc_codes=node[cyclic][first])
+    return labels, np.where(cyclic, scc, n + wcc)
+
+
+def categorize(g: LedgerGraph) -> TopologyPartition:
+    """Partition a graph into the exclusive topological categories."""
+    cols = link_columns(g)
+    labels, component = label(cols.n, cols.sources, cols.targets)
+    nodes = g.nodes
+    node_codes = labels.node.tolist()
+
+    # Members of each component in node order; the id names the first.
+    cid_of: dict[int, str] = {}
+    node_component: dict[str, str] = {}
+    node_category: dict[str, NodeCategory] = {}
+    components: dict[str, tuple[str, ...]] = {}
+    component_category: dict[str, NodeCategory] = {}
+    for c, group in _members(component).items():
+        members = tuple(nodes[i] for i in group)
+        category = _NODE_CATEGORY[node_codes[group[0]]]
+        kind = "scc" if category.is_scc else "dag" if category.is_dag else "node"
+        cid = cid_of[c] = f"{kind}:{members[0]}"
+        components[cid] = members
+        component_category[cid] = category
+        for v in members:
+            node_component[v] = cid
+            node_category[v] = category
+
+    # Boundary links have no owner. An internal link belongs to its
+    # component, an attachment to its single-node end, whose component id
+    # (offset past every SCC id) is the larger. Links that share a kind and
+    # an owner share one assignment.
+    cs, ct = component[cols.sources], component[cols.targets]
+    boundary = np.isin(labels.link, _EDGE_CODES)
+    key = np.where(boundary, -labels.link, 2 * np.maximum(cs, ct) + (cs != ct))
+    keys, which = np.unique(key, return_inverse=True)
+    assignments = [
+        EdgeAssignment(EdgeKind(CATEGORY_ORDER[-k]), None) if k < 0
+        else EdgeAssignment(EdgeKind.ATTACHMENT if k % 2 else EdgeKind.INTERNAL, cid_of[k // 2])
+        for k in keys.tolist()
+    ]
+    edge_assignment = dict(zip(g.links, map(assignments.__getitem__, which.tolist())))
+
+    return TopologyPartition(
+        node_category=node_category,
+        node_component=node_component,
+        components=components,
+        component_category=component_category,
+        edge_assignment=edge_assignment,
+    )
+
+
+def tabulate(
+    labels: Labels,
+    sources: np.ndarray,
+    targets: np.ndarray,
+    counts: np.ndarray,
+    volumes: np.ndarray,
+    record_link: np.ndarray | None = None,
+) -> dict[str, CategoryRow]:
+    """Per-category rows from array labels; every category appears.
+
+    ``counts`` and ``volumes`` are per link record; ``record_link`` maps each
+    record to the link carrying it (identity when omitted). A category's
+    weak components span its owned links plus their endpoints, so e.g.
+    single-nodes attached to one hub form one component.
+    """
+    size = len(CATEGORY_ORDER)
+    n = labels.node.size
+    record_code = labels.link if record_link is None else labels.link[record_link]
+    node_count = np.bincount(labels.node, minlength=size)
+    link_count = np.bincount(labels.link, minlength=size)
+    scc_count = np.bincount(labels.scc_codes, minlength=size)
+    tx_count = np.zeros(size, dtype=np.int64)
+    np.add.at(tx_count, record_code, counts)
+
+    # One weak-components pass over (category, node) vertices.
+    keys, ends = np.unique(
+        np.concatenate([labels.link * n + sources, labels.link * n + targets]),
+        return_inverse=True,
+    )
+    vertex_wcc = _components(keys.size, ends[: sources.size], ends[sources.size:], "weak")
+    first = np.unique(vertex_wcc, return_index=True)[1]
+    wcc_count = np.bincount(keys[first] // n, minlength=size)
+
+    bounds = [0] + np.cumsum(np.bincount(record_code, minlength=size)).tolist()
+    grouped = volumes[np.argsort(record_code, kind="stable")]
+    return {
+        name: CategoryRow(
+            scc_count=int(scc_count[code]),
+            wcc_count=int(wcc_count[code]),
+            node_count=int(node_count[code]),
+            link_count=int(link_count[code]),
+            tx_count=int(tx_count[code]),
+            volume=dsum(grouped[bounds[code]:bounds[code + 1]]),
+        )
+        for code, name in enumerate(CATEGORY_ORDER)
+    }
 
 
 def category_stats(g: LedgerGraph, partition: TopologyPartition) -> dict[str, CategoryRow]:
-    """Per-category sizes: components, nodes, links, transactions, volume.
-
-    Every category label appears in the result, zeroed when absent. The
-    weakly-connected-component count of a category is taken over the
-    subgraph of its owned links plus both endpoints of each, which groups
-    e.g. single-nodes that attach to the same hub.
-    """
-    node_count: dict[str, int] = {label: 0 for label in CATEGORY_ORDER}
-    for category in partition.node_category.values():
-        node_count[category.value] += 1
-
-    link_count: dict[str, int] = {label: 0 for label in CATEGORY_ORDER}
-    tx_count: dict[str, int] = {label: 0 for label in CATEGORY_ORDER}
-    volumes: dict[str, list[Decimal]] = {label: [] for label in CATEGORY_ORDER}
-    endpoint_sets: dict[str, _UnionFind] = {label: _UnionFind([]) for label in CATEGORY_ORDER}
-
-    for pair, record in g.links.items():
-        label = partition.edge_label(pair)
-        link_count[label] += 1
-        tx_count[label] += record.count
-        volumes[label].append(record.volume)
-        uf = endpoint_sets[label]
-        for v in pair:
-            if v not in uf.parent:
-                uf.parent[v] = v
-        uf.union(pair[0], pair[1])
-
-    scc_count: dict[str, int] = {label: 0 for label in CATEGORY_ORDER}
-    for cid, category in partition.component_category.items():
-        if category.is_scc:
-            scc_count[category.value] += 1
-
-    result: dict[str, CategoryRow] = {}
-    for label in CATEGORY_ORDER:
-        uf = endpoint_sets[label]
-        wcc = len({uf.find(v) for v in uf.parent})
-        result[label] = CategoryRow(
-            scc_count=scc_count[label],
-            wcc_count=wcc,
-            node_count=node_count[label],
-            link_count=link_count[label],
-            tx_count=tx_count[label],
-            volume=dsum(volumes[label]),
-        )
-    return result
+    """Per-category sizes: components, nodes, links, transactions, volume."""
+    cols = link_columns(g)
+    node = [_CODE[partition.node_category[v].value] for v in g.nodes]
+    link = [_CODE[partition.edge_label(pair)] for pair in g.links]
+    sccs = [_CODE[c.value] for c in partition.component_category.values() if c.is_scc]
+    labels = Labels(*(np.array(codes, dtype=np.int64) for codes in (node, link, sccs)))
+    return tabulate(labels, cols.sources, cols.targets, cols.counts, cols.volumes)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import random
+from decimal import Decimal
 
-from ledgerflow.graph import LedgerGraph
+from ledgerflow.graph import LedgerGraph, LinkRecord
 
 
 def random_digraph(rng: random.Random, max_nodes: int, density: float | None = None) -> LedgerGraph:
@@ -17,3 +18,13 @@ def random_digraph(rng: random.Random, max_nodes: int, density: float | None = N
         if a != b:
             pairs.add((f"n{a:03d}", f"n{b:03d}"))
     return LedgerGraph.from_edges(sorted(pairs))
+
+
+def reweighted(g: LedgerGraph, rng: random.Random) -> LedgerGraph:
+    """``g`` with random transaction counts and cent volumes on its links."""
+    links = {}
+    for k, pair in enumerate(g.links):
+        count = rng.randint(1, 4)
+        ids = tuple(f"x{k}-{i}" for i in range(count))
+        links[pair] = LinkRecord(ids, count, Decimal(rng.randint(1, 10**6)).scaleb(-2))
+    return LedgerGraph(links)

@@ -4,19 +4,32 @@ Everything here is deliberately naive: dense reachability closures, triple
 enumeration with canonical pattern matching, a literal segment-splitting
 replay of the recirculation definition, and an exact inverse-CDF sampler
 for discrete power laws. None of it shares code with the library paths it
-verifies.
+verifies. The string-keyed endpoint swap, categoriser and category
+statistics that the integer-array implementations replaced also live here,
+as slow references.
 """
 
 from __future__ import annotations
 
 import itertools
 from decimal import Decimal
+from typing import Iterable
 
 import numpy as np
 from scipy.special import zeta
 
-from ledgerflow.graph import LedgerGraph
+from ledgerflow.graph import LedgerGraph, LinkRecord
 from ledgerflow.ingest import Transaction
+from ledgerflow.nullmodel import RandomizationError, SwapMode
+from ledgerflow.topology import (
+    CATEGORY_ORDER,
+    CategoryRow,
+    EdgeAssignment,
+    EdgeKind,
+    NodeCategory,
+    TopologyPartition,
+)
+from ledgerflow.util import dsum
 
 # --------------------------------------------------------------------------
 # topology oracle: classify via dense reachability, compare by member sets
@@ -155,6 +168,363 @@ def naive_categorize(g: LedgerGraph):
             else:
                 edge_view[(s, t)] = ("edge_dag2scc", None)
     return node_view, edge_view
+
+
+# --------------------------------------------------------------------------
+# reference categoriser and category stats: the dict-based implementations
+# (Tarjan SCCs, union-find weak components, per-link scans) that the array
+# categoriser replaced; the fast path must match them exactly
+# --------------------------------------------------------------------------
+
+
+def tarjan_sccs(g: LedgerGraph) -> list[tuple[str, ...]]:
+    """All SCCs (including singletons) via iterative Tarjan, deterministic."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    out: list[tuple[str, ...]] = []
+    counter = 0
+    adj = g.out_adj
+
+    for root in g.nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        work: list[tuple[str, Iterable[str]]] = [(root, iter(adj[root]))]
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(adj[w])))
+                    advanced = True
+                    break
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+            if low[v] == index[v]:
+                members = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    members.append(w)
+                    if w == v:
+                        break
+                out.append(tuple(sorted(members)))
+    return out
+
+
+class _UnionFind:
+    __slots__ = ("parent",)
+
+    def __init__(self, items: Iterable[str]):
+        self.parent = {item: item for item in items}
+
+    def find(self, x: str) -> str:
+        parent = self.parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a: str, b: str) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            # Smaller id wins so roots are order-independent.
+            if rb < ra:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+
+def reference_categorize(g: LedgerGraph) -> TopologyPartition:
+    """Dict-based categoriser (Tarjan + union-find) the array path replaced."""
+    # 1. Cyclic components: SCCs of size >= 2.
+    scc_of: dict[str, str] = {}
+    scc_members: dict[str, tuple[str, ...]] = {}
+    for members in tarjan_sccs(g):
+        if len(members) >= 2:
+            cid = f"scc:{members[0]}"
+            scc_members[cid] = members
+            for v in members:
+                scc_of[v] = cid
+
+    # 2. Non-cyclic nodes: weak components of the induced subgraph.
+    plain = [v for v in g.nodes if v not in scc_of]
+    uf = _UnionFind(plain)
+    for source, target in g.links:
+        if source not in scc_of and target not in scc_of:
+            uf.union(source, target)
+    groups: dict[str, list[str]] = {}
+    for v in plain:
+        groups.setdefault(uf.find(v), []).append(v)
+
+    dag_members: dict[str, tuple[str, ...]] = {}
+    dag_of: dict[str, str] = {}
+    singles: list[str] = []
+    for members in groups.values():
+        if len(members) >= 2:
+            members = tuple(sorted(members))
+            cid = f"dag:{members[0]}"
+            dag_members[cid] = members
+            for v in members:
+                dag_of[v] = cid
+        else:
+            singles.append(members[0])
+
+    # 3. Single-node classification. All links of a single-node attach to
+    # cyclic components (anything else would have merged it into a DAG).
+    single_category: dict[str, NodeCategory] = {}
+    for v in sorted(singles):
+        has_out = bool(g.out_adj[v])
+        has_in = bool(g.in_adj[v])
+        if has_out and has_in:
+            single_category[v] = NodeCategory.BRIDGE_SCC
+        elif has_out:
+            single_category[v] = NodeCategory.IN_SINGLE
+        else:
+            single_category[v] = NodeCategory.OUT_SINGLE
+
+    # 4./5. Boundary scan: one pass over all links collects, per component,
+    # whether it sends to / receives from the node kinds that matter.
+    dag_sends_to_cyc: set[str] = set()
+    dag_receives_from_cyc: set[str] = set()
+    scc_receives: set[str] = set()  # from DAG nodes or non-bridge single-nodes
+    scc_sends: set[str] = set()
+    for source, target in g.links:
+        cs = scc_of.get(source)
+        ct = scc_of.get(target)
+        if cs is not None and ct is None:
+            if target in dag_of:
+                dag_receives_from_cyc.add(dag_of[target])
+                scc_sends.add(cs)
+            elif single_category[target] is not NodeCategory.BRIDGE_SCC:
+                scc_sends.add(cs)
+        elif cs is None and ct is not None:
+            if source in dag_of:
+                dag_sends_to_cyc.add(dag_of[source])
+                scc_receives.add(ct)
+            elif single_category[source] is not NodeCategory.BRIDGE_SCC:
+                scc_receives.add(ct)
+
+    component_category: dict[str, NodeCategory] = {}
+    for cid in scc_members:
+        inbound = cid in scc_receives
+        outbound = cid in scc_sends
+        if inbound and outbound:
+            component_category[cid] = NodeCategory.SCC_TMIX
+        elif inbound:
+            component_category[cid] = NodeCategory.SCC_TIN
+        elif outbound:
+            component_category[cid] = NodeCategory.SCC_TOUT
+        else:
+            component_category[cid] = NodeCategory.SCC0
+    for cid in dag_members:
+        sends = cid in dag_sends_to_cyc
+        receives = cid in dag_receives_from_cyc
+        if sends and receives:
+            component_category[cid] = NodeCategory.DAG_TMIX
+        elif sends:
+            component_category[cid] = NodeCategory.DAG_TIN
+        elif receives:
+            component_category[cid] = NodeCategory.DAG_TOUT
+        else:
+            component_category[cid] = NodeCategory.DAG0
+
+    components: dict[str, tuple[str, ...]] = {}
+    components.update(scc_members)
+    components.update(dag_members)
+    node_component: dict[str, str] = {}
+    node_category: dict[str, NodeCategory] = {}
+    for cid, members in scc_members.items():
+        for v in members:
+            node_component[v] = cid
+            node_category[v] = component_category[cid]
+    for cid, members in dag_members.items():
+        for v in members:
+            node_component[v] = cid
+            node_category[v] = component_category[cid]
+    for v, category in single_category.items():
+        cid = f"node:{v}"
+        components[cid] = (v,)
+        component_category[cid] = category
+        node_component[v] = cid
+        node_category[v] = category
+
+    # 6. Edge assignment.
+    edge_assignment: dict[tuple[str, str], EdgeAssignment] = {}
+    for pair in g.links:
+        source, target = pair
+        cs = scc_of.get(source)
+        ct = scc_of.get(target)
+        if cs is not None and ct is not None:
+            if cs == ct:
+                edge_assignment[pair] = EdgeAssignment(EdgeKind.INTERNAL, cs)
+            else:
+                edge_assignment[pair] = EdgeAssignment(EdgeKind.SCC2SCC, None)
+        elif cs is None and ct is None:
+            edge_assignment[pair] = EdgeAssignment(EdgeKind.INTERNAL, dag_of[source])
+        elif cs is not None:  # SCC -> non-cyclic
+            if target in single_category:
+                edge_assignment[pair] = EdgeAssignment(EdgeKind.ATTACHMENT, node_component[target])
+            else:
+                edge_assignment[pair] = EdgeAssignment(EdgeKind.SCC2DAG, None)
+        else:  # non-cyclic -> SCC
+            if source in single_category:
+                edge_assignment[pair] = EdgeAssignment(EdgeKind.ATTACHMENT, node_component[source])
+            else:
+                edge_assignment[pair] = EdgeAssignment(EdgeKind.DAG2SCC, None)
+
+    return TopologyPartition(
+        node_category=node_category,
+        node_component=node_component,
+        components=components,
+        component_category=component_category,
+        edge_assignment=edge_assignment,
+    )
+
+
+
+
+def reference_category_stats(
+    g: LedgerGraph, partition: TopologyPartition
+) -> dict[str, CategoryRow]:
+    """Per-category sizes: components, nodes, links, transactions, volume.
+
+    Every category label appears in the result, zeroed when absent. The
+    weakly-connected-component count of a category is taken over the
+    subgraph of its owned links plus both endpoints of each, which groups
+    e.g. single-nodes that attach to the same hub.
+    """
+    node_count: dict[str, int] = {label: 0 for label in CATEGORY_ORDER}
+    for category in partition.node_category.values():
+        node_count[category.value] += 1
+
+    link_count: dict[str, int] = {label: 0 for label in CATEGORY_ORDER}
+    tx_count: dict[str, int] = {label: 0 for label in CATEGORY_ORDER}
+    volumes: dict[str, list[Decimal]] = {label: [] for label in CATEGORY_ORDER}
+    endpoint_sets: dict[str, _UnionFind] = {label: _UnionFind([]) for label in CATEGORY_ORDER}
+
+    for pair, record in g.links.items():
+        label = partition.edge_label(pair)
+        link_count[label] += 1
+        tx_count[label] += record.count
+        volumes[label].append(record.volume)
+        uf = endpoint_sets[label]
+        for v in pair:
+            if v not in uf.parent:
+                uf.parent[v] = v
+        uf.union(pair[0], pair[1])
+
+    scc_count: dict[str, int] = {label: 0 for label in CATEGORY_ORDER}
+    for cid, category in partition.component_category.items():
+        if category.is_scc:
+            scc_count[category.value] += 1
+
+    result: dict[str, CategoryRow] = {}
+    for label in CATEGORY_ORDER:
+        uf = endpoint_sets[label]
+        wcc = len({uf.find(v) for v in uf.parent})
+        result[label] = CategoryRow(
+            scc_count=scc_count[label],
+            wcc_count=wcc,
+            node_count=node_count[label],
+            link_count=link_count[label],
+            tx_count=tx_count[label],
+            volume=dsum(volumes[label]),
+        )
+    return result
+
+
+# --------------------------------------------------------------------------
+# reference endpoint swap: one Python list per column, full self-loop scan
+# --------------------------------------------------------------------------
+
+
+def reference_randomize_endpoints(
+    g: LedgerGraph,
+    mode: SwapMode,
+    seed: int,
+    max_repair_attempts: int = 100,
+) -> list[tuple[str, str, LinkRecord]]:
+    """String-list endpoint swap that the integer-column engine replaced.
+
+    Scans every position for self-loops; the engine visits only the loops
+    left by the permutation and must draw the same random stream.
+    """
+    triples = g.link_list()
+    sources = [s for s, _, _ in triples]
+    targets = [t for _, t, _ in triples]
+    records = [rec for _, _, rec in triples]
+    m = len(triples)
+    if m <= 1:
+        return triples
+
+    rng = np.random.default_rng(seed & (2**64 - 1))
+    pool = None
+    if mode is SwapMode.BOTH:
+        pool = rng.integers(0, 2, size=m)
+        source_idx = np.flatnonzero(pool == 0)
+        target_idx = np.flatnonzero(pool == 1)
+        perm_s = source_idx[rng.permutation(source_idx.size)]
+        new_sources = list(sources)
+        for pos, j in zip(source_idx, perm_s):
+            new_sources[pos] = sources[j]
+        perm_t = target_idx[rng.permutation(target_idx.size)]
+        new_targets = list(targets)
+        for pos, j in zip(target_idx, perm_t):
+            new_targets[pos] = targets[j]
+        sources, targets = new_sources, new_targets
+    elif mode is SwapMode.TARGET:
+        perm = rng.permutation(m)
+        targets = [targets[j] for j in perm]
+    elif mode is SwapMode.SOURCE:
+        perm = rng.permutation(m)
+        sources = [sources[j] for j in perm]
+    else:
+        raise ValueError(f"unknown swap mode: {mode!r}")
+
+    # Repair self-loops by exchanging the permuted-column entry with a
+    # random partner; a swap inside one column never changes its multiset.
+    for i in range(m):
+        if sources[i] != targets[i]:
+            continue
+        if mode is SwapMode.SOURCE or (mode is SwapMode.BOTH and pool[i] == 0):
+            column = sources
+            fixed = targets
+        else:
+            column = targets
+            fixed = sources
+        repaired = False
+        for _ in range(max_repair_attempts):
+            j = int(rng.integers(0, m))
+            if j == i:
+                continue
+            # After the exchange neither position may be a self-loop.
+            if fixed[i] == column[j] or fixed[j] == column[i]:
+                continue
+            column[i], column[j] = column[j], column[i]
+            repaired = True
+            break
+        if not repaired:
+            raise RandomizationError(seed, i)
+
+    return list(zip(sources, targets, records))
 
 
 # --------------------------------------------------------------------------

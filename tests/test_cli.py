@@ -118,12 +118,30 @@ def test_bad_mode_is_config_error(tmp_path):
 
 
 def test_too_small_ensemble_is_analysis_error(tmp_path):
-    # significance needs at least 8 replicas for the normality test
-    code = main(
-        ["significance", str(DEMO_LEDGER), "--output", str(tmp_path / "o"),
-         "--mode", "target", "--replicas", "7"]
-    )
-    assert code == 4
+    # significance needs at least 8 replicas for the normality test; the
+    # check comes before ingest, so nothing but the report is written
+    for command in ("significance", "run"):
+        out_dir = tmp_path / command
+        code = main(
+            [command, str(DEMO_LEDGER), "--output", str(out_dir),
+             "--mode", "target", "--replicas", "7"]
+        )
+        assert code == 4
+        assert [p.name for p in out_dir.iterdir()] == ["error_report.json"]
+
+
+def test_unexpected_exception_is_reported(tmp_path, monkeypatch, capsys):
+    import ledgerflow.cli as cli
+
+    def broken(config, stages):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_pipeline", broken)
+    out_dir = tmp_path / "o"
+    assert main(["topology", str(DEMO_LEDGER), "--output", str(out_dir)]) == 4
+    report = json.loads((out_dir / "error_report.json").read_text())
+    assert report == {"error_type": "RuntimeError", "message": "boom", "exit_code": 4}
+    assert "RuntimeError" in capsys.readouterr().err
 
 
 def test_config_file_round_trip(tmp_path):

@@ -1,0 +1,179 @@
+"""Golden bundle: a fixed ledger and config must give byte-identical outputs.
+
+The ledger is a small seeded economy (a Pareto-weighted core plus planted
+cycles, feeders, sinks, bridges and stars) so every topology kind occurs.
+Every bundle file is hashed; the manifest is hashed without its wall times,
+input path, library versions and worker count, the only fields that may
+differ between runs of the same code.
+"""
+
+import hashlib
+import json
+import random
+from datetime import datetime, timezone
+
+from ledgerflow.cli import main
+
+_VOLATILE = (("stages",), ("input", "path"), ("versions",), ("config", "jobs"))
+
+# A change that alters any of these outputs on purpose must say so and
+# record the new hashes.
+GOLDEN = {
+    "category_stats.csv":
+        "4e8fdcd4b7009a3e893e983709f5734e13b8629f9a63032fb57cb9921df555b8",
+    "category_stats.json":
+        "7f61f9d874292fdb68727b84cc6613a6ec9f6a1b098334f1e7ce6fb610c8ef51",
+    "degree_stats.json":
+        "23ed4f735921f55ef4ea0e323cb2a096265b0f12aa7bd2a99dd99677eff4e1fb",
+    "edge_assignment.csv":
+        "f778907b89a99f72675531431fa7c9907244ce9d70a0b09c3b33efb332c28232",
+    "ingest_diagnostics.json":
+        "ac38847f361b6217c23a8817e6b1f0a3741f4d84c4a47af9abb8fe648a799e0b",
+    "ledger_totals.json":
+        "757bd67ae9f1a7ca669dae76f0dac20c4f268edc3effdd42b798e01c94b67fc1",
+    "manifest.json":
+        "55196c56c5fcaf1ca897e97fd332e963cd10d12fc7aa9bf7b0ddac57cf6cfb4c",
+    "node_assignment.csv":
+        "0771bc8cbcd3c790508d43e26d790427c0068e0eb74cd33558f7dcc9a85e13b9",
+    "one_time_users.csv":
+        "ecf1178bc073833dccd7309c97042c89e2522951d372683e77dcde87133088ae",
+    "one_time_users.json":
+        "b5d11273f95823bfe4386fd88ca97f74b83719944413a333051f1e99e2e95333",
+    "operations.csv":
+        "52b5dc93a2ff9d3651d8d9338b6bfe8c19ed8785f4c9b576c0f352bca5d90619",
+    "recirculation_boundaries.json":
+        "d9fe84c8afe23f01bc6548248334447e343b215ded5ca35adc01890b78823471",
+    "recirculation_coverage.json":
+        "4a18ec700d2309940ce599de10ad44eed713f8a86adea56a7dd3529714b9d737",
+    "recirculation_tx_crosstab.csv":
+        "48f10058f2c8f4ea42893a074522213f62403391b7a1223b2d09b5d833af2cb4",
+    "recirculation_user_crosstab.csv":
+        "f54628d601d8cd4f473f15af5ceda02b4094c8de47490a15c712580c7eb8da0a",
+    "significance_both.csv":
+        "35f470aa98e8d364425ffac9591639e23a478a590ea4f04330ff157894ca6e57",
+    "significance_both.json":
+        "66ca3c6c31361bfa0d6f8583ca74ecad08a65f07f15bca2319b213b3f5c99bbe",
+    "significance_source.csv":
+        "df3e8e9aea2c5f9e76a4e93ec76cfa195a001b1f3f080e5795e3fd9177cf96b6",
+    "significance_source.json":
+        "f5506fbc36fa74bc774e317a2f1fe750097e1886aef19cbc9b68fcb275952d5c",
+    "significance_target.csv":
+        "63b0f35624d78335542b232a103de4d43f996ec8d41884aa0776a75b9e6eb296",
+    "significance_target.json":
+        "57ad7afea5f14d8e79b8ec5b1968419790be65947d3dc78fb4f449cd3dd9d745",
+    "strategy_report.json":
+        "2e8a5451ecf6949e163f31d4a3acf670fb8a4c0c7e3bb1d4a99f1974fd32e6c1",
+    "transactions_normalized.csv":
+        "38cdd0825b348cbf0a142ef5461c45d493da7ea340e67037593e9c20852d570c",
+    "triad_census.csv":
+        "8753ed861d123b7812dfaa0e63beb45262f2c387026b650590046f199933096d",
+    "triad_census.json":
+        "210c435d7f37d8eab29932fce9cabf4015233b70a82f53aa386bc3430c53e45f",
+    "triad_significance_both.csv":
+        "6e851d9214cc719767eb618397f070abe5d548e0dc468ffcbcec6e890b3ad085",
+    "triad_significance_both.json":
+        "7bdc232146e414a007027adf03f61935187fbd2023519dd6c548cc1deca93752",
+    "triad_significance_source.csv":
+        "e91f040fb5048511576b845c477469121d2110e5697cf6bfd7abd7b9ff544484",
+    "triad_significance_source.json":
+        "65747768c9e022512ea8603e64cbde91b6f755e6bab0c4d6ab0d6ff5b185fbba",
+    "triad_significance_target.csv":
+        "a79e6e0d87bcb61e4633519e03fde44069ee519a5f0b630122ce0831416e731a",
+    "triad_significance_target.json":
+        "701a0e25f7b70a2fd2b1985ed9a1bc6620841c44eb3c376c0c08413519a64fa4",
+    "user_signatures.csv":
+        "b96ac76248c3390bf8133a1a6496e974313712de6c538ea832c9c55c0cc4dfad",
+}
+
+
+def _ledger_text(accounts: int, seed: int) -> str:
+    rng = random.Random(seed)
+    ids = [f"acct{i:04d}" for i in range(accounts)]
+    rng.shuffle(ids)
+    periphery, core = ids[:60], ids[60:]
+    out_w = [rng.paretovariate(1.2) for _ in core]
+    in_w = [w * rng.uniform(0.5, 2.0) for w in out_w]
+    hubs = sorted(core, key=lambda v: -out_w[core.index(v)] * in_w[core.index(v)])[:10]
+
+    links: list[tuple[str, str]] = []
+    while len(links) < 3 * len(core):
+        s = rng.choices(core, weights=out_w)[0]
+        t = rng.choices(core, weights=in_w)[0]
+        if s != t and (s, t) not in links:
+            links.append((s, t))
+
+    pool = iter(periphery)
+
+    def cycle(k: int) -> list[str]:
+        members = [next(pool) for _ in range(k)]
+        links.extend(zip(members, members[1:] + members[:1]))
+        return members
+
+    for k in (2, 3, 4):                                   # scc0
+        cycle(k)
+    for k in (2, 3):                                      # sccTin + in-single-node
+        links.append((next(pool), rng.choice(cycle(k))))
+    for k in (2, 3):                                      # sccTout + out-single-node
+        links.append((rng.choice(cycle(k)), next(pool)))
+    up, down, bridge = cycle(2), cycle(2), next(pool)     # bridge_scc
+    links += [(up[0], bridge), (bridge, down[0])]
+    links.append((rng.choice(hubs), rng.choice(cycle(3))))  # edge_scc2scc
+    for arms, kind in ((3, "in"), (4, "out"), (3, "plain"), (5, "in"), (4, "out")):
+        hub, *leaves = [next(pool) for _ in range(arms + 1)]
+        links += [(leaf, hub) if kind == "in" else (hub, leaf) for leaf in leaves]
+        if kind == "in":
+            links.append((hub, rng.choice(hubs)))         # dagTin, edge_dag2scc
+        elif kind == "out":
+            links.append((rng.choice(hubs), hub))         # dagTout, edge_scc2dag
+
+    rows = []
+    for s, t in links:
+        for _ in range(1 + int(rng.paretovariate(1.5)) % 6):
+            rows.append((s, t, "STANDARD"))
+    for _ in range(12):
+        s, t = rng.sample(core, 2)
+        rows.append((s, t, rng.choice(("DISBURSEMENT", "RECLAMATION"))))
+    for _ in range(3):
+        s = rng.choice(core)
+        rows.append((s, s, "STANDARD"))
+    rng.shuffle(rows)
+
+    start = int(datetime(2020, 1, 1, tzinfo=timezone.utc).timestamp())
+    lines = ["id,timeset,source,target,weight,transfer_subtype\n"]
+    for i, (s, t, subtype) in enumerate(rows):
+        stamp = datetime.fromtimestamp(start + rng.randrange(60 * 86_400), tz=timezone.utc)
+        amount = f"{10 * rng.paretovariate(1.6):.2f}"
+        lines.append(f"g{i:05d},{stamp:%Y-%m-%dT%H:%M:%S},{s},{t},{amount},{subtype}\n")
+    return "".join(lines)
+
+
+def _file_hashes(bundle) -> dict[str, str]:
+    hashes = {}
+    for path in sorted(bundle.iterdir()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            for keys in _VOLATILE:
+                node = manifest
+                for key in keys[:-1]:
+                    node = node.get(key, {})
+                node.pop(keys[-1], None)
+            data = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+        hashes[path.name] = hashlib.sha256(data).hexdigest()
+    return hashes
+
+
+def test_golden_bundle(tmp_path):
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text(_ledger_text(300, 11), encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["run", str(ledger), "--output", str(out), "--mode", "all",
+            "--replicas", "8", "--seed", "5"]
+    assert main(args) == 0
+
+    stats = json.loads((out / "category_stats.json").read_text())
+    assert stats["sccTmix"]["node_count"] > 0
+    assert any(stats[c]["node_count"] for c in ("in-single-node", "out-single-node", "bridge_scc"))
+    assert any(stats[c]["node_count"] for c in ("dagTin", "dagTout", "dagTmix"))
+    assert any(stats[c]["link_count"] for c in ("edge_dag2scc", "edge_scc2dag", "edge_scc2scc"))
+    assert _file_hashes(out) == GOLDEN

@@ -68,6 +68,31 @@ def test_epoch_timestamps_autodetected(tmp_path):
     assert txs[0].timestamp == 1_600_000_000
 
 
+def test_fractional_epoch_is_truncated(tmp_path):
+    path = write(tmp_path, "t1,100.5,a,b,1,STANDARD\nt2,-7.9,b,a,1,STANDARD\n")
+    txs, _ = parse_ledger(path)
+    assert [(t.tx_id, t.timestamp) for t in txs] == [("t2", -7), ("t1", 100)]
+    assert parse_timestamp("1600000000.999", "epoch") == 1_600_000_000
+    for bad in ("1.2.3", "12.", "1e5", ""):
+        with pytest.raises(ValueError):
+            parse_timestamp(bad, "epoch")
+
+
+def test_byte_order_mark_keeps_id_column(tmp_path):
+    # A BOM must not hide the id column: ids stay the file's, and a
+    # duplicate id is still caught.
+    path = tmp_path / "bom.csv"
+    path.write_text(
+        "\ufeff" + HEADER
+        + "t1,2020-01-01T00:00:00Z,a,b,1,STANDARD\n"
+        + "t1,2020-01-01T00:00:05Z,b,c,2,STANDARD\n",
+        encoding="utf-8",
+    )
+    txs, diag = parse_ledger(path)
+    assert [t.tx_id for t in txs] == ["t1"]
+    assert diag.duplicate_tx_ids == 1
+
+
 def test_equal_timestamps_sorted_by_tx_id(tmp_path):
     path = write(
         tmp_path,

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from decimal import Decimal
 
@@ -20,7 +21,8 @@ from ledgerflow.topology import CategoryRow, categorize, category_stats
 from ledgerflow.triads import category_census
 from ledgerflow.util import dsum, mix64
 
-from conftest import random_digraph
+from conftest import random_digraph, reweighted
+from oracles import reference_categorize, reference_category_stats, reference_randomize_endpoints
 
 MODES = (SwapMode.TARGET, SwapMode.SOURCE, SwapMode.BOTH)
 
@@ -143,6 +145,57 @@ def test_run_ensemble_tables_come_from_one_replica():
         partition = categorize(replica)
         assert stats_ensemble[index] == category_stats(replica, partition)
         assert census_ensemble[index] == category_census(replica, partition)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_swap_engine_draws_the_reference_stream(mode):
+    # Same seed, same swaps, same repairs (or the same failure) as the
+    # full-scan string implementation the integer engine replaced.
+    rng = random.Random(61)
+    for _ in range(40):
+        g = random_digraph(rng, rng.choice([4, 10, 60]))
+        for seed in range(5):
+            for budget in (100, 1):
+                try:
+                    expected = reference_randomize_endpoints(g, mode, seed, budget)
+                except RandomizationError as exc:
+                    with pytest.raises(RandomizationError, match=re.escape(str(exc))):
+                        randomize_endpoints(g, mode, seed, budget)
+                else:
+                    assert randomize_endpoints(g, mode, seed, budget) == expected
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_ensemble_matches_dict_reference(mode):
+    rng = random.Random(47)
+    for trial in range(6):
+        g = reweighted(random_digraph(rng, 60), rng)
+        spec = EnsembleSpec(mode=mode, replicas=4, master_seed=trial)
+        stats_ensemble, census_ensemble = run_ensemble(g, spec)
+        for index in range(spec.replicas):
+            replica = randomize(g, mode, derive_seed(spec.master_seed, index))
+            partition = reference_categorize(replica)
+            assert stats_ensemble[index] == reference_category_stats(replica, partition)
+            assert census_ensemble[index] == category_census(replica, partition)
+
+
+def test_replicas_reseed_after_a_failed_repair():
+    # A replica whose self-loop repair fails is rebuilt from derived seeds,
+    # in order; the array ensemble must land on the same replicas.
+    g = LedgerGraph.from_edges([("A", "B"), ("B", "A"), ("B", "C")])
+    spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=16, master_seed=5, max_repair_attempts=1)
+    stats_ensemble, _ = run_ensemble(g, spec)
+    reseeded = 0
+    for index, stats in enumerate(stats_ensemble):
+        first = derive_seed(spec.master_seed, index)
+        for seed in [first] + [derive_seed(first, attempt) for attempt in (1, 2, 3)]:
+            try:
+                replica = randomize(g, spec.mode, seed, spec.max_repair_attempts)
+                break
+            except RandomizationError:
+                reseeded += 1
+        assert stats == reference_category_stats(replica, reference_categorize(replica))
+    assert reseeded > 0
 
 
 def test_randomization_concentrates_cyclic_mass():

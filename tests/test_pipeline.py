@@ -70,13 +70,13 @@ def test_ensemble_stages_build_each_replica_once(tmp_path, monkeypatch):
     import ledgerflow.nullmodel as nullmodel
 
     calls = []
-    original = nullmodel.randomize
+    original = nullmodel._replica
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(nullmodel, "randomize", counting)
+    monkeypatch.setattr(nullmodel, "_replica", counting)
     modes = (SwapMode.TARGET, SwapMode.SOURCE, SwapMode.BOTH)
     config = small_config(DEMO_LEDGER, tmp_path / "out", modes=modes, replicas=8)
     run_pipeline(config, stages=frozenset({"significance", "triads"}))

@@ -11,12 +11,19 @@ from ledgerflow.topology import (
     categorize,
     category_stats,
     one_time_users,
+    strongly_connected_components,
     verify_partition,
 )
 from ledgerflow.util import dsum
 
-from conftest import random_digraph
-from oracles import naive_categorize, tx
+from conftest import random_digraph, reweighted
+from oracles import (
+    naive_categorize,
+    reference_categorize,
+    reference_category_stats,
+    tarjan_sccs,
+    tx,
+)
 
 
 def cats(g):
@@ -118,6 +125,23 @@ def test_oracle_equivalence_on_random_digraphs():
                 else None
             )
             assert (assignment.kind.value, owner) == edge_view[pair]
+
+
+def test_categorize_matches_dict_reference():
+    # The array categoriser against the Tarjan/union-find one it replaced,
+    # node for node and link for link, and the bincount stats likewise.
+    rng = random.Random(2024)
+    for _ in range(150):
+        g = reweighted(random_digraph(rng, rng.choice([6, 40, 120])), rng)
+        p, ref = categorize(g), reference_categorize(g)
+        assert p.node_category == ref.node_category
+        assert p.node_component == ref.node_component
+        assert p.components == ref.components
+        assert p.component_category == ref.component_category
+        assert p.edge_assignment == ref.edge_assignment
+        assert list(p.edge_assignment) == list(g.links)
+        assert category_stats(g, p) == reference_category_stats(g, ref)
+        assert set(strongly_connected_components(g)) == set(tarjan_sccs(g))
 
 
 def test_partition_verifies_on_random_digraphs():
