@@ -27,7 +27,7 @@ LEDGER = Path(__file__).parent / "data" / "demo_ledger.csv"
 
 def main() -> None:
     transactions, _ = parse_ledger(LEDGER)
-    clean = [t for t in transactions if t.source != t.target]
+    clean = transactions.without_self_transfers()
     graph, _ = aggregate(clean)
     partition = categorize(graph)
 
@@ -47,7 +47,7 @@ def main() -> None:
     for key, count in Counter(s.key for s in signatures).most_common():
         print(f"  {key:<20} {count}")
 
-    tables = crosstab(graph, partition, classified, signatures, clean)
+    tables = crosstab(graph, partition, classified, signatures)
     cov = tables.coverage
     print(f"\ncoverage: {cov.tx_in_ops} transactions inside operations "
           f"({cov.tx_share:.1%} of all, {cov.volume_share:.1%} of volume), "

@@ -1,7 +1,7 @@
 """ledgerflow: topology, null-model significance, and recirculation analytics
 for timestamped transaction ledgers.
 
-The pipeline: parse a ledger CSV into transactions, aggregate them into a
+The pipeline: parse a ledger CSV into a columnar ledger, aggregate it into a
 weighted directed simple graph, partition the graph into exclusive
 topological categories, test category sizes and triad counts against
 degree-preserving null ensembles, and extract per-user recirculation
@@ -14,6 +14,7 @@ from .ingest import (
     ColumnMapping,
     FilterSpec,
     IngestDiagnostics,
+    Ledger,
     Transaction,
     parse_ledger,
     write_transactions,
@@ -51,6 +52,7 @@ from .triads import (
 from .recirculation import (
     ClassifiedOps,
     FrequencyCategory,
+    Operations,
     RecirculationOp,
     TemporalSignature,
     classify_ops,
@@ -74,6 +76,7 @@ __all__ = [
     "ColumnMapping",
     "FilterSpec",
     "IngestDiagnostics",
+    "Ledger",
     "Transaction",
     "parse_ledger",
     "write_transactions",
@@ -105,6 +108,7 @@ __all__ = [
     "triad_significance",
     "ClassifiedOps",
     "FrequencyCategory",
+    "Operations",
     "RecirculationOp",
     "TemporalSignature",
     "classify_ops",

@@ -169,17 +169,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_error_report(args: argparse.Namespace, exc: Exception, code: int) -> None:
+def _write_error_report(output: Path | None, exc: Exception, code: int) -> None:
     # Structured error report lands next to the outputs when a directory is
     # known; config errors before that point only reach stderr.
-    output = getattr(args, "output", None)
-    if not output:
+    if output is None:
         return
     try:
-        out_dir = Path(output)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        output.mkdir(parents=True, exist_ok=True)
         write_json(
-            out_dir / "error_report.json",
+            output / "error_report.json",
             {"error_type": type(exc).__name__, "message": str(exc), "exit_code": code},
         )
     except OSError:
@@ -189,9 +187,11 @@ def _write_error_report(args: argparse.Namespace, exc: Exception, code: int) -> 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The flag until the configuration resolves the run's output directory.
+    output = Path(args.output) if args.output else None
     try:
         if args.command == "generate":
-            out_dir = Path(args.output or "ledgerflow-out")
+            output = Path(args.output or "ledgerflow-out")
             try:
                 spec = ScenarioSpec(
                     cycles=args.cycles,
@@ -205,10 +205,11 @@ def main(argv: list[str] | None = None) -> int:
                 )
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
-            ledger_path, truth_path = write_scenario(out_dir, spec, args.seed or 0)
+            ledger_path, truth_path = write_scenario(output, spec, args.seed or 0)
             print(f"wrote {ledger_path} and {truth_path}")
             return 0
         config = _build_pipeline_config(args)
+        output = config.output_dir
         # A single-stage command runs the pipeline with only that stage
         # selected, so its files are byte-identical to those of a full run.
         stages = ALL_STAGES if args.command == "run" else (args.command,)
@@ -217,19 +218,19 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        _write_error_report(args, exc, 2)
+        _write_error_report(output, exc, 2)
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        _write_error_report(args, exc, 3)
+        _write_error_report(output, exc, 3)
         return 3
     except (AnalysisError, LedgerflowError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
-        _write_error_report(args, exc, 4)
+        _write_error_report(output, exc, 4)
         return 4
     except Exception as exc:  # a defect, but still an exit code and a report
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        _write_error_report(args, exc, 4)
+        _write_error_report(output, exc, 4)
         return 4
 
 

@@ -1,10 +1,18 @@
 """The aggregated transaction graph.
 
 Transactions are aggregated into a weighted directed simple graph: one link
-per ordered (source, target) pair, carrying the ids, count, and exact volume
-of its transactions. Self-transfers are dropped during aggregation (a
-self-loop has no place in the topological categorisation) and reported in a
-diagnostics record.
+per ordered (source, target) pair, carrying the count and exact volume of
+its transactions. A transaction's link is its own (source, target), so a
+link keeps no transaction ids. Self-transfers are dropped during
+aggregation (a self-loop has no place in the topological categorisation)
+and reported in a diagnostics record.
+
+Aggregation works on the columnar ledger: links are ``np.unique`` over
+``source * n + target`` of the integer account codes, counts a
+``np.bincount``, and volumes plain ``Decimal`` sums inside one exact
+context. Because codes follow the sorted account ids, the unique keys come
+out in sorted link order, and the graph's links, nodes and adjacency are
+read straight from those columns.
 
 Graphs are immutable once built and all adjacency is pre-sorted, so every
 downstream traversal is deterministic regardless of input ordering.
@@ -14,26 +22,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, Mapping, Sequence
+from itertools import compress
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import DataError
-from .ingest import Transaction
-from .util import dsum
+from .ingest import Ledger, Transaction, as_ledger
+from .util import dsum, exact_sums
 
 __all__ = ["LinkRecord", "LedgerGraph", "AggregateDiagnostics", "aggregate"]
 
 
-@dataclass(frozen=True)
-class LinkRecord:
-    """All transactions aggregated onto one ordered node pair."""
+class LinkRecord(NamedTuple):
+    """The transactions aggregated onto one ordered node pair."""
 
-    tx_ids: tuple[str, ...]
     count: int
     volume: Decimal
 
     def merged(self, other: "LinkRecord") -> "LinkRecord":
-        return LinkRecord(self.tx_ids + other.tx_ids, self.count + other.count,
-                          self.volume + other.volume)
+        return LinkRecord(self.count + other.count, self.volume + other.volume)
 
 
 @dataclass(frozen=True)
@@ -41,38 +49,63 @@ class AggregateDiagnostics:
     self_transfers_dropped: int
 
 
+def _runs(names: list[str], keys: np.ndarray, n: int) -> list[tuple[str, ...]]:
+    """``names`` split into ``n`` consecutive runs by their sorted ``keys``."""
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n)))).tolist()
+    return [tuple(names[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 class LedgerGraph:
     """Weighted directed simple graph over account ids.
 
     Nodes are exactly the endpoints of links; aggregation never creates
     isolated nodes. ``links`` maps ordered (source, target) pairs to their
-    :class:`LinkRecord` and iterates in sorted order.
+    :class:`LinkRecord` and iterates in sorted order; ``sources`` and
+    ``targets`` are the same links as int64 indices into ``nodes``.
     """
 
-    __slots__ = ("links", "nodes", "out_adj", "in_adj", "tx_count", "volume")
+    __slots__ = ("links", "nodes", "sources", "targets", "out_adj", "in_adj",
+                 "tx_count", "volume")
 
     def __init__(self, links: Mapping[tuple[str, str], LinkRecord]):
-        ordered = dict(sorted(links.items()))
-        out_adj: dict[str, list[str]] = {}
-        in_adj: dict[str, list[str]] = {}
-        tx_count = 0
-        for (source, target), record in ordered.items():
-            if source == target:
-                raise DataError(f"self-loop link {source!r} is not allowed")
-            if record.count != len(record.tx_ids):
-                raise DataError(f"link {source}->{target}: count {record.count} "
-                                f"!= {len(record.tx_ids)} transaction ids")
-            out_adj.setdefault(source, []).append(target)
-            out_adj.setdefault(target, [])
-            in_adj.setdefault(target, []).append(source)
-            in_adj.setdefault(source, [])
-            tx_count += record.count
-        self.links: dict[tuple[str, str], LinkRecord] = ordered
-        self.nodes: tuple[str, ...] = tuple(sorted(out_adj))
-        self.out_adj: dict[str, tuple[str, ...]] = {v: tuple(ns) for v, ns in sorted(out_adj.items())}
-        self.in_adj: dict[str, tuple[str, ...]] = {v: tuple(sorted(ns)) for v, ns in sorted(in_adj.items())}
-        self.tx_count: int = tx_count
-        self.volume: Decimal = dsum(r.volume for r in ordered.values())
+        nodes = tuple(sorted({v for pair in links for v in pair}))
+        index = {v: i for i, v in enumerate(nodes)}
+        ordered = sorted(links.items())
+        ends = np.array([index[v] for pair, _ in ordered for v in pair], dtype=np.int64)
+        self._build(nodes, ends[0::2], ends[1::2], [record for _, record in ordered])
+
+    @classmethod
+    def _from_sorted(cls, nodes, sources, targets, records) -> "LedgerGraph":
+        g = cls.__new__(cls)
+        g._build(nodes, sources, targets, records)
+        return g
+
+    def _build(self, nodes: tuple[str, ...], sources: np.ndarray, targets: np.ndarray,
+               records: list[LinkRecord]) -> None:
+        # Links arrive sorted by (source, target) index, which is string order.
+        loops = np.flatnonzero(sources == targets)
+        if loops.size:
+            raise DataError(f"self-loop link {nodes[sources[loops[0]]]!r} is not allowed")
+        sources.flags.writeable = targets.flags.writeable = False
+        n = len(nodes)
+        names = np.array(nodes, dtype=object)
+        source_names = names[sources].tolist()
+        target_names = names[targets].tolist()
+        by_target = np.lexsort((sources, targets))
+        self.links: dict[tuple[str, str], LinkRecord] = dict(
+            zip(zip(source_names, target_names), records)
+        )
+        self.nodes: tuple[str, ...] = nodes
+        self.sources: np.ndarray = sources
+        self.targets: np.ndarray = targets
+        self.out_adj: dict[str, tuple[str, ...]] = dict(
+            zip(nodes, _runs(target_names, sources, n))
+        )
+        self.in_adj: dict[str, tuple[str, ...]] = dict(
+            zip(nodes, _runs(names[sources[by_target]].tolist(), targets[by_target], n))
+        )
+        self.tx_count: int = sum(record.count for record in records)
+        self.volume: Decimal = dsum(record.volume for record in records)
 
     @property
     def node_count(self) -> int:
@@ -98,8 +131,8 @@ class LedgerGraph:
         link with accumulated count and volume.
         """
         links: dict[tuple[str, str], LinkRecord] = {}
-        for i, (source, target) in enumerate(edges):
-            record = LinkRecord((f"e{i:06d}",), 1, amount)
+        record = LinkRecord(1, amount)
+        for source, target in edges:
             key = (str(source), str(target))
             links[key] = links[key].merged(record) if key in links else record
         return cls(links)
@@ -109,25 +142,33 @@ class LedgerGraph:
                 f"tx={self.tx_count}, volume={self.volume})")
 
 
-def aggregate(transactions: Sequence[Transaction]) -> tuple[LedgerGraph, AggregateDiagnostics]:
-    """Aggregate filtered, time-sorted transactions into a LedgerGraph.
+def aggregate(
+    transactions: Ledger | Sequence[Transaction],
+) -> tuple[LedgerGraph, AggregateDiagnostics]:
+    """Aggregate a ledger (or hand-built transactions) into a LedgerGraph.
 
     Self-transfers (source == target) are dropped and counted; an empty
     input yields an empty graph.
     """
-    buckets: dict[tuple[str, str], list[Transaction]] = {}
-    dropped = 0
-    for tx in transactions:
-        if tx.source == tx.target:
-            dropped += 1
-            continue
-        buckets.setdefault((tx.source, tx.target), []).append(tx)
-    links = {
-        pair: LinkRecord(
-            tuple(t.tx_id for t in txs),
-            len(txs),
-            dsum(t.amount for t in txs),
-        )
-        for pair, txs in buckets.items()
-    }
-    return LedgerGraph(links), AggregateDiagnostics(self_transfers_dropped=dropped)
+    ledger = as_ledger(transactions)
+    rows = np.flatnonzero(ledger.source != ledger.target)
+    sources, targets = ledger.source[rows], ledger.target[rows]
+    # Accounts seen only in self-transfers are not nodes.
+    used = np.zeros(len(ledger.accounts), dtype=bool)
+    used[sources] = used[targets] = True
+    node_of = np.cumsum(used) - 1
+    nodes = tuple(compress(ledger.accounts, used.tolist()))
+    n = max(len(nodes), 1)
+    keys, link_of_row = np.unique(node_of[sources] * n + node_of[targets], return_inverse=True)
+    counts = np.bincount(link_of_row, minlength=keys.size)
+
+    # Each link's amounts in row order, summed exactly.
+    amount = ledger.amount
+    grouped = [amount[i] for i in rows[np.argsort(link_of_row, kind="stable")].tolist()]
+    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+    zero = Decimal(0)
+    with exact_sums():
+        volumes = [sum(grouped[a:b], zero) for a, b in zip(bounds, bounds[1:])]
+    records = list(map(LinkRecord, counts.tolist(), volumes))
+    graph = LedgerGraph._from_sorted(nodes, keys // n, keys % n, records)
+    return graph, AggregateDiagnostics(self_transfers_dropped=len(ledger) - rows.size)

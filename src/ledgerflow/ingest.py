@@ -3,24 +3,35 @@
 A ledger file is a UTF-8 CSV with a header row. The column mapping ties
 logical fields (timestamp, source, target, amount, plus optional id and
 subtype) to column names; timestamps may be ISO-8601 or integer epoch
-seconds. Parsing returns transactions sorted by (timestamp, tx_id) together
-with a diagnostics record.
+seconds inside ``datetime``'s UTC range. Parsing validates each row and
+returns a columnar :class:`Ledger` sorted by (timestamp, tx_id) together
+with a diagnostics record: int64 timestamps, int64 source and target codes
+into the sorted account ids, and plain lists of ids, amounts and subtypes.
+No per-row object is built. :class:`Transaction` is the row type for
+ledgers built by hand; ``Ledger.from_transactions`` is the one adapter
+from rows to columns, and indexing a ledger builds rows on demand.
 """
 
 from __future__ import annotations
 
 import csv
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .errors import ConfigError, DataError
+from .util import MAX_EPOCH, MIN_EPOCH, iso_utc
 
 __all__ = [
     "Transaction",
+    "Ledger",
+    "as_ledger",
     "ColumnMapping",
     "FilterSpec",
     "IngestDiagnostics",
@@ -46,6 +57,95 @@ class Transaction:
             raise DataError(f"transaction {self.tx_id}: negative amount {self.amount}")
         if not self.source or not self.target:
             raise DataError(f"transaction {self.tx_id}: empty account id")
+
+
+@dataclass(frozen=True, eq=False)
+class Ledger(Sequence):
+    """Transactions as columns, sorted by (timestamp, tx_id).
+
+    ``timestamp`` is int64 UTC epoch seconds; ``source`` and ``target`` are
+    int64 codes into ``accounts``, the account ids in code-point order, so
+    code order is string order. ``tx_id``, ``amount`` and ``subtype`` are
+    lists. ``ledger[i]`` builds row ``i`` as a :class:`Transaction`.
+    """
+
+    accounts: tuple[str, ...]
+    timestamp: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    tx_id: list[str]
+    amount: list[Decimal]
+    subtype: list[str]
+
+    @classmethod
+    def from_columns(cls, timestamp, tx_id, source, target, amount, subtype) -> "Ledger":
+        """Sort and encode unsorted column lists (accounts as strings)."""
+        n = len(tx_id)
+        stamps = np.array(timestamp, dtype=np.int64)
+        # Ids are ranked by Python's code-point sort, never as a numpy
+        # string array (which drops trailing NULs); both sorts are stable.
+        id_rank = np.empty(n, dtype=np.int64)
+        id_rank[sorted(range(n), key=tx_id.__getitem__)] = np.arange(n)
+        order = np.lexsort((id_rank, stamps))
+        accounts = tuple(sorted(set(source).union(target)))
+        code = {account: i for i, account in enumerate(accounts)}
+        unsorted = cls(
+            accounts,
+            stamps,
+            np.fromiter(map(code.__getitem__, source), np.int64, n),
+            np.fromiter(map(code.__getitem__, target), np.int64, n),
+            tx_id,
+            amount,
+            subtype,
+        )
+        return unsorted._take(order)
+
+    @classmethod
+    def from_transactions(cls, rows: Iterable[Transaction]) -> "Ledger":
+        rows = list(rows)
+        return cls.from_columns(*(
+            [getattr(t, name) for t in rows]
+            for name in ("timestamp", "tx_id", "source", "target", "amount", "subtype")
+        ))
+
+    def __len__(self) -> int:
+        return len(self.tx_id)
+
+    def __getitem__(self, i: int) -> Transaction:
+        return Transaction(
+            timestamp=int(self.timestamp[i]),
+            tx_id=self.tx_id[i],
+            source=self.accounts[self.source[i]],
+            target=self.accounts[self.target[i]],
+            amount=self.amount[i],
+            subtype=self.subtype[i],
+        )
+
+    def without_self_transfers(self) -> "Ledger":
+        """The rows whose source and target differ, same account codes."""
+        return self._take(np.flatnonzero(self.source != self.target))
+
+    def _take(self, index: np.ndarray) -> "Ledger":
+        rows = index.tolist()
+        return Ledger(
+            self.accounts,
+            self.timestamp[index],
+            self.source[index],
+            self.target[index],
+            [self.tx_id[i] for i in rows],
+            [self.amount[i] for i in rows],
+            [self.subtype[i] for i in rows],
+        )
+
+    def __repr__(self) -> str:
+        return f"Ledger(rows={len(self)}, accounts={len(self.accounts)})"
+
+
+def as_ledger(transactions: Ledger | Iterable[Transaction]) -> Ledger:
+    """A ledger as is, or hand-built rows sorted into one."""
+    if isinstance(transactions, Ledger):
+        return transactions
+    return Ledger.from_transactions(transactions)
 
 
 @dataclass(frozen=True)
@@ -98,22 +198,31 @@ class IngestDiagnostics:
 
 
 _EPOCH = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
+_UNIX_EPOCH = datetime(1970, 1, 1)
+_UNIX_EPOCH_UTC = _UNIX_EPOCH.replace(tzinfo=timezone.utc)
 
 
 def parse_timestamp(raw: str, fmt: str) -> int:
-    """Parse one timestamp cell to UTC epoch seconds (fraction truncated)."""
+    """Parse one timestamp cell to UTC epoch seconds (fraction truncated).
+
+    Raises ``ValueError`` for a stamp outside ``datetime``'s UTC range.
+    """
     text = raw.strip()
     if fmt == "epoch":
         if not _EPOCH.fullmatch(text):
             raise ValueError(f"not epoch seconds: {raw!r}")
-        return int(text.partition(".")[0])
-    # ISO-8601; a trailing Z is normalised, a naive stamp is taken as UTC.
-    if text.endswith("Z"):
-        text = text[:-1] + "+00:00"
-    dt = datetime.fromisoformat(text)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+        seconds = int(text.partition(".")[0])
+    else:
+        # ISO-8601; a trailing Z is normalised, a naive stamp is taken as UTC.
+        if text.endswith("Z"):
+            text = text[:-1] + "+00:00"
+        dt = datetime.fromisoformat(text)
+        # What dt.timestamp() computes for the stamp read as UTC.
+        since = dt - (_UNIX_EPOCH if dt.tzinfo is None else _UNIX_EPOCH_UTC)
+        seconds = int(since.total_seconds())
+    if not MIN_EPOCH <= seconds <= MAX_EPOCH:
+        raise ValueError("outside 0001-01-01T00:00:00Z .. 9999-12-31T23:59:59Z")
+    return seconds
 
 
 def _detect_timestamp_format(value: str) -> str:
@@ -124,8 +233,8 @@ def parse_ledger(
     path: str | Path,
     schema: ColumnMapping | None = None,
     filter_spec: FilterSpec | None = None,
-) -> tuple[list[Transaction], IngestDiagnostics]:
-    """Parse a ledger CSV into filtered, time-sorted transactions.
+) -> tuple[Ledger, IngestDiagnostics]:
+    """Parse a ledger CSV into a filtered, time-sorted columnar ledger.
 
     Rows failing the filter are counted, not errors. Malformed rows raise
     :class:`DataError` with their row number; a required column missing from
@@ -139,7 +248,12 @@ def parse_ledger(
         raise DataError(f"ledger file not found: {path}")
 
     diagnostics = IngestDiagnostics()
-    transactions: list[Transaction] = []
+    stamps: list[int] = []
+    tx_ids: list[str] = []
+    sources: list[str] = []
+    targets: list[str] = []
+    amounts: list[Decimal] = []
+    subtypes: list[str] = []
     seen_ids: set[str] = set()
 
     # utf-8-sig drops a byte-order mark, which would otherwise glue itself
@@ -149,7 +263,7 @@ def parse_ledger(
         try:
             header = next(reader)
         except StopIteration:
-            return [], diagnostics
+            return Ledger.from_columns([], [], [], [], [], []), diagnostics
         columns = {name.strip(): i for i, name in enumerate(header)}
 
         required = {
@@ -170,24 +284,24 @@ def parse_ledger(
 
         ts_format = schema.timestamp_format
         width = max(columns.values()) + 1
+        keep_subtypes = filter_spec.keep_subtypes if idx_sub is not None else ()
+        excluded = filter_spec.exclude_accounts
+        rows_read = rows_filtered = duplicates = 0
 
         for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
-            diagnostics.rows_read += 1
+            rows_read += 1
             if len(row) < width:
                 raise DataError(f"row {row_no}: expected {width} columns, got {len(row)}")
 
             subtype = row[idx_sub].strip() if idx_sub is not None else ""
             source = row[idx_src].strip()
             target = row[idx_tgt].strip()
-
-            if idx_sub is not None and filter_spec.keep_subtypes:
-                if subtype not in filter_spec.keep_subtypes:
-                    diagnostics.rows_filtered += 1
-                    continue
-            if source in filter_spec.exclude_accounts or target in filter_spec.exclude_accounts:
-                diagnostics.rows_filtered += 1
+            if (keep_subtypes and subtype not in keep_subtypes) or (
+                source in excluded or target in excluded
+            ):
+                rows_filtered += 1
                 continue
 
             if ts_format == "auto":
@@ -210,41 +324,47 @@ def parse_ledger(
 
             tx_id = row[idx_id].strip() if idx_id is not None else f"r{row_no:08d}"
             if tx_id in seen_ids:
-                diagnostics.duplicate_tx_ids += 1
+                duplicates += 1
                 continue
             seen_ids.add(tx_id)
 
-            transactions.append(
-                Transaction(
-                    timestamp=timestamp,
-                    tx_id=tx_id,
-                    source=source,
-                    target=target,
-                    amount=amount,
-                    subtype=subtype,
-                )
-            )
+            stamps.append(timestamp)
+            tx_ids.append(tx_id)
+            sources.append(source)
+            targets.append(target)
+            amounts.append(amount)
+            subtypes.append(subtype)
 
-    transactions.sort(key=lambda t: (t.timestamp, t.tx_id))
-    return transactions, diagnostics
+    diagnostics.rows_read = rows_read
+    diagnostics.rows_filtered = rows_filtered
+    diagnostics.duplicate_tx_ids = duplicates
+    return Ledger.from_columns(stamps, tx_ids, sources, targets, amounts, subtypes), diagnostics
 
 
 def write_transactions(
     path: str | Path,
-    transactions: Iterable[Transaction],
+    transactions: Ledger | Iterable[Transaction],
     schema: ColumnMapping | None = None,
 ) -> None:
-    """Write transactions as a normalized ledger CSV (round-trips with parse)."""
+    """Write a normalized ledger CSV in (timestamp, tx_id) order (round-trips with parse)."""
     schema = schema or ColumnMapping()
+    ledger = as_ledger(transactions)
+    accounts = ledger.accounts
+    stamps = iso_utc(ledger.timestamp)  # raises on a bad stamp before the file is opened
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             [schema.tx_id, schema.timestamp, schema.source, schema.target,
              schema.amount, schema.subtype]
         )
-        for tx in transactions:
-            stamp = datetime.fromtimestamp(tx.timestamp, tz=timezone.utc).isoformat()
-            writer.writerow([tx.tx_id, stamp, tx.source, tx.target, str(tx.amount), tx.subtype])
+        writer.writerows(zip(
+            ledger.tx_id,
+            stamps,
+            map(accounts.__getitem__, ledger.source.tolist()),
+            map(accounts.__getitem__, ledger.target.tolist()),
+            map(str, ledger.amount),
+            ledger.subtype,
+        ))
 
 
 def keep_everything() -> FilterSpec:

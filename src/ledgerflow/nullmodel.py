@@ -166,7 +166,7 @@ def randomize(
     seed: int,
     max_repair_attempts: int = 100,
 ) -> LedgerGraph:
-    """One randomised replica; parallel links merged by record concatenation."""
+    """One randomised replica; parallel links merged by adding their records."""
     merged: dict[tuple[str, str], LinkRecord] = {}
     for source, target, record in randomize_endpoints(g, mode, seed, max_repair_attempts):
         key = (source, target)

@@ -13,7 +13,6 @@ import hashlib
 import sys
 import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from decimal import Decimal
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -48,7 +47,7 @@ from .topology import (
     one_time_users,
 )
 from .triads import TRIAD_LABELS, category_census, triad_significance
-from .util import format_duration, write_csv, write_json
+from .util import format_duration, iso_utc, write_csv, write_json
 
 __all__ = [
     "PipelineConfig",
@@ -158,10 +157,6 @@ def strategy_report(
         hfq1_only_user_share=hfq1_share,
         hfq1_only_breakdown=breakdown,
     )
-
-
-def _iso(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).isoformat()
 
 
 class _Writer:
@@ -275,7 +270,6 @@ def run_pipeline(
     )
     graph, agg_diag = aggregate(transactions)
     diagnostics.self_transfers_dropped = agg_diag.self_transfers_dropped
-    clean = [t for t in transactions if t.source != t.target]
     if "ingest" in stages:
         write_transactions(out_dir / "transactions_normalized.csv", transactions)
         writer.written.append(out_dir / "transactions_normalized.csv")
@@ -405,12 +399,12 @@ def run_pipeline(
     signatures: list[TemporalSignature] = []
     if "recirculation" in stages or "report" in stages:
         stage("recirculation")
-        ops = extract_ops(clean)
+        ops = extract_ops(transactions.without_self_transfers())
         if ops:
             classified = classify_ops(ops)
             signatures = user_signatures(classified)
             if "recirculation" in stages:
-                tables = crosstab(graph, partition, classified, signatures, clean)
+                tables = crosstab(graph, partition, classified, signatures)
                 _write_recirculation(writer, classified, signatures, tables, partition)
         elif "recirculation" in stages:
             writer.json("recirculation_coverage", {"op_count": 0}, always=True)
@@ -464,20 +458,19 @@ def _write_recirculation(
     tables: CrosstabResult,
     partition: TopologyPartition,
 ) -> None:
+    ops = classified.ops
+    freq_labels = tuple(c.value for c in FrequencyCategory)
     writer.csv(
         "operations",
         ("user", "first_in", "last_out", "duration_seconds", "n_in", "n_out", "category"),
-        (
-            (
-                op.user,
-                _iso(op.first_in),
-                _iso(op.last_out),
-                op.duration,
-                len(op.in_tx_ids),
-                len(op.out_tx_ids),
-                category.value,
-            )
-            for op, category in zip(classified.ops, classified.categories)
+        zip(
+            map(ops.ledger.accounts.__getitem__, ops.user.tolist()),
+            iso_utc(ops.first_in),
+            iso_utc(ops.last_out),
+            ops.duration.tolist(),
+            ops.n_in.tolist(),
+            ops.n_out.tolist(),
+            map(freq_labels.__getitem__, classified.codes.tolist()),
         ),
     )
     boundaries = classified.boundaries
@@ -509,7 +502,6 @@ def _write_recirculation(
             for s in signatures
         ),
     )
-    freq_labels = tuple(c.value for c in FrequencyCategory)
     writer.csv(
         "recirculation_tx_crosstab",
         ("category",) + freq_labels + ("total",),

@@ -10,27 +10,34 @@ operations fall into.
 
 Equal timestamps order a user's incoming transactions before its outgoing
 ones (funds arrive before they move), sub-ordered by transaction id.
+
+Everything runs on the columnar ledger. Each transaction is one incoming
+event of its target and one outgoing event of its source; one
+``np.lexsort`` orders all events by (user, timestamp, direction, row), and
+a user's stream splits wherever an incoming event follows an outgoing one.
+Operations are kept as columns over the ledger's rows; the crosstab counts
+(link category, frequency category) pairs with ``np.bincount``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError
 from .graph import LedgerGraph
-from .ingest import Transaction
-from .topology import TopologyPartition
+from .ingest import Ledger, Transaction, as_ledger
+from .topology import CATEGORY_ORDER, TopologyPartition, partition_labels
 from .util import dsum
 
 __all__ = [
     "FrequencyCategory",
     "RecirculationOp",
+    "Operations",
     "QuartileBoundaries",
     "DurationMode",
     "ClassifiedOps",
@@ -51,7 +58,15 @@ class FrequencyCategory(str, Enum):
     LFQ3 = "LFQ3"
 
 
-_CATEGORY_RANK = {c: i for i, c in enumerate(FrequencyCategory)}
+_CATEGORIES = tuple(FrequencyCategory)
+# The category set of each 4-bit mask (bit i: FrequencyCategory number i),
+# and its signature key.
+_SIGNATURE_SETS = tuple(
+    frozenset(c for i, c in enumerate(_CATEGORIES) if mask >> i & 1) for mask in range(16)
+)
+_SIGNATURE_KEYS = {
+    cats: "-".join(c.value for c in _CATEGORIES if c in cats) for cats in _SIGNATURE_SETS
+}
 
 
 @dataclass(frozen=True)
@@ -69,46 +84,88 @@ class RecirculationOp:
         return self.last_out - self.first_in
 
 
-def extract_ops(transactions: Sequence[Transaction]) -> list[RecirculationOp]:
+@dataclass(frozen=True, eq=False)
+class Operations(Sequence):
+    """A ledger's recirculation operations as columns, by user and time.
+
+    Operation ``k`` belongs to account code ``user[k]``; its member rows
+    are ``rows[bounds[k]:bounds[k + 1]]``, incoming ones up to
+    ``split[k]``, outgoing ones from there. ``ops[k]`` builds it as a
+    :class:`RecirculationOp`.
+    """
+
+    ledger: Ledger
+    user: np.ndarray
+    first_in: np.ndarray
+    last_out: np.ndarray
+    rows: np.ndarray
+    bounds: np.ndarray
+    split: np.ndarray
+
+    @property
+    def duration(self) -> np.ndarray:
+        return self.last_out - self.first_in
+
+    @property
+    def n_in(self) -> np.ndarray:
+        return self.split - self.bounds[:-1]
+
+    @property
+    def n_out(self) -> np.ndarray:
+        return self.bounds[1:] - self.split
+
+    def __len__(self) -> int:
+        return self.user.size
+
+    def __getitem__(self, k: int) -> RecirculationOp:
+        k = range(len(self))[k]
+        ledger = self.ledger
+        a, b, c = int(self.bounds[k]), int(self.split[k]), int(self.bounds[k + 1])
+        return RecirculationOp(
+            user=ledger.accounts[self.user[k]],
+            first_in=int(self.first_in[k]),
+            last_out=int(self.last_out[k]),
+            in_tx_ids=tuple(ledger.tx_id[r] for r in self.rows[a:b].tolist()),
+            out_tx_ids=tuple(ledger.tx_id[r] for r in self.rows[b:c].tolist()),
+        )
+
+
+def extract_ops(transactions: Ledger | Sequence[Transaction]) -> Operations:
     """All recirculation operations, grouped by user and in time order.
 
     Outgoing transactions before a user's first incoming one belong to no
     operation, and a trailing in-run without any outgoing transaction
-    yields none.
+    yields none. Rows are ``(timestamp, tx_id)``-sorted, so the row number
+    breaks timestamp ties in transaction-id order.
     """
-    # Per-user event streams; 0 sorts incoming before outgoing on ties.
-    events: dict[str, list[tuple[int, int, str]]] = {}
-    for tx in transactions:
-        events.setdefault(tx.target, []).append((tx.timestamp, 0, tx.tx_id))
-        events.setdefault(tx.source, []).append((tx.timestamp, 1, tx.tx_id))
+    ledger = as_ledger(transactions)
+    m = len(ledger)
+    row = np.tile(np.arange(m), 2)
+    user = np.concatenate((ledger.target, ledger.source))
+    stamp = np.tile(ledger.timestamp, 2)
+    outgoing = np.repeat(np.array([False, True]), m)  # incoming sorts first
+    order = np.lexsort((row, outgoing, stamp, user))
+    row, user, stamp, outgoing = row[order], user[order], stamp[order], outgoing[order]
 
-    ops: list[RecirculationOp] = []
-    for user in sorted(events):
-        stream = sorted(events[user])
-        in_run: list[tuple[int, str]] = []
-        out_run: list[tuple[int, str]] = []
-        for timestamp, direction, tx_id in stream:
-            if direction == 0:
-                if out_run:
-                    ops.append(_close(user, in_run, out_run))
-                    in_run, out_run = [], []
-                in_run.append((timestamp, tx_id))
-            else:
-                if in_run:
-                    out_run.append((timestamp, tx_id))
-                # else: outgoing before any incoming, belongs to no op
-        if in_run and out_run:
-            ops.append(_close(user, in_run, out_run))
-    return ops
-
-
-def _close(user, in_run, out_run) -> RecirculationOp:
-    return RecirculationOp(
-        user=user,
-        first_in=in_run[0][0],
-        last_out=out_run[-1][0],
-        in_tx_ids=tuple(tx_id for _, tx_id in in_run),
-        out_tx_ids=tuple(tx_id for _, tx_id in out_run),
+    # A segment starts at each user's first event and wherever an incoming
+    # event follows an outgoing one; it is an in-run then an out-run.
+    new = np.ones(2 * m, dtype=bool)
+    new[1:] = (user[1:] != user[:-1]) | (outgoing[:-1] & ~outgoing[1:])
+    starts = np.flatnonzero(new)
+    lengths = np.diff(np.append(starts, 2 * m))
+    incoming_before = np.concatenate(([0], np.cumsum(~outgoing)))
+    n_in = incoming_before[starts + lengths] - incoming_before[starts]
+    is_op = (n_in > 0) & (n_in < lengths)
+    first, last = starts[is_op], starts[is_op] + lengths[is_op] - 1
+    bounds = np.concatenate(([0], np.cumsum(lengths[is_op])))
+    return Operations(
+        ledger=ledger,
+        user=user[first],
+        first_in=stamp[first],
+        last_out=stamp[last],
+        rows=row[np.repeat(is_op, lengths)],
+        bounds=bounds,
+        split=bounds[:-1] + n_in[is_op],
     )
 
 
@@ -127,52 +184,47 @@ class DurationMode:
 
 @dataclass(frozen=True)
 class ClassifiedOps:
-    """Operations with their quartile boundaries and category labels."""
+    """Operations with their quartile boundaries and category codes.
 
-    ops: tuple[RecirculationOp, ...]
+    ``codes[k]`` indexes ``FrequencyCategory`` for operation ``k``.
+    """
+
+    ops: Operations
     boundaries: QuartileBoundaries
-    categories: tuple[FrequencyCategory, ...]
+    codes: np.ndarray
     modes: dict[FrequencyCategory, DurationMode | None]
     global_mode: DurationMode
 
+    @property
+    def categories(self) -> tuple[FrequencyCategory, ...]:
+        return tuple(map(_CATEGORIES.__getitem__, self.codes.tolist()))
 
-def _mode(durations: list[int]) -> DurationMode | None:
-    if not durations:
+
+def _mode(durations: np.ndarray) -> DurationMode | None:
+    """Most frequent duration; the smallest one on ties."""
+    if not durations.size:
         return None
-    counter = Counter(durations)
-    value, count = min(counter.items(), key=lambda kv: (-kv[1], kv[0]))
-    return DurationMode(value=value, count=count)
+    values, counts = np.unique(durations, return_counts=True)
+    top = int(np.argmax(counts))
+    return DurationMode(value=int(values[top]), count=int(counts[top]))
 
 
-def classify_ops(ops: Sequence[RecirculationOp]) -> ClassifiedOps:
+def classify_ops(ops: Operations) -> ClassifiedOps:
     """Quartile split of the duration distribution (linear interpolation).
 
     HFQ1: d <= Q1;  HFQ2: Q1 < d <= Q2;  HFQ3: Q2 < d <= Q3;  LFQ3: d > Q3.
     """
-    if not ops:
+    if not len(ops):
         raise DataError("classify_ops needs at least one operation")
-    durations = [op.duration for op in ops]
-    q1, q2, q3 = (float(q) for q in np.quantile(np.array(durations, dtype=float), [0.25, 0.5, 0.75]))
-
-    categories: list[FrequencyCategory] = []
-    per_cat: dict[FrequencyCategory, list[int]] = {c: [] for c in FrequencyCategory}
-    for d in durations:
-        if d <= q1:
-            cat = FrequencyCategory.HFQ1
-        elif d <= q2:
-            cat = FrequencyCategory.HFQ2
-        elif d <= q3:
-            cat = FrequencyCategory.HFQ3
-        else:
-            cat = FrequencyCategory.LFQ3
-        categories.append(cat)
-        per_cat[cat].append(d)
-
+    durations = ops.duration
+    q1, q2, q3 = (float(q) for q in np.quantile(durations.astype(float), [0.25, 0.5, 0.75]))
+    # Durations of in-range timestamps are exact as floats.
+    codes = np.searchsorted([q1, q2, q3], durations.astype(float), side="left")
     return ClassifiedOps(
-        ops=tuple(ops),
+        ops=ops,
         boundaries=QuartileBoundaries(q1, q2, q3),
-        categories=tuple(categories),
-        modes={c: _mode(values) for c, values in per_cat.items()},
+        codes=codes,
+        modes={c: _mode(durations[codes == i]) for i, c in enumerate(_CATEGORIES)},
         global_mode=_mode(durations),
     )
 
@@ -186,18 +238,19 @@ class TemporalSignature:
 
     @property
     def key(self) -> str:
-        ordered = sorted(self.categories, key=_CATEGORY_RANK.__getitem__)
-        return "-".join(c.value for c in ordered)
+        return _SIGNATURE_KEYS[self.categories]
 
 
 def user_signatures(classified: ClassifiedOps) -> list[TemporalSignature]:
     """One signature per user with at least one operation, sorted by user."""
-    per_user: dict[str, set[FrequencyCategory]] = {}
-    for op, category in zip(classified.ops, classified.categories):
-        per_user.setdefault(op.user, set()).add(category)
+    ops = classified.ops
+    masks = np.zeros(len(ops.ledger.accounts), dtype=np.int64)
+    np.bitwise_or.at(masks, ops.user, 1 << classified.codes)
+    users = np.flatnonzero(masks)
+    accounts = ops.ledger.accounts
     return [
-        TemporalSignature(user=user, categories=frozenset(cats))
-        for user, cats in sorted(per_user.items())
+        TemporalSignature(user=accounts[u], categories=_SIGNATURE_SETS[mask])
+        for u, mask in zip(users.tolist(), masks[users].tolist())
     ]
 
 
@@ -233,26 +286,39 @@ def crosstab(
     partition: TopologyPartition,
     classified: ClassifiedOps,
     signatures: Sequence[TemporalSignature],
-    transactions: Sequence[Transaction],
 ) -> CrosstabResult:
-    """Cross-tabulate operations against topology; inputs must share a ledger."""
-    link_of_tx: dict[str, tuple[str, str]] = {}
-    for pair, record in g.links.items():
-        for tx_id in record.tx_ids:
-            link_of_tx[tx_id] = pair
-    amount_of_tx = {tx.tx_id: tx.amount for tx in transactions}
+    """Cross-tabulate operations against topology.
 
-    tx_table: dict[str, dict[str, int]] = {}
-    memberships: Counter[str] = Counter()
-    for op, category in zip(classified.ops, classified.categories):
-        for tx_id in op.in_tx_ids + op.out_tx_ids:
-            pair = link_of_tx.get(tx_id)
-            if pair is None:
-                raise DataError(f"operation transaction {tx_id!r} is not in the graph")
-            label = partition.edge_label(pair)
-            row = tx_table.setdefault(label, {c.value: 0 for c in FrequencyCategory})
-            row[category.value] += 1
-            memberships[tx_id] += 1
+    ``g`` and ``partition`` must come from the ledger the operations were
+    extracted from; a member transaction whose link is not in ``g`` is a
+    :class:`DataError`.
+    """
+    ops = classified.ops
+    ledger = ops.ledger
+    rows = ops.rows
+    member_op = np.repeat(np.arange(len(ops)), np.diff(ops.bounds))
+
+    # Each member's link: its (source, target) among the graph's sorted keys.
+    index = {v: i for i, v in enumerate(g.nodes)}
+    node_of = np.array([index.get(a, -1) for a in ledger.accounts], dtype=np.int64)
+    n = g.node_count
+    sources, targets = node_of[ledger.source[rows]], node_of[ledger.target[rows]]
+    keys = sources * n + targets
+    link_keys = np.append(g.sources * n + g.targets, -1)
+    link = np.searchsorted(link_keys[:-1], keys)
+    found = (sources >= 0) & (targets >= 0) & (link_keys[link] == keys)
+    if not found.all():
+        tx_id = ledger.tx_id[rows[np.argmin(found)]]
+        raise DataError(f"operation transaction {tx_id!r} is not in the graph")
+
+    width = len(_CATEGORIES)
+    cells = partition_labels(g, partition).link[link] * width + classified.codes[member_op]
+    counts = np.bincount(cells, minlength=len(CATEGORY_ORDER) * width).reshape(-1, width)
+    tx_table = {
+        label: {c.value: count for c, count in zip(_CATEGORIES, row)}
+        for label, row in zip(CATEGORY_ORDER, counts.tolist())
+        if any(row)
+    }
 
     user_table: dict[str, dict[str, int]] = {}
     for signature in signatures:
@@ -260,18 +326,16 @@ def crosstab(
         row = user_table.setdefault(node_label, {})
         row[signature.key] = row.get(signature.key, 0) + 1
 
-    member_ids = set(memberships)
-    missing = member_ids - amount_of_tx.keys()
-    if missing:
-        raise DataError(f"{len(missing)} operation transactions missing from the transaction list")
-    volume_in_ops = dsum(amount_of_tx[tx_id] for tx_id in sorted(member_ids))
+    memberships = np.bincount(rows, minlength=len(ledger))
+    members = np.flatnonzero(memberships)
+    volume_in_ops = dsum(map(ledger.amount.__getitem__, members.tolist()))
     coverage = RecirculationCoverage(
-        op_count=len(classified.ops),
-        tx_in_ops=len(member_ids),
-        tx_share=len(member_ids) / g.tx_count if g.tx_count else 0.0,
+        op_count=len(ops),
+        tx_in_ops=members.size,
+        tx_share=members.size / g.tx_count if g.tx_count else 0.0,
         volume_in_ops=volume_in_ops,
         volume_share=float(volume_in_ops / g.volume) if g.volume else 0.0,
-        tx_counted_twice=sum(1 for count in memberships.values() if count == 2),
+        tx_counted_twice=int(np.count_nonzero(memberships == 2)),
         recirculating_users=len(signatures),
         user_share=len(signatures) / g.node_count if g.node_count else 0.0,
     )

@@ -33,23 +33,20 @@ ALPHA_LEVEL = 0.05
 _MIN_ENSEMBLE = 8
 
 
+def _standardised(value: float, centre: float, scale: float) -> float | None:
+    return None if scale == 0.0 else (float(value) - centre) / scale
+
+
 def z_score(value: float, samples: Sequence[float]) -> float | None:
     """(value - mean) / sample sd; None when the sd is zero."""
     arr = np.asarray(samples, dtype=float)
-    sd = float(arr.std(ddof=1))
-    if sd == 0.0:
-        return None
-    return (float(value) - float(arr.mean())) / sd
+    return _standardised(value, float(arr.mean()), float(arr.std(ddof=1)))
 
 
 def robust_z_score(value: float, samples: Sequence[float]) -> float | None:
     """(value - median) / IQR with linear-interpolation quartiles; None when IQR is zero."""
-    arr = np.asarray(samples, dtype=float)
-    q1, q2, q3 = np.quantile(arr, [0.25, 0.5, 0.75])
-    iqr = float(q3 - q1)
-    if iqr == 0.0:
-        return None
-    return (float(value) - float(q2)) / iqr
+    q1, q2, q3 = np.quantile(np.asarray(samples, dtype=float), [0.25, 0.5, 0.75])
+    return _standardised(value, float(q2), float(q3 - q1))
 
 
 @dataclass(frozen=True)
@@ -122,17 +119,19 @@ class SignificanceCell:
 
 def _cell(category: str, feature: str, empirical: float, samples: np.ndarray) -> SignificanceCell:
     q1, q2, q3 = np.quantile(samples, [0.25, 0.5, 0.75])
+    mean, sd = float(samples.mean()), float(samples.std(ddof=1))
+    median, iqr = float(q2), float(q3 - q1)
     ad: AndersonDarlingResult = anderson_darling_normal(samples)
     return SignificanceCell(
         category=category,
         feature=feature,
         empirical=float(empirical),
-        null_mean=float(samples.mean()),
-        null_sd=float(samples.std(ddof=1)),
-        null_median=float(q2),
-        null_iqr=float(q3 - q1),
-        z=z_score(empirical, samples),
-        robust_z=robust_z_score(empirical, samples),
+        null_mean=mean,
+        null_sd=sd,
+        null_median=median,
+        null_iqr=iqr,
+        z=_standardised(empirical, mean, sd),
+        robust_z=_standardised(empirical, median, iqr),
         ad_statistic=None if np.isinf(ad.statistic) else ad.statistic,
         ad_p_value=ad.p_value,
         normality=ad.verdict,

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -58,6 +59,7 @@ __all__ = [
     "link_columns",
     "label",
     "categorize",
+    "partition_labels",
     "tabulate",
     "category_stats",
     "one_time_users",
@@ -141,11 +143,15 @@ class TopologyPartition:
     component_category: Mapping[str, NodeCategory]
     edge_assignment: Mapping[tuple[str, str], EdgeAssignment]
 
+    @cached_property
+    def _component_label(self) -> dict[str, str]:
+        return {cid: category.value for cid, category in self.component_category.items()}
+
     def edge_label(self, pair: tuple[str, str]) -> str:
         """Report label of the category a link's traffic belongs to."""
         assignment = self.edge_assignment[pair]
         if assignment.component_id is not None:
-            return self.component_category[assignment.component_id].value
+            return self._component_label[assignment.component_id]
         return assignment.kind.value
 
 
@@ -174,15 +180,13 @@ class LinkColumns(NamedTuple):
 
 
 def link_columns(g: LedgerGraph) -> LinkColumns:
-    index = {v: i for i, v in enumerate(g.nodes)}
-    ends = np.array([index[v] for pair in g.links for v in pair], dtype=np.int64)
     records = list(g.links.values())
     volumes = np.empty(len(records), dtype=object)
     volumes[:] = [r.volume for r in records]
     return LinkColumns(
         n=g.node_count,
-        sources=ends[0::2].copy(),
-        targets=ends[1::2].copy(),
+        sources=g.sources,
+        targets=g.targets,
         counts=np.array([r.count for r in records], dtype=np.int64),
         volumes=volumes,
     )
@@ -366,13 +370,18 @@ def tabulate(
     }
 
 
+def partition_labels(g: LedgerGraph, partition: TopologyPartition) -> Labels:
+    """A partition's category codes in ``g.nodes`` and ``g.links`` order."""
+    node = [_CODE[partition.node_category[v]] for v in g.nodes]
+    link = [_CODE[partition.edge_label(pair)] for pair in g.links]
+    sccs = [_CODE[c.value] for c in partition.component_category.values() if c.is_scc]
+    return Labels(*(np.array(codes, dtype=np.int64) for codes in (node, link, sccs)))
+
+
 def category_stats(g: LedgerGraph, partition: TopologyPartition) -> dict[str, CategoryRow]:
     """Per-category sizes: components, nodes, links, transactions, volume."""
     cols = link_columns(g)
-    node = [_CODE[partition.node_category[v].value] for v in g.nodes]
-    link = [_CODE[partition.edge_label(pair)] for pair in g.links]
-    sccs = [_CODE[c.value] for c in partition.component_category.values() if c.is_scc]
-    labels = Labels(*(np.array(codes, dtype=np.int64) for codes in (node, link, sccs)))
+    labels = partition_labels(g, partition)
     return tabulate(labels, cols.sources, cols.targets, cols.counts, cols.volumes)
 
 
@@ -393,41 +402,31 @@ class OneTimeUserTable:
 
 
 def one_time_users(g: LedgerGraph, partition: TopologyPartition) -> OneTimeUserTable:
-    """Users with exactly one transaction in the whole ledger."""
-    out_tx: dict[str, int] = {v: 0 for v in g.nodes}
-    in_tx: dict[str, int] = {v: 0 for v in g.nodes}
-    out_vol: dict[str, Decimal] = {}
-    in_vol: dict[str, Decimal] = {}
-    for (source, target), record in g.links.items():
-        out_tx[source] += record.count
-        in_tx[target] += record.count
-        out_vol[source] = out_vol.get(source, Decimal(0)) + record.volume
-        in_vol[target] = in_vol.get(target, Decimal(0)) + record.volume
+    """Users with exactly one transaction in the whole ledger.
 
-    cells: dict[str, dict[str, object]] = {}
-    for v in g.nodes:
-        total = out_tx[v] + in_tx[v]
-        if total != 1:
-            continue
-        label = partition.node_category[v].value
-        cell = cells.setdefault(
-            label, {"out_n": 0, "in_n": 0, "out_v": [], "in_v": []}
-        )
-        if out_tx[v] == 1:
-            cell["out_n"] += 1
-            cell["out_v"].append(out_vol[v])
-        else:
-            cell["in_n"] += 1
-            cell["in_v"].append(in_vol[v])
+    Such a user has one link carrying one transaction, so its volume is
+    that link's; each row's volumes are summed exactly.
+    """
+    cols = link_columns(g)
+    out_tx = np.bincount(cols.sources, weights=cols.counts, minlength=cols.n)
+    in_tx = np.bincount(cols.targets, weights=cols.counts, minlength=cols.n)
+    one_time = (out_tx + in_tx) == 1
+    cells: dict[str, tuple[list[Decimal], list[Decimal]]] = {}
+    for ends, direction in ((cols.sources, 0), (cols.targets, 1)):
+        mine = one_time[ends]
+        for v, link in zip(ends[mine].tolist(), np.flatnonzero(mine).tolist()):
+            label = partition.node_category[g.nodes[v]].value
+            cells.setdefault(label, ([], []))[direction].append(cols.volumes[link])
 
-    rows: dict[str, OneTimeRow] = {}
-    for label, cell in sorted(cells.items()):
-        rows[label] = OneTimeRow(
-            one_outgoing=cell["out_n"],
-            one_incoming=cell["in_n"],
-            outgoing_volume=dsum(cell["out_v"]),
-            incoming_volume=dsum(cell["in_v"]),
+    rows = {
+        label: OneTimeRow(
+            one_outgoing=len(out_v),
+            one_incoming=len(in_v),
+            outgoing_volume=dsum(out_v),
+            incoming_volume=dsum(in_v),
         )
+        for label, (out_v, in_v) in sorted(cells.items())
+    }
     total = OneTimeRow(
         one_outgoing=sum(r.one_outgoing for r in rows.values()),
         one_incoming=sum(r.one_incoming for r in rows.values()),

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 # High enough that additions of any realistic ledger volume are exact;
 # the default context (28 digits) would already cover national-scale sums.
@@ -13,15 +16,35 @@ _SUM_PRECISION = 60
 
 _MASK64 = (1 << 64) - 1
 
+# Epoch seconds of datetime's UTC range, 0001-01-01T00:00:00Z to
+# 9999-12-31T23:59:59Z.
+MIN_EPOCH = -62_135_596_800
+MAX_EPOCH = 253_402_300_799
+
+
+@contextmanager
+def exact_sums():
+    """A decimal context in which additions of ledger amounts are exact."""
+    with localcontext() as ctx:
+        ctx.prec = _SUM_PRECISION
+        yield
+
 
 def dsum(values: Iterable[Decimal]) -> Decimal:
     """Sum decimals exactly, independent of iteration order."""
-    with localcontext() as ctx:
-        ctx.prec = _SUM_PRECISION
-        total = Decimal(0)
-        for value in values:
-            total += value
-    return total
+    with exact_sums():
+        return sum(values, Decimal(0))
+
+
+def iso_utc(seconds: np.ndarray) -> list[str]:
+    """ISO-8601 UTC stamps of epoch seconds, as ``datetime.isoformat`` writes
+    them. Raises ``ValueError`` outside ``datetime``'s range, the only one
+    where numpy and ``datetime`` agree."""
+    seconds = np.asarray(seconds, dtype=np.int64)
+    if seconds.size and not (MIN_EPOCH <= seconds.min() and seconds.max() <= MAX_EPOCH):
+        raise ValueError("timestamp outside 0001-01-01T00:00:00Z .. 9999-12-31T23:59:59Z")
+    text = np.datetime_as_string(seconds.astype("datetime64[s]"), unit="s")
+    return [stamp + "+00:00" for stamp in text.tolist()]
 
 
 def mix64(a: int, b: int) -> int:

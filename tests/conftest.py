@@ -23,8 +23,6 @@ def random_digraph(rng: random.Random, max_nodes: int, density: float | None = N
 def reweighted(g: LedgerGraph, rng: random.Random) -> LedgerGraph:
     """``g`` with random transaction counts and cent volumes on its links."""
     links = {}
-    for k, pair in enumerate(g.links):
-        count = rng.randint(1, 4)
-        ids = tuple(f"x{k}-{i}" for i in range(count))
-        links[pair] = LinkRecord(ids, count, Decimal(rng.randint(1, 10**6)).scaleb(-2))
+    for pair in g.links:
+        links[pair] = LinkRecord(rng.randint(1, 4), Decimal(rng.randint(1, 10**6)).scaleb(-2))
     return LedgerGraph(links)

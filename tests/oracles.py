@@ -6,12 +6,14 @@ replay of the recirculation definition, and an exact inverse-CDF sampler
 for discrete power laws. None of it shares code with the library paths it
 verifies. The string-keyed endpoint swap, categoriser and category
 statistics that the integer-array implementations replaced also live here,
-as slow references.
+as slow references, and so do the row-at-a-time sort, dict aggregation and
+per-transaction crosstab that the columnar ledger replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from decimal import Decimal
 from typing import Iterable
 
@@ -20,7 +22,13 @@ from scipy.special import zeta
 
 from ledgerflow.graph import LedgerGraph, LinkRecord
 from ledgerflow.ingest import Transaction
+from ledgerflow.errors import DataError
 from ledgerflow.nullmodel import RandomizationError, SwapMode
+from ledgerflow.recirculation import (
+    FrequencyCategory,
+    RecirculationCoverage,
+    CrosstabResult,
+)
 from ledgerflow.topology import (
     CATEGORY_ORDER,
     CategoryRow,
@@ -629,6 +637,68 @@ def oracle_extract_ops(transactions) -> list[tuple[str, int, int, tuple[str, ...
                 )
             )
     return ops
+
+
+# --------------------------------------------------------------------------
+# row-at-a-time ledger references: sort, aggregation, crosstab
+# --------------------------------------------------------------------------
+
+
+def reference_sort(transactions) -> list[Transaction]:
+    """Transactions in (timestamp, tx_id) order, as objects."""
+    return sorted(transactions, key=lambda t: (t.timestamp, t.tx_id))
+
+
+def reference_aggregate(transactions) -> tuple[dict[tuple[str, str], tuple[int, Decimal]], int]:
+    """Per ordered pair, (count, exact volume), in sorted pair order, plus
+    the number of self-transfers dropped."""
+    buckets: dict[tuple[str, str], list[Transaction]] = {}
+    dropped = 0
+    for t in reference_sort(transactions):
+        if t.source == t.target:
+            dropped += 1
+            continue
+        buckets.setdefault((t.source, t.target), []).append(t)
+    links = {
+        pair: (len(txs), dsum(t.amount for t in txs)) for pair, txs in sorted(buckets.items())
+    }
+    return links, dropped
+
+
+def reference_crosstab(g, partition, classified, signatures, transactions) -> CrosstabResult:
+    """Crosstab that looks up every operation member by transaction id."""
+    by_id = {t.tx_id: t for t in transactions}
+    tx_table: dict[str, dict[str, int]] = {}
+    memberships: Counter[str] = Counter()
+    for op, category in zip(classified.ops, classified.categories):
+        for tx_id in op.in_tx_ids + op.out_tx_ids:
+            t = by_id[tx_id]
+            pair = (t.source, t.target)
+            if pair not in g.links:
+                raise DataError(f"operation transaction {tx_id!r} is not in the graph")
+            label = partition.edge_label(pair)
+            row = tx_table.setdefault(label, {c.value: 0 for c in FrequencyCategory})
+            row[category.value] += 1
+            memberships[tx_id] += 1
+
+    user_table: dict[str, dict[str, int]] = {}
+    for signature in signatures:
+        node_label = partition.node_category[signature.user].value
+        row = user_table.setdefault(node_label, {})
+        row[signature.key] = row.get(signature.key, 0) + 1
+
+    volume_in_ops = dsum(by_id[tx_id].amount for tx_id in sorted(memberships))
+    coverage = RecirculationCoverage(
+        op_count=len(classified.ops),
+        tx_in_ops=len(memberships),
+        tx_share=len(memberships) / g.tx_count if g.tx_count else 0.0,
+        volume_in_ops=volume_in_ops,
+        volume_share=float(volume_in_ops / g.volume) if g.volume else 0.0,
+        tx_counted_twice=sum(1 for count in memberships.values() if count == 2),
+        recirculating_users=len(signatures),
+        user_share=len(signatures) / g.node_count if g.node_count else 0.0,
+    )
+    return CrosstabResult(tx_table=tx_table, user_table=user_table, coverage=coverage)
 
 
 # --------------------------------------------------------------------------

@@ -274,13 +274,12 @@ def test_criterion_9_sarafu_reproduction():
     )
     check("largest SCC", largest, 19_737)
 
-    clean = [t for t in transactions if t.source != t.target]
-    ops = extract_ops(clean)
+    ops = extract_ops(transactions.without_self_transfers())
     classified = classify_ops(ops)
     check("operations", len(ops), 123_741)
     signatures = user_signatures(classified)
     check("recirculating users", len(signatures), 9_984)
-    tables = crosstab(g, partition, classified, signatures, clean)
+    tables = crosstab(g, partition, classified, signatures)
     check("tx in operations", tables.coverage.tx_in_ops, 328_191)
     check("Q1 seconds", classified.boundaries.q1, 19 * 60 + 39, tolerance=60)
     check("Q2 seconds", classified.boundaries.q2, 10 * 3600 + 3 * 60, tolerance=60)

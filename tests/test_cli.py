@@ -93,6 +93,40 @@ def test_infinite_amount_is_data_error(tmp_path):
     assert report["exit_code"] == 3
 
 
+def test_out_of_range_timestamp_is_data_error(tmp_path):
+    # A stamp past datetime's range used to pass ingest and crash the
+    # normalised-ledger writer with a half-written file.
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text(
+        "id,timeset,source,target,weight,transfer_subtype\n"
+        "t1,1600000000,a,b,5,STANDARD\n"
+        "t2,99999999999999,b,a,5,STANDARD\n",
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "o"
+    assert main(["run", str(ledger), "--output", str(out_dir), "--replicas", "8"]) == 3
+    assert [p.name for p in out_dir.iterdir()] == ["error_report.json"]
+    report = json.loads((out_dir / "error_report.json").read_text())
+    assert report["error_type"] == "DataError"
+    assert report["message"].startswith("row 3: bad timestamp")
+
+
+def test_error_report_goes_to_config_file_output(tmp_path):
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text(
+        "id,timeset,source,target,weight,transfer_subtype\n"
+        "t1,2020-01-01T00:00:00Z,a,b,NaN,STANDARD\n",
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "from-config"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"output = {out_dir}\nreplicas = 8\n", encoding="utf-8")
+    assert main(["--config", str(config), "run", str(ledger)]) == 3
+    report = json.loads((out_dir / "error_report.json").read_text())
+    assert report["error_type"] == "DataError"
+    assert report["exit_code"] == 3
+
+
 def test_ensemble_commands_match_run(tmp_path):
     # significance and triads write exactly the files a full run writes
     # for them, byte for byte.

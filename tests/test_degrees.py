@@ -15,7 +15,7 @@ from oracles import sample_discrete_power_law
 
 def _graph_with_volumes(volumes):
     links = {
-        (f"s{i:03d}", f"t{i:03d}"): LinkRecord((f"x{i:03d}",), 1, Decimal(str(v)))
+        (f"s{i:03d}", f"t{i:03d}"): LinkRecord(1, Decimal(str(v)))
         for i, v in enumerate(volumes)
     }
     return LedgerGraph(links)
@@ -24,8 +24,7 @@ def _graph_with_volumes(volumes):
 def test_pearson_is_one_for_count_equal_volume():
     links = {}
     for i, count in enumerate([1, 2, 3, 5, 8]):
-        ids = tuple(f"x{i}_{k}" for k in range(count))
-        links[(f"s{i}", f"t{i}")] = LinkRecord(ids, count, Decimal(count))
+        links[(f"s{i}", f"t{i}")] = LinkRecord(count, Decimal(count))
     stats = degree_stats(LedgerGraph(links))
     assert stats.pearson_tx_vs_volume == pytest.approx(1.0)
 
@@ -42,10 +41,7 @@ def test_pearson_affine_invariance():
     def build(scale, shift):
         links = {}
         for i, (count, volume) in enumerate(zip(counts, volumes)):
-            ids = tuple(f"x{i}_{k}" for k in range(count))
-            links[(f"s{i}", f"t{i}")] = LinkRecord(
-                ids, count, Decimal(str(scale * volume + shift))
-            )
+            links[(f"s{i}", f"t{i}")] = LinkRecord(count, Decimal(str(scale * volume + shift)))
         return LedgerGraph(links)
 
     base = degree_stats(build(1, 0)).pearson_tx_vs_volume

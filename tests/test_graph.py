@@ -16,7 +16,6 @@ def test_aggregate_accumulates_per_pair():
     assert g.link_count == 1
     record = g.links[("A", "B")]
     assert record.count == 2
-    assert record.tx_ids == ("t1", "t2")
     assert record.volume == Decimal(12)
     assert diag.self_transfers_dropped == 0
 
@@ -36,7 +35,7 @@ def test_empty_input_gives_empty_graph():
 
 def test_constructor_rejects_self_loops():
     with pytest.raises(DataError):
-        LedgerGraph({("A", "A"): LinkRecord(("t1",), 1, Decimal(1))})
+        LedgerGraph({("A", "A"): LinkRecord(1, Decimal(1))})
 
 
 def test_nodes_are_exactly_link_endpoints():
@@ -54,8 +53,8 @@ def test_from_edges_merges_duplicates():
 
 def test_link_order_independent_of_insertion():
     links = {
-        ("B", "C"): LinkRecord(("t2",), 1, Decimal(2)),
-        ("A", "B"): LinkRecord(("t1",), 1, Decimal(1)),
+        ("B", "C"): LinkRecord(1, Decimal(2)),
+        ("A", "B"): LinkRecord(1, Decimal(1)),
     }
     g1 = LedgerGraph(links)
     g2 = LedgerGraph(dict(reversed(links.items())))

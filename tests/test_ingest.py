@@ -165,7 +165,7 @@ def test_missing_file_is_data_error(tmp_path):
 def test_header_only_file_is_empty(tmp_path):
     path = write(tmp_path, "")
     txs, diag = parse_ledger(path)
-    assert txs == []
+    assert len(txs) == 0
     assert diag.rows_read == 0
 
 
@@ -174,6 +174,24 @@ def test_parse_timestamp_formats():
     assert parse_timestamp("2020-09-13T12:26:40+00:00", "iso8601") == 1_600_000_000
     assert parse_timestamp("2020-09-13T12:26:40Z", "iso8601") == 1_600_000_000
     assert parse_timestamp("2020-09-13 12:26:40", "iso8601") == 1_600_000_000
+
+
+def test_timestamps_outside_datetime_range_rejected(tmp_path):
+    assert parse_timestamp("-62135596800", "epoch") == -62_135_596_800
+    assert parse_timestamp("253402300799", "epoch") == 253_402_300_799
+    assert parse_timestamp("9999-12-31T23:59:59Z", "iso8601") == 253_402_300_799
+    for raw, fmt in (
+        ("-62135596801", "epoch"),
+        ("253402300800", "epoch"),
+        ("99999999999999", "epoch"),
+        ("0001-01-01T00:00:00+01:00", "iso8601"),
+        ("9999-12-31T23:59:59-01:00", "iso8601"),
+    ):
+        with pytest.raises(ValueError):
+            parse_timestamp(raw, fmt)
+    path = write(tmp_path, "t1,1600000000,a,b,1,STANDARD\nt2,253402300800,b,a,1,STANDARD\n")
+    with pytest.raises(DataError, match="row 3: bad timestamp"):
+        parse_ledger(path)
 
 
 accounts = st.text(alphabet="abcdefgh", min_size=1, max_size=3)
@@ -205,4 +223,4 @@ def test_write_parse_round_trip(tmp_path_factory, txs):
     path = tmp_path_factory.mktemp("roundtrip") / "ledger.csv"
     write_transactions(path, txs)
     parsed, _ = parse_ledger(path, filter_spec=keep_everything())
-    assert parsed == txs
+    assert list(parsed) == txs

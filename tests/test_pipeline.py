@@ -83,6 +83,16 @@ def test_ensemble_stages_build_each_replica_once(tmp_path, monkeypatch):
     assert len(calls) == len(modes) * 8
 
 
+def test_run_builds_no_transaction_objects(tmp_path, monkeypatch):
+    # The run path stays columnar: no per-row Transaction is built.
+    from ledgerflow.ingest import Transaction
+
+    built = []
+    monkeypatch.setattr(Transaction, "__post_init__", lambda self: built.append(self))
+    run_pipeline(small_config(DEMO_LEDGER, tmp_path / "out", replicas=8))
+    assert built == []
+
+
 def test_json_only_format(tmp_path):
     result = run_pipeline(small_config(DEMO_LEDGER, tmp_path / "out", formats=("json",)))
     names = {p.name for p in result.output_files}

@@ -117,7 +117,9 @@ def test_each_tx_in_at_most_two_ops():
 def test_reextraction_of_sorted_input_is_stable():
     rng = random.Random(3)
     txs = _random_stream(rng, "u", ["a"], 30)
-    assert extract_ops(txs) == extract_ops(sorted(txs, key=lambda t: (t.timestamp, t.tx_id)))
+    assert list(extract_ops(txs)) == list(
+        extract_ops(sorted(txs, key=lambda t: (t.timestamp, t.tx_id)))
+    )
 
 
 def _ops_with_durations(durations):
@@ -217,7 +219,7 @@ def test_crosstab_alternating_pair_counts_twice():
     ops = extract_ops(txs)
     classified = classify_ops(ops)
     signatures = user_signatures(classified)
-    result = crosstab(g, partition, classified, signatures, txs)
+    result = crosstab(g, partition, classified, signatures)
     total_cells = sum(sum(row.values()) for row in result.tx_table.values())
     # Every transaction inside both an "out" and an "in" operation except the
     # boundary ones that close without re-entering a window.
@@ -231,12 +233,12 @@ def test_crosstab_alternating_pair_counts_twice():
 
 def test_crosstab_rejects_foreign_transactions():
     txs = [tx("i1", 0, "a", "u"), tx("o1", 1, "u", "a")]
-    g, _ = aggregate(txs)
+    g, _ = aggregate([tx("i1", 0, "a", "u"), tx("x1", 1, "u", "b")])
     partition = categorize(g)
     classified = classify_ops(extract_ops(txs))
     signatures = user_signatures(classified)
-    with pytest.raises(DataError):
-        crosstab(g, partition, classified, signatures, [])
+    with pytest.raises(DataError, match="'o1' is not in the graph"):
+        crosstab(g, partition, classified, signatures)
 
 
 def test_classify_requires_ops():

@@ -1,0 +1,63 @@
+"""Subprocess smoke tests: the demos, and a traced benchmark child.
+
+The demos call the library directly (``parse_ledger``, ``aggregate``, ...),
+so they break when its API moves. The benchmark's tracer reads per-layer
+counts off the results of functions it wraps in ``ledgerflow.pipeline``;
+a refactor that changed those names or result shapes would silently zero
+the benchmark's per-layer metrics.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMO_LEDGER = ROOT / "demos" / "data" / "demo_ledger.csv"
+
+
+def _env(tmp_path) -> dict[str, str]:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, "TMPDIR": str(tmp_path)}
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("0*.py")))
+def test_demo_runs(demo, tmp_path):
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=tmp_path, env=_env(tmp_path), capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_traced_child_records_layer_counts(tmp_path):
+    report, out = tmp_path / "report.json", tmp_path / "out"
+    job = {
+        "root": str(ROOT), "report": str(report), "kind": "pipeline", "trace": True,
+        "ledger": str(DEMO_LEDGER), "output": str(out), "seed": 3,
+        "stages": ["ingest", "topology", "recirculation", "report"],
+    }
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), json.dumps(job)],
+        cwd=tmp_path, env=_env(tmp_path), capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+
+    spans = {}
+    for span in json.loads(report.read_text())["spans"]:
+        spans.setdefault(span["name"], []).append(span)
+    for layer in ("parse_ledger", "aggregate", "write_transactions", "extract_ops", "crosstab"):
+        assert len(spans.get(f"pipeline.{layer}", [])) == 1, layer
+    totals = json.loads((out / "ledger_totals.json").read_text())
+    coverage = json.loads((out / "recirculation_coverage.json").read_text())
+    diagnostics = json.loads((out / "ingest_diagnostics.json").read_text())
+    (aggregate,) = spans["pipeline.aggregate"]
+    assert aggregate["counts"] == {
+        "nodes": totals["nodes"], "links": totals["links"], "tx": totals["transactions"],
+    }
+    assert spans["pipeline.extract_ops"][0]["counts"] == {"ops": coverage["op_count"]}
+    assert coverage["op_count"] > 0
+    assert spans["pipeline.parse_ledger"][0]["counts"]["rows_read"] == diagnostics["rows_read"]

@@ -262,6 +262,22 @@ def test_one_time_users_directions():
     assert table.total.one_incoming == 1
 
 
+def test_one_time_volume_is_not_rounded():
+    # 32 significant digits: more than the default 28-digit context keeps.
+    amount = "0.12345678901234567890123456789012"
+    txs = [
+        tx("t1", 0, "A", "B", 2),
+        tx("t2", 1, "B", "A", 3),
+        tx("t3", 2, "D", "A", amount),
+    ]
+    g, _ = aggregate(txs)
+    partition = categorize(g)
+    table = one_time_users(g, partition)
+    assert str(table.rows["in-single-node"].outgoing_volume) == amount
+    assert str(table.total.outgoing_volume) == amount
+    assert str(category_stats(g, partition)["in-single-node"].volume) == amount
+
+
 def test_user_with_one_in_and_one_out_is_not_one_time():
     txs = [
         tx("t1", 0, "A", "B", 2),
