@@ -46,7 +46,6 @@ from .triads import (
     TRIAD_LABELS,
     category_census,
     census,
-    census_of_graph,
     triad_significance,
 )
 from .recirculation import (
@@ -104,7 +103,6 @@ __all__ = [
     "TRIAD_LABELS",
     "category_census",
     "census",
-    "census_of_graph",
     "triad_significance",
     "ClassifiedOps",
     "FrequencyCategory",

@@ -5,7 +5,10 @@ power-law tail fits where the lower cutoff is chosen by minimising the
 Kolmogorov-Smirnov distance over candidate cutoffs. Integer-valued series
 (degrees, transactions per link) use the discrete likelihood with a Hurwitz
 zeta normaliser; the volume-per-link series is continuous-valued and uses
-the closed-form continuous estimator.
+the closed-form continuous estimator. The transactions-vs-volume
+correlation is Pearson's r, computed the way ``scipy.stats.pearsonr``
+(scipy 1.17) computes its statistic, bit for bit, without importing
+``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import zeta
-from scipy.stats import pearsonr
 
 from .graph import LedgerGraph
 
@@ -26,6 +28,7 @@ __all__ = [
     "DegreeStats",
     "fit_discrete_power_law",
     "fit_continuous_power_law",
+    "pearson_r",
     "degree_stats",
 ]
 
@@ -60,6 +63,19 @@ def _candidate_cutoffs(unique_values: np.ndarray) -> np.ndarray:
         idx = np.linspace(0, candidates.size - 1, _MAX_XMIN_CANDIDATES).astype(int)
         candidates = candidates[np.unique(idx)]
     return candidates
+
+
+def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson's r of two float series of one length >= 2, bit-equal to
+    ``scipy.stats.pearsonr(x, y).statistic``: +-1 for two points, NaN for
+    a constant series."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        xm, ym = x - x.mean(), y - y.mean()
+        xmax, ymax = np.abs(xm).max(), np.abs(ym).max()
+        norm_x = xmax * np.linalg.vector_norm(xm / xmax)
+        norm_y = ymax * np.linalg.vector_norm(ym / ymax)
+        r = np.clip(np.vecdot(xm / norm_x, ym / norm_y), -1.0, 1.0)
+    return float(np.round(r) if x.size == 2 else r)
 
 
 def fit_discrete_power_law(values) -> PowerLawFit:
@@ -172,7 +188,7 @@ def degree_stats(g: LedgerGraph) -> DegreeStats:
     volumes = np.array([float(rec.volume) for rec in g.links.values()])
 
     if counts.size >= 2 and counts.std() > 0 and volumes.std() > 0:
-        pearson = float(pearsonr(counts, volumes).statistic)
+        pearson = pearson_r(counts, volumes)
     else:
         pearson = None
 

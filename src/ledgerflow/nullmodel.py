@@ -198,15 +198,7 @@ def _replica_tables(
     sources, targets, record_link = _replica(links, spec, index)
     labels, _ = label(links.n, sources, targets)
     stats = tabulate(labels, sources, targets, links.counts, links.volumes, record_link)
-    censuses = {}
-    for category in triads.DEFAULT_CENSUS_CATEGORIES:
-        code = CATEGORY_ORDER.index(category.value)
-        owned = labels.link == code
-        censuses[category.value] = triads.census(
-            np.flatnonzero(labels.node == code).tolist(),
-            zip(sources[owned].tolist(), targets[owned].tolist()),
-        )
-    return stats, censuses
+    return stats, triads.label_census(labels, sources, targets)
 
 
 _WORKER_STATE: dict = {}

@@ -4,9 +4,11 @@ z-scores use the sample standard deviation (n-1 denominator); robust
 z-scores use the median and the interquartile range under linear-interpolation
 quantiles. Normality of an ensemble sample is judged with the Anderson-Darling
 test for estimated parameters, small-sample corrected, with the standard
-piecewise p-value approximation. ``score_ensemble`` applies all three to
-every (row, column) cell of a table, empirical against replicas; category
-sizes and triad counts are both scored through it.
+piecewise p-value approximation. Its normal CDF is ``scipy.special.ndtr``,
+the function ``scipy.stats.norm.cdf`` evaluates, so the slow-to-import
+``scipy.stats`` stays out of the process. ``score_ensemble`` applies all
+three to every (row, column) cell of a table, empirical against replicas;
+category sizes and triad counts are both scored through it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import AnalysisError
 
@@ -88,7 +90,7 @@ def anderson_darling_normal(samples: Sequence[float]) -> AndersonDarlingResult:
     if sd == 0.0:
         return AndersonDarlingResult(math.inf, math.inf, 0.0, True)
     w = (np.sort(arr) - arr.mean()) / sd
-    z = norm.cdf(w)
+    z = ndtr(w)
     z = np.clip(z, 1e-300, 1.0 - 1e-16)
     i = np.arange(1, n + 1)
     s = np.sum((2 * i - 1.0) / n * (np.log(z) + np.log1p(-z[::-1])))

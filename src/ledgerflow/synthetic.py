@@ -21,6 +21,7 @@ from decimal import Decimal
 import numpy as np
 
 from .ingest import Transaction
+from .util import MAX_EPOCH, MIN_EPOCH
 
 __all__ = ["ScenarioSpec", "SyntheticLedger", "generate_synthetic"]
 
@@ -48,6 +49,8 @@ class ScenarioSpec:
             raise ValueError("star_arms must be >= 2 (one collector needs two senders)")
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
+        if not MIN_EPOCH <= self.start_time <= self.start_time + self.horizon <= MAX_EPOCH:
+            raise ValueError("start_time + horizon must stay within years 1..9999")
 
 
 @dataclass(frozen=True)

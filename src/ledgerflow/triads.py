@@ -1,32 +1,39 @@
-"""Triadic census over directed simple graphs and category subgraphs.
+"""Triad census of the acyclic category subgraphs, and its significance.
 
 Every unordered triple of nodes falls into one of the 16 canonical directed
-triad classes. The census walks connected pairs and their joint
-neighborhoods and closes the disconnected-third-node classes (003, 012,
-102) in constant time per pair, so sparse graphs avoid the cubic scan. The
-result is checked against the C(n, 3) total identity on every call.
+triad classes (Holland & Leinhardt 1976). Censuses are taken only of the
+acyclic (``dag*``) categories. With no mutual dyad and no cycle only six
+classes occur, each in closed form (Moody 1998): with out-, in- and total
+degrees o, i, d per node, m links, n nodes and T = sum((A @ A) * A)
+transitive triangles over the sparse adjacency matrix A, 030T = T,
+021D = sum C(o, 2) - T, 021U = sum C(i, 2) - T, 021C = sum o*i - T,
+012 = m*n - sum d^2 + 3T, and 003 completes C(n, 3). The general-digraph
+census lives in ``tests/oracles.py`` as a reference.
 
-Category censuses run on the subgraph induced by a category's nodes and
-internally-owned links; boundary links never enter. ``triad_significance``
-scores the empirical per-category counts against the censuses that
-``nullmodel.run_ensemble`` takes of each replica, with the same scoring as
-the category-size significance.
+A category's subgraph is its nodes and the links that carry its category
+code; boundary links never enter. ``triad_significance`` scores the
+empirical censuses against those ``nullmodel.run_ensemble`` takes of each
+replica, with the same scoring as the category-size significance.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
+import numpy as np
+from scipy.sparse import csr_matrix
+
+from .errors import AnalysisError
 from .graph import LedgerGraph
 from .stats import SignificanceCell, score_ensemble
-from .topology import NodeCategory, TopologyPartition, EdgeKind
+from .topology import CATEGORY_ORDER, Labels, NodeCategory, TopologyPartition, partition_labels
 from .topology import categorize  # noqa: F401  (perfbench/tracer.py wraps triads.categorize)
 
 __all__ = [
     "TRIAD_LABELS",
     "DEFAULT_CENSUS_CATEGORIES",
     "census",
-    "census_of_graph",
+    "label_census",
     "category_census",
     "triad_significance",
 ]
@@ -36,16 +43,6 @@ TRIAD_LABELS: tuple[str, ...] = (
     "030T", "030C", "201", "120D", "120U", "120C", "210", "300",
 )
 
-# Class index (1-based into TRIAD_LABELS) for each of the 64 possible
-# combinations of the six directed edges among an ordered triple.
-_TRICODES = (
-    1, 2, 2, 3, 2, 4, 6, 8, 2, 6, 5, 7, 3, 8, 7, 11, 2, 6, 4, 8, 5, 9,
-    9, 13, 6, 10, 9, 14, 7, 14, 12, 15, 2, 5, 6, 7, 6, 9, 10, 14, 4, 9,
-    9, 12, 8, 13, 14, 15, 3, 7, 8, 11, 7, 12, 14, 15, 8, 14, 13, 15,
-    11, 15, 15, 16,
-)
-_CODE_TO_LABEL = {i: TRIAD_LABELS[code - 1] for i, code in enumerate(_TRICODES)}
-
 DEFAULT_CENSUS_CATEGORIES: tuple[NodeCategory, ...] = (
     NodeCategory.DAG0,
     NodeCategory.DAG_TIN,
@@ -54,73 +51,64 @@ DEFAULT_CENSUS_CATEGORIES: tuple[NodeCategory, ...] = (
 )
 
 
-def census(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> dict[str, int]:
-    """Count the 16 triad classes over all unordered node triples.
+def _pairs(degree: np.ndarray) -> int:
+    return int((degree * (degree - 1)).sum()) // 2
 
-    ``edges`` must connect nodes from ``nodes`` and contain no self-loops.
+
+def census(n: int, sources: np.ndarray, targets: np.ndarray) -> dict[str, int]:
+    """Triad census of an acyclic simple digraph with ``n`` nodes.
+
+    ``sources[k] -> targets[k]`` are its links as non-negative integer node
+    ids, not necessarily ``0..n-1``; nodes without links are isolated.
+    Raises :class:`AnalysisError` on a self-loop, parallel link, mutual
+    dyad or 3-cycle (where the closed forms fail), or on more than ``n``
+    linked nodes.
     """
-    node_list = sorted(set(nodes))
-    succ: dict[str, set[str]] = {v: set() for v in node_list}
-    pred: dict[str, set[str]] = {v: set() for v in node_list}
-    for s, t in edges:
-        if s == t:
-            raise ValueError(f"self-loop {s!r} in census input")
-        succ[s].add(t)
-        pred[t].add(s)
-
-    order = {v: i for i, v in enumerate(node_list)}
-    n = len(node_list)
+    sources = np.asarray(sources, dtype=np.int64)
+    targets = np.asarray(targets, dtype=np.int64)
     counts = dict.fromkeys(TRIAD_LABELS, 0)
-
-    for v in node_list:
-        v_nbrs = succ[v] | pred[v]
-        for u in v_nbrs:
-            if order[u] <= order[v]:
-                continue
-            neighborhood = (v_nbrs | succ[u] | pred[u]) - {u, v}
-            # Third nodes unconnected to both v and u form dyadic triads.
-            if u in succ[v] and v in succ[u]:
-                counts["102"] += n - len(neighborhood) - 2
-            else:
-                counts["012"] += n - len(neighborhood) - 2
-            for w in neighborhood:
-                if order[u] < order[w] or (
-                    order[v] < order[w] < order[u]
-                    and v not in succ[w]
-                    and v not in pred[w]
-                ):
-                    code = (
-                        (1 if u in succ[v] else 0)
-                        + (2 if v in succ[u] else 0)
-                        + (4 if w in succ[v] else 0)
-                        + (8 if v in succ[w] else 0)
-                        + (16 if w in succ[u] else 0)
-                        + (32 if u in succ[w] else 0)
-                    )
-                    counts[_CODE_TO_LABEL[code]] += 1
-
-    total_triples = n * (n - 1) * (n - 2) // 6
-    counts["003"] = total_triples - sum(counts.values())
-    if sum(counts.values()) != total_triples or counts["003"] < 0:
-        raise AssertionError("triad census does not sum to C(n, 3)")
+    m = sources.size
+    if m:
+        size = int(max(sources.max(), targets.max())) + 1
+        out_deg = np.bincount(sources, minlength=size)
+        in_deg = np.bincount(targets, minlength=size)
+        degree = out_deg + in_deg
+        if np.count_nonzero(degree) > n:
+            raise AnalysisError(f"census links touch more than its {n} nodes")
+        adj = csr_matrix((np.ones(m, dtype=np.int64), (sources, targets)), shape=(size, size))
+        if adj.nnz != m:
+            raise AnalysisError("parallel links in census input")
+        two_paths = adj @ adj
+        # A self-loop or mutual dyad shows in adj * adj.T, a 3-cycle in two_paths * adj.T.
+        if (adj + two_paths).multiply(adj.T).count_nonzero():
+            raise AnalysisError("census input has a self-loop, mutual dyad or 3-cycle")
+        t = int(two_paths.multiply(adj).sum())
+        counts["030T"] = t
+        counts["021D"] = _pairs(out_deg) - t
+        counts["021U"] = _pairs(in_deg) - t
+        counts["021C"] = int((out_deg * in_deg).sum()) - t
+        counts["012"] = m * n - int((degree * degree).sum()) + 3 * t
+    counts["003"] = n * (n - 1) * (n - 2) // 6 - sum(counts.values())
     return counts
 
 
-def census_of_graph(g: LedgerGraph) -> dict[str, int]:
-    return census(g.nodes, g.links.keys())
+def label_census(
+    labels: Labels,
+    sources: np.ndarray,
+    targets: np.ndarray,
+    categories: Sequence[NodeCategory] = DEFAULT_CENSUS_CATEGORIES,
+) -> dict[str, dict[str, int]]:
+    """Census of each category from array labels of one graph's links.
 
-
-def _category_subgraph(
-    partition: TopologyPartition, category: NodeCategory
-) -> tuple[list[str], list[tuple[str, str]]]:
-    nodes = [v for v, c in partition.node_category.items() if c is category]
-    wanted = {cid for cid, c in partition.component_category.items() if c is category}
-    edges = [
-        pair
-        for pair, assignment in partition.edge_assignment.items()
-        if assignment.kind is EdgeKind.INTERNAL and assignment.component_id in wanted
-    ]
-    return nodes, edges
+    A category's subgraph is its nodes and the links that carry its code.
+    """
+    node_count = np.bincount(labels.node, minlength=len(CATEGORY_ORDER))
+    result = {}
+    for category in categories:
+        code = CATEGORY_ORDER.index(category.value)
+        owned = labels.link == code
+        result[category.value] = census(int(node_count[code]), sources[owned], targets[owned])
+    return result
 
 
 def category_census(
@@ -128,12 +116,8 @@ def category_census(
     partition: TopologyPartition,
     categories: Sequence[NodeCategory] = DEFAULT_CENSUS_CATEGORIES,
 ) -> dict[str, dict[str, int]]:
-    """Census of each requested category's induced subgraph."""
-    result: dict[str, dict[str, int]] = {}
-    for category in categories:
-        nodes, edges = _category_subgraph(partition, category)
-        result[category.value] = census(nodes, edges)
-    return result
+    """Census of each requested (acyclic) category's subgraph."""
+    return label_census(partition_labels(g, partition), g.sources, g.targets, categories)
 
 
 def _triad_count(census_tables: dict[str, dict[str, int]], label: str, triad: str) -> float:

@@ -7,7 +7,9 @@ for discrete power laws. None of it shares code with the library paths it
 verifies. The string-keyed endpoint swap, categoriser and category
 statistics that the integer-array implementations replaced also live here,
 as slow references, and so do the row-at-a-time sort, dict aggregation and
-per-transaction crosstab that the columnar ledger replaced.
+per-transaction crosstab that the columnar ledger replaced, and the
+neighbourhood-walk triad census of general digraphs that the closed-form
+acyclic census replaced.
 """
 
 from __future__ import annotations
@@ -592,6 +594,77 @@ def brute_force_census(nodes, edges) -> dict[str, int]:
         )
         counts[_PATTERNS[pattern]] += 1
     return counts
+
+
+# The neighbourhood-walk census for general digraphs (Batagelj & Mrvar,
+# 2001) that the closed-form acyclic census replaced: class index (1-based
+# into the triad labels) for each of the 64 combinations of the six directed
+# edges among an ordered triple.
+_TRICODES = (
+    1, 2, 2, 3, 2, 4, 6, 8, 2, 6, 5, 7, 3, 8, 7, 11, 2, 6, 4, 8, 5, 9,
+    9, 13, 6, 10, 9, 14, 7, 14, 12, 15, 2, 5, 6, 7, 6, 9, 10, 14, 4, 9,
+    9, 12, 8, 13, 14, 15, 3, 7, 8, 11, 7, 12, 14, 15, 8, 14, 13, 15,
+    11, 15, 15, 16,
+)
+_CODE_TO_LABEL = dict(enumerate(tuple(_REPRESENTATIVES)[code - 1] for code in _TRICODES))
+
+
+def walk_census(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> dict[str, int]:
+    """Census of any simple digraph by walking connected pairs.
+
+    Third nodes unconnected to a pair close the dyadic classes in constant
+    time per pair; the rest are classified by edge code. Raises ValueError
+    on a self-loop.
+    """
+    node_list = sorted(set(nodes))
+    succ: dict[str, set[str]] = {v: set() for v in node_list}
+    pred: dict[str, set[str]] = {v: set() for v in node_list}
+    for s, t in edges:
+        if s == t:
+            raise ValueError(f"self-loop {s!r} in census input")
+        succ[s].add(t)
+        pred[t].add(s)
+
+    order = {v: i for i, v in enumerate(node_list)}
+    n = len(node_list)
+    counts = dict.fromkeys(_REPRESENTATIVES, 0)
+
+    for v in node_list:
+        v_nbrs = succ[v] | pred[v]
+        for u in v_nbrs:
+            if order[u] <= order[v]:
+                continue
+            neighborhood = (v_nbrs | succ[u] | pred[u]) - {u, v}
+            if u in succ[v] and v in succ[u]:
+                counts["102"] += n - len(neighborhood) - 2
+            else:
+                counts["012"] += n - len(neighborhood) - 2
+            for w in neighborhood:
+                if order[u] < order[w] or (
+                    order[v] < order[w] < order[u]
+                    and v not in succ[w]
+                    and v not in pred[w]
+                ):
+                    code = (
+                        (1 if u in succ[v] else 0)
+                        + (2 if v in succ[u] else 0)
+                        + (4 if w in succ[v] else 0)
+                        + (8 if v in succ[w] else 0)
+                        + (16 if w in succ[u] else 0)
+                        + (32 if u in succ[w] else 0)
+                    )
+                    counts[_CODE_TO_LABEL[code]] += 1
+
+    total_triples = n * (n - 1) * (n - 2) // 6
+    counts["003"] = total_triples - sum(counts.values())
+    if counts["003"] < 0:
+        raise AssertionError("triad census does not sum to C(n, 3)")
+    return counts
+
+
+def graph_census(g: LedgerGraph) -> dict[str, int]:
+    """``walk_census`` of a whole graph."""
+    return walk_census(g.nodes, g.links.keys())
 
 
 # --------------------------------------------------------------------------

@@ -29,16 +29,17 @@ from ledgerflow.recirculation import classify_ops, crosstab, extract_ops, user_s
 from ledgerflow.stats import anderson_darling_normal, robust_z_score, z_score
 from ledgerflow.synthetic import ScenarioSpec, generate_synthetic
 from ledgerflow.topology import (
+    EdgeKind,
     categorize,
     category_stats,
     strongly_connected_components,
     verify_partition,
 )
-from ledgerflow.triads import census_of_graph, category_census, triad_significance
+from ledgerflow.triads import category_census, triad_significance
 from ledgerflow.util import dsum
 
 from conftest import random_digraph
-from oracles import brute_force_census, naive_categorize, oracle_extract_ops, tx
+from oracles import brute_force_census, graph_census, naive_categorize, oracle_extract_ops, tx
 
 MUTUAL_OR_CYCLIC = ("102", "111D", "111U", "030C", "201", "120D", "120U", "120C", "210", "300")
 
@@ -155,13 +156,21 @@ def test_criterion_5_triad_census_identities():
     rng = random.Random(5005)
     for _ in range(500):
         g = random_digraph(rng, 15)
-        counts = census_of_graph(g)
+        counts = graph_census(g)
         assert counts == brute_force_census(g.nodes, g.links.keys())
         n = g.node_count
         assert sum(counts.values()) == n * (n - 1) * (n - 2) // 6
-        for table in category_census(g, categorize(g)).values():
-            for label in MUTUAL_OR_CYCLIC:
-                assert table[label] == 0
+        partition = categorize(g)
+        for label, table in category_census(g, partition).items():
+            for triad in MUTUAL_OR_CYCLIC:
+                assert table[triad] == 0
+            nodes = [v for v, c in partition.node_category.items() if c.value == label]
+            links = [
+                pair for pair, a in partition.edge_assignment.items()
+                if a.kind is EdgeKind.INTERNAL
+                and partition.component_category[a.component_id].value == label
+            ]
+            assert table == brute_force_census(nodes, links)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     _report("5 triad census identities", elapsed, "500 digraphs, n <= 15")

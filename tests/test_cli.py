@@ -37,6 +37,19 @@ def test_generate_invalid_scenario_is_config_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("days", ["4000000", "100000000000000"])
+def test_generate_horizon_past_year_9999_is_config_error(tmp_path, days):
+    # Past datetime's range, and (for the second) past int64 seconds.
+    out = tmp_path / "g"
+    code = main(["generate", "--output", str(out), "--seed", "1", "--cycles", "3",
+                 "--horizon-days", days])
+    assert code == 2
+    assert [p.name for p in out.iterdir()] == ["error_report.json"]
+    report = json.loads((out / "error_report.json").read_text())
+    assert report["error_type"] == "ConfigError"
+    assert report["exit_code"] == 2
+
+
 def test_single_stage_commands(tmp_path):
     out_dir = tmp_path / "topo"
     code = main(["topology", str(DEMO_LEDGER), "--output", str(out_dir)])

@@ -7,6 +7,7 @@ from ledgerflow.degrees import (
     degree_stats,
     fit_continuous_power_law,
     fit_discrete_power_law,
+    pearson_r,
 )
 from ledgerflow.graph import LedgerGraph, LinkRecord, aggregate
 
@@ -27,6 +28,23 @@ def test_pearson_is_one_for_count_equal_volume():
         links[(f"s{i}", f"t{i}")] = LinkRecord(count, Decimal(count))
     stats = degree_stats(LedgerGraph(links))
     assert stats.pearson_tx_vs_volume == pytest.approx(1.0)
+
+
+def test_pearson_r_is_bit_equal_to_scipy():
+    pearsonr = pytest.importorskip("scipy.stats").pearsonr
+    rng = np.random.default_rng(17)
+    for trial in range(600):
+        n = 2 if trial % 10 == 0 else int(rng.integers(3, 400))
+        counts = rng.integers(1, [3, 60, 10**4][trial % 3], size=n).astype(float)
+        volumes = np.round(counts * rng.pareto(1.3, size=n) * 100 + rng.integers(1, 99, size=n)) / 100
+        if trial % 4 == 0:
+            volumes = rng.normal(size=n) * 10.0 ** rng.integers(-3, 9)
+        if counts.std() == 0 or volumes.std() == 0:
+            continue
+        assert pearson_r(counts, volumes) == float(pearsonr(counts, volumes).statistic)
+    for x, y in (([1.0, 2.0], [5.0, 3.0]), ([0.1, 0.3], [7.0, 7.5])):
+        x, y = np.array(x), np.array(y)
+        assert pearson_r(x, y) == float(pearsonr(x, y).statistic) in (-1.0, 1.0)
 
 
 def test_pearson_undefined_for_zero_variance():

@@ -1,7 +1,9 @@
-"""Golden bundle: a fixed ledger and config must give byte-identical outputs.
+"""Golden bundles: a fixed ledger and config must give byte-identical outputs.
 
-The ledger is a small seeded economy (a Pareto-weighted core plus planted
-cycles, feeders, sinks, bridges and stars) so every topology kind occurs.
+One ledger is a small seeded economy (a Pareto-weighted core plus planted
+cycles, feeders, sinks, bridges and stars) so every topology kind occurs;
+the other is the demo ledger shipped in ``demos/data``, whose collector
+stars give non-zero triad censuses.
 Every bundle file is hashed; the manifest is hashed without its wall times,
 input path, library versions and worker count, the only fields that may
 differ between runs of the same code.
@@ -11,8 +13,11 @@ import hashlib
 import json
 import random
 from datetime import datetime, timezone
+from pathlib import Path
 
 from ledgerflow.cli import main
+
+DEMO_LEDGER = Path(__file__).resolve().parent.parent / "demos" / "data" / "demo_ledger.csv"
 
 _VOLATILE = (("stages",), ("input", "path"), ("versions",), ("config", "jobs"))
 
@@ -85,6 +90,73 @@ GOLDEN = {
         "b96ac76248c3390bf8133a1a6496e974313712de6c538ea832c9c55c0cc4dfad",
 }
 
+
+DEMO_GOLDEN = {
+    "category_stats.csv":
+        "18c3822d1fb7dbd8792a207a32275150260b3b00c96962873979cbcb94d59171",
+    "category_stats.json":
+        "2374aa32847b07a1eec065e316904c9381735d15f90c910a4a74d7b660453bae",
+    "degree_stats.json":
+        "685d7367bc2e9709ab1229c56d3d6a05d8171d89564cebb132ccdbd4845008f3",
+    "edge_assignment.csv":
+        "98aafa258e8fae1959fb6287ef48199793f32618ecb09da62af2aa22ef7dbd1b",
+    "ingest_diagnostics.json":
+        "db1b4b3bc6fcaadc55b0a216a761dfa247be17488182d95fb90699b8ea3ead85",
+    "ledger_totals.json":
+        "a8e483e436e623d81661603a6bde2227abcc061b6398f0ca02053d7d942e370e",
+    "manifest.json":
+        "c8698b475bc9dfa00d71a1487a2c1e8ba382b63bc7b76687386cece4714a2145",
+    "node_assignment.csv":
+        "2d68c16978549cb5f51fa6a0e5b44f964b4939eacabd6db749c5c3b3579e38ec",
+    "one_time_users.csv":
+        "f207cc253a68885f99143b164da1c597f61a73b6e17641c6b735f5e5ebf2f541",
+    "one_time_users.json":
+        "228d8955e8c107e068d0c6ff9803a2cadbd9b59c4b7b075a6666f953c1f70d7d",
+    "operations.csv":
+        "22b9eb843b2dc55a6a443b319bd67205f5fbf8c17a59e5d0189392d559142a7e",
+    "recirculation_boundaries.json":
+        "842c3406b1935cd7a6e45de39e6d0143197cf46cce42cb86c3742d0a965910a8",
+    "recirculation_coverage.json":
+        "5d66cc809e4f8bd7693f442650aa9e8e6efc926b68bd2306152a2cce4fd85cff",
+    "recirculation_tx_crosstab.csv":
+        "2e742556028655905e06a28f677a86da83cb8aa6a477a1bf0271b52ff79424f4",
+    "recirculation_user_crosstab.csv":
+        "a6b17991b7d4106d6d9cb6db20703c8c6f22b2c04bd49d6f3294fa3cf75a6774",
+    "significance_both.csv":
+        "d899ec08ea40c1bea80ed1484a80a9d38b916bd417edbf62d5e2d82267bc9307",
+    "significance_both.json":
+        "d0d6c9a179057e8ea02a14d58abf57721149c11a6a8592d997b2963f652e5ac3",
+    "significance_source.csv":
+        "6ac37ab85a9225f212918a6a0d07c23b74f5a5f79ee28dd38f29a17c9b4ed7ec",
+    "significance_source.json":
+        "ab4027eb52171aa10609b5c31bcaa20f4400c96d88c79b46c10465a44dc8fb83",
+    "significance_target.csv":
+        "c6a8e539411ae051f4eddcc348a85b9a7c69078f9837e10f1f5ace926d60a496",
+    "significance_target.json":
+        "7a7b5b18ab6f0e9949ce8eecdf34be59638616e98e6a53597a96726c0cfef18a",
+    "strategy_report.json":
+        "b44626d156f31ef73d0195ce11dcc751a2e91f1f53f649f13a5575f133ee3583",
+    "transactions_normalized.csv":
+        "7b647c0cc02731d462217c623d34ad6d52b4cd419ffd4c446d97dd5af3c04901",
+    "triad_census.csv":
+        "98007efcd3aaea051dc363f268ecb79d78f41e47b39d0a8361a7c440fbcd9877",
+    "triad_census.json":
+        "3f38a8f41fd3a1efdaab73a103e446ba0c4baf1564a328fcbb7c04c0b4058872",
+    "triad_significance_both.csv":
+        "9f879ab10d7cec25a8752ce73bc06631096a94243e79b82855dc9588dcbda786",
+    "triad_significance_both.json":
+        "e728f0984d0a31dd8d7c0a559e788eb30ff4b81e92a867627a8dcdb31cfbd40b",
+    "triad_significance_source.csv":
+        "770b3b6e07d228c1f1eead2484a53a212610abd254ebc98851f117f5521e4636",
+    "triad_significance_source.json":
+        "c45929f667034d573891038a30dd7d3fd4165857cc0e3ef44b456c810721f378",
+    "triad_significance_target.csv":
+        "6832c95ac0c905073bdae68684c77831c67070827a9e6d07030ecb9c374c85a5",
+    "triad_significance_target.json":
+        "33f8e95e464d5f44548e3eee52894bdcb001b531d77697d480bd0cfc46861fd7",
+    "user_signatures.csv":
+        "e1a5b9c9cd3062f2ecc09828cd4454a4017acf7f837dbfe12ff92112008b7bc5",
+}
 
 def _ledger_text(accounts: int, seed: int) -> str:
     rng = random.Random(seed)
@@ -177,3 +249,13 @@ def test_golden_bundle(tmp_path):
     assert any(stats[c]["node_count"] for c in ("dagTin", "dagTout", "dagTmix"))
     assert any(stats[c]["link_count"] for c in ("edge_dag2scc", "edge_scc2dag", "edge_scc2scc"))
     assert _file_hashes(out) == GOLDEN
+
+
+def test_demo_golden_bundle(tmp_path):
+    out = tmp_path / "out"
+    args = ["run", str(DEMO_LEDGER), "--output", str(out), "--mode", "all",
+            "--replicas", "8", "--seed", "5"]
+    assert main(args) == 0
+    census = json.loads((out / "triad_census.json").read_text())
+    assert census["dag0"]["021U"] > 0
+    assert _file_hashes(out) == DEMO_GOLDEN

@@ -1,10 +1,12 @@
-"""Subprocess smoke tests: the demos, and a traced benchmark child.
+"""Subprocess smoke tests: the demos, a traced benchmark child, and the
+modules a run imports.
 
 The demos call the library directly (``parse_ledger``, ``aggregate``, ...),
 so they break when its API moves. The benchmark's tracer reads per-layer
 counts off the results of functions it wraps in ``ledgerflow.pipeline``;
 a refactor that changed those names or result shapes would silently zero
-the benchmark's per-layer metrics.
+the benchmark's per-layer metrics. ``scipy.stats`` takes a large share of
+start-up time, and a run needs none of it.
 """
 
 import json
@@ -61,3 +63,20 @@ def test_traced_child_records_layer_counts(tmp_path):
     assert spans["pipeline.extract_ops"][0]["counts"] == {"ops": coverage["op_count"]}
     assert coverage["op_count"] > 0
     assert spans["pipeline.parse_ledger"][0]["counts"]["rows_read"] == diagnostics["rows_read"]
+
+
+def test_run_never_imports_scipy_stats(tmp_path):
+    script = (
+        "import sys\n"
+        "import ledgerflow.cli as cli\n"
+        f"code = cli.main(['run', {str(DEMO_LEDGER)!r}, '--output', {str(tmp_path / 'out')!r},"
+        " '--mode', 'all', '--replicas', '8'])\n"
+        "assert code == 0, code\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path, env=_env(tmp_path), capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

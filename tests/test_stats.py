@@ -61,6 +61,19 @@ def test_ad_statistic_matches_scipy():
         assert mine.statistic == pytest.approx(theirs.statistic, rel=1e-9)
 
 
+def test_ad_normal_cdf_is_bit_equal_to_scipy_norm_cdf():
+    # anderson_darling_normal evaluates the CDF with scipy.special.ndtr to
+    # keep scipy.stats out of the import path; it must be the same function.
+    from scipy.special import ndtr
+    from scipy.stats import norm
+
+    rng = np.random.default_rng(9)
+    w = np.concatenate([rng.normal(0.0, 3.0, 5000), rng.uniform(-40.0, 40.0, 5000),
+                        [0.0, -0.0, 1e-300, -38.5, 8.3, np.inf, -np.inf]])
+    assert np.array_equal(ndtr(w), norm.cdf(w))
+    assert np.isnan(ndtr(np.nan)) and np.isnan(norm.cdf(np.nan))
+
+
 def test_ad_corrected_statistic_scaling():
     rng = np.random.default_rng(5)
     sample = rng.normal(size=50)

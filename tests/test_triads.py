@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,21 +10,18 @@ from ledgerflow.graph import LedgerGraph, aggregate
 from ledgerflow.nullmodel import EnsembleSpec, SwapMode, run_ensemble
 from ledgerflow.synthetic import ScenarioSpec, generate_synthetic
 from ledgerflow.topology import categorize
-from ledgerflow.triads import (
-    category_census,
-    census,
-    census_of_graph,
-    triad_significance,
-)
+from ledgerflow.errors import AnalysisError
+from ledgerflow.triads import TRIAD_LABELS, category_census, census, triad_significance
 
 from conftest import random_digraph
-from oracles import brute_force_census
+from oracles import brute_force_census, graph_census, walk_census
 
 MUTUAL_OR_CYCLIC = ("102", "111D", "111U", "030C", "201", "120D", "120U", "120C", "210", "300")
+ZERO = dict.fromkeys(TRIAD_LABELS, 0)
 
 
 def test_three_isolated_nodes():
-    result = census(["a", "b", "c"], [])
+    result = walk_census(["a", "b", "c"], [])
     assert result["003"] == 1
     assert sum(result.values()) == 1
 
@@ -36,16 +35,76 @@ def test_three_isolated_nodes():
     ],
 )
 def test_orientation_conventions(edges, label):
-    result = census(["A", "B", "C"], edges)
+    result = walk_census(["A", "B", "C"], edges)
     assert result[label] == 1
     assert sum(result.values()) == 1
+    ids = {"A": 0, "B": 1, "C": 2}
+    assert census(3, *np.array([(ids[s], ids[t]) for s, t in edges]).T) == result
+
+
+def _random_dag(rng: random.Random) -> tuple[int, list[int], list[tuple[int, int]]]:
+    """(n, sparse node ids, links) of a random DAG; some nodes isolated,
+    some graphs with a hub that touches most of the others."""
+    n = rng.randrange(0, 30)
+    ids = sorted(rng.sample(range(10 * n + 50), n))
+    order = rng.sample(ids, n)  # links run from earlier to later nodes
+    pairs = set()
+    for _ in range(rng.randrange(0, 3 * n + 1) if n >= 2 else 0):
+        a, b = sorted(rng.sample(range(n), 2))
+        pairs.add((order[a], order[b]))
+    if n >= 4 and rng.random() < 0.5:
+        hub = rng.randrange(n)
+        for other in rng.sample(range(n), rng.randrange(n // 2, n)):
+            if other != hub:
+                pairs.add((order[min(hub, other)], order[max(hub, other)]))
+    return n, ids, sorted(pairs)
+
+
+def test_closed_form_matches_oracles_on_random_dags():
+    rng = random.Random(6006)
+    shapes = Counter()
+    for _ in range(400):
+        n, ids, pairs = _random_dag(rng)
+        ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        mine = census(n, ends[:, 0], ends[:, 1])
+        assert mine == walk_census(ids, pairs) == brute_force_census(ids, pairs)
+        assert sum(mine.values()) == n * (n - 1) * (n - 2) // 6
+        shapes["n<3"] += n < 3
+        shapes["m=0"] += not pairs
+        shapes["isolated"] += len({v for p in pairs for v in p}) < n
+        shapes["hub"] += max(Counter(v for p in pairs for v in p).values(), default=0) >= n // 2 >= 3
+        shapes["030T"] += mine["030T"] > 0
+    assert min(shapes.values()) >= 10, shapes
+
+
+def test_closed_form_counts_nodes_without_links():
+    assert census(5, np.array([7]), np.array([3])) == {**ZERO, "003": 7, "012": 3}
+    assert census(0, np.array([], dtype=np.int64), np.array([], dtype=np.int64)) == ZERO
+    assert census(2, np.array([0]), np.array([1])) == ZERO
+
+
+@pytest.mark.parametrize(
+    "n,pairs,message",
+    [
+        (2, [(0, 1), (1, 0)], "mutual dyad"),
+        (4, [(5, 9), (9, 2), (2, 9)], "mutual dyad"),
+        (3, [(0, 1), (1, 2), (2, 0)], "3-cycle"),
+        (2, [(0, 1), (0, 1)], "parallel"),
+        (1, [(4, 4)], "self-loop"),
+        (2, [(0, 1), (1, 2)], "more than its 2 nodes"),
+    ],
+)
+def test_closed_form_refuses_graphs_it_does_not_fit(n, pairs, message):
+    ends = np.array(pairs, dtype=np.int64)
+    with pytest.raises(AnalysisError, match=message):
+        census(n, ends[:, 0], ends[:, 1])
 
 
 def test_census_matches_brute_force_on_random_graphs():
     rng = random.Random(101)
     for _ in range(150):
         g = random_digraph(rng, 12)
-        mine = census_of_graph(g)
+        mine = graph_census(g)
         assert mine == brute_force_census(g.nodes, g.links.keys())
         n = g.node_count
         assert sum(mine.values()) == n * (n - 1) * (n - 2) // 6
@@ -53,7 +112,7 @@ def test_census_matches_brute_force_on_random_graphs():
 
 def test_census_rejects_self_loops():
     with pytest.raises(ValueError):
-        census(["a"], [("a", "a")])
+        walk_census(["a"], [("a", "a")])
 
 
 def test_census_matches_networkx_when_available():
@@ -64,7 +123,7 @@ def test_census_matches_networkx_when_available():
         G = nx.DiGraph()
         G.add_nodes_from(g.nodes)
         G.add_edges_from(g.links.keys())
-        assert census_of_graph(g) == nx.triadic_census(G)
+        assert graph_census(g) == nx.triadic_census(G)
 
 
 @settings(max_examples=40, deadline=None)
@@ -75,8 +134,8 @@ def test_relabeling_invariance(perm, rnd):
         a, b = rnd.randrange(9), rnd.randrange(9)
         if a != b:
             pairs.add((a, b))
-    base = census([str(i) for i in range(9)], [(str(a), str(b)) for a, b in pairs])
-    relabeled = census(
+    base = walk_census([str(i) for i in range(9)], [(str(a), str(b)) for a, b in pairs])
+    relabeled = walk_census(
         [str(perm[i]) for i in range(9)],
         [(str(perm[a]), str(perm[b])) for a, b in pairs],
     )
