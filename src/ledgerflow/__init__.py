@@ -29,7 +29,6 @@ from .topology import (
     categorize,
     category_stats,
     one_time_users,
-    verify_partition,
 )
 from .nullmodel import (
     EnsembleSpec,
@@ -90,7 +89,6 @@ __all__ = [
     "categorize",
     "category_stats",
     "one_time_users",
-    "verify_partition",
     "EnsembleSpec",
     "RandomizationError",
     "SignificanceCell",

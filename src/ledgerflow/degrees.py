@@ -182,8 +182,8 @@ def degree_stats(g: LedgerGraph) -> DegreeStats:
     if g.node_count == 0:
         raise ValueError("degree_stats needs a non-empty graph")
 
-    in_degrees = [len(g.in_adj[v]) for v in g.nodes]
-    out_degrees = [len(g.out_adj[v]) for v in g.nodes]
+    in_degrees = np.bincount(g.targets, minlength=g.node_count).tolist()
+    out_degrees = np.bincount(g.sources, minlength=g.node_count).tolist()
     counts = np.array([rec.count for rec in g.links.values()], dtype=float)
     volumes = np.array([float(rec.volume) for rec in g.links.values()])
 

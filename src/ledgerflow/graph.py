@@ -11,11 +11,13 @@ Aggregation works on the columnar ledger: links are ``np.unique`` over
 ``source * n + target`` of the integer account codes, counts a
 ``np.bincount``, and volumes plain ``Decimal`` sums inside one exact
 context. Because codes follow the sorted account ids, the unique keys come
-out in sorted link order, and the graph's links, nodes and adjacency are
-read straight from those columns.
+out in sorted link order, and the graph's links and nodes are read straight
+from those columns.
 
-Graphs are immutable once built and all adjacency is pre-sorted, so every
-downstream traversal is deterministic regardless of input ordering.
+Graphs are immutable once built. A graph keeps no adjacency lists: its
+links as int64 ``sources``/``targets`` columns into the sorted ``nodes``
+are what every analysis reads (degrees are ``np.bincount`` over them), so
+every downstream result is deterministic regardless of input ordering.
 """
 
 from __future__ import annotations
@@ -49,12 +51,6 @@ class AggregateDiagnostics:
     self_transfers_dropped: int
 
 
-def _runs(names: list[str], keys: np.ndarray, n: int) -> list[tuple[str, ...]]:
-    """``names`` split into ``n`` consecutive runs by their sorted ``keys``."""
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n)))).tolist()
-    return [tuple(names[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-
 class LedgerGraph:
     """Weighted directed simple graph over account ids.
 
@@ -64,8 +60,7 @@ class LedgerGraph:
     ``targets`` are the same links as int64 indices into ``nodes``.
     """
 
-    __slots__ = ("links", "nodes", "sources", "targets", "out_adj", "in_adj",
-                 "tx_count", "volume")
+    __slots__ = ("links", "nodes", "sources", "targets", "tx_count", "volume")
 
     def __init__(self, links: Mapping[tuple[str, str], LinkRecord]):
         nodes = tuple(sorted({v for pair in links for v in pair}))
@@ -87,23 +82,13 @@ class LedgerGraph:
         if loops.size:
             raise DataError(f"self-loop link {nodes[sources[loops[0]]]!r} is not allowed")
         sources.flags.writeable = targets.flags.writeable = False
-        n = len(nodes)
         names = np.array(nodes, dtype=object)
-        source_names = names[sources].tolist()
-        target_names = names[targets].tolist()
-        by_target = np.lexsort((sources, targets))
         self.links: dict[tuple[str, str], LinkRecord] = dict(
-            zip(zip(source_names, target_names), records)
+            zip(zip(names[sources].tolist(), names[targets].tolist()), records)
         )
         self.nodes: tuple[str, ...] = nodes
         self.sources: np.ndarray = sources
         self.targets: np.ndarray = targets
-        self.out_adj: dict[str, tuple[str, ...]] = dict(
-            zip(nodes, _runs(target_names, sources, n))
-        )
-        self.in_adj: dict[str, tuple[str, ...]] = dict(
-            zip(nodes, _runs(names[sources[by_target]].tolist(), targets[by_target], n))
-        )
         self.tx_count: int = sum(record.count for record in records)
         self.volume: Decimal = dsum(record.volume for record in records)
 

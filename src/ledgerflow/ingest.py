@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .util import MAX_EPOCH, MIN_EPOCH, iso_utc
+from .util import MAX_EPOCH, MIN_EPOCH, iso_utc, write_csv
 
 __all__ = [
     "Transaction",
@@ -349,22 +349,15 @@ def write_transactions(
     """Write a normalized ledger CSV in (timestamp, tx_id) order (round-trips with parse)."""
     schema = schema or ColumnMapping()
     ledger = as_ledger(transactions)
-    accounts = ledger.accounts
+    accounts = np.array(ledger.accounts, dtype=object)
     stamps = iso_utc(ledger.timestamp)  # raises on a bad stamp before the file is opened
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [schema.tx_id, schema.timestamp, schema.source, schema.target,
-             schema.amount, schema.subtype]
-        )
-        writer.writerows(zip(
-            ledger.tx_id,
-            stamps,
-            map(accounts.__getitem__, ledger.source.tolist()),
-            map(accounts.__getitem__, ledger.target.tolist()),
-            map(str, ledger.amount),
-            ledger.subtype,
-        ))
+    write_csv(
+        path,
+        (schema.tx_id, schema.timestamp, schema.source, schema.target, schema.amount,
+         schema.subtype),
+        (ledger.tx_id, stamps, accounts[ledger.source].tolist(),
+         accounts[ledger.target].tolist(), list(map(str, ledger.amount)), ledger.subtype),
+    )
 
 
 def keep_everything() -> FilterSpec:

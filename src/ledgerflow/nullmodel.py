@@ -227,6 +227,7 @@ def run_ensemble(
     """
     links = link_columns(g)
     indices = range(spec.replicas)
+    jobs = min(jobs, spec.replicas)  # a worker beyond one per replica would idle
     if jobs <= 1:
         pairs = [_replica_tables(links, spec, i) for i in indices]
     else:

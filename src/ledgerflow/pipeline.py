@@ -17,12 +17,12 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy
+import numpy as np
 import scipy
 
 from .degrees import degree_stats
 from .errors import AnalysisError, ConfigError
-from .graph import aggregate
+from .graph import LedgerGraph, aggregate
 from .ingest import ColumnMapping, FilterSpec, parse_ledger, write_transactions
 from .nullmodel import EnsembleSpec, SwapMode, run_ensemble, significance
 from .recirculation import (
@@ -39,7 +39,9 @@ from .stats import _MIN_ENSEMBLE, SignificanceCell
 from .synthetic import ScenarioSpec, generate_synthetic
 from .topology import (
     CATEGORY_ORDER,
+    EDGE_CATEGORIES,
     CategoryRow,
+    EdgeKind,
     OneTimeUserTable,
     TopologyPartition,
     category_stats,
@@ -47,7 +49,7 @@ from .topology import (
     one_time_users,
 )
 from .triads import TRIAD_LABELS, category_census, triad_significance
-from .util import format_duration, iso_utc, write_csv, write_json
+from .util import format_duration, iso_utc, text_columns, write_csv, write_json
 
 __all__ = [
     "PipelineConfig",
@@ -77,6 +79,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.replicas < 1:
             raise ConfigError("replicas must be >= 1")
+        if self.jobs < 1:
+            raise ConfigError("jobs must be >= 1")
         for fmt in self.formats:
             if fmt not in ("csv", "json"):
                 raise ConfigError(f"unknown format {fmt!r}")
@@ -166,9 +170,15 @@ class _Writer:
         self.written: list[Path] = []
 
     def csv(self, name: str, header, rows) -> None:
+        """A small table given as rows of cells."""
+        if "csv" in self.formats:
+            self.columns(name, header, text_columns(rows, len(header)))
+
+    def columns(self, name: str, header, columns) -> None:
+        """A table given as columns of text cells."""
         if "csv" in self.formats:
             path = self.out_dir / f"{name}.csv"
-            write_csv(path, header, rows)
+            write_csv(path, header, columns)
             self.written.append(path)
 
     def json(self, name: str, obj, always: bool = False) -> None:
@@ -294,22 +304,8 @@ def run_pipeline(
     stats = category_stats(graph, partition)
     one_time = one_time_users(graph, partition)
     if "topology" in stages:
-        writer.csv(
-            "node_assignment",
-            ("node_id", "category", "component_id"),
-            (
-                (v, partition.node_category[v].value, partition.node_component[v])
-                for v in graph.nodes
-            ),
-        )
-        writer.csv(
-            "edge_assignment",
-            ("source", "target", "kind", "component_id", "category_label"),
-            (
-                (s, t, a.kind.value, a.component_id, partition.edge_label((s, t)))
-                for (s, t), a in partition.edge_assignment.items()
-            ),
-        )
+        if "csv" in writer.formats:
+            _write_assignments(writer, graph, partition)
         writer.csv(
             "category_stats",
             ("node_label", "edge_label", "sccs", "wccs", "nodes", "links", "transactions", "volume"),
@@ -436,7 +432,7 @@ def run_pipeline(
         "versions": {
             "ledgerflow": _package_version(),
             "python": sys.version.split()[0],
-            "numpy": numpy.__version__,
+            "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
         "stages": [
@@ -451,6 +447,53 @@ def run_pipeline(
     return PipelineResult(manifest=manifest, output_files=tuple(writer.written))
 
 
+_CATEGORY_NAMES = np.array(CATEGORY_ORDER, dtype=object)
+# Component id prefix per node category code.
+_COMPONENT_KINDS = np.array(
+    ["scc:" if c.startswith("scc") else "dag:" if c.startswith("dag") else "node:"
+     for c in CATEGORY_ORDER],
+    dtype=object,
+)
+# Edge kind by category code for boundary links, then internal and attachment.
+_EDGE_KINDS = np.array(
+    CATEGORY_ORDER + (EdgeKind.INTERNAL.value, EdgeKind.ATTACHMENT.value), dtype=object
+)
+_BOUNDARY_CODES = [CATEGORY_ORDER.index(c) for c in EDGE_CATEGORIES]
+
+
+def _write_assignments(writer: _Writer, g: LedgerGraph, partition: TopologyPartition) -> None:
+    """``node_assignment`` and ``edge_assignment``, indexed from the codes.
+
+    A component is named by its kind and its first member. A boundary link
+    has no owner; any other link belongs to the larger component index of
+    its ends: its own component when internal, the single-node (whose
+    index is offset past every SCC's) when an attachment.
+    """
+    labels, component = partition.labels, partition.component
+    nodes = np.array(g.nodes, dtype=object)
+    index, first, of_node = np.unique(component, return_index=True, return_inverse=True)
+    name = _COMPONENT_KINDS[labels.node[first]] + nodes[first]
+    writer.columns(
+        "node_assignment",
+        ("node_id", "category", "component_id"),
+        (g.nodes, _CATEGORY_NAMES[labels.node].tolist(), name[of_node].tolist()),
+    )
+    cs, ct = component[g.sources], component[g.targets]
+    boundary = np.isin(labels.link, _BOUNDARY_CODES)
+    owner = name[np.searchsorted(index, np.maximum(cs, ct))]
+    writer.columns(
+        "edge_assignment",
+        ("source", "target", "kind", "component_id", "category_label"),
+        (
+            nodes[g.sources].tolist(),
+            nodes[g.targets].tolist(),
+            _EDGE_KINDS[np.where(boundary, labels.link, len(CATEGORY_ORDER) + (cs != ct))].tolist(),
+            np.where(boundary, "", owner).tolist(),
+            _CATEGORY_NAMES[labels.link].tolist(),
+        ),
+    )
+
+
 def _write_recirculation(
     writer: _Writer,
     classified: ClassifiedOps,
@@ -460,17 +503,17 @@ def _write_recirculation(
 ) -> None:
     ops = classified.ops
     freq_labels = tuple(c.value for c in FrequencyCategory)
-    writer.csv(
+    writer.columns(
         "operations",
         ("user", "first_in", "last_out", "duration_seconds", "n_in", "n_out", "category"),
-        zip(
-            map(ops.ledger.accounts.__getitem__, ops.user.tolist()),
+        (
+            list(map(ops.ledger.accounts.__getitem__, ops.user.tolist())),
             iso_utc(ops.first_in),
             iso_utc(ops.last_out),
-            ops.duration.tolist(),
-            ops.n_in.tolist(),
-            ops.n_out.tolist(),
-            map(freq_labels.__getitem__, classified.codes.tolist()),
+            list(map(str, ops.duration.tolist())),
+            list(map(str, ops.n_in.tolist())),
+            list(map(str, ops.n_out.tolist())),
+            list(map(freq_labels.__getitem__, classified.codes.tolist())),
         ),
     )
     boundaries = classified.boundaries
@@ -554,6 +597,6 @@ def write_scenario(out_dir: Path, spec: ScenarioSpec, seed: int) -> tuple[Path, 
     write_csv(
         truth_path,
         ("node_id", "category"),
-        sorted(ledger.node_category.items()),
+        text_columns(sorted(ledger.node_category.items()), 2),
     )
     return ledger_path, truth_path

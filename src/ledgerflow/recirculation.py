@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DataError
 from .graph import LedgerGraph
 from .ingest import Ledger, Transaction, as_ledger
-from .topology import CATEGORY_ORDER, TopologyPartition, partition_labels
+from .topology import CATEGORY_ORDER, TopologyPartition
 from .util import dsum
 
 __all__ = [
@@ -312,7 +312,7 @@ def crosstab(
         raise DataError(f"operation transaction {tx_id!r} is not in the graph")
 
     width = len(_CATEGORIES)
-    cells = partition_labels(g, partition).link[link] * width + classified.codes[member_op]
+    cells = partition.labels.link[link] * width + classified.codes[member_op]
     counts = np.bincount(cells, minlength=len(CATEGORY_ORDER) * width).reshape(-1, width)
     tx_table = {
         label: {c.value: count for c, count in zip(_CATEGORIES, row)}

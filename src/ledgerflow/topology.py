@@ -22,9 +22,15 @@ The categoriser works on integer endpoint columns: strongly connected
 components and the weak components of non-cyclic links come from
 ``scipy.sparse.csgraph``, boundary flags are boolean scatters per component,
 and every node and link gets one category code. Category statistics are
-``np.bincount`` tables over those codes. ``categorize`` and
-``category_stats`` wrap this for a string-keyed :class:`LedgerGraph`; null
-replicas call ``label`` and ``tabulate`` on their arrays directly.
+``np.bincount`` tables over those codes. ``categorize`` wraps ``label`` for
+a :class:`LedgerGraph`: its :class:`TopologyPartition` carries the codes and
+each node's component index, in ``g.nodes`` and ``g.links`` order, plus one
+account-id-to-category mapping. ``category_stats``, ``one_time_users``,
+``recirculation.crosstab`` and ``triads.category_census`` read the codes;
+null replicas call ``label`` and ``tabulate`` on their arrays directly.
+Component ids and edge kinds are derived from the codes where they are
+written (``pipeline``). The string-keyed dict view of a partition and its
+structural check live in ``tests/oracles.py`` as test references.
 """
 
 from __future__ import annotations
@@ -32,8 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
-from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -45,7 +50,6 @@ from .util import dsum
 __all__ = [
     "NodeCategory",
     "EdgeKind",
-    "EdgeAssignment",
     "TopologyPartition",
     "CategoryRow",
     "OneTimeRow",
@@ -59,11 +63,9 @@ __all__ = [
     "link_columns",
     "label",
     "categorize",
-    "partition_labels",
     "tabulate",
     "category_stats",
     "one_time_users",
-    "verify_partition",
 ]
 
 
@@ -128,34 +130,6 @@ CATEGORY_ORDER: tuple[str, ...] = (
 
 
 @dataclass(frozen=True)
-class EdgeAssignment:
-    kind: EdgeKind
-    component_id: str | None  # set for INTERNAL and ATTACHMENT links
-
-
-@dataclass(frozen=True)
-class TopologyPartition:
-    """Exclusive assignment of every node and link of one graph."""
-
-    node_category: Mapping[str, NodeCategory]
-    node_component: Mapping[str, str]
-    components: Mapping[str, tuple[str, ...]]
-    component_category: Mapping[str, NodeCategory]
-    edge_assignment: Mapping[tuple[str, str], EdgeAssignment]
-
-    @cached_property
-    def _component_label(self) -> dict[str, str]:
-        return {cid: category.value for cid, category in self.component_category.items()}
-
-    def edge_label(self, pair: tuple[str, str]) -> str:
-        """Report label of the category a link's traffic belongs to."""
-        assignment = self.edge_assignment[pair]
-        if assignment.component_id is not None:
-            return self._component_label[assignment.component_id]
-        return assignment.kind.value
-
-
-@dataclass(frozen=True)
 class CategoryRow:
     scc_count: int
     wcc_count: int
@@ -200,9 +174,22 @@ class Labels(NamedTuple):
     scc_codes: np.ndarray  # per cyclic component
 
 
+@dataclass(frozen=True, eq=False)
+class TopologyPartition:
+    """Exclusive assignment of every node and link of one graph.
+
+    ``labels`` holds the category codes in ``g.nodes`` and ``g.links``
+    order; ``component`` is each node's component index from ``label``;
+    ``node_category`` maps account ids to their category.
+    """
+
+    labels: Labels
+    component: np.ndarray
+    node_category: Mapping[str, NodeCategory]
+
+
 _CODE = {label: code for code, label in enumerate(CATEGORY_ORDER)}
-_NODE_CATEGORY = {_CODE[c.value]: c for c in NodeCategory}
-_EDGE_CODES = np.array([_CODE[c] for c in EDGE_CATEGORIES])
+_NODE_CATEGORY = [NodeCategory(c) if c in NODE_CATEGORIES else None for c in CATEGORY_ORDER]
 # Indexed by 2 * inbound + outbound (cyclic) or 2 * sends + receives (acyclic).
 _SCC_CODES = np.array([_CODE[c] for c in ("scc0", "sccTout", "sccTin", "sccTmix")])
 _DAG_CODES = np.array([_CODE[c] for c in ("dag0", "dagTout", "dagTin", "dagTmix")])
@@ -214,19 +201,12 @@ def _components(n: int, sources: np.ndarray, targets: np.ndarray, connection: st
     return connected_components(graph, directed=True, connection=connection)[1]
 
 
-def _members(component: np.ndarray) -> dict[int, list[int]]:
-    """Node ids per component id, ascending; components by first member."""
-    groups: dict[int, list[int]] = {}
-    for i, c in enumerate(component.tolist()):
-        groups.setdefault(c, []).append(i)
-    return groups
-
-
 def strongly_connected_components(g: LedgerGraph) -> list[tuple[str, ...]]:
     """All SCCs (including singletons) as sorted tuples, by first member."""
-    cols = link_columns(g)
-    scc = _components(cols.n, cols.sources, cols.targets, "strong")
-    return [tuple(g.nodes[i] for i in group) for group in _members(scc).values()]
+    groups: dict[int, list[str]] = {}
+    for v, c in zip(g.nodes, _components(g.node_count, g.sources, g.targets, "strong").tolist()):
+        groups.setdefault(c, []).append(v)
+    return [tuple(group) for group in groups.values()]
 
 
 def label(n: int, sources: np.ndarray, targets: np.ndarray) -> tuple[Labels, np.ndarray]:
@@ -276,50 +256,9 @@ def label(n: int, sources: np.ndarray, targets: np.ndarray) -> tuple[Labels, np.
 
 def categorize(g: LedgerGraph) -> TopologyPartition:
     """Partition a graph into the exclusive topological categories."""
-    cols = link_columns(g)
-    labels, component = label(cols.n, cols.sources, cols.targets)
-    nodes = g.nodes
-    node_codes = labels.node.tolist()
-
-    # Members of each component in node order; the id names the first.
-    cid_of: dict[int, str] = {}
-    node_component: dict[str, str] = {}
-    node_category: dict[str, NodeCategory] = {}
-    components: dict[str, tuple[str, ...]] = {}
-    component_category: dict[str, NodeCategory] = {}
-    for c, group in _members(component).items():
-        members = tuple(nodes[i] for i in group)
-        category = _NODE_CATEGORY[node_codes[group[0]]]
-        kind = "scc" if category.is_scc else "dag" if category.is_dag else "node"
-        cid = cid_of[c] = f"{kind}:{members[0]}"
-        components[cid] = members
-        component_category[cid] = category
-        for v in members:
-            node_component[v] = cid
-            node_category[v] = category
-
-    # Boundary links have no owner. An internal link belongs to its
-    # component, an attachment to its single-node end, whose component id
-    # (offset past every SCC id) is the larger. Links that share a kind and
-    # an owner share one assignment.
-    cs, ct = component[cols.sources], component[cols.targets]
-    boundary = np.isin(labels.link, _EDGE_CODES)
-    key = np.where(boundary, -labels.link, 2 * np.maximum(cs, ct) + (cs != ct))
-    keys, which = np.unique(key, return_inverse=True)
-    assignments = [
-        EdgeAssignment(EdgeKind(CATEGORY_ORDER[-k]), None) if k < 0
-        else EdgeAssignment(EdgeKind.ATTACHMENT if k % 2 else EdgeKind.INTERNAL, cid_of[k // 2])
-        for k in keys.tolist()
-    ]
-    edge_assignment = dict(zip(g.links, map(assignments.__getitem__, which.tolist())))
-
-    return TopologyPartition(
-        node_category=node_category,
-        node_component=node_component,
-        components=components,
-        component_category=component_category,
-        edge_assignment=edge_assignment,
-    )
+    labels, component = label(g.node_count, g.sources, g.targets)
+    categories = map(_NODE_CATEGORY.__getitem__, labels.node.tolist())
+    return TopologyPartition(labels, component, dict(zip(g.nodes, categories)))
 
 
 def tabulate(
@@ -370,19 +309,10 @@ def tabulate(
     }
 
 
-def partition_labels(g: LedgerGraph, partition: TopologyPartition) -> Labels:
-    """A partition's category codes in ``g.nodes`` and ``g.links`` order."""
-    node = [_CODE[partition.node_category[v]] for v in g.nodes]
-    link = [_CODE[partition.edge_label(pair)] for pair in g.links]
-    sccs = [_CODE[c.value] for c in partition.component_category.values() if c.is_scc]
-    return Labels(*(np.array(codes, dtype=np.int64) for codes in (node, link, sccs)))
-
-
 def category_stats(g: LedgerGraph, partition: TopologyPartition) -> dict[str, CategoryRow]:
     """Per-category sizes: components, nodes, links, transactions, volume."""
     cols = link_columns(g)
-    labels = partition_labels(g, partition)
-    return tabulate(labels, cols.sources, cols.targets, cols.counts, cols.volumes)
+    return tabulate(partition.labels, cols.sources, cols.targets, cols.counts, cols.volumes)
 
 
 @dataclass(frozen=True)
@@ -411,12 +341,12 @@ def one_time_users(g: LedgerGraph, partition: TopologyPartition) -> OneTimeUserT
     out_tx = np.bincount(cols.sources, weights=cols.counts, minlength=cols.n)
     in_tx = np.bincount(cols.targets, weights=cols.counts, minlength=cols.n)
     one_time = (out_tx + in_tx) == 1
+    node_code = partition.labels.node
     cells: dict[str, tuple[list[Decimal], list[Decimal]]] = {}
     for ends, direction in ((cols.sources, 0), (cols.targets, 1)):
         mine = one_time[ends]
-        for v, link in zip(ends[mine].tolist(), np.flatnonzero(mine).tolist()):
-            label = partition.node_category[g.nodes[v]].value
-            cells.setdefault(label, ([], []))[direction].append(cols.volumes[link])
+        for code, link in zip(node_code[ends[mine]].tolist(), np.flatnonzero(mine).tolist()):
+            cells.setdefault(CATEGORY_ORDER[code], ([], []))[direction].append(cols.volumes[link])
 
     rows = {
         label: OneTimeRow(
@@ -434,92 +364,3 @@ def one_time_users(g: LedgerGraph, partition: TopologyPartition) -> OneTimeUserT
         incoming_volume=dsum(r.incoming_volume for r in rows.values()),
     )
     return OneTimeUserTable(rows=rows, total=total)
-
-
-def _strongly_connected(members: tuple[str, ...], g: LedgerGraph) -> bool:
-    member_set = set(members)
-    for adj in (g.out_adj, g.in_adj):
-        seen = {members[0]}
-        frontier = [members[0]]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w in member_set and w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if seen != member_set:
-            return False
-    return True
-
-
-def _acyclic(members: tuple[str, ...], g: LedgerGraph) -> bool:
-    member_set = set(members)
-    indeg = {v: 0 for v in members}
-    succ: dict[str, list[str]] = {v: [] for v in members}
-    for source, target in g.links:
-        if source in member_set and target in member_set:
-            succ[source].append(target)
-            indeg[target] += 1
-    queue = [v for v in members if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == len(members)
-
-
-def verify_partition(g: LedgerGraph, partition: TopologyPartition) -> None:
-    """Raise ValueError unless the partition satisfies its structural contract.
-
-    Checks exclusivity and completeness of the assignments, strong
-    connectivity of cyclic components, acyclicity of acyclic components,
-    bridge endpoints in distinct SCCs, and the absence of DAG-DAG and
-    single-node-DAG links.
-    """
-    if set(partition.node_category) != set(g.nodes):
-        raise ValueError("node assignment does not cover the graph exactly")
-    if set(partition.edge_assignment) != set(g.links):
-        raise ValueError("edge assignment does not cover the graph exactly")
-
-    member_of: dict[str, str] = {}
-    for cid, members in partition.components.items():
-        for v in members:
-            if v in member_of:
-                raise ValueError(f"node {v} in two components")
-            member_of[v] = cid
-    if set(member_of) != set(g.nodes):
-        raise ValueError("components do not cover the graph exactly")
-
-    for cid, members in partition.components.items():
-        category = partition.component_category[cid]
-        if category.is_scc:
-            if len(members) < 2 or not _strongly_connected(members, g):
-                raise ValueError(f"{cid} is not a strongly connected component")
-        elif category.is_dag:
-            if len(members) < 2 or not _acyclic(members, g):
-                raise ValueError(f"{cid} is not an acyclic component")
-        else:
-            if len(members) != 1:
-                raise ValueError(f"{cid} is a single-node component with {len(members)} nodes")
-
-    for (source, target) in g.links:
-        sc = partition.node_category[source]
-        tc = partition.node_category[target]
-        if sc.is_dag and tc.is_dag and partition.node_component[source] != partition.node_component[target]:
-            raise ValueError(f"link {source}->{target} joins two distinct DAG components")
-        if (sc.is_single and tc.is_dag) or (sc.is_dag and tc.is_single):
-            raise ValueError(f"link {source}->{target} joins a single-node and a DAG")
-        if sc.is_single and tc.is_single:
-            raise ValueError(f"link {source}->{target} joins two single-nodes")
-
-    for v, category in partition.node_category.items():
-        if category is not NodeCategory.BRIDGE_SCC:
-            continue
-        in_comps = {partition.node_component[u] for u in g.in_adj[v]}
-        out_comps = {partition.node_component[u] for u in g.out_adj[v]}
-        if in_comps & out_comps:
-            raise ValueError(f"bridge node {v} receives from and sends to the same SCC")

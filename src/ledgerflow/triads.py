@@ -26,7 +26,7 @@ from scipy.sparse import csr_matrix
 from .errors import AnalysisError
 from .graph import LedgerGraph
 from .stats import SignificanceCell, score_ensemble
-from .topology import CATEGORY_ORDER, Labels, NodeCategory, TopologyPartition, partition_labels
+from .topology import CATEGORY_ORDER, Labels, NodeCategory, TopologyPartition
 from .topology import categorize  # noqa: F401  (perfbench/tracer.py wraps triads.categorize)
 
 __all__ = [
@@ -117,7 +117,7 @@ def category_census(
     categories: Sequence[NodeCategory] = DEFAULT_CENSUS_CATEGORIES,
 ) -> dict[str, dict[str, int]]:
     """Census of each requested (acyclic) category's subgraph."""
-    return label_census(partition_labels(g, partition), g.sources, g.targets, categories)
+    return label_census(partition.labels, g.sources, g.targets, categories)
 
 
 def _triad_count(census_tables: dict[str, dict[str, int]], label: str, triad: str) -> float:

@@ -6,7 +6,7 @@ import json
 from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -94,12 +94,47 @@ def write_json(path: Path, obj) -> None:
     Path(path).write_text(to_json(obj), encoding="utf-8")
 
 
-def write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
-    """Write a CSV deterministically ('' for None, str() for everything else)."""
-    import csv
+_CHUNK_ROWS = 1 << 15
 
+
+def _needs_quotes(text: str) -> bool:
+    # What csv.writer quotes with a "\n" line terminator, plus "\r", which
+    # it leaves bare so that the row would not parse back.
+    return '"' in text or "," in text or "\n" in text or "\r" in text
+
+
+def _lines(columns: Sequence[Sequence[str]]) -> str:
+    """CSV lines of one or more rows given as equal-length text columns."""
+    cells = []
+    for column in columns:
+        if _needs_quotes("".join(column)):
+            column = ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c
+                      for c in column]
+        cells.append(column)
+    if len(cells) == 1:  # a row of one empty cell would read back as no row
+        cells = [[c or '""' for c in cells[0]]]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def text_columns(rows: Iterable[Sequence], width: int) -> list[list[str]]:
+    """Rows of cells as ``width`` columns of text: '' for None, str() otherwise."""
+    columns: list[list[str]] = [[] for _ in range(width)]
+    for row in rows:
+        for column, cell in zip(columns, row):
+            column.append("" if cell is None else str(cell))
+    return columns
+
+
+def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence[str]]) -> None:
+    """Write a CSV from equal-length columns of text cells, one line per row.
+
+    Cells are quoted as ``csv.writer`` quotes them (minimal quoting, doubled
+    quotes, a lone empty cell as ``""``), and also when they hold ``\r``.
+    Rows are joined and written a chunk at a time, so the file's text is
+    never held whole.
+    """
+    rows = len(columns[0]) if columns else 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow(["" if cell is None else str(cell) for cell in row])
+        fh.write(_lines([[name] for name in header]))
+        for start in range(0, rows, _CHUNK_ROWS):
+            fh.write(_lines([column[start:start + _CHUNK_ROWS] for column in columns]))

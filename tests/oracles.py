@@ -9,15 +9,18 @@ statistics that the integer-array implementations replaced also live here,
 as slow references, and so do the row-at-a-time sort, dict aggregation and
 per-transaction crosstab that the columnar ledger replaced, and the
 neighbourhood-walk triad census of general digraphs that the closed-form
-acyclic census replaced.
+acyclic census replaced. ``dict_view`` expands an array partition into the
+string-keyed one the categoriser used to return, and ``verify_partition``
+checks that view's structural contract.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 from scipy.special import zeta
@@ -33,9 +36,10 @@ from ledgerflow.recirculation import (
 )
 from ledgerflow.topology import (
     CATEGORY_ORDER,
+    EDGE_CATEGORIES,
     CategoryRow,
-    EdgeAssignment,
     EdgeKind,
+    Labels,
     NodeCategory,
     TopologyPartition,
 )
@@ -181,6 +185,197 @@ def naive_categorize(g: LedgerGraph):
 
 
 # --------------------------------------------------------------------------
+# string-keyed partition: the dict view the categoriser used to return,
+# expanded from the array codes, and its structural contract
+# --------------------------------------------------------------------------
+
+
+def adjacency(g: LedgerGraph) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+    """Sorted successors and predecessors of every node."""
+    out_adj: dict[str, list[str]] = {v: [] for v in g.nodes}
+    in_adj: dict[str, list[str]] = {v: [] for v in g.nodes}
+    for source, target in g.links:  # sorted by (source, target)
+        out_adj[source].append(target)
+        in_adj[target].append(source)
+    return (
+        {v: tuple(w) for v, w in out_adj.items()},
+        {v: tuple(w) for v, w in in_adj.items()},
+    )
+
+
+@dataclass(frozen=True)
+class EdgeAssignment:
+    kind: EdgeKind
+    component_id: str | None  # set for INTERNAL and ATTACHMENT links
+
+
+@dataclass(frozen=True)
+class DictPartition:
+    """Exclusive assignment of every node and link, keyed by account ids."""
+
+    node_category: Mapping[str, NodeCategory]
+    node_component: Mapping[str, str]
+    components: Mapping[str, tuple[str, ...]]
+    component_category: Mapping[str, NodeCategory]
+    edge_assignment: Mapping[tuple[str, str], EdgeAssignment]
+
+    def edge_label(self, pair: tuple[str, str]) -> str:
+        """Report label of the category a link's traffic belongs to."""
+        assignment = self.edge_assignment[pair]
+        if assignment.component_id is not None:
+            return self.component_category[assignment.component_id].value
+        return assignment.kind.value
+
+
+def dict_view(g: LedgerGraph, partition: TopologyPartition) -> DictPartition:
+    """``categorize(g)`` expanded into dicts, one component at a time."""
+    nodes = g.nodes
+    node_codes = partition.labels.node.tolist()
+    component = partition.component.tolist()
+    groups: dict[int, list[int]] = {}
+    for i, c in enumerate(component):
+        groups.setdefault(c, []).append(i)
+
+    # Members of each component in node order; the id names the first.
+    cid_of: dict[int, str] = {}
+    node_component: dict[str, str] = {}
+    node_category: dict[str, NodeCategory] = {}
+    components: dict[str, tuple[str, ...]] = {}
+    component_category: dict[str, NodeCategory] = {}
+    for c, group in groups.items():
+        members = tuple(nodes[i] for i in group)
+        category = NodeCategory(CATEGORY_ORDER[node_codes[group[0]]])
+        kind = "scc" if category.is_scc else "dag" if category.is_dag else "node"
+        cid = cid_of[c] = f"{kind}:{members[0]}"
+        components[cid] = members
+        component_category[cid] = category
+        for v in members:
+            node_component[v] = cid
+            node_category[v] = category
+
+    # An internal link belongs to its component, an attachment to its
+    # single-node end, whose component index (offset past every SCC) is
+    # the larger; boundary links have no owner.
+    edge_assignment: dict[tuple[str, str], EdgeAssignment] = {}
+    ends = zip(g.sources.tolist(), g.targets.tolist())
+    for pair, code, (s, t) in zip(g.links, partition.labels.link.tolist(), ends):
+        label = CATEGORY_ORDER[code]
+        cs, ct = component[s], component[t]
+        if label in EDGE_CATEGORIES:
+            edge_assignment[pair] = EdgeAssignment(EdgeKind(label), None)
+        else:
+            kind = EdgeKind.INTERNAL if cs == ct else EdgeKind.ATTACHMENT
+            edge_assignment[pair] = EdgeAssignment(kind, cid_of[max(cs, ct)])
+
+    return DictPartition(
+        node_category=node_category,
+        node_component=node_component,
+        components=components,
+        component_category=component_category,
+        edge_assignment=edge_assignment,
+    )
+
+
+def reference_labels(g: LedgerGraph, partition: DictPartition) -> Labels:
+    """A dict partition's category codes in ``g.nodes`` and ``g.links`` order."""
+    code = {label: i for i, label in enumerate(CATEGORY_ORDER)}
+    node = [code[partition.node_category[v]] for v in g.nodes]
+    link = [code[partition.edge_label(pair)] for pair in g.links]
+    sccs = [code[c.value] for c in partition.component_category.values() if c.is_scc]
+    return Labels(*(np.array(codes, dtype=np.int64) for codes in (node, link, sccs)))
+
+
+def _strongly_connected(members: tuple[str, ...], adj_pair) -> bool:
+    member_set = set(members)
+    for adj in adj_pair:
+        seen = {members[0]}
+        frontier = [members[0]]
+        while frontier:
+            v = frontier.pop()
+            for w in adj[v]:
+                if w in member_set and w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        if seen != member_set:
+            return False
+    return True
+
+
+def _acyclic(members: tuple[str, ...], g: LedgerGraph) -> bool:
+    member_set = set(members)
+    indeg = {v: 0 for v in members}
+    succ: dict[str, list[str]] = {v: [] for v in members}
+    for source, target in g.links:
+        if source in member_set and target in member_set:
+            succ[source].append(target)
+            indeg[target] += 1
+    queue = [v for v in members if indeg[v] == 0]
+    seen = 0
+    while queue:
+        v = queue.pop()
+        seen += 1
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return seen == len(members)
+
+
+def verify_partition(g: LedgerGraph, partition: DictPartition) -> None:
+    """Raise ValueError unless the partition satisfies its structural contract.
+
+    Checks exclusivity and completeness of the assignments, strong
+    connectivity of cyclic components, acyclicity of acyclic components,
+    bridge endpoints in distinct SCCs, and the absence of DAG-DAG and
+    single-node-DAG links.
+    """
+    if set(partition.node_category) != set(g.nodes):
+        raise ValueError("node assignment does not cover the graph exactly")
+    if set(partition.edge_assignment) != set(g.links):
+        raise ValueError("edge assignment does not cover the graph exactly")
+
+    member_of: dict[str, str] = {}
+    for cid, members in partition.components.items():
+        for v in members:
+            if v in member_of:
+                raise ValueError(f"node {v} in two components")
+            member_of[v] = cid
+    if set(member_of) != set(g.nodes):
+        raise ValueError("components do not cover the graph exactly")
+
+    out_adj, in_adj = adjacency(g)
+    for cid, members in partition.components.items():
+        category = partition.component_category[cid]
+        if category.is_scc:
+            if len(members) < 2 or not _strongly_connected(members, (out_adj, in_adj)):
+                raise ValueError(f"{cid} is not a strongly connected component")
+        elif category.is_dag:
+            if len(members) < 2 or not _acyclic(members, g):
+                raise ValueError(f"{cid} is not an acyclic component")
+        else:
+            if len(members) != 1:
+                raise ValueError(f"{cid} is a single-node component with {len(members)} nodes")
+
+    for (source, target) in g.links:
+        sc = partition.node_category[source]
+        tc = partition.node_category[target]
+        if sc.is_dag and tc.is_dag and partition.node_component[source] != partition.node_component[target]:
+            raise ValueError(f"link {source}->{target} joins two distinct DAG components")
+        if (sc.is_single and tc.is_dag) or (sc.is_dag and tc.is_single):
+            raise ValueError(f"link {source}->{target} joins a single-node and a DAG")
+        if sc.is_single and tc.is_single:
+            raise ValueError(f"link {source}->{target} joins two single-nodes")
+
+    for v, category in partition.node_category.items():
+        if category is not NodeCategory.BRIDGE_SCC:
+            continue
+        in_comps = {partition.node_component[u] for u in in_adj[v]}
+        out_comps = {partition.node_component[u] for u in out_adj[v]}
+        if in_comps & out_comps:
+            raise ValueError(f"bridge node {v} receives from and sends to the same SCC")
+
+
+# --------------------------------------------------------------------------
 # reference categoriser and category stats: the dict-based implementations
 # (Tarjan SCCs, union-find weak components, per-link scans) that the array
 # categoriser replaced; the fast path must match them exactly
@@ -195,7 +390,7 @@ def tarjan_sccs(g: LedgerGraph) -> list[tuple[str, ...]]:
     stack: list[str] = []
     out: list[tuple[str, ...]] = []
     counter = 0
-    adj = g.out_adj
+    adj, _ = adjacency(g)
 
     for root in g.nodes:
         if root in index:
@@ -262,7 +457,7 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def reference_categorize(g: LedgerGraph) -> TopologyPartition:
+def reference_categorize(g: LedgerGraph) -> DictPartition:
     """Dict-based categoriser (Tarjan + union-find) the array path replaced."""
     # 1. Cyclic components: SCCs of size >= 2.
     scc_of: dict[str, str] = {}
@@ -300,9 +495,10 @@ def reference_categorize(g: LedgerGraph) -> TopologyPartition:
     # 3. Single-node classification. All links of a single-node attach to
     # cyclic components (anything else would have merged it into a DAG).
     single_category: dict[str, NodeCategory] = {}
+    out_adj, in_adj = adjacency(g)
     for v in sorted(singles):
-        has_out = bool(g.out_adj[v])
-        has_in = bool(g.in_adj[v])
+        has_out = bool(out_adj[v])
+        has_in = bool(in_adj[v])
         if has_out and has_in:
             single_category[v] = NodeCategory.BRIDGE_SCC
         elif has_out:
@@ -400,7 +596,7 @@ def reference_categorize(g: LedgerGraph) -> TopologyPartition:
             else:
                 edge_assignment[pair] = EdgeAssignment(EdgeKind.DAG2SCC, None)
 
-    return TopologyPartition(
+    return DictPartition(
         node_category=node_category,
         node_component=node_component,
         components=components,
@@ -409,10 +605,8 @@ def reference_categorize(g: LedgerGraph) -> TopologyPartition:
     )
 
 
-
-
 def reference_category_stats(
-    g: LedgerGraph, partition: TopologyPartition
+    g: LedgerGraph, partition: DictPartition
 ) -> dict[str, CategoryRow]:
     """Per-category sizes: components, nodes, links, transactions, volume.
 

@@ -33,13 +33,20 @@ from ledgerflow.topology import (
     categorize,
     category_stats,
     strongly_connected_components,
-    verify_partition,
 )
 from ledgerflow.triads import category_census, triad_significance
 from ledgerflow.util import dsum
 
 from conftest import random_digraph
-from oracles import brute_force_census, graph_census, naive_categorize, oracle_extract_ops, tx
+from oracles import (
+    brute_force_census,
+    dict_view,
+    graph_census,
+    naive_categorize,
+    oracle_extract_ops,
+    tx,
+    verify_partition,
+)
 
 MUTUAL_OR_CYCLIC = ("102", "111D", "111U", "030C", "201", "120D", "120U", "120C", "210", "300")
 
@@ -59,7 +66,8 @@ def _report(criterion: str, elapsed: float, detail: str = "") -> None:
 
 def _check_partition(g):
     partition = categorize(g)
-    verify_partition(g, partition)  # strong connectivity + acyclicity + exclusivity
+    # strong connectivity + acyclicity + exclusivity
+    verify_partition(g, dict_view(g, partition))
     stats = category_stats(g, partition)
     assert sum(r.node_count for r in stats.values()) == g.node_count
     assert sum(r.link_count for r in stats.values()) == g.link_count
@@ -86,7 +94,7 @@ def test_criterion_2_categorisation_oracle_equivalence():
     rng = random.Random(2002)
     for trial in range(200):
         g = random_digraph(rng, 50)
-        partition = categorize(g)
+        partition = dict_view(g, categorize(g))
         node_view, edge_view = naive_categorize(g)
         for v in g.nodes:
             members = frozenset(partition.components[partition.node_component[v]])
@@ -161,14 +169,15 @@ def test_criterion_5_triad_census_identities():
         n = g.node_count
         assert sum(counts.values()) == n * (n - 1) * (n - 2) // 6
         partition = categorize(g)
+        view = dict_view(g, partition)
         for label, table in category_census(g, partition).items():
             for triad in MUTUAL_OR_CYCLIC:
                 assert table[triad] == 0
-            nodes = [v for v, c in partition.node_category.items() if c.value == label]
+            nodes = [v for v, c in view.node_category.items() if c.value == label]
             links = [
-                pair for pair, a in partition.edge_assignment.items()
+                pair for pair, a in view.edge_assignment.items()
                 if a.kind is EdgeKind.INTERNAL
-                and partition.component_category[a.component_id].value == label
+                and view.component_category[a.component_id].value == label
             ]
             assert table == brute_force_census(nodes, links)
     elapsed = time.perf_counter() - start

@@ -164,6 +164,19 @@ def test_bad_mode_is_config_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_config_error(tmp_path, jobs):
+    out_dir = tmp_path / "out"
+    code = main(
+        ["run", str(DEMO_LEDGER), "--output", str(out_dir), "--jobs", jobs, "--replicas", "8"]
+    )
+    assert code == 2
+    assert [p.name for p in out_dir.iterdir()] == ["error_report.json"]
+    report = json.loads((out_dir / "error_report.json").read_text())
+    assert report["error_type"] == "ConfigError"
+    assert "jobs" in report["message"]
+
+
 def test_too_small_ensemble_is_analysis_error(tmp_path):
     # significance needs at least 8 replicas for the normality test; the
     # check comes before ingest, so nothing but the report is written

@@ -41,8 +41,8 @@ def test_constructor_rejects_self_loops():
 def test_nodes_are_exactly_link_endpoints():
     g = LedgerGraph.from_edges([("B", "A"), ("C", "A")])
     assert g.nodes == ("A", "B", "C")
-    assert g.out_adj["A"] == ()
-    assert g.in_adj["A"] == ("B", "C")
+    assert [t for s, t in g.links if s == "A"] == []
+    assert [s for s, t in g.links if t == "A"] == ["B", "C"]
 
 
 def test_from_edges_merges_duplicates():

@@ -224,3 +224,17 @@ def test_write_parse_round_trip(tmp_path_factory, txs):
     write_transactions(path, txs)
     parsed, _ = parse_ledger(path, filter_spec=keep_everything())
     assert list(parsed) == txs
+
+
+def test_carriage_return_inside_a_cell_round_trips(tmp_path):
+    # csv.writer with a "\n" terminator leaves a "\r" unquoted, and the
+    # reader then splits the row there.
+    txs = [
+        Transaction(0, "t\r1", "a\rb", "c,d", Decimal("1.50"), "STAN\rDARD"),
+        Transaction(1, "t2", "c,d", 'e"f', Decimal("2"), ""),
+    ]
+    path = tmp_path / "ledger.csv"
+    write_transactions(path, txs)
+    parsed, diagnostics = parse_ledger(path, filter_spec=keep_everything())
+    assert list(parsed) == txs
+    assert diagnostics.rows_read == 2

@@ -18,11 +18,16 @@ from ledgerflow.nullmodel import (
 )
 from ledgerflow.errors import AnalysisError
 from ledgerflow.topology import CategoryRow, categorize, category_stats
-from ledgerflow.triads import category_census
+from ledgerflow.triads import category_census, label_census
 from ledgerflow.util import dsum, mix64
 
 from conftest import random_digraph, reweighted
-from oracles import reference_categorize, reference_category_stats, reference_randomize_endpoints
+from oracles import (
+    reference_categorize,
+    reference_category_stats,
+    reference_labels,
+    reference_randomize_endpoints,
+)
 
 MODES = (SwapMode.TARGET, SwapMode.SOURCE, SwapMode.BOTH)
 
@@ -135,6 +140,36 @@ def test_run_ensemble_parallel_matches_serial():
     assert run_ensemble(g, spec, jobs=2) == run_ensemble(g, spec, jobs=1)
 
 
+def test_run_ensemble_pool_has_at_most_one_worker_per_replica(monkeypatch):
+    import ledgerflow.nullmodel as nullmodel
+
+    workers = []
+
+    class InlinePool:
+        # Runs the workers' calls in this process; records the pool size.
+        def __init__(self, max_workers, initializer, initargs):
+            workers.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(nullmodel, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(nullmodel, "_WORKER_STATE", {})
+    g = random_digraph(random.Random(5), 30)
+    spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=3, master_seed=2)
+    serial = run_ensemble(g, spec, jobs=1)
+    assert run_ensemble(g, spec, jobs=64) == serial
+    assert run_ensemble(g, spec, jobs=2) == serial
+    assert workers == [3, 2]
+
+
 def test_run_ensemble_tables_come_from_one_replica():
     rng = random.Random(13)
     g = random_digraph(rng, 40)
@@ -176,7 +211,8 @@ def test_run_ensemble_matches_dict_reference(mode):
             replica = randomize(g, mode, derive_seed(spec.master_seed, index))
             partition = reference_categorize(replica)
             assert stats_ensemble[index] == reference_category_stats(replica, partition)
-            assert census_ensemble[index] == category_census(replica, partition)
+            labels = reference_labels(replica, partition)
+            assert census_ensemble[index] == label_census(labels, replica.sources, replica.targets)
 
 
 def test_replicas_reseed_after_a_failed_repair():

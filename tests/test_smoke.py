@@ -65,6 +65,32 @@ def test_traced_child_records_layer_counts(tmp_path):
     assert spans["pipeline.parse_ledger"][0]["counts"]["rows_read"] == diagnostics["rows_read"]
 
 
+def test_traced_ensemble_run_counts_census_nodes(tmp_path):
+    # The tracer reads the partition's node_category mapping for its census
+    # node count, and finds categorize and category_census by these names.
+    report, out = tmp_path / "report.json", tmp_path / "out"
+    job = {
+        "root": str(ROOT), "report": str(report), "kind": "cli", "trace": True,
+        "argv": ["run", str(DEMO_LEDGER), "--output", str(out), "--mode", "target",
+                 "--replicas", "8"],
+    }
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), json.dumps(job)],
+        cwd=tmp_path, env=_env(tmp_path), capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+
+    spans = {}
+    for span in json.loads(report.read_text())["spans"]:
+        spans.setdefault(span["name"], []).append(span)
+    assert len(spans.get("pipeline.categorize", [])) == 1
+    (census,) = spans["pipeline.category_census"]
+    stats = json.loads((out / "category_stats.json").read_text())
+    dag_nodes = sum(row["node_count"] for label, row in stats.items() if label.startswith("dag"))
+    assert census["counts"] == {"nodes": dag_nodes}
+    assert dag_nodes > 0
+
+
 def test_run_never_imports_scipy_stats(tmp_path):
     script = (
         "import sys\n"

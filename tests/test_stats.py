@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import anderson
 
@@ -40,10 +40,23 @@ finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
     st.floats(min_value=-1e5, max_value=1e5, allow_nan=False),
 )
 def test_translation_covariance(samples, value, shift):
+    # Adding the shift rounds every sample to float64 at the shifted
+    # magnitude, and a spread within a few ulps of that magnitude does not
+    # survive it: [0, 0, 2.2e-16] shifted by 1.0 keeps a one-ulp spread
+    # whose mean rounds onto the shifted value, so z goes from -0.577 to 0;
+    # [0.2, 0.2, 0.2] has a sd of a few ulps because its mean rounds off
+    # 0.2. The property holds only where each sd and IQR that the scores
+    # divide by is zero or survives the shift.
+    shifted = [s + shift for s in samples]
+    magnitude = max(map(abs, [*samples, *shifted, value, value + shift]))
+    for sample in (samples, shifted):
+        q1, q3 = np.quantile(sample, [0.25, 0.75])
+        for spread in (np.std(sample, ddof=1), q3 - q1):
+            assume(spread == 0 or spread > 1e-6 * magnitude)
     z0 = z_score(value, samples)
-    z1 = z_score(value + shift, [s + shift for s in samples])
+    z1 = z_score(value + shift, shifted)
     r0 = robust_z_score(value, samples)
-    r1 = robust_z_score(value + shift, [s + shift for s in samples])
+    r1 = robust_z_score(value + shift, shifted)
     if z0 is None or z1 is None:
         assert z0 == z1 or abs(shift) > 0  # degeneracy can only appear, not vanish
     else:

@@ -2,15 +2,17 @@ import pytest
 
 from ledgerflow.graph import aggregate
 from ledgerflow.synthetic import ScenarioSpec, generate_synthetic
-from ledgerflow.topology import categorize, verify_partition
+from ledgerflow.topology import categorize
 from ledgerflow.triads import category_census
+
+from oracles import dict_view, verify_partition
 
 
 def test_single_cycle_is_isolated_scc():
     ledger = generate_synthetic(ScenarioSpec(cycles=1, cycle_length=3), seed=1)
     g, _ = aggregate(ledger.transactions)
     partition = categorize(g)
-    assert len(partition.components) == 1
+    assert len(dict_view(g, partition).components) == 1
     assert {c.value for c in partition.node_category.values()} == {"scc0"}
 
 
@@ -29,7 +31,7 @@ def test_mixed_scenario_matches_ground_truth():
     ledger = generate_synthetic(spec, seed=5)
     g, _ = aggregate(ledger.transactions)
     partition = categorize(g)
-    verify_partition(g, partition)
+    verify_partition(g, dict_view(g, partition))
     assert {v: c.value for v, c in partition.node_category.items()} == ledger.node_category
 
 

@@ -12,22 +12,24 @@ from ledgerflow.topology import (
     category_stats,
     one_time_users,
     strongly_connected_components,
-    verify_partition,
 )
 from ledgerflow.util import dsum
 
 from conftest import random_digraph, reweighted
 from oracles import (
+    dict_view,
     naive_categorize,
     reference_categorize,
     reference_category_stats,
+    reference_labels,
     tarjan_sccs,
     tx,
+    verify_partition,
 )
 
 
 def cats(g):
-    p = categorize(g)
+    p = dict_view(g, categorize(g))
     return {v: p.node_category[v].value for v in g.nodes}, p
 
 
@@ -113,7 +115,7 @@ def test_oracle_equivalence_on_random_digraphs():
     rng = random.Random(42)
     for _ in range(60):
         g = random_digraph(rng, 40)
-        p = categorize(g)
+        p = dict_view(g, categorize(g))
         node_view, edge_view = naive_categorize(g)
         for v in g.nodes:
             members = frozenset(p.components[p.node_component[v]])
@@ -133,14 +135,18 @@ def test_categorize_matches_dict_reference():
     rng = random.Random(2024)
     for _ in range(150):
         g = reweighted(random_digraph(rng, rng.choice([6, 40, 120])), rng)
-        p, ref = categorize(g), reference_categorize(g)
+        partition, ref = categorize(g), reference_categorize(g)
+        p = dict_view(g, partition)
+        assert partition.node_category == ref.node_category
         assert p.node_category == ref.node_category
         assert p.node_component == ref.node_component
         assert p.components == ref.components
         assert p.component_category == ref.component_category
         assert p.edge_assignment == ref.edge_assignment
         assert list(p.edge_assignment) == list(g.links)
-        assert category_stats(g, p) == reference_category_stats(g, ref)
+        for mine, theirs in zip(partition.labels, reference_labels(g, ref)):
+            assert mine.tolist() == theirs.tolist()
+        assert category_stats(g, partition) == reference_category_stats(g, ref)
         assert set(strongly_connected_components(g)) == set(tarjan_sccs(g))
 
 
@@ -148,8 +154,7 @@ def test_partition_verifies_on_random_digraphs():
     rng = random.Random(7)
     for _ in range(100):
         g = random_digraph(rng, 80)
-        p = categorize(g)
-        verify_partition(g, p)
+        verify_partition(g, dict_view(g, categorize(g)))
 
 
 def test_sccs_match_networkx_when_available():
@@ -181,7 +186,7 @@ def test_determinism_under_insertion_order():
     shuffled = list(g.links.items())
     rng.shuffle(shuffled)
     g2 = LedgerGraph(dict(shuffled))
-    p1, p2 = categorize(g), categorize(g2)
+    p1, p2 = dict_view(g, categorize(g)), dict_view(g2, categorize(g2))
     assert p1.node_category == p2.node_category
     assert p1.node_component == p2.node_component
     assert p1.edge_assignment == p2.edge_assignment
@@ -190,7 +195,7 @@ def test_determinism_under_insertion_order():
 def test_idempotence_on_component_subgraphs():
     rng = random.Random(99)
     g = random_digraph(rng, 60)
-    p = categorize(g)
+    p = dict_view(g, categorize(g))
     for cid, members in p.components.items():
         if len(members) < 2:
             continue
@@ -201,7 +206,7 @@ def test_idempotence_on_component_subgraphs():
             if a.component_id == cid and pair[0] in member_set and pair[1] in member_set
         }
         sub = LedgerGraph(internal)
-        sub_p = categorize(sub)
+        sub_p = dict_view(sub, categorize(sub))
         assert set(sub.nodes) == member_set
         assert len(sub_p.components) == 1
         (sub_members,) = sub_p.components.values()
@@ -301,7 +306,7 @@ edge_lists = st.lists(
 def test_partition_properties_hold_on_arbitrary_digraphs(pairs):
     g = LedgerGraph.from_edges((f"n{a}", f"n{b}") for a, b in set(pairs))
     p = categorize(g)
-    verify_partition(g, p)
+    verify_partition(g, dict_view(g, p))
     stats = category_stats(g, p)
     assert sum(r.node_count for r in stats.values()) == g.node_count
     assert dsum(r.volume for r in stats.values()) == g.volume

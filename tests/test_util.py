@@ -1,6 +1,12 @@
+import csv
+import io
 from decimal import Decimal
 
-from ledgerflow.util import dsum, format_duration, mix64, to_json
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ledgerflow import util
+from ledgerflow.util import dsum, format_duration, mix64, text_columns, to_json, write_csv
 
 
 def test_dsum_exact_on_many_small_amounts():
@@ -27,3 +33,60 @@ def test_format_duration():
 
 def test_to_json_renders_decimal_as_string():
     assert to_json({"volume": Decimal("12.30")}) == '{\n  "volume": "12.30"\n}\n'
+
+
+def _csv_writer_text(header, rows) -> str:
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+# Every character csv.writer treats specially, NUL, non-ASCII and anything
+# else but a carriage return (which it leaves unquoted).
+cells = st.text(
+    st.sampled_from([",", '"', "\n", "\x00", " ", "a", "é", "字"])
+    | st.characters(blacklist_characters="\r", blacklist_categories=("Cs",)),
+    max_size=5,
+)
+tables = st.integers(1, 4).flatmap(
+    lambda width: st.tuples(
+        st.lists(cells, min_size=width, max_size=width),
+        st.lists(st.lists(cells, min_size=width, max_size=width), max_size=8),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables)
+def test_write_csv_matches_csv_writer(tmp_path_factory, table):
+    header, rows = table
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    write_csv(path, header, text_columns(rows, len(header)))
+    assert path.read_bytes() == _csv_writer_text(header, rows).encode("utf-8")
+
+
+def test_write_csv_quotes_each_chunk_on_its_own(tmp_path, monkeypatch):
+    # Chunks of 3 rows: quoting is decided per column and chunk, so a
+    # chunk without a comma stays bare while its neighbours are quoted.
+    monkeypatch.setattr(util, "_CHUNK_ROWS", 3)
+    rows = [[f"a{i}", "x,y" if i in (1, 7) else "", 'q"' if i == 9 else str(i)] for i in range(11)]
+    path = tmp_path / "table.csv"
+    write_csv(path, ("one", "two", "three"), text_columns(rows, 3))
+    assert path.read_bytes() == _csv_writer_text(("one", "two", "three"), rows).encode("utf-8")
+
+
+def test_write_csv_quotes_carriage_returns(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, ("id", "name"), [["1", "2"], ["a\rb", "c"]])
+    assert path.read_bytes() == b'id,name\n1,"a\rb"\n2,c\n'
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh)) == [["id", "name"], ["1", "a\rb"], ["2", "c"]]
+
+
+def test_text_columns_renders_none_as_empty():
+    assert text_columns([(1, None, Decimal("2.50")), ("x", "", 0)], 3) == [
+        ["1", "x"], ["", ""], ["2.50", "0"],
+    ]
+    assert text_columns([], 2) == [[], []]
