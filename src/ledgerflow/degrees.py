@@ -184,8 +184,8 @@ def degree_stats(g: LedgerGraph) -> DegreeStats:
 
     in_degrees = np.bincount(g.targets, minlength=g.node_count).tolist()
     out_degrees = np.bincount(g.sources, minlength=g.node_count).tolist()
-    counts = np.array([rec.count for rec in g.links.values()], dtype=float)
-    volumes = np.array([float(rec.volume) for rec in g.links.values()])
+    counts = g.counts.astype(float)
+    volumes = g.volumes.astype(float)
 
     if counts.size >= 2 and counts.std() > 0 and volumes.std() > 0:
         pearson = pearson_r(counts, volumes)

@@ -7,17 +7,21 @@ link keeps no transaction ids. Self-transfers are dropped during
 aggregation (a self-loop has no place in the topological categorisation)
 and reported in a diagnostics record.
 
-Aggregation works on the columnar ledger: links are ``np.unique`` over
-``source * n + target`` of the integer account codes, counts a
-``np.bincount``, and volumes plain ``Decimal`` sums inside one exact
-context. Because codes follow the sorted account ids, the unique keys come
-out in sorted link order, and the graph's links and nodes are read straight
-from those columns.
+A graph is its link table, held as columns in sorted link order: int64
+``sources``/``targets`` into the sorted ``nodes``, int64 ``counts`` and an
+object array of ``Decimal`` ``volumes``. Every analysis reads those columns
+(degrees are ``np.bincount`` over them), so every downstream result is
+deterministic regardless of input ordering. ``links`` is a read-only
+mapping view of the same table, ordered account-id pairs to
+:class:`LinkRecord`; it is built on first access, for tests and library
+callers, and nothing in the package reads it.
 
-Graphs are immutable once built. A graph keeps no adjacency lists: its
-links as int64 ``sources``/``targets`` columns into the sorted ``nodes``
-are what every analysis reads (degrees are ``np.bincount`` over them), so
-every downstream result is deterministic regardless of input ordering.
+Rows become links one way: ``merge_links`` is ``np.unique`` over
+``source * n + target`` of integer node codes, which gives the links in
+sorted order (codes follow the sorted ids) and each row's link; counts add
+with ``np.add.at`` and volumes with ``util.group_sums``, exactly.
+Aggregation, ``from_edges``, the mapping constructor and the null model's
+replicas all merge this way. Graphs are immutable once built.
 """
 
 from __future__ import annotations
@@ -25,15 +29,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import compress
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataError
 from .ingest import Ledger, Transaction, as_ledger
-from .util import dsum, exact_sums
+from .util import dsum, group_sums
 
-__all__ = ["LinkRecord", "LedgerGraph", "AggregateDiagnostics", "aggregate"]
+__all__ = ["LinkRecord", "LedgerGraph", "AggregateDiagnostics", "aggregate", "merge_links"]
 
 
 class LinkRecord(NamedTuple):
@@ -42,55 +47,93 @@ class LinkRecord(NamedTuple):
     count: int
     volume: Decimal
 
-    def merged(self, other: "LinkRecord") -> "LinkRecord":
-        return LinkRecord(self.count + other.count, self.volume + other.volume)
-
 
 @dataclass(frozen=True)
 class AggregateDiagnostics:
     self_transfers_dropped: int
 
 
+def merge_links(n: int, sources: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct pairs of integer rows ``sources[k] -> targets[k]`` over
+    nodes ``0..n-1`` as sorted (sources, targets), plus each row's index
+    among them."""
+    n = max(n, 1)
+    keys, link_of_row = np.unique(sources * n + targets, return_inverse=True)
+    return keys // n, keys % n, link_of_row
+
+
+def _coded(pairs: Iterable[tuple[str, str]]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The sorted ids of (source, target) pairs, and the pairs' ends as
+    int64 indices into them."""
+    nodes = tuple(sorted({v for pair in pairs for v in pair}))
+    index = {v: i for i, v in enumerate(nodes)}
+    ends = np.array([index[v] for pair in pairs for v in pair], dtype=np.int64)
+    return nodes, ends[0::2], ends[1::2]
+
+
 class LedgerGraph:
     """Weighted directed simple graph over account ids.
 
     Nodes are exactly the endpoints of links; aggregation never creates
-    isolated nodes. ``links`` maps ordered (source, target) pairs to their
-    :class:`LinkRecord` and iterates in sorted order; ``sources`` and
-    ``targets`` are the same links as int64 indices into ``nodes``.
+    isolated nodes. ``sources``, ``targets``, ``counts`` and ``volumes``
+    are read-only columns with one entry per link, in sorted (source,
+    target) order; ``links`` is the same table as a mapping of ordered
+    account-id pairs to :class:`LinkRecord`, built when first read.
     """
 
-    __slots__ = ("links", "nodes", "sources", "targets", "tx_count", "volume")
+    __slots__ = ("nodes", "sources", "targets", "counts", "volumes", "tx_count", "volume",
+                 "_links")
 
     def __init__(self, links: Mapping[tuple[str, str], LinkRecord]):
-        nodes = tuple(sorted({v for pair in links for v in pair}))
-        index = {v: i for i, v in enumerate(nodes)}
-        ordered = sorted(links.items())
-        ends = np.array([index[v] for pair, _ in ordered for v in pair], dtype=np.int64)
-        self._build(nodes, ends[0::2], ends[1::2], [record for _, record in ordered])
+        records = list(links.values())
+        self._merge(*_coded(links), [r.count for r in records],
+                    np.array([r.volume for r in records], dtype=object))
 
     @classmethod
-    def _from_sorted(cls, nodes, sources, targets, records) -> "LedgerGraph":
+    def _from_rows(cls, nodes, sources, targets, counts, amounts) -> "LedgerGraph":
         g = cls.__new__(cls)
-        g._build(nodes, sources, targets, records)
+        g._merge(nodes, sources, targets, counts, amounts)
         return g
 
-    def _build(self, nodes: tuple[str, ...], sources: np.ndarray, targets: np.ndarray,
-               records: list[LinkRecord]) -> None:
-        # Links arrive sorted by (source, target) index, which is string order.
+    def _merge(self, nodes: tuple[str, ...], sources: np.ndarray, targets: np.ndarray,
+               counts, amounts: np.ndarray) -> None:
+        """Take the links of integer rows ``sources[k] -> targets[k]`` over
+        ``nodes``, carrying ``counts`` and ``amounts`` (an object array);
+        rows on one pair add up."""
         loops = np.flatnonzero(sources == targets)
         if loops.size:
             raise DataError(f"self-loop link {nodes[sources[loops[0]]]!r} is not allowed")
-        sources.flags.writeable = targets.flags.writeable = False
-        names = np.array(nodes, dtype=object)
-        self.links: dict[tuple[str, str], LinkRecord] = dict(
-            zip(zip(names[sources].tolist(), names[targets].tolist()), records)
-        )
+        sources, targets, link_of_row = merge_links(len(nodes), sources, targets)
+        link_counts = np.zeros(sources.size, dtype=np.int64)
+        np.add.at(link_counts, link_of_row, counts)
+        volumes = group_sums(link_of_row, amounts, sources.size)
+        for column in (sources, targets, link_counts, volumes):
+            column.flags.writeable = False
         self.nodes: tuple[str, ...] = nodes
         self.sources: np.ndarray = sources
         self.targets: np.ndarray = targets
-        self.tx_count: int = sum(record.count for record in records)
-        self.volume: Decimal = dsum(record.volume for record in records)
+        self.counts: np.ndarray = link_counts
+        self.volumes: np.ndarray = volumes
+        self.tx_count: int = int(link_counts.sum())
+        self.volume: Decimal = dsum(volumes)
+        self._links: Mapping[tuple[str, str], LinkRecord] | None = None
+
+    def __reduce__(self):
+        # A pickle (what a pool worker receives) holds the columns, never
+        # the links view.
+        return LedgerGraph._from_rows, (self.nodes, self.sources, self.targets, self.counts,
+                                        self.volumes)
+
+    @property
+    def links(self) -> Mapping[tuple[str, str], LinkRecord]:
+        """Read-only mapping of ordered (source, target) ids to their
+        :class:`LinkRecord`, in sorted order; built on first access."""
+        if self._links is None:
+            names = np.array(self.nodes, dtype=object)
+            pairs = zip(names[self.sources].tolist(), names[self.targets].tolist())
+            records = map(LinkRecord, self.counts.tolist(), self.volumes.tolist())
+            self._links = MappingProxyType(dict(zip(pairs, records)))
+        return self._links
 
     @property
     def node_count(self) -> int:
@@ -98,11 +141,7 @@ class LedgerGraph:
 
     @property
     def link_count(self) -> int:
-        return len(self.links)
-
-    def link_list(self) -> list[tuple[str, str, LinkRecord]]:
-        """Links as (source, target, record) triples in sorted order."""
-        return [(s, t, rec) for (s, t), rec in self.links.items()]
+        return self.sources.size
 
     @classmethod
     def from_edges(
@@ -115,12 +154,8 @@ class LedgerGraph:
         Convenience for demos and tests; duplicate pairs collapse into one
         link with accumulated count and volume.
         """
-        links: dict[tuple[str, str], LinkRecord] = {}
-        record = LinkRecord(1, amount)
-        for source, target in edges:
-            key = (str(source), str(target))
-            links[key] = links[key].merged(record) if key in links else record
-        return cls(links)
+        pairs = [(str(source), str(target)) for source, target in edges]
+        return cls._from_rows(*_coded(pairs), 1, np.full(len(pairs), amount, dtype=object))
 
     def __repr__(self) -> str:
         return (f"LedgerGraph(nodes={self.node_count}, links={self.link_count}, "
@@ -143,17 +178,6 @@ def aggregate(
     used[sources] = used[targets] = True
     node_of = np.cumsum(used) - 1
     nodes = tuple(compress(ledger.accounts, used.tolist()))
-    n = max(len(nodes), 1)
-    keys, link_of_row = np.unique(node_of[sources] * n + node_of[targets], return_inverse=True)
-    counts = np.bincount(link_of_row, minlength=keys.size)
-
-    # Each link's amounts in row order, summed exactly.
-    amount = ledger.amount
-    grouped = [amount[i] for i in rows[np.argsort(link_of_row, kind="stable")].tolist()]
-    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-    zero = Decimal(0)
-    with exact_sums():
-        volumes = [sum(grouped[a:b], zero) for a, b in zip(bounds, bounds[1:])]
-    records = list(map(LinkRecord, counts.tolist(), volumes))
-    graph = LedgerGraph._from_sorted(nodes, keys // n, keys % n, records)
+    graph = LedgerGraph._from_rows(nodes, node_of[sources], node_of[targets], 1,
+                                   np.array(ledger.amount, dtype=object)[rows])
     return graph, AggregateDiagnostics(self_transfers_dropped=len(ledger) - rows.size)

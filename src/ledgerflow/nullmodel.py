@@ -9,13 +9,16 @@ exactly. Self-loops produced by the permutation are repaired by pairwise
 exchanges within the permuted column (degree multisets stay intact); links
 that land on the same ordered pair are merged.
 
-Replicas live on integer arrays: nodes are numbered once per ensemble in
-sorted order, so integer link order equals the graph's string link order,
-and a replica is one permuted int64 column with its self-loops repaired.
-Parallel links merge through ``np.unique`` on ``source * n + target``; the
-per-link counts and Decimal volumes stay in the original link order. Pool
-workers receive these columns, not a graph. ``randomize_endpoints`` and
-``randomize`` map the same engine back to account ids.
+Replicas live on the graph's integer link columns: a replica is one
+permuted int64 endpoint column with its self-loops repaired. Parallel links
+merge through ``graph.merge_links`` (``np.unique`` on ``source * n +
+target``), the step that aggregation uses too; inside an ensemble the
+per-link counts and Decimal volumes stay in the original link order, and
+``topology.tabulate`` sums them per category through the merge's row-to-link
+index. Pool workers receive the graph, which pickles as its columns.
+``randomize`` builds the merged replica as a graph, adding parallel links'
+counts and volumes exactly; ``randomize_endpoints`` maps the swapped columns
+back to account ids.
 
 An ensemble builds each replica once, re-runs the topological
 categorisation (``topology.label``) on it, and keeps two tables per
@@ -37,9 +40,9 @@ import numpy as np
 
 from . import triads
 from .errors import AnalysisError
-from .graph import LedgerGraph, LinkRecord
+from .graph import LedgerGraph, LinkRecord, merge_links
 from .stats import SignificanceCell, score_ensemble
-from .topology import CATEGORY_ORDER, CategoryRow, LinkColumns, label, link_columns, tabulate
+from .topology import CATEGORY_ORDER, CategoryRow, label, tabulate
 from .topology import categorize, category_stats  # noqa: F401  (perfbench/tracer.py wraps these)
 from .util import mix64
 
@@ -76,6 +79,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
+        if self.max_repair_attempts < 1:
+            raise ValueError("max_repair_attempts must be >= 1")
 
 
 class RandomizationError(AnalysisError):
@@ -151,13 +156,11 @@ def randomize_endpoints(
     :class:`RandomizationError` when a self-loop cannot be repaired within
     the attempt budget.
     """
-    cols = link_columns(g)
-    sources, targets = _swap(cols.sources, cols.targets, mode, seed, max_repair_attempts)
+    sources, targets = _swap(g.sources, g.targets, mode, seed, max_repair_attempts)
     nodes = g.nodes
-    return [
-        (nodes[s], nodes[t], record)
-        for s, t, record in zip(sources.tolist(), targets.tolist(), g.links.values())
-    ]
+    records = map(LinkRecord, g.counts.tolist(), g.volumes.tolist())
+    return [(nodes[s], nodes[t], record)
+            for s, t, record in zip(sources.tolist(), targets.tolist(), records)]
 
 
 def randomize(
@@ -167,50 +170,46 @@ def randomize(
     max_repair_attempts: int = 100,
 ) -> LedgerGraph:
     """One randomised replica; parallel links merged by adding their records."""
-    merged: dict[tuple[str, str], LinkRecord] = {}
-    for source, target, record in randomize_endpoints(g, mode, seed, max_repair_attempts):
-        key = (source, target)
-        merged[key] = merged[key].merged(record) if key in merged else record
-    return LedgerGraph(merged)
+    sources, targets = _swap(g.sources, g.targets, mode, seed, max_repair_attempts)
+    return LedgerGraph._from_rows(g.nodes, sources, targets, g.counts, g.volumes)
 
 
-def _replica(links: LinkColumns, spec: EnsembleSpec, index: int) -> tuple[np.ndarray, ...]:
+def _replica(g: LedgerGraph, spec: EnsembleSpec, index: int) -> tuple[np.ndarray, ...]:
     """Merged replica links as sorted (sources, targets), plus the merged
     link that carries each original link record."""
     seed = derive_seed(spec.master_seed, index)
     for attempt in range(_REPLICA_RETRIES + 1):
         try:
             sources, targets = _swap(
-                links.sources, links.targets, spec.mode, seed, spec.max_repair_attempts
+                g.sources, g.targets, spec.mode, seed, spec.max_repair_attempts
             )
             break
         except RandomizationError:
             if attempt == _REPLICA_RETRIES:
                 raise
             seed = derive_seed(derive_seed(spec.master_seed, index), attempt + 1)
-    keys, record_link = np.unique(sources * links.n + targets, return_inverse=True)
-    return keys // links.n, keys % links.n, record_link
+    return merge_links(g.node_count, sources, targets)
 
 
 def _replica_tables(
-    links: LinkColumns, spec: EnsembleSpec, index: int
+    g: LedgerGraph, spec: EnsembleSpec, index: int
 ) -> tuple[dict[str, CategoryRow], dict[str, dict[str, int]]]:
-    sources, targets, record_link = _replica(links, spec, index)
-    labels, _ = label(links.n, sources, targets)
-    stats = tabulate(labels, sources, targets, links.counts, links.volumes, record_link)
+    sources, targets, record_link = _replica(g, spec, index)
+    labels, _ = label(g.node_count, sources, targets)
+    stats = tabulate(labels, sources, targets, g.counts, g.volumes, record_link)
     return stats, triads.label_census(labels, sources, targets)
 
 
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(links: LinkColumns, spec: EnsembleSpec) -> None:
-    _WORKER_STATE["links"] = links
+def _init_worker(g: LedgerGraph, spec: EnsembleSpec) -> None:
+    _WORKER_STATE["g"] = g
     _WORKER_STATE["spec"] = spec
 
 
 def _run_worker(index: int):
-    return _replica_tables(_WORKER_STATE["links"], _WORKER_STATE["spec"], index)
+    return _replica_tables(_WORKER_STATE["g"], _WORKER_STATE["spec"], index)
 
 
 def run_ensemble(
@@ -225,15 +224,14 @@ def run_ensemble(
     Both lists are in replica-index order regardless of worker scheduling,
     so output is identical for any job count.
     """
-    links = link_columns(g)
     indices = range(spec.replicas)
     jobs = min(jobs, spec.replicas)  # a worker beyond one per replica would idle
     if jobs <= 1:
-        pairs = [_replica_tables(links, spec, i) for i in indices]
+        pairs = [_replica_tables(g, spec, i) for i in indices]
     else:
         chunk = max(1, spec.replicas // (jobs * 4))
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(links, spec)
+            max_workers=jobs, initializer=_init_worker, initargs=(g, spec)
         ) as executor:
             pairs = list(executor.map(_run_worker, indices, chunksize=chunk))
     return [stats for stats, _ in pairs], [census for _, census in pairs]

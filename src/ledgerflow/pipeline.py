@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
@@ -81,6 +82,8 @@ class PipelineConfig:
             raise ConfigError("replicas must be >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.max_repair_attempts < 1:
+            raise ConfigError("max_repair_attempts must be >= 1")
         for fmt in self.formats:
             if fmt not in ("csv", "json"):
                 raise ConfigError(f"unknown format {fmt!r}")
@@ -110,14 +113,6 @@ class StrategySignalReport:
     dag_collector_volume_share: float
     hfq1_only_user_share: float
     hfq1_only_breakdown: dict[str, float]
-
-    def as_dict(self) -> dict:
-        return {
-            "one_time_collector_share": self.one_time_collector_share,
-            "dag_collector_volume_share": self.dag_collector_volume_share,
-            "hfq1_only_user_share": self.hfq1_only_user_share,
-            "hfq1_only_breakdown": self.hfq1_only_breakdown,
-        }
 
 
 def strategy_report(
@@ -236,6 +231,14 @@ def _write_cells(writer: _Writer, name: str, cells: Sequence[SignificanceCell], 
     writer.json(name, [{"mode": mode, **cell.__dict__} for cell in cells])
 
 
+@contextmanager
+def _timed(seconds: dict[str, float], name: str):
+    """Add the wall time of the ``with`` block to ``seconds[name]``."""
+    started = time.perf_counter()
+    yield
+    seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - started
+
+
 ALL_STAGES: tuple[str, ...] = (
     "ingest", "topology", "significance", "triads", "recirculation", "report",
 )
@@ -263,155 +266,111 @@ def run_pipeline(
     # A stage entered again adds to its time; the manifest lists stages in
     # ALL_STAGES order.
     stage_seconds: dict[str, float] = {}
-    running: tuple[str, float] | None = None
+    with _timed(stage_seconds, "ingest"):
+        transactions, diagnostics = parse_ledger(
+            config.input_path, config.column_mapping, config.filter_spec
+        )
+        graph, agg_diag = aggregate(transactions)
+        diagnostics.self_transfers_dropped = agg_diag.self_transfers_dropped
+        if "ingest" in stages:
+            write_transactions(out_dir / "transactions_normalized.csv", transactions)
+            writer.written.append(out_dir / "transactions_normalized.csv")
+            writer.json("ingest_diagnostics", diagnostics.as_dict(), always=True)
+            writer.json(
+                "ledger_totals",
+                {
+                    "nodes": graph.node_count,
+                    "links": graph.link_count,
+                    "transactions": graph.tx_count,
+                    "volume": graph.volume,
+                },
+                always=True,
+            )
+            if graph.node_count:
+                writer.json("degree_stats", degree_stats(graph).as_dict(), always=True)
 
-    def stage(name: str):
-        nonlocal running
-        running = (name, time.perf_counter())
-
-    def stage_done():
-        name, started = running
-        stage_seconds[name] = stage_seconds.get(name, 0.0) + time.perf_counter() - started
-
-    # ingest
-    stage("ingest")
-    transactions, diagnostics = parse_ledger(
-        config.input_path, config.column_mapping, config.filter_spec
-    )
-    graph, agg_diag = aggregate(transactions)
-    diagnostics.self_transfers_dropped = agg_diag.self_transfers_dropped
-    if "ingest" in stages:
-        write_transactions(out_dir / "transactions_normalized.csv", transactions)
-        writer.written.append(out_dir / "transactions_normalized.csv")
-        writer.json("ingest_diagnostics", diagnostics.as_dict(), always=True)
-        writer.json(
-            "ledger_totals",
-            {
-                "nodes": graph.node_count,
-                "links": graph.link_count,
-                "transactions": graph.tx_count,
-                "volume": graph.volume,
-            },
-            always=True,
-        )
-        if graph.node_count:
-            writer.json("degree_stats", degree_stats(graph).as_dict(), always=True)
-    stage_done()
-
-    # topology
-    stage("topology")
-    partition = categorize(graph)
-    stats = category_stats(graph, partition)
-    one_time = one_time_users(graph, partition)
-    if "topology" in stages:
-        if "csv" in writer.formats:
-            _write_assignments(writer, graph, partition)
-        writer.csv(
-            "category_stats",
-            ("node_label", "edge_label", "sccs", "wccs", "nodes", "links", "transactions", "volume"),
-            _category_stats_rows(stats),
-        )
-        writer.json(
-            "category_stats",
-            {
-                label: {
-                    "scc_count": stats[label].scc_count,
-                    "wcc_count": stats[label].wcc_count,
-                    "node_count": stats[label].node_count,
-                    "link_count": stats[label].link_count,
-                    "tx_count": stats[label].tx_count,
-                    "volume": stats[label].volume,
-                }
-                for label in CATEGORY_ORDER
-            },
-        )
-        writer.csv(
-            "one_time_users",
-            ("category", "one_outgoing", "one_incoming", "outgoing_volume", "incoming_volume"),
-            [
-                (label, row.one_outgoing, row.one_incoming, row.outgoing_volume, row.incoming_volume)
-                for label, row in one_time.rows.items()
-            ]
-            + [
-                (
-                    "total",
-                    one_time.total.one_outgoing,
-                    one_time.total.one_incoming,
-                    one_time.total.outgoing_volume,
-                    one_time.total.incoming_volume,
-                )
-            ],
-        )
-        writer.json(
-            "one_time_users",
-            {
-                "rows": {label: row.__dict__ for label, row in one_time.rows.items()},
-                "total": one_time.total.__dict__,
-            },
-        )
-    stage_done()
+    with _timed(stage_seconds, "topology"):
+        partition = categorize(graph)
+        stats = category_stats(graph, partition)
+        one_time = one_time_users(graph, partition)
+        if "topology" in stages:
+            if "csv" in writer.formats:
+                _write_assignments(writer, graph, partition)
+            writer.csv(
+                "category_stats",
+                ("node_label", "edge_label", "sccs", "wccs", "nodes", "links", "transactions",
+                 "volume"),
+                _category_stats_rows(stats),
+            )
+            writer.json("category_stats",
+                        {label: stats[label].__dict__ for label in CATEGORY_ORDER})
+            writer.csv(
+                "one_time_users",
+                ("category", "one_outgoing", "one_incoming", "outgoing_volume", "incoming_volume"),
+                ((label, *row.__dict__.values())
+                 for label, row in [*one_time.rows.items(), ("total", one_time.total)]),
+            )
+            writer.json(
+                "one_time_users",
+                {
+                    "rows": {label: row.__dict__ for label, row in one_time.rows.items()},
+                    "total": one_time.total.__dict__,
+                },
+            )
 
     # significance and triads: one ensemble per mode feeds both; the
     # replica builds are timed under the first selected of the two stages
     seeds: dict[str, int] = {}
     ensemble_stages = [name for name in ("significance", "triads") if name in stages]
     if "triads" in stages:
-        stage("triads")
-        census_tables = category_census(graph, partition)
-        writer.csv(
-            "triad_census",
-            ("category",) + TRIAD_LABELS,
-            (
-                (label,) + tuple(census_tables[label][t] for t in TRIAD_LABELS)
-                for label in census_tables
-            ),
-        )
-        writer.json("triad_census", census_tables)
-        stage_done()
+        with _timed(stage_seconds, "triads"):
+            census_tables = category_census(graph, partition)
+            writer.csv(
+                "triad_census",
+                ("category",) + TRIAD_LABELS,
+                (
+                    (label,) + tuple(census_tables[label][t] for t in TRIAD_LABELS)
+                    for label in census_tables
+                ),
+            )
+            writer.json("triad_census", census_tables)
     for mode in config.modes if ensemble_stages else ():
-        stage(ensemble_stages[0])
-        spec = EnsembleSpec(
-            mode=mode,
-            replicas=config.replicas,
-            master_seed=config.master_seed,
-            max_repair_attempts=config.max_repair_attempts,
-        )
-        stats_ensemble, census_ensemble = run_ensemble(graph, spec, jobs=config.jobs)
-        stage_done()
+        with _timed(stage_seconds, ensemble_stages[0]):
+            spec = EnsembleSpec(
+                mode=mode,
+                replicas=config.replicas,
+                master_seed=config.master_seed,
+                max_repair_attempts=config.max_repair_attempts,
+            )
+            stats_ensemble, census_ensemble = run_ensemble(graph, spec, jobs=config.jobs)
         if "significance" in stages:
-            stage("significance")
-            seeds[f"significance_{mode.value}"] = config.master_seed
-            cells = significance(stats, stats_ensemble)
-            _write_cells(writer, f"significance_{mode.value}", cells, mode.value)
-            stage_done()
+            with _timed(stage_seconds, "significance"):
+                seeds[f"significance_{mode.value}"] = config.master_seed
+                cells = significance(stats, stats_ensemble)
+                _write_cells(writer, f"significance_{mode.value}", cells, mode.value)
         if "triads" in stages:
-            stage("triads")
-            seeds[f"triads_{mode.value}"] = config.master_seed
-            cells = triad_significance(census_tables, census_ensemble)
-            _write_cells(writer, f"triad_significance_{mode.value}", cells, mode.value)
-            stage_done()
+            with _timed(stage_seconds, "triads"):
+                seeds[f"triads_{mode.value}"] = config.master_seed
+                cells = triad_significance(census_tables, census_ensemble)
+                _write_cells(writer, f"triad_significance_{mode.value}", cells, mode.value)
 
-    # recirculation
     signatures: list[TemporalSignature] = []
     if "recirculation" in stages or "report" in stages:
-        stage("recirculation")
-        ops = extract_ops(transactions.without_self_transfers())
-        if ops:
-            classified = classify_ops(ops)
-            signatures = user_signatures(classified)
-            if "recirculation" in stages:
-                tables = crosstab(graph, partition, classified, signatures)
-                _write_recirculation(writer, classified, signatures, tables, partition)
-        elif "recirculation" in stages:
-            writer.json("recirculation_coverage", {"op_count": 0}, always=True)
-        stage_done()
+        with _timed(stage_seconds, "recirculation"):
+            ops = extract_ops(transactions.without_self_transfers())
+            if ops:
+                classified = classify_ops(ops)
+                signatures = user_signatures(classified)
+                if "recirculation" in stages:
+                    tables = crosstab(graph, partition, classified, signatures)
+                    _write_recirculation(writer, classified, signatures, tables, partition)
+            elif "recirculation" in stages:
+                writer.json("recirculation_coverage", {"op_count": 0}, always=True)
 
-    # report
     if "report" in stages:
-        stage("report")
-        strategy = strategy_report(graph.volume, stats, one_time, signatures, partition)
-        writer.json("strategy_report", strategy.as_dict(), always=True)
-        stage_done()
+        with _timed(stage_seconds, "report"):
+            strategy = strategy_report(graph.volume, stats, one_time, signatures, partition)
+            writer.json("strategy_report", strategy.__dict__, always=True)
 
     manifest = {
         "input": {
@@ -564,20 +523,7 @@ def _write_recirculation(
             for signature, count in sorted(tables.user_table[label].items())
         ),
     )
-    writer.json(
-        "recirculation_coverage",
-        {
-            "op_count": tables.coverage.op_count,
-            "tx_in_ops": tables.coverage.tx_in_ops,
-            "tx_share": tables.coverage.tx_share,
-            "volume_in_ops": tables.coverage.volume_in_ops,
-            "volume_share": tables.coverage.volume_share,
-            "tx_counted_twice": tables.coverage.tx_counted_twice,
-            "recirculating_users": tables.coverage.recirculating_users,
-            "user_share": tables.coverage.user_share,
-        },
-        always=True,
-    )
+    writer.json("recirculation_coverage", tables.coverage.__dict__, always=True)
 
 
 def _package_version() -> str:

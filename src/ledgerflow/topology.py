@@ -22,10 +22,12 @@ The categoriser works on integer endpoint columns: strongly connected
 components and the weak components of non-cyclic links come from
 ``scipy.sparse.csgraph``, boundary flags are boolean scatters per component,
 and every node and link gets one category code. Category statistics are
-``np.bincount`` tables over those codes. ``categorize`` wraps ``label`` for
-a :class:`LedgerGraph`: its :class:`TopologyPartition` carries the codes and
-each node's component index, in ``g.nodes`` and ``g.links`` order, plus one
-account-id-to-category mapping. ``category_stats``, ``one_time_users``,
+``np.bincount`` tables over those codes, with volumes summed exactly per
+code by ``util.group_sums``. ``categorize`` wraps ``label`` for a
+:class:`LedgerGraph`: its :class:`TopologyPartition` carries the codes and
+each node's component index, in ``g.nodes`` and link-column order, plus one
+account-id-to-category mapping. ``category_stats`` and ``one_time_users``
+read the codes with the graph's ``counts`` and ``volumes`` columns, and
 ``recirculation.crosstab`` and ``triads.category_census`` read the codes;
 null replicas call ``label`` and ``tabulate`` on their arrays directly.
 Component ids and edge kinds are derived from the codes where they are
@@ -45,7 +47,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .graph import LedgerGraph
-from .util import dsum
+from .util import dsum, group_sums
 
 __all__ = [
     "NodeCategory",
@@ -57,10 +59,8 @@ __all__ = [
     "CATEGORY_ORDER",
     "NODE_CATEGORIES",
     "EDGE_CATEGORIES",
-    "LinkColumns",
     "Labels",
     "strongly_connected_components",
-    "link_columns",
     "label",
     "categorize",
     "tabulate",
@@ -139,33 +139,6 @@ class CategoryRow:
     volume: Decimal
 
 
-class LinkColumns(NamedTuple):
-    """A graph's links as integer columns, in ``g.links`` order.
-
-    Node ids index the sorted ``g.nodes``, so integer (source, target) order
-    equals the graph's string link order.
-    """
-
-    n: int
-    sources: np.ndarray
-    targets: np.ndarray
-    counts: np.ndarray
-    volumes: np.ndarray  # Decimal objects
-
-
-def link_columns(g: LedgerGraph) -> LinkColumns:
-    records = list(g.links.values())
-    volumes = np.empty(len(records), dtype=object)
-    volumes[:] = [r.volume for r in records]
-    return LinkColumns(
-        n=g.node_count,
-        sources=g.sources,
-        targets=g.targets,
-        counts=np.array([r.count for r in records], dtype=np.int64),
-        volumes=volumes,
-    )
-
-
 class Labels(NamedTuple):
     """Category codes (indices into ``CATEGORY_ORDER``) of one graph."""
 
@@ -178,7 +151,7 @@ class Labels(NamedTuple):
 class TopologyPartition:
     """Exclusive assignment of every node and link of one graph.
 
-    ``labels`` holds the category codes in ``g.nodes`` and ``g.links``
+    ``labels`` holds the category codes in ``g.nodes`` and link-column
     order; ``component`` is each node's component index from ``label``;
     ``node_category`` maps account ids to their category.
     """
@@ -294,8 +267,7 @@ def tabulate(
     first = np.unique(vertex_wcc, return_index=True)[1]
     wcc_count = np.bincount(keys[first] // n, minlength=size)
 
-    bounds = [0] + np.cumsum(np.bincount(record_code, minlength=size)).tolist()
-    grouped = volumes[np.argsort(record_code, kind="stable")]
+    volume = group_sums(record_code, volumes, size)
     return {
         name: CategoryRow(
             scc_count=int(scc_count[code]),
@@ -303,7 +275,7 @@ def tabulate(
             node_count=int(node_count[code]),
             link_count=int(link_count[code]),
             tx_count=int(tx_count[code]),
-            volume=dsum(grouped[bounds[code]:bounds[code + 1]]),
+            volume=volume[code],
         )
         for code, name in enumerate(CATEGORY_ORDER)
     }
@@ -311,8 +283,7 @@ def tabulate(
 
 def category_stats(g: LedgerGraph, partition: TopologyPartition) -> dict[str, CategoryRow]:
     """Per-category sizes: components, nodes, links, transactions, volume."""
-    cols = link_columns(g)
-    return tabulate(partition.labels, cols.sources, cols.targets, cols.counts, cols.volumes)
+    return tabulate(partition.labels, g.sources, g.targets, g.counts, g.volumes)
 
 
 @dataclass(frozen=True)
@@ -337,30 +308,21 @@ def one_time_users(g: LedgerGraph, partition: TopologyPartition) -> OneTimeUserT
     Such a user has one link carrying one transaction, so its volume is
     that link's; each row's volumes are summed exactly.
     """
-    cols = link_columns(g)
-    out_tx = np.bincount(cols.sources, weights=cols.counts, minlength=cols.n)
-    in_tx = np.bincount(cols.targets, weights=cols.counts, minlength=cols.n)
+    out_tx = np.bincount(g.sources, weights=g.counts, minlength=g.node_count)
+    in_tx = np.bincount(g.targets, weights=g.counts, minlength=g.node_count)
     one_time = (out_tx + in_tx) == 1
-    node_code = partition.labels.node
-    cells: dict[str, tuple[list[Decimal], list[Decimal]]] = {}
-    for ends, direction in ((cols.sources, 0), (cols.targets, 1)):
-        mine = one_time[ends]
-        for code, link in zip(node_code[ends[mine]].tolist(), np.flatnonzero(mine).tolist()):
-            cells.setdefault(CATEGORY_ORDER[code], ([], []))[direction].append(cols.volumes[link])
-
+    size = len(CATEGORY_ORDER)
+    directions = []
+    for ends in (g.sources, g.targets):
+        links = np.flatnonzero(one_time[ends])
+        codes = partition.labels.node[ends[links]]
+        directions.append((np.bincount(codes, minlength=size),
+                           group_sums(codes, g.volumes[links], size)))
+    (out_n, out_v), (in_n, in_v) = directions
     rows = {
-        label: OneTimeRow(
-            one_outgoing=len(out_v),
-            one_incoming=len(in_v),
-            outgoing_volume=dsum(out_v),
-            incoming_volume=dsum(in_v),
-        )
-        for label, (out_v, in_v) in sorted(cells.items())
+        CATEGORY_ORDER[code]:
+            OneTimeRow(int(out_n[code]), int(in_n[code]), out_v[code], in_v[code])
+        for code in np.flatnonzero(out_n + in_n).tolist()
     }
-    total = OneTimeRow(
-        one_outgoing=sum(r.one_outgoing for r in rows.values()),
-        one_incoming=sum(r.one_incoming for r in rows.values()),
-        outgoing_volume=dsum(r.outgoing_volume for r in rows.values()),
-        incoming_volume=dsum(r.incoming_volume for r in rows.values()),
-    )
-    return OneTimeUserTable(rows=rows, total=total)
+    total = OneTimeRow(int(out_n.sum()), int(in_n.sum()), dsum(out_v), dsum(in_v))
+    return OneTimeUserTable(rows=dict(sorted(rows.items())), total=total)

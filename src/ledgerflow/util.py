@@ -36,6 +36,18 @@ def dsum(values: Iterable[Decimal]) -> Decimal:
         return sum(values, Decimal(0))
 
 
+def group_sums(groups: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Exact sums of ``values`` (an object array of Decimals) per integer
+    group code ``0..size-1``, as an object array; an empty group sums to 0."""
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(groups, minlength=size)))).tolist()
+    grouped = values[np.argsort(groups, kind="stable")].tolist()
+    zero = Decimal(0)
+    sums = np.empty(size, dtype=object)
+    with exact_sums():
+        sums[:] = [sum(grouped[a:b], zero) for a, b in zip(bounds, bounds[1:])]
+    return sums
+
+
 def iso_utc(seconds: np.ndarray) -> list[str]:
     """ISO-8601 UTC stamps of epoch seconds, as ``datetime.isoformat`` writes
     them. Raises ``ValueError`` outside ``datetime``'s range, the only one

@@ -671,7 +671,7 @@ def reference_randomize_endpoints(
     Scans every position for self-loops; the engine visits only the loops
     left by the permutation and must draw the same random stream.
     """
-    triples = g.link_list()
+    triples = [(s, t, rec) for (s, t), rec in g.links.items()]
     sources = [s for s, _, _ in triples]
     targets = [t for _, t, _ in triples]
     records = [rec for _, _, rec in triples]

@@ -120,8 +120,8 @@ def test_criterion_3_null_model_conservation_determinism():
         if a != b:
             pairs.add((f"v{a:04d}", f"v{b:04d}"))
     g = LedgerGraph.from_edges(sorted(pairs))
-    source_multiset = Counter(s for s, _, _ in g.link_list())
-    target_multiset = Counter(t for _, t, _ in g.link_list())
+    source_multiset = Counter(s for (s, _), _ in g.links.items())
+    target_multiset = Counter(t for (_, t), _ in g.links.items())
 
     for mode in SwapMode:
         for i in range(100):

@@ -177,6 +177,22 @@ def test_jobs_below_one_is_config_error(tmp_path, jobs):
     assert "jobs" in report["message"]
 
 
+@pytest.mark.parametrize("attempts", ["0", "-1"])
+def test_repair_budget_below_one_is_config_error(tmp_path, attempts):
+    out_dir = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"max_repair_attempts = {attempts}\n", encoding="utf-8")
+    code = main(
+        ["--config", str(config), "run", str(DEMO_LEDGER), "--output", str(out_dir),
+         "--replicas", "8"]
+    )
+    assert code == 2
+    assert [p.name for p in out_dir.iterdir()] == ["error_report.json"]
+    report = json.loads((out_dir / "error_report.json").read_text())
+    assert report["error_type"] == "ConfigError"
+    assert "max_repair_attempts" in report["message"]
+
+
 def test_too_small_ensemble_is_analysis_error(tmp_path):
     # significance needs at least 8 replicas for the normality test; the
     # check comes before ingest, so nothing but the report is written

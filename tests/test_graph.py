@@ -1,3 +1,4 @@
+import pickle
 from decimal import Decimal
 
 import pytest
@@ -49,6 +50,30 @@ def test_from_edges_merges_duplicates():
     g = LedgerGraph.from_edges([("A", "B"), ("A", "B")])
     assert g.link_count == 1
     assert g.links[("A", "B")].count == 2
+    # Doubled, a 30-digit amount needs more than the default 28 digits.
+    wide = LedgerGraph.from_edges([("A", "B"), ("A", "B")], Decimal("1" * 30))
+    assert wide.links[("A", "B")].volume == wide.volume == Decimal("2" * 30)
+
+
+def test_links_view_is_read_only_and_built_once():
+    g = LedgerGraph.from_edges([("A", "B"), ("B", "C")])
+    assert g.links is g.links
+    with pytest.raises(TypeError):
+        g.links[("A", "C")] = LinkRecord(1, Decimal(1))
+    assert list(g.counts) == [1, 1] and list(g.volumes) == [Decimal(1), Decimal(1)]
+    with pytest.raises(ValueError):
+        g.counts[0] = 2
+
+
+def test_pickle_holds_the_columns_not_the_links_view():
+    # What a pool worker receives must not grow once the view is built.
+    g = LedgerGraph.from_edges([("A", "B"), ("B", "C"), ("A", "B")], Decimal("0.50"))
+    before = pickle.dumps(g)
+    assert g.links
+    assert pickle.dumps(g) == before
+    copy = pickle.loads(before)
+    assert copy.links == g.links
+    assert (copy.nodes, copy.tx_count, copy.volume) == (g.nodes, g.tx_count, g.volume)
 
 
 def test_link_order_independent_of_insertion():

@@ -5,7 +5,7 @@ from decimal import Decimal
 
 import pytest
 
-from ledgerflow.graph import LedgerGraph
+from ledgerflow.graph import LedgerGraph, LinkRecord
 from ledgerflow.nullmodel import (
     EnsembleSpec,
     RandomizationError,
@@ -59,16 +59,26 @@ def test_degree_multisets_preserved_pre_merge(mode):
         triples = randomize_endpoints(g, mode, seed=rng.randrange(2**60))
         sources = Counter(s for s, _, _ in triples)
         targets = Counter(t for _, t, _ in triples)
-        assert sources == Counter(s for s, _, _ in g.link_list())
-        assert targets == Counter(t for _, t, _ in g.link_list())
+        assert sources == Counter(s for (s, _), _ in g.links.items())
+        assert targets == Counter(t for (_, t), _ in g.links.items())
         assert all(s != t for s, t, _ in triples)
+
+
+# Merging 1E+30 with 1 needs 31 digits, more than the default context's 28.
+WIDE_VOLUMES = LedgerGraph({
+    ("a", "x"): LinkRecord(1, Decimal("1E+30")),
+    ("b", "y"): LinkRecord(1, Decimal(1)),
+    ("a", "y"): LinkRecord(1, Decimal(1)),
+    ("b", "x"): LinkRecord(1, Decimal(1)),
+})
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_conservation_exact(mode):
     rng = random.Random(17)
-    for seed in range(10):
-        g = random_digraph(rng, 80)
+    cases = [(random_digraph(rng, 80), seed) for seed in range(10)]
+    cases += [(WIDE_VOLUMES, seed) for seed in range(10)]
+    for g, seed in cases:
         replica = randomize(g, mode, seed)
         assert replica.tx_count == g.tx_count
         assert replica.volume == g.volume
@@ -105,6 +115,12 @@ def test_repair_budget_exhaustion_raises():
     with pytest.raises(RandomizationError, match="seed"):
         for seed in range(50):
             randomize(g, SwapMode.TARGET, seed, max_repair_attempts=0)
+
+
+@pytest.mark.parametrize("field", ["replicas", "max_repair_attempts"])
+def test_ensemble_spec_rejects_values_below_one(field):
+    with pytest.raises(ValueError, match=field):
+        EnsembleSpec(mode=SwapMode.TARGET, **{field: 0})
 
 
 def test_derive_seed_is_frozen():

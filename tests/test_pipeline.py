@@ -93,6 +93,30 @@ def test_run_builds_no_transaction_objects(tmp_path, monkeypatch):
     assert built == []
 
 
+def test_run_never_builds_the_link_mapping(tmp_path, monkeypatch):
+    # Every stage reads the graph's link columns, never its links view.
+    from ledgerflow.cli import main
+    from ledgerflow.graph import LedgerGraph, LinkRecord
+
+    built, reads = [], []
+    record_new, links = LinkRecord.__new__, LedgerGraph.links
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return record_new(cls, *args, **kwargs)
+
+    def counting_links(self):
+        reads.append(self)
+        return links.fget(self)
+
+    monkeypatch.setattr(LinkRecord, "__new__", counting_new)
+    monkeypatch.setattr(LedgerGraph, "links", property(counting_links))
+    argv = ["run", str(DEMO_LEDGER), "--output", str(tmp_path / "out"),
+            "--mode", "all", "--replicas", "8"]
+    assert main(argv) == 0
+    assert built == [] and reads == []
+
+
 def test_json_only_format(tmp_path):
     result = run_pipeline(small_config(DEMO_LEDGER, tmp_path / "out", formats=("json",)))
     names = {p.name for p in result.output_files}

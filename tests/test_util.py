@@ -2,11 +2,14 @@ import csv
 import io
 from decimal import Decimal
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ledgerflow import util
-from ledgerflow.util import dsum, format_duration, mix64, text_columns, to_json, write_csv
+from ledgerflow.util import (
+    dsum, format_duration, group_sums, mix64, text_columns, to_json, write_csv,
+)
 
 
 def test_dsum_exact_on_many_small_amounts():
@@ -16,6 +19,33 @@ def test_dsum_exact_on_many_small_amounts():
 
 def test_dsum_empty():
     assert dsum([]) == Decimal(0)
+
+
+decimal_values = st.one_of(
+    st.sampled_from([Decimal("1"), Decimal("1.0"), Decimal("1E+2"), Decimal("0E-5")]),
+    st.integers(-(10**40) + 1, 10**40 - 1).map(lambda i: Decimal(i).scaleb(-20)),  # 40 digits
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda size: st.tuples(
+            st.just(size),
+            st.lists(st.tuples(st.integers(0, size - 1), decimal_values), max_size=30),
+        )
+    )
+)
+def test_group_sums_match_per_group_dsum(case):
+    size, rows = case
+    groups = np.array([group for group, _ in rows], dtype=np.int64)
+    values = np.array([value for _, value in rows], dtype=object)
+    sums = group_sums(groups, values, size)
+    assert sums.shape == (size,)
+    for code in range(size):
+        expected = dsum(value for group, value in rows if group == code)
+        assert sums[code] == expected
+        assert str(sums[code]) == str(expected)
 
 
 def test_mix64_range_and_spread():
