@@ -2,10 +2,12 @@
 
 Subcommands: ingest, topology, significance, triads, recirculation,
 report, generate, run. Global flags pick the config file, seed, worker
-count, output directory, and table format. Exit codes: 0 success,
-2 configuration error, 3 data error, 4 analysis error or any other
-failure; every failure writes ``error_report.json`` once the output
-directory is known.
+count, output directory, and table format. A flag overrides the config
+file, and a setting given by neither keeps the default of the dataclass
+that owns it (``PipelineConfig``, ``ColumnMapping``, ``FilterSpec``).
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 analysis
+error or any other failure; every failure writes ``error_report.json``
+once the output directory is known.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import AnalysisError, ConfigError, DataError, LedgerflowError
+from .errors import ConfigError, DataError, LedgerflowError
 from .ingest import ColumnMapping, FilterSpec
 from .nullmodel import SwapMode
 from .pipeline import ALL_STAGES, PipelineConfig, run_pipeline, write_scenario
@@ -23,12 +25,49 @@ from .util import write_json
 
 __all__ = ["main", "build_parser", "load_config_file"]
 
-_CONFIG_KEYS = {
-    "input", "output", "format", "seed", "jobs", "replicas", "modes",
-    "keep_subtypes", "exclude_accounts", "max_repair_attempts",
-    "col_tx_id", "col_timestamp", "col_source", "col_target", "col_amount",
-    "col_subtype", "timestamp_format",
+_OUTPUT_DIR = "ledgerflow-out"
+
+
+def _split_csv(value: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in value.split(",") if part.strip())
+
+
+def _parse_modes(value: str) -> tuple[SwapMode, ...]:
+    if value == "all":
+        return tuple(SwapMode)
+    modes = []
+    for name in _split_csv(value):
+        try:
+            modes.append(SwapMode(name))
+        except ValueError:
+            raise ConfigError(f"unknown swap mode {name!r}") from None
+    return tuple(modes)
+
+
+# Config key (and flag) -> (field, parser of its value), for the fields of
+# PipelineConfig, FilterSpec and ColumnMapping. A key not given leaves the
+# field at its default.
+_PIPELINE_KEYS = {
+    "input": ("input_path", Path), "output": ("output_dir", Path),
+    "format": ("formats", lambda v: ("csv", "json") if v == "both" else (v,)),
+    "modes": ("modes", _parse_modes), "seed": ("master_seed", int), "jobs": ("jobs", int),
+    "replicas": ("replicas", int), "max_repair_attempts": ("max_repair_attempts", int),
 }
+_FILTER_KEYS = {
+    "keep_subtypes": ("keep_subtypes", _split_csv),
+    "exclude_accounts": ("exclude_accounts", lambda v: frozenset(_split_csv(v))),
+}
+_COLUMN_KEYS = {
+    "col_tx_id": ("tx_id", str), "col_timestamp": ("timestamp", str),
+    "col_source": ("source", str), "col_target": ("target", str),
+    "col_amount": ("amount", str), "col_subtype": ("subtype", str),
+    "timestamp_format": ("timestamp_format", str),
+}
+_CONFIG_KEYS = {*_PIPELINE_KEYS, *_FILTER_KEYS, *_COLUMN_KEYS}
+# ScenarioSpec fields that `generate` takes as flags, besides --horizon-days.
+_SCENARIO_FLAGS = ("cycles", "cycle_length", "cliques", "clique_size", "stars", "star_arms",
+                   "dyads")
+_DAY = 86_400
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -48,71 +87,38 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _split_csv(value: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in value.split(",") if part.strip())
+def _config_values(args: argparse.Namespace) -> dict:
+    """The config file's values overridden by the flags given, with the
+    output directory defaulting to ``ledgerflow-out``."""
+    values: dict = {"output": _OUTPUT_DIR}
+    if args.config:
+        values.update(load_config_file(args.config))
+    values.update((key, value) for key, value in vars(args).items()
+                  if key in _CONFIG_KEYS and value is not None)
+    return values
 
 
-def _parse_modes(value: str) -> tuple[SwapMode, ...]:
-    if value == "all":
-        return (SwapMode.TARGET, SwapMode.SOURCE, SwapMode.BOTH)
-    modes = []
-    for name in _split_csv(value):
-        try:
-            modes.append(SwapMode(name))
-        except ValueError:
-            raise ConfigError(f"unknown swap mode {name!r}") from None
-    return tuple(modes)
+def _fields(values: dict, keys: dict) -> dict:
+    return {name: parse(values[key]) for key, (name, parse) in keys.items() if key in values}
 
 
-def _build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    file_values = load_config_file(args.config) if args.config else {}
-
-    def pick(key: str, flag_value, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return file_values[key]
-        return default
-
-    input_path = pick("input", getattr(args, "input", None), None)
-    if input_path is None:
+def _build_pipeline_config(values: dict) -> PipelineConfig:
+    if "input" not in values:
         raise ConfigError("no input ledger given (positional INPUT or 'input' in config)")
-    output = Path(pick("output", args.output, "ledgerflow-out"))
-    fmt = pick("format", args.format, "both")
-    formats = ("csv", "json") if fmt == "both" else (fmt,)
-    modes = pick("modes", getattr(args, "mode", None), "all")
-    if isinstance(modes, str):
-        modes = _parse_modes(modes)
-
-    mapping = ColumnMapping(
-        tx_id=file_values.get("col_tx_id", "id"),
-        timestamp=file_values.get("col_timestamp", "timeset"),
-        source=file_values.get("col_source", "source"),
-        target=file_values.get("col_target", "target"),
-        amount=file_values.get("col_amount", "weight"),
-        subtype=file_values.get("col_subtype", "transfer_subtype"),
-        timestamp_format=file_values.get("timestamp_format", "auto"),
-    )
-    filter_spec = FilterSpec(
-        keep_subtypes=_split_csv(file_values["keep_subtypes"])
-        if "keep_subtypes" in file_values
-        else ("STANDARD",),
-        exclude_accounts=frozenset(_split_csv(file_values.get("exclude_accounts", ""))),
-    )
-
     try:
         return PipelineConfig(
-            input_path=Path(input_path),
-            output_dir=output,
-            column_mapping=mapping,
-            filter_spec=filter_spec,
-            modes=modes,
-            replicas=int(pick("replicas", getattr(args, "replicas", None), 1000)),
-            master_seed=int(pick("seed", args.seed, 0)),
-            max_repair_attempts=int(pick("max_repair_attempts", None, 100)),
-            jobs=int(pick("jobs", args.jobs, 1)),
-            formats=formats,
+            column_mapping=ColumnMapping(**_fields(values, _COLUMN_KEYS)),
+            filter_spec=FilterSpec(**_fields(values, _FILTER_KEYS)),
+            **_fields(values, _PIPELINE_KEYS),
         )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _build_scenario(args: argparse.Namespace) -> ScenarioSpec:
+    try:
+        return ScenarioSpec(horizon=args.horizon_days * _DAY,
+                            **{name: getattr(args, name) for name in _SCENARIO_FLAGS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -121,9 +127,12 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     default = argparse.SUPPRESS if suppress else None
     parser.add_argument("--config", metavar="FILE", default=default,
                         help="plain-text key=value config file")
-    parser.add_argument("--seed", type=int, default=default, help="master seed (default 0)")
-    parser.add_argument("--jobs", type=int, default=default, help="worker processes (default 1)")
-    parser.add_argument("--output", metavar="DIR", default=default, help="output directory")
+    parser.add_argument("--seed", type=int, default=default,
+                        help=f"master seed (default {PipelineConfig.master_seed})")
+    parser.add_argument("--jobs", type=int, default=default,
+                        help=f"worker processes (default {PipelineConfig.jobs})")
+    parser.add_argument("--output", metavar="DIR", default=default,
+                        help=f"output directory (default {_OUTPUT_DIR})")
     parser.add_argument("--format", choices=("csv", "json", "both"), default=default,
                         help="table format")
 
@@ -144,9 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
         if with_input:
             p.add_argument("input", nargs="?", default=None, metavar="INPUT", help="ledger CSV")
         if with_ensemble:
-            p.add_argument("--mode", default=None, help="target, source, both, or all")
+            p.add_argument("--mode", dest="modes", default=None,
+                           help="target, source, both, or all")
             p.add_argument("--replicas", type=int, default=None,
-                           help="ensemble size (default 1000)")
+                           help=f"ensemble size (default {PipelineConfig.replicas})")
         return p
 
     command("ingest", "parse, aggregate, descriptive stats")
@@ -158,20 +168,16 @@ def build_parser() -> argparse.ArgumentParser:
     command("run", "full pipeline", with_ensemble=True)
 
     p_gen = command("generate", "synthetic ledger with planted structures", with_input=False)
-    p_gen.add_argument("--cycles", type=int, default=0)
-    p_gen.add_argument("--cycle-length", type=int, default=3)
-    p_gen.add_argument("--cliques", type=int, default=0)
-    p_gen.add_argument("--clique-size", type=int, default=4)
-    p_gen.add_argument("--stars", type=int, default=0)
-    p_gen.add_argument("--star-arms", type=int, default=2)
-    p_gen.add_argument("--dyads", type=int, default=0)
-    p_gen.add_argument("--horizon-days", type=int, default=30)
+    for name in _SCENARIO_FLAGS:
+        p_gen.add_argument(f"--{name.replace('_', '-')}", type=int,
+                           default=getattr(ScenarioSpec, name))
+    p_gen.add_argument("--horizon-days", type=int, default=ScenarioSpec.horizon // _DAY)
     return parser
 
 
 def _write_error_report(output: Path | None, exc: Exception, code: int) -> None:
     # Structured error report lands next to the outputs when a directory is
-    # known; config errors before that point only reach stderr.
+    # known; an unreadable config file without --output only reaches stderr.
     if output is None:
         return
     try:
@@ -184,6 +190,15 @@ def _write_error_report(output: Path | None, exc: Exception, code: int) -> None:
         pass
 
 
+# Exit code and stderr label per error type; the first match applies.
+_FAILURES = (
+    (ConfigError, 2, "configuration error"),
+    (DataError, 3, "data error"),
+    (LedgerflowError, 4, "analysis error"),
+    (Exception, 4, "internal error"),  # a defect, but still an exit code and a report
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -191,47 +206,28 @@ def main(argv: list[str] | None = None) -> int:
     output = Path(args.output) if args.output else None
     try:
         if args.command == "generate":
-            output = Path(args.output or "ledgerflow-out")
-            try:
-                spec = ScenarioSpec(
-                    cycles=args.cycles,
-                    cycle_length=args.cycle_length,
-                    cliques=args.cliques,
-                    clique_size=args.clique_size,
-                    stars=args.stars,
-                    star_arms=args.star_arms,
-                    dyads=args.dyads,
-                    horizon=args.horizon_days * 86_400,
-                )
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-            ledger_path, truth_path = write_scenario(output, spec, args.seed or 0)
+            output = Path(args.output or _OUTPUT_DIR)
+            spec = _build_scenario(args)
+            seed = PipelineConfig.master_seed if args.seed is None else args.seed
+            ledger_path, truth_path = write_scenario(output, spec, seed)
             print(f"wrote {ledger_path} and {truth_path}")
             return 0
-        config = _build_pipeline_config(args)
-        output = config.output_dir
+        values = _config_values(args)
+        output = Path(values["output"])
+        config = _build_pipeline_config(values)
         # A single-stage command runs the pipeline with only that stage
         # selected, so its files are byte-identical to those of a full run.
         stages = ALL_STAGES if args.command == "run" else (args.command,)
         run_pipeline(config, stages=frozenset(stages))
         print(f"wrote outputs to {config.output_dir}")
         return 0
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        _write_error_report(output, exc, 2)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        _write_error_report(output, exc, 3)
-        return 3
-    except (AnalysisError, LedgerflowError) as exc:
-        print(f"analysis error: {exc}", file=sys.stderr)
-        _write_error_report(output, exc, 4)
-        return 4
-    except Exception as exc:  # a defect, but still an exit code and a report
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        _write_error_report(output, exc, 4)
-        return 4
+    except Exception as exc:
+        code, label = next((code, label) for kind, code, label in _FAILURES
+                           if isinstance(exc, kind))
+        detail = exc if isinstance(exc, LedgerflowError) else f"{type(exc).__name__}: {exc}"
+        print(f"{label}: {detail}", file=sys.stderr)
+        _write_error_report(output, exc, code)
+        return code
 
 
 if __name__ == "__main__":

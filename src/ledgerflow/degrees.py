@@ -2,20 +2,21 @@
 
 Degree and per-link distributions are summarised with maximum-likelihood
 power-law tail fits where the lower cutoff is chosen by minimising the
-Kolmogorov-Smirnov distance over candidate cutoffs. Integer-valued series
-(degrees, transactions per link) use the discrete likelihood with a Hurwitz
-zeta normaliser; the volume-per-link series is continuous-valued and uses
-the closed-form continuous estimator. The transactions-vs-volume
-correlation is Pearson's r, computed the way ``scipy.stats.pearsonr``
-(scipy 1.17) computes its statistic, bit for bit, without importing
-``scipy.stats``.
+Kolmogorov-Smirnov distance over candidate cutoffs (Clauset, Shalizi &
+Newman 2009). One scan over the cutoffs serves both fits; each supplies
+only its tail formulas. Integer-valued series (degrees, transactions per
+link) use the discrete likelihood with a Hurwitz zeta normaliser; the
+volume-per-link series is continuous-valued and uses the closed-form
+continuous estimator. The transactions-vs-volume correlation is Pearson's
+r, computed the way ``scipy.stats.pearsonr`` (scipy 1.17) computes its
+statistic, bit for bit, without importing ``scipy.stats``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -46,23 +47,39 @@ class PowerLawFit:
     n_tail: int
     reliable: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "xmin": self.xmin,
-            "ks": self.ks,
-            "n_tail": self.n_tail,
-            "reliable": self.reliable,
-        }
+
+_NO_FIT = PowerLawFit(None, None, None, 0, False)
 
 
-def _candidate_cutoffs(unique_values: np.ndarray) -> np.ndarray:
-    # Leave at least a handful of tail points; cap the scan length.
-    candidates = unique_values[:-2] if unique_values.size > 2 else unique_values[:1]
-    if candidates.size > _MAX_XMIN_CANDIDATES:
-        idx = np.linspace(0, candidates.size - 1, _MAX_XMIN_CANDIDATES).astype(int)
-        candidates = candidates[np.unique(idx)]
-    return candidates
+def _fit(data: np.ndarray, tail_fit) -> PowerLawFit:
+    """The KS-selected power-law fit of sorted ``data``.
+
+    The candidate cutoffs are the distinct values but the top two (the
+    smallest at least), thinned evenly to cap the scan. Each with at least 4
+    values at or above it is tried: ``tail_fit(start, xmin, distinct)``
+    returns the exponent and KS distance of the tail ``data[start:]``,
+    whose distinct values are ``distinct``. The smallest distance wins, the
+    lowest cutoff on a tie.
+    """
+    unique_values = np.unique(data)
+    if data.size < 4 or unique_values.size < 2:
+        return _NO_FIT
+    count = max(unique_values.size - 2, 1)
+    candidates = np.arange(count)
+    if count > _MAX_XMIN_CANDIDATES:
+        candidates = np.unique(np.linspace(0, count - 1, _MAX_XMIN_CANDIDATES).astype(int))
+    best = None
+    for k in candidates:
+        xmin = unique_values[k]
+        start = int(np.searchsorted(data, xmin, side="left"))
+        if data.size - start < 4:
+            break  # a higher cutoff leaves still fewer
+        alpha, ks = tail_fit(start, xmin, unique_values[k:])
+        if best is None or ks < best[2]:
+            best = (alpha, float(xmin), ks, data.size - start)
+    if best is None:
+        return _NO_FIT
+    return PowerLawFit(*best, unique_values.size >= MIN_DISTINCT_VALUES)
 
 
 def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
@@ -85,74 +102,41 @@ def fit_discrete_power_law(values) -> PowerLawFit:
     ``-n log zeta(alpha, xmin) - alpha * sum(log x)`` for each candidate
     cutoff, and the cutoff with the smallest KS distance wins.
     """
-    data = np.asarray([v for v in values if v >= 1], dtype=float)
-    unique_values = np.unique(data)
-    if data.size < 4 or unique_values.size < 2:
-        return PowerLawFit(None, None, None, 0, False)
+    values = np.asarray(values, dtype=float)
+    data = np.sort(values[values >= 1])
+    suffix_log = np.cumsum(np.log(data)[::-1])[::-1]  # sum(log(data[start:]))
 
-    data.sort()
-    log_data = np.log(data)
-    suffix_log = np.concatenate([np.cumsum(log_data[::-1])[::-1], [0.0]])
-
-    best: tuple[float, float, float, int] | None = None
-    for xmin in _candidate_cutoffs(unique_values):
-        start = int(np.searchsorted(data, xmin, side="left"))
+    def tail_fit(start: int, xmin: float, distinct: np.ndarray) -> tuple[float, float]:
         n_tail = data.size - start
-        if n_tail < 4:
-            continue
         log_sum = suffix_log[start]
 
         def nll(alpha: float) -> float:
             return n_tail * math.log(zeta(alpha, xmin)) + alpha * log_sum
 
-        res = minimize_scalar(nll, bounds=_ALPHA_BOUNDS, method="bounded")
-        alpha = float(res.x)
+        alpha = float(minimize_scalar(nll, bounds=_ALPHA_BOUNDS, method="bounded").x)
+        theory_cdf = 1.0 - zeta(alpha, distinct + 1.0) / zeta(alpha, xmin)
+        empirical_cdf = (np.searchsorted(data, distinct, side="right") - start) / n_tail
+        return alpha, float(np.max(np.abs(empirical_cdf - theory_cdf)))
 
-        tail_unique = unique_values[unique_values >= xmin]
-        denom = zeta(alpha, xmin)
-        theory_cdf = 1.0 - zeta(alpha, tail_unique + 1.0) / denom
-        empirical_cdf = np.searchsorted(data, tail_unique, side="right")
-        empirical_cdf = (empirical_cdf - start) / n_tail
-        ks = float(np.max(np.abs(empirical_cdf - theory_cdf)))
-        if best is None or ks < best[2]:
-            best = (alpha, float(xmin), ks, n_tail)
-
-    if best is None:
-        return PowerLawFit(None, None, None, 0, False)
-    alpha, xmin, ks, n_tail = best
-    return PowerLawFit(alpha, xmin, ks, n_tail, unique_values.size >= MIN_DISTINCT_VALUES)
+    return _fit(data, tail_fit)
 
 
 def fit_continuous_power_law(values) -> PowerLawFit:
-    """Continuous (Hill-style) ML power-law fit with KS-selected cutoff."""
-    data = np.asarray([v for v in values if v > 0], dtype=float)
-    unique_values = np.unique(data)
-    if data.size < 4 or unique_values.size < 2:
-        return PowerLawFit(None, None, None, 0, False)
+    """Continuous (Hill-style) ML power-law fit of the values > 0, with
+    KS-selected cutoff."""
+    values = np.asarray(values, dtype=float)
+    data = np.sort(values[values > 0])
 
-    data.sort()
-    best: tuple[float, float, float, int] | None = None
-    for xmin in _candidate_cutoffs(unique_values):
-        start = int(np.searchsorted(data, xmin, side="left"))
+    def tail_fit(start: int, xmin: float, distinct: np.ndarray) -> tuple[float, float]:
         tail = data[start:]
-        if tail.size < 4:
-            continue
         alpha = 1.0 + tail.size / float(np.sum(np.log(tail / xmin)))
         theory_cdf = 1.0 - np.power(xmin / tail, alpha - 1.0)
         i = np.arange(1, tail.size + 1)
-        ks = float(
-            max(
-                np.max(np.abs(i / tail.size - theory_cdf)),
-                np.max(np.abs((i - 1) / tail.size - theory_cdf)),
-            )
-        )
-        if best is None or ks < best[2]:
-            best = (float(alpha), float(xmin), ks, tail.size)
+        ks = max(np.max(np.abs(i / tail.size - theory_cdf)),
+                 np.max(np.abs((i - 1) / tail.size - theory_cdf)))
+        return alpha, float(ks)
 
-    if best is None:
-        return PowerLawFit(None, None, None, 0, False)
-    alpha, xmin, ks, n_tail = best
-    return PowerLawFit(alpha, xmin, ks, n_tail, unique_values.size >= MIN_DISTINCT_VALUES)
+    return _fit(data, tail_fit)
 
 
 @dataclass(frozen=True)
@@ -166,14 +150,11 @@ class DegreeStats:
     pearson_tx_vs_volume: float | None
 
     def as_dict(self) -> dict:
+        # Histogram keys become text, so sorted JSON orders them as text.
         return {
-            "in_degree_hist": {str(k): v for k, v in sorted(self.in_degree_hist.items())},
-            "out_degree_hist": {str(k): v for k, v in sorted(self.out_degree_hist.items())},
-            "alpha_in": self.alpha_in.as_dict(),
-            "alpha_out": self.alpha_out.as_dict(),
-            "alpha_txperlink": self.alpha_txperlink.as_dict(),
-            "alpha_volperlink": self.alpha_volperlink.as_dict(),
-            "pearson_tx_vs_volume": self.pearson_tx_vs_volume,
+            **asdict(self),
+            "in_degree_hist": {str(k): v for k, v in self.in_degree_hist.items()},
+            "out_degree_hist": {str(k): v for k, v in self.out_degree_hist.items()},
         }
 
 

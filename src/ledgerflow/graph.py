@@ -19,7 +19,8 @@ callers, and nothing in the package reads it.
 Rows become links one way: ``merge_links`` is ``np.unique`` over
 ``source * n + target`` of integer node codes, which gives the links in
 sorted order (codes follow the sorted ids) and each row's link; counts add
-with ``np.add.at`` and volumes with ``util.group_sums``, exactly.
+with ``np.add.at`` and volumes with ``util.group_sums``, exactly (a sum
+past 60 significant digits is a ``DataError``).
 Aggregation, ``from_edges``, the mapping constructor and the null model's
 replicas all merge this way. Graphs are immutable once built.
 """

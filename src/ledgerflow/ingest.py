@@ -2,10 +2,11 @@
 
 A ledger file is a UTF-8 CSV with a header row. The column mapping ties
 logical fields (timestamp, source, target, amount, plus optional id and
-subtype) to column names; timestamps may be ISO-8601 or integer epoch
-seconds inside ``datetime``'s UTC range. Parsing validates each row and
-returns a columnar :class:`Ledger` sorted by (timestamp, tx_id) together
-with a diagnostics record: int64 timestamps, int64 source and target codes
+subtype) to column names, each of which may appear only once in the
+header; timestamps may be ISO-8601 or integer epoch seconds inside
+``datetime``'s UTC range. Parsing validates each row and returns a
+columnar :class:`Ledger` sorted by (timestamp, tx_id) together with a
+diagnostics record: int64 timestamps, int64 source and target codes
 into the sorted account ids, and plain lists of ids, amounts and subtypes.
 No per-row object is built. :class:`Transaction` is the row type for
 ledgers built by hand; ``Ledger.from_transactions`` is the one adapter
@@ -17,7 +18,7 @@ from __future__ import annotations
 import csv
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -102,11 +103,8 @@ class Ledger(Sequence):
 
     @classmethod
     def from_transactions(cls, rows: Iterable[Transaction]) -> "Ledger":
-        rows = list(rows)
-        return cls.from_columns(*(
-            [getattr(t, name) for t in rows]
-            for name in ("timestamp", "tx_id", "source", "target", "amount", "subtype")
-        ))
+        rows = list(rows)  # the columns follow Transaction's field order
+        return cls.from_columns(*([getattr(t, f.name) for t in rows] for f in fields(Transaction)))
 
     def __len__(self) -> int:
         return len(self.tx_id)
@@ -156,7 +154,9 @@ class ColumnMapping:
     file header. ``tx_id`` and ``subtype`` are optional: when their columns
     are absent, ids are synthesised from row numbers and the subtype filter
     is skipped. ``timestamp_format`` is one of ``auto``, ``iso8601``,
-    ``epoch``; ``auto`` detects the format from the first data row.
+    ``epoch``; ``auto`` detects the format from the first data row, and any
+    other value is a :class:`ConfigError`. A name the mapping uses may
+    appear only once in the header.
     """
 
     tx_id: str = "id"
@@ -166,6 +166,16 @@ class ColumnMapping:
     amount: str = "weight"
     subtype: str = "transfer_subtype"
     timestamp_format: str = "auto"
+
+    def __post_init__(self):
+        if self.timestamp_format not in ("auto", "iso8601", "epoch"):
+            raise ConfigError(f"unknown timestamp_format {self.timestamp_format!r} "
+                              "(auto, iso8601 or epoch)")
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """The column names, in the order a normalized ledger writes them."""
+        return (self.tx_id, self.timestamp, self.source, self.target, self.amount, self.subtype)
 
 
 @dataclass(frozen=True)
@@ -187,14 +197,6 @@ class IngestDiagnostics:
     rows_filtered: int = 0
     self_transfers_dropped: int = 0
     duplicate_tx_ids: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "rows_read": self.rows_read,
-            "rows_filtered": self.rows_filtered,
-            "self_transfers_dropped": self.self_transfers_dropped,
-            "duplicate_tx_ids": self.duplicate_tx_ids,
-        }
 
 
 _EPOCH = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
@@ -238,8 +240,9 @@ def parse_ledger(
 
     Rows failing the filter are counted, not errors. Malformed rows raise
     :class:`DataError` with their row number; a required column missing from
-    the header raises :class:`ConfigError`. Duplicate transaction ids keep
-    the first occurrence and are counted in the diagnostics.
+    the header, or a mapped column named twice in it, raises
+    :class:`ConfigError`. Duplicate transaction ids keep the first
+    occurrence and are counted in the diagnostics.
     """
     schema = schema or ColumnMapping()
     filter_spec = filter_spec or FilterSpec()
@@ -264,17 +267,16 @@ def parse_ledger(
             header = next(reader)
         except StopIteration:
             return Ledger.from_columns([], [], [], [], [], []), diagnostics
-        columns = {name.strip(): i for i, name in enumerate(header)}
+        names = [name.strip() for name in header]
+        columns = {name: i for i, name in enumerate(names)}
+        for name in schema.names:
+            if names.count(name) > 1:
+                raise ConfigError(f"column {name!r} appears more than once in the header")
 
-        required = {
-            "timestamp": schema.timestamp,
-            "source": schema.source,
-            "target": schema.target,
-            "amount": schema.amount,
-        }
-        for logical, name in required.items():
-            if name not in columns:
-                raise ConfigError(f"column for {logical!r} not in header: {name!r}")
+        for logical in ("timestamp", "source", "target", "amount"):
+            if getattr(schema, logical) not in columns:
+                raise ConfigError(
+                    f"column for {logical!r} not in header: {getattr(schema, logical)!r}")
         idx_ts = columns[schema.timestamp]
         idx_src = columns[schema.source]
         idx_tgt = columns[schema.target]
@@ -341,20 +343,15 @@ def parse_ledger(
     return Ledger.from_columns(stamps, tx_ids, sources, targets, amounts, subtypes), diagnostics
 
 
-def write_transactions(
-    path: str | Path,
-    transactions: Ledger | Iterable[Transaction],
-    schema: ColumnMapping | None = None,
-) -> None:
-    """Write a normalized ledger CSV in (timestamp, tx_id) order (round-trips with parse)."""
-    schema = schema or ColumnMapping()
+def write_transactions(path: str | Path, transactions: Ledger | Iterable[Transaction]) -> None:
+    """Write a normalized ledger CSV in (timestamp, tx_id) order under the
+    default column names (round-trips with parse)."""
     ledger = as_ledger(transactions)
     accounts = np.array(ledger.accounts, dtype=object)
     stamps = iso_utc(ledger.timestamp)  # raises on a bad stamp before the file is opened
     write_csv(
         path,
-        (schema.tx_id, schema.timestamp, schema.source, schema.target, schema.amount,
-         schema.subtype),
+        ColumnMapping().names,
         (ledger.tx_id, stamps, accounts[ledger.source].tolist(),
          accounts[ledger.target].tolist(), list(map(str, ledger.amount)), ledger.subtype),
     )

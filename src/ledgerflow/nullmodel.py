@@ -148,7 +148,7 @@ def randomize_endpoints(
     g: LedgerGraph,
     mode: SwapMode,
     seed: int,
-    max_repair_attempts: int = 100,
+    max_repair_attempts: int = EnsembleSpec.max_repair_attempts,
 ) -> list[tuple[str, str, LinkRecord]]:
     """Swapped link list before merging parallel links.
 
@@ -167,7 +167,7 @@ def randomize(
     g: LedgerGraph,
     mode: SwapMode,
     seed: int,
-    max_repair_attempts: int = 100,
+    max_repair_attempts: int = EnsembleSpec.max_repair_attempts,
 ) -> LedgerGraph:
     """One randomised replica; parallel links merged by adding their records."""
     sources, targets = _swap(g.sources, g.targets, mode, seed, max_repair_attempts)
@@ -247,12 +247,11 @@ def _feature(stats: Mapping[str, CategoryRow], category: str, feature: str) -> f
 def significance(
     empirical: Mapping[str, CategoryRow],
     ensemble: Sequence[Mapping[str, CategoryRow]],
-    features: tuple[str, ...] = FEATURES,
 ) -> list[SignificanceCell]:
-    """Score empirical category sizes against a replica ensemble.
+    """Score the empirical ``FEATURES`` of each category against an ensemble.
 
     A category absent from a replica contributes zero for every feature in
     that replica (its table row is materialised as zeros). Requires at
     least 8 replicas for the Anderson-Darling approximation.
     """
-    return score_ensemble(empirical, ensemble, CATEGORY_ORDER, features, _feature)
+    return score_ensemble(empirical, ensemble, CATEGORY_ORDER, FEATURES, _feature)

@@ -13,7 +13,7 @@ import hashlib
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from decimal import Decimal
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -70,10 +70,10 @@ class PipelineConfig:
     output_dir: Path
     column_mapping: ColumnMapping = field(default_factory=ColumnMapping)
     filter_spec: FilterSpec = field(default_factory=FilterSpec)
-    modes: tuple[SwapMode, ...] = (SwapMode.TARGET, SwapMode.SOURCE, SwapMode.BOTH)
-    replicas: int = 1000
+    modes: tuple[SwapMode, ...] = tuple(SwapMode)
+    replicas: int = EnsembleSpec.replicas
     master_seed: int = 0
-    max_repair_attempts: int = 100
+    max_repair_attempts: int = EnsembleSpec.max_repair_attempts
     jobs: int = 1
     formats: tuple[str, ...] = ("csv", "json")
 
@@ -199,35 +199,11 @@ def _category_stats_rows(stats: Mapping[str, CategoryRow]):
         )
 
 
-def _significance_rows(cells: Sequence[SignificanceCell], mode: str):
-    for cell in cells:
-        yield (
-            mode,
-            cell.category,
-            cell.feature,
-            cell.empirical,
-            cell.null_mean,
-            cell.null_sd,
-            cell.null_median,
-            cell.null_iqr,
-            cell.z,
-            cell.robust_z,
-            cell.ad_statistic,
-            cell.ad_p_value,
-            cell.normality,
-            cell.preferred,
-        )
-
-
-_SIGNIFICANCE_HEADER = (
-    "mode", "category", "feature", "empirical", "null_mean", "null_sd",
-    "null_median", "null_iqr", "z", "robust_z", "ad_statistic", "ad_p_value",
-    "normality", "preferred",
-)
+_SIGNIFICANCE_HEADER = ("mode", *(f.name for f in fields(SignificanceCell)))
 
 
 def _write_cells(writer: _Writer, name: str, cells: Sequence[SignificanceCell], mode: str) -> None:
-    writer.csv(name, _SIGNIFICANCE_HEADER, _significance_rows(cells, mode))
+    writer.csv(name, _SIGNIFICANCE_HEADER, ((mode, *cell.__dict__.values()) for cell in cells))
     writer.json(name, [{"mode": mode, **cell.__dict__} for cell in cells])
 
 
@@ -275,7 +251,7 @@ def run_pipeline(
         if "ingest" in stages:
             write_transactions(out_dir / "transactions_normalized.csv", transactions)
             writer.written.append(out_dir / "transactions_normalized.csv")
-            writer.json("ingest_diagnostics", diagnostics.as_dict(), always=True)
+            writer.json("ingest_diagnostics", diagnostics.__dict__, always=True)
             writer.json(
                 "ledger_totals",
                 {
@@ -310,13 +286,7 @@ def run_pipeline(
                 ((label, *row.__dict__.values())
                  for label, row in [*one_time.rows.items(), ("total", one_time.total)]),
             )
-            writer.json(
-                "one_time_users",
-                {
-                    "rows": {label: row.__dict__ for label, row in one_time.rows.items()},
-                    "total": one_time.total.__dict__,
-                },
-            )
+            writer.json("one_time_users", asdict(one_time))
 
     # significance and triads: one ensemble per mode feeds both; the
     # replica builds are timed under the first selected of the two stages
@@ -328,10 +298,7 @@ def run_pipeline(
             writer.csv(
                 "triad_census",
                 ("category",) + TRIAD_LABELS,
-                (
-                    (label,) + tuple(census_tables[label][t] for t in TRIAD_LABELS)
-                    for label in census_tables
-                ),
+                ((label, *census.values()) for label, census in census_tables.items()),
             )
             writer.json("triad_census", census_tables)
     for mode in config.modes if ensemble_stages else ():

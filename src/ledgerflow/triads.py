@@ -127,14 +127,13 @@ def _triad_count(census_tables: dict[str, dict[str, int]], label: str, triad: st
 def triad_significance(
     empirical: dict[str, dict[str, int]],
     ensemble: Sequence[dict[str, dict[str, int]]],
-    categories: Sequence[NodeCategory] = DEFAULT_CENSUS_CATEGORIES,
 ) -> list[SignificanceCell]:
     """Score empirical per-category triad counts against replica censuses.
 
     ``empirical`` and each entry of ``ensemble`` are ``category_census``
-    tables covering ``categories``. One cell per (category, triad label); a
-    category absent from a replica has an all-zero census there. Requires
-    at least 8 replicas for the Anderson-Darling approximation.
+    tables covering ``DEFAULT_CENSUS_CATEGORIES``. One cell per (category,
+    triad label). Requires at least 8 replicas for the Anderson-Darling
+    approximation.
     """
-    labels = [category.value for category in categories]
+    labels = [category.value for category in DEFAULT_CENSUS_CATEGORIES]
     return score_ensemble(empirical, ensemble, labels, TRIAD_LABELS, _triad_count)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from decimal import Decimal, localcontext
+from decimal import Decimal, Inexact, localcontext
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .errors import DataError
 
 # High enough that additions of any realistic ledger volume are exact;
 # the default context (28 digits) would already cover national-scale sums.
@@ -24,10 +26,19 @@ MAX_EPOCH = 253_402_300_799
 
 @contextmanager
 def exact_sums():
-    """A decimal context in which additions of ledger amounts are exact."""
+    """A decimal context in which additions of ledger amounts are exact.
+
+    A sum that would need more than 60 significant digits raises
+    :class:`DataError` rather than being rounded.
+    """
     with localcontext() as ctx:
         ctx.prec = _SUM_PRECISION
-        yield
+        ctx.traps[Inexact] = True
+        try:
+            yield
+        except Inexact:
+            raise DataError(f"amounts cannot be summed exactly in {_SUM_PRECISION} "
+                            "significant digits") from None
 
 
 def dsum(values: Iterable[Decimal]) -> Decimal:

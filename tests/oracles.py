@@ -7,24 +7,28 @@ for discrete power laws. None of it shares code with the library paths it
 verifies. The string-keyed endpoint swap, categoriser and category
 statistics that the integer-array implementations replaced also live here,
 as slow references, and so do the row-at-a-time sort, dict aggregation and
-per-transaction crosstab that the columnar ledger replaced, and the
+per-transaction crosstab that the columnar ledger replaced, the
 neighbourhood-walk triad census of general digraphs that the closed-form
-acyclic census replaced. ``dict_view`` expands an array partition into the
-string-keyed one the categoriser used to return, and ``verify_partition``
-checks that view's structural contract.
+acyclic census replaced, and the two power-law fits, each with its own
+cutoff scan, that the shared scan replaced. ``dict_view`` expands an array
+partition into the string-keyed one the categoriser used to return, and
+``verify_partition`` checks that view's structural contract.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterable, Mapping
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 from scipy.special import zeta
 
+from ledgerflow.degrees import _ALPHA_BOUNDS, MIN_DISTINCT_VALUES, PowerLawFit
 from ledgerflow.graph import LedgerGraph, LinkRecord
 from ledgerflow.ingest import Transaction
 from ledgerflow.errors import DataError
@@ -999,6 +1003,94 @@ def sample_discrete_power_law(
                 hi = mid
         out[i] = lo
     return out
+
+
+# --------------------------------------------------------------------------
+# power-law fits: one cutoff scan per fit, as written before the shared scan
+# --------------------------------------------------------------------------
+
+_MAX_XMIN_CANDIDATES = 150
+
+
+def _reference_cutoffs(unique_values: np.ndarray) -> np.ndarray:
+    # Leave at least a handful of tail points; cap the scan length.
+    candidates = unique_values[:-2] if unique_values.size > 2 else unique_values[:1]
+    if candidates.size > _MAX_XMIN_CANDIDATES:
+        idx = np.linspace(0, candidates.size - 1, _MAX_XMIN_CANDIDATES).astype(int)
+        candidates = candidates[np.unique(idx)]
+    return candidates
+
+
+def reference_fit_discrete_power_law(values) -> PowerLawFit:
+    """Discrete ML power-law fit with KS-selected lower cutoff."""
+    data = np.asarray([v for v in values if v >= 1], dtype=float)
+    unique_values = np.unique(data)
+    if data.size < 4 or unique_values.size < 2:
+        return PowerLawFit(None, None, None, 0, False)
+
+    data.sort()
+    log_data = np.log(data)
+    suffix_log = np.concatenate([np.cumsum(log_data[::-1])[::-1], [0.0]])
+
+    best: tuple[float, float, float, int] | None = None
+    for xmin in _reference_cutoffs(unique_values):
+        start = int(np.searchsorted(data, xmin, side="left"))
+        n_tail = data.size - start
+        if n_tail < 4:
+            continue
+        log_sum = suffix_log[start]
+
+        def nll(alpha: float) -> float:
+            return n_tail * math.log(zeta(alpha, xmin)) + alpha * log_sum
+
+        res = minimize_scalar(nll, bounds=_ALPHA_BOUNDS, method="bounded")
+        alpha = float(res.x)
+
+        tail_unique = unique_values[unique_values >= xmin]
+        denom = zeta(alpha, xmin)
+        theory_cdf = 1.0 - zeta(alpha, tail_unique + 1.0) / denom
+        empirical_cdf = np.searchsorted(data, tail_unique, side="right")
+        empirical_cdf = (empirical_cdf - start) / n_tail
+        ks = float(np.max(np.abs(empirical_cdf - theory_cdf)))
+        if best is None or ks < best[2]:
+            best = (alpha, float(xmin), ks, n_tail)
+
+    if best is None:
+        return PowerLawFit(None, None, None, 0, False)
+    alpha, xmin, ks, n_tail = best
+    return PowerLawFit(alpha, xmin, ks, n_tail, unique_values.size >= MIN_DISTINCT_VALUES)
+
+
+def reference_fit_continuous_power_law(values) -> PowerLawFit:
+    """Continuous (Hill-style) ML power-law fit with KS-selected cutoff."""
+    data = np.asarray([v for v in values if v > 0], dtype=float)
+    unique_values = np.unique(data)
+    if data.size < 4 or unique_values.size < 2:
+        return PowerLawFit(None, None, None, 0, False)
+
+    data.sort()
+    best: tuple[float, float, float, int] | None = None
+    for xmin in _reference_cutoffs(unique_values):
+        start = int(np.searchsorted(data, xmin, side="left"))
+        tail = data[start:]
+        if tail.size < 4:
+            continue
+        alpha = 1.0 + tail.size / float(np.sum(np.log(tail / xmin)))
+        theory_cdf = 1.0 - np.power(xmin / tail, alpha - 1.0)
+        i = np.arange(1, tail.size + 1)
+        ks = float(
+            max(
+                np.max(np.abs(i / tail.size - theory_cdf)),
+                np.max(np.abs((i - 1) / tail.size - theory_cdf)),
+            )
+        )
+        if best is None or ks < best[2]:
+            best = (float(alpha), float(xmin), ks, tail.size)
+
+    if best is None:
+        return PowerLawFit(None, None, None, 0, False)
+    alpha, xmin, ks, n_tail = best
+    return PowerLawFit(alpha, xmin, ks, n_tail, unique_values.size >= MIN_DISTINCT_VALUES)
 
 
 # --------------------------------------------------------------------------

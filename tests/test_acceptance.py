@@ -312,5 +312,5 @@ def test_criterion_9_sarafu_reproduction():
     assert elapsed < 60.0, f"pipeline without ensembles took {elapsed:.0f}s"
     # Preprocessing differences (the unpublished system-account list) must be
     # reported, not silently absorbed.
-    assert not mismatches, "; ".join(mismatches) + f" | diagnostics={diagnostics.as_dict()}"
+    assert not mismatches, "; ".join(mismatches) + f" | diagnostics={diagnostics.__dict__}"
     _report("9 dataset reproduction", elapsed)

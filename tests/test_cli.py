@@ -3,8 +3,14 @@ from pathlib import Path
 
 import pytest
 
-from ledgerflow.cli import load_config_file, main
+from ledgerflow import cli
+from ledgerflow.cli import (
+    _build_pipeline_config, _config_values, build_parser, load_config_file, main,
+)
 from ledgerflow.errors import ConfigError
+from ledgerflow.ingest import ColumnMapping, FilterSpec
+from ledgerflow.nullmodel import SwapMode
+from ledgerflow.pipeline import PipelineConfig
 
 DEMO_LEDGER = Path(__file__).resolve().parent.parent / "demos" / "data" / "demo_ledger.csv"
 
@@ -256,3 +262,110 @@ def test_cli_flag_overrides_config(tmp_path):
     assert code == 0
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["config"]["replicas"] == 9
+
+
+def _config_from(argv: list[str]) -> PipelineConfig:
+    return _build_pipeline_config(_config_values(build_parser().parse_args(argv)))
+
+
+def test_defaults_come_from_the_dataclasses():
+    assert _config_from(["run", "ledger.csv"]) == PipelineConfig(
+        input_path=Path("ledger.csv"), output_dir=Path("ledgerflow-out")
+    )
+
+
+def test_config_file_sets_every_field(tmp_path):
+    settings = {
+        "input": "in.csv", "output": "out", "format": "json", "seed": "9", "jobs": "3",
+        "replicas": "12", "modes": "source,both", "keep_subtypes": "A, B",
+        "exclude_accounts": "sys1,sys2", "max_repair_attempts": "7", "col_tx_id": "tid",
+        "col_timestamp": "when", "col_source": "from", "col_target": "to",
+        "col_amount": "value", "col_subtype": "kind", "timestamp_format": "epoch",
+    }
+    assert set(settings) == cli._CONFIG_KEYS
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()), encoding="utf-8")
+    assert _config_from(["--config", str(config), "run"]) == PipelineConfig(
+        input_path=Path("in.csv"),
+        output_dir=Path("out"),
+        column_mapping=ColumnMapping(tx_id="tid", timestamp="when", source="from", target="to",
+                                     amount="value", subtype="kind", timestamp_format="epoch"),
+        filter_spec=FilterSpec(keep_subtypes=("A", "B"),
+                               exclude_accounts=frozenset({"sys1", "sys2"})),
+        modes=(SwapMode.SOURCE, SwapMode.BOTH),
+        replicas=12,
+        master_seed=9,
+        max_repair_attempts=7,
+        jobs=3,
+        formats=("json",),
+    )
+
+
+@pytest.mark.parametrize("output_flag", [True, False])
+def test_misspelt_timestamp_format_is_config_error(tmp_path, output_flag):
+    # An unknown format used to be read as ISO-8601: an epoch ledger then
+    # failed on its first stamp, and an ISO ledger passed.
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text(
+        "id,timeset,source,target,weight,transfer_subtype\n"
+        "t1,2020-01-01T00:00:00Z,a,b,5,STANDARD\n",
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "timestamp_format = epohc\n" + ("" if output_flag else f"output = {out_dir}\n"),
+        encoding="utf-8",
+    )
+    argv = ["--config", str(config), "ingest", str(ledger)]
+    assert main(argv + (["--output", str(out_dir)] if output_flag else [])) == 2
+    assert [p.name for p in out_dir.iterdir()] == ["error_report.json"]
+    report = json.loads((out_dir / "error_report.json").read_text())
+    assert report["error_type"] == "ConfigError"
+    assert "epohc" in report["message"]
+
+
+def test_repeated_mapped_column_is_config_error(tmp_path):
+    # The last of two 'weight' columns used to be read without notice.
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text(
+        "id,timeset,source,target,weight,weight,transfer_subtype\n"
+        "t1,2020-01-01T00:00:00Z,a,b,1,2,STANDARD\n",
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "out"
+    assert main(["ingest", str(ledger), "--output", str(out_dir)]) == 2
+    assert [p.name for p in out_dir.iterdir()] == ["error_report.json"]
+    report = json.loads((out_dir / "error_report.json").read_text())
+    assert report["error_type"] == "ConfigError"
+    assert "'weight'" in report["message"]
+
+
+def test_repeated_unmapped_column_is_allowed(tmp_path):
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text(
+        "note,id,timeset,source,target,weight,note,transfer_subtype\n"
+        "x,t1,2020-01-01T00:00:00Z,a,b,1,y,STANDARD\n",
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "out"
+    assert main(["ingest", str(ledger), "--output", str(out_dir)]) == 0
+    assert json.loads((out_dir / "ledger_totals.json").read_text())["volume"] == "1"
+
+
+@pytest.mark.parametrize("amounts", [("1E+50", "0.00000000000000000001"), ("1" * 70,)])
+def test_sum_past_60_digits_is_data_error(tmp_path, amounts):
+    # These sums used to be rounded to 60 digits without notice.
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text(
+        "id,timeset,source,target,weight,transfer_subtype\n"
+        + "".join(f"t{i},2020-01-01T00:00:0{i}Z,a,b,{amount},STANDARD\n"
+                  for i, amount in enumerate(amounts)),
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "out"
+    assert main(["run", str(ledger), "--output", str(out_dir), "--replicas", "8"]) == 3
+    assert [p.name for p in out_dir.iterdir()] == ["error_report.json"]
+    report = json.loads((out_dir / "error_report.json").read_text())
+    assert report["error_type"] == "DataError"
+    assert "60 significant digits" in report["message"]

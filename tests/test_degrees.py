@@ -11,7 +11,11 @@ from ledgerflow.degrees import (
 )
 from ledgerflow.graph import LedgerGraph, LinkRecord, aggregate
 
-from oracles import sample_discrete_power_law
+from oracles import (
+    reference_fit_continuous_power_law,
+    reference_fit_discrete_power_law,
+    sample_discrete_power_law,
+)
 
 
 def _graph_with_volumes(volumes):
@@ -109,3 +113,41 @@ def test_degenerate_series_fails_cleanly():
     fit = fit_discrete_power_law([2, 2, 2, 2])
     assert fit.alpha is None
     assert not fit.reliable
+
+
+def _fit_inputs(rng: np.random.Generator):
+    """About 200 series of the shapes the fits meet, and their edge cases."""
+    for alpha in (1.6, 2.1, 2.5, 3.2):
+        for size in (30, 200, 1500):
+            for _ in range(4):
+                yield sample_discrete_power_law(alpha, size, rng).tolist()
+    for _ in range(60):  # cent volumes per link
+        size = int(rng.integers(4, 200))
+        yield (np.round(rng.pareto(1.2, size) * 100 + rng.integers(1, 99, size)) / 100).tolist()
+    for size in range(4):  # fewer than 4 values
+        yield rng.integers(1, 50, size).tolist()
+    for _ in range(20):  # one or two distinct values, some below 1
+        values = rng.choice(rng.integers(0, 6, 2) * 1.5, int(rng.integers(1, 40)))
+        yield values.tolist()
+    for _ in range(8):  # more than 150 distinct values: the thinned scan
+        yield rng.permutation(np.arange(1, int(rng.integers(155, 600)))).tolist()
+    for _ in range(60):  # zeros and fractions mixed in
+        values = rng.integers(0, 30, int(rng.integers(4, 120))).astype(float)
+        values[rng.random(values.size) < 0.2] = 0.0
+        values[rng.random(values.size) < 0.2] *= 0.25
+        yield values.tolist()
+
+
+def test_fits_equal_the_per_fit_scans_float_for_float():
+    rng = np.random.default_rng(909)
+    inputs = list(_fit_inputs(rng))
+    assert len(inputs) >= 190
+    for i, values in enumerate(inputs):
+        # degree_stats passes degrees as lists and link columns as arrays
+        series = values if i % 2 else np.array(values, dtype=float)
+        for fit, reference in (
+            (fit_discrete_power_law, reference_fit_discrete_power_law),
+            (fit_continuous_power_law, reference_fit_continuous_power_law),
+        ):
+            got, want = fit(series), reference(values)
+            assert got == want and repr(got) == repr(want), (fit.__name__, values)

@@ -5,12 +5,17 @@ The demos call the library directly (``parse_ledger``, ``aggregate``, ...),
 so they break when its API moves. The benchmark's tracer reads per-layer
 counts off the results of functions it wraps in ``ledgerflow.pipeline``;
 a refactor that changed those names or result shapes would silently zero
-the benchmark's per-layer metrics. ``scipy.stats`` takes a large share of
-start-up time, and a run needs none of it.
+the benchmark's per-layer metrics, and one that renamed a function or an
+argument the tracer reads would break every traced run. ``scipy.stats``
+takes a large share of start-up time, and a run needs none of it.
 """
 
+import importlib
+import importlib.util
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -106,3 +111,34 @@ def test_run_never_imports_scipy_stats(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def _tracer_module():
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_hooks_resolve():
+    # The tracer wraps these names and its counters read these arguments;
+    # no traced job calls nullmodel.randomize, so only this would notice
+    # it renamed or reshaped.
+    tracer = _tracer_module()
+    functions = {}
+    for module_name, names in tracer.WRAPPED:
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+            functions[f"{module_name.rsplit('.', 1)[-1]}.{name}"] = getattr(module, name)
+    read = {
+        span: set(re.findall(r'arguments\["(\w+)"\]', inspect.getsource(counter)))
+        for span, counter in tracer._COUNTERS.items()
+    }
+    assert read["nullmodel.randomize"] == {"g"}
+    assert read["pipeline.category_census"] == read["triads.category_census"] == {
+        "partition", "categories"
+    }
+    for span, arguments in read.items():
+        assert arguments <= set(inspect.signature(functions[span]).parameters), span

@@ -3,10 +3,14 @@ import io
 from decimal import Decimal
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ledgerflow import util
+from ledgerflow.errors import DataError
+from ledgerflow.graph import LedgerGraph, LinkRecord
+from ledgerflow.topology import categorize, category_stats
 from ledgerflow.util import (
     dsum, format_duration, group_sums, mix64, text_columns, to_json, write_csv,
 )
@@ -19,6 +23,28 @@ def test_dsum_exact_on_many_small_amounts():
 
 def test_dsum_empty():
     assert dsum([]) == Decimal(0)
+
+
+def test_inexact_sum_is_data_error():
+    with pytest.raises(DataError, match="60 significant digits"):
+        dsum([Decimal("1E+50"), Decimal("1E-20")])
+    # Zeros past the 60th digit may go: the sum is still exact.
+    assert dsum([Decimal("1E+50"), Decimal("0E-20")]) == Decimal("1E+50")
+
+
+def test_category_sum_past_60_digits_is_data_error():
+    # The graph total adds the two halves first and stays exact (10**60),
+    # but dag0 adds one half to sixty nines: 61 digits. The trap therefore
+    # covers every exact sum, not only the graph's own.
+    g = LedgerGraph({
+        ("a", "b"): LinkRecord(1, Decimal("0.5")),
+        ("c", "d"): LinkRecord(1, Decimal("0.5")),
+        ("d", "c"): LinkRecord(1, Decimal(0)),
+        ("x", "y"): LinkRecord(1, Decimal("9" * 60)),
+    })
+    assert g.volume == Decimal(10) ** 60
+    with pytest.raises(DataError):
+        category_stats(g, categorize(g))
 
 
 decimal_values = st.one_of(
