@@ -71,9 +71,18 @@ _DAY = 86_400
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a plain-text ``key = value`` config file ('#' starts a comment)."""
+    """Parse a plain-text ``key = value`` config file ('#' starts a comment).
+
+    A file that cannot be read, or is not UTF-8 text, raises
+    :class:`ConfigError`.
+    """
     values: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -5,11 +5,14 @@ power-law tail fits where the lower cutoff is chosen by minimising the
 Kolmogorov-Smirnov distance over candidate cutoffs (Clauset, Shalizi &
 Newman 2009). One scan over the cutoffs serves both fits; each supplies
 only its tail formulas. Integer-valued series (degrees, transactions per
-link) use the discrete likelihood with a Hurwitz zeta normaliser; the
-volume-per-link series is continuous-valued and uses the closed-form
-continuous estimator. The transactions-vs-volume correlation is Pearson's
-r, computed the way ``scipy.stats.pearsonr`` (scipy 1.17) computes its
-statistic, bit for bit, without importing ``scipy.stats``.
+link) use the discrete likelihood with a Hurwitz zeta normaliser, maximised
+at each cutoff by Brent's bounded minimiser (Brent 1973), a float-for-float
+port of ``scipy.optimize.minimize_scalar(method="bounded")`` (scipy 1.17)
+that keeps ``scipy.optimize`` out of the import path. The volume-per-link
+series is continuous-valued and uses the closed-form continuous estimator.
+The transactions-vs-volume correlation is Pearson's r, computed the way
+``scipy.stats.pearsonr`` (scipy 1.17) computes its statistic, bit for bit,
+without importing ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import zeta
 
 from .graph import LedgerGraph
@@ -37,6 +39,12 @@ __all__ = [
 MIN_DISTINCT_VALUES = 10
 _MAX_XMIN_CANDIDATES = 150
 _ALPHA_BOUNDS = (1.0 + 1e-6, 25.0)
+# scipy's bounded-Brent constants: absolute x tolerance, evaluation cap,
+# the square root of its rounded machine epsilon, the golden-section step.
+_XATOL = 1e-5
+_MAX_EVALUATIONS = 500
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 @dataclass(frozen=True)
@@ -82,6 +90,82 @@ def _fit(data: np.ndarray, tail_fit) -> PowerLawFit:
     return PowerLawFit(*best, unique_values.size >= MIN_DISTINCT_VALUES)
 
 
+def _sign(d: float) -> float:
+    # np.sign(d) + (d == 0) for a non-NaN d: 0 maps to +1.
+    return -1.0 if d < 0 else 1.0
+
+
+def _bounded_minimum(func, lo: float, hi: float) -> float:
+    """The ``x`` of ``scipy.optimize.minimize_scalar(func, bounds=(lo, hi),
+    method="bounded")``: scipy 1.17's ``_minimize_scalar_bounded`` (Brent's
+    golden-section search with parabolic steps), step for step on Python
+    floats. Every step here is finite for finite bounds, even where ``func``
+    returns NaN or inf, so the sign needs no NaN case.
+    """
+    a, b = lo, hi
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN_MEAN * e
+
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAX_EVALUATIONS:
+            break
+    return float(xf)
+
+
 def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson's r of two float series of one length >= 2, bit-equal to
     ``scipy.stats.pearsonr(x, y).statistic``: +-1 for two points, NaN for
@@ -113,7 +197,7 @@ def fit_discrete_power_law(values) -> PowerLawFit:
         def nll(alpha: float) -> float:
             return n_tail * math.log(zeta(alpha, xmin)) + alpha * log_sum
 
-        alpha = float(minimize_scalar(nll, bounds=_ALPHA_BOUNDS, method="bounded").x)
+        alpha = _bounded_minimum(nll, *_ALPHA_BOUNDS)
         theory_cdf = 1.0 - zeta(alpha, distinct + 1.0) / zeta(alpha, xmin)
         empirical_cdf = (np.searchsorted(data, distinct, side="right") - start) / n_tail
         return alpha, float(np.max(np.abs(empirical_cdf - theory_cdf)))

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import csv
 import re
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import closing
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
@@ -231,6 +232,21 @@ def _detect_timestamp_format(value: str) -> str:
     return "epoch" if _EPOCH.fullmatch(value.strip()) else "iso8601"
 
 
+def _csv_rows(path: Path) -> Iterator[list[str]]:
+    """The CSV rows of ``path``. A file that cannot be read, or is not UTF-8
+    text, raises :class:`DataError` naming it."""
+    try:
+        # utf-8-sig drops a byte-order mark, which would otherwise glue
+        # itself to the first column name.
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            yield from csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the decoded chunk, not from the file start.
+        raise DataError(f"ledger {path} is not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise DataError(f"cannot read ledger {path}: {exc.strerror or exc}") from None
+
+
 def parse_ledger(
     path: str | Path,
     schema: ColumnMapping | None = None,
@@ -259,10 +275,7 @@ def parse_ledger(
     subtypes: list[str] = []
     seen_ids: set[str] = set()
 
-    # utf-8-sig drops a byte-order mark, which would otherwise glue itself
-    # to the first column name.
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+    with closing(_csv_rows(path)) as reader:
         try:
             header = next(reader)
         except StopIteration:

@@ -30,6 +30,7 @@ cell; ``triads`` scores the empirical censuses against the second.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
@@ -212,6 +213,14 @@ def _run_worker(index: int):
     return _replica_tables(_WORKER_STATE["g"], _WORKER_STATE["spec"], index)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has
+    one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_ensemble(
     g: LedgerGraph,
     spec: EnsembleSpec,
@@ -225,7 +234,8 @@ def run_ensemble(
     so output is identical for any job count.
     """
     indices = range(spec.replicas)
-    jobs = min(jobs, spec.replicas)  # a worker beyond one per replica would idle
+    # A worker beyond one per replica, or per CPU this process may use, would idle.
+    jobs = min(jobs, spec.replicas, _usable_cpus())
     if jobs <= 1:
         pairs = [_replica_tables(g, spec, i) for i in indices]
     else:

@@ -1021,6 +1021,12 @@ def _reference_cutoffs(unique_values: np.ndarray) -> np.ndarray:
     return candidates
 
 
+def reference_bounded_minimum(func, lo: float, hi: float) -> float:
+    """scipy's bounded Brent minimiser, which ``degrees._bounded_minimum``
+    ports."""
+    return float(minimize_scalar(func, bounds=(lo, hi), method="bounded").x)
+
+
 def reference_fit_discrete_power_law(values) -> PowerLawFit:
     """Discrete ML power-law fit with KS-selected lower cutoff."""
     data = np.asarray([v for v in values if v >= 1], dtype=float)

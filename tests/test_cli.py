@@ -130,6 +130,41 @@ def test_out_of_range_timestamp_is_data_error(tmp_path):
     assert report["message"].startswith("row 3: bad timestamp")
 
 
+def _unreadable(tmp_path: Path, kind: str, text: str) -> Path:
+    """A path that cannot be read as UTF-8 text: missing, a directory, or
+    ``text`` with a byte that is not UTF-8 in its last line."""
+    path = tmp_path / f"{kind}.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(text.encode() + b"a\xff")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_config_file_is_config_error(tmp_path, kind):
+    config = _unreadable(tmp_path, kind, "replicas = 8\n# ")
+    out_dir = tmp_path / "o"
+    assert main(["--config", str(config), "run", str(DEMO_LEDGER), "--output", str(out_dir)]) == 2
+    report = json.loads((out_dir / "error_report.json").read_text())
+    assert report["error_type"] == "ConfigError"
+    assert str(config) in report["message"]
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_ledger_is_data_error(tmp_path, kind):
+    # The bad byte sits in an account cell past the first read buffer.
+    rows = "".join(f"t{i},2020-01-01T00:00:00Z,a,b,5,STANDARD\n" for i in range(4000))
+    ledger = _unreadable(tmp_path, kind,
+                         "id,timeset,source,target,weight,transfer_subtype\n" + rows + "t,1,")
+    out_dir = tmp_path / "o"
+    assert main(["run", str(ledger), "--output", str(out_dir), "--replicas", "8"]) == 3
+    assert [p.name for p in out_dir.iterdir()] == ["error_report.json"]
+    report = json.loads((out_dir / "error_report.json").read_text())
+    assert report["error_type"] == "DataError"
+    assert str(ledger) in report["message"]
+
+
 def test_error_report_goes_to_config_file_output(tmp_path):
     ledger = tmp_path / "ledger.csv"
     ledger.write_text(

@@ -1,9 +1,15 @@
+import math
 from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import zeta
 
 from ledgerflow.degrees import (
+    _ALPHA_BOUNDS,
+    _bounded_minimum,
     degree_stats,
     fit_continuous_power_law,
     fit_discrete_power_law,
@@ -12,6 +18,7 @@ from ledgerflow.degrees import (
 from ledgerflow.graph import LedgerGraph, LinkRecord, aggregate
 
 from oracles import (
+    reference_bounded_minimum,
     reference_fit_continuous_power_law,
     reference_fit_discrete_power_law,
     sample_discrete_power_law,
@@ -151,3 +158,63 @@ def test_fits_equal_the_per_fit_scans_float_for_float():
         ):
             got, want = fit(series), reference(values)
             assert got == want and repr(got) == repr(want), (fit.__name__, values)
+
+
+@st.composite
+def _objectives(draw):
+    """(function, lo, hi): quadratics with the minimum inside or past either
+    bound, slopes, the discrete power-law NLL, functions that turn NaN or
+    infinite on part of the interval or all of it, and intervals too wide to
+    converge within the evaluation cap."""
+    kind = draw(st.sampled_from(
+        ["quadratic", "slope", "nll", "nan", "inf", "constant", "wide"]))
+    if kind == "wide":
+        centre = draw(st.floats(-1e3, 1e3))
+        return (lambda x: abs(x - centre),
+                -10.0 ** draw(st.integers(100, 300)), 10.0 ** draw(st.integers(100, 300)))
+    if kind == "nll":
+        n_tail, xmin = draw(st.integers(4, 10**6)), draw(st.integers(1, 500))
+        log_sum = n_tail * (math.log(xmin) + draw(st.floats(1e-4, 8.0)))
+        return (lambda alpha: n_tail * math.log(zeta(alpha, xmin)) + alpha * log_sum,
+                *_ALPHA_BOUNDS)
+    lo = draw(st.floats(-1e4, 1e4))
+    width = draw(st.floats(1e-7, 1e4))
+    hi = lo + width
+    centre = draw(st.floats(lo - width, hi + width))
+    scale = draw(st.floats(1e-6, 1e6))
+    cut = draw(st.floats(lo, hi))
+
+    def quadratic(x):
+        return scale * (x - centre) ** 2
+
+    if kind == "quadratic":
+        return quadratic, lo, hi
+    if kind == "slope":
+        return (lambda x: scale * x) if draw(st.booleans()) else (lambda x: -scale * x), lo, hi
+    if kind == "nan":
+        return (lambda x: math.nan if x > cut else quadratic(x)), lo, hi
+    if kind == "inf":
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        return (lambda x: sign * math.inf if x < cut else quadratic(x)), lo, hi
+    value = draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0]))
+    return (lambda x: value), lo, hi
+
+
+@settings(max_examples=400, deadline=None)
+@given(_objectives())
+def test_bounded_minimum_is_scipys_bounded_brent_bit_for_bit(objective):
+    func, lo, hi = objective
+    seen = {"port": [], "scipy": []}
+
+    def traced(side):
+        def f(x):
+            seen[side].append(float(x).hex())
+            return func(float(x))
+        return f
+
+    got = _bounded_minimum(traced("port"), lo, hi)
+    with np.errstate(invalid="ignore", over="ignore"):  # scipy's numpy scalars warn
+        want = reference_bounded_minimum(traced("scipy"), lo, hi)
+    assert got.hex() == want.hex()
+    assert seen["port"] == seen["scipy"]  # the same points in the same order
+    assert len(seen["port"]) <= 500

@@ -156,13 +156,15 @@ def test_run_ensemble_parallel_matches_serial():
     assert run_ensemble(g, spec, jobs=2) == run_ensemble(g, spec, jobs=1)
 
 
-def test_run_ensemble_pool_has_at_most_one_worker_per_replica(monkeypatch):
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stands in for the process pool, running the workers' calls in this
+    process; returns the list of pool sizes asked for."""
     import ledgerflow.nullmodel as nullmodel
 
     workers = []
 
     class InlinePool:
-        # Runs the workers' calls in this process; records the pool size.
         def __init__(self, max_workers, initializer, initargs):
             workers.append(max_workers)
             initializer(*initargs)
@@ -178,12 +180,42 @@ def test_run_ensemble_pool_has_at_most_one_worker_per_replica(monkeypatch):
 
     monkeypatch.setattr(nullmodel, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(nullmodel, "_WORKER_STATE", {})
+    return workers
+
+
+def test_run_ensemble_pool_has_at_most_one_worker_per_replica(monkeypatch, inline_pool):
+    import ledgerflow.nullmodel as nullmodel
+
+    monkeypatch.setattr(nullmodel, "_usable_cpus", lambda: 64)
     g = random_digraph(random.Random(5), 30)
     spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=3, master_seed=2)
     serial = run_ensemble(g, spec, jobs=1)
     assert run_ensemble(g, spec, jobs=64) == serial
     assert run_ensemble(g, spec, jobs=2) == serial
-    assert workers == [3, 2]
+    assert inline_pool == [3, 2]
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_run_ensemble_pool_has_at_most_one_worker_per_usable_cpu(
+    monkeypatch, inline_pool, affinity
+):
+    import ledgerflow.nullmodel as nullmodel
+
+    # Three CPUs the process may use, out of eight on the machine when the
+    # OS reports an affinity mask; three on the machine when it does not.
+    if affinity:
+        monkeypatch.setattr(nullmodel.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        monkeypatch.setattr(nullmodel.os, "cpu_count", lambda: 8)
+    else:
+        monkeypatch.delattr(nullmodel.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(nullmodel.os, "cpu_count", lambda: 3)
+    g = random_digraph(random.Random(5), 30)
+    spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=12, master_seed=2)
+    serial = run_ensemble(g, spec, jobs=1)
+    assert run_ensemble(g, spec, jobs=500) == serial
+    assert run_ensemble(g, spec, jobs=2) == serial
+    assert inline_pool == [3, 2]
 
 
 def test_run_ensemble_tables_come_from_one_replica():

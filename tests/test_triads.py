@@ -77,6 +77,37 @@ def test_closed_form_matches_oracles_on_random_dags():
     assert min(shapes.values()) >= 10, shapes
 
 
+def _hub_dag(k: int, rng: random.Random) -> list[tuple[int, int]]:
+    """Senders 0..k-1 -> hub 2k -> receivers k..2k-1, with sender chains and
+    sender -> receiver shortcuts that close transitive triangles."""
+    hub = 2 * k
+    pairs = {(i, hub) for i in range(k)} | {(hub, k + i) for i in range(k)}
+    pairs |= {tuple(sorted(rng.sample(range(k), 2))) for _ in range(k)}
+    pairs |= {(rng.randrange(k), k + rng.randrange(k)) for _ in range(2 * k)}
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize(
+    "n,pairs",
+    [
+        (11, _hub_dag(5, random.Random(1))),
+        (81, _hub_dag(40, random.Random(2))),
+        (30, [(a, b) for a in range(30) for b in range(a + 1, 30)]),  # complete DAG
+    ],
+    ids=["hub-5", "hub-40", "complete-30"],
+)
+def test_closed_form_matches_oracles_on_dense_dags(n, pairs):
+    rng = random.Random(n)
+    ids = rng.sample(range(20 * n), n)  # sparse, shuffled node ids
+    relabeled = [(ids[a], ids[b]) for a, b in pairs]
+    ends = np.array(relabeled, dtype=np.int64)
+    mine = census(n, ends[:, 0], ends[:, 1])
+    assert mine == walk_census(sorted(ids), relabeled)
+    assert sum(mine.values()) == n * (n - 1) * (n - 2) // 6
+    if len(pairs) == n * (n - 1) // 2:
+        assert mine["030T"] == n * (n - 1) * (n - 2) // 6
+
+
 def test_closed_form_counts_nodes_without_links():
     assert census(5, np.array([7]), np.array([3])) == {**ZERO, "003": 7, "012": 3}
     assert census(0, np.array([], dtype=np.int64), np.array([], dtype=np.int64)) == ZERO
@@ -92,6 +123,9 @@ def test_closed_form_counts_nodes_without_links():
         (2, [(0, 1), (0, 1)], "parallel"),
         (1, [(4, 4)], "self-loop"),
         (2, [(0, 1), (1, 2)], "more than its 2 nodes"),
+        # Receiver 52 links back to sender 39, which links to no sender and
+        # not to 52: the cycle closes only through the hub, of degree 80.
+        (81, _hub_dag(40, random.Random(3)) + [(52, 39)], "3-cycle"),
     ],
 )
 def test_closed_form_refuses_graphs_it_does_not_fit(n, pairs, message):
