@@ -21,11 +21,11 @@ counts and volumes exactly; ``randomize_endpoints`` maps the swapped columns
 back to account ids.
 
 An ensemble builds each replica once, re-runs the topological
-categorisation (``topology.label``) on it, and keeps two tables per
-replica: its category statistics and the triad census of its DAG
-categories. The empirical category sizes are scored against the first with
-z-scores, robust z-scores, and an Anderson-Darling normality verdict per
-cell; ``triads`` scores the empirical censuses against the second.
+categorisation (``topology.label``) on it, and stacks two arrays per
+replica: its category ``FEATURES`` as floats and the triad census of its
+DAG categories. The empirical category sizes are scored against the first
+with z-scores, robust z-scores, and an Anderson-Darling normality verdict
+per cell; ``triads`` scores the empirical censuses against the second.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from decimal import Decimal
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -192,13 +191,12 @@ def _replica(g: LedgerGraph, spec: EnsembleSpec, index: int) -> tuple[np.ndarray
     return merge_links(g.node_count, sources, targets)
 
 
-def _replica_tables(
-    g: LedgerGraph, spec: EnsembleSpec, index: int
-) -> tuple[dict[str, CategoryRow], dict[str, dict[str, int]]]:
+def _replica_tables(g: LedgerGraph, spec: EnsembleSpec, index: int) -> tuple[np.ndarray, ...]:
     sources, targets, record_link = _replica(g, spec, index)
     labels, _ = label(g.node_count, sources, targets)
-    stats = tabulate(labels, sources, targets, g.counts, g.volumes, record_link)
-    return stats, triads.label_census(labels, sources, targets)
+    table, volume = tabulate(labels, sources, targets, g.counts, g.volumes, record_link)
+    features = np.column_stack([table[:, 1:], volume.astype(float)])
+    return features, triads.label_census(labels, sources, targets)
 
 
 _WORKER_STATE: dict = {}
@@ -225,13 +223,14 @@ def run_ensemble(
     g: LedgerGraph,
     spec: EnsembleSpec,
     jobs: int = 1,
-) -> tuple[list[dict[str, CategoryRow]], list[dict[str, dict[str, int]]]]:
-    """Category statistics and category triad censuses of every replica.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Category features and category triad censuses of every replica.
 
-    Each replica is built and categorised once on integer arrays and yields
-    both tables; the censuses cover ``triads.DEFAULT_CENSUS_CATEGORIES``.
-    Both lists are in replica-index order regardless of worker scheduling,
-    so output is identical for any job count.
+    A float64 array of replicas × ``CATEGORY_ORDER`` × ``FEATURES`` and an
+    int64 array of replicas × ``triads.DEFAULT_CENSUS_CATEGORIES`` ×
+    ``triads.TRIAD_LABELS``. Each replica is built and categorised once;
+    replicas are stacked in index order whatever the worker scheduling, so
+    output is identical for any job count.
     """
     indices = range(spec.replicas)
     # A worker beyond one per replica, or per CPU this process may use, would idle.
@@ -244,24 +243,18 @@ def run_ensemble(
             max_workers=jobs, initializer=_init_worker, initargs=(g, spec)
         ) as executor:
             pairs = list(executor.map(_run_worker, indices, chunksize=chunk))
-    return [stats for stats, _ in pairs], [census for _, census in pairs]
-
-
-_ZERO_ROW = CategoryRow(0, 0, 0, 0, 0, Decimal(0))
-
-
-def _feature(stats: Mapping[str, CategoryRow], category: str, feature: str) -> float:
-    return float(getattr(stats.get(category, _ZERO_ROW), feature))
+    features, censuses = zip(*pairs)
+    return np.stack(features), np.stack(censuses)
 
 
 def significance(
-    empirical: Mapping[str, CategoryRow],
-    ensemble: Sequence[Mapping[str, CategoryRow]],
+    empirical: Mapping[str, CategoryRow], ensemble: np.ndarray
 ) -> list[SignificanceCell]:
     """Score the empirical ``FEATURES`` of each category against an ensemble.
 
-    A category absent from a replica contributes zero for every feature in
-    that replica (its table row is materialised as zeros). Requires at
-    least 8 replicas for the Anderson-Darling approximation.
+    ``empirical`` is a ``category_stats`` table, ``ensemble`` the features
+    array of ``run_ensemble`` with at least 8 replicas.
     """
-    return score_ensemble(empirical, ensemble, CATEGORY_ORDER, FEATURES, _feature)
+    table = [[float(getattr(empirical[category], feature)) for feature in FEATURES]
+             for category in CATEGORY_ORDER]
+    return score_ensemble(np.array(table), ensemble, CATEGORY_ORDER, FEATURES)

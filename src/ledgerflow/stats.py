@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -141,27 +141,30 @@ def _cell(category: str, feature: str, empirical: float, samples: np.ndarray) ->
     )
 
 
-Table = TypeVar("Table")
-
-
 def score_ensemble(
-    empirical: Table,
-    ensemble: Sequence[Table],
+    empirical: np.ndarray,
+    ensemble: np.ndarray,
     rows: Sequence[str],
     columns: Sequence[str],
-    value: Callable[[Table, str, str], float],
 ) -> list[SignificanceCell]:
     """Score every (row, column) of the empirical table against the replicas.
 
-    ``value(table, row, column)`` reads one cell of the empirical table or
-    of a replica table. Cells come out row by row. Requires at least 8
-    replicas for the Anderson-Darling approximation.
+    ``empirical`` is rows × columns and ``ensemble`` replicas × rows ×
+    columns; each cell's samples are copied into a contiguous float64 array,
+    as numpy's pairwise sums depend on memory layout. Cells come out row by
+    row. Requires at least 8 replicas for the Anderson-Darling approximation;
+    raises :class:`AnalysisError` on a value that is not finite in float64.
     """
     if len(ensemble) < _MIN_ENSEMBLE:
         raise AnalysisError(f"ensemble of {len(ensemble)} is below the minimum of {_MIN_ENSEMBLE}")
+    ensemble = np.asarray(ensemble, dtype=float)
+    finite = np.isfinite(empirical) & np.isfinite(ensemble).all(axis=0)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0].tolist()
+        raise AnalysisError(f"cannot score {rows[i]} {columns[j]}: not finite in float64")
     cells = []
-    for row in rows:
-        for column in columns:
-            samples = np.array([value(table, row, column) for table in ensemble])
-            cells.append(_cell(row, column, value(empirical, row, column), samples))
+    for i, row in enumerate(rows):
+        for j, column in enumerate(columns):
+            samples = np.ascontiguousarray(ensemble[:, i, j])
+            cells.append(_cell(row, column, empirical[i, j], samples))
     return cells

@@ -241,13 +241,15 @@ def tabulate(
     counts: np.ndarray,
     volumes: np.ndarray,
     record_link: np.ndarray | None = None,
-) -> dict[str, CategoryRow]:
-    """Per-category rows from array labels; every category appears.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-category sizes from array labels: ``(table, volume)``.
 
-    ``counts`` and ``volumes`` are per link record; ``record_link`` maps each
-    record to the link carrying it (identity when omitted). A category's
-    weak components span its owned links plus their endpoints, so e.g.
-    single-nodes attached to one hub form one component.
+    ``table`` is int64, ``CATEGORY_ORDER`` rows by the ``CategoryRow`` count
+    columns (scc, wcc, node, link, tx); ``volume`` holds each category's
+    exact ``Decimal`` volume. ``counts`` and ``volumes`` are per link record;
+    ``record_link`` maps each record to the link carrying it (identity when
+    omitted). A category's weak components span its owned links plus their
+    endpoints, so e.g. single-nodes attached to one hub form one component.
     """
     size = len(CATEGORY_ORDER)
     n = labels.node.size
@@ -267,23 +269,15 @@ def tabulate(
     first = np.unique(vertex_wcc, return_index=True)[1]
     wcc_count = np.bincount(keys[first] // n, minlength=size)
 
-    volume = group_sums(record_code, volumes, size)
-    return {
-        name: CategoryRow(
-            scc_count=int(scc_count[code]),
-            wcc_count=int(wcc_count[code]),
-            node_count=int(node_count[code]),
-            link_count=int(link_count[code]),
-            tx_count=int(tx_count[code]),
-            volume=volume[code],
-        )
-        for code, name in enumerate(CATEGORY_ORDER)
-    }
+    table = np.stack([scc_count, wcc_count, node_count, link_count, tx_count], axis=1)
+    return table, group_sums(record_code, volumes, size)
 
 
 def category_stats(g: LedgerGraph, partition: TopologyPartition) -> dict[str, CategoryRow]:
     """Per-category sizes: components, nodes, links, transactions, volume."""
-    return tabulate(partition.labels, g.sources, g.targets, g.counts, g.volumes)
+    table, volume = tabulate(partition.labels, g.sources, g.targets, g.counts, g.volumes)
+    return {name: CategoryRow(*row, volume[code])
+            for code, (name, row) in enumerate(zip(CATEGORY_ORDER, table.tolist()))}
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ replica, with the same scoring as the category-size significance.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -113,18 +113,19 @@ def label_census(
     sources: np.ndarray,
     targets: np.ndarray,
     categories: Sequence[NodeCategory] = DEFAULT_CENSUS_CATEGORIES,
-) -> dict[str, dict[str, int]]:
-    """Census of each category from array labels of one graph's links.
+) -> np.ndarray:
+    """Census of each category from array labels of one graph's links, as
+    int64 ``categories`` × ``TRIAD_LABELS``.
 
     A category's subgraph is its nodes and the links that carry its code.
     """
     node_count = np.bincount(labels.node, minlength=len(CATEGORY_ORDER))
-    result = {}
-    for category in categories:
+    table = np.zeros((len(categories), len(TRIAD_LABELS)), dtype=np.int64)
+    for row, category in zip(table, categories):
         code = CATEGORY_ORDER.index(category.value)
         owned = labels.link == code
-        result[category.value] = census(int(node_count[code]), sources[owned], targets[owned])
-    return result
+        row[:] = list(census(int(node_count[code]), sources[owned], targets[owned]).values())
+    return table
 
 
 def category_census(
@@ -133,23 +134,22 @@ def category_census(
     categories: Sequence[NodeCategory] = DEFAULT_CENSUS_CATEGORIES,
 ) -> dict[str, dict[str, int]]:
     """Census of each requested (acyclic) category's subgraph."""
-    return label_census(partition.labels, g.sources, g.targets, categories)
-
-
-def _triad_count(census_tables: dict[str, dict[str, int]], label: str, triad: str) -> float:
-    return float(census_tables[label][triad])
+    table = label_census(partition.labels, g.sources, g.targets, categories)
+    return {category.value: dict(zip(TRIAD_LABELS, row))
+            for category, row in zip(categories, table.tolist())}
 
 
 def triad_significance(
-    empirical: dict[str, dict[str, int]],
-    ensemble: Sequence[dict[str, dict[str, int]]],
+    empirical: Mapping[str, Mapping[str, int]],
+    ensemble: np.ndarray,
 ) -> list[SignificanceCell]:
     """Score empirical per-category triad counts against replica censuses.
 
-    ``empirical`` and each entry of ``ensemble`` are ``category_census``
-    tables covering ``DEFAULT_CENSUS_CATEGORIES``. One cell per (category,
-    triad label). Requires at least 8 replicas for the Anderson-Darling
-    approximation.
+    ``empirical`` is a ``category_census`` table covering
+    ``DEFAULT_CENSUS_CATEGORIES``, ``ensemble`` the census array of
+    ``nullmodel.run_ensemble`` with at least 8 replicas. One cell per
+    (category, triad label).
     """
     labels = [category.value for category in DEFAULT_CENSUS_CATEGORIES]
-    return score_ensemble(empirical, ensemble, labels, TRIAD_LABELS, _triad_count)
+    table = [[empirical[label][triad] for triad in TRIAD_LABELS] for label in labels]
+    return score_ensemble(np.array(table, dtype=float), ensemble, labels, TRIAD_LABELS)

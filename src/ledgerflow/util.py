@@ -110,7 +110,7 @@ class _Encoder(json.JSONEncoder):
 
 
 def to_json(obj) -> str:
-    return json.dumps(obj, cls=_Encoder, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, cls=_Encoder, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path: Path, obj) -> None:

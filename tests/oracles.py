@@ -10,9 +10,11 @@ as slow references, and so do the row-at-a-time sort, dict aggregation and
 per-transaction crosstab that the columnar ledger replaced, the
 neighbourhood-walk triad census of general digraphs that the closed-form
 acyclic census replaced, and the two power-law fits, each with its own
-cutoff scan, that the shared scan replaced. ``dict_view`` expands an array
-partition into the string-keyed one the categoriser used to return, and
-``verify_partition`` checks that view's structural contract.
+cutoff scan, that the shared scan replaced, and the significance scoring
+over one dict table per replica that the stacked replica arrays replaced.
+``dict_view`` expands an array partition into the string-keyed one the
+categoriser used to return, and ``verify_partition`` checks that view's
+structural contract.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -31,8 +33,8 @@ from scipy.special import zeta
 from ledgerflow.degrees import _ALPHA_BOUNDS, MIN_DISTINCT_VALUES, PowerLawFit
 from ledgerflow.graph import LedgerGraph, LinkRecord
 from ledgerflow.ingest import Transaction
-from ledgerflow.errors import DataError
-from ledgerflow.nullmodel import RandomizationError, SwapMode
+from ledgerflow.errors import AnalysisError, DataError
+from ledgerflow.nullmodel import FEATURES, RandomizationError, SwapMode
 from ledgerflow.recirculation import (
     FrequencyCategory,
     RecirculationCoverage,
@@ -47,6 +49,8 @@ from ledgerflow.topology import (
     NodeCategory,
     TopologyPartition,
 )
+from ledgerflow.stats import _MIN_ENSEMBLE, SignificanceCell, _cell
+from ledgerflow.triads import DEFAULT_CENSUS_CATEGORIES, TRIAD_LABELS
 from ledgerflow.util import dsum
 
 # --------------------------------------------------------------------------
@@ -657,6 +661,64 @@ def reference_category_stats(
             volume=dsum(volumes[label]),
         )
     return result
+
+
+# --------------------------------------------------------------------------
+# reference ensemble scoring: one dict table per replica, read cell by cell
+# through a callback; a category missing from a table counts as zeros
+# --------------------------------------------------------------------------
+
+Table = TypeVar("Table")
+
+_ZERO_ROW = CategoryRow(0, 0, 0, 0, 0, Decimal(0))
+
+
+def _feature(stats: Mapping[str, CategoryRow], category: str, feature: str) -> float:
+    return float(getattr(stats.get(category, _ZERO_ROW), feature))
+
+
+def _triad_count(census_tables: Mapping[str, Mapping[str, int]], label: str, triad: str) -> float:
+    return float(census_tables[label][triad])
+
+
+def reference_score_ensemble(
+    empirical: Table,
+    ensemble: Sequence[Table],
+    rows: Sequence[str],
+    columns: Sequence[str],
+    value: Callable[[Table, str, str], float],
+) -> list[SignificanceCell]:
+    """Score every (row, column) of the empirical table against the replicas.
+
+    ``value(table, row, column)`` reads one cell of the empirical table or
+    of a replica table. The per-cell statistics are ``stats._cell``'s: this
+    reference checks how cells reach the scorer, not the scorer itself.
+    """
+    if len(ensemble) < _MIN_ENSEMBLE:
+        raise AnalysisError(f"ensemble of {len(ensemble)} is below the minimum of {_MIN_ENSEMBLE}")
+    cells = []
+    for row in rows:
+        for column in columns:
+            samples = np.array([value(table, row, column) for table in ensemble])
+            cells.append(_cell(row, column, value(empirical, row, column), samples))
+    return cells
+
+
+def reference_significance(
+    empirical: Mapping[str, CategoryRow],
+    ensemble: Sequence[Mapping[str, CategoryRow]],
+) -> list[SignificanceCell]:
+    """``nullmodel.significance`` over one ``category_stats`` dict per replica."""
+    return reference_score_ensemble(empirical, ensemble, CATEGORY_ORDER, FEATURES, _feature)
+
+
+def reference_triad_significance(
+    empirical: Mapping[str, Mapping[str, int]],
+    ensemble: Sequence[Mapping[str, Mapping[str, int]]],
+) -> list[SignificanceCell]:
+    """``triads.triad_significance`` over one ``category_census`` dict per replica."""
+    labels = [category.value for category in DEFAULT_CENSUS_CATEGORIES]
+    return reference_score_ensemble(empirical, ensemble, labels, TRIAD_LABELS, _triad_count)
 
 
 # --------------------------------------------------------------------------

@@ -247,6 +247,30 @@ def test_too_small_ensemble_is_analysis_error(tmp_path):
         assert [p.name for p in out_dir.iterdir()] == ["error_report.json"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_volumes_past_float64_are_analysis_error(tmp_path):
+    # 1E+400 is a finite Decimal, so ingest and the exact tables accept it;
+    # as a float it is infinite, and the scores would be NaN.
+    ledger = tmp_path / "ledger.csv"
+    lines = DEMO_LEDGER.read_text().splitlines()[:11]
+    ledger.write_text("\n".join([lines[0]] + [
+        ",".join(line.split(",")[:4] + ["1E+400"] + line.split(",")[5:])
+        for line in lines[1:]
+    ]) + "\n")
+    out_dir = tmp_path / "out"
+    code = main(["run", str(ledger), "--output", str(out_dir), "--replicas", "8"])
+    assert code == 4
+    report = json.loads((out_dir / "error_report.json").read_text())
+    assert report["error_type"] == "AnalysisError"
+    assert "volume" in report["message"]
+    assert not list(out_dir.glob("significance_*"))
+    for path in out_dir.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 def test_unexpected_exception_is_reported(tmp_path, monkeypatch, capsys):
     import ledgerflow.cli as cli
 

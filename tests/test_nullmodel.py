@@ -2,14 +2,18 @@ import random
 import re
 from collections import Counter
 from decimal import Decimal
+from typing import Mapping
 
+import numpy as np
 import pytest
 
 from ledgerflow.graph import LedgerGraph, LinkRecord
 from ledgerflow.nullmodel import (
+    FEATURES,
     EnsembleSpec,
     RandomizationError,
     SwapMode,
+    _replica,
     derive_seed,
     randomize,
     randomize_endpoints,
@@ -17,8 +21,12 @@ from ledgerflow.nullmodel import (
     significance,
 )
 from ledgerflow.errors import AnalysisError
-from ledgerflow.topology import CategoryRow, categorize, category_stats
-from ledgerflow.triads import category_census, label_census
+from ledgerflow.topology import (
+    CATEGORY_ORDER, CategoryRow, categorize, category_stats, label, tabulate,
+)
+from ledgerflow.triads import (
+    DEFAULT_CENSUS_CATEGORIES, TRIAD_LABELS, category_census, label_census, triad_significance,
+)
 from ledgerflow.util import dsum, mix64
 
 from conftest import random_digraph, reweighted
@@ -27,9 +35,36 @@ from oracles import (
     reference_category_stats,
     reference_labels,
     reference_randomize_endpoints,
+    reference_significance,
+    reference_triad_significance,
 )
 
 MODES = (SwapMode.TARGET, SwapMode.SOURCE, SwapMode.BOTH)
+
+
+def _features(stats: Mapping[str, CategoryRow]) -> np.ndarray:
+    """A category_stats table as the float features an ensemble keeps."""
+    return np.array([[float(getattr(stats[category], feature)) for feature in FEATURES]
+                     for category in CATEGORY_ORDER])
+
+
+def _census_rows(tables: Mapping[str, Mapping[str, int]]) -> np.ndarray:
+    """A category_census table as the census array an ensemble keeps."""
+    return np.array([[tables[category.value][triad] for triad in TRIAD_LABELS]
+                     for category in DEFAULT_CENSUS_CATEGORIES])
+
+
+def _replica_stats(g: LedgerGraph, spec: EnsembleSpec, index: int) -> dict[str, CategoryRow]:
+    """``tabulate`` on replica ``index`` of the ensemble, as exact rows."""
+    sources, targets, record_link = _replica(g, spec, index)
+    labels, _ = label(g.node_count, sources, targets)
+    table, volume = tabulate(labels, sources, targets, g.counts, g.volumes, record_link)
+    return {name: CategoryRow(*row, volume[code])
+            for code, (name, row) in enumerate(zip(CATEGORY_ORDER, table.tolist()))}
+
+
+def _same(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> bool:
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_single_link_graph_unchanged():
@@ -137,23 +172,38 @@ def test_run_ensemble_deterministic():
     rng = random.Random(5)
     g = random_digraph(rng, 40)
     spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=1, master_seed=99)
-    assert run_ensemble(g, spec) == run_ensemble(g, spec)
+    assert _same(run_ensemble(g, spec), run_ensemble(g, spec))
+
+
+def test_run_ensemble_stacks_arrays_in_replica_order():
+    g = random_digraph(random.Random(6), 40)
+    spec = EnsembleSpec(mode=SwapMode.SOURCE, replicas=5, master_seed=8)
+    features, censuses = run_ensemble(g, spec)
+    assert features.shape == (5, len(CATEGORY_ORDER), len(FEATURES))
+    assert features.dtype == np.float64
+    assert censuses.shape == (5, len(DEFAULT_CENSUS_CATEGORIES), len(TRIAD_LABELS))
+    assert censuses.dtype == np.int64
+    for index in range(spec.replicas):
+        assert np.array_equal(features[index], _features(_replica_stats(g, spec, index)))
 
 
 def test_run_ensemble_conserves_totals():
     rng = random.Random(8)
     g = random_digraph(rng, 50)
     spec = EnsembleSpec(mode=SwapMode.BOTH, replicas=12, master_seed=3)
-    for stats in run_ensemble(g, spec)[0]:
+    features, _ = run_ensemble(g, spec)
+    for index in range(spec.replicas):
+        stats = _replica_stats(g, spec, index)
         assert sum(r.tx_count for r in stats.values()) == g.tx_count
         assert dsum(r.volume for r in stats.values()) == g.volume
+        assert np.array_equal(features[index], _features(stats))
 
 
 def test_run_ensemble_parallel_matches_serial():
     rng = random.Random(21)
     g = random_digraph(rng, 40)
     spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=8, master_seed=11)
-    assert run_ensemble(g, spec, jobs=2) == run_ensemble(g, spec, jobs=1)
+    assert _same(run_ensemble(g, spec, jobs=2), run_ensemble(g, spec, jobs=1))
 
 
 @pytest.fixture
@@ -190,8 +240,8 @@ def test_run_ensemble_pool_has_at_most_one_worker_per_replica(monkeypatch, inlin
     g = random_digraph(random.Random(5), 30)
     spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=3, master_seed=2)
     serial = run_ensemble(g, spec, jobs=1)
-    assert run_ensemble(g, spec, jobs=64) == serial
-    assert run_ensemble(g, spec, jobs=2) == serial
+    assert _same(run_ensemble(g, spec, jobs=64), serial)
+    assert _same(run_ensemble(g, spec, jobs=2), serial)
     assert inline_pool == [3, 2]
 
 
@@ -213,8 +263,8 @@ def test_run_ensemble_pool_has_at_most_one_worker_per_usable_cpu(
     g = random_digraph(random.Random(5), 30)
     spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=12, master_seed=2)
     serial = run_ensemble(g, spec, jobs=1)
-    assert run_ensemble(g, spec, jobs=500) == serial
-    assert run_ensemble(g, spec, jobs=2) == serial
+    assert _same(run_ensemble(g, spec, jobs=500), serial)
+    assert _same(run_ensemble(g, spec, jobs=2), serial)
     assert inline_pool == [3, 2]
 
 
@@ -226,8 +276,9 @@ def test_run_ensemble_tables_come_from_one_replica():
     for index in range(spec.replicas):
         replica = randomize(g, spec.mode, derive_seed(spec.master_seed, index))
         partition = categorize(replica)
-        assert stats_ensemble[index] == category_stats(replica, partition)
-        assert census_ensemble[index] == category_census(replica, partition)
+        assert np.array_equal(stats_ensemble[index], _features(category_stats(replica, partition)))
+        assert np.array_equal(census_ensemble[index],
+                              _census_rows(category_census(replica, partition)))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -258,9 +309,16 @@ def test_run_ensemble_matches_dict_reference(mode):
         for index in range(spec.replicas):
             replica = randomize(g, mode, derive_seed(spec.master_seed, index))
             partition = reference_categorize(replica)
-            assert stats_ensemble[index] == reference_category_stats(replica, partition)
+            expected = reference_category_stats(replica, partition)
+            # tabulate is exact in all six fields, Decimal volume included
+            stats = _replica_stats(g, spec, index)
+            assert stats == expected
+            assert sum(r.tx_count for r in stats.values()) == g.tx_count
+            assert dsum(r.volume for r in stats.values()) == g.volume
+            assert np.array_equal(stats_ensemble[index], _features(expected))
             labels = reference_labels(replica, partition)
-            assert census_ensemble[index] == label_census(labels, replica.sources, replica.targets)
+            assert np.array_equal(census_ensemble[index],
+                                  label_census(labels, replica.sources, replica.targets))
 
 
 def test_replicas_reseed_after_a_failed_repair():
@@ -270,7 +328,7 @@ def test_replicas_reseed_after_a_failed_repair():
     spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=16, master_seed=5, max_repair_attempts=1)
     stats_ensemble, _ = run_ensemble(g, spec)
     reseeded = 0
-    for index, stats in enumerate(stats_ensemble):
+    for index, features in enumerate(stats_ensemble):
         first = derive_seed(spec.master_seed, index)
         for seed in [first] + [derive_seed(first, attempt) for attempt in (1, 2, 3)]:
             try:
@@ -278,7 +336,9 @@ def test_replicas_reseed_after_a_failed_repair():
                 break
             except RandomizationError:
                 reseeded += 1
-        assert stats == reference_category_stats(replica, reference_categorize(replica))
+        expected = reference_category_stats(replica, reference_categorize(replica))
+        assert _replica_stats(g, spec, index) == expected
+        assert np.array_equal(features, _features(expected))
     assert reseeded > 0
 
 
@@ -294,8 +354,8 @@ def test_randomization_concentrates_cyclic_mass():
     g = LedgerGraph.from_edges(sorted(pairs))
     spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=100, master_seed=77)
     single = sum(
-        1 for stats in run_ensemble(g, spec)[0]
-        if sum(r.scc_count for r in stats.values()) == 1
+        1 for index in range(spec.replicas)
+        if sum(r.scc_count for r in _replica_stats(g, spec, index).values()) == 1
     )
     assert single >= 95
 
@@ -304,17 +364,27 @@ def _row(value: int) -> CategoryRow:
     return CategoryRow(0, value, value, value, value, Decimal(value))
 
 
+def _table(rows: Mapping[str, CategoryRow]) -> dict[str, CategoryRow]:
+    """A category_stats table with ``rows``, zero in every other category."""
+    return {category: rows.get(category, _row(0)) for category in CATEGORY_ORDER}
+
+
+def _ensemble(tables) -> np.ndarray:
+    return np.stack([_features(_table(table)) for table in tables])
+
+
 def test_significance_z_zero_at_null_mean():
-    empirical = {"dag0": _row(4)}
-    ensemble = [{"dag0": _row(v)} for v in (2, 4, 6, 5, 3, 4, 4, 4)]
+    empirical = _table({"dag0": _row(4)})
+    ensemble = _ensemble({"dag0": _row(v)} for v in (2, 4, 6, 5, 3, 4, 4, 4))
     cells = significance(empirical, ensemble)
     cell = next(c for c in cells if c.category == "dag0" and c.feature == "node_count")
     assert cell.z == pytest.approx(0.0, abs=1e-12)
 
 
 def test_significance_absent_category_counts_as_zero():
-    empirical = {"dag0": _row(10)}
-    ensemble = [{} for _ in range(8)]
+    # dag0 is zero in every replica, as a category no replica has.
+    empirical = _table({"dag0": _row(10)})
+    ensemble = np.zeros((8, len(CATEGORY_ORDER), len(FEATURES)))
     cells = significance(empirical, ensemble)
     cell = next(c for c in cells if c.category == "dag0" and c.feature == "tx_count")
     assert cell.null_mean == 0.0
@@ -325,14 +395,86 @@ def test_significance_absent_category_counts_as_zero():
 
 def test_significance_requires_eight_replicas():
     with pytest.raises(AnalysisError):
-        significance({}, [{} for _ in range(7)])
+        significance(_table({}), np.zeros((7, len(CATEGORY_ORDER), len(FEATURES))))
 
 
 def test_significance_preferred_score_follows_normality():
     rng = random.Random(2)
     values = [rng.gauss(100, 10) for _ in range(400)]
-    ensemble = [{"dag0": _row(int(v))} for v in values]
-    cells = significance({"dag0": _row(130)}, ensemble)
+    ensemble = _ensemble({"dag0": _row(int(v))} for v in values)
+    cells = significance(_table({"dag0": _row(130)}), ensemble)
     cell = next(c for c in cells if c.category == "dag0" and c.feature == "node_count")
     assert cell.preferred == ("robust_z" if cell.normality == "rejected" else "z")
     assert cell.z is not None and cell.robust_z is not None
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_scoring_matches_dict_reference_on_run_ensemble(mode):
+    # The arrays score to the same cells, field for field, as one dict
+    # table per replica read through a callback.
+    rng = random.Random(71)
+    for trial in range(3):
+        g = reweighted(random_digraph(rng, 60), rng)
+        partition = categorize(g)
+        spec = EnsembleSpec(mode=mode, replicas=8, master_seed=trial)
+        stats_ensemble, census_ensemble = run_ensemble(g, spec)
+        replicas = [randomize(g, mode, derive_seed(spec.master_seed, index))
+                    for index in range(spec.replicas)]
+        stats_dicts = [reference_category_stats(r, reference_categorize(r)) for r in replicas]
+        census_dicts = [category_census(r, categorize(r)) for r in replicas]
+        stats = category_stats(g, partition)
+        assert significance(stats, stats_ensemble) == reference_significance(stats, stats_dicts)
+        census = category_census(g, partition)
+        assert (triad_significance(census, census_ensemble)
+                == reference_triad_significance(census, census_dicts))
+
+
+def _random_row(rng: random.Random) -> CategoryRow:
+    return CategoryRow(*(rng.randint(0, 40) for _ in range(5)),
+                       Decimal(rng.randint(0, 10**7)).scaleb(-2))
+
+
+def test_significance_hand_ensembles_match_dict_reference():
+    # dag0 is the same in every replica (a constant column), sccTout is
+    # zero in every replica and missing from the dict tables, and
+    # bridge_scc is non-zero in one replica only.
+    rng = random.Random(19)
+    tables = []
+    for index in range(10):
+        table = {category: _random_row(rng) for category in CATEGORY_ORDER}
+        table["dag0"] = CategoryRow(1, 2, 3, 4, 5, Decimal("6.07"))
+        del table["sccTout"]
+        table["bridge_scc"] = _random_row(rng) if index == 3 else _row(0)
+        tables.append(table)
+    empirical = {category: _random_row(rng) for category in CATEGORY_ORDER}
+    cells = significance(empirical, _ensemble(tables))
+    assert cells == reference_significance(empirical, tables)
+    by_key = {(c.category, c.feature): c for c in cells}
+    assert by_key[("dag0", "volume")].null_sd == 0.0
+    assert by_key[("sccTout", "tx_count")].null_mean == 0.0
+    assert by_key[("bridge_scc", "link_count")].null_median == 0.0
+
+
+def test_triad_significance_hand_ensembles_match_dict_reference():
+    # 003 is the same in every replica, dagTmix is zero in every replica,
+    # and dag0's 030T is non-zero in one replica only.
+    rng = random.Random(23)
+    labels = [category.value for category in DEFAULT_CENSUS_CATEGORIES]
+    tables = []
+    for index in range(9):
+        table = {label: {triad: rng.randint(0, 500) for triad in TRIAD_LABELS}
+                 for label in labels}
+        for label in labels:
+            table[label]["003"] = 1000
+        table["dagTmix"] = dict.fromkeys(TRIAD_LABELS, 0)
+        table["dag0"]["030T"] = 12 if index == 4 else 0
+        tables.append(table)
+    empirical = {label: {triad: rng.randint(0, 500) for triad in TRIAD_LABELS}
+                 for label in labels}
+    ensemble = np.stack([_census_rows(table) for table in tables])
+    cells = triad_significance(empirical, ensemble)
+    assert cells == reference_triad_significance(empirical, tables)
+    by_key = {(c.category, c.feature): c for c in cells}
+    assert by_key[("dag0", "003")].null_sd == 0.0
+    assert by_key[("dagTmix", "021U")].null_mean == 0.0
+    assert by_key[("dag0", "030T")].null_median == 0.0

@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import anderson
 
-from ledgerflow.stats import anderson_darling_normal, robust_z_score, z_score
+from ledgerflow.errors import AnalysisError
+from ledgerflow.stats import anderson_darling_normal, robust_z_score, score_ensemble, z_score
 
 
 def test_z_score_hand_case():
@@ -116,3 +117,28 @@ def test_ad_degenerate_sample_is_rejected():
 def test_ad_needs_four_observations():
     with pytest.raises(ValueError):
         anderson_darling_normal([1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("where", ["empirical", "replica"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_score_ensemble_refuses_non_finite_values(where, value):
+    empirical = np.ones((2, 3))
+    ensemble = np.arange(8 * 2 * 3, dtype=float).reshape(8, 2, 3)
+    (empirical if where == "empirical" else ensemble[5])[1, 2] = value
+    with pytest.raises(AnalysisError, match="b z: not finite"):
+        score_ensemble(empirical, ensemble, ["a", "b"], ["x", "y", "z"])
+
+
+def test_score_ensemble_scores_each_cell_from_its_replica_column():
+    rng = np.random.default_rng(3)
+    ensemble = rng.normal(size=(12, 2, 3))
+    empirical = rng.normal(size=(2, 3))
+    cells = score_ensemble(empirical, ensemble, ["a", "b"], ["x", "y", "z"])
+    assert [(c.category, c.feature) for c in cells] == [
+        (row, column) for row in "ab" for column in "xyz"
+    ]
+    for cell, (i, j) in zip(cells, np.ndindex(2, 3)):
+        samples = ensemble[:, i, j].tolist()
+        assert cell.empirical == empirical[i, j]
+        assert cell.z == z_score(empirical[i, j], samples)
+        assert cell.robust_z == robust_z_score(empirical[i, j], samples)

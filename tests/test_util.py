@@ -91,6 +91,12 @@ def test_to_json_renders_decimal_as_string():
     assert to_json({"volume": Decimal("12.30")}) == '{\n  "volume": "12.30"\n}\n'
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_to_json_refuses_values_json_cannot_hold(value):
+    with pytest.raises(ValueError):
+        to_json({"share": value})
+
+
 def _csv_writer_text(header, rows) -> str:
     out = io.StringIO(newline="")
     writer = csv.writer(out, lineterminator="\n")
