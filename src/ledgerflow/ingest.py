@@ -9,19 +9,34 @@ columnar :class:`Ledger` sorted by (timestamp, tx_id) together with a
 diagnostics record: int64 timestamps, int64 source and target codes
 into the sorted account ids, and plain lists of ids, amounts and subtypes.
 No per-row object is built. :class:`Transaction` is the row type for
-ledgers built by hand; ``Ledger.from_transactions`` is the one adapter
-from rows to columns, and indexing a ledger builds rows on demand.
+ledgers built by hand; ``Ledger.from_columns`` sorts by stamp and puts
+only runs of equal stamps in id order, ``Ledger.from_transactions`` is the
+one adapter from rows to columns, and indexing a ledger builds rows on
+demand.
+
+A plain file is parsed a block of lines at a time, column by column: each
+line holds one cell per header column, no cell holds a quote, whitespace,
+a carriage return or NUL, every stamp is ``YYYY-MM-DDTHH:MM:SS``, bare or
+with ``+00:00`` (as ``write_transactions`` writes it), every amount is a
+finite, non-negative decimal and the kept rows' ids are distinct. Every
+other file (epoch, ``Z`` or offset stamps, quoted or padded cells, blank
+lines, repeated ids, any error) is parsed from the start by the row loop,
+which validates one ``csv.reader`` row at a time; so every error, with its
+message and row number, comes from the row loop.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
+import itertools
 import re
 from collections.abc import Iterator, Sequence
 from contextlib import closing
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -82,25 +97,43 @@ class Ledger(Sequence):
     @classmethod
     def from_columns(cls, timestamp, tx_id, source, target, amount, subtype) -> "Ledger":
         """Sort and encode unsorted column lists (accounts as strings)."""
-        n = len(tx_id)
+        code: dict[str, int] = {}
+        source, target = _encode(source, code), _encode(target, code)
         stamps = np.array(timestamp, dtype=np.int64)
-        # Ids are ranked by Python's code-point sort, never as a numpy
-        # string array (which drops trailing NULs); both sorts are stable.
-        id_rank = np.empty(n, dtype=np.int64)
-        id_rank[sorted(range(n), key=tx_id.__getitem__)] = np.arange(n)
-        order = np.lexsort((id_rank, stamps))
-        accounts = tuple(sorted(set(source).union(target)))
-        code = {account: i for i, account in enumerate(accounts)}
-        unsorted = cls(
-            accounts,
+        return cls._select(stamps, tx_id, list(code), source, target, amount, subtype,
+                           np.arange(len(stamps)))
+
+    @classmethod
+    def _select(cls, stamps, tx_id, names, source, target, amount, subtype, rows) -> "Ledger":
+        """Rows ``rows`` of unsorted columns, sorted. ``source`` and
+        ``target`` are codes into ``names``, distinct account ids in any
+        order; each list column is taken once, in its final order."""
+        order = rows[np.argsort(stamps[rows], kind="stable")]
+        stamps = stamps[order]
+        # Runs of equal stamps are put in the code-point order of their ids,
+        # by Python's sort, never a numpy string sort (which drops trailing
+        # NULs). Both sorts are stable, so equal ids keep their input order.
+        tied = np.concatenate(([False], stamps[1:] == stamps[:-1], [False]))
+        edges = np.flatnonzero(tied[1:] != tied[:-1]).tolist()
+        for start, stop in zip(edges[::2], edges[1::2]):
+            order[start:stop + 1] = sorted(order[start:stop + 1].tolist(), key=tx_id.__getitem__)
+        source, target = source[order], target[order]
+        # The accounts of the taken rows, recoded in code-point order.
+        used = np.zeros(len(names), dtype=bool)
+        used[source] = used[target] = True
+        by_name = sorted(np.flatnonzero(used).tolist(), key=names.__getitem__)
+        recode = np.empty(len(names), dtype=np.int64)
+        recode[by_name] = np.arange(len(by_name))
+        take = _taker(order)
+        return cls(
+            tuple(names[i] for i in by_name),
             stamps,
-            np.fromiter(map(code.__getitem__, source), np.int64, n),
-            np.fromiter(map(code.__getitem__, target), np.int64, n),
-            tx_id,
-            amount,
-            subtype,
+            recode[source],
+            recode[target],
+            take(tx_id),
+            take(amount),
+            take(subtype),
         )
-        return unsorted._take(order)
 
     @classmethod
     def from_transactions(cls, rows: Iterable[Transaction]) -> "Ledger":
@@ -125,19 +158,35 @@ class Ledger(Sequence):
         return self._take(np.flatnonzero(self.source != self.target))
 
     def _take(self, index: np.ndarray) -> "Ledger":
-        rows = index.tolist()
+        take = _taker(index)
         return Ledger(
             self.accounts,
             self.timestamp[index],
             self.source[index],
             self.target[index],
-            [self.tx_id[i] for i in rows],
-            [self.amount[i] for i in rows],
-            [self.subtype[i] for i in rows],
+            take(self.tx_id),
+            take(self.amount),
+            take(self.subtype),
         )
 
     def __repr__(self) -> str:
         return f"Ledger(rows={len(self)}, accounts={len(self.accounts)})"
+
+
+def _encode(values: list[str], code: dict[str, int]) -> np.ndarray:
+    """The int64 codes of ``values`` in ``code``, which gives each value it
+    does not hold yet the next code."""
+    code.update(zip(set(values).difference(code), itertools.count(len(code))))
+    return np.fromiter(map(code.__getitem__, values), np.int64, len(values))
+
+
+def _taker(index: np.ndarray):
+    """A function that takes the items at ``index`` from a list, as a list."""
+    rows = index.tolist()
+    if len(rows) < 2:  # itemgetter needs an index, and returns one item bare
+        return lambda values: [values[i] for i in rows]
+    get = itemgetter(*rows)
+    return lambda values: list(get(values))
 
 
 def as_ledger(transactions: Ledger | Iterable[Transaction]) -> Ledger:
@@ -247,6 +296,23 @@ def _csv_rows(path: Path) -> Iterator[list[str]]:
         raise DataError(f"cannot read ledger {path}: {exc.strerror or exc}") from None
 
 
+def _column_indices(names: list[str], schema: ColumnMapping) -> tuple[int | None, ...]:
+    """Header positions of the timestamp, source, target, amount, tx_id and
+    subtype columns (the last two None when absent). A required column
+    missing from the header, or a mapped one named twice, raises
+    :class:`ConfigError`."""
+    columns = {name: i for i, name in enumerate(names)}
+    for name in schema.names:
+        if names.count(name) > 1:
+            raise ConfigError(f"column {name!r} appears more than once in the header")
+    for logical in ("timestamp", "source", "target", "amount"):
+        if getattr(schema, logical) not in columns:
+            raise ConfigError(
+                f"column for {logical!r} not in header: {getattr(schema, logical)!r}")
+    return (columns[schema.timestamp], columns[schema.source], columns[schema.target],
+            columns[schema.amount], columns.get(schema.tx_id), columns.get(schema.subtype))
+
+
 def parse_ledger(
     path: str | Path,
     schema: ColumnMapping | None = None,
@@ -259,13 +325,201 @@ def parse_ledger(
     the header, or a mapped column named twice in it, raises
     :class:`ConfigError`. Duplicate transaction ids keep the first
     occurrence and are counted in the diagnostics.
+
+    A plain file is read a block at a time, column by column; any other
+    file is parsed from the start by the row loop.
     """
     schema = schema or ColumnMapping()
     filter_spec = filter_spec or FilterSpec()
     path = Path(path)
     if not path.exists():
         raise DataError(f"ledger file not found: {path}")
+    parsed = _parse_plain(path, schema, filter_spec)
+    return parsed if parsed is not None else _parse_rows(path, schema, filter_spec)
 
+
+# The column path reads whole lines in blocks of about this many bytes, so
+# the text of the file and its stamp and amount cells never live at once,
+# and a block's cells stay in cache while its columns are read. The cells
+# of a block fit csv.reader's default field limit together, so no cell
+# needs measuring against it.
+_BLOCK_BYTES = 1 << 16
+# A plain block with these bytes deleted is its line ends and the commas
+# between cells: it holds no quote, carriage return, NUL or ASCII whitespace.
+_CELL_BYTES = bytes(sorted(set(range(256)) - set(b',\n"\r\0 \t\x0b\x0c\x1c\x1d\x1e\x1f')))
+_SPACE = re.compile(r"[^\S\n]")  # what str.strip strips, bar the line end
+# A stamp and its comma, with every digit written as 0.
+_ISO_SHAPE = np.frombuffer(b"0000-00-00T00:00:00,", dtype=np.uint8)
+
+
+def _parse_plain(
+    path: Path, schema: ColumnMapping, filter_spec: FilterSpec
+) -> tuple[Ledger, IngestDiagnostics] | None:
+    """The column path: what the row loop would return, or None to leave
+    the file to it.
+
+    It takes a file whose every line holds one cell per header column, with
+    no quote, whitespace, carriage return or NUL; whose every stamp is
+    ``YYYY-MM-DDTHH:MM:SS``, bare or with ``+00:00``; whose every amount is
+    a finite, non-negative decimal; and whose kept rows have distinct ids.
+    Filtered rows are checked too. Nothing is raised here, so every error
+    comes from the row loop.
+    """
+    if schema.timestamp_format == "epoch":
+        return None
+    try:
+        with open(path, "rb") as fh:
+            return _parse_blocks(_line_blocks(fh), schema, filter_spec)
+    except OSError:
+        return None
+
+
+def _line_blocks(fh) -> Iterator[bytes]:
+    """The file's bytes in blocks of whole lines, each ending in a newline."""
+    rest = b""
+    while chunk := fh.read(_BLOCK_BYTES):
+        chunk = rest + chunk
+        end = chunk.rfind(b"\n") + 1
+        if end:
+            yield chunk[:end]
+        rest = chunk[end:]
+    if rest:
+        yield rest + b"\n"
+
+
+def _plain_cells(block: bytes, width: int) -> list[str] | None:
+    """The cells of a block of lines, row after row, when each line holds
+    ``width`` plain cells; else None."""
+    if block.translate(None, _CELL_BYTES) != (b"," * (width - 1) + b"\n") * block.count(b"\n"):
+        return None
+    try:
+        text = block.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if not block.isascii() and _SPACE.search(text):
+        return None
+    cells = text.replace("\n", ",").split(",")
+    cells.pop()  # after the last line end
+    limit = csv.field_size_limit()  # csv.reader refuses a longer cell
+    if len(text) - len(cells) > limit and max(map(len, cells)) > limit:
+        return None
+    return cells
+
+
+def _iso_seconds(cells: list[str]) -> np.ndarray | None:
+    """Epoch seconds of stamps written ``YYYY-MM-DDTHH:MM:SS``, bare or with
+    ``+00:00``, inside ``datetime``'s range; else None."""
+    n = len(cells)
+    text = ",".join([*cells, ""]).replace("+00:00,", ",").encode()
+    if len(text) != 20 * n:
+        return None
+    # Only the canonical form, in which numpy's parse agrees with
+    # fromisoformat's, reaches numpy (which would only warn of a zone).
+    chars = np.frombuffer(text, dtype=np.uint8).reshape(n, 20)
+    if not (np.where(chars - 48 < 10, 48, chars) == _ISO_SHAPE).all():
+        return None
+    try:
+        seconds = np.ndarray(n, "S19", text, strides=(20,)).astype("datetime64[s]")
+    except ValueError:  # a month, day or time out of range
+        return None
+    seconds = seconds.astype(np.int64)
+    if n and not (MIN_EPOCH <= seconds.min() and seconds.max() <= MAX_EPOCH):
+        return None  # year 0000
+    return seconds
+
+
+def _amounts(cells: list[str], decimals: dict[str, Decimal]) -> list[Decimal] | None:
+    """The cells as finite, non-negative decimals, each text converted once
+    into ``decimals``; else None."""
+    new = set(cells).difference(decimals)
+    try:
+        values = list(map(Decimal, new))
+    except InvalidOperation:
+        return None
+    if not all(map(Decimal.is_finite, values)) or (values and min(values) < 0):
+        return None
+    decimals.update(zip(new, values))
+    return list(map(decimals.__getitem__, cells))
+
+
+def _parse_blocks(
+    blocks: Iterator[bytes], schema: ColumnMapping, filter_spec: FilterSpec
+) -> tuple[Ledger, IngestDiagnostics] | None:
+    header, _, first = next(blocks, b"").removeprefix(codecs.BOM_UTF8).partition(b"\n")
+    names = _plain_cells(header + b"\n", header.count(b",") + 1)
+    if names is None:
+        return None
+    try:
+        i_ts, i_src, i_tgt, i_amt, i_id, i_sub = _column_indices(names, schema)
+    except ConfigError:
+        return None
+    width = len(names)
+    keep_subtypes = frozenset(filter_spec.keep_subtypes) if i_sub is not None else ()
+    excluded = filter_spec.exclude_accounts
+    # Every row is checked, filtered or not; the filter and the sort are
+    # then applied as one take. Accounts become codes block by block, and
+    # equal subtypes and amount texts share one object.
+    stamps: list[np.ndarray] = []
+    kept: list[np.ndarray] = []
+    sources: list[np.ndarray] = []
+    targets: list[np.ndarray] = []
+    tx_ids: list[str] = []
+    amounts: list[Decimal] = []
+    subtypes: list[str] = []
+    accounts: dict[str, int] = {}
+    decimals: dict[str, Decimal] = {}
+    shared: dict[str, str] = {}
+    seen_ids: set[str] = set()
+    rows = 0
+    for block in itertools.chain((first,), blocks):
+        cells = _plain_cells(block, width)
+        if cells is None:
+            return None
+        source, target = cells[i_src::width], cells[i_tgt::width]
+        # An empty account is an error, and a blank row is not counted.
+        if "" in source or "" in target:
+            return None
+        n = len(source)
+        subtype = cells[i_sub::width] if i_sub is not None else [""] * n
+        keep = np.ones(n, dtype=bool)
+        if keep_subtypes:
+            keep &= np.fromiter(map(keep_subtypes.__contains__, subtype), bool, n)
+        if excluded:
+            keep &= ~np.fromiter(map(excluded.__contains__, source), bool, n)
+            keep &= ~np.fromiter(map(excluded.__contains__, target), bool, n)
+        stamp = _iso_seconds(cells[i_ts::width])
+        amount = _amounts(cells[i_amt::width], decimals)
+        if stamp is None or amount is None:
+            return None
+        if i_id is None:
+            tx_id = list(map("r{:08d}".format, range(rows + 2, rows + 2 + n)))
+        else:
+            tx_id = cells[i_id::width]
+            kept_ids = list(itertools.compress(tx_id, keep))
+            before = len(seen_ids)
+            seen_ids.update(kept_ids)
+            if len(seen_ids) - before != len(kept_ids):
+                return None  # the row loop counts the duplicates
+        stamps.append(stamp)
+        kept.append(np.flatnonzero(keep) + rows)
+        sources.append(_encode(source, accounts))
+        targets.append(_encode(target, accounts))
+        tx_ids += tx_id
+        amounts += amount
+        subtypes += map(shared.setdefault, subtype, subtype)
+        rows += n
+    del seen_ids, decimals
+    rows_kept = np.concatenate(kept)
+    ledger = Ledger._select(np.concatenate(stamps), tx_ids, list(accounts),
+                            np.concatenate(sources), np.concatenate(targets),
+                            amounts, subtypes, rows_kept)
+    return ledger, IngestDiagnostics(rows_read=rows, rows_filtered=rows - len(rows_kept))
+
+
+def _parse_rows(
+    path: Path, schema: ColumnMapping, filter_spec: FilterSpec
+) -> tuple[Ledger, IngestDiagnostics]:
+    """The row loop: csv.reader rows, each validated in turn."""
     diagnostics = IngestDiagnostics()
     stamps: list[int] = []
     tx_ids: list[str] = []
@@ -281,24 +535,10 @@ def parse_ledger(
         except StopIteration:
             return Ledger.from_columns([], [], [], [], [], []), diagnostics
         names = [name.strip() for name in header]
-        columns = {name: i for i, name in enumerate(names)}
-        for name in schema.names:
-            if names.count(name) > 1:
-                raise ConfigError(f"column {name!r} appears more than once in the header")
-
-        for logical in ("timestamp", "source", "target", "amount"):
-            if getattr(schema, logical) not in columns:
-                raise ConfigError(
-                    f"column for {logical!r} not in header: {getattr(schema, logical)!r}")
-        idx_ts = columns[schema.timestamp]
-        idx_src = columns[schema.source]
-        idx_tgt = columns[schema.target]
-        idx_amt = columns[schema.amount]
-        idx_id = columns.get(schema.tx_id)
-        idx_sub = columns.get(schema.subtype)
+        idx_ts, idx_src, idx_tgt, idx_amt, idx_id, idx_sub = _column_indices(names, schema)
 
         ts_format = schema.timestamp_format
-        width = max(columns.values()) + 1
+        width = len(names)
         keep_subtypes = filter_spec.keep_subtypes if idx_sub is not None else ()
         excluded = filter_spec.exclude_accounts
         rows_read = rows_filtered = duplicates = 0
@@ -369,7 +609,3 @@ def write_transactions(path: str | Path, transactions: Ledger | Iterable[Transac
          accounts[ledger.target].tolist(), list(map(str, ledger.amount)), ledger.subtype),
     )
 
-
-def keep_everything() -> FilterSpec:
-    """FilterSpec that admits every subtype and account (round-trip parsing)."""
-    return FilterSpec(keep_subtypes=())

@@ -10,6 +10,7 @@ configuration (the manifest's wall times are the one exception).
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -122,8 +123,14 @@ def strategy_report(
     signatures: Sequence[TemporalSignature],
     partition: TopologyPartition,
 ) -> StrategySignalReport:
-    """Compute the strategy shares from existing tables (no new graph work)."""
+    """Compute the strategy shares from existing tables (no new graph work).
+
+    A ledger volume past float64 raises :class:`AnalysisError`: every share
+    of it would be NaN or 0.
+    """
     total = float(total_volume) if total_volume else 0.0
+    if not math.isfinite(total):
+        raise AnalysisError(f"cannot share out volume {total_volume}: not finite in float64")
 
     one_time_out = sum(
         float(one_time.rows[label].outgoing_volume)

@@ -7,14 +7,16 @@ for discrete power laws. None of it shares code with the library paths it
 verifies. The string-keyed endpoint swap, categoriser and category
 statistics that the integer-array implementations replaced also live here,
 as slow references, and so do the row-at-a-time sort, dict aggregation and
-per-transaction crosstab that the columnar ledger replaced, the
+per-transaction crosstab that the columnar ledger replaced, the one-lexsort
+row order that the stamp sort with id-ordered ties replaced, the
 neighbourhood-walk triad census of general digraphs that the closed-form
 acyclic census replaced, and the two power-law fits, each with its own
 cutoff scan, that the shared scan replaced, and the significance scoring
 over one dict table per replica that the stacked replica arrays replaced.
 ``dict_view`` expands an array partition into the string-keyed one the
 categoriser used to return, and ``verify_partition`` checks that view's
-structural contract.
+structural contract. ``keep_everything`` is the filter that admits every
+row, for parses that must give back what was written.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from scipy.special import zeta
 
 from ledgerflow.degrees import _ALPHA_BOUNDS, MIN_DISTINCT_VALUES, PowerLawFit
 from ledgerflow.graph import LedgerGraph, LinkRecord
-from ledgerflow.ingest import Transaction
+from ledgerflow.ingest import FilterSpec, Transaction
 from ledgerflow.errors import AnalysisError, DataError
 from ledgerflow.nullmodel import FEATURES, RandomizationError, SwapMode
 from ledgerflow.recirculation import (
@@ -973,13 +975,23 @@ def oracle_extract_ops(transactions) -> list[tuple[str, int, int, tuple[str, ...
 
 
 # --------------------------------------------------------------------------
-# row-at-a-time ledger references: sort, aggregation, crosstab
+# row-at-a-time ledger references: sort, row order, aggregation, crosstab
 # --------------------------------------------------------------------------
 
 
 def reference_sort(transactions) -> list[Transaction]:
     """Transactions in (timestamp, tx_id) order, as objects."""
     return sorted(transactions, key=lambda t: (t.timestamp, t.tx_id))
+
+
+def reference_ledger_order(timestamp, tx_id) -> np.ndarray:
+    """The row order ``Ledger.from_columns`` gave before it sorted by stamp
+    alone and ordered only runs of equal stamps by id: one ``lexsort`` over
+    the stamps and a code-point rank of every id."""
+    n = len(tx_id)
+    id_rank = np.empty(n, dtype=np.int64)
+    id_rank[sorted(range(n), key=tx_id.__getitem__)] = np.arange(n)
+    return np.lexsort((id_rank, np.array(timestamp, dtype=np.int64)))
 
 
 def reference_aggregate(transactions) -> tuple[dict[tuple[str, str], tuple[int, Decimal]], int]:
@@ -1164,6 +1176,11 @@ def reference_fit_continuous_power_law(values) -> PowerLawFit:
 # --------------------------------------------------------------------------
 # shared builders
 # --------------------------------------------------------------------------
+
+
+def keep_everything() -> FilterSpec:
+    """FilterSpec that admits every subtype and account (round-trip parsing)."""
+    return FilterSpec(keep_subtypes=())
 
 
 def tx(

@@ -271,6 +271,25 @@ def test_volumes_past_float64_are_analysis_error(tmp_path):
         json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
+def test_report_on_volume_past_float64_is_analysis_error(tmp_path):
+    # Every share of a volume that is infinite as a float is NaN or 0/inf,
+    # so the report refuses it rather than write either.
+    edges = [("x1", "h"), ("x2", "h"), ("x3", "h"), ("h", "y"), ("y", "z"), ("z", "y"),
+             ("a", "b"), ("b", "a"), ("c", "a"), ("d", "c")]
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text("id,timeset,source,target,weight,transfer_subtype\n" + "".join(
+        f"t{i},2020-01-01T00:00:{i:02d}Z,{s},{t},1E+400,STANDARD\n"
+        for i, (s, t) in enumerate(edges)))
+    out_dir = tmp_path / "out"
+    assert main(["report", str(ledger), "--output", str(out_dir)]) == 4
+    report = json.loads((out_dir / "error_report.json").read_text())
+    assert report["error_type"] == "AnalysisError"
+    assert report["message"].endswith("not finite in float64")
+    assert not (out_dir / "strategy_report.json").exists()
+    for path in out_dir.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 def test_unexpected_exception_is_reported(tmp_path, monkeypatch, capsys):
     import ledgerflow.cli as cli
 

@@ -1,18 +1,25 @@
+import codecs
+import importlib.util
+from datetime import datetime
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ledgerflow import ingest
 from ledgerflow.errors import ConfigError, DataError
 from ledgerflow.ingest import (
+    ColumnMapping,
     FilterSpec,
     Transaction,
-    keep_everything,
     parse_ledger,
     parse_timestamp,
     write_transactions,
 )
+
+from oracles import keep_everything
 
 HEADER = "id,timeset,source,target,weight,transfer_subtype\n"
 
@@ -238,3 +245,201 @@ def test_carriage_return_inside_a_cell_round_trips(tmp_path):
     parsed, diagnostics = parse_ledger(path, filter_spec=keep_everything())
     assert list(parsed) == txs
     assert diagnostics.rows_read == 2
+
+
+# --------------------------------------------------------------------------
+# the column path against the row loop
+# --------------------------------------------------------------------------
+
+
+def outcome(path, schema=None, filter_spec=None):
+    """What parse_ledger gives: every column (amounts as text) and the
+    diagnostics, or the exception's type and message."""
+    try:
+        ledger, diagnostics = parse_ledger(path, schema, filter_spec)
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return type(exc), str(exc)
+    return (
+        ledger.accounts,
+        ledger.timestamp.tolist(),
+        ledger.source.tolist(),
+        ledger.target.tolist(),
+        ledger.tx_id,
+        list(map(str, ledger.amount)),
+        ledger.subtype,
+        diagnostics,
+    )
+
+
+def row_loop_outcome(path, schema=None, filter_spec=None):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_parse_plain", lambda *args: None)
+        return outcome(path, schema, filter_spec)
+
+
+NAMES = ("id", "timeset", "source", "target", "weight", "transfer_subtype")
+PLAIN_STAMPS = st.one_of(
+    st.sampled_from(["2020-01-01T00:00:00", "2020-01-01T00:00:00+00:00", "2020-01-01T00:00:01"]),
+    st.builds(
+        lambda moment, zone: moment.isoformat(timespec="seconds") + zone,
+        st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)),
+        st.sampled_from(["", "+00:00"]),
+    ),
+)
+PLAIN = {
+    "source": st.sampled_from(["a", "b", "c", "d", "sys"]),
+    "target": st.sampled_from(["a", "b", "c", "d", "sys"]),
+    "weight": st.sampled_from(
+        ["1", "2.50", "0", "1E+2", "-0", "1_000", "007.5", "0E-5", "12345678901234567890.123"]),
+    "transfer_subtype": st.sampled_from(["STANDARD", "STANDARD", "DISBURSEMENT", "AGENT_OUT", ""]),
+}
+ODD = {
+    "id": ["", "t0", "t1", "t0\x00", " t1", '"t1"', "é"],
+    "timeset": [
+        "2020-01-01T00:00:00Z", "2020-01-01T00:00:00+01:00", "2020-01-01T00:00:00-05:00",
+        "1600000000", "-7.9", "0000-01-01T00:00:00", "2020-02-30T00:00:00",
+        "2020-01-01T24:00:00", "2020-01-01T23:59:60", "2020-01-01 00:00:00",
+        "+020-01-01T00:00:00", "2020-01-01T00:00", "2020-01-01T00:00:00.5",
+        "2020-01-01T00:00:00+00:00+00:00", "2020-01-01T00:00:00+0000", "NaT", "",
+        " 2020-01-01T00:00:00", "0001-01-01T00:00:00", "9999-12-31T23:59:59+00:00",
+        "２020-01-01T00:00:00",
+    ],
+    "source": ["", " a", "a ", "a\t", "é", "a\x00", '"a"', "a\u2028", "\x1ca", '"a,b"'],
+    "target": ["", "b\xa0", "sys", "a\r", '"x""y"'],
+    "weight": ["-1", "NaN", "Infinity", "-Infinity", "sNaN", "", "abc", " 1", "1e5"],
+    "transfer_subtype": [" STANDARD", "STANDARD ", '"STANDARD"', "standard"],
+}
+BREAKS = (
+    "blank", "all blank", "spaces", "short", "long", "one crlf", "all crlf",
+    "no final newline", "bom", "padded header", "not utf-8",
+)
+
+
+def ledger_bytes(names, rows, brk="", at=1) -> bytes:
+    """The file of ``rows`` under the header ``names``, broken by ``brk``
+    (one of ``BREAKS``) at line ``at``."""
+    lines = [",".join(names)] + [",".join(row[name] for name in names) for row in rows]
+    last = min(at, len(lines) - 1)
+    if brk in ("blank", "all blank", "spaces"):
+        lines.insert(at, {"blank": "", "all blank": ",,,,,", "spaces": " , ,,\t,, "}[brk])
+    elif brk == "short":
+        lines[last] = lines[last].rpartition(",")[0]
+    elif brk == "long":
+        lines[last] += ",x"
+    elif brk == "one crlf":
+        lines[last] += "\r"
+    elif brk == "padded header":
+        lines[0] = lines[0].replace(",", " , ")
+    text = "\n".join(lines) + ("" if brk == "no final newline" else "\n")
+    if brk == "all crlf":
+        text = text.replace("\n", "\r\n")
+    data = text.encode("utf-8")
+    if brk == "bom":
+        data = codecs.BOM_UTF8 + data
+    elif brk == "not utf-8":
+        data = data.replace(b"\n", b"\xff\n", 1)
+    return data
+
+
+@st.composite
+def ledger_files(draw):
+    """Ledger bytes: plain rows, then at most two odd cells and one break."""
+    dropped = draw(st.sampled_from([(), (), (), ("id",), ("transfer_subtype",)]))
+    names = [name for name in NAMES if name not in dropped]
+    rows = [
+        {"id": f"t{i}", "timeset": draw(PLAIN_STAMPS),
+         **{name: draw(strategy) for name, strategy in PLAIN.items()}}
+        for i in range(draw(st.integers(0, 12)))
+    ]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if rows else 0):
+        name = draw(st.sampled_from(NAMES))
+        draw(st.sampled_from(rows))[name] = draw(st.sampled_from(ODD[name]))
+    brk = draw(st.sampled_from(BREAKS + ("",) * 2 * len(BREAKS)))
+    return ledger_bytes(names, rows, brk, draw(st.integers(1, len(rows) + 1)))
+
+
+SCHEMAS = st.sampled_from(
+    [ColumnMapping(), ColumnMapping(), ColumnMapping(timestamp_format="iso8601"),
+     ColumnMapping(timestamp_format="epoch")])
+FILTERS = st.sampled_from(
+    [FilterSpec(), keep_everything(), FilterSpec(exclude_accounts=frozenset({"sys"}))])
+
+
+def both_outcomes(path, schema=None, filter_spec=None, block=ingest._BLOCK_BYTES):
+    """parse_ledger's outcome with blocks of ``block`` bytes, and the row
+    loop's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_BLOCK_BYTES", block)
+        mine = outcome(path, schema, filter_spec)
+    return mine, row_loop_outcome(path, schema, filter_spec)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ledger_files(), SCHEMAS, FILTERS, st.sampled_from([1, 20, 64, ingest._BLOCK_BYTES]))
+def test_column_path_matches_the_row_loop(tmp_path_factory, data, schema, filter_spec, block):
+    # Small blocks split a file's lines over several blocks.
+    path = tmp_path_factory.mktemp("fuzz") / "ledger.csv"
+    path.write_bytes(data)
+    mine, rows = both_outcomes(path, schema, filter_spec, block)
+    assert mine == rows
+
+
+PLAIN_ROWS = (
+    {"id": "t2", "timeset": "2020-01-01T00:00:01", "source": "a", "target": "b",
+     "weight": "2.50", "transfer_subtype": "STANDARD"},
+    {"id": "t1", "timeset": "2020-01-01T00:00:00+00:00", "source": "b", "target": "c",
+     "weight": "1E+2", "transfer_subtype": "STANDARD"},
+    {"id": "t0", "timeset": "2020-01-01T00:00:01", "source": "c", "target": "d",
+     "weight": "7", "transfer_subtype": "DISBURSEMENT"},
+    {"id": "t3", "timeset": "2020-01-01T00:00:01", "source": "d", "target": "a",
+     "weight": "-0", "transfer_subtype": "STANDARD"},
+)
+
+
+def test_each_odd_cell_and_break_parses_as_the_row_loop(tmp_path):
+    # Each odd cell in a kept row and in a filtered one, and each break, on
+    # its own in a file that is otherwise plain, in one block and in many.
+    path = tmp_path / "ledger.csv"
+    cases = [(name, value, row, "", NAMES)
+             for name, values in ODD.items() for value in values for row in (0, 2)]
+    cases += [(None, None, None, brk, names) for brk in BREAKS + ("",)
+              for names in (NAMES, NAMES[1:], NAMES[:-1])]
+    for name, value, row, brk, names in cases:
+        rows = [dict(plain) for plain in PLAIN_ROWS]
+        if name:
+            rows[row][name] = value
+        path.write_bytes(ledger_bytes(names, rows, brk, at=2))
+        for block in (20, ingest._BLOCK_BYTES):
+            mine, rows_only = both_outcomes(path, block=block)
+            assert mine == rows_only, (name, value, row, brk, names, block)
+        if name is None and brk == "":  # the plain file takes the column path
+            assert ingest._parse_plain(path, ColumnMapping(), FilterSpec()) is not None
+
+
+def _economy_module():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "economy.py"
+    spec = importlib.util.spec_from_file_location("perfbench_economy", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_plain_ledgers_take_the_column_path(tmp_path, monkeypatch):
+    # An economy ledger (naive stamps, several blocks, a few filtered
+    # subtypes and self-transfers) and the normalized ledger that
+    # write_transactions makes of it (+00:00 stamps) must not need the
+    # row loop, and must parse as it would.
+    economy = tmp_path / "economy.csv"
+    economy.write_text(_economy_module().generate(600, 3), encoding="utf-8")
+    assert economy.stat().st_size > 2 * ingest._BLOCK_BYTES
+    normalized = tmp_path / "transactions_normalized.csv"
+    write_transactions(normalized, parse_ledger(economy)[0])
+    expected = {path: row_loop_outcome(path) for path in (economy, normalized)}
+
+    def refuse(*args):
+        raise AssertionError("the row loop was called")
+
+    monkeypatch.setattr(ingest, "_parse_rows", refuse)
+    for path, rows in expected.items():
+        assert outcome(path) == rows
+        assert rows[-1].rows_read > 5000

@@ -9,11 +9,19 @@ arrays would drop: order must stay Python's code-point order.
 import random
 
 from ledgerflow.graph import aggregate
-from ledgerflow.ingest import Ledger, keep_everything, parse_ledger, write_transactions
+from ledgerflow.ingest import Ledger, parse_ledger, write_transactions
 from ledgerflow.recirculation import classify_ops, crosstab, extract_ops, user_signatures
 from ledgerflow.topology import categorize
 
-from oracles import dict_view, reference_aggregate, reference_crosstab, reference_sort, tx
+from oracles import (
+    dict_view,
+    keep_everything,
+    reference_aggregate,
+    reference_crosstab,
+    reference_ledger_order,
+    reference_sort,
+    tx,
+)
 
 AMOUNTS = ("1", "1.0", "1.00", "1E+2", "0E-5", "0.1", "2.50", "12345678901234567890.123")
 NAMES = ("a", "a\x00", "a\x00\x00", "b", "b\x00", "ab", "é", "Z")
@@ -42,6 +50,33 @@ def test_rows_follow_the_object_sort():
         ledger = Ledger.from_transactions(txs)
         assert list(ledger) == reference_sort(txs), trial
         assert ledger.accounts == tuple(sorted({v for t in txs for v in (t.source, t.target)}))
+
+
+def test_from_columns_matches_the_lexsort_order():
+    # Tied stamps, ids equal but for trailing NULs, and (as hand-built rows
+    # may have) repeated ids, some with equal stamps too.
+    rng = random.Random(45)
+    for trial in range(300):
+        txs = random_ledger(rng, rng.randrange(0, 40))
+        for t in rng.sample(txs, min(len(txs), rng.randrange(0, 6))):
+            txs.append(tx(t.tx_id, rng.choice([t.timestamp, rng.randrange(-3, 12)]),
+                          rng.choice(NAMES), rng.choice(NAMES), rng.choice(AMOUNTS)))
+        rng.shuffle(txs)
+        columns = [[getattr(t, name) for t in txs]
+                   for name in ("timestamp", "tx_id", "source", "target", "amount", "subtype")]
+        ledger = Ledger.from_columns(*columns)
+        order = reference_ledger_order(columns[0], columns[1]).tolist()
+        stamps, ids, sources, targets, amounts, subtypes = (
+            [column[i] for i in order] for column in columns)
+        assert ledger.timestamp.tolist() == stamps, trial
+        assert ledger.tx_id == ids, trial
+        assert [ledger.accounts[c] for c in ledger.source.tolist()] == sources, trial
+        assert [ledger.accounts[c] for c in ledger.target.tolist()] == targets, trial
+        assert list(map(str, ledger.amount)) == list(map(str, amounts)), trial
+        assert ledger.subtype == subtypes, trial
+        assert ledger.accounts == tuple(sorted(set(sources).union(targets))), trial
+        assert list(ledger.without_self_transfers()) == [
+            t for t in ledger if t.source != t.target], trial
 
 
 def test_aggregate_matches_dict_reference():
