@@ -43,7 +43,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .util import MAX_EPOCH, MIN_EPOCH, iso_utc, write_csv
+from .util import MAX_EPOCH, MIN_EPOCH, Rendered, check_epochs, iso_utc, write_csv
 
 __all__ = [
     "Transaction",
@@ -283,12 +283,19 @@ def _detect_timestamp_format(value: str) -> str:
 
 def _csv_rows(path: Path) -> Iterator[list[str]]:
     """The CSV rows of ``path``. A file that cannot be read, or is not UTF-8
-    text, raises :class:`DataError` naming it."""
+    text, raises :class:`DataError` naming it; a row that ``csv.reader``
+    refuses (a cell past ``csv.field_size_limit()``) raises one naming the
+    row, numbered as the row loop numbers it."""
     try:
         # utf-8-sig drops a byte-order mark, which would otherwise glue
         # itself to the first column name.
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            yield from csv.reader(fh)
+            row_no = 0
+            try:
+                for row_no, row in enumerate(csv.reader(fh), start=1):
+                    yield row
+            except csv.Error as exc:
+                raise DataError(f"row {row_no + 1}: {exc}") from None
     except UnicodeDecodeError as exc:
         # exc.start counts from the decoded chunk, not from the file start.
         raise DataError(f"ledger {path} is not UTF-8 text ({exc.reason})") from None
@@ -598,14 +605,24 @@ def _parse_rows(
 
 def write_transactions(path: str | Path, transactions: Ledger | Iterable[Transaction]) -> None:
     """Write a normalized ledger CSV in (timestamp, tx_id) order under the
-    default column names (round-trips with parse)."""
+    default column names (round-trips with parse).
+
+    The stamp, account and amount columns are :class:`Rendered`, so
+    ``write_csv`` turns them into text one chunk of rows at a time. A stamp
+    outside ``datetime``'s range raises ``ValueError`` before the file is
+    opened.
+    """
     ledger = as_ledger(transactions)
+    check_epochs(ledger.timestamp)
     accounts = np.array(ledger.accounts, dtype=object)
-    stamps = iso_utc(ledger.timestamp)  # raises on a bad stamp before the file is opened
+
+    def account_ids(codes: np.ndarray) -> list[str]:
+        return accounts[codes].tolist()
+
     write_csv(
         path,
         ColumnMapping().names,
-        (ledger.tx_id, stamps, accounts[ledger.source].tolist(),
-         accounts[ledger.target].tolist(), list(map(str, ledger.amount)), ledger.subtype),
+        (ledger.tx_id, Rendered(ledger.timestamp, iso_utc), Rendered(ledger.source, account_ids),
+         Rendered(ledger.target, account_ids),
+         Rendered(ledger.amount, lambda amounts: list(map(str, amounts))), ledger.subtype),
     )
-

@@ -60,7 +60,6 @@ __all__ = [
     "NODE_CATEGORIES",
     "EDGE_CATEGORIES",
     "Labels",
-    "strongly_connected_components",
     "label",
     "categorize",
     "tabulate",
@@ -172,14 +171,6 @@ def _components(n: int, sources: np.ndarray, targets: np.ndarray, connection: st
     ones = np.ones(sources.size, dtype=np.int8)
     graph = csr_matrix((ones, (sources, targets)), shape=(n, n))
     return connected_components(graph, directed=True, connection=connection)[1]
-
-
-def strongly_connected_components(g: LedgerGraph) -> list[tuple[str, ...]]:
-    """All SCCs (including singletons) as sorted tuples, by first member."""
-    groups: dict[int, list[str]] = {}
-    for v, c in zip(g.nodes, _components(g.node_count, g.sources, g.targets, "strong").tolist()):
-        groups.setdefault(c, []).append(v)
-    return [tuple(group) for group in groups.values()]
 
 
 def label(n: int, sources: np.ndarray, targets: np.ndarray) -> tuple[Labels, np.ndarray]:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from dataclasses import dataclass
 from decimal import Decimal, Inexact, localcontext
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -59,13 +60,18 @@ def group_sums(groups: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     return sums
 
 
+def check_epochs(seconds: np.ndarray) -> None:
+    """Raise ``ValueError`` if an epoch second is outside ``datetime``'s UTC range."""
+    if seconds.size and not (MIN_EPOCH <= seconds.min() and seconds.max() <= MAX_EPOCH):
+        raise ValueError("timestamp outside 0001-01-01T00:00:00Z .. 9999-12-31T23:59:59Z")
+
+
 def iso_utc(seconds: np.ndarray) -> list[str]:
     """ISO-8601 UTC stamps of epoch seconds, as ``datetime.isoformat`` writes
     them. Raises ``ValueError`` outside ``datetime``'s range, the only one
     where numpy and ``datetime`` agree."""
     seconds = np.asarray(seconds, dtype=np.int64)
-    if seconds.size and not (MIN_EPOCH <= seconds.min() and seconds.max() <= MAX_EPOCH):
-        raise ValueError("timestamp outside 0001-01-01T00:00:00Z .. 9999-12-31T23:59:59Z")
+    check_epochs(seconds)
     text = np.datetime_as_string(seconds.astype("datetime64[s]"), unit="s")
     return [stamp + "+00:00" for stamp in text.tolist()]
 
@@ -148,9 +154,27 @@ def text_columns(rows: Iterable[Sequence], width: int) -> list[list[str]]:
     return columns
 
 
+@dataclass(frozen=True)
+class Rendered:
+    """A column of ``values`` that ``render`` turns into text a slice at a
+    time: ``Rendered(values, render)[a:b]`` is ``render(values[a:b])``."""
+
+    values: Sequence
+    render: Callable[[Sequence], list[str]]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, rows: slice) -> list[str]:
+        return self.render(self.values[rows])
+
+
 def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence[str]]) -> None:
     """Write a CSV from equal-length columns of text cells, one line per row.
 
+    A column is any sequence whose slices are lists of text, such as a
+    list of str or a :class:`Rendered` column; it is sliced a chunk of rows
+    at a time, so only one chunk of a rendered column exists as text.
     Cells are quoted as ``csv.writer`` quotes them (minimal quoting, doubled
     quotes, a lone empty cell as ``""``), and also when they hold ``\r``.
     Rows are joined and written a chunk at a time, so the file's text is

@@ -16,7 +16,10 @@ over one dict table per replica that the stacked replica arrays replaced.
 ``dict_view`` expands an array partition into the string-keyed one the
 categoriser used to return, and ``verify_partition`` checks that view's
 structural contract. ``keep_everything`` is the filter that admits every
-row, for parses that must give back what was written.
+row, for parses that must give back what was written, and
+``strongly_connected_components`` lists the strong components that
+``topology.label`` computes as member tuples, for tests that compare or
+measure them.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from ledgerflow.topology import (
     Labels,
     NodeCategory,
     TopologyPartition,
+    _components,
 )
 from ledgerflow.stats import _MIN_ENSEMBLE, SignificanceCell, _cell
 from ledgerflow.triads import DEFAULT_CENSUS_CATEGORIES, TRIAD_LABELS
@@ -390,6 +394,15 @@ def verify_partition(g: LedgerGraph, partition: DictPartition) -> None:
 # (Tarjan SCCs, union-find weak components, per-link scans) that the array
 # categoriser replaced; the fast path must match them exactly
 # --------------------------------------------------------------------------
+
+
+def strongly_connected_components(g: LedgerGraph) -> list[tuple[str, ...]]:
+    """All SCCs (including singletons) as tuples, by first member, from the
+    strong component ids that ``topology.label`` uses."""
+    groups: dict[int, list[str]] = {}
+    for v, c in zip(g.nodes, _components(g.node_count, g.sources, g.targets, "strong").tolist()):
+        groups.setdefault(c, []).append(v)
+    return [tuple(group) for group in groups.values()]
 
 
 def tarjan_sccs(g: LedgerGraph) -> list[tuple[str, ...]]:

@@ -32,7 +32,6 @@ from ledgerflow.topology import (
     EdgeKind,
     categorize,
     category_stats,
-    strongly_connected_components,
 )
 from ledgerflow.triads import category_census, triad_significance
 from ledgerflow.util import dsum
@@ -44,6 +43,7 @@ from oracles import (
     graph_census,
     naive_categorize,
     oracle_extract_ops,
+    strongly_connected_components,
     tx,
     verify_partition,
 )

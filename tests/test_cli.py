@@ -130,6 +130,22 @@ def test_out_of_range_timestamp_is_data_error(tmp_path):
     assert report["message"].startswith("row 3: bad timestamp")
 
 
+def test_cell_past_the_field_limit_is_data_error(tmp_path):
+    # csv.reader refuses a cell longer than csv.field_size_limit() (131,072
+    # characters by default); the column path declines such a file.
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text(
+        "id,timeset,source,target,weight,transfer_subtype\n"
+        f"t1,2020-01-01T00:00:00Z,{'a' * 140_000},b,5,STANDARD\n",
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "o"
+    assert main(["ingest", str(ledger), "--output", str(out_dir)]) == 3
+    report = json.loads((out_dir / "error_report.json").read_text())
+    assert report["error_type"] == "DataError"
+    assert report["message"].startswith("row 2: field larger than field limit")
+
+
 def _unreadable(tmp_path: Path, kind: str, text: str) -> Path:
     """A path that cannot be read as UTF-8 text: missing, a directory, or
     ``text`` with a byte that is not UTF-8 in its last line."""

