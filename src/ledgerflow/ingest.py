@@ -38,7 +38,7 @@ from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -603,14 +603,20 @@ def _parse_rows(
     return Ledger.from_columns(stamps, tx_ids, sources, targets, amounts, subtypes), diagnostics
 
 
-def write_transactions(path: str | Path, transactions: Ledger | Iterable[Transaction]) -> None:
+def write_transactions(
+    path: str | Path,
+    transactions: Ledger | Iterable[Transaction],
+    write: Callable[[Path, Sequence[str], Sequence], None] = write_csv,
+) -> None:
     """Write a normalized ledger CSV in (timestamp, tx_id) order under the
     default column names (round-trips with parse).
 
     The stamp, account and amount columns are :class:`Rendered`, so
     ``write_csv`` turns them into text one chunk of rows at a time. A stamp
     outside ``datetime``'s range raises ``ValueError`` before the file is
-    opened.
+    opened. ``write(path, header, columns)`` writes the file; the default,
+    ``write_csv``, writes it here and now, and a caller may hand the
+    columns to another writer (the pipeline writes them in a forked child).
     """
     ledger = as_ledger(transactions)
     check_epochs(ledger.timestamp)
@@ -619,8 +625,8 @@ def write_transactions(path: str | Path, transactions: Ledger | Iterable[Transac
     def account_ids(codes: np.ndarray) -> list[str]:
         return accounts[codes].tolist()
 
-    write_csv(
-        path,
+    write(
+        Path(path),
         ColumnMapping().names,
         (ledger.tx_id, Rendered(ledger.timestamp, iso_utc), Rendered(ledger.source, account_ids),
          Rendered(ledger.target, account_ids),

@@ -51,7 +51,7 @@ from .topology import (
     one_time_users,
 )
 from .triads import TRIAD_LABELS, category_census, triad_significance
-from .util import format_duration, iso_utc, text_columns, write_csv, write_json
+from .util import Rendered, fork_call, format_duration, iso_utc, text_columns, write_csv, write_json
 
 __all__ = [
     "PipelineConfig",
@@ -166,21 +166,47 @@ def strategy_report(
 
 
 class _Writer:
+    """Writes the bundle into ``out_dir`` and lists its files in ``written``.
+
+    The bulk tables (``transactions_normalized``, ``node_assignment`` with
+    ``edge_assignment``, ``operations``) are handed off where the serial run
+    would write them, each to a forked child (``util.fork_call``) that
+    renders its text beside the analysis. ``join`` waits for them: before
+    ``manifest.json``, and in ``run_pipeline``'s ``finally``.
+    """
+
     def __init__(self, out_dir: Path, formats: tuple[str, ...]):
         self.out_dir = out_dir
         self.formats = formats
         self.written: list[Path] = []
+        self.pending: list = []
+
+    def background(self, path: Path, header, columns) -> None:
+        """``write_csv`` in a forked child, which renders the lazy columns."""
+        self.fork((path,), write_csv, path, header, columns)
+
+    def fork(self, paths: Sequence[Path], fn, *args) -> None:
+        """``fn(*args)``, which writes ``paths``, in a forked child."""
+        self.pending.append(fork_call(fn, *args))
+        self.written.extend(paths)
+
+    def join(self) -> None:
+        """Reap every child, then raise the earliest one's failure, if any."""
+        failure = None
+        while self.pending:
+            try:
+                self.pending[0].result()
+            except Exception as exc:
+                failure = failure or exc
+            del self.pending[0]  # only once reaped
+        if failure is not None:
+            raise failure
 
     def csv(self, name: str, header, rows) -> None:
         """A small table given as rows of cells."""
         if "csv" in self.formats:
-            self.columns(name, header, text_columns(rows, len(header)))
-
-    def columns(self, name: str, header, columns) -> None:
-        """A table given as columns of text cells."""
-        if "csv" in self.formats:
             path = self.out_dir / f"{name}.csv"
-            write_csv(path, header, columns)
+            write_csv(path, header, text_columns(rows, len(header)))
             self.written.append(path)
 
     def json(self, name: str, obj, always: bool = False) -> None:
@@ -246,110 +272,120 @@ def run_pipeline(
     except OSError as exc:
         raise ConfigError(f"output directory not writable: {out_dir}: {exc}") from None
     writer = _Writer(out_dir, tuple(config.formats))
-    # A stage entered again adds to its time; the manifest lists stages in
-    # ALL_STAGES order.
-    stage_seconds: dict[str, float] = {}
-    with _timed(stage_seconds, "ingest"):
-        transactions, diagnostics = parse_ledger(
-            config.input_path, config.column_mapping, config.filter_spec
-        )
-        graph, agg_diag = aggregate(transactions)
-        diagnostics.self_transfers_dropped = agg_diag.self_transfers_dropped
-        if "ingest" in stages:
-            write_transactions(out_dir / "transactions_normalized.csv", transactions)
-            writer.written.append(out_dir / "transactions_normalized.csv")
-            writer.json("ingest_diagnostics", diagnostics.__dict__, always=True)
-            writer.json(
-                "ledger_totals",
-                {
-                    "nodes": graph.node_count,
-                    "links": graph.link_count,
-                    "transactions": graph.tx_count,
-                    "volume": graph.volume,
-                },
-                always=True,
+    try:
+        # A stage entered again adds to its time; the manifest lists stages in
+        # ALL_STAGES order.
+        stage_seconds: dict[str, float] = {}
+        with _timed(stage_seconds, "ingest"):
+            transactions, diagnostics = parse_ledger(
+                config.input_path, config.column_mapping, config.filter_spec
             )
-            if graph.node_count:
-                writer.json("degree_stats", degree_stats(graph).as_dict(), always=True)
+            graph, agg_diag = aggregate(transactions)
+            diagnostics.self_transfers_dropped = agg_diag.self_transfers_dropped
+            if "ingest" in stages:
+                write_transactions(out_dir / "transactions_normalized.csv", transactions,
+                                   write=writer.background)
+                writer.json("ingest_diagnostics", diagnostics.__dict__, always=True)
+                writer.json(
+                    "ledger_totals",
+                    {
+                        "nodes": graph.node_count,
+                        "links": graph.link_count,
+                        "transactions": graph.tx_count,
+                        "volume": graph.volume,
+                    },
+                    always=True,
+                )
+                if graph.node_count:
+                    writer.json("degree_stats", degree_stats(graph).as_dict(), always=True)
 
-    with _timed(stage_seconds, "topology"):
-        partition = categorize(graph)
-        stats = category_stats(graph, partition)
-        one_time = one_time_users(graph, partition)
-        if "topology" in stages:
-            if "csv" in writer.formats:
-                _write_assignments(writer, graph, partition)
-            writer.csv(
-                "category_stats",
-                ("node_label", "edge_label", "sccs", "wccs", "nodes", "links", "transactions",
-                 "volume"),
-                _category_stats_rows(stats),
-            )
-            writer.json("category_stats",
-                        {label: stats[label].__dict__ for label in CATEGORY_ORDER})
-            writer.csv(
-                "one_time_users",
-                ("category", "one_outgoing", "one_incoming", "outgoing_volume", "incoming_volume"),
-                ((label, *row.__dict__.values())
-                 for label, row in [*one_time.rows.items(), ("total", one_time.total)]),
-            )
-            writer.json("one_time_users", asdict(one_time))
+        with _timed(stage_seconds, "topology"):
+            partition = categorize(graph)
+            stats = category_stats(graph, partition)
+            one_time = one_time_users(graph, partition)
+            if "topology" in stages:
+                if "csv" in writer.formats:
+                    paths = (out_dir / "node_assignment.csv", out_dir / "edge_assignment.csv")
+                    writer.fork(paths, _write_assignments, *paths, graph, partition)
+                writer.csv(
+                    "category_stats",
+                    ("node_label", "edge_label", "sccs", "wccs", "nodes", "links", "transactions",
+                     "volume"),
+                    _category_stats_rows(stats),
+                )
+                writer.json("category_stats",
+                            {label: stats[label].__dict__ for label in CATEGORY_ORDER})
+                writer.csv(
+                    "one_time_users",
+                    ("category", "one_outgoing", "one_incoming", "outgoing_volume",
+                     "incoming_volume"),
+                    ((label, *row.__dict__.values())
+                     for label, row in [*one_time.rows.items(), ("total", one_time.total)]),
+                )
+                writer.json("one_time_users", asdict(one_time))
 
-    # significance and triads: one ensemble per mode feeds both; the
-    # replica builds are timed under the first selected of the two stages
-    seeds: dict[str, int] = {}
-    ensemble_stages = [name for name in ("significance", "triads") if name in stages]
-    if "triads" in stages:
-        with _timed(stage_seconds, "triads"):
-            census_tables = category_census(graph, partition)
-            writer.csv(
-                "triad_census",
-                ("category",) + TRIAD_LABELS,
-                ((label, *census.values()) for label, census in census_tables.items()),
-            )
-            writer.json("triad_census", census_tables)
-    for mode in config.modes if ensemble_stages else ():
-        with _timed(stage_seconds, ensemble_stages[0]):
-            spec = EnsembleSpec(
-                mode=mode,
-                replicas=config.replicas,
-                master_seed=config.master_seed,
-                max_repair_attempts=config.max_repair_attempts,
-            )
-            stats_ensemble, census_ensemble = run_ensemble(graph, spec, jobs=config.jobs)
-        if "significance" in stages:
-            with _timed(stage_seconds, "significance"):
-                seeds[f"significance_{mode.value}"] = config.master_seed
-                cells = significance(stats, stats_ensemble)
-                _write_cells(writer, f"significance_{mode.value}", cells, mode.value)
+        # significance and triads: one ensemble per mode feeds both; the
+        # replica builds are timed under the first selected of the two stages
+        seeds: dict[str, int] = {}
+        ensemble_stages = [name for name in ("significance", "triads") if name in stages]
         if "triads" in stages:
             with _timed(stage_seconds, "triads"):
-                seeds[f"triads_{mode.value}"] = config.master_seed
-                cells = triad_significance(census_tables, census_ensemble)
-                _write_cells(writer, f"triad_significance_{mode.value}", cells, mode.value)
+                census_tables = category_census(graph, partition)
+                writer.csv(
+                    "triad_census",
+                    ("category",) + TRIAD_LABELS,
+                    ((label, *census.values()) for label, census in census_tables.items()),
+                )
+                writer.json("triad_census", census_tables)
+        for mode in config.modes if ensemble_stages else ():
+            with _timed(stage_seconds, ensemble_stages[0]):
+                spec = EnsembleSpec(
+                    mode=mode,
+                    replicas=config.replicas,
+                    master_seed=config.master_seed,
+                    max_repair_attempts=config.max_repair_attempts,
+                )
+                stats_ensemble, census_ensemble = run_ensemble(graph, spec, jobs=config.jobs)
+            if "significance" in stages:
+                with _timed(stage_seconds, "significance"):
+                    seeds[f"significance_{mode.value}"] = config.master_seed
+                    cells = significance(stats, stats_ensemble)
+                    _write_cells(writer, f"significance_{mode.value}", cells, mode.value)
+            if "triads" in stages:
+                with _timed(stage_seconds, "triads"):
+                    seeds[f"triads_{mode.value}"] = config.master_seed
+                    cells = triad_significance(census_tables, census_ensemble)
+                    _write_cells(writer, f"triad_significance_{mode.value}", cells, mode.value)
 
-    signatures: list[TemporalSignature] = []
-    if "recirculation" in stages or "report" in stages:
-        with _timed(stage_seconds, "recirculation"):
-            ops = extract_ops(transactions.without_self_transfers())
-            if ops:
-                classified = classify_ops(ops)
-                signatures = user_signatures(classified)
-                if "recirculation" in stages:
-                    tables = crosstab(graph, partition, classified, signatures)
-                    _write_recirculation(writer, classified, signatures, tables, partition)
-            elif "recirculation" in stages:
-                writer.json("recirculation_coverage", {"op_count": 0}, always=True)
+        signatures: list[TemporalSignature] = []
+        if "recirculation" in stages or "report" in stages:
+            with _timed(stage_seconds, "recirculation"):
+                ops = extract_ops(transactions.without_self_transfers())
+                if ops:
+                    classified = classify_ops(ops)
+                    if "recirculation" in stages and "csv" in writer.formats:
+                        _write_operations(writer, classified)
+                    signatures = user_signatures(classified)
+                    if "recirculation" in stages:
+                        tables = crosstab(graph, partition, classified, signatures)
+                        _write_recirculation(writer, classified, signatures, tables, partition)
+                elif "recirculation" in stages:
+                    writer.json("recirculation_coverage", {"op_count": 0}, always=True)
 
-    if "report" in stages:
-        with _timed(stage_seconds, "report"):
-            strategy = strategy_report(graph.volume, stats, one_time, signatures, partition)
-            writer.json("strategy_report", strategy.__dict__, always=True)
+        if "report" in stages:
+            with _timed(stage_seconds, "report"):
+                strategy = strategy_report(graph.volume, stats, one_time, signatures, partition)
+                writer.json("strategy_report", strategy.__dict__, always=True)
+
+        with _timed(stage_seconds, "ingest"):  # the wait for the forked writers
+            writer.join()
+    finally:  # no child outlives the run, and the earliest child's failure wins
+        writer.join()
 
     manifest = {
         "input": {
             "path": str(config.input_path),
-            "sha256": hashlib.sha256(Path(config.input_path).read_bytes()).hexdigest(),
+            "sha256": _sha256(config.input_path),
         },
         "config": {
             "modes": [m.value for m in config.modes],
@@ -394,7 +430,9 @@ _EDGE_KINDS = np.array(
 _BOUNDARY_CODES = [CATEGORY_ORDER.index(c) for c in EDGE_CATEGORIES]
 
 
-def _write_assignments(writer: _Writer, g: LedgerGraph, partition: TopologyPartition) -> None:
+def _write_assignments(
+    node_path: Path, edge_path: Path, g: LedgerGraph, partition: TopologyPartition
+) -> None:
     """``node_assignment`` and ``edge_assignment``, indexed from the codes.
 
     A component is named by its kind and its first member. A boundary link
@@ -406,16 +444,16 @@ def _write_assignments(writer: _Writer, g: LedgerGraph, partition: TopologyParti
     nodes = np.array(g.nodes, dtype=object)
     index, first, of_node = np.unique(component, return_index=True, return_inverse=True)
     name = _COMPONENT_KINDS[labels.node[first]] + nodes[first]
-    writer.columns(
-        "node_assignment",
+    write_csv(
+        node_path,
         ("node_id", "category", "component_id"),
         (g.nodes, _CATEGORY_NAMES[labels.node].tolist(), name[of_node].tolist()),
     )
     cs, ct = component[g.sources], component[g.targets]
     boundary = np.isin(labels.link, _BOUNDARY_CODES)
     owner = name[np.searchsorted(index, np.maximum(cs, ct))]
-    writer.columns(
-        "edge_assignment",
+    write_csv(
+        edge_path,
         ("source", "target", "kind", "component_id", "category_label"),
         (
             nodes[g.sources].tolist(),
@@ -427,6 +465,25 @@ def _write_assignments(writer: _Writer, g: LedgerGraph, partition: TopologyParti
     )
 
 
+def _str_cells(values: np.ndarray) -> list[str]:
+    return list(map(str, values.tolist()))
+
+
+def _write_operations(writer: _Writer, classified: ClassifiedOps) -> None:
+    """``operations``, from integer columns that the forked writer renders."""
+    ops = classified.ops
+    accounts = np.array(ops.ledger.accounts, dtype=object)
+    labels = np.array([c.value for c in FrequencyCategory], dtype=object)
+    writer.background(
+        writer.out_dir / "operations.csv",
+        ("user", "first_in", "last_out", "duration_seconds", "n_in", "n_out", "category"),
+        (Rendered(ops.user, lambda codes: accounts[codes].tolist()),
+         Rendered(ops.first_in, iso_utc), Rendered(ops.last_out, iso_utc),
+         *(Rendered(column, _str_cells) for column in (ops.duration, ops.n_in, ops.n_out)),
+         Rendered(classified.codes, lambda codes: labels[codes].tolist())),
+    )
+
+
 def _write_recirculation(
     writer: _Writer,
     classified: ClassifiedOps,
@@ -434,21 +491,7 @@ def _write_recirculation(
     tables: CrosstabResult,
     partition: TopologyPartition,
 ) -> None:
-    ops = classified.ops
     freq_labels = tuple(c.value for c in FrequencyCategory)
-    writer.columns(
-        "operations",
-        ("user", "first_in", "last_out", "duration_seconds", "n_in", "n_out", "category"),
-        (
-            list(map(ops.ledger.accounts.__getitem__, ops.user.tolist())),
-            iso_utc(ops.first_in),
-            iso_utc(ops.last_out),
-            list(map(str, ops.duration.tolist())),
-            list(map(str, ops.n_in.tolist())),
-            list(map(str, ops.n_out.tolist())),
-            list(map(freq_labels.__getitem__, classified.codes.tolist())),
-        ),
-    )
     boundaries = classified.boundaries
     writer.json(
         "recirculation_boundaries",
@@ -498,6 +541,14 @@ def _write_recirculation(
         ),
     )
     writer.json("recirculation_coverage", tables.coverage.__dict__, always=True)
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):  # not the whole ledger at once
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _package_version() -> str:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
+from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal, Inexact, localcontext
@@ -185,3 +189,75 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence[str]
         fh.write(_lines([[name] for name in header]))
         for start in range(0, rows, _CHUNK_ROWS):
             fh.write(_lines([column[start:start + _CHUNK_ROWS] for column in columns]))
+
+
+class Forked:
+    """A call that :func:`fork_call` runs in a child process."""
+
+    def __init__(self, pid: int, fd: int):
+        self._pid, self._fd, self._data = pid, fd, bytearray()
+
+    def result(self):
+        """Read the pipe to EOF and reap the child, then return its value or
+        raise its exception. An interrupted call resumes where it stopped."""
+        while self._fd is not None:
+            chunk = os.read(self._fd, 1 << 16)
+            self._data += chunk
+            if not chunk:
+                fd, self._fd = self._fd, None
+                os.close(fd)
+        if self._pid is not None:
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        if not self._data:
+            raise RuntimeError("forked child ended without a result")
+        ok, value = pickle.loads(self._data)
+        if ok:
+            return value
+        raise value
+
+
+def fork_call(fn: Callable, *args) -> Forked | Future:
+    """Run ``fn(*args)`` in a forked child; call ``result()`` on the handle to
+    get its value or exception and to reap the child.
+
+    A value or exception that cannot be pickled comes back as a
+    ``RuntimeError`` naming its type and text. The child ignores SIGINT, so
+    Ctrl-C stops only the caller, which then waits for the call to end. It
+    ends in ``os._exit``, so it never returns into the caller's stack nor
+    flushes its stdio buffers. Without ``os.fork``, or where ``os.pipe`` or
+    ``os.fork`` raises ``OSError``, ``fn`` runs here and now: its exception
+    propagates from this call, and the handle is a done ``Future``.
+    """
+    pid, fds = None, ()
+    if hasattr(os, "fork"):
+        try:
+            fds = os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+    if pid is None:
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+    if pid:
+        os.close(fds[1])
+        return Forked(pid, fds[0])
+    try:  # the child
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        os.close(fds[0])
+        try:
+            outcome = (True, fn(*args))
+        except Exception as exc:  # raised again in the parent
+            outcome = (False, exc)
+        try:
+            data = pickle.dumps(outcome)
+            pickle.loads(data)  # fails for an exception that needs other __init__ arguments
+        except Exception:
+            culprit = outcome[1]
+            data = pickle.dumps((False, RuntimeError(f"{type(culprit).__name__}: {culprit}")))
+        with open(fds[1], "wb") as pipe:
+            pipe.write(data)
+    finally:  # also after a BaseException, which the parent sees as no result
+        os._exit(0)

@@ -1,7 +1,22 @@
+import os
 import random
 from decimal import Decimal
 
+import pytest
+
 from ledgerflow.graph import LedgerGraph, LinkRecord
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left_behind():
+    """Fail a test that leaves a child process running or unreaped (a forked
+    writer, a replica worker)."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"child process {pid or '(still running)'} outlived the test")
 
 
 def random_digraph(rng: random.Random, max_nodes: int, density: float | None = None) -> LedgerGraph:

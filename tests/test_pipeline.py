@@ -1,9 +1,12 @@
+import errno
 import json
+import os
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
+from ledgerflow import cli, pipeline
 from ledgerflow.graph import aggregate
 from ledgerflow.nullmodel import SwapMode
 from ledgerflow.pipeline import (
@@ -207,3 +210,100 @@ def test_write_scenario_outputs(tmp_path):
     assert ledger_path.exists() and truth_path.exists()
     header = truth_path.read_text().splitlines()[0]
     assert header == "node_id,category"
+
+
+DESCRIPTIVE = frozenset({"ingest", "topology", "recirculation", "report"})
+
+
+def _open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+
+def _raise(exc: BaseException):
+    raise exc
+
+
+def _fork_fails(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: _raise(OSError(errno.EAGAIN, "no more processes")))
+
+
+def _no_space_for(name: str, monkeypatch):
+    write_csv = pipeline.write_csv
+
+    def full_disk(path, header, columns):
+        if Path(path).name == name:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_csv(path, header, columns)
+
+    monkeypatch.setattr(pipeline, "write_csv", full_disk)
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _bundle(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+
+def test_bundle_is_the_same_when_fork_fails(tmp_path, monkeypatch):
+    before = _open_fds()
+    forked = run_pipeline(small_config(DEMO_LEDGER, tmp_path / "forked"), DESCRIPTIVE)
+    _no_children_left()
+    _fork_fails(monkeypatch)
+    serial = run_pipeline(small_config(DEMO_LEDGER, tmp_path / "serial"), DESCRIPTIVE)
+    assert _open_fds() == before
+    assert [p.name for p in forked.output_files] == [p.name for p in serial.output_files]
+    bundle = _bundle(tmp_path / "forked")
+    assert {"transactions_normalized.csv", "edge_assignment.csv", "operations.csv"} <= set(bundle)
+    assert bundle == _bundle(tmp_path / "serial")
+
+
+def test_failed_write_in_a_child_is_reported_as_in_process(tmp_path, monkeypatch):
+    _no_space_for("edge_assignment.csv", monkeypatch)
+    argv = ["run", str(DEMO_LEDGER), "--mode", "target", "--replicas", "8", "--output"]
+    forked = cli.main(argv + [str(tmp_path / "forked")])
+    _no_children_left()
+    _fork_fails(monkeypatch)
+    serial = cli.main(argv + [str(tmp_path / "serial")])
+    assert forked == serial == 4
+    for side in ("forked", "serial"):
+        assert json.loads((tmp_path / side / "error_report.json").read_text()) == {
+            "error_type": "OSError", "message": "[Errno 28] No space left on device",
+            "exit_code": 4,
+        }
+        assert not (tmp_path / side / "manifest.json").exists()
+
+
+def test_child_failure_beats_a_later_parent_failure(tmp_path, monkeypatch):
+    _no_space_for("edge_assignment.csv", monkeypatch)
+    monkeypatch.setattr(pipeline, "extract_ops", lambda ledger: _raise(ValueError("later")))
+    with pytest.raises(OSError) as caught:
+        run_pipeline(small_config(DEMO_LEDGER, tmp_path / "out"), DESCRIPTIVE)
+    assert caught.value.errno == errno.ENOSPC
+    _no_children_left()
+
+
+def test_parent_failure_stands_when_no_child_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "extract_ops", lambda ledger: _raise(ValueError("later")))
+    with pytest.raises(ValueError, match="later"):
+        run_pipeline(small_config(DEMO_LEDGER, tmp_path / "out"), DESCRIPTIVE)
+    _no_children_left()
+
+
+def test_interrupted_join_still_reaps_every_child(tmp_path, monkeypatch):
+    waitpid, interrupted = os.waitpid, []
+
+    def interrupt_once(pid, options):
+        if not interrupted:
+            interrupted.append(pid)
+            raise KeyboardInterrupt
+        return waitpid(pid, options)
+
+    monkeypatch.setattr(os, "waitpid", interrupt_once)
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(small_config(DEMO_LEDGER, tmp_path / "out"), DESCRIPTIVE)
+    monkeypatch.undo()
+    assert interrupted
+    _no_children_left()

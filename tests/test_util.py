@@ -1,6 +1,9 @@
 import calendar
+import errno
 import csv
 import io
+import os
+import signal
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
@@ -189,3 +192,54 @@ def test_iso_utc_matches_datetime_isoformat(seconds):
 def test_iso_utc_refuses_stamps_outside_datetime(seconds):
     with pytest.raises(ValueError, match="timestamp outside"):
         iso_utc(np.array([0, seconds]))
+
+
+def _open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+
+def _raise(exc: BaseException):
+    raise exc
+
+
+def test_fork_call_returns_the_childs_value():
+    handle = util.fork_call(os.getpid)
+    assert handle.result() not in (os.getpid(), None)
+
+
+def test_fork_call_raises_the_childs_exception():
+    handle = util.fork_call(_raise, OSError(errno.ENOSPC, "No space left on device", "t.csv"))
+    with pytest.raises(OSError) as caught:
+        handle.result()
+    assert caught.value.errno == errno.ENOSPC
+    assert str(caught.value) == "[Errno 28] No space left on device: 't.csv'"
+
+
+def test_unpicklable_exception_arrives_as_runtime_error():
+    class Unpicklable(Exception):  # a local class: pickle cannot find it by name
+        pass
+
+    handle = util.fork_call(_raise, Unpicklable("disk gone"))
+    with pytest.raises(RuntimeError, match="^Unpicklable: disk gone$"):
+        handle.result()
+
+
+def test_fork_call_runs_in_process_when_fork_fails(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: _raise(OSError(errno.EAGAIN, "no more processes")))
+    before = _open_fds()
+    assert util.fork_call(os.getpid).result() == os.getpid()
+    with pytest.raises(ValueError, match="at once"):
+        util.fork_call(_raise, ValueError("at once"))
+    assert _open_fds() == before
+
+
+def _interrupt_self() -> str:
+    os.kill(os.getpid(), signal.SIGINT)
+    return "finished"
+
+
+def test_forked_child_ignores_ctrl_c_and_exits_on_base_exceptions():
+    assert util.fork_call(_interrupt_self).result() == "finished"
+    handle = util.fork_call(_raise, SystemExit(3))
+    with pytest.raises(RuntimeError, match="ended without a result"):
+        handle.result()
