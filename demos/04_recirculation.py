@@ -33,7 +33,7 @@ def main() -> None:
 
     ops = extract_ops(clean)
     print(f"{len(ops)} recirculation operations across "
-          f"{len({op.user for op in ops})} users")
+          f"{len(set(ops.user.tolist()))} users")
 
     classified = classify_ops(ops)
     b = classified.boundaries

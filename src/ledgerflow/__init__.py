@@ -9,13 +9,12 @@ operations with quartile frequency categories.
 """
 
 from .errors import AnalysisError, ConfigError, DataError, LedgerflowError
-from .graph import AggregateDiagnostics, LedgerGraph, LinkRecord, aggregate
+from .graph import AggregateDiagnostics, LedgerGraph, aggregate
 from .ingest import (
     ColumnMapping,
     FilterSpec,
     IngestDiagnostics,
     Ledger,
-    Transaction,
     parse_ledger,
     write_transactions,
 )
@@ -36,7 +35,6 @@ from .nullmodel import (
     SwapMode,
     derive_seed,
     randomize,
-    randomize_endpoints,
     run_ensemble,
     significance,
 )
@@ -51,7 +49,6 @@ from .recirculation import (
     ClassifiedOps,
     FrequencyCategory,
     Operations,
-    RecirculationOp,
     TemporalSignature,
     classify_ops,
     crosstab,
@@ -69,13 +66,11 @@ __all__ = [
     "LedgerflowError",
     "AggregateDiagnostics",
     "LedgerGraph",
-    "LinkRecord",
     "aggregate",
     "ColumnMapping",
     "FilterSpec",
     "IngestDiagnostics",
     "Ledger",
-    "Transaction",
     "parse_ledger",
     "write_transactions",
     "DegreeStats",
@@ -95,7 +90,6 @@ __all__ = [
     "SwapMode",
     "derive_seed",
     "randomize",
-    "randomize_endpoints",
     "run_ensemble",
     "significance",
     "TRIAD_LABELS",
@@ -105,7 +99,6 @@ __all__ = [
     "ClassifiedOps",
     "FrequencyCategory",
     "Operations",
-    "RecirculationOp",
     "TemporalSignature",
     "classify_ops",
     "crosstab",

@@ -8,11 +8,10 @@ header; timestamps may be ISO-8601 or integer epoch seconds inside
 columnar :class:`Ledger` sorted by (timestamp, tx_id) together with a
 diagnostics record: int64 timestamps, int64 source and target codes
 into the sorted account ids, and plain lists of ids, amounts and subtypes.
-No per-row object is built. :class:`Transaction` is the row type for
-ledgers built by hand; ``Ledger.from_columns`` sorts by stamp and puts
-only runs of equal stamps in id order, ``Ledger.from_transactions`` is the
-one adapter from rows to columns, and indexing a ledger builds rows on
-demand.
+No per-row object is built. A ledger built by hand is built from column
+lists with ``Ledger.from_columns``, which refuses a negative amount or an
+empty account id, sorts by stamp and puts only runs of equal stamps in id
+order.
 
 A plain file is parsed a block of lines at a time, column by column: each
 line holds one cell per header column, no cell holds a quote, whitespace,
@@ -33,12 +32,12 @@ import itertools
 import re
 from collections.abc import Iterator, Sequence
 from contextlib import closing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -46,9 +45,7 @@ from .errors import ConfigError, DataError
 from .util import MAX_EPOCH, MIN_EPOCH, Rendered, check_epochs, iso_utc, write_csv
 
 __all__ = [
-    "Transaction",
     "Ledger",
-    "as_ledger",
     "ColumnMapping",
     "FilterSpec",
     "IngestDiagnostics",
@@ -58,32 +55,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Transaction:
-    """One timestamped transfer. Timestamps are UTC epoch seconds."""
-
-    timestamp: int
-    tx_id: str
-    source: str
-    target: str
-    amount: Decimal
-    subtype: str = ""
-
-    def __post_init__(self):
-        if self.amount < 0:
-            raise DataError(f"transaction {self.tx_id}: negative amount {self.amount}")
-        if not self.source or not self.target:
-            raise DataError(f"transaction {self.tx_id}: empty account id")
-
-
 @dataclass(frozen=True, eq=False)
-class Ledger(Sequence):
+class Ledger:
     """Transactions as columns, sorted by (timestamp, tx_id).
 
     ``timestamp`` is int64 UTC epoch seconds; ``source`` and ``target`` are
     int64 codes into ``accounts``, the account ids in code-point order, so
     code order is string order. ``tx_id``, ``amount`` and ``subtype`` are
-    lists. ``ledger[i]`` builds row ``i`` as a :class:`Transaction`.
+    lists.
     """
 
     accounts: tuple[str, ...]
@@ -96,7 +75,20 @@ class Ledger(Sequence):
 
     @classmethod
     def from_columns(cls, timestamp, tx_id, source, target, amount, subtype) -> "Ledger":
-        """Sort and encode unsorted column lists (accounts as strings)."""
+        """Sort and encode unsorted column lists (accounts as strings).
+
+        A row with a negative amount or an empty account id raises
+        :class:`DataError` naming its transaction; the first such row in
+        input order is named.
+        """
+        # Whole columns first: on 360k rows (2-vCPU host) these scans take
+        # about 35 ms, a pass over the rows about 0.25 s.
+        if "" in source or "" in target or min(amount, default=0) < 0:
+            for tx, value, payer, payee in zip(tx_id, amount, source, target):
+                if value < 0:
+                    raise DataError(f"transaction {tx}: negative amount {value}")
+                if not payer or not payee:
+                    raise DataError(f"transaction {tx}: empty account id")
         code: dict[str, int] = {}
         source, target = _encode(source, code), _encode(target, code)
         stamps = np.array(timestamp, dtype=np.int64)
@@ -135,23 +127,8 @@ class Ledger(Sequence):
             take(subtype),
         )
 
-    @classmethod
-    def from_transactions(cls, rows: Iterable[Transaction]) -> "Ledger":
-        rows = list(rows)  # the columns follow Transaction's field order
-        return cls.from_columns(*([getattr(t, f.name) for t in rows] for f in fields(Transaction)))
-
     def __len__(self) -> int:
         return len(self.tx_id)
-
-    def __getitem__(self, i: int) -> Transaction:
-        return Transaction(
-            timestamp=int(self.timestamp[i]),
-            tx_id=self.tx_id[i],
-            source=self.accounts[self.source[i]],
-            target=self.accounts[self.target[i]],
-            amount=self.amount[i],
-            subtype=self.subtype[i],
-        )
 
     def without_self_transfers(self) -> "Ledger":
         """The rows whose source and target differ, same account codes."""
@@ -187,13 +164,6 @@ def _taker(index: np.ndarray):
         return lambda values: [values[i] for i in rows]
     get = itemgetter(*rows)
     return lambda values: list(get(values))
-
-
-def as_ledger(transactions: Ledger | Iterable[Transaction]) -> Ledger:
-    """A ledger as is, or hand-built rows sorted into one."""
-    if isinstance(transactions, Ledger):
-        return transactions
-    return Ledger.from_transactions(transactions)
 
 
 @dataclass(frozen=True)
@@ -605,7 +575,7 @@ def _parse_rows(
 
 def write_transactions(
     path: str | Path,
-    transactions: Ledger | Iterable[Transaction],
+    ledger: Ledger,
     write: Callable[[Path, Sequence[str], Sequence], None] = write_csv,
 ) -> None:
     """Write a normalized ledger CSV in (timestamp, tx_id) order under the
@@ -618,7 +588,6 @@ def write_transactions(
     ``write_csv``, writes it here and now, and a caller may hand the
     columns to another writer (the pipeline writes them in a forked child).
     """
-    ledger = as_ledger(transactions)
     check_epochs(ledger.timestamp)
     accounts = np.array(ledger.accounts, dtype=object)
 

@@ -17,8 +17,7 @@ per-link counts and Decimal volumes stay in the original link order, and
 ``topology.tabulate`` sums them per category through the merge's row-to-link
 index. Pool workers receive the graph, which pickles as its columns.
 ``randomize`` builds the merged replica as a graph, adding parallel links'
-counts and volumes exactly; ``randomize_endpoints`` maps the swapped columns
-back to account ids.
+counts and volumes exactly.
 
 An ensemble builds each replica once, re-runs the topological
 categorisation (``topology.label``) on it, and stacks two arrays per
@@ -40,7 +39,7 @@ import numpy as np
 
 from . import triads
 from .errors import AnalysisError
-from .graph import LedgerGraph, LinkRecord, merge_links
+from .graph import LedgerGraph, merge_links
 from .stats import SignificanceCell, score_ensemble
 from .topology import CATEGORY_ORDER, CategoryRow, label, tabulate
 from .topology import categorize, category_stats  # noqa: F401  (perfbench/tracer.py wraps these)
@@ -51,7 +50,6 @@ __all__ = [
     "EnsembleSpec",
     "RandomizationError",
     "derive_seed",
-    "randomize_endpoints",
     "randomize",
     "run_ensemble",
     "significance",
@@ -142,25 +140,6 @@ def _swap(sources: np.ndarray, targets: np.ndarray, mode: SwapMode, seed: int,
         else:
             raise RandomizationError(seed, i)
     return sources, targets
-
-
-def randomize_endpoints(
-    g: LedgerGraph,
-    mode: SwapMode,
-    seed: int,
-    max_repair_attempts: int = EnsembleSpec.max_repair_attempts,
-) -> list[tuple[str, str, LinkRecord]]:
-    """Swapped link list before merging parallel links.
-
-    Deterministic in (graph, mode, seed). Raises
-    :class:`RandomizationError` when a self-loop cannot be repaired within
-    the attempt budget.
-    """
-    sources, targets = _swap(g.sources, g.targets, mode, seed, max_repair_attempts)
-    nodes = g.nodes
-    records = map(LinkRecord, g.counts.tolist(), g.volumes.tolist())
-    return [(nodes[s], nodes[t], record)
-            for s, t, record in zip(sources.tolist(), targets.tolist(), records)]
 
 
 def randomize(

@@ -88,6 +88,8 @@ class PipelineConfig:
         for fmt in self.formats:
             if fmt not in ("csv", "json"):
                 raise ConfigError(f"unknown format {fmt!r}")
+        if not self.formats:
+            raise ConfigError("at least one output format is required")
         if not self.modes:
             raise ConfigError("at least one swap mode is required")
 
@@ -260,8 +262,12 @@ def run_pipeline(
 
     Stages that are not selected write nothing; the upstream results they
     need are computed in memory. An ensemble too small to score fails
-    before any work is done.
+    before any work is done, and so does a stage name outside
+    ``ALL_STAGES``.
     """
+    unknown = sorted(stages.difference(ALL_STAGES))
+    if unknown:
+        raise ConfigError(f"unknown stage {unknown[0]!r} (one of {', '.join(ALL_STAGES)})")
     if stages & {"significance", "triads"} and config.replicas < _MIN_ENSEMBLE:
         raise AnalysisError(
             f"ensemble of {config.replicas} is below the minimum of {_MIN_ENSEMBLE}"

@@ -30,13 +30,12 @@ import numpy as np
 
 from .errors import DataError
 from .graph import LedgerGraph
-from .ingest import Ledger, Transaction, as_ledger
+from .ingest import Ledger
 from .topology import CATEGORY_ORDER, TopologyPartition
 from .util import dsum
 
 __all__ = [
     "FrequencyCategory",
-    "RecirculationOp",
     "Operations",
     "QuartileBoundaries",
     "DurationMode",
@@ -69,29 +68,13 @@ _SIGNATURE_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class RecirculationOp:
-    """One first-in to last-out window of one user."""
-
-    user: str
-    first_in: int
-    last_out: int
-    in_tx_ids: tuple[str, ...]
-    out_tx_ids: tuple[str, ...]
-
-    @property
-    def duration(self) -> int:
-        return self.last_out - self.first_in
-
-
 @dataclass(frozen=True, eq=False)
-class Operations(Sequence):
+class Operations:
     """A ledger's recirculation operations as columns, by user and time.
 
     Operation ``k`` belongs to account code ``user[k]``; its member rows
     are ``rows[bounds[k]:bounds[k + 1]]``, incoming ones up to
-    ``split[k]``, outgoing ones from there. ``ops[k]`` builds it as a
-    :class:`RecirculationOp`.
+    ``split[k]``, outgoing ones from there.
     """
 
     ledger: Ledger
@@ -117,20 +100,8 @@ class Operations(Sequence):
     def __len__(self) -> int:
         return self.user.size
 
-    def __getitem__(self, k: int) -> RecirculationOp:
-        k = range(len(self))[k]
-        ledger = self.ledger
-        a, b, c = int(self.bounds[k]), int(self.split[k]), int(self.bounds[k + 1])
-        return RecirculationOp(
-            user=ledger.accounts[self.user[k]],
-            first_in=int(self.first_in[k]),
-            last_out=int(self.last_out[k]),
-            in_tx_ids=tuple(ledger.tx_id[r] for r in self.rows[a:b].tolist()),
-            out_tx_ids=tuple(ledger.tx_id[r] for r in self.rows[b:c].tolist()),
-        )
 
-
-def extract_ops(transactions: Ledger | Sequence[Transaction]) -> Operations:
+def extract_ops(ledger: Ledger) -> Operations:
     """All recirculation operations, grouped by user and in time order.
 
     Outgoing transactions before a user's first incoming one belong to no
@@ -138,7 +109,6 @@ def extract_ops(transactions: Ledger | Sequence[Transaction]) -> Operations:
     yields none. Rows are ``(timestamp, tx_id)``-sorted, so the row number
     breaks timestamp ties in transaction-id order.
     """
-    ledger = as_ledger(transactions)
     m = len(ledger)
     row = np.tile(np.arange(m), 2)
     user = np.concatenate((ledger.target, ledger.source))
@@ -194,10 +164,6 @@ class ClassifiedOps:
     codes: np.ndarray
     modes: dict[FrequencyCategory, DurationMode | None]
     global_mode: DurationMode
-
-    @property
-    def categories(self) -> tuple[FrequencyCategory, ...]:
-        return tuple(map(_CATEGORIES.__getitem__, self.codes.tolist()))
 
 
 def _mode(durations: np.ndarray) -> DurationMode | None:

@@ -20,7 +20,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .ingest import Transaction
+from .ingest import Ledger
 from .util import MAX_EPOCH, MIN_EPOCH
 
 __all__ = ["ScenarioSpec", "SyntheticLedger", "generate_synthetic"]
@@ -55,7 +55,7 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class SyntheticLedger:
-    transactions: tuple[Transaction, ...]
+    transactions: Ledger
     node_category: dict[str, str]
 
 
@@ -100,15 +100,12 @@ def generate_synthetic(spec: ScenarioSpec, seed: int) -> SyntheticLedger:
         pending.append((a, b))
 
     times = np.sort(rng.integers(0, spec.horizon, size=len(pending)))
-    transactions = tuple(
-        Transaction(
-            timestamp=int(spec.start_time + times[i]),
-            tx_id=f"s{i:07d}",
-            source=source,
-            target=target,
-            amount=_amount(rng),
-            subtype="STANDARD",
-        )
-        for i, (source, target) in enumerate(pending)
+    transactions = Ledger.from_columns(
+        (spec.start_time + times).tolist(),
+        [f"s{i:07d}" for i in range(len(pending))],
+        [source for source, _ in pending],
+        [target for _, target in pending],
+        [_amount(rng) for _ in pending],
+        ["STANDARD"] * len(pending),
     )
     return SyntheticLedger(transactions=transactions, node_category=truth)

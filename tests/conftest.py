@@ -4,7 +4,9 @@ from decimal import Decimal
 
 import pytest
 
-from ledgerflow.graph import LedgerGraph, LinkRecord
+from ledgerflow.graph import LedgerGraph
+
+from oracles import LinkRecord, graph_from_links, graph_of, links_of
 
 
 @pytest.fixture(autouse=True)
@@ -32,12 +34,12 @@ def random_digraph(rng: random.Random, max_nodes: int, density: float | None = N
         a, b = rng.randrange(n), rng.randrange(n)
         if a != b:
             pairs.add((f"n{a:03d}", f"n{b:03d}"))
-    return LedgerGraph.from_edges(sorted(pairs))
+    return graph_of(sorted(pairs))
 
 
 def reweighted(g: LedgerGraph, rng: random.Random) -> LedgerGraph:
     """``g`` with random transaction counts and cent volumes on its links."""
     links = {}
-    for pair in g.links:
+    for pair in links_of(g):
         links[pair] = LinkRecord(rng.randint(1, 4), Decimal(rng.randint(1, 10**6)).scaleb(-2))
-    return LedgerGraph(links)
+    return graph_from_links(links)

@@ -20,6 +20,16 @@ row, for parses that must give back what was written, and
 ``strongly_connected_components`` lists the strong components that
 ``topology.label`` computes as member tuples, for tests that compare or
 measure them.
+
+The library holds its tables only as columns. The per-object forms that
+tests write cases in and read results through are adapters here, and do
+use the library: ``Transaction`` rows (built with ``tx``) become a ledger
+through ``ledger_of`` (``Ledger.from_columns``) and come back through
+``rows_of``; ``graph_of`` builds a graph of bare pairs, ``graph_from_links``
+one of a ``LinkRecord`` mapping, and ``links_of`` reads a graph back as that
+mapping; ``swapped_links`` is ``nullmodel._swap`` in account ids; and
+``ops_of`` and ``categories_of`` read operations as ``RecirculationOp``
+records and their frequency categories.
 """
 
 from __future__ import annotations
@@ -27,21 +37,23 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import zeta
 
 from ledgerflow.degrees import _ALPHA_BOUNDS, MIN_DISTINCT_VALUES, PowerLawFit
-from ledgerflow.graph import LedgerGraph, LinkRecord
-from ledgerflow.ingest import FilterSpec, Transaction
+from ledgerflow.graph import LedgerGraph
+from ledgerflow.ingest import FilterSpec, Ledger
 from ledgerflow.errors import AnalysisError, DataError
-from ledgerflow.nullmodel import FEATURES, RandomizationError, SwapMode
+from ledgerflow.nullmodel import FEATURES, EnsembleSpec, RandomizationError, SwapMode, _swap
 from ledgerflow.recirculation import (
+    ClassifiedOps,
     FrequencyCategory,
+    Operations,
     RecirculationCoverage,
     CrosstabResult,
 )
@@ -72,10 +84,11 @@ def naive_categorize(g: LedgerGraph):
     owner_member_frozenset_or_None).
     """
     nodes = list(g.nodes)
+    links = links_of(g)
     index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
     adj = np.zeros((n, n), dtype=bool)
-    for s, t in g.links:
+    for s, t in links:
         adj[index[s], index[t]] = True
 
     reach = adj.copy()
@@ -101,7 +114,7 @@ def naive_categorize(g: LedgerGraph):
     # Weak closure among non-cyclic nodes.
     plain = [v for v in nodes if v not in cyc_set]
     sym = np.zeros((n, n), dtype=bool)
-    for s, t in g.links:
+    for s, t in links:
         if s not in cyc_set and t not in cyc_set:
             sym[index[s], index[t]] = sym[index[t], index[s]] = True
     wreach = sym.copy()
@@ -122,8 +135,8 @@ def naive_categorize(g: LedgerGraph):
 
     single_cat: dict[str, str] = {}
     for v in single:
-        outgoing = any(s == v for s, _ in g.links)
-        incoming = any(t == v for _, t in g.links)
+        outgoing = any(s == v for s, _ in links)
+        incoming = any(t == v for _, t in links)
         if outgoing and incoming:
             single_cat[v] = "bridge_scc"
         elif outgoing:
@@ -135,7 +148,7 @@ def naive_categorize(g: LedgerGraph):
     dag_receives: set[frozenset[str]] = set()
     scc_in: set[frozenset[str]] = set()
     scc_out: set[frozenset[str]] = set()
-    for s, t in g.links:
+    for s, t in links:
         s_cyc, t_cyc = s in cyc_set, t in cyc_set
         if s_cyc and not t_cyc:
             if t in dag_of:
@@ -176,7 +189,7 @@ def naive_categorize(g: LedgerGraph):
             node_view[v] = (single_cat[v], frozenset({v}))
 
     edge_view: dict[tuple[str, str], tuple[str, frozenset[str] | None]] = {}
-    for s, t in g.links:
+    for s, t in links:
         s_cyc, t_cyc = s in cyc_set, t in cyc_set
         if s_cyc and t_cyc:
             if scc_of[s] == scc_of[t]:
@@ -208,7 +221,7 @@ def adjacency(g: LedgerGraph) -> tuple[dict[str, tuple[str, ...]], dict[str, tup
     """Sorted successors and predecessors of every node."""
     out_adj: dict[str, list[str]] = {v: [] for v in g.nodes}
     in_adj: dict[str, list[str]] = {v: [] for v in g.nodes}
-    for source, target in g.links:  # sorted by (source, target)
+    for source, target in links_of(g):  # sorted by (source, target)
         out_adj[source].append(target)
         in_adj[target].append(source)
     return (
@@ -272,7 +285,7 @@ def dict_view(g: LedgerGraph, partition: TopologyPartition) -> DictPartition:
     # the larger; boundary links have no owner.
     edge_assignment: dict[tuple[str, str], EdgeAssignment] = {}
     ends = zip(g.sources.tolist(), g.targets.tolist())
-    for pair, code, (s, t) in zip(g.links, partition.labels.link.tolist(), ends):
+    for pair, code, (s, t) in zip(links_of(g), partition.labels.link.tolist(), ends):
         label = CATEGORY_ORDER[code]
         cs, ct = component[s], component[t]
         if label in EDGE_CATEGORIES:
@@ -291,10 +304,10 @@ def dict_view(g: LedgerGraph, partition: TopologyPartition) -> DictPartition:
 
 
 def reference_labels(g: LedgerGraph, partition: DictPartition) -> Labels:
-    """A dict partition's category codes in ``g.nodes`` and ``g.links`` order."""
+    """A dict partition's category codes in ``g.nodes`` and link order."""
     code = {label: i for i, label in enumerate(CATEGORY_ORDER)}
     node = [code[partition.node_category[v]] for v in g.nodes]
-    link = [code[partition.edge_label(pair)] for pair in g.links]
+    link = [code[partition.edge_label(pair)] for pair in links_of(g)]
     sccs = [code[c.value] for c in partition.component_category.values() if c.is_scc]
     return Labels(*(np.array(codes, dtype=np.int64) for codes in (node, link, sccs)))
 
@@ -315,11 +328,11 @@ def _strongly_connected(members: tuple[str, ...], adj_pair) -> bool:
     return True
 
 
-def _acyclic(members: tuple[str, ...], g: LedgerGraph) -> bool:
+def _acyclic(members: tuple[str, ...], links: Iterable[tuple[str, str]]) -> bool:
     member_set = set(members)
     indeg = {v: 0 for v in members}
     succ: dict[str, list[str]] = {v: [] for v in members}
-    for source, target in g.links:
+    for source, target in links:
         if source in member_set and target in member_set:
             succ[source].append(target)
             indeg[target] += 1
@@ -343,9 +356,10 @@ def verify_partition(g: LedgerGraph, partition: DictPartition) -> None:
     bridge endpoints in distinct SCCs, and the absence of DAG-DAG and
     single-node-DAG links.
     """
+    links = links_of(g)
     if set(partition.node_category) != set(g.nodes):
         raise ValueError("node assignment does not cover the graph exactly")
-    if set(partition.edge_assignment) != set(g.links):
+    if set(partition.edge_assignment) != set(links):
         raise ValueError("edge assignment does not cover the graph exactly")
 
     member_of: dict[str, str] = {}
@@ -364,13 +378,13 @@ def verify_partition(g: LedgerGraph, partition: DictPartition) -> None:
             if len(members) < 2 or not _strongly_connected(members, (out_adj, in_adj)):
                 raise ValueError(f"{cid} is not a strongly connected component")
         elif category.is_dag:
-            if len(members) < 2 or not _acyclic(members, g):
+            if len(members) < 2 or not _acyclic(members, links):
                 raise ValueError(f"{cid} is not an acyclic component")
         else:
             if len(members) != 1:
                 raise ValueError(f"{cid} is a single-node component with {len(members)} nodes")
 
-    for (source, target) in g.links:
+    for (source, target) in links:
         sc = partition.node_category[source]
         tc = partition.node_category[target]
         if sc.is_dag and tc.is_dag and partition.node_component[source] != partition.node_component[target]:
@@ -482,6 +496,7 @@ class _UnionFind:
 
 def reference_categorize(g: LedgerGraph) -> DictPartition:
     """Dict-based categoriser (Tarjan + union-find) the array path replaced."""
+    links = links_of(g)
     # 1. Cyclic components: SCCs of size >= 2.
     scc_of: dict[str, str] = {}
     scc_members: dict[str, tuple[str, ...]] = {}
@@ -495,7 +510,7 @@ def reference_categorize(g: LedgerGraph) -> DictPartition:
     # 2. Non-cyclic nodes: weak components of the induced subgraph.
     plain = [v for v in g.nodes if v not in scc_of]
     uf = _UnionFind(plain)
-    for source, target in g.links:
+    for source, target in links:
         if source not in scc_of and target not in scc_of:
             uf.union(source, target)
     groups: dict[str, list[str]] = {}
@@ -535,7 +550,7 @@ def reference_categorize(g: LedgerGraph) -> DictPartition:
     dag_receives_from_cyc: set[str] = set()
     scc_receives: set[str] = set()  # from DAG nodes or non-bridge single-nodes
     scc_sends: set[str] = set()
-    for source, target in g.links:
+    for source, target in links:
         cs = scc_of.get(source)
         ct = scc_of.get(target)
         if cs is not None and ct is None:
@@ -597,7 +612,7 @@ def reference_categorize(g: LedgerGraph) -> DictPartition:
 
     # 6. Edge assignment.
     edge_assignment: dict[tuple[str, str], EdgeAssignment] = {}
-    for pair in g.links:
+    for pair in links:
         source, target = pair
         cs = scc_of.get(source)
         ct = scc_of.get(target)
@@ -647,7 +662,7 @@ def reference_category_stats(
     volumes: dict[str, list[Decimal]] = {label: [] for label in CATEGORY_ORDER}
     endpoint_sets: dict[str, _UnionFind] = {label: _UnionFind([]) for label in CATEGORY_ORDER}
 
-    for pair, record in g.links.items():
+    for pair, record in links_of(g).items():
         label = partition.edge_label(pair)
         link_count[label] += 1
         tx_count[label] += record.count
@@ -752,7 +767,7 @@ def reference_randomize_endpoints(
     Scans every position for self-loops; the engine visits only the loops
     left by the permutation and must draw the same random stream.
     """
-    triples = [(s, t, rec) for (s, t), rec in g.links.items()]
+    triples = [(s, t, rec) for (s, t), rec in links_of(g).items()]
     sources = [s for s, _, _ in triples]
     targets = [t for _, t, _ in triples]
     records = [rec for _, _, rec in triples]
@@ -939,7 +954,7 @@ def walk_census(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> dict[
 
 def graph_census(g: LedgerGraph) -> dict[str, int]:
     """``walk_census`` of a whole graph."""
-    return walk_census(g.nodes, g.links.keys())
+    return walk_census(g.nodes, links_of(g).keys())
 
 
 # --------------------------------------------------------------------------
@@ -1025,14 +1040,15 @@ def reference_aggregate(transactions) -> tuple[dict[tuple[str, str], tuple[int, 
 
 def reference_crosstab(g, partition, classified, signatures, transactions) -> CrosstabResult:
     """Crosstab that looks up every operation member by transaction id."""
+    links = links_of(g)
     by_id = {t.tx_id: t for t in transactions}
     tx_table: dict[str, dict[str, int]] = {}
     memberships: Counter[str] = Counter()
-    for op, category in zip(classified.ops, classified.categories):
+    for op, category in zip(ops_of(classified.ops), categories_of(classified)):
         for tx_id in op.in_tx_ids + op.out_tx_ids:
             t = by_id[tx_id]
             pair = (t.source, t.target)
-            if pair not in g.links:
+            if pair not in links:
                 raise DataError(f"operation transaction {tx_id!r} is not in the graph")
             label = partition.edge_label(pair)
             row = tx_table.setdefault(label, {c.value: 0 for c in FrequencyCategory})
@@ -1187,13 +1203,33 @@ def reference_fit_continuous_power_law(values) -> PowerLawFit:
 
 
 # --------------------------------------------------------------------------
-# shared builders
+# shared builders: the per-object forms of the library's columns (hand-built
+# transaction rows, the link mapping and one record per operation), which
+# tests write their cases in and read results through
 # --------------------------------------------------------------------------
 
 
 def keep_everything() -> FilterSpec:
     """FilterSpec that admits every subtype and account (round-trip parsing)."""
     return FilterSpec(keep_subtypes=())
+
+
+@dataclass(frozen=True, order=True)
+class Transaction:
+    """One timestamped transfer. Timestamps are UTC epoch seconds."""
+
+    timestamp: int
+    tx_id: str
+    source: str
+    target: str
+    amount: Decimal
+    subtype: str = ""
+
+    def __post_init__(self):
+        if self.amount < 0:
+            raise DataError(f"transaction {self.tx_id}: negative amount {self.amount}")
+        if not self.source or not self.target:
+            raise DataError(f"transaction {self.tx_id}: empty account id")
 
 
 def tx(
@@ -1212,3 +1248,107 @@ def tx(
         amount=Decimal(str(amount)),
         subtype=subtype,
     )
+
+
+def ledger_of(rows: Iterable[Transaction]) -> Ledger:
+    """Hand-built rows sorted into a ledger by ``Ledger.from_columns``."""
+    rows = list(rows)  # the columns follow Transaction's field order
+    return Ledger.from_columns(*([getattr(t, f.name) for t in rows] for f in fields(Transaction)))
+
+
+def rows_of(ledger: Ledger) -> list[Transaction]:
+    """A ledger's rows as transactions, in ledger order."""
+    accounts = ledger.accounts
+    return [
+        Transaction(stamp, tx_id, accounts[source], accounts[target], amount, subtype)
+        for stamp, tx_id, source, target, amount, subtype in zip(
+            ledger.timestamp.tolist(), ledger.tx_id, ledger.source.tolist(),
+            ledger.target.tolist(), ledger.amount, ledger.subtype)
+    ]
+
+
+class LinkRecord(NamedTuple):
+    """The transactions aggregated onto one ordered node pair."""
+
+    count: int
+    volume: Decimal
+
+
+def _coded(pairs: Iterable[tuple[str, str]]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The sorted ids of (source, target) pairs, and the pairs' ends as
+    int64 indices into them."""
+    nodes = tuple(sorted({v for pair in pairs for v in pair}))
+    index = {v: i for i, v in enumerate(nodes)}
+    ends = np.array([index[v] for pair in pairs for v in pair], dtype=np.int64)
+    return nodes, ends[0::2], ends[1::2]
+
+
+def graph_of(pairs: Iterable[tuple[str, str]], amount: Decimal = Decimal(1)) -> LedgerGraph:
+    """The graph of bare ordered pairs, one transaction of ``amount`` each;
+    duplicate pairs collapse into one link with accumulated count and volume."""
+    pairs = [(str(source), str(target)) for source, target in pairs]
+    return LedgerGraph._from_rows(*_coded(pairs), 1, np.full(len(pairs), amount, dtype=object))
+
+
+def graph_from_links(links: Mapping[tuple[str, str], LinkRecord]) -> LedgerGraph:
+    """The graph of a mapping of ordered account-id pairs to their records."""
+    records = list(links.values())
+    return LedgerGraph._from_rows(*_coded(links), [r.count for r in records],
+                                  np.array([r.volume for r in records], dtype=object))
+
+
+def links_of(g: LedgerGraph) -> dict[tuple[str, str], LinkRecord]:
+    """A graph's links as a mapping of ordered account-id pairs to their
+    records, in sorted order."""
+    names = np.array(g.nodes, dtype=object)
+    pairs = zip(names[g.sources].tolist(), names[g.targets].tolist())
+    return dict(zip(pairs, map(LinkRecord, g.counts.tolist(), g.volumes.tolist())))
+
+
+def swapped_links(
+    g: LedgerGraph,
+    mode: SwapMode,
+    seed: int,
+    max_repair_attempts: int = EnsembleSpec.max_repair_attempts,
+) -> list[tuple[str, str, LinkRecord]]:
+    """``nullmodel._swap`` of a graph's links, before parallel links merge,
+    as (source id, target id, record) in link order."""
+    sources, targets = _swap(g.sources, g.targets, mode, seed, max_repair_attempts)
+    records = map(LinkRecord, g.counts.tolist(), g.volumes.tolist())
+    return [(g.nodes[s], g.nodes[t], record)
+            for s, t, record in zip(sources.tolist(), targets.tolist(), records)]
+
+
+@dataclass(frozen=True)
+class RecirculationOp:
+    """One first-in to last-out window of one user."""
+
+    user: str
+    first_in: int
+    last_out: int
+    in_tx_ids: tuple[str, ...]
+    out_tx_ids: tuple[str, ...]
+
+    @property
+    def duration(self) -> int:
+        return self.last_out - self.first_in
+
+
+def ops_of(ops: Operations) -> list[RecirculationOp]:
+    """Operation columns as one record per operation, in order."""
+    ledger = ops.ledger
+    tx_ids = [ledger.tx_id[r] for r in ops.rows.tolist()]
+    bounds = ops.bounds.tolist()
+    return [
+        RecirculationOp(ledger.accounts[user], first_in, last_out,
+                        tuple(tx_ids[a:b]), tuple(tx_ids[b:c]))
+        for user, first_in, last_out, a, b, c in zip(
+            ops.user.tolist(), ops.first_in.tolist(), ops.last_out.tolist(), bounds,
+            ops.split.tolist(), bounds[1:])
+    ]
+
+
+def categories_of(classified: ClassifiedOps) -> tuple[FrequencyCategory, ...]:
+    """Each operation's frequency category, in operation order."""
+    categories = tuple(FrequencyCategory)
+    return tuple(categories[code] for code in classified.codes.tolist())

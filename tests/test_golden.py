@@ -6,7 +6,9 @@ the other is the demo ledger shipped in ``demos/data``, whose collector
 stars give non-zero triad censuses.
 Every bundle file is hashed; the manifest is hashed without its wall times,
 input path, library versions and worker count, the only fields that may
-differ between runs of the same code.
+differ between runs of the same code. ``ledgerflow generate`` is held to
+golden hashes too: the ledger and ground truth of one fixed scenario and
+seed.
 """
 
 import hashlib
@@ -157,6 +159,18 @@ DEMO_GOLDEN = {
     "user_signatures.csv":
         "e1a5b9c9cd3062f2ecc09828cd4454a4017acf7f837dbfe12ff92112008b7bc5",
 }
+# Every structure kind, in a two-day horizon.
+GENERATE_ARGS = ["--seed", "7", "--cycles", "3", "--cycle-length", "4", "--cliques", "2",
+                 "--clique-size", "3", "--stars", "2", "--star-arms", "3", "--dyads", "3",
+                 "--horizon-days", "2"]
+
+GENERATE_GOLDEN = {
+    "ground_truth.csv":
+        "843ade10f83e67290e6aa3c61ac7c65bd6e253dd8112e4845188ea50d4e05b2b",
+    "ledger.csv":
+        "85df6dddf37ccb2e076fdcaa1991ce7ab16763d9445e4dcd8db0615ead91d262",
+}
+
 
 def _ledger_text(accounts: int, seed: int) -> str:
     rng = random.Random(seed)
@@ -259,3 +273,9 @@ def test_demo_golden_bundle(tmp_path):
     census = json.loads((out / "triad_census.json").read_text())
     assert census["dag0"]["021U"] > 0
     assert _file_hashes(out) == DEMO_GOLDEN
+
+
+def test_generate_golden_files(tmp_path):
+    out = tmp_path / "out"
+    assert main(["generate", "--output", str(out), *GENERATE_ARGS]) == 0
+    assert _file_hashes(out) == GENERATE_GOLDEN

@@ -15,13 +15,12 @@ from ledgerflow.errors import ConfigError, DataError
 from ledgerflow.ingest import (
     ColumnMapping,
     FilterSpec,
-    Transaction,
     parse_ledger,
     parse_timestamp,
     write_transactions,
 )
 
-from oracles import keep_everything
+from oracles import Transaction, keep_everything, ledger_of, rows_of
 
 HEADER = "id,timeset,source,target,weight,transfer_subtype\n"
 
@@ -39,7 +38,8 @@ def test_parse_three_rows_in_time_order(tmp_path):
         "t1,2020-01-01T00:00:00Z,b,c,7.25,STANDARD\n"
         "t2,2020-01-01T00:00:01Z,c,a,1,STANDARD\n",
     )
-    txs, diag = parse_ledger(path)
+    ledger, diag = parse_ledger(path)
+    txs = rows_of(ledger)
     assert [t.tx_id for t in txs] == ["t1", "t2", "t3"]
     assert txs[0].amount == Decimal("7.25")
     assert diag.rows_read == 3
@@ -52,7 +52,8 @@ def test_default_filter_excludes_disbursement(tmp_path):
         "t1,2020-01-01T00:00:00Z,sys,a,400,DISBURSEMENT\n"
         "t2,2020-01-01T00:00:01Z,a,b,5,STANDARD\n",
     )
-    txs, diag = parse_ledger(path)
+    ledger, diag = parse_ledger(path)
+    txs = rows_of(ledger)
     assert [t.tx_id for t in txs] == ["t2"]
     assert diag.rows_filtered == 1
 
@@ -64,22 +65,25 @@ def test_exclude_accounts_filters_both_sides(tmp_path):
         "t2,2020-01-01T00:00:01Z,a,sys,1,STANDARD\n"
         "t3,2020-01-01T00:00:02Z,a,b,1,STANDARD\n",
     )
-    txs, diag = parse_ledger(
+    ledger, diag = parse_ledger(
         path, filter_spec=FilterSpec(exclude_accounts=frozenset({"sys"}))
     )
+    txs = rows_of(ledger)
     assert [t.tx_id for t in txs] == ["t3"]
     assert diag.rows_filtered == 2
 
 
 def test_epoch_timestamps_autodetected(tmp_path):
     path = write(tmp_path, "t1,1600000000,a,b,1,STANDARD\n")
-    txs, _ = parse_ledger(path)
+    ledger, _ = parse_ledger(path)
+    txs = rows_of(ledger)
     assert txs[0].timestamp == 1_600_000_000
 
 
 def test_fractional_epoch_is_truncated(tmp_path):
     path = write(tmp_path, "t1,100.5,a,b,1,STANDARD\nt2,-7.9,b,a,1,STANDARD\n")
-    txs, _ = parse_ledger(path)
+    ledger, _ = parse_ledger(path)
+    txs = rows_of(ledger)
     assert [(t.tx_id, t.timestamp) for t in txs] == [("t2", -7), ("t1", 100)]
     assert parse_timestamp("1600000000.999", "epoch") == 1_600_000_000
     for bad in ("1.2.3", "12.", "1e5", ""):
@@ -97,7 +101,8 @@ def test_byte_order_mark_keeps_id_column(tmp_path):
         + "t1,2020-01-01T00:00:05Z,b,c,2,STANDARD\n",
         encoding="utf-8",
     )
-    txs, diag = parse_ledger(path)
+    ledger, diag = parse_ledger(path)
+    txs = rows_of(ledger)
     assert [t.tx_id for t in txs] == ["t1"]
     assert diag.duplicate_tx_ids == 1
 
@@ -108,7 +113,8 @@ def test_equal_timestamps_sorted_by_tx_id(tmp_path):
         "tB,1600000000,a,b,1,STANDARD\n"
         "tA,1600000000,b,c,1,STANDARD\n",
     )
-    txs, _ = parse_ledger(path)
+    ledger, _ = parse_ledger(path)
+    txs = rows_of(ledger)
     assert [t.tx_id for t in txs] == ["tA", "tB"]
 
 
@@ -148,7 +154,8 @@ def test_duplicate_ids_keep_first_and_count(tmp_path):
         "t1,2020-01-01T00:00:00Z,a,b,1,STANDARD\n"
         "t1,2020-01-01T00:00:05Z,b,c,2,STANDARD\n",
     )
-    txs, diag = parse_ledger(path)
+    ledger, diag = parse_ledger(path)
+    txs = rows_of(ledger)
     assert len(txs) == 1
     assert txs[0].source == "a"
     assert diag.duplicate_tx_ids == 1
@@ -160,7 +167,8 @@ def test_missing_optional_columns(tmp_path):
         "timeset,source,target,weight\n2020-01-01T00:00:00Z,a,b,4\n",
         encoding="utf-8",
     )
-    txs, _ = parse_ledger(path)
+    ledger, _ = parse_ledger(path)
+    txs = rows_of(ledger)
     assert len(txs) == 1
     assert txs[0].tx_id.startswith("r")
     assert txs[0].subtype == ""
@@ -173,7 +181,8 @@ def test_missing_file_is_data_error(tmp_path):
 
 def test_header_only_file_is_empty(tmp_path):
     path = write(tmp_path, "")
-    txs, diag = parse_ledger(path)
+    ledger, diag = parse_ledger(path)
+    txs = rows_of(ledger)
     assert len(txs) == 0
     assert diag.rows_read == 0
 
@@ -230,9 +239,9 @@ def transaction_lists(draw):
 @given(transaction_lists())
 def test_write_parse_round_trip(tmp_path_factory, txs):
     path = tmp_path_factory.mktemp("roundtrip") / "ledger.csv"
-    write_transactions(path, txs)
+    write_transactions(path, ledger_of(txs))
     parsed, _ = parse_ledger(path, filter_spec=keep_everything())
-    assert list(parsed) == txs
+    assert rows_of(parsed) == txs
 
 
 def test_write_transactions_renders_a_chunk_at_a_time(tmp_path, monkeypatch):
@@ -252,7 +261,7 @@ def test_write_transactions_renders_a_chunk_at_a_time(tmp_path, monkeypatch):
         for i in range(11)
     ]
     path = tmp_path / "ledger.csv"
-    write_transactions(path, txs)
+    write_transactions(path, ledger_of(txs))
     assert rendered == [4, 4, 3]
     eager = io.StringIO(newline="")
     writer = csv.writer(eager, lineterminator="\n")
@@ -271,7 +280,7 @@ def test_out_of_range_stamp_raises_before_the_file_exists(tmp_path, stamp):
            Transaction(stamp, "t2", "b", "a", Decimal(2))]
     path = tmp_path / "ledger.csv"
     with pytest.raises(ValueError, match="timestamp outside"):
-        write_transactions(path, txs)
+        write_transactions(path, ledger_of(txs))
     assert not path.exists()
 
 
@@ -283,9 +292,9 @@ def test_carriage_return_inside_a_cell_round_trips(tmp_path):
         Transaction(1, "t2", "c,d", 'e"f', Decimal("2"), ""),
     ]
     path = tmp_path / "ledger.csv"
-    write_transactions(path, txs)
+    write_transactions(path, ledger_of(txs))
     parsed, diagnostics = parse_ledger(path, filter_spec=keep_everything())
-    assert list(parsed) == txs
+    assert rows_of(parsed) == txs
     assert diagnostics.rows_read == 2
 
 

@@ -7,19 +7,27 @@ arrays would drop: order must stay Python's code-point order.
 """
 
 import random
+from decimal import Decimal
 
+import pytest
+
+from ledgerflow.errors import DataError
 from ledgerflow.graph import aggregate
 from ledgerflow.ingest import Ledger, parse_ledger, write_transactions
 from ledgerflow.recirculation import classify_ops, crosstab, extract_ops, user_signatures
 from ledgerflow.topology import categorize
 
 from oracles import (
+    Transaction,
     dict_view,
     keep_everything,
+    ledger_of,
+    links_of,
     reference_aggregate,
     reference_crosstab,
     reference_ledger_order,
     reference_sort,
+    rows_of,
     tx,
 )
 
@@ -47,8 +55,8 @@ def test_rows_follow_the_object_sort():
     rng = random.Random(41)
     for trial in range(200):
         txs = random_ledger(rng, rng.randrange(0, 40))
-        ledger = Ledger.from_transactions(txs)
-        assert list(ledger) == reference_sort(txs), trial
+        ledger = ledger_of(txs)
+        assert rows_of(ledger) == reference_sort(txs), trial
         assert ledger.accounts == tuple(sorted({v for t in txs for v in (t.source, t.target)}))
 
 
@@ -75,19 +83,41 @@ def test_from_columns_matches_the_lexsort_order():
         assert list(map(str, ledger.amount)) == list(map(str, amounts)), trial
         assert ledger.subtype == subtypes, trial
         assert ledger.accounts == tuple(sorted(set(sources).union(targets))), trial
-        assert list(ledger.without_self_transfers()) == [
-            t for t in ledger if t.source != t.target], trial
+        assert rows_of(ledger.without_self_transfers()) == [
+            t for t in rows_of(ledger) if t.source != t.target], trial
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([("t1", 3, "a", "b", "-0.01")], "transaction t1: negative amount -0.01"),
+    ([("t1", 3, "", "b", "1")], "transaction t1: empty account id"),
+    ([("t1", 3, "a", "", "1")], "transaction t1: empty account id"),
+    ([("t1", 3, "", "b", "-1")], "transaction t1: negative amount -1"),
+    # The first bad row in input order is named, not the first in time.
+    ([("t9", 9, "a", "", "1"), ("t1", 1, "a", "b", "-1")], "transaction t9: empty account id"),
+], ids=["negative", "empty-source", "empty-target", "amount-first", "input-order"])
+def test_from_columns_refuses_what_a_transaction_refuses(rows, message):
+    # A hand-built ledger is built with from_columns: it makes the checks
+    # a Transaction row makes, with the same messages.
+    rows = [("t0", 5, "a", "b", "1"), *rows]
+    with pytest.raises(DataError) as refused_row:
+        [Transaction(stamp, tx_id, s, t, Decimal(a)) for tx_id, stamp, s, t, a in rows]
+    with pytest.raises(DataError) as refused_columns:
+        Ledger.from_columns(
+            [stamp for _, stamp, _, _, _ in rows], [tx_id for tx_id, _, _, _, _ in rows],
+            [s for _, _, s, _, _ in rows], [t for _, _, _, t, _ in rows],
+            [Decimal(a) for _, _, _, _, a in rows], [""] * len(rows))
+    assert str(refused_columns.value) == str(refused_row.value) == message
 
 
 def test_aggregate_matches_dict_reference():
     rng = random.Random(42)
     for trial in range(200):
         txs = random_ledger(rng, rng.randrange(0, 40))
-        g, diag = aggregate(txs)
+        g, diag = aggregate(ledger_of(txs))
         links, dropped = reference_aggregate(txs)
-        assert list(g.links) == list(links), trial
+        assert list(links_of(g)) == list(links), trial
         for pair, (count, volume) in links.items():
-            record = g.links[pair]
+            record = links_of(g)[pair]
             assert (record.count, str(record.volume)) == (count, str(volume)), (trial, pair)
         assert g.nodes == tuple(sorted({v for pair in links for v in pair}))
         assert diag.self_transfers_dropped == dropped
@@ -98,10 +128,10 @@ def test_crosstab_matches_per_transaction_reference():
     checked = 0
     for trial in range(200):
         clean = [t for t in random_ledger(rng, rng.randrange(2, 60)) if t.source != t.target]
-        ops = extract_ops(clean)
+        ops = extract_ops(ledger_of(clean))
         if not ops:
             continue
-        g, _ = aggregate(clean)
+        g, _ = aggregate(ledger_of(clean))
         partition = categorize(g)
         classified = classify_ops(ops)
         signatures = user_signatures(classified)
@@ -118,8 +148,8 @@ def test_write_parse_round_trip_keeps_code_point_order(tmp_path):
     for trial in range(30):
         txs = random_ledger(rng, rng.randrange(1, 40), self_share=0.0)
         path = tmp_path / f"ledger{trial}.csv"
-        write_transactions(path, txs)
+        write_transactions(path, ledger_of(txs))
         parsed, _ = parse_ledger(path, filter_spec=keep_everything())
-        assert [(t.tx_id, t.source, t.target, str(t.amount)) for t in parsed] == [
+        assert [(t.tx_id, t.source, t.target, str(t.amount)) for t in rows_of(parsed)] == [
             (t.tx_id, t.source, t.target, str(t.amount)) for t in reference_sort(txs)
         ], trial

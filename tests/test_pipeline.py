@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ledgerflow import cli, pipeline
+from ledgerflow.errors import ConfigError
 from ledgerflow.graph import aggregate
 from ledgerflow.nullmodel import SwapMode
 from ledgerflow.pipeline import (
@@ -20,7 +21,7 @@ from ledgerflow.synthetic import ScenarioSpec
 from ledgerflow.topology import categorize, category_stats, one_time_users
 from ledgerflow.util import dsum
 
-from oracles import tx
+from oracles import ledger_of, tx
 
 DEMO_LEDGER = Path(__file__).resolve().parent.parent / "demos" / "data" / "demo_ledger.csv"
 
@@ -86,40 +87,6 @@ def test_ensemble_stages_build_each_replica_once(tmp_path, monkeypatch):
     assert len(calls) == len(modes) * 8
 
 
-def test_run_builds_no_transaction_objects(tmp_path, monkeypatch):
-    # The run path stays columnar: no per-row Transaction is built.
-    from ledgerflow.ingest import Transaction
-
-    built = []
-    monkeypatch.setattr(Transaction, "__post_init__", lambda self: built.append(self))
-    run_pipeline(small_config(DEMO_LEDGER, tmp_path / "out", replicas=8))
-    assert built == []
-
-
-def test_run_never_builds_the_link_mapping(tmp_path, monkeypatch):
-    # Every stage reads the graph's link columns, never its links view.
-    from ledgerflow.cli import main
-    from ledgerflow.graph import LedgerGraph, LinkRecord
-
-    built, reads = [], []
-    record_new, links = LinkRecord.__new__, LedgerGraph.links
-
-    def counting_new(cls, *args, **kwargs):
-        built.append(args)
-        return record_new(cls, *args, **kwargs)
-
-    def counting_links(self):
-        reads.append(self)
-        return links.fget(self)
-
-    monkeypatch.setattr(LinkRecord, "__new__", counting_new)
-    monkeypatch.setattr(LedgerGraph, "links", property(counting_links))
-    argv = ["run", str(DEMO_LEDGER), "--output", str(tmp_path / "out"),
-            "--mode", "all", "--replicas", "8"]
-    assert main(argv) == 0
-    assert built == [] and reads == []
-
-
 def test_json_only_format(tmp_path):
     result = run_pipeline(small_config(DEMO_LEDGER, tmp_path / "out", formats=("json",)))
     names = {p.name for p in result.output_files}
@@ -129,12 +96,26 @@ def test_json_only_format(tmp_path):
     assert "ingest_diagnostics.json" in names
 
 
+def test_no_format_is_config_error(tmp_path):
+    # With no table format a run would write no table and still look
+    # complete.
+    with pytest.raises(ConfigError, match="format"):
+        small_config(DEMO_LEDGER, tmp_path / "out", formats=())
+
+
+def test_unknown_stage_is_config_error(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="'topolgy'"):
+        run_pipeline(small_config(DEMO_LEDGER, out), stages=frozenset({"topolgy"}))
+    assert not out.exists()
+
+
 def _strategy_inputs(txs):
-    g, _ = aggregate(txs)
+    g, _ = aggregate(ledger_of(txs))
     partition = categorize(g)
     stats = category_stats(g, partition)
     one_time = one_time_users(g, partition)
-    ops = extract_ops(txs)
+    ops = extract_ops(ledger_of(txs))
     signatures = user_signatures(classify_ops(ops)) if ops else []
     return g, partition, stats, one_time, signatures
 

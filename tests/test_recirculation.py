@@ -12,7 +12,7 @@ from ledgerflow.recirculation import (
 )
 from ledgerflow.topology import categorize
 
-from oracles import oracle_extract_ops, tx
+from oracles import categories_of, ledger_of, oracle_extract_ops, ops_of, tx
 
 
 def test_window_with_closing_incoming():
@@ -24,7 +24,7 @@ def test_window_with_closing_incoming():
         tx("t4", 103, "u", "y"),
         tx("t5", 104, "x", "u"),
     ]
-    ops = [op for op in extract_ops(txs) if op.user == "u"]
+    ops = [op for op in ops_of(extract_ops(ledger_of(txs))) if op.user == "u"]
     assert len(ops) == 1
     op = ops[0]
     assert op.duration == 3  # last_out - first_in
@@ -34,19 +34,19 @@ def test_window_with_closing_incoming():
 
 def test_only_outgoing_yields_no_ops():
     txs = [tx("t1", 0, "u", "a"), tx("t2", 1, "u", "b")]
-    assert [op for op in extract_ops(txs) if op.user == "u"] == []
+    assert [op for op in ops_of(extract_ops(ledger_of(txs))) if op.user == "u"] == []
 
 
 def test_trailing_in_run_yields_no_op():
     txs = [tx("t1", 0, "a", "u"), tx("t2", 1, "u", "a"), tx("t3", 2, "b", "u")]
-    ops = [op for op in extract_ops(txs) if op.user == "u"]
+    ops = [op for op in ops_of(extract_ops(ledger_of(txs))) if op.user == "u"]
     assert len(ops) == 1
     assert ops[0].out_tx_ids == ("t2",)
 
 
 def test_outgoing_before_first_incoming_ignored():
     txs = [tx("t1", 0, "u", "a"), tx("t2", 1, "a", "u"), tx("t3", 2, "u", "b")]
-    ops = [op for op in extract_ops(txs) if op.user == "u"]
+    ops = [op for op in ops_of(extract_ops(ledger_of(txs))) if op.user == "u"]
     assert len(ops) == 1
     assert ops[0].in_tx_ids == ("t2",)
     assert ops[0].out_tx_ids == ("t3",)
@@ -56,7 +56,7 @@ def test_tie_incoming_sorts_before_outgoing():
     # Same timestamp: funds arrive before they move, so both transactions
     # fall into one operation of duration zero.
     txs = [tx("t1", 50, "a", "u"), tx("t2", 50, "u", "b")]
-    ops = [op for op in extract_ops(txs) if op.user == "u"]
+    ops = [op for op in ops_of(extract_ops(ledger_of(txs))) if op.user == "u"]
     assert len(ops) == 1
     assert ops[0].duration == 0
 
@@ -79,7 +79,7 @@ def test_matches_state_machine_oracle_on_random_streams():
         txs = _random_stream(rng, "u", ["a", "b"], rng.randrange(1, 50))
         mine = [
             (op.user, op.first_in, op.last_out, op.in_tx_ids, op.out_tx_ids)
-            for op in extract_ops(txs)
+            for op in ops_of(extract_ops(ledger_of(txs)))
         ]
         assert mine == oracle_extract_ops(txs), trial
 
@@ -88,7 +88,7 @@ def test_ops_are_time_disjoint_and_ordered():
     rng = random.Random(13)
     for _ in range(100):
         txs = _random_stream(rng, "u", ["a", "b", "c"], 40)
-        ops = [op for op in extract_ops(txs) if op.user == "u"]
+        ops = [op for op in ops_of(extract_ops(ledger_of(txs))) if op.user == "u"]
         for op in ops:
             assert op.duration >= 0
         for left, right in zip(ops, ops[1:]):
@@ -104,7 +104,7 @@ def test_each_tx_in_at_most_two_ops():
         txs.append(tx(f"t{i:04d}", rng.randrange(0, 100), a, b))
     txs.sort(key=lambda t: (t.timestamp, t.tx_id))
     memberships = {}
-    for op in extract_ops(txs):
+    for op in ops_of(extract_ops(ledger_of(txs))):
         for tx_id in op.in_tx_ids:
             memberships.setdefault(tx_id, []).append(("in", op.user))
         for tx_id in op.out_tx_ids:
@@ -117,8 +117,8 @@ def test_each_tx_in_at_most_two_ops():
 def test_reextraction_of_sorted_input_is_stable():
     rng = random.Random(3)
     txs = _random_stream(rng, "u", ["a"], 30)
-    assert list(extract_ops(txs)) == list(
-        extract_ops(sorted(txs, key=lambda t: (t.timestamp, t.tx_id)))
+    assert ops_of(extract_ops(ledger_of(txs))) == ops_of(
+        extract_ops(ledger_of(sorted(txs, key=lambda t: (t.timestamp, t.tx_id))))
     )
 
 
@@ -131,7 +131,7 @@ def _ops_with_durations(durations):
         base += 10_000
         txs.append(tx(f"i{i:03d}", base, f"src{i:03d}", f"u{i:03d}"))
         txs.append(tx(f"o{i:03d}", base + d, f"u{i:03d}", f"snk{i:03d}"))
-    return extract_ops(sorted(txs, key=lambda t: (t.timestamp, t.tx_id)))
+    return extract_ops(ledger_of(sorted(txs, key=lambda t: (t.timestamp, t.tx_id))))
 
 
 def test_quartile_boundaries_linear_interpolation():
@@ -140,7 +140,8 @@ def test_quartile_boundaries_linear_interpolation():
     assert classified.boundaries.q1 == pytest.approx(1.75)
     assert classified.boundaries.q2 == pytest.approx(2.5)
     assert classified.boundaries.q3 == pytest.approx(3.25)
-    by_duration = dict(zip((op.duration for op in classified.ops), classified.categories))
+    by_duration = dict(zip((op.duration for op in ops_of(classified.ops)),
+                           categories_of(classified)))
     assert by_duration[1] is FrequencyCategory.HFQ1
     assert by_duration[2] is FrequencyCategory.HFQ2
     assert by_duration[3] is FrequencyCategory.HFQ3
@@ -149,13 +150,13 @@ def test_quartile_boundaries_linear_interpolation():
 
 def test_equal_durations_all_hfq1():
     classified = classify_ops(_ops_with_durations([7, 7, 7, 7, 7]))
-    assert set(classified.categories) == {FrequencyCategory.HFQ1}
+    assert set(categories_of(classified)) == {FrequencyCategory.HFQ1}
 
 
 def test_single_op_degenerate_boundaries():
     classified = classify_ops(_ops_with_durations([42]))
     assert classified.boundaries.q1 == classified.boundaries.q3 == 42.0
-    assert classified.categories == (FrequencyCategory.HFQ1,)
+    assert categories_of(classified) == (FrequencyCategory.HFQ1,)
 
 
 def test_mode_prefers_smallest_on_ties():
@@ -171,7 +172,7 @@ def test_quartile_balance_without_boundary_ties():
     classified = classify_ops(_ops_with_durations(durations))
     n = len(durations)
     counts = {c: 0 for c in FrequencyCategory}
-    for category in classified.categories:
+    for category in categories_of(classified):
         counts[category] += 1
     for count in counts.values():
         assert n // 4 - 1 <= count <= -(-n // 4) + 1
@@ -184,7 +185,7 @@ def test_user_signature_mixed_speeds():
         tx("i3", 2_000_000, "s3", "u"), tx("o3", 2_000_060, "u", "k3"),
         tx("i4", 3_000_000, "s4", "u"), tx("o4", 3_040_000, "u", "k4"),
     ]
-    ops = extract_ops(sorted(txs, key=lambda t: (t.timestamp, t.tx_id)))
+    ops = extract_ops(ledger_of(sorted(txs, key=lambda t: (t.timestamp, t.tx_id))))
     classified = classify_ops(ops)
     signatures = {s.user: s for s in user_signatures(classified)}
     assert FrequencyCategory.HFQ1 in signatures["u"].categories
@@ -214,9 +215,9 @@ def test_crosstab_alternating_pair_counts_twice():
         source, target = ("A", "B") if i % 2 == 0 else ("B", "A")
         txs.append(tx(f"t{i:02d}", stamp, source, target, 3))
     txs.sort(key=lambda t: (t.timestamp, t.tx_id))
-    g, _ = aggregate(txs)
+    g, _ = aggregate(ledger_of(txs))
     partition = categorize(g)
-    ops = extract_ops(txs)
+    ops = extract_ops(ledger_of(txs))
     classified = classify_ops(ops)
     signatures = user_signatures(classified)
     result = crosstab(g, partition, classified, signatures)
@@ -233,9 +234,9 @@ def test_crosstab_alternating_pair_counts_twice():
 
 def test_crosstab_rejects_foreign_transactions():
     txs = [tx("i1", 0, "a", "u"), tx("o1", 1, "u", "a")]
-    g, _ = aggregate([tx("i1", 0, "a", "u"), tx("x1", 1, "u", "b")])
+    g, _ = aggregate(ledger_of([tx("i1", 0, "a", "u"), tx("x1", 1, "u", "b")]))
     partition = categorize(g)
-    classified = classify_ops(extract_ops(txs))
+    classified = classify_ops(extract_ops(ledger_of(txs)))
     signatures = user_signatures(classified)
     with pytest.raises(DataError, match="'o1' is not in the graph"):
         crosstab(g, partition, classified, signatures)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ledgerflow.graph import LedgerGraph, aggregate
+from ledgerflow.graph import aggregate
 from ledgerflow.topology import (
     CATEGORY_ORDER,
     categorize,
@@ -17,6 +17,10 @@ from ledgerflow.util import dsum
 from conftest import random_digraph, reweighted
 from oracles import (
     dict_view,
+    graph_from_links,
+    graph_of,
+    ledger_of,
+    links_of,
     naive_categorize,
     reference_categorize,
     reference_category_stats,
@@ -34,14 +38,14 @@ def cats(g):
 
 
 def test_isolated_two_cycle_is_scc0():
-    g = LedgerGraph.from_edges([("A", "B"), ("B", "A")])
+    g = graph_of([("A", "B"), ("B", "A")])
     labels, p = cats(g)
     assert labels == {"A": "scc0", "B": "scc0"}
     assert all(a.kind.value == "internal" for a in p.edge_assignment.values())
 
 
 def test_feeder_into_cycle():
-    g = LedgerGraph.from_edges([("A", "B"), ("B", "C"), ("C", "A"), ("D", "A")])
+    g = graph_of([("A", "B"), ("B", "C"), ("C", "A"), ("D", "A")])
     labels, p = cats(g)
     assert labels["D"] == "in-single-node"
     assert labels["A"] == labels["B"] == labels["C"] == "sccTin"
@@ -51,7 +55,7 @@ def test_feeder_into_cycle():
 def test_bridge_between_two_sccs():
     # A bridge connection leaves both SCCs in scc0: SCC-to-SCC contact,
     # direct or through a bridge node, does not change an SCC's class.
-    g = LedgerGraph.from_edges(
+    g = graph_of(
         [("A", "B"), ("B", "C"), ("C", "A"),
          ("D", "E"), ("E", "F"), ("F", "D"),
          ("C", "G"), ("G", "E")]
@@ -67,7 +71,7 @@ def test_bridge_between_two_sccs():
 
 
 def test_chain_between_sccs_is_dag_tmix_not_bridge():
-    g = LedgerGraph.from_edges(
+    g = graph_of(
         [("A", "B"), ("B", "C"), ("C", "A"),
          ("D", "E"), ("E", "F"), ("F", "D"),
          ("C", "G"), ("G", "H"), ("H", "E")]
@@ -79,7 +83,7 @@ def test_chain_between_sccs_is_dag_tmix_not_bridge():
 
 
 def test_direct_scc_to_scc_edge():
-    g = LedgerGraph.from_edges(
+    g = graph_of(
         [("A", "B"), ("B", "A"), ("C", "D"), ("D", "C"), ("B", "C")]
     )
     labels, p = cats(g)
@@ -88,7 +92,7 @@ def test_direct_scc_to_scc_edge():
 
 
 def test_single_receiving_from_two_sccs_is_out_single():
-    g = LedgerGraph.from_edges(
+    g = graph_of(
         [("A", "B"), ("B", "A"), ("C", "D"), ("D", "C"), ("B", "X"), ("D", "X")]
     )
     labels, _ = cats(g)
@@ -97,7 +101,7 @@ def test_single_receiving_from_two_sccs_is_out_single():
 
 
 def test_isolated_dag_categories():
-    g = LedgerGraph.from_edges(
+    g = graph_of(
         [("A", "B"), ("C", "B"),                      # dag0 collector
          ("P", "Q"), ("Q", "P"),                      # scc0 dyad cycle
          ("B", "P"),                                  # dag -> scc boundary
@@ -143,7 +147,7 @@ def test_categorize_matches_dict_reference():
         assert p.components == ref.components
         assert p.component_category == ref.component_category
         assert p.edge_assignment == ref.edge_assignment
-        assert list(p.edge_assignment) == list(g.links)
+        assert list(p.edge_assignment) == list(links_of(g))
         for mine, theirs in zip(partition.labels, reference_labels(g, ref)):
             assert mine.tolist() == theirs.tolist()
         assert category_stats(g, partition) == reference_category_stats(g, ref)
@@ -164,7 +168,7 @@ def test_sccs_match_networkx_when_available():
     for _ in range(60):
         g = random_digraph(rng, 60)
         mine = {frozenset(c) for c in strongly_connected_components(g)}
-        theirs = {frozenset(c) for c in nx.strongly_connected_components(nx.DiGraph(list(g.links)))}
+        theirs = {frozenset(c) for c in nx.strongly_connected_components(nx.DiGraph(list(links_of(g))))}
         assert mine == theirs
 
 
@@ -182,9 +186,9 @@ def test_completeness_identities():
 def test_determinism_under_insertion_order():
     rng = random.Random(13)
     g = random_digraph(rng, 50)
-    shuffled = list(g.links.items())
+    shuffled = list(links_of(g).items())
     rng.shuffle(shuffled)
-    g2 = LedgerGraph(dict(shuffled))
+    g2 = graph_from_links(dict(shuffled))
     p1, p2 = dict_view(g, categorize(g)), dict_view(g2, categorize(g2))
     assert p1.node_category == p2.node_category
     assert p1.node_component == p2.node_component
@@ -200,11 +204,11 @@ def test_idempotence_on_component_subgraphs():
             continue
         member_set = set(members)
         internal = {
-            pair: g.links[pair]
+            pair: links_of(g)[pair]
             for pair, a in p.edge_assignment.items()
             if a.component_id == cid and pair[0] in member_set and pair[1] in member_set
         }
-        sub = LedgerGraph(internal)
+        sub = graph_from_links(internal)
         sub_p = dict_view(sub, categorize(sub))
         assert set(sub.nodes) == member_set
         assert len(sub_p.components) == 1
@@ -215,7 +219,7 @@ def test_idempotence_on_component_subgraphs():
 
 
 def test_category_stats_feeder_example():
-    g = LedgerGraph.from_edges([("A", "B"), ("B", "C"), ("C", "A"), ("D", "A")])
+    g = graph_of([("A", "B"), ("B", "C"), ("C", "A"), ("D", "A")])
     stats = category_stats(g, categorize(g))
     assert stats["sccTin"].node_count == 3
     assert stats["sccTin"].link_count == 3
@@ -226,7 +230,7 @@ def test_category_stats_feeder_example():
 
 
 def test_category_stats_empty_graph():
-    g, _ = aggregate([])
+    g, _ = aggregate(ledger_of([]))
     stats = category_stats(g, categorize(g))
     assert set(stats) == set(CATEGORY_ORDER)
     assert all(
@@ -239,7 +243,7 @@ def test_category_stats_empty_graph():
 def test_wcc_groups_singles_sharing_a_hub():
     # X and Y feed the same hub A so they land in one weak component of the
     # attachment-link subgraph; Z feeds B and stays separate.
-    g = LedgerGraph.from_edges(
+    g = graph_of(
         [("A", "B"), ("B", "C"), ("C", "A"), ("X", "A"), ("Y", "A"), ("Z", "B")]
     )
     stats = category_stats(g, categorize(g))
@@ -256,7 +260,7 @@ def test_one_time_users_directions():
         tx("t5", 4, "A", "E", 7),      # E: exactly one incoming
         tx("t6", 5, "A", "B", 1),      # A, B, C recirculate
     ]
-    g, _ = aggregate(txs)
+    g, _ = aggregate(ledger_of(txs))
     table = one_time_users(g, categorize(g))
     assert table.rows["in-single-node"].one_outgoing == 1
     assert table.rows["in-single-node"].outgoing_volume == Decimal(10)
@@ -274,7 +278,7 @@ def test_one_time_volume_is_not_rounded():
         tx("t2", 1, "B", "A", 3),
         tx("t3", 2, "D", "A", amount),
     ]
-    g, _ = aggregate(txs)
+    g, _ = aggregate(ledger_of(txs))
     partition = categorize(g)
     table = one_time_users(g, partition)
     assert str(table.rows["in-single-node"].outgoing_volume) == amount
@@ -288,7 +292,7 @@ def test_user_with_one_in_and_one_out_is_not_one_time():
         tx("t2", 1, "B", "A", 2),
         tx("t3", 2, "A", "B", 2),
     ]
-    g, _ = aggregate(txs)
+    g, _ = aggregate(ledger_of(txs))
     table = one_time_users(g, categorize(g))
     assert not table.rows  # A sent twice/received once; B 2 tx total
 
@@ -303,7 +307,7 @@ edge_lists = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(edge_lists)
 def test_partition_properties_hold_on_arbitrary_digraphs(pairs):
-    g = LedgerGraph.from_edges((f"n{a}", f"n{b}") for a, b in set(pairs))
+    g = graph_of((f"n{a}", f"n{b}") for a, b in set(pairs))
     p = categorize(g)
     verify_partition(g, dict_view(g, p))
     stats = category_stats(g, p)

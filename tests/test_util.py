@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 
 from ledgerflow import util
 from ledgerflow.errors import DataError
-from ledgerflow.graph import LedgerGraph, LinkRecord
 from ledgerflow.topology import categorize, category_stats
 from ledgerflow.util import (
     MAX_EPOCH, MIN_EPOCH, dsum, format_duration, group_sums, iso_utc, mix64, text_columns, to_json,
     write_csv,
 )
+
+from oracles import LinkRecord, graph_from_links
 
 
 def test_dsum_exact_on_many_small_amounts():
@@ -42,7 +43,7 @@ def test_category_sum_past_60_digits_is_data_error():
     # The graph total adds the two halves first and stays exact (10**60),
     # but dag0 adds one half to sixty nines: 61 digits. The trap therefore
     # covers every exact sum, not only the graph's own.
-    g = LedgerGraph({
+    g = graph_from_links({
         ("a", "b"): LinkRecord(1, Decimal("0.5")),
         ("c", "d"): LinkRecord(1, Decimal("0.5")),
         ("d", "c"): LinkRecord(1, Decimal(0)),
