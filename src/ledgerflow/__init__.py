@@ -8,6 +8,8 @@ degree-preserving null ensembles, and extract per-user recirculation
 operations with quartile frequency categories.
 """
 
+__version__ = "0.1.0"  # first, so a submodule may import it at any time
+
 from .errors import AnalysisError, ConfigError, DataError, LedgerflowError
 from .graph import AggregateDiagnostics, LedgerGraph, aggregate
 from .ingest import (
@@ -56,8 +58,6 @@ from .recirculation import (
     user_signatures,
 )
 from .synthetic import ScenarioSpec, SyntheticLedger, generate_synthetic
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AnalysisError",

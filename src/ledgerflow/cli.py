@@ -139,7 +139,7 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--seed", type=int, default=default,
                         help=f"master seed (default {PipelineConfig.master_seed})")
     parser.add_argument("--jobs", type=int, default=default,
-                        help=f"worker processes (default {PipelineConfig.jobs})")
+                        help=f"replica child processes (default {PipelineConfig.jobs})")
     parser.add_argument("--output", metavar="DIR", default=default,
                         help=f"output directory (default {_OUTPUT_DIR})")
     parser.add_argument("--format", choices=("csv", "json", "both"), default=default,

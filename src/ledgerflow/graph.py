@@ -87,11 +87,6 @@ class LedgerGraph:
         g.volume = dsum(volumes)
         return g
 
-    def __reduce__(self):
-        # A pickle (what a pool worker receives) holds the columns.
-        return LedgerGraph._from_rows, (self.nodes, self.sources, self.targets, self.counts,
-                                        self.volumes)
-
     @property
     def node_count(self) -> int:
         return len(self.nodes)

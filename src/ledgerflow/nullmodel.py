@@ -15,9 +15,8 @@ merge through ``graph.merge_links`` (``np.unique`` on ``source * n +
 target``), the step that aggregation uses too; inside an ensemble the
 per-link counts and Decimal volumes stay in the original link order, and
 ``topology.tabulate`` sums them per category through the merge's row-to-link
-index. Pool workers receive the graph, which pickles as its columns.
-``randomize`` builds the merged replica as a graph, adding parallel links'
-counts and volumes exactly.
+index. ``randomize`` builds the merged replica as a graph, adding parallel
+links' counts and volumes exactly.
 
 An ensemble builds each replica once, re-runs the topological
 categorisation (``topology.label``) on it, and stacks two arrays per
@@ -25,12 +24,12 @@ replica: its category ``FEATURES`` as floats and the triad census of its
 DAG categories. The empirical category sizes are scored against the first
 with z-scores, robust z-scores, and an Anderson-Darling normality verdict
 per cell; ``triads`` scores the empirical censuses against the second.
+``jobs`` forked children (``util.fork_call``) build contiguous slices of it.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -43,7 +42,7 @@ from .graph import LedgerGraph, merge_links
 from .stats import SignificanceCell, score_ensemble
 from .topology import CATEGORY_ORDER, CategoryRow, label, tabulate
 from .topology import categorize, category_stats  # noqa: F401  (perfbench/tracer.py wraps these)
-from .util import mix64
+from .util import fork_call, join_all, mix64
 
 __all__ = [
     "SwapMode",
@@ -82,11 +81,14 @@ class EnsembleSpec:
 
 
 class RandomizationError(AnalysisError):
-    """Self-loop repair budget exhausted; carries the offending seed."""
+    """Self-loop repair budget exhausted; carries the offending seed. Pickles whole."""
 
     def __init__(self, seed: int, position: int):
-        super().__init__(f"could not repair self-loop at link {position} (seed {seed})")
-        self.seed = seed
+        super().__init__(seed, position)
+        self.seed, self.position = seed, position
+
+    def __str__(self) -> str:
+        return f"could not repair self-loop at link {self.position} (seed {self.seed})"
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -178,16 +180,11 @@ def _replica_tables(g: LedgerGraph, spec: EnsembleSpec, index: int) -> tuple[np.
     return features, triads.label_census(labels, sources, targets)
 
 
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(g: LedgerGraph, spec: EnsembleSpec) -> None:
-    _WORKER_STATE["g"] = g
-    _WORKER_STATE["spec"] = spec
-
-
-def _run_worker(index: int):
-    return _replica_tables(_WORKER_STATE["g"], _WORKER_STATE["spec"], index)
+def _replica_slice(g: LedgerGraph, spec: EnsembleSpec, start: int,
+                   stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked tables of replicas ``start..stop-1``, built in index order."""
+    features, censuses = zip(*(_replica_tables(g, spec, i) for i in range(start, stop)))
+    return np.stack(features), np.stack(censuses)
 
 
 def _usable_cpus() -> int:
@@ -208,22 +205,23 @@ def run_ensemble(
     A float64 array of replicas × ``CATEGORY_ORDER`` × ``FEATURES`` and an
     int64 array of replicas × ``triads.DEFAULT_CENSUS_CATEGORIES`` ×
     ``triads.TRIAD_LABELS``. Each replica is built and categorised once;
-    replicas are stacked in index order whatever the worker scheduling, so
-    output is identical for any job count.
+    ``jobs`` forked children build contiguous slices of replica indices,
+    stacked in index order, and the earliest slice's failure is raised, so
+    output and failure (the lowest failing replica's) match any job count.
     """
-    indices = range(spec.replicas)
-    # A worker beyond one per replica, or per CPU this process may use, would idle.
+    # A child beyond one per replica, or per CPU this process may use, would idle.
     jobs = min(jobs, spec.replicas, _usable_cpus())
     if jobs <= 1:
-        pairs = [_replica_tables(g, spec, i) for i in indices]
-    else:
-        chunk = max(1, spec.replicas // (jobs * 4))
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(g, spec)
-        ) as executor:
-            pairs = list(executor.map(_run_worker, indices, chunksize=chunk))
-    features, censuses = zip(*pairs)
-    return np.stack(features), np.stack(censuses)
+        return _replica_slice(g, spec, 0, spec.replicas)
+    bounds = [spec.replicas * k // jobs for k in range(jobs + 1)]
+    handles: list = []
+    try:
+        for start, stop in zip(bounds, bounds[1:]):
+            handles.append(fork_call(_replica_slice, g, spec, start, stop))
+    finally:  # also when a slice built here fails: an earlier slice's failure wins
+        slices = join_all(handles)
+    features, censuses = zip(*slices)
+    return np.concatenate(features), np.concatenate(censuses)
 
 
 def significance(

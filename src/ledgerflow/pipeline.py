@@ -13,6 +13,7 @@ import hashlib
 import math
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from decimal import Decimal
@@ -22,6 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy
 
+from . import __version__
 from .degrees import degree_stats
 from .errors import AnalysisError, ConfigError
 from .graph import LedgerGraph, aggregate
@@ -51,7 +53,9 @@ from .topology import (
     one_time_users,
 )
 from .triads import TRIAD_LABELS, category_census, triad_significance
-from .util import Rendered, fork_call, format_duration, iso_utc, text_columns, write_csv, write_json
+from .util import (
+    Rendered, fork_call, format_duration, iso_utc, join_all, text_columns, write_csv, write_json,
+)
 
 __all__ = [
     "PipelineConfig",
@@ -79,12 +83,9 @@ class PipelineConfig:
     formats: tuple[str, ...] = ("csv", "json")
 
     def __post_init__(self):
-        if self.replicas < 1:
-            raise ConfigError("replicas must be >= 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-        if self.max_repair_attempts < 1:
-            raise ConfigError("max_repair_attempts must be >= 1")
+        for name in ("replicas", "jobs", "max_repair_attempts"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         for fmt in self.formats:
             if fmt not in ("csv", "json"):
                 raise ConfigError(f"unknown format {fmt!r}")
@@ -92,6 +93,9 @@ class PipelineConfig:
             raise ConfigError("at least one output format is required")
         if not self.modes:
             raise ConfigError("at least one swap mode is required")
+        for i, mode in enumerate(self.modes):
+            if mode in self.modes[:i]:
+                raise ConfigError(f"swap mode {SwapMode(mode).value!r} given twice")
 
 
 @dataclass(frozen=True)
@@ -148,16 +152,10 @@ def strategy_report(
     dag_collector = float(stats["dagTin"].volume) - dagtin_one_time
     dag_collector_share = max(0.0, dag_collector) / total if total else 0.0
 
-    hfq1_only = [
-        s for s in signatures if s.categories == frozenset({FrequencyCategory.HFQ1})
-    ]
+    hfq1_only = [s for s in signatures if s.categories == frozenset({FrequencyCategory.HFQ1})]
     hfq1_share = len(hfq1_only) / len(signatures) if signatures else 0.0
-    breakdown: dict[str, float] = {}
-    if hfq1_only:
-        for signature in hfq1_only:
-            label = partition.node_category[signature.user].value
-            breakdown[label] = breakdown.get(label, 0) + 1
-        breakdown = {label: count / len(hfq1_only) for label, count in sorted(breakdown.items())}
+    counts = Counter(partition.node_category[s.user].value for s in hfq1_only)
+    breakdown = {label: count / len(hfq1_only) for label, count in sorted(counts.items())}
 
     return StrategySignalReport(
         one_time_collector_share=one_time_share,
@@ -183,10 +181,6 @@ class _Writer:
         self.written: list[Path] = []
         self.pending: list = []
 
-    def background(self, path: Path, header, columns) -> None:
-        """``write_csv`` in a forked child, which renders the lazy columns."""
-        self.fork((path,), write_csv, path, header, columns)
-
     def fork(self, paths: Sequence[Path], fn, *args) -> None:
         """``fn(*args)``, which writes ``paths``, in a forked child."""
         self.pending.append(fork_call(fn, *args))
@@ -194,15 +188,7 @@ class _Writer:
 
     def join(self) -> None:
         """Reap every child, then raise the earliest one's failure, if any."""
-        failure = None
-        while self.pending:
-            try:
-                self.pending[0].result()
-            except Exception as exc:
-                failure = failure or exc
-            del self.pending[0]  # only once reaped
-        if failure is not None:
-            raise failure
+        join_all(self.pending)
 
     def csv(self, name: str, header, rows) -> None:
         """A small table given as rows of cells."""
@@ -289,8 +275,9 @@ def run_pipeline(
             graph, agg_diag = aggregate(transactions)
             diagnostics.self_transfers_dropped = agg_diag.self_transfers_dropped
             if "ingest" in stages:
-                write_transactions(out_dir / "transactions_normalized.csv", transactions,
-                                   write=writer.background)
+                path = out_dir / "transactions_normalized.csv"
+                write_transactions(path, transactions,
+                                   write=lambda *table: writer.fork((path,), write_csv, *table))
                 writer.json("ingest_diagnostics", diagnostics.__dict__, always=True)
                 writer.json(
                     "ledger_totals",
@@ -405,7 +392,7 @@ def run_pipeline(
         },
         "seeds": seeds,
         "versions": {
-            "ledgerflow": _package_version(),
+            "ledgerflow": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
             "scipy": scipy.__version__,
@@ -480,8 +467,9 @@ def _write_operations(writer: _Writer, classified: ClassifiedOps) -> None:
     ops = classified.ops
     accounts = np.array(ops.ledger.accounts, dtype=object)
     labels = np.array([c.value for c in FrequencyCategory], dtype=object)
-    writer.background(
-        writer.out_dir / "operations.csv",
+    path = writer.out_dir / "operations.csv"
+    writer.fork(
+        (path,), write_csv, path,
         ("user", "first_in", "last_out", "duration_seconds", "n_in", "n_out", "category"),
         (Rendered(ops.user, lambda codes: accounts[codes].tolist()),
          Rendered(ops.first_in, iso_utc), Rendered(ops.last_out, iso_utc),
@@ -555,12 +543,6 @@ def _sha256(path: Path) -> str:
         while block := fh.read(1 << 20):  # not the whole ledger at once
             digest.update(block)
     return digest.hexdigest()
-
-
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 def write_scenario(out_dir: Path, spec: ScenarioSpec, seed: int) -> tuple[Path, Path]:

@@ -6,7 +6,6 @@ import json
 import os
 import pickle
 import signal
-from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal, Inexact, localcontext
@@ -192,20 +191,17 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence[str]
 
 
 class Forked:
-    """A call that :func:`fork_call` runs in a child process."""
+    """A :func:`fork_call`'s child (pid and pipe), or the outcome of a call run here."""
 
-    def __init__(self, pid: int, fd: int):
-        self._pid, self._fd, self._data = pid, fd, bytearray()
+    def __init__(self, pid: int | None, fd: int | None, data: bytes = b""):
+        self._pid, self._fd, self._data = pid, fd, data
 
     def result(self):
-        """Read the pipe to EOF and reap the child, then return its value or
-        raise its exception. An interrupted call resumes where it stopped."""
-        while self._fd is not None:
-            chunk = os.read(self._fd, 1 << 16)
-            self._data += chunk
-            if not chunk:
-                fd, self._fd = self._fd, None
-                os.close(fd)
+        """Read the outcome and reap the child; return its value or raise its exception."""
+        if self._fd is not None:
+            fd, self._fd = self._fd, None
+            with open(fd, "rb") as pipe:
+                self._data = pipe.read()
         if self._pid is not None:
             os.waitpid(self._pid, 0)
             self._pid = None
@@ -216,18 +212,48 @@ class Forked:
             return value
         raise value
 
+    def cancel(self) -> None:
+        """Kill and reap the child unless it is reaped already."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
 
-def fork_call(fn: Callable, *args) -> Forked | Future:
-    """Run ``fn(*args)`` in a forked child; call ``result()`` on the handle to
-    get its value or exception and to reap the child.
+
+def join_all(handles: list[Forked]) -> list:
+    """The results of :func:`fork_call` handles in order, once every child is
+    reaped; the earliest exception is raised. An interrupt while waiting
+    kills and reaps the children still running, then propagates."""
+    values, failure = [], None
+    try:
+        for handle in handles:
+            try:
+                values.append(handle.result())
+            except Exception as exc:
+                failure = failure or exc
+    finally:
+        for handle in handles:  # a no-op for each child already reaped
+            handle.cancel()
+        handles.clear()
+    if failure is not None:
+        raise failure
+    return values
+
+
+def fork_call(fn: Callable, *args) -> Forked:
+    """Run ``fn(*args)`` in a forked child; :func:`join_all`, or ``result()``
+    on the handle, gives its value or exception and reaps the child. The
+    pipeline's bulk writers and the replica ensemble's slices run this way.
 
     A value or exception that cannot be pickled comes back as a
     ``RuntimeError`` naming its type and text. The child ignores SIGINT, so
-    Ctrl-C stops only the caller, which then waits for the call to end. It
-    ends in ``os._exit``, so it never returns into the caller's stack nor
-    flushes its stdio buffers. Without ``os.fork``, or where ``os.pipe`` or
-    ``os.fork`` raises ``OSError``, ``fn`` runs here and now: its exception
-    propagates from this call, and the handle is a done ``Future``.
+    Ctrl-C stops only the caller. It ends in ``os._exit``, so it never
+    returns into the caller's stack nor flushes its stdio buffers. Without
+    ``os.fork``, or where ``os.pipe`` or ``os.fork`` raises ``OSError``,
+    ``fn`` runs here and now, and its exception propagates from this call.
     """
     pid, fds = None, ()
     if hasattr(os, "fork"):
@@ -238,9 +264,7 @@ def fork_call(fn: Callable, *args) -> Forked | Future:
             for fd in fds:
                 os.close(fd)
     if pid is None:
-        done = Future()
-        done.set_result(fn(*args))
-        return done
+        return Forked(None, None, pickle.dumps((True, fn(*args))))
     if pid:
         os.close(fds[1])
         return Forked(pid, fds[0])

@@ -250,6 +250,51 @@ def test_repair_budget_below_one_is_config_error(tmp_path, attempts):
     assert "max_repair_attempts" in report["message"]
 
 
+@pytest.mark.parametrize("where", ["flag", "config file"])
+def test_repeated_swap_mode_is_config_error(tmp_path, where):
+    out_dir = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    config.write_text("modes = target, both, target\n" if where == "config file" else "",
+                      encoding="utf-8")
+    flags = ["--mode", "target,both,target"] if where == "flag" else []
+    code = main(["--config", str(config), "significance", str(DEMO_LEDGER), "--output",
+                 str(out_dir), "--replicas", "8", *flags])
+    assert code == 2
+    assert [p.name for p in out_dir.iterdir()] == ["error_report.json"]
+    report = json.loads((out_dir / "error_report.json").read_text())
+    assert report["error_type"] == "ConfigError"
+    assert report["message"] == "swap mode 'target' given twice"
+
+
+def test_randomization_error_report_is_the_same_at_any_job_count(tmp_path, monkeypatch):
+    import ledgerflow.nullmodel as nullmodel
+
+    # Three accounts, every ordered pair linked: with one repair attempt a
+    # target swap runs out of repairs on some replica, in a forked child
+    # at --jobs 2.
+    ledger = tmp_path / "triangle.csv"
+    ledger.write_text(
+        "id,timeset,source,target,weight,transfer_subtype\n" + "".join(
+            f"{i},2020-01-01T00:00:0{i}+00:00,{a},{b},1,STANDARD\n"
+            for i, (a, b) in enumerate(["AB", "BA", "BC", "CB", "AC", "CA"])
+        ),
+        encoding="utf-8",
+    )
+    config = tmp_path / "run.cfg"
+    config.write_text("max_repair_attempts = 1\n", encoding="utf-8")
+    monkeypatch.setattr(nullmodel, "_usable_cpus", lambda: 2)
+    reports = []
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / f"jobs{jobs}"
+        code = main(["--config", str(config), "significance", str(ledger), "--output",
+                     str(out_dir), "--mode", "target", "--replicas", "40", "--seed", "1",
+                     "--jobs", jobs])
+        assert code == 4
+        reports.append((out_dir / "error_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["error_type"] == "RandomizationError"
+
+
 def test_too_small_ensemble_is_analysis_error(tmp_path):
     # significance needs at least 8 replicas for the normality test; the
     # check comes before ingest, so nothing but the report is written

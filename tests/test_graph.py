@@ -63,7 +63,7 @@ def test_link_columns_are_read_only():
 
 
 def test_pickle_holds_the_columns_not_the_links_view():
-    # What a pool worker receives must not grow once the view is built.
+    # A pickle holds the columns and must not grow once the view is built.
     g = graph_of([("A", "B"), ("B", "C"), ("A", "B")], Decimal("0.50"))
     before = pickle.dumps(g)
     assert links_of(g)

@@ -1,5 +1,10 @@
+import errno
+import os
+import pickle
 import random
 import re
+import signal
+import time
 from collections import Counter
 from decimal import Decimal
 from typing import Mapping
@@ -211,33 +216,28 @@ def test_run_ensemble_parallel_matches_serial():
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    """Stands in for the process pool, running the workers' calls in this
-    process; returns the list of pool sizes asked for."""
+def forks(monkeypatch):
+    """Counts the children that ``run_ensemble`` forks: one entry per call
+    that forked, holding its number of children. Each child's slice must
+    start where the one before it stopped."""
     import ledgerflow.nullmodel as nullmodel
 
-    workers = []
+    fork_call, children, stops = nullmodel.fork_call, [], []
 
-    class InlinePool:
-        def __init__(self, max_workers, initializer, initargs):
-            workers.append(max_workers)
-            initializer(*initargs)
+    def counting_fork_call(fn, g, spec, start, stop):
+        if start == 0:
+            children.append(0)
+        else:
+            assert start == stops[-1]
+        children[-1] += 1
+        stops.append(stop)
+        return fork_call(fn, g, spec, start, stop)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(nullmodel, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(nullmodel, "_WORKER_STATE", {})
-    return workers
+    monkeypatch.setattr(nullmodel, "fork_call", counting_fork_call)
+    return children
 
 
-def test_run_ensemble_pool_has_at_most_one_worker_per_replica(monkeypatch, inline_pool):
+def test_run_ensemble_pool_has_at_most_one_worker_per_replica(monkeypatch, forks):
     import ledgerflow.nullmodel as nullmodel
 
     monkeypatch.setattr(nullmodel, "_usable_cpus", lambda: 64)
@@ -246,12 +246,12 @@ def test_run_ensemble_pool_has_at_most_one_worker_per_replica(monkeypatch, inlin
     serial = run_ensemble(g, spec, jobs=1)
     assert _same(run_ensemble(g, spec, jobs=64), serial)
     assert _same(run_ensemble(g, spec, jobs=2), serial)
-    assert inline_pool == [3, 2]
+    assert forks == [3, 2]
 
 
 @pytest.mark.parametrize("affinity", [True, False])
 def test_run_ensemble_pool_has_at_most_one_worker_per_usable_cpu(
-    monkeypatch, inline_pool, affinity
+    monkeypatch, forks, affinity
 ):
     import ledgerflow.nullmodel as nullmodel
 
@@ -269,7 +269,101 @@ def test_run_ensemble_pool_has_at_most_one_worker_per_usable_cpu(
     serial = run_ensemble(g, spec, jobs=1)
     assert _same(run_ensemble(g, spec, jobs=500), serial)
     assert _same(run_ensemble(g, spec, jobs=2), serial)
-    assert inline_pool == [3, 2]
+    assert forks == [3, 2]
+
+
+def _open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+
+def _forks_fail_after(monkeypatch, count: int) -> None:
+    """``os.fork`` works ``count`` times, then raises ``EAGAIN``."""
+    fork, calls = os.fork, []
+
+    def limited():
+        calls.append(None)
+        if len(calls) > count:
+            raise OSError(errno.EAGAIN, "no more processes")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", limited)
+
+
+@pytest.mark.parametrize("forked", [0, 1])
+def test_run_ensemble_builds_the_slices_here_when_fork_fails(monkeypatch, forks, forked):
+    import ledgerflow.nullmodel as nullmodel
+
+    monkeypatch.setattr(nullmodel, "_usable_cpus", lambda: 2)
+    g = random_digraph(random.Random(9), 30)
+    spec = EnsembleSpec(mode=SwapMode.BOTH, replicas=9, master_seed=7)
+    serial = run_ensemble(g, spec, jobs=1)
+    before = _open_fds()
+    _forks_fail_after(monkeypatch, forked)
+    assert _same(run_ensemble(g, spec, jobs=2), serial)
+    assert forks == [2]
+    assert _open_fds() == before
+
+
+def test_randomization_error_pickles_whole():
+    copy = pickle.loads(pickle.dumps(RandomizationError(5, 2)))
+    assert type(copy) is RandomizationError
+    assert str(copy) == "could not repair self-loop at link 2 (seed 5)"
+    assert (copy.seed, copy.position) == (5, 2)
+
+
+# Two children, or two children of which only the first forks: the second
+# slice is then built here and fails first, and the first child's failure
+# must still win.
+@pytest.mark.parametrize("jobs, forked", [(1, 0), (2, 2), (2, 1)])
+def test_run_ensemble_raises_the_lowest_failing_replicas_error(monkeypatch, jobs, forked):
+    import ledgerflow.nullmodel as nullmodel
+
+    replica_tables = nullmodel._replica_tables
+
+    def failing(g, spec, index):
+        # Replicas 2 and 5 fail, one in each slice of 0..3 and 4..7; the
+        # first slice fails last.
+        if index == 2:
+            time.sleep(0.3)
+        if index in (2, 5):
+            raise RandomizationError(index, 0)
+        return replica_tables(g, spec, index)
+
+    monkeypatch.setattr(nullmodel, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(nullmodel, "_replica_tables", failing)
+    _forks_fail_after(monkeypatch, forked)
+    g = random_digraph(random.Random(3), 30)
+    spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=8, master_seed=1)
+    message = r"^could not repair self-loop at link 0 \(seed 2\)$"
+    with pytest.raises(RandomizationError, match=message) as caught:
+        run_ensemble(g, spec, jobs=jobs)
+    assert caught.value.seed == 2
+
+
+def test_ctrl_c_during_a_forked_ensemble_kills_its_children(monkeypatch):
+    import ledgerflow.nullmodel as nullmodel
+
+    def slow(g, spec, index):
+        time.sleep(5)
+
+    monkeypatch.setattr(nullmodel, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(nullmodel, "_replica_tables", slow)
+    g = random_digraph(random.Random(3), 30)
+    spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=8, master_seed=1)
+    # A SIGINT to this process half a second in, from a timer rather than a
+    # thread, so that no thread is running when the children are forked.
+    alarm = signal.signal(signal.SIGALRM, lambda *_: os.kill(os.getpid(), signal.SIGINT))
+    started = time.monotonic()
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_ensemble(g, spec, jobs=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, alarm)
+    # Sooner than any child's first replica would end; the autouse fixture
+    # checks that no child is left running or unreaped.
+    assert time.monotonic() - started < 4
 
 
 def test_run_ensemble_tables_come_from_one_replica():

@@ -103,6 +103,13 @@ def test_no_format_is_config_error(tmp_path):
         small_config(DEMO_LEDGER, tmp_path / "out", formats=())
 
 
+def test_repeated_swap_mode_is_config_error(tmp_path):
+    # A repeated mode would run its ensemble twice and list its files twice.
+    with pytest.raises(ConfigError, match="^swap mode 'both' given twice$"):
+        small_config(DEMO_LEDGER, tmp_path / "out",
+                     modes=(SwapMode.BOTH, SwapMode.TARGET, SwapMode.BOTH))
+
+
 def test_unknown_stage_is_config_error(tmp_path):
     out = tmp_path / "out"
     with pytest.raises(ConfigError, match="'topolgy'"):

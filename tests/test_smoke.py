@@ -116,6 +116,23 @@ def test_run_never_imports_scipy_stats(tmp_path):
     assert result.stdout.splitlines()[-1] == "[]"
 
 
+def test_cli_import_loads_no_second_process_layer(tmp_path):
+    # Children are forked by util.fork_call alone; a process pool would pull
+    # in concurrent.futures.process and multiprocessing at import.
+    script = (
+        "import sys\n"
+        "import ledgerflow.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'concurrent.futures.process' or m.split('.')[0] == 'multiprocessing'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path, env=_env(tmp_path), capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
 def _tracer_module():
     path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)

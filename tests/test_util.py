@@ -234,6 +234,16 @@ def test_fork_call_runs_in_process_when_fork_fails(monkeypatch):
     assert _open_fds() == before
 
 
+def test_join_all_reaps_every_child_before_the_earliest_failure():
+    handles = [util.fork_call(os.getpid), util.fork_call(_raise, ValueError("first")),
+               util.fork_call(_raise, OSError(errno.ENOSPC, "second")), util.fork_call(os.getpid)]
+    with pytest.raises(ValueError, match="^first$"):
+        util.join_all(handles)
+    assert handles == []
+    # The autouse fixture checks that every child was reaped.
+    assert util.join_all([util.fork_call(abs, -3), util.fork_call(abs, 4)]) == [3, 4]
+
+
 def _interrupt_self() -> str:
     os.kill(os.getpid(), signal.SIGINT)
     return "finished"
