@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_error_report(output: Path | None, exc: Exception, code: int) -> None:
+def _write_error_report(output: Path | None, exc: BaseException, code: int) -> None:
     # Structured error report lands next to the outputs when a directory is
     # known; an unreadable config file without --output only reaches stderr.
     if output is None:
@@ -237,6 +237,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{label}: {detail}", file=sys.stderr)
         _write_error_report(output, exc, code)
         return code
+    except KeyboardInterrupt as exc:  # Ctrl-C: the shell's code for SIGINT
+        print("interrupted", file=sys.stderr)
+        _write_error_report(output, exc, 130)
+        return 130
 
 
 if __name__ == "__main__":

@@ -250,7 +250,7 @@ def degree_stats(g: LedgerGraph) -> DegreeStats:
     in_degrees = np.bincount(g.targets, minlength=g.node_count).tolist()
     out_degrees = np.bincount(g.sources, minlength=g.node_count).tolist()
     counts = g.counts.astype(float)
-    volumes = g.volumes.astype(float)
+    volumes = g.units.floats()
 
     if counts.size >= 2 and counts.std() > 0 and volumes.std() > 0:
         pearson = pearson_r(counts, volumes)

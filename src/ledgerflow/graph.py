@@ -8,17 +8,20 @@ aggregation (a self-loop has no place in the topological categorisation)
 and reported in a diagnostics record.
 
 A graph is its link table, held as columns in sorted link order: int64
-``sources``/``targets`` into the sorted ``nodes``, int64 ``counts`` and an
-object array of ``Decimal`` ``volumes``. Every analysis reads those columns
-(degrees are ``np.bincount`` over them), so every downstream result is
-deterministic regardless of input ordering.
+``sources``/``targets`` into the sorted ``nodes``, int64 ``counts`` and the
+link volumes as ``util.Units`` (int64 units at the ledger's scale with each
+link's exponent, or exact ``Decimal``s past int64). Every analysis reads
+those columns (degrees are ``np.bincount`` over them), so every downstream
+result is deterministic regardless of input ordering; no stage builds the
+links' ``Decimal`` volumes.
 
 Rows become links one way: ``merge_links`` is ``np.unique`` over
 ``source * n + target`` of integer node codes, which gives the links in
 sorted order (codes follow the sorted ids) and each row's link; counts add
-with ``np.add.at`` and volumes with ``util.group_sums``, exactly (a sum
-past 60 significant digits is a ``DataError``). Aggregation and the null
-model's replicas both merge this way. Graphs are immutable once built.
+with ``np.add.at`` and volumes with ``Units.sums``, exactly (a sum past 60
+significant digits is a ``DataError``). Aggregation and the null model's
+replicas both merge this way. Graphs are immutable once built, and once
+unpickled.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from .errors import DataError
 from .ingest import Ledger
-from .util import dsum, group_sums
+from .util import Units
 
 __all__ = ["LedgerGraph", "AggregateDiagnostics", "aggregate", "merge_links"]
 
@@ -54,38 +57,45 @@ class LedgerGraph:
 
     ``nodes`` are the sorted account ids, exactly the endpoints of links;
     aggregation never creates isolated nodes. ``sources``, ``targets``,
-    ``counts`` and ``volumes`` are read-only columns with one entry per
-    link, in sorted (source, target) order; ``tx_count`` and ``volume`` are
-    their totals. A graph is built by :func:`aggregate`, or from integer
-    link rows by ``_from_rows``.
+    ``counts`` and ``units`` (the volumes) are read-only columns with one
+    entry per link, in sorted (source, target) order; ``tx_count`` and
+    ``volume`` are their totals. A graph is built by :func:`aggregate`, or
+    from integer link rows by ``_from_rows``.
     """
 
-    __slots__ = ("nodes", "sources", "targets", "counts", "volumes", "tx_count", "volume")
+    __slots__ = ("nodes", "sources", "targets", "counts", "units", "tx_count", "volume")
 
     @classmethod
     def _from_rows(cls, nodes: tuple[str, ...], sources: np.ndarray, targets: np.ndarray,
-                   counts, amounts: np.ndarray) -> "LedgerGraph":
+                   counts, amounts: Units) -> "LedgerGraph":
         """The links of integer rows ``sources[k] -> targets[k]`` over
-        ``nodes``, carrying ``counts`` and ``amounts`` (an object array);
-        rows on one pair add up."""
+        ``nodes``, carrying ``counts`` and ``amounts``; rows on one pair add up."""
         loops = np.flatnonzero(sources == targets)
         if loops.size:
             raise DataError(f"self-loop link {nodes[sources[loops[0]]]!r} is not allowed")
         sources, targets, link_of_row = merge_links(len(nodes), sources, targets)
         link_counts = np.zeros(sources.size, dtype=np.int64)
         np.add.at(link_counts, link_of_row, counts)
-        volumes = group_sums(link_of_row, amounts, sources.size)
-        for column in (sources, targets, link_counts, volumes):
-            column.flags.writeable = False
+        units = amounts.sums(link_of_row, sources.size)
         g = cls.__new__(cls)
         g.nodes = nodes
         g.sources = sources
         g.targets = targets
         g.counts = link_counts
-        g.volumes = volumes
+        g.units = units
         g.tx_count = int(link_counts.sum())
-        g.volume = dsum(volumes)
+        g.volume = units.total()
+        g._freeze()
         return g
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._freeze()
+
+    def _freeze(self) -> None:
+        for column in (self.sources, self.targets, self.counts, *self.units.arrays):
+            column.flags.writeable = False
 
     @property
     def node_count(self) -> int:
@@ -114,5 +124,5 @@ def aggregate(ledger: Ledger) -> tuple[LedgerGraph, AggregateDiagnostics]:
     node_of = np.cumsum(used) - 1
     nodes = tuple(compress(ledger.accounts, used.tolist()))
     graph = LedgerGraph._from_rows(nodes, node_of[sources], node_of[targets], 1,
-                                   np.array(ledger.amount, dtype=object)[rows])
+                                   ledger.units.take(rows))
     return graph, AggregateDiagnostics(self_transfers_dropped=len(ledger) - rows.size)

@@ -7,11 +7,14 @@ header; timestamps may be ISO-8601 or integer epoch seconds inside
 ``datetime``'s UTC range. Parsing validates each row and returns a
 columnar :class:`Ledger` sorted by (timestamp, tx_id) together with a
 diagnostics record: int64 timestamps, int64 source and target codes
-into the sorted account ids, and plain lists of ids, amounts and subtypes.
-No per-row object is built. A ledger built by hand is built from column
-lists with ``Ledger.from_columns``, which refuses a negative amount or an
-empty account id, sorts by stamp and puts only runs of equal stamps in id
-order.
+into the sorted account ids, plain lists of ids and subtypes, int64
+codes into a table of the distinct amounts' ``Decimal``s, and the amounts
+again as ``util.Units``: int64 units at one scale for the whole ledger,
+each row's exponent beside them (or, past int64, the ``Decimal``
+fallback). No per-row object is built; each distinct amount text is
+converted once. A ledger built by hand is built from column lists with
+``Ledger.from_columns``, which refuses a negative amount or an empty
+account id, sorts by stamp and puts only runs of equal stamps in id order.
 
 A plain file is parsed a block of lines at a time, column by column: each
 line holds one cell per header column, no cell holds a quote, whitespace,
@@ -42,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .util import MAX_EPOCH, MIN_EPOCH, Rendered, check_epochs, iso_utc, write_csv
+from .util import MAX_EPOCH, MIN_EPOCH, Rendered, Units, check_epochs, iso_utc, write_csv
 
 __all__ = [
     "Ledger",
@@ -61,8 +64,10 @@ class Ledger:
 
     ``timestamp`` is int64 UTC epoch seconds; ``source`` and ``target`` are
     int64 codes into ``accounts``, the account ids in code-point order, so
-    code order is string order. ``tx_id``, ``amount`` and ``subtype`` are
-    lists.
+    code order is string order. ``tx_id`` and ``subtype`` are lists; a
+    row's amount is ``amount_table[amount_code[k]]``, where the table holds
+    each distinct amount text's ``Decimal`` once. ``units`` holds the
+    amounts as :class:`Units`, which every volume is summed from.
     """
 
     accounts: tuple[str, ...]
@@ -70,8 +75,15 @@ class Ledger:
     source: np.ndarray
     target: np.ndarray
     tx_id: list[str]
-    amount: list[Decimal]
+    amount_table: list[Decimal]
+    amount_code: np.ndarray
     subtype: list[str]
+    units: Units
+
+    @property
+    def amount(self) -> list[Decimal]:
+        """Each row's ``Decimal`` amount, as a list built on each call."""
+        return np.array(self.amount_table, dtype=object)[self.amount_code].tolist()
 
     @classmethod
     def from_columns(cls, timestamp, tx_id, source, target, amount, subtype) -> "Ledger":
@@ -91,15 +103,22 @@ class Ledger:
                     raise DataError(f"transaction {tx}: empty account id")
         code: dict[str, int] = {}
         source, target = _encode(source, code), _encode(target, code)
-        stamps = np.array(timestamp, dtype=np.int64)
-        return cls._select(stamps, tx_id, list(code), source, target, amount, subtype,
-                           np.arange(len(stamps)))
+        # Each distinct amount is converted once: its text tells 1.0 from 1.
+        texts: dict[str, int] = {}
+        amount_code = _encode(list(map(str, amount)), texts)
+        amounts = np.empty(len(texts), dtype=object)
+        amounts[amount_code] = amount
+        return cls._select(np.array(timestamp, dtype=np.int64), tx_id, list(code), source,
+                           target, amounts.tolist(), amount_code, subtype,
+                           np.arange(len(timestamp)))
 
     @classmethod
-    def _select(cls, stamps, tx_id, names, source, target, amount, subtype, rows) -> "Ledger":
+    def _select(cls, stamps, tx_id, names, source, target, amounts, amount_code, subtype,
+                rows) -> "Ledger":
         """Rows ``rows`` of unsorted columns, sorted. ``source`` and
         ``target`` are codes into ``names``, distinct account ids in any
-        order; each list column is taken once, in its final order."""
+        order, and ``amount_code`` into ``amounts``, decimals in any order;
+        each list column is taken once, in its final order."""
         order = rows[np.argsort(stamps[rows], kind="stable")]
         stamps = stamps[order]
         # Runs of equal stamps are put in the code-point order of their ids,
@@ -117,14 +136,17 @@ class Ledger:
         recode = np.empty(len(names), dtype=np.int64)
         recode[by_name] = np.arange(len(by_name))
         take = _taker(order)
+        amount_code = amount_code[order]
         return cls(
             tuple(names[i] for i in by_name),
             stamps,
             recode[source],
             recode[target],
             take(tx_id),
-            take(amount),
+            amounts,
+            amount_code,
             take(subtype),
+            Units.of(amounts, amount_code),
         )
 
     def __len__(self) -> int:
@@ -142,8 +164,10 @@ class Ledger:
             self.source[index],
             self.target[index],
             take(self.tx_id),
-            take(self.amount),
+            self.amount_table,
+            self.amount_code[index],
             take(self.subtype),
+            self.units.take(index),
         )
 
     def __repr__(self) -> str:
@@ -405,18 +429,21 @@ def _iso_seconds(cells: list[str]) -> np.ndarray | None:
     return seconds
 
 
-def _amounts(cells: list[str], decimals: dict[str, Decimal]) -> list[Decimal] | None:
-    """The cells as finite, non-negative decimals, each text converted once
-    into ``decimals``; else None."""
-    new = set(cells).difference(decimals)
+def _amount_codes(cells: list[str], code: dict[str, int],
+                  decimals: list[Decimal]) -> np.ndarray | None:
+    """The cells' codes into ``decimals`` when every cell is a finite,
+    non-negative decimal, else None; ``code`` gives each text its code, and
+    a text it does not hold yet is converted and appended to ``decimals``."""
+    new = set(cells).difference(code)
     try:
         values = list(map(Decimal, new))
     except InvalidOperation:
         return None
     if not all(map(Decimal.is_finite, values)) or (values and min(values) < 0):
         return None
-    decimals.update(zip(new, values))
-    return list(map(decimals.__getitem__, cells))
+    code.update(zip(new, itertools.count(len(code))))
+    decimals += values
+    return np.fromiter(map(code.__getitem__, cells), np.int64, len(cells))
 
 
 def _parse_blocks(
@@ -434,17 +461,19 @@ def _parse_blocks(
     keep_subtypes = frozenset(filter_spec.keep_subtypes) if i_sub is not None else ()
     excluded = filter_spec.exclude_accounts
     # Every row is checked, filtered or not; the filter and the sort are
-    # then applied as one take. Accounts become codes block by block, and
-    # equal subtypes and amount texts share one object.
+    # then applied as one take. Accounts and amount texts become codes block
+    # by block, each amount text converted once, and equal subtypes share
+    # one object.
     stamps: list[np.ndarray] = []
     kept: list[np.ndarray] = []
     sources: list[np.ndarray] = []
     targets: list[np.ndarray] = []
     tx_ids: list[str] = []
-    amounts: list[Decimal] = []
+    amount_codes: list[np.ndarray] = []
     subtypes: list[str] = []
     accounts: dict[str, int] = {}
-    decimals: dict[str, Decimal] = {}
+    amount_of: dict[str, int] = {}
+    decimals: list[Decimal] = []
     shared: dict[str, str] = {}
     seen_ids: set[str] = set()
     rows = 0
@@ -465,7 +494,7 @@ def _parse_blocks(
             keep &= ~np.fromiter(map(excluded.__contains__, source), bool, n)
             keep &= ~np.fromiter(map(excluded.__contains__, target), bool, n)
         stamp = _iso_seconds(cells[i_ts::width])
-        amount = _amounts(cells[i_amt::width], decimals)
+        amount = _amount_codes(cells[i_amt::width], amount_of, decimals)
         if stamp is None or amount is None:
             return None
         if i_id is None:
@@ -482,14 +511,14 @@ def _parse_blocks(
         sources.append(_encode(source, accounts))
         targets.append(_encode(target, accounts))
         tx_ids += tx_id
-        amounts += amount
+        amount_codes.append(amount)
         subtypes += map(shared.setdefault, subtype, subtype)
         rows += n
-    del seen_ids, decimals
+    del seen_ids, amount_of
     rows_kept = np.concatenate(kept)
     ledger = Ledger._select(np.concatenate(stamps), tx_ids, list(accounts),
                             np.concatenate(sources), np.concatenate(targets),
-                            amounts, subtypes, rows_kept)
+                            decimals, np.concatenate(amount_codes), subtypes, rows_kept)
     return ledger, IngestDiagnostics(rows_read=rows, rows_filtered=rows - len(rows_kept))
 
 
@@ -502,9 +531,11 @@ def _parse_rows(
     tx_ids: list[str] = []
     sources: list[str] = []
     targets: list[str] = []
-    amounts: list[Decimal] = []
+    amount_codes: list[int] = []
     subtypes: list[str] = []
     seen_ids: set[str] = set()
+    amount_of: dict[str, int] = {}
+    decimals: list[Decimal] = []
 
     with closing(_csv_rows(path)) as reader:
         try:
@@ -542,15 +573,20 @@ def _parse_rows(
                 timestamp = parse_timestamp(row[idx_ts], ts_format)
             except (ValueError, OverflowError) as exc:
                 raise DataError(f"row {row_no}: bad timestamp {row[idx_ts]!r}: {exc}") from None
-            try:
-                amount = Decimal(row[idx_amt].strip())
-            except InvalidOperation:
-                amount = None
-            # NaN cannot be compared and Infinity cannot be summed exactly.
-            if amount is None or not amount.is_finite():
-                raise DataError(f"row {row_no}: bad amount {row[idx_amt]!r}")
-            if amount < 0:
-                raise DataError(f"row {row_no}: negative amount {amount}")
+            text = row[idx_amt].strip()
+            code = amount_of.get(text)
+            if code is None:
+                try:
+                    amount = Decimal(text)
+                except InvalidOperation:
+                    amount = None
+                # NaN cannot be compared and Infinity cannot be summed exactly.
+                if amount is None or not amount.is_finite():
+                    raise DataError(f"row {row_no}: bad amount {row[idx_amt]!r}")
+                if amount < 0:
+                    raise DataError(f"row {row_no}: negative amount {amount}")
+                code = amount_of[text] = len(decimals)
+                decimals.append(amount)
             if not source or not target:
                 raise DataError(f"row {row_no}: empty account id")
 
@@ -564,13 +600,19 @@ def _parse_rows(
             tx_ids.append(tx_id)
             sources.append(source)
             targets.append(target)
-            amounts.append(amount)
+            amount_codes.append(code)
             subtypes.append(subtype)
 
     diagnostics.rows_read = rows_read
     diagnostics.rows_filtered = rows_filtered
     diagnostics.duplicate_tx_ids = duplicates
-    return Ledger.from_columns(stamps, tx_ids, sources, targets, amounts, subtypes), diagnostics
+    accounts: dict[str, int] = {}
+    source, target = _encode(sources, accounts), _encode(targets, accounts)
+    rows = np.arange(len(stamps))
+    ledger = Ledger._select(np.array(stamps, dtype=np.int64), tx_ids, list(accounts), source,
+                            target, decimals, np.array(amount_codes, dtype=np.int64), subtypes,
+                            rows)
+    return ledger, diagnostics
 
 
 def write_transactions(
@@ -590,6 +632,7 @@ def write_transactions(
     """
     check_epochs(ledger.timestamp)
     accounts = np.array(ledger.accounts, dtype=object)
+    amounts = np.array(list(map(str, ledger.amount_table)), dtype=object)
 
     def account_ids(codes: np.ndarray) -> list[str]:
         return accounts[codes].tolist()
@@ -599,5 +642,5 @@ def write_transactions(
         ColumnMapping().names,
         (ledger.tx_id, Rendered(ledger.timestamp, iso_utc), Rendered(ledger.source, account_ids),
          Rendered(ledger.target, account_ids),
-         Rendered(ledger.amount, lambda amounts: list(map(str, amounts))), ledger.subtype),
+         Rendered(ledger.amount_code, lambda codes: amounts[codes].tolist()), ledger.subtype),
     )

@@ -13,10 +13,12 @@ Replicas live on the graph's integer link columns: a replica is one
 permuted int64 endpoint column with its self-loops repaired. Parallel links
 merge through ``graph.merge_links`` (``np.unique`` on ``source * n +
 target``), the step that aggregation uses too; inside an ensemble the
-per-link counts and Decimal volumes stay in the original link order, and
-``topology.tabulate`` sums them per category through the merge's row-to-link
-index. ``randomize`` builds the merged replica as a graph, adding parallel
-links' counts and volumes exactly.
+per-link counts and volumes (the graph's int64 units) stay in the original
+link order, and ``topology.tabulate`` sums them per category through the
+merge's row-to-link index, so a replica's category volumes are int64 sums,
+scored as floats, and no ``Decimal`` is built. ``randomize`` builds the
+merged replica as a graph, adding parallel links' counts and volumes
+exactly.
 
 An ensemble builds each replica once, re-runs the topological
 categorisation (``topology.label``) on it, and stacks two arrays per
@@ -152,7 +154,7 @@ def randomize(
 ) -> LedgerGraph:
     """One randomised replica; parallel links merged by adding their records."""
     sources, targets = _swap(g.sources, g.targets, mode, seed, max_repair_attempts)
-    return LedgerGraph._from_rows(g.nodes, sources, targets, g.counts, g.volumes)
+    return LedgerGraph._from_rows(g.nodes, sources, targets, g.counts, g.units)
 
 
 def _replica(g: LedgerGraph, spec: EnsembleSpec, index: int) -> tuple[np.ndarray, ...]:
@@ -175,8 +177,8 @@ def _replica(g: LedgerGraph, spec: EnsembleSpec, index: int) -> tuple[np.ndarray
 def _replica_tables(g: LedgerGraph, spec: EnsembleSpec, index: int) -> tuple[np.ndarray, ...]:
     sources, targets, record_link = _replica(g, spec, index)
     labels, _ = label(g.node_count, sources, targets)
-    table, volume = tabulate(labels, sources, targets, g.counts, g.volumes, record_link)
-    features = np.column_stack([table[:, 1:], volume.astype(float)])
+    table, volume = tabulate(labels, sources, targets, g.counts, g.units, record_link)
+    features = np.column_stack([table[:, 1:], volume.floats()])
     return features, triads.label_census(labels, sources, targets)
 
 

@@ -16,7 +16,8 @@ event of its target and one outgoing event of its source; one
 ``np.lexsort`` orders all events by (user, timestamp, direction, row), and
 a user's stream splits wherever an incoming event follows an outgoing one.
 Operations are kept as columns over the ledger's rows; the crosstab counts
-(link category, frequency category) pairs with ``np.bincount``.
+(link category, frequency category) pairs with ``np.bincount`` and sums the
+member rows' volume from the ledger's int64 units (``util.Units``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .errors import DataError
 from .graph import LedgerGraph
 from .ingest import Ledger
 from .topology import CATEGORY_ORDER, TopologyPartition
-from .util import dsum
 
 __all__ = [
     "FrequencyCategory",
@@ -294,7 +294,7 @@ def crosstab(
 
     memberships = np.bincount(rows, minlength=len(ledger))
     members = np.flatnonzero(memberships)
-    volume_in_ops = dsum(map(ledger.amount.__getitem__, members.tolist()))
+    volume_in_ops = ledger.units.take(members).total()
     coverage = RecirculationCoverage(
         op_count=len(ops),
         tx_in_ops=members.size,

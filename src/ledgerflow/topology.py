@@ -23,16 +23,19 @@ components and the weak components of non-cyclic links come from
 ``scipy.sparse.csgraph``, boundary flags are boolean scatters per component,
 and every node and link gets one category code. Category statistics are
 ``np.bincount`` tables over those codes, with volumes summed exactly per
-code by ``util.group_sums``. ``categorize`` wraps ``label`` for a
-:class:`LedgerGraph`: its :class:`TopologyPartition` carries the codes and
-each node's component index, in ``g.nodes`` and link-column order, plus one
-account-id-to-category mapping. ``category_stats`` and ``one_time_users``
-read the codes with the graph's ``counts`` and ``volumes`` columns, and
-``recirculation.crosstab`` and ``triads.category_census`` read the codes;
-null replicas call ``label`` and ``tabulate`` on their arrays directly.
-Component ids and edge kinds are derived from the codes where they are
-written (``pipeline``). The string-keyed dict view of a partition and its
-structural check live in ``tests/oracles.py`` as test references.
+code as ``util.Units`` (int64 units, or ``Decimal``s past int64); a
+``Decimal`` is built only for a volume that is written (a category or
+one-time row, a total), and a replica's volumes stay int64 until scored as
+floats. ``categorize`` wraps ``label`` for a :class:`LedgerGraph`: its
+:class:`TopologyPartition` carries the codes and each node's component
+index, in ``g.nodes`` and link-column order, plus one account-id-to-category
+mapping. ``category_stats`` and ``one_time_users`` read the codes with the
+graph's ``counts`` and ``units`` columns, and ``recirculation.crosstab`` and
+``triads.category_census`` read the codes; null replicas call ``label``
+and ``tabulate`` on their arrays directly. Component ids and edge kinds are
+derived from the codes where they are written (``pipeline``). The
+string-keyed dict view of a partition and its structural check live in
+``tests/oracles.py`` as test references.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .graph import LedgerGraph
-from .util import dsum, group_sums
+from .util import Units
 
 __all__ = [
     "NodeCategory",
@@ -230,14 +233,14 @@ def tabulate(
     sources: np.ndarray,
     targets: np.ndarray,
     counts: np.ndarray,
-    volumes: np.ndarray,
+    volumes: Units,
     record_link: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, Units]:
     """Per-category sizes from array labels: ``(table, volume)``.
 
     ``table`` is int64, ``CATEGORY_ORDER`` rows by the ``CategoryRow`` count
     columns (scc, wcc, node, link, tx); ``volume`` holds each category's
-    exact ``Decimal`` volume. ``counts`` and ``volumes`` are per link record;
+    exact volume. ``counts`` and ``volumes`` are per link record;
     ``record_link`` maps each record to the link carrying it (identity when
     omitted). A category's weak components span its owned links plus their
     endpoints, so e.g. single-nodes attached to one hub form one component.
@@ -261,14 +264,14 @@ def tabulate(
     wcc_count = np.bincount(keys[first] // n, minlength=size)
 
     table = np.stack([scc_count, wcc_count, node_count, link_count, tx_count], axis=1)
-    return table, group_sums(record_code, volumes, size)
+    return table, volumes.sums(record_code, size)
 
 
 def category_stats(g: LedgerGraph, partition: TopologyPartition) -> dict[str, CategoryRow]:
     """Per-category sizes: components, nodes, links, transactions, volume."""
-    table, volume = tabulate(partition.labels, g.sources, g.targets, g.counts, g.volumes)
-    return {name: CategoryRow(*row, volume[code])
-            for code, (name, row) in enumerate(zip(CATEGORY_ORDER, table.tolist()))}
+    table, volume = tabulate(partition.labels, g.sources, g.targets, g.counts, g.units)
+    return {name: CategoryRow(*row, total)
+            for name, row, total in zip(CATEGORY_ORDER, table.tolist(), volume.to_decimals())}
 
 
 @dataclass(frozen=True)
@@ -302,12 +305,13 @@ def one_time_users(g: LedgerGraph, partition: TopologyPartition) -> OneTimeUserT
         links = np.flatnonzero(one_time[ends])
         codes = partition.labels.node[ends[links]]
         directions.append((np.bincount(codes, minlength=size),
-                           group_sums(codes, g.volumes[links], size)))
-    (out_n, out_v), (in_n, in_v) = directions
+                           g.units.take(links).sums(codes, size)))
+    (out_n, out_units), (in_n, in_units) = directions
+    out_v, in_v = out_units.to_decimals(), in_units.to_decimals()
     rows = {
         CATEGORY_ORDER[code]:
             OneTimeRow(int(out_n[code]), int(in_n[code]), out_v[code], in_v[code])
         for code in np.flatnonzero(out_n + in_n).tolist()
     }
-    total = OneTimeRow(int(out_n.sum()), int(in_n.sum()), dsum(out_v), dsum(in_v))
+    total = OneTimeRow(int(out_n.sum()), int(in_n.sum()), out_units.total(), in_units.total())
     return OneTimeUserTable(rows=dict(sorted(rows.items())), total=total)

@@ -1,4 +1,11 @@
-"""Shared helpers: exact decimal sums, seed mixing, serialization."""
+"""Shared helpers: exact decimal sums, seed mixing, serialization.
+
+Amounts are summed as :class:`Units`: int64 multiples of one power of ten
+per ledger, summed per group with ``np.add.at``; a ``Decimal`` is built only
+for a sum that is written. A ledger whose units do not fit in int64 keeps
+its ``Decimal`` amounts, which ``dsum`` and ``group_sums`` add exactly, in
+any order, and hold to 60 significant digits.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +16,7 @@ import signal
 from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal, Inexact, localcontext
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -16,9 +24,12 @@ import numpy as np
 
 from .errors import DataError
 
-# High enough that additions of any realistic ledger volume are exact;
-# the default context (28 digits) would already cover national-scale sums.
+# Sums are taken exactly, at up to _EXACT_PRECISION significant digits and
+# so in any order, and only then held to _SUM_PRECISION: a total that needs
+# more significant digits is a DataError, not rounded. 60 digits cover any
+# realistic ledger volume; the default context (28) would cover national-scale sums.
 _SUM_PRECISION = 60
+_EXACT_PRECISION = 1000
 
 _MASK64 = (1 << 64) - 1
 
@@ -29,14 +40,11 @@ MAX_EPOCH = 253_402_300_799
 
 
 @contextmanager
-def exact_sums():
-    """A decimal context in which additions of ledger amounts are exact.
-
-    A sum that would need more than 60 significant digits raises
-    :class:`DataError` rather than being rounded.
-    """
+def _trapping(precision: int):
+    """A decimal context of ``precision`` digits in which a rounding that
+    loses a digit raises :class:`DataError`."""
     with localcontext() as ctx:
-        ctx.prec = _SUM_PRECISION
+        ctx.prec = precision
         ctx.traps[Inexact] = True
         try:
             yield
@@ -45,10 +53,18 @@ def exact_sums():
                             "significant digits") from None
 
 
+def _exact_sums(groups: Iterable[Iterable[Decimal]]) -> list[Decimal]:
+    """The sum of each group of decimals, from ``Decimal(0)``, exact and
+    independent of order; each total is then held to 60 significant digits."""
+    with _trapping(_EXACT_PRECISION):
+        totals = [sum(values, Decimal(0)) for values in groups]
+    with _trapping(_SUM_PRECISION):
+        return [+total for total in totals]
+
+
 def dsum(values: Iterable[Decimal]) -> Decimal:
     """Sum decimals exactly, independent of iteration order."""
-    with exact_sums():
-        return sum(values, Decimal(0))
+    return _exact_sums([values])[0]
 
 
 def group_sums(groups: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -56,11 +72,117 @@ def group_sums(groups: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     group code ``0..size-1``, as an object array; an empty group sums to 0."""
     bounds = np.concatenate(([0], np.cumsum(np.bincount(groups, minlength=size)))).tolist()
     grouped = values[np.argsort(groups, kind="stable")].tolist()
-    zero = Decimal(0)
     sums = np.empty(size, dtype=object)
-    with exact_sums():
-        sums[:] = [sum(grouped[a:b], zero) for a, b in zip(bounds, bounds[1:])]
+    sums[:] = _exact_sums(grouped[a:b] for a, b in zip(bounds, bounds[1:]))
     return sums
+
+
+# Units are int64, and so is the scale's factor 10**-scale, which is exact
+# as a float too: a float volume is one correctly rounded division.
+_INT64_END = 2**63
+_SCALE_DIGITS = 18
+
+
+def _unit_table(amounts: Sequence[Decimal]) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """The int64 units, int8 exponents (``min(0, exponent)``) and common
+    scale of decimals; None where one is not finite or is negative, a unit
+    would be past int64 or the scale below ``10**-18``."""
+    if not all(map(Decimal.is_finite, amounts)):
+        return None
+    exponent = [min(0, d.as_tuple().exponent) for d in amounts]
+    scale = min(exponent, default=0)
+    # A decimal's units are below 10**(adjusted() - scale + 1).
+    top = max(map(Decimal.adjusted, amounts), default=0)
+    if scale < -_SCALE_DIGITS or top - scale > _SCALE_DIGITS:
+        return None
+    factor = 10**-scale
+    units = [n * factor // d for n, d in map(Decimal.as_integer_ratio, amounts)]
+    if units and not 0 <= min(units) <= max(units) < _INT64_END:
+        return None
+    return np.array(units, dtype=np.int64), np.array(exponent, dtype=np.int8), scale
+
+
+@dataclass(frozen=True, eq=False)
+class Units:
+    """Exact decimal amounts (of rows, links or categories) as int64 units
+    at one scale.
+
+    Amount ``k`` is ``values[k] * 10**scale``, with ``scale`` = min(0, the
+    smallest exponent); ``exponent[k]`` is min(0, its own exponent). A sum
+    over a group is ``Decimal(Σvalues // 10**(g - scale)).scaleb(g)``, with
+    g the group's smallest ``exponent`` (0 when empty): exactly what
+    ``sum(..., Decimal(0))`` returns. Its float, ``Σvalues / 10**-scale``,
+    is correctly rounded, so it equals ``float()`` of that ``Decimal`` bit
+    for bit. Where a unit, or the total of the units, does not fit in
+    int64, ``values`` and ``exponent`` are None and ``decimals`` holds the
+    amounts as an object array; ``dsum`` and ``group_sums`` then sum them.
+    """
+
+    values: np.ndarray | None
+    exponent: np.ndarray | None
+    scale: int
+    decimals: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, amounts: Sequence[Decimal], index: np.ndarray | None = None) -> "Units":
+        """The non-negative ``amounts[index]`` (all of ``amounts`` when
+        ``index`` is None); each item of ``amounts`` is converted once, and
+        the scale is that of the items taken."""
+        index = np.arange(len(amounts)) if index is None else index
+        used = np.zeros(len(amounts), dtype=bool)
+        used[index] = True
+        table = _unit_table(list(compress(amounts, used.tolist())))
+        if table is not None:
+            taken = (np.cumsum(used) - 1)[index]  # into the items taken
+            values, exponent = table[0][taken], table[1][taken]
+            n = values.size
+            # The total is summed exactly only where n times the largest unit may overflow.
+            if not n or int(values.max()) * n < _INT64_END or sum(values.tolist()) < _INT64_END:
+                return cls(values, exponent, table[2])
+        return cls(None, None, 0, np.array(amounts, dtype=object)[index])
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return tuple(a for a in (self.values, self.exponent, self.decimals) if a is not None)
+
+    def take(self, index: np.ndarray) -> "Units":
+        if self.values is None:
+            return Units(None, None, 0, self.decimals[index])
+        return Units(self.values[index], self.exponent[index], self.scale)
+
+    def sums(self, groups: np.ndarray, size: int) -> "Units":
+        """The exact sum of each group code ``0..size-1``; an empty group sums to 0."""
+        if self.values is None:
+            return Units(None, None, 0, group_sums(groups, self.decimals, size))
+        values = np.zeros(size, dtype=np.int64)
+        np.add.at(values, groups, self.values)
+        exponent = np.zeros(size, dtype=np.int8)
+        np.minimum.at(exponent, groups, self.exponent)
+        return Units(values, exponent, self.scale)
+
+    def total(self) -> Decimal:
+        """The exact sum of every amount."""
+        if self.values is None:
+            return dsum(self.decimals)
+        return self._decimal(int(self.values.sum()), int(self.exponent.min(initial=0)))
+
+    def to_decimals(self) -> list[Decimal]:
+        """The amounts as ``Decimal``s; a sum as ``sum(..., Decimal(0))`` gives it."""
+        if self.values is None:
+            return self.decimals.tolist()
+        return list(map(self._decimal, self.values.tolist(), self.exponent.tolist()))
+
+    def _decimal(self, units: int, exponent: int) -> Decimal:
+        return Decimal(f"{units // 10 ** (exponent - self.scale)}E{exponent}")
+
+    def floats(self) -> np.ndarray:
+        """Each amount as the float nearest to it."""
+        if self.values is None:
+            return self.decimals.astype(float)
+        factor = 10**-self.scale
+        if self.values.max(initial=0) < 2**53:  # both exact as floats: one rounding
+            return self.values / float(factor)
+        return np.array([units / factor for units in self.values.tolist()], dtype=float)
 
 
 def check_epochs(seconds: np.ndarray) -> None:

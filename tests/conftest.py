@@ -1,6 +1,8 @@
+import importlib.util
 import os
 import random
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,15 @@ def no_child_process_left_behind():
     except ChildProcessError:
         return
     pytest.fail(f"child process {pid or '(still running)'} outlived the test")
+
+
+def economy_ledger(accounts: int, seed: int) -> str:
+    """The text of a ``perfbench/economy.py`` ledger."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "economy.py"
+    spec = importlib.util.spec_from_file_location("perfbench_economy", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.generate(accounts, seed)
 
 
 def random_digraph(rng: random.Random, max_nodes: int, density: float | None = None) -> LedgerGraph:

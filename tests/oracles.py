@@ -69,7 +69,7 @@ from ledgerflow.topology import (
 )
 from ledgerflow.stats import _MIN_ENSEMBLE, SignificanceCell, _cell
 from ledgerflow.triads import DEFAULT_CENSUS_CATEGORIES, TRIAD_LABELS
-from ledgerflow.util import dsum
+from ledgerflow.util import Units, dsum
 
 # --------------------------------------------------------------------------
 # topology oracle: classify via dense reachability, compare by member sets
@@ -1287,14 +1287,15 @@ def graph_of(pairs: Iterable[tuple[str, str]], amount: Decimal = Decimal(1)) -> 
     """The graph of bare ordered pairs, one transaction of ``amount`` each;
     duplicate pairs collapse into one link with accumulated count and volume."""
     pairs = [(str(source), str(target)) for source, target in pairs]
-    return LedgerGraph._from_rows(*_coded(pairs), 1, np.full(len(pairs), amount, dtype=object))
+    return LedgerGraph._from_rows(*_coded(pairs), 1,
+                                  Units.of([amount], np.zeros(len(pairs), dtype=np.int64)))
 
 
 def graph_from_links(links: Mapping[tuple[str, str], LinkRecord]) -> LedgerGraph:
     """The graph of a mapping of ordered account-id pairs to their records."""
     records = list(links.values())
     return LedgerGraph._from_rows(*_coded(links), [r.count for r in records],
-                                  np.array([r.volume for r in records], dtype=object))
+                                  Units.of([r.volume for r in records]))
 
 
 def links_of(g: LedgerGraph) -> dict[tuple[str, str], LinkRecord]:
@@ -1302,7 +1303,7 @@ def links_of(g: LedgerGraph) -> dict[tuple[str, str], LinkRecord]:
     records, in sorted order."""
     names = np.array(g.nodes, dtype=object)
     pairs = zip(names[g.sources].tolist(), names[g.targets].tolist())
-    return dict(zip(pairs, map(LinkRecord, g.counts.tolist(), g.volumes.tolist())))
+    return dict(zip(pairs, map(LinkRecord, g.counts.tolist(), g.units.to_decimals())))
 
 
 def swapped_links(
@@ -1314,7 +1315,7 @@ def swapped_links(
     """``nullmodel._swap`` of a graph's links, before parallel links merge,
     as (source id, target id, record) in link order."""
     sources, targets = _swap(g.sources, g.targets, mode, seed, max_repair_attempts)
-    records = map(LinkRecord, g.counts.tolist(), g.volumes.tolist())
+    records = map(LinkRecord, g.counts.tolist(), g.units.to_decimals())
     return [(g.nodes[s], g.nodes[t], record)
             for s, t, record in zip(sources.tolist(), targets.tolist(), records)]
 

@@ -365,6 +365,20 @@ def test_unexpected_exception_is_reported(tmp_path, monkeypatch, capsys):
     assert "RuntimeError" in capsys.readouterr().err
 
 
+def test_ctrl_c_exits_130_with_an_error_report(tmp_path, monkeypatch, capsys):
+    import ledgerflow.cli as cli
+
+    def interrupted(config, stages):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_pipeline", interrupted)
+    out_dir = tmp_path / "o"
+    assert main(["run", str(DEMO_LEDGER), "--output", str(out_dir)]) == 130
+    report = json.loads((out_dir / "error_report.json").read_text())
+    assert report == {"error_type": "KeyboardInterrupt", "message": "", "exit_code": 130}
+    assert capsys.readouterr().err == "interrupted\n"
+
+
 def test_config_file_round_trip(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(

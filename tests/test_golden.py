@@ -17,6 +17,8 @@ import random
 from datetime import datetime, timezone
 from pathlib import Path
 
+import pytest
+
 from ledgerflow.cli import main
 
 DEMO_LEDGER = Path(__file__).resolve().parent.parent / "demos" / "data" / "demo_ledger.csv"
@@ -159,6 +161,140 @@ DEMO_GOLDEN = {
     "user_signatures.csv":
         "e1a5b9c9cd3062f2ecc09828cd4454a4017acf7f837dbfe12ff92112008b7bc5",
 }
+MIXED_EXPONENT_GOLDEN = {
+    "category_stats.csv":
+        "d46e427b5e67e00a20db5db505185ffa4832dc119559aac6f0fc08933c9e1fe6",
+    "category_stats.json":
+        "7836954d9dcdf879f2b39d7991226a96b496ad12830732a05e1a23b09a7242d2",
+    "degree_stats.json":
+        "b7ec40e546ad9a03437e384986bf9e0258b957ff8921a223249b1246bfa1e1fa",
+    "edge_assignment.csv":
+        "f778907b89a99f72675531431fa7c9907244ce9d70a0b09c3b33efb332c28232",
+    "ingest_diagnostics.json":
+        "ac38847f361b6217c23a8817e6b1f0a3741f4d84c4a47af9abb8fe648a799e0b",
+    "ledger_totals.json":
+        "8a6908e8b204be8b11cfeac236beb17f4373eeaec49709164c4bbe2788d1ceb0",
+    "manifest.json":
+        "ab409f933c74c6a677f2b810a8a3a9be65c739ea8a781339477770466a909e98",
+    "node_assignment.csv":
+        "0771bc8cbcd3c790508d43e26d790427c0068e0eb74cd33558f7dcc9a85e13b9",
+    "one_time_users.csv":
+        "ecf1178bc073833dccd7309c97042c89e2522951d372683e77dcde87133088ae",
+    "one_time_users.json":
+        "b5d11273f95823bfe4386fd88ca97f74b83719944413a333051f1e99e2e95333",
+    "operations.csv":
+        "52b5dc93a2ff9d3651d8d9338b6bfe8c19ed8785f4c9b576c0f352bca5d90619",
+    "recirculation_boundaries.json":
+        "d9fe84c8afe23f01bc6548248334447e343b215ded5ca35adc01890b78823471",
+    "recirculation_coverage.json":
+        "edfe9d755113af9a3a2603a17543a49e635ae2bad2297b1090a8cb5d0b0a75e4",
+    "recirculation_tx_crosstab.csv":
+        "48f10058f2c8f4ea42893a074522213f62403391b7a1223b2d09b5d833af2cb4",
+    "recirculation_user_crosstab.csv":
+        "f54628d601d8cd4f473f15af5ceda02b4094c8de47490a15c712580c7eb8da0a",
+    "significance_both.csv":
+        "4c04bfcef1a5e0801bea31e76bd0723fc077e6118ec9e171242d45a9c5753e39",
+    "significance_both.json":
+        "07a75151498f514f89469ef87052a4f2eeb50c286221217841e69dce2c16a749",
+    "significance_source.csv":
+        "0f07561e30608cd9e1728a462057924f048de43bd207a8d35f706bf359d37da8",
+    "significance_source.json":
+        "3ceaad38000d45153f93e5e5b2854fcaf9b52c268cdde7045a954517dfb89e20",
+    "significance_target.csv":
+        "a7aa4d679f5191cecab982cd02eb0f40259df7a22ffa134666d95df6a8ecb102",
+    "significance_target.json":
+        "d2e47a5564c6c747bf8db2c2a6cddcbdbe8037209eb2c9eb556fc34a889870d1",
+    "strategy_report.json":
+        "57b165851d92746aff7eddaf23b0beb61ca720a563c148a3b0744abe86ace1a9",
+    "transactions_normalized.csv":
+        "e35c2cf814c51759fa513cde52c97c95f70869e463232e1ab262deb9f5a6a191",
+    "triad_census.csv":
+        "8753ed861d123b7812dfaa0e63beb45262f2c387026b650590046f199933096d",
+    "triad_census.json":
+        "210c435d7f37d8eab29932fce9cabf4015233b70a82f53aa386bc3430c53e45f",
+    "triad_significance_both.csv":
+        "6e851d9214cc719767eb618397f070abe5d548e0dc468ffcbcec6e890b3ad085",
+    "triad_significance_both.json":
+        "7bdc232146e414a007027adf03f61935187fbd2023519dd6c548cc1deca93752",
+    "triad_significance_source.csv":
+        "e91f040fb5048511576b845c477469121d2110e5697cf6bfd7abd7b9ff544484",
+    "triad_significance_source.json":
+        "65747768c9e022512ea8603e64cbde91b6f755e6bab0c4d6ab0d6ff5b185fbba",
+    "triad_significance_target.csv":
+        "a79e6e0d87bcb61e4633519e03fde44069ee519a5f0b630122ce0831416e731a",
+    "triad_significance_target.json":
+        "701a0e25f7b70a2fd2b1985ed9a1bc6620841c44eb3c376c0c08413519a64fa4",
+    "user_signatures.csv":
+        "b96ac76248c3390bf8133a1a6496e974313712de6c538ea832c9c55c0cc4dfad",
+}
+
+PAST_INT64_GOLDEN = {
+    "category_stats.csv":
+        "39b228572a2850159d85f60189a111da2731d889cb8ff79ed00df0f817cf57df",
+    "category_stats.json":
+        "456e03c95312fba094669869bd46203d72ec31e87e368a10f5607e61415a3b35",
+    "degree_stats.json":
+        "b0412018ee2a2caf8358c7d2d0f124c45186b13cf0e05f8d90044404429442dc",
+    "edge_assignment.csv":
+        "f778907b89a99f72675531431fa7c9907244ce9d70a0b09c3b33efb332c28232",
+    "ingest_diagnostics.json":
+        "ac38847f361b6217c23a8817e6b1f0a3741f4d84c4a47af9abb8fe648a799e0b",
+    "ledger_totals.json":
+        "d74643d75e5f2b61760553f261fd8739f9287ca039a67eec7df4ece62bfd8c53",
+    "manifest.json":
+        "537debec7b36c4c422959a5ad5ebbca75fbed6d0f5f238db56b676c8e3ed427f",
+    "node_assignment.csv":
+        "0771bc8cbcd3c790508d43e26d790427c0068e0eb74cd33558f7dcc9a85e13b9",
+    "one_time_users.csv":
+        "ecf1178bc073833dccd7309c97042c89e2522951d372683e77dcde87133088ae",
+    "one_time_users.json":
+        "b5d11273f95823bfe4386fd88ca97f74b83719944413a333051f1e99e2e95333",
+    "operations.csv":
+        "52b5dc93a2ff9d3651d8d9338b6bfe8c19ed8785f4c9b576c0f352bca5d90619",
+    "recirculation_boundaries.json":
+        "d9fe84c8afe23f01bc6548248334447e343b215ded5ca35adc01890b78823471",
+    "recirculation_coverage.json":
+        "177f69be73c9483a6e485f6fbed419efb1e85278f78780d00de387eeb345a85f",
+    "recirculation_tx_crosstab.csv":
+        "48f10058f2c8f4ea42893a074522213f62403391b7a1223b2d09b5d833af2cb4",
+    "recirculation_user_crosstab.csv":
+        "f54628d601d8cd4f473f15af5ceda02b4094c8de47490a15c712580c7eb8da0a",
+    "significance_both.csv":
+        "e9ae2c987cef820f54a7b1e70b4c04f70d498ee8bd95efdc480feacb1f20f04c",
+    "significance_both.json":
+        "0788fa03e0416e7ad0056a646cc1d7c76941885e1883091107b1b0e863d39fbe",
+    "significance_source.csv":
+        "bbcc5a1fca507a8e32a905e9a5e42facb51471b53ac9edf83090a1cc29803cc6",
+    "significance_source.json":
+        "f62335a4e442d9e62994699b62e48ae143a2cd7a078106da93dc5885a2f90585",
+    "significance_target.csv":
+        "df28f741ddf37d343e929050ce2c5f7cc5b4d509a49d1798d78e62ad9dc7c906",
+    "significance_target.json":
+        "da816f904704fc810dd94479b9284901fdf93434df86f67f04cc0e4543230fb0",
+    "strategy_report.json":
+        "e8653a1d9fbfced36193d71465f721ecfaa729857365c83b9fb72e9899343417",
+    "transactions_normalized.csv":
+        "9b051b652b89013d48e05a4f862a6c0fb509ef5da9cfb2c37699adff52ffb7c9",
+    "triad_census.csv":
+        "8753ed861d123b7812dfaa0e63beb45262f2c387026b650590046f199933096d",
+    "triad_census.json":
+        "210c435d7f37d8eab29932fce9cabf4015233b70a82f53aa386bc3430c53e45f",
+    "triad_significance_both.csv":
+        "6e851d9214cc719767eb618397f070abe5d548e0dc468ffcbcec6e890b3ad085",
+    "triad_significance_both.json":
+        "7bdc232146e414a007027adf03f61935187fbd2023519dd6c548cc1deca93752",
+    "triad_significance_source.csv":
+        "e91f040fb5048511576b845c477469121d2110e5697cf6bfd7abd7b9ff544484",
+    "triad_significance_source.json":
+        "65747768c9e022512ea8603e64cbde91b6f755e6bab0c4d6ab0d6ff5b185fbba",
+    "triad_significance_target.csv":
+        "a79e6e0d87bcb61e4633519e03fde44069ee519a5f0b630122ce0831416e731a",
+    "triad_significance_target.json":
+        "701a0e25f7b70a2fd2b1985ed9a1bc6620841c44eb3c376c0c08413519a64fa4",
+    "user_signatures.csv":
+        "b96ac76248c3390bf8133a1a6496e974313712de6c538ea832c9c55c0cc4dfad",
+}
+
 # Every structure kind, in a two-day horizon.
 GENERATE_ARGS = ["--seed", "7", "--cycles", "3", "--cycle-length", "4", "--cliques", "2",
                  "--clique-size", "3", "--stars", "2", "--star-arms", "3", "--dyads", "3",
@@ -233,6 +369,19 @@ def _ledger_text(accounts: int, seed: int) -> str:
     return "".join(lines)
 
 
+def _with_amounts(text: str, amounts: tuple[str, ...]) -> str:
+    """``text`` with the amount of data row ``k`` replaced by
+    ``amounts[k % len(amounts)]``; rows are shuffled, so a link with
+    several rows mixes several of them."""
+    header, *rows = text.splitlines(keepends=True)
+    lines = [header]
+    for k, row in enumerate(rows):
+        cells = row.split(",")
+        cells[4] = amounts[k % len(amounts)]
+        lines.append(",".join(cells))
+    return "".join(lines)
+
+
 def _file_hashes(bundle) -> dict[str, str]:
     hashes = {}
     for path in sorted(bundle.iterdir()):
@@ -263,6 +412,22 @@ def test_golden_bundle(tmp_path):
     assert any(stats[c]["node_count"] for c in ("dagTin", "dagTout", "dagTmix"))
     assert any(stats[c]["link_count"] for c in ("edge_dag2scc", "edge_scc2dag", "edge_scc2scc"))
     assert _file_hashes(out) == GOLDEN
+
+
+@pytest.mark.parametrize("amounts, golden", [
+    # One scale for every amount, and each sum at its own smallest exponent.
+    (("1", "1.0", "1E+2", "0E-5", "-0", "0.000"), MIXED_EXPONENT_GOLDEN),
+    # Units of 1E+10 at the scale of 1E-30 are past int64.
+    (("1E-30", "1E+10", "3.75", "12"), PAST_INT64_GOLDEN),
+], ids=["mixed-exponents", "past-int64"])
+def test_golden_bundle_of_rewritten_amounts(tmp_path, amounts, golden):
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text(_with_amounts(_ledger_text(300, 11), amounts), encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["run", str(ledger), "--output", str(out), "--mode", "all",
+            "--replicas", "8", "--seed", "5"]
+    assert main(args) == 0
+    assert _file_hashes(out) == golden
 
 
 def test_demo_golden_bundle(tmp_path):

@@ -57,7 +57,7 @@ def test_from_edges_merges_duplicates():
 
 def test_link_columns_are_read_only():
     g = graph_of([("A", "B"), ("B", "C")])
-    assert list(g.counts) == [1, 1] and list(g.volumes) == [Decimal(1), Decimal(1)]
+    assert list(g.counts) == [1, 1] and g.units.to_decimals() == [Decimal(1), Decimal(1)]
     with pytest.raises(ValueError):
         g.counts[0] = 2
 
@@ -71,6 +71,18 @@ def test_pickle_holds_the_columns_not_the_links_view():
     copy = pickle.loads(before)
     assert links_of(copy) == links_of(g)
     assert (copy.nodes, copy.tx_count, copy.volume) == (g.nodes, g.tx_count, g.volume)
+
+
+@pytest.mark.parametrize("small", ["0.50", "1E-30"], ids=["units", "decimal-fallback"])
+def test_unpickled_columns_are_read_only(small):
+    g = graph_from_links({("A", "B"): LinkRecord(2, Decimal(small)),
+                          ("B", "C"): LinkRecord(1, Decimal("1E+10"))})
+    assert (g.units.values is None) == (small == "1E-30")
+    copy = pickle.loads(pickle.dumps(g))
+    columns = (copy.sources, copy.targets, copy.counts, *copy.units.arrays)
+    assert len(columns) == 4 + (g.units.values is not None)
+    assert not any(column.flags.writeable for column in columns)
+    assert str(copy.volume) == str(g.volume)
 
 
 def test_link_order_independent_of_insertion():

@@ -1,10 +1,8 @@
 import codecs
 import csv
-import importlib.util
 import io
 from datetime import datetime, timezone
 from decimal import Decimal
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +17,9 @@ from ledgerflow.ingest import (
     parse_timestamp,
     write_transactions,
 )
+from ledgerflow.util import Units
 
+from conftest import economy_ledger
 from oracles import Transaction, keep_everything, ledger_of, rows_of
 
 HEADER = "id,timeset,source,target,weight,transfer_subtype\n"
@@ -303,13 +303,22 @@ def test_carriage_return_inside_a_cell_round_trips(tmp_path):
 # --------------------------------------------------------------------------
 
 
+def _units(units: Units):
+    """A ``Units``' columns as lists (decimals as text), comparable with ==."""
+    if units.values is None:
+        return list(map(str, units.decimals))
+    return units.values.tolist(), units.exponent.tolist(), units.scale
+
+
 def outcome(path, schema=None, filter_spec=None):
     """What parse_ledger gives: every column (amounts as text) and the
-    diagnostics, or the exception's type and message."""
+    diagnostics, or the exception's type and message. The ledger's units
+    must be those that ``Units.of`` derives from its amounts."""
     try:
         ledger, diagnostics = parse_ledger(path, schema, filter_spec)
     except Exception as exc:  # noqa: BLE001 - the type is compared
         return type(exc), str(exc)
+    assert _units(ledger.units) == _units(Units.of(ledger.amount))
     return (
         ledger.accounts,
         ledger.timestamp.tolist(),
@@ -318,6 +327,7 @@ def outcome(path, schema=None, filter_spec=None):
         ledger.tx_id,
         list(map(str, ledger.amount)),
         ledger.subtype,
+        _units(ledger.units),
         diagnostics,
     )
 
@@ -467,21 +477,13 @@ def test_each_odd_cell_and_break_parses_as_the_row_loop(tmp_path):
             assert ingest._parse_plain(path, ColumnMapping(), FilterSpec()) is not None
 
 
-def _economy_module():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "economy.py"
-    spec = importlib.util.spec_from_file_location("perfbench_economy", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_plain_ledgers_take_the_column_path(tmp_path, monkeypatch):
     # An economy ledger (naive stamps, several blocks, a few filtered
     # subtypes and self-transfers) and the normalized ledger that
     # write_transactions makes of it (+00:00 stamps) must not need the
     # row loop, and must parse as it would.
     economy = tmp_path / "economy.csv"
-    economy.write_text(_economy_module().generate(600, 3), encoding="utf-8")
+    economy.write_text(economy_ledger(600, 3), encoding="utf-8")
     assert economy.stat().st_size > 2 * ingest._BLOCK_BYTES
     normalized = tmp_path / "transactions_normalized.csv"
     write_transactions(normalized, parse_ledger(economy)[0])

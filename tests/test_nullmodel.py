@@ -67,9 +67,9 @@ def _replica_stats(g: LedgerGraph, spec: EnsembleSpec, index: int) -> dict[str, 
     """``tabulate`` on replica ``index`` of the ensemble, as exact rows."""
     sources, targets, record_link = _replica(g, spec, index)
     labels, _ = label(g.node_count, sources, targets)
-    table, volume = tabulate(labels, sources, targets, g.counts, g.volumes, record_link)
-    return {name: CategoryRow(*row, volume[code])
-            for code, (name, row) in enumerate(zip(CATEGORY_ORDER, table.tolist()))}
+    table, volume = tabulate(labels, sources, targets, g.counts, g.units, record_link)
+    return {name: CategoryRow(*row, total)
+            for name, row, total in zip(CATEGORY_ORDER, table.tolist(), volume.to_decimals())}
 
 
 def _same(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> bool:
@@ -115,6 +115,28 @@ WIDE_VOLUMES = graph_from_links({
     ("a", "y"): LinkRecord(1, Decimal(1)),
     ("b", "x"): LinkRecord(1, Decimal(1)),
 })
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_replica_units_sum_to_the_graphs(mode):
+    # Mixed exponents on one scale: every replica's category units, and a
+    # randomized graph's link units, add up to the graph's exactly.
+    rng = random.Random(5)
+    amounts = ["1", "1.0", "1E+2", "0E-5", "2.50", "-0"]
+    g = graph_from_links({pair: LinkRecord(rng.randint(1, 3), Decimal(rng.choice(amounts)))
+                          for pair in links_of(random_digraph(rng, 60, 2.0))})
+    assert g.units.values is not None and g.units.scale == -5
+    total = int(g.units.values.sum())
+    spec = EnsembleSpec(mode=mode, replicas=8, master_seed=3)
+    for index in range(spec.replicas):
+        sources, targets, record_link = _replica(g, spec, index)
+        labels, _ = label(g.node_count, sources, targets)
+        _, volume = tabulate(labels, sources, targets, g.counts, g.units, record_link)
+        assert int(volume.values.sum()) == total
+        assert str(volume.total()) == str(g.volume)
+        replica = randomize(g, mode, derive_seed(spec.master_seed, index))
+        assert int(replica.units.values.sum()) == total
+        assert str(replica.volume) == str(g.volume)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -1,12 +1,13 @@
 import errno
 import json
 import os
+import sys
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from ledgerflow import cli, pipeline
+from ledgerflow import cli, pipeline, util
 from ledgerflow.errors import ConfigError
 from ledgerflow.graph import aggregate
 from ledgerflow.nullmodel import SwapMode
@@ -21,6 +22,7 @@ from ledgerflow.synthetic import ScenarioSpec
 from ledgerflow.topology import categorize, category_stats, one_time_users
 from ledgerflow.util import dsum
 
+from conftest import economy_ledger
 from oracles import ledger_of, tx
 
 DEMO_LEDGER = Path(__file__).resolve().parent.parent / "demos" / "data" / "demo_ledger.csv"
@@ -85,6 +87,25 @@ def test_ensemble_stages_build_each_replica_once(tmp_path, monkeypatch):
     config = small_config(DEMO_LEDGER, tmp_path / "out", modes=modes, replicas=8)
     run_pipeline(config, stages=frozenset({"significance", "triads"}))
     assert len(calls) == len(modes) * 8
+
+
+def test_economy_ledgers_sum_no_decimals(tmp_path, monkeypatch):
+    # An economy ledger's amounts fit int64 units, so every stage, with 8
+    # replicas of each mode, sums them as integers: the Decimal sums never run.
+    ledger = tmp_path / "economy.csv"
+    ledger.write_text(economy_ledger(600, 3), encoding="utf-8")
+
+    def refuse(*args):
+        raise AssertionError("a Decimal sum ran")
+
+    # util's own names, and any module's imported copy of them.
+    for module in [m for name, m in sys.modules.items() if name.startswith("ledgerflow")]:
+        for name in ("group_sums", "dsum"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert util.dsum is refuse
+    config = PipelineConfig(input_path=ledger, output_dir=tmp_path / "out", replicas=8)
+    assert len(pipeline.run_pipeline(config).output_files) == 32
 
 
 def test_json_only_format(tmp_path):

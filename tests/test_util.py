@@ -2,10 +2,11 @@ import calendar
 import errno
 import csv
 import io
+import itertools
 import os
 import signal
 from datetime import datetime, timedelta, timezone
-from decimal import Decimal
+from decimal import Context, Decimal
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from ledgerflow import util
 from ledgerflow.errors import DataError
 from ledgerflow.topology import categorize, category_stats
 from ledgerflow.util import (
-    MAX_EPOCH, MIN_EPOCH, dsum, format_duration, group_sums, iso_utc, mix64, text_columns, to_json,
-    write_csv,
+    MAX_EPOCH, MIN_EPOCH, Units, dsum, format_duration, group_sums, iso_utc, mix64, text_columns,
+    to_json, write_csv,
 )
 
 from oracles import LinkRecord, graph_from_links
@@ -37,6 +38,16 @@ def test_inexact_sum_is_data_error():
         dsum([Decimal("1E+50"), Decimal("1E-20")])
     # Zeros past the 60th digit may go: the sum is still exact.
     assert dsum([Decimal("1E+50"), Decimal("0E-20")]) == Decimal("1E+50")
+
+
+def test_sums_hold_only_the_total_to_60_digits():
+    # 7E+60 + 123 needs 61 significant digits, 7E+60 + 130 only 60 (its last
+    # is a 0): the sum is exact before the check, so no order is refused.
+    expected = "7." + "0" * 57 + "13E+60"
+    for terms in itertools.permutations([Decimal("7E+60"), Decimal("123"), Decimal("7")]):
+        assert str(dsum(terms)) == expected
+        sums = group_sums(np.zeros(3, dtype=np.int64), np.array(terms, dtype=object), 1)
+        assert str(sums[0]) == expected
 
 
 def test_category_sum_past_60_digits_is_data_error():
@@ -79,6 +90,49 @@ def test_group_sums_match_per_group_dsum(case):
         expected = dsum(value for group, value in rows if group == code)
         assert sums[code] == expected
         assert str(sums[code]) == str(expected)
+
+
+unit_amounts = st.one_of(
+    st.sampled_from(["1", "1.0", "1E+2", "0E-5", "-0", "0.000", "7.25"]).map(Decimal),
+    st.integers(0, 10**8).map(lambda i: Decimal(i).scaleb(-2)),
+    # Units past 2**53 (floats by int division); 2**62 twice is past int64.
+    st.integers(2**53, 2**62).map(Decimal),
+    # A unit past int64, and scales past 1E-18: the Decimal fallback.
+    st.sampled_from(["9" * 19, "1E+10", "1E-30", "1E-19"]).map(Decimal),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda size: st.tuples(
+            st.just(size),
+            st.lists(st.tuples(st.integers(0, size - 1), unit_amounts), max_size=30),
+        )
+    )
+)
+def test_units_sums_match_group_sums(case):
+    # The integer sums give str-equal Decimals and bit-equal floats, and the
+    # Decimal fallback is taken exactly where a unit or the total is past int64.
+    size, rows = case
+    groups = np.array([group for group, _ in rows], dtype=np.int64)
+    amounts = [amount for _, amount in rows]
+    scale = min([0, *(amount.as_tuple().exponent for amount in amounts)])
+    exact = [int(amount.scaleb(-scale, Context(prec=200))) for amount in amounts]
+    units = Units.of(amounts)
+    assert (units.values is not None) == (scale >= -18 and sum(exact) < 2**63)
+    # The same amounts taken by index from a table with one item left out:
+    # only the items taken set the scale.
+    taken = Units.of([Decimal("1E-30"), *reversed(amounts)], np.arange(len(amounts), 0, -1))
+    assert taken.scale == units.scale
+    assert ([list(map(str, column.tolist())) for column in taken.arrays]
+            == [list(map(str, column.tolist())) for column in units.arrays])
+
+    expected = group_sums(groups, np.array(amounts, dtype=object), size)
+    sums = units.sums(groups, size)
+    assert list(map(str, sums.to_decimals())) == list(map(str, expected))
+    assert sums.floats().tobytes() == expected.astype(float).tobytes()
+    assert str(units.total()) == str(sums.total()) == str(dsum(amounts))
 
 
 def test_mix64_range_and_spread():
