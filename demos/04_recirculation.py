@@ -20,6 +20,7 @@ from ledgerflow import (
     parse_ledger,
     user_signatures,
 )
+from ledgerflow.recirculation import SIGNATURE_KEYS
 from ledgerflow.util import format_duration
 
 LEDGER = Path(__file__).parent / "data" / "demo_ledger.csv"
@@ -44,7 +45,7 @@ def main() -> None:
 
     signatures = user_signatures(classified)
     print("\nsignature counts:")
-    for key, count in Counter(s.key for s in signatures).most_common():
+    for key, count in Counter(SIGNATURE_KEYS[m] for m in signatures.mask.tolist()).most_common():
         print(f"  {key:<20} {count}")
 
     tables = crosstab(graph, partition, classified, signatures)

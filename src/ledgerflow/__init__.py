@@ -51,7 +51,7 @@ from .recirculation import (
     ClassifiedOps,
     FrequencyCategory,
     Operations,
-    TemporalSignature,
+    Signatures,
     classify_ops,
     crosstab,
     extract_ops,
@@ -99,7 +99,7 @@ __all__ = [
     "ClassifiedOps",
     "FrequencyCategory",
     "Operations",
-    "TemporalSignature",
+    "Signatures",
     "classify_ops",
     "crosstab",
     "extract_ops",

@@ -105,6 +105,14 @@ class LedgerGraph:
     def link_count(self) -> int:
         return self.sources.size
 
+    def node_index(self, accounts: tuple[str, ...]) -> np.ndarray:
+        """Each account's index in ``nodes``, or -1 where it is not a node."""
+        if accounts == self.nodes:  # every account is a node
+            return np.arange(self.node_count)
+        nodes, accounts = np.array(self.nodes, dtype=object), np.array(accounts, dtype=object)
+        index = np.searchsorted(nodes, accounts)
+        return np.where(np.append(nodes, None)[index] == accounts, index, -1)
+
     def __repr__(self) -> str:
         return (f"LedgerGraph(nodes={self.node_count}, links={self.link_count}, "
                 f"tx={self.tx_count}, volume={self.volume})")

@@ -7,14 +7,15 @@ header; timestamps may be ISO-8601 or integer epoch seconds inside
 ``datetime``'s UTC range. Parsing validates each row and returns a
 columnar :class:`Ledger` sorted by (timestamp, tx_id) together with a
 diagnostics record: int64 timestamps, int64 source and target codes
-into the sorted account ids, plain lists of ids and subtypes, int64
-codes into a table of the distinct amounts' ``Decimal``s, and the amounts
-again as ``util.Units``: int64 units at one scale for the whole ledger,
-each row's exponent beside them (or, past int64, the ``Decimal``
-fallback). No per-row object is built; each distinct amount text is
-converted once. A ledger built by hand is built from column lists with
-``Ledger.from_columns``, which refuses a negative amount or an empty
-account id, sorts by stamp and puts only runs of equal stamps in id order.
+into the sorted account ids, the ids and subtypes as read with each row's
+int64 position in them, int64 codes into a table of the distinct amounts'
+``Decimal``s, and the amounts again as ``util.Units``: int64 units at one
+scale for the whole ledger, each row's exponent beside them (or, past
+int64, the ``Decimal`` fallback). No per-row object is built, each distinct
+amount text is converted once, and rows are taken by numpy takes alone. A
+ledger built by hand is built from column lists with ``Ledger.from_columns``,
+which refuses a negative amount or an empty account id, sorts by stamp and
+puts only runs of equal stamps in id order.
 
 A plain file is parsed a block of lines at a time, column by column: each
 line holds one cell per header column, no cell holds a quote, whitespace,
@@ -38,7 +39,6 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -64,21 +64,33 @@ class Ledger:
 
     ``timestamp`` is int64 UTC epoch seconds; ``source`` and ``target`` are
     int64 codes into ``accounts``, the account ids in code-point order, so
-    code order is string order. ``tx_id`` and ``subtype`` are lists; a
-    row's amount is ``amount_table[amount_code[k]]``, where the table holds
-    each distinct amount text's ``Decimal`` once. ``units`` holds the
-    amounts as :class:`Units`, which every volume is summed from.
+    code order is string order. Row ``k``'s id and subtype are at
+    ``row[k]`` in ``ids`` and ``subtypes``, the lists read (with a file's
+    filtered rows); ``tx_id`` and ``subtype`` build the per-row lists on
+    each call, as ``amount`` does. A row's amount is
+    ``amount_table[amount_code[k]]``, the table holding each distinct
+    amount text's ``Decimal`` once; ``units`` holds the amounts as
+    :class:`Units`, which every volume is summed from.
     """
 
     accounts: tuple[str, ...]
     timestamp: np.ndarray
     source: np.ndarray
     target: np.ndarray
-    tx_id: list[str]
+    row: np.ndarray
+    ids: list[str]
+    subtypes: list[str]
     amount_table: list[Decimal]
     amount_code: np.ndarray
-    subtype: list[str]
     units: Units
+
+    @property
+    def tx_id(self) -> list[str]:
+        return _take_list(self.ids, self.row)
+
+    @property
+    def subtype(self) -> list[str]:
+        return _take_list(self.subtypes, self.row)
 
     @property
     def amount(self) -> list[Decimal]:
@@ -108,8 +120,8 @@ class Ledger:
         amount_code = _encode(list(map(str, amount)), texts)
         amounts = np.empty(len(texts), dtype=object)
         amounts[amount_code] = amount
-        return cls._select(np.array(timestamp, dtype=np.int64), tx_id, list(code), source,
-                           target, amounts.tolist(), amount_code, subtype,
+        return cls._select(np.array(timestamp, dtype=np.int64), list(tx_id), list(code), source,
+                           target, amounts.tolist(), amount_code, list(subtype),
                            np.arange(len(timestamp)))
 
     @classmethod
@@ -118,7 +130,7 @@ class Ledger:
         """Rows ``rows`` of unsorted columns, sorted. ``source`` and
         ``target`` are codes into ``names``, distinct account ids in any
         order, and ``amount_code`` into ``amounts``, decimals in any order;
-        each list column is taken once, in its final order."""
+        the ledger keeps the ``tx_id`` and ``subtype`` lists as they are."""
         order = rows[np.argsort(stamps[rows], kind="stable")]
         stamps = stamps[order]
         # Runs of equal stamps are put in the code-point order of their ids,
@@ -135,38 +147,38 @@ class Ledger:
         by_name = sorted(np.flatnonzero(used).tolist(), key=names.__getitem__)
         recode = np.empty(len(names), dtype=np.int64)
         recode[by_name] = np.arange(len(by_name))
-        take = _taker(order)
         amount_code = amount_code[order]
         return cls(
             tuple(names[i] for i in by_name),
             stamps,
             recode[source],
             recode[target],
-            take(tx_id),
+            order,
+            tx_id,
+            subtype,
             amounts,
             amount_code,
-            take(subtype),
             Units.of(amounts, amount_code),
         )
 
     def __len__(self) -> int:
-        return len(self.tx_id)
+        return self.timestamp.size
 
     def without_self_transfers(self) -> "Ledger":
         """The rows whose source and target differ, same account codes."""
         return self._take(np.flatnonzero(self.source != self.target))
 
     def _take(self, index: np.ndarray) -> "Ledger":
-        take = _taker(index)
         return Ledger(
             self.accounts,
             self.timestamp[index],
             self.source[index],
             self.target[index],
-            take(self.tx_id),
+            self.row[index],
+            self.ids,
+            self.subtypes,
             self.amount_table,
             self.amount_code[index],
-            take(self.subtype),
             self.units.take(index),
         )
 
@@ -181,13 +193,9 @@ def _encode(values: list[str], code: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(code.__getitem__, values), np.int64, len(values))
 
 
-def _taker(index: np.ndarray):
-    """A function that takes the items at ``index`` from a list, as a list."""
-    rows = index.tolist()
-    if len(rows) < 2:  # itemgetter needs an index, and returns one item bare
-        return lambda values: [values[i] for i in rows]
-    get = itemgetter(*rows)
-    return lambda values: list(get(values))
+def _take_list(values: list, rows: np.ndarray) -> list:
+    """The items of ``values`` at ``rows``, as a list."""
+    return [values[i] for i in rows.tolist()]
 
 
 @dataclass(frozen=True)
@@ -623,8 +631,8 @@ def write_transactions(
     """Write a normalized ledger CSV in (timestamp, tx_id) order under the
     default column names (round-trips with parse).
 
-    The stamp, account and amount columns are :class:`Rendered`, so
-    ``write_csv`` turns them into text one chunk of rows at a time. A stamp
+    Every column is :class:`Rendered`, so ``write_csv`` turns it into text
+    one chunk of rows at a time (ids and subtypes are taken by ``row``). A stamp
     outside ``datetime``'s range raises ``ValueError`` before the file is
     opened. ``write(path, header, columns)`` writes the file; the default,
     ``write_csv``, writes it here and now, and a caller may hand the
@@ -640,7 +648,9 @@ def write_transactions(
     write(
         Path(path),
         ColumnMapping().names,
-        (ledger.tx_id, Rendered(ledger.timestamp, iso_utc), Rendered(ledger.source, account_ids),
+        (Rendered(ledger.row, lambda rows: _take_list(ledger.ids, rows)),
+         Rendered(ledger.timestamp, iso_utc), Rendered(ledger.source, account_ids),
          Rendered(ledger.target, account_ids),
-         Rendered(ledger.amount_code, lambda codes: amounts[codes].tolist()), ledger.subtype),
+         Rendered(ledger.amount_code, lambda codes: amounts[codes].tolist()),
+         Rendered(ledger.row, lambda rows: _take_list(ledger.subtypes, rows))),
     )

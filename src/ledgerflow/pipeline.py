@@ -3,17 +3,18 @@
 ``run_pipeline`` executes ingest, topology, significance, triads,
 recirculation, and report stages against one ledger file, writing every
 table as CSV and/or JSON plus a manifest describing inputs, seeds,
-versions, and stage wall times. Outputs are fully determined by the
-configuration (the manifest's wall times are the one exception).
+versions, and each stage's wall and CPU time and peak RSS. Outputs are
+fully determined by the configuration (the manifest's stage timings are
+the one exception).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import resource
 import sys
 import time
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from decimal import Decimal
@@ -30,13 +31,15 @@ from .graph import LedgerGraph, aggregate
 from .ingest import ColumnMapping, FilterSpec, parse_ledger, write_transactions
 from .nullmodel import EnsembleSpec, SwapMode, run_ensemble, significance
 from .recirculation import (
+    SIGNATURE_KEYS,
     ClassifiedOps,
     CrosstabResult,
     FrequencyCategory,
-    TemporalSignature,
+    Signatures,
     classify_ops,
     crosstab,
     extract_ops,
+    user_categories,
     user_signatures,
 )
 from .stats import _MIN_ENSEMBLE, SignificanceCell
@@ -126,13 +129,15 @@ def strategy_report(
     total_volume: Decimal,
     stats: Mapping[str, CategoryRow],
     one_time: OneTimeUserTable,
-    signatures: Sequence[TemporalSignature],
-    partition: TopologyPartition,
+    mask: np.ndarray,
+    user_category: np.ndarray,
 ) -> StrategySignalReport:
     """Compute the strategy shares from existing tables (no new graph work).
 
-    A ledger volume past float64 raises :class:`AnalysisError`: every share
-    of it would be NaN or 0.
+    ``mask`` and ``user_category`` hold each recirculating user's signature
+    mask (``Signatures.mask``) and node-category code (``user_categories``),
+    and are empty without operations. A ledger volume past float64 raises
+    :class:`AnalysisError`: every share of it would be NaN or 0.
     """
     total = float(total_volume) if total_volume else 0.0
     if not math.isfinite(total):
@@ -152,10 +157,10 @@ def strategy_report(
     dag_collector = float(stats["dagTin"].volume) - dagtin_one_time
     dag_collector_share = max(0.0, dag_collector) / total if total else 0.0
 
-    hfq1_only = [s for s in signatures if s.categories == frozenset({FrequencyCategory.HFQ1})]
-    hfq1_share = len(hfq1_only) / len(signatures) if signatures else 0.0
-    counts = Counter(partition.node_category[s.user].value for s in hfq1_only)
-    breakdown = {label: count / len(hfq1_only) for label, count in sorted(counts.items())}
+    hfq1_only = user_category[mask == 1]  # mask 1: HFQ1 alone
+    hfq1_share = hfq1_only.size / mask.size if mask.size else 0.0
+    labels, counts = np.unique(_CATEGORY_NAMES[hfq1_only], return_counts=True)
+    breakdown = dict(zip(labels.tolist(), (counts / hfq1_only.size).tolist()))
 
     return StrategySignalReport(
         one_time_collector_share=one_time_share,
@@ -171,7 +176,9 @@ class _Writer:
     The bulk tables (``transactions_normalized``, ``node_assignment`` with
     ``edge_assignment``, ``operations``) are handed off where the serial run
     would write them, each to a forked child (``util.fork_call``) that
-    renders its text beside the analysis. ``join`` waits for them: before
+    renders its text beside the analysis; the transactions child takes the
+    ids and subtypes by ``ledger.row`` one chunk at a time, so the parent
+    copies no per-row list. ``join`` waits for them: before
     ``manifest.json``, and in ``run_pipeline``'s ``finally``.
     """
 
@@ -190,11 +197,11 @@ class _Writer:
         """Reap every child, then raise the earliest one's failure, if any."""
         join_all(self.pending)
 
-    def csv(self, name: str, header, rows) -> None:
-        """A small table given as rows of cells."""
+    def csv(self, name: str, header, rows=(), columns=None) -> None:
+        """A small table given as rows of cells, or as columns of text."""
         if "csv" in self.formats:
             path = self.out_dir / f"{name}.csv"
-            write_csv(path, header, text_columns(rows, len(header)))
+            write_csv(path, header, columns or text_columns(rows, len(header)))
             self.written.append(path)
 
     def json(self, name: str, obj, always: bool = False) -> None:
@@ -229,11 +236,17 @@ def _write_cells(writer: _Writer, name: str, cells: Sequence[SignificanceCell], 
 
 
 @contextmanager
-def _timed(seconds: dict[str, float], name: str):
-    """Add the wall time of the ``with`` block to ``seconds[name]``."""
-    started = time.perf_counter()
+def _timed(stages: dict[str, dict[str, float]], name: str):
+    """Add the wall and CPU time of the ``with`` block to ``stages[name]``,
+    and set there the peak RSS so far of this process and of its reaped
+    children, in MB."""
+    wall, cpu = time.perf_counter(), time.process_time()
     yield
-    seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - started
+    stage = stages.setdefault(name, {"seconds": 0.0, "cpu_seconds": 0.0})
+    stage["seconds"] += time.perf_counter() - wall
+    stage["cpu_seconds"] += time.process_time() - cpu
+    stage["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB
+    stage["children_peak_rss_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 
 
 ALL_STAGES: tuple[str, ...] = (
@@ -267,8 +280,8 @@ def run_pipeline(
     try:
         # A stage entered again adds to its time; the manifest lists stages in
         # ALL_STAGES order.
-        stage_seconds: dict[str, float] = {}
-        with _timed(stage_seconds, "ingest"):
+        stage_log: dict[str, dict[str, float]] = {}
+        with _timed(stage_log, "ingest"):
             transactions, diagnostics = parse_ledger(
                 config.input_path, config.column_mapping, config.filter_spec
             )
@@ -292,7 +305,7 @@ def run_pipeline(
                 if graph.node_count:
                     writer.json("degree_stats", degree_stats(graph).as_dict(), always=True)
 
-        with _timed(stage_seconds, "topology"):
+        with _timed(stage_log, "topology"):
             partition = categorize(graph)
             stats = category_stats(graph, partition)
             one_time = one_time_users(graph, partition)
@@ -322,7 +335,7 @@ def run_pipeline(
         seeds: dict[str, int] = {}
         ensemble_stages = [name for name in ("significance", "triads") if name in stages]
         if "triads" in stages:
-            with _timed(stage_seconds, "triads"):
+            with _timed(stage_log, "triads"):
                 census_tables = category_census(graph, partition)
                 writer.csv(
                     "triad_census",
@@ -331,7 +344,7 @@ def run_pipeline(
                 )
                 writer.json("triad_census", census_tables)
         for mode in config.modes if ensemble_stages else ():
-            with _timed(stage_seconds, ensemble_stages[0]):
+            with _timed(stage_log, ensemble_stages[0]):
                 spec = EnsembleSpec(
                     mode=mode,
                     replicas=config.replicas,
@@ -340,37 +353,41 @@ def run_pipeline(
                 )
                 stats_ensemble, census_ensemble = run_ensemble(graph, spec, jobs=config.jobs)
             if "significance" in stages:
-                with _timed(stage_seconds, "significance"):
+                with _timed(stage_log, "significance"):
                     seeds[f"significance_{mode.value}"] = config.master_seed
                     cells = significance(stats, stats_ensemble)
                     _write_cells(writer, f"significance_{mode.value}", cells, mode.value)
             if "triads" in stages:
-                with _timed(stage_seconds, "triads"):
+                with _timed(stage_log, "triads"):
                     seeds[f"triads_{mode.value}"] = config.master_seed
                     cells = triad_significance(census_tables, census_ensemble)
                     _write_cells(writer, f"triad_significance_{mode.value}", cells, mode.value)
 
-        signatures: list[TemporalSignature] = []
+        # Each recirculating user's signature mask and node-category code.
+        mask = user_category = np.zeros(0, dtype=np.int64)
         if "recirculation" in stages or "report" in stages:
-            with _timed(stage_seconds, "recirculation"):
+            with _timed(stage_log, "recirculation"):
                 ops = extract_ops(transactions.without_self_transfers())
                 if ops:
                     classified = classify_ops(ops)
                     if "recirculation" in stages and "csv" in writer.formats:
                         _write_operations(writer, classified)
                     signatures = user_signatures(classified)
+                    mask = signatures.mask
+                    user_category = user_categories(graph, partition, signatures)
                     if "recirculation" in stages:
                         tables = crosstab(graph, partition, classified, signatures)
-                        _write_recirculation(writer, classified, signatures, tables, partition)
+                        _write_recirculation(writer, classified, signatures, user_category,
+                                             tables)
                 elif "recirculation" in stages:
                     writer.json("recirculation_coverage", {"op_count": 0}, always=True)
 
         if "report" in stages:
-            with _timed(stage_seconds, "report"):
-                strategy = strategy_report(graph.volume, stats, one_time, signatures, partition)
+            with _timed(stage_log, "report"):
+                strategy = strategy_report(graph.volume, stats, one_time, mask, user_category)
                 writer.json("strategy_report", strategy.__dict__, always=True)
 
-        with _timed(stage_seconds, "ingest"):  # the wait for the forked writers
+        with _timed(stage_log, "ingest"):  # the wait for the forked writers
             writer.join()
     finally:  # no child outlives the run, and the earliest child's failure wins
         writer.join()
@@ -398,9 +415,9 @@ def run_pipeline(
             "scipy": scipy.__version__,
         },
         "stages": [
-            {"name": name, "seconds": round(stage_seconds[name], 6)}
+            {"name": name, **{key: round(value, 6) for key, value in stage_log[name].items()}}
             for name in ALL_STAGES
-            if name in stage_seconds
+            if name in stage_log
         ],
         "outputs": sorted(str(p.name) for p in writer.written),
     }
@@ -410,6 +427,7 @@ def run_pipeline(
 
 
 _CATEGORY_NAMES = np.array(CATEGORY_ORDER, dtype=object)
+_SIGNATURE_NAMES = np.array(SIGNATURE_KEYS, dtype=object)
 # Component id prefix per node category code.
 _COMPONENT_KINDS = np.array(
     ["scc:" if c.startswith("scc") else "dag:" if c.startswith("dag") else "node:"
@@ -481,9 +499,9 @@ def _write_operations(writer: _Writer, classified: ClassifiedOps) -> None:
 def _write_recirculation(
     writer: _Writer,
     classified: ClassifiedOps,
-    signatures: Sequence[TemporalSignature],
+    signatures: Signatures,
+    user_category: np.ndarray,
     tables: CrosstabResult,
-    partition: TopologyPartition,
 ) -> None:
     freq_labels = tuple(c.value for c in FrequencyCategory)
     boundaries = classified.boundaries
@@ -507,12 +525,14 @@ def _write_recirculation(
         },
         always=True,
     )
+    accounts = signatures.ledger.accounts
     writer.csv(
         "user_signatures",
         ("user", "signature", "node_category"),
-        (
-            (s.user, s.key, partition.node_category[s.user].value)
-            for s in signatures
+        columns=(
+            [accounts[u] for u in signatures.user.tolist()],
+            _SIGNATURE_NAMES[signatures.mask].tolist(),
+            _CATEGORY_NAMES[user_category].tolist(),
         ),
     )
     writer.csv(

@@ -6,7 +6,7 @@ recirculation operation (an in-run followed by an out-run at end of stream
 also closes). The operation's duration, last-out minus first-in, drives a
 quartile split into the frequency categories HFQ1 (fastest) through LFQ3
 (slowest), and each user is signed with the set of categories their
-operations fall into.
+operations fall into, held as a 4-bit mask.
 
 Equal timestamps order a user's incoming transactions before its outgoing
 ones (funds arrive before they move), sub-ordered by transaction id.
@@ -15,14 +15,16 @@ Everything runs on the columnar ledger. Each transaction is one incoming
 event of its target and one outgoing event of its source; one
 ``np.lexsort`` orders all events by (user, timestamp, direction, row), and
 a user's stream splits wherever an incoming event follows an outgoing one.
-Operations are kept as columns over the ledger's rows; the crosstab counts
-(link category, frequency category) pairs with ``np.bincount`` and sums the
-member rows' volume from the ledger's int64 units (``util.Units``).
+Operations and signatures are columns (account codes and 4-bit masks); the
+crosstab maps codes to nodes with ``LedgerGraph.node_index``, counts (link
+category, frequency category) and (node category, mask) pairs with
+``np.bincount``, and sums the members' volume from the ledger's int64
+units (``util.Units``). ``user_categories`` gives each signature user's
+node category, for the tables the pipeline writes per user.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
@@ -40,12 +42,14 @@ __all__ = [
     "QuartileBoundaries",
     "DurationMode",
     "ClassifiedOps",
-    "TemporalSignature",
+    "SIGNATURE_KEYS",
+    "Signatures",
     "RecirculationCoverage",
     "CrosstabResult",
     "extract_ops",
     "classify_ops",
     "user_signatures",
+    "user_categories",
     "crosstab",
 ]
 
@@ -58,14 +62,10 @@ class FrequencyCategory(str, Enum):
 
 
 _CATEGORIES = tuple(FrequencyCategory)
-# The category set of each 4-bit mask (bit i: FrequencyCategory number i),
-# and its signature key.
-_SIGNATURE_SETS = tuple(
-    frozenset(c for i, c in enumerate(_CATEGORIES) if mask >> i & 1) for mask in range(16)
+# The signature key of each 4-bit mask (bit i: FrequencyCategory number i).
+SIGNATURE_KEYS = tuple(
+    "-".join(c.value for i, c in enumerate(_CATEGORIES) if mask >> i & 1) for mask in range(16)
 )
-_SIGNATURE_KEYS = {
-    cats: "-".join(c.value for c in _CATEGORIES if c in cats) for cats in _SIGNATURE_SETS
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,29 +195,40 @@ def classify_ops(ops: Operations) -> ClassifiedOps:
     )
 
 
-@dataclass(frozen=True)
-class TemporalSignature:
-    """The set of frequency categories a user's operations fall into."""
+@dataclass(frozen=True, eq=False)
+class Signatures:
+    """The users with operations, by account code ``user`` (into the
+    operations' ``ledger.accounts``), each with a 4-bit ``mask``: bit i is
+    set when one of the user's operations falls into ``FrequencyCategory``
+    number i, and ``SIGNATURE_KEYS[mask]`` is the signature's key."""
 
-    user: str
-    categories: frozenset[FrequencyCategory]
+    ledger: Ledger
+    user: np.ndarray
+    mask: np.ndarray
 
-    @property
-    def key(self) -> str:
-        return _SIGNATURE_KEYS[self.categories]
+    def __len__(self) -> int:
+        return self.user.size
 
 
-def user_signatures(classified: ClassifiedOps) -> list[TemporalSignature]:
-    """One signature per user with at least one operation, sorted by user."""
+def user_signatures(classified: ClassifiedOps) -> Signatures:
+    """The signatures of the users with at least one operation."""
     ops = classified.ops
     masks = np.zeros(len(ops.ledger.accounts), dtype=np.int64)
     np.bitwise_or.at(masks, ops.user, 1 << classified.codes)
     users = np.flatnonzero(masks)
-    accounts = ops.ledger.accounts
-    return [
-        TemporalSignature(user=accounts[u], categories=_SIGNATURE_SETS[mask])
-        for u, mask in zip(users.tolist(), masks[users].tolist())
-    ]
+    return Signatures(ops.ledger, users, masks[users])
+
+
+def user_categories(g: LedgerGraph, partition: TopologyPartition,
+                    signatures: Signatures) -> np.ndarray:
+    """Each signature user's node-category code in ``partition`` of ``g``
+    (into ``CATEGORY_ORDER``); a user that is not a node of ``g`` is a
+    :class:`DataError`."""
+    node = g.node_index(signatures.ledger.accounts)[signatures.user]
+    if (node < 0).any():
+        user = signatures.ledger.accounts[signatures.user[np.argmin(node)]]
+        raise DataError(f"user {user!r} is not in the graph")
+    return partition.labels.node[node]
 
 
 @dataclass(frozen=True)
@@ -251,13 +262,13 @@ def crosstab(
     g: LedgerGraph,
     partition: TopologyPartition,
     classified: ClassifiedOps,
-    signatures: Sequence[TemporalSignature],
+    signatures: Signatures,
 ) -> CrosstabResult:
     """Cross-tabulate operations against topology.
 
     ``g`` and ``partition`` must come from the ledger the operations were
-    extracted from; a member transaction whose link is not in ``g`` is a
-    :class:`DataError`.
+    extracted from, and ``signatures`` from ``classified``; a member
+    transaction whose link is not in ``g`` is a :class:`DataError`.
     """
     ops = classified.ops
     ledger = ops.ledger
@@ -265,8 +276,7 @@ def crosstab(
     member_op = np.repeat(np.arange(len(ops)), np.diff(ops.bounds))
 
     # Each member's link: its (source, target) among the graph's sorted keys.
-    index = {v: i for i, v in enumerate(g.nodes)}
-    node_of = np.array([index.get(a, -1) for a in ledger.accounts], dtype=np.int64)
+    node_of = g.node_index(ledger.accounts)
     n = g.node_count
     sources, targets = node_of[ledger.source[rows]], node_of[ledger.target[rows]]
     keys = sources * n + targets
@@ -274,7 +284,7 @@ def crosstab(
     link = np.searchsorted(link_keys[:-1], keys)
     found = (sources >= 0) & (targets >= 0) & (link_keys[link] == keys)
     if not found.all():
-        tx_id = ledger.tx_id[rows[np.argmin(found)]]
+        tx_id = ledger.ids[ledger.row[rows[np.argmin(found)]]]
         raise DataError(f"operation transaction {tx_id!r} is not in the graph")
 
     width = len(_CATEGORIES)
@@ -286,11 +296,10 @@ def crosstab(
         if any(row)
     }
 
-    user_table: dict[str, dict[str, int]] = {}
-    for signature in signatures:
-        node_label = partition.node_category[signature.user].value
-        row = user_table.setdefault(node_label, {})
-        row[signature.key] = row.get(signature.key, 0) + 1
+    cells = partition.labels.node[node_of[signatures.user]] * 16 + signatures.mask
+    users = np.bincount(cells, minlength=len(CATEGORY_ORDER) * 16).reshape(-1, 16)
+    user_table = {label: {key: count for key, count in zip(SIGNATURE_KEYS, row) if count}
+                  for label, row in zip(CATEGORY_ORDER, users.tolist()) if any(row)}
 
     memberships = np.bincount(rows, minlength=len(ledger))
     members = np.flatnonzero(memberships)

@@ -28,14 +28,14 @@ code as ``util.Units`` (int64 units, or ``Decimal``s past int64); a
 one-time row, a total), and a replica's volumes stay int64 until scored as
 floats. ``categorize`` wraps ``label`` for a :class:`LedgerGraph`: its
 :class:`TopologyPartition` carries the codes and each node's component
-index, in ``g.nodes`` and link-column order, plus one account-id-to-category
-mapping. ``category_stats`` and ``one_time_users`` read the codes with the
-graph's ``counts`` and ``units`` columns, and ``recirculation.crosstab`` and
-``triads.category_census`` read the codes; null replicas call ``label``
-and ``tabulate`` on their arrays directly. Component ids and edge kinds are
-derived from the codes where they are written (``pipeline``). The
-string-keyed dict view of a partition and its structural check live in
-``tests/oracles.py`` as test references.
+index, in ``g.nodes`` and link-column order, plus an account-id-to-category
+mapping built on first read. ``category_stats`` and ``one_time_users`` read
+the codes with the graph's ``counts`` and ``units`` columns, and
+``recirculation.crosstab`` and ``triads.category_census`` read the codes;
+null replicas call ``label`` and ``tabulate`` on their arrays directly.
+Component ids and edge kinds are derived from the codes where they are
+written (``pipeline``). The string-keyed dict view of a partition and its
+structural check live in ``tests/oracles.py`` as test references.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -153,14 +154,19 @@ class Labels(NamedTuple):
 class TopologyPartition:
     """Exclusive assignment of every node and link of one graph.
 
-    ``labels`` holds the category codes in ``g.nodes`` and link-column
-    order; ``component`` is each node's component index from ``label``;
-    ``node_category`` maps account ids to their category.
+    ``labels`` holds the category codes in ``g.nodes`` (``nodes``) and
+    link-column order; ``component`` is each node's component index from
+    ``label``; ``node_category`` maps account ids to their category, built
+    on first read (no stage reads it).
     """
 
     labels: Labels
     component: np.ndarray
-    node_category: Mapping[str, NodeCategory]
+    nodes: tuple[str, ...]
+
+    @cached_property
+    def node_category(self) -> Mapping[str, NodeCategory]:
+        return dict(zip(self.nodes, map(_NODE_CATEGORY.__getitem__, self.labels.node.tolist())))
 
 
 _CODE = {label: code for code, label in enumerate(CATEGORY_ORDER)}
@@ -224,8 +230,7 @@ def label(n: int, sources: np.ndarray, targets: np.ndarray) -> tuple[Labels, np.
 def categorize(g: LedgerGraph) -> TopologyPartition:
     """Partition a graph into the exclusive topological categories."""
     labels, component = label(g.node_count, g.sources, g.targets)
-    categories = map(_NODE_CATEGORY.__getitem__, labels.node.tolist())
-    return TopologyPartition(labels, component, dict(zip(g.nodes, categories)))
+    return TopologyPartition(labels, component, g.nodes)
 
 
 def tabulate(

@@ -12,8 +12,9 @@ row order that the stamp sort with id-ordered ties replaced, the
 neighbourhood-walk triad census of general digraphs that the closed-form
 acyclic census replaced, and the two power-law fits, each with its own
 cutoff scan, that the shared scan replaced, and the significance scoring
-over one dict table per replica that the stacked replica arrays replaced.
-``dict_view`` expands an array partition into the string-keyed one the
+over one dict table per replica that the stacked replica arrays replaced,
+and the HFQ1-only share that ``strategy_report`` now takes from the
+signature masks. ``dict_view`` expands an array partition into the string-keyed one the
 categoriser used to return, and ``verify_partition`` checks that view's
 structural contract. ``keep_everything`` is the filter that admits every
 row, for parses that must give back what was written, and
@@ -29,7 +30,8 @@ through ``ledger_of`` (``Ledger.from_columns``) and come back through
 one of a ``LinkRecord`` mapping, and ``links_of`` reads a graph back as that
 mapping; ``swapped_links`` is ``nullmodel._swap`` in account ids; and
 ``ops_of`` and ``categories_of`` read operations as ``RecirculationOp``
-records and their frequency categories.
+records and their frequency categories, and ``signatures_of`` reads
+signature columns as ``TemporalSignature`` records.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from ledgerflow.recirculation import (
     Operations,
     RecirculationCoverage,
     CrosstabResult,
+    Signatures,
 )
 from ledgerflow.topology import (
     CATEGORY_ORDER,
@@ -1338,7 +1341,8 @@ class RecirculationOp:
 def ops_of(ops: Operations) -> list[RecirculationOp]:
     """Operation columns as one record per operation, in order."""
     ledger = ops.ledger
-    tx_ids = [ledger.tx_id[r] for r in ops.rows.tolist()]
+    ids = ledger.tx_id  # the property builds the list on each call
+    tx_ids = [ids[r] for r in ops.rows.tolist()]
     bounds = ops.bounds.tolist()
     return [
         RecirculationOp(ledger.accounts[user], first_in, last_out,
@@ -1353,3 +1357,36 @@ def categories_of(classified: ClassifiedOps) -> tuple[FrequencyCategory, ...]:
     """Each operation's frequency category, in operation order."""
     categories = tuple(FrequencyCategory)
     return tuple(categories[code] for code in classified.codes.tolist())
+
+
+@dataclass(frozen=True)
+class TemporalSignature:
+    """The set of frequency categories a user's operations fall into."""
+
+    user: str
+    categories: frozenset[FrequencyCategory]
+
+    @property
+    def key(self) -> str:
+        return "-".join(c.value for c in FrequencyCategory if c in self.categories)
+
+
+def signatures_of(signatures: Signatures) -> list[TemporalSignature]:
+    """Signature columns as one record per user, in order (which was the
+    list ``user_signatures`` returned)."""
+    accounts = signatures.ledger.accounts
+    return [
+        TemporalSignature(accounts[user], frozenset(
+            c for i, c in enumerate(FrequencyCategory) if mask >> i & 1))
+        for user, mask in zip(signatures.user.tolist(), signatures.mask.tolist())
+    ]
+
+
+def reference_hfq1_only(signatures: Sequence[TemporalSignature],
+                        partition) -> tuple[float, dict[str, float]]:
+    """``strategy_report``'s HFQ1-only user share and node-category
+    breakdown, from one record per user."""
+    hfq1_only = [s for s in signatures if s.categories == frozenset({FrequencyCategory.HFQ1})]
+    share = len(hfq1_only) / len(signatures) if signatures else 0.0
+    counts = Counter(partition.node_category[s.user].value for s in hfq1_only)
+    return share, {label: count / len(hfq1_only) for label, count in sorted(counts.items())}

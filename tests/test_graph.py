@@ -46,6 +46,14 @@ def test_nodes_are_exactly_link_endpoints():
     assert [s for s, t in links_of(g) if t == "A"] == ["B", "C"]
 
 
+def test_node_index_looks_accounts_up_by_name():
+    g = graph_of([("B", "A"), ("C", "A")])
+    assert g.node_index(g.nodes).tolist() == [0, 1, 2]
+    # "BB" sorts between two nodes and "D" past the last: neither is a node.
+    assert g.node_index(("A", "B", "BB", "C", "D")).tolist() == [0, 1, -1, 2, -1]
+    assert g.node_index(()).tolist() == []
+
+
 def test_from_edges_merges_duplicates():
     g = graph_of([("A", "B"), ("A", "B")])
     assert g.link_count == 1

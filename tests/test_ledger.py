@@ -6,17 +6,24 @@ transaction ids that differ only by trailing NULs, which numpy string
 arrays would drop: order must stay Python's code-point order.
 """
 
+import csv
+import dataclasses
+import io
 import random
+from datetime import datetime, timezone
 from decimal import Decimal
 
+import numpy as np
 import pytest
 
+from ledgerflow import ingest
 from ledgerflow.errors import DataError
 from ledgerflow.graph import aggregate
-from ledgerflow.ingest import Ledger, parse_ledger, write_transactions
+from ledgerflow.ingest import ColumnMapping, Ledger, parse_ledger, write_transactions
 from ledgerflow.recirculation import classify_ops, crosstab, extract_ops, user_signatures
 from ledgerflow.topology import categorize
 
+from conftest import economy_ledger
 from oracles import (
     Transaction,
     dict_view,
@@ -28,6 +35,7 @@ from oracles import (
     reference_ledger_order,
     reference_sort,
     rows_of,
+    signatures_of,
     tx,
 )
 
@@ -136,7 +144,8 @@ def test_crosstab_matches_per_transaction_reference():
         classified = classify_ops(ops)
         signatures = user_signatures(classified)
         mine = crosstab(g, partition, classified, signatures)
-        reference = reference_crosstab(g, dict_view(g, partition), classified, signatures, clean)
+        reference = reference_crosstab(g, dict_view(g, partition), classified,
+                                       signatures_of(signatures), clean)
         assert mine == reference, trial
         assert str(mine.coverage.volume_in_ops) == str(reference.coverage.volume_in_ops)
         checked += 1
@@ -153,3 +162,97 @@ def test_write_parse_round_trip_keeps_code_point_order(tmp_path):
         assert [(t.tx_id, t.source, t.target, str(t.amount)) for t in rows_of(parsed)] == [
             (t.tx_id, t.source, t.target, str(t.amount)) for t in reference_sort(txs)
         ], trial
+
+
+# --------------------------------------------------------------------------
+# rows taken by index: the id and subtype lists stay as read
+# --------------------------------------------------------------------------
+
+SUBTYPES = ("STANDARD", "AGENT_OUT", "", "STANDARD\x00")
+
+
+def test_takes_give_the_ids_and_subtypes_of_list_takes():
+    rng = random.Random(47)
+    for trial in range(200):
+        txs = [dataclasses.replace(t, subtype=rng.choice(SUBTYPES))
+               for t in random_ledger(rng, rng.randrange(0, 40), self_share=0.3)]
+        ledger = ledger_of(txs)
+        ids, subtypes = ledger.tx_id, ledger.subtype
+        n = len(ledger)
+        i = np.array([rng.randrange(n) for _ in range(rng.randrange(2 * n + 1))], dtype=np.int64)
+        j = np.array([rng.randrange(i.size) for _ in range(rng.randrange(2 * i.size + 1))],
+                     dtype=np.int64)
+        taken = ledger._take(i)._take(j)
+        rows = i[j].tolist()
+        assert taken.tx_id == [ids[r] for r in rows], trial
+        assert taken.subtype == [subtypes[r] for r in rows], trial
+        assert len(taken) == len(rows)
+        kept = [r for r, t in enumerate(rows_of(ledger)) if t.source != t.target]
+        clean = ledger.without_self_transfers()
+        assert clean.tx_id == [ids[r] for r in kept], trial
+        assert clean.subtype == [subtypes[r] for r in kept], trial
+
+
+def test_long_ledger_round_trips_and_writes_what_csv_writes(tmp_path):
+    # 70,000 rows in shuffled order take three render chunks of 32,768; the
+    # last two rows, the third chunk's, hold the only cells that need quotes.
+    rng = random.Random(48)
+    txs = [
+        Transaction(1_600_000_000 + (i if i >= 69_998 else rng.randrange(-10**6, 0)),
+                    f"t{i:05d}" + '"' * (i == 69_999),
+                    f"a{rng.randrange(300)}", "b,c" if i == 69_998 else f"b{rng.randrange(300)}",
+                    Decimal(rng.randrange(10**5)).scaleb(-2), rng.choice(SUBTYPES[:3]))
+        for i in range(70_000)
+    ]
+    rng.shuffle(txs)
+    path = tmp_path / "ledger.csv"
+    write_transactions(path, ledger_of(txs))
+    parsed, diagnostics = parse_ledger(path, filter_spec=keep_everything())
+    assert diagnostics.rows_read == 70_000
+    assert rows_of(parsed) == reference_sort(txs)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(ColumnMapping().names)
+    writer.writerows(
+        (t.tx_id, datetime.fromtimestamp(t.timestamp, timezone.utc).isoformat(), t.source,
+         t.target, str(t.amount), t.subtype)
+        for t in reference_sort(txs)
+    )
+    assert path.read_text(encoding="utf-8") == expected.getvalue()
+
+
+def test_crosstab_names_the_foreign_transaction_after_a_take():
+    # The taken ledger's rows 0, 1, 2 are rows 1, 3, 4 of the one it was
+    # taken from; "o1" (u -> a) is not a link of the graph.
+    txs = [tx("z0", 0, "q", "r"), tx("i1", 1, "a", "u"), tx("z1", 2, "r", "q"),
+           tx("o1", 3, "u", "a"), tx("o2", 4, "u", "b")]
+    ledger = ledger_of(txs)._take(np.array([1, 3, 4]))
+    assert ledger.row.tolist() == [1, 3, 4]
+    g, _ = aggregate(ledger_of([tx("i1", 1, "a", "u"), tx("o2", 4, "u", "b")]))
+    classified = classify_ops(extract_ops(ledger))
+    with pytest.raises(DataError, match="'o1' is not in the graph"):
+        crosstab(g, categorize(g), classified, user_signatures(classified))
+
+
+def test_from_columns_and_the_row_loop_give_the_column_paths_rows(tmp_path, monkeypatch):
+    # The column path keeps every parsed id and subtype, filtered rows
+    # included; the row loop and from_columns keep the kept rows' only.
+    path = tmp_path / "economy.csv"
+    path.write_text(economy_ledger(300, 5), encoding="utf-8")
+    columns, diagnostics = parse_ledger(path)
+    assert diagnostics.rows_filtered > 0
+    assert len(columns.ids) == len(columns.subtypes) == diagnostics.rows_read
+    monkeypatch.setattr(ingest, "_parse_plain", lambda *args: None)
+    row_loop, _ = parse_ledger(path)
+    order = list(range(len(columns)))
+    random.Random(49).shuffle(order)
+    by_hand = Ledger.from_columns(*([column[k] for k in order] for column in (
+        columns.timestamp.tolist(), columns.tx_id,
+        [columns.accounts[c] for c in columns.source.tolist()],
+        [columns.accounts[c] for c in columns.target.tolist()], columns.amount,
+        columns.subtype)))
+    assert len(row_loop.ids) == len(by_hand.ids) == len(columns)
+    for ledger in (row_loop, by_hand):
+        assert ledger.tx_id == columns.tx_id
+        assert ledger.subtype == columns.subtype
+        assert sorted(ledger.row.tolist()) == list(range(len(columns)))

@@ -1,15 +1,18 @@
 import errno
 import json
+import math
 import os
 import sys
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ledgerflow import cli, pipeline, util
 from ledgerflow.errors import ConfigError
 from ledgerflow.graph import aggregate
+from ledgerflow.ingest import Ledger
 from ledgerflow.nullmodel import SwapMode
 from ledgerflow.pipeline import (
     PipelineConfig,
@@ -17,9 +20,14 @@ from ledgerflow.pipeline import (
     strategy_report,
     write_scenario,
 )
-from ledgerflow.recirculation import classify_ops, extract_ops, user_signatures
+from ledgerflow.recirculation import (
+    classify_ops,
+    extract_ops,
+    user_categories,
+    user_signatures,
+)
 from ledgerflow.synthetic import ScenarioSpec
-from ledgerflow.topology import categorize, category_stats, one_time_users
+from ledgerflow.topology import TopologyPartition, categorize, category_stats, one_time_users
 from ledgerflow.util import dsum
 
 from conftest import economy_ledger
@@ -108,6 +116,21 @@ def test_economy_ledgers_sum_no_decimals(tmp_path, monkeypatch):
     assert len(pipeline.run_pipeline(config).output_files) == 32
 
 
+def test_a_run_builds_no_per_row_list_and_no_account_mapping(tmp_path, monkeypatch):
+    # The writer takes ids and subtypes by row a chunk at a time, and no
+    # stage reads the partition's account-id mapping.
+    def refuse(self):
+        raise AssertionError("a per-row list or the account mapping was built")
+
+    for cls, name in ((Ledger, "tx_id"), (Ledger, "subtype"),
+                      (TopologyPartition, "node_category")):
+        monkeypatch.setattr(cls, name, property(refuse))
+    ledger = tmp_path / "economy.csv"
+    ledger.write_text(economy_ledger(600, 3), encoding="utf-8")
+    config = PipelineConfig(input_path=ledger, output_dir=tmp_path / "out", replicas=8)
+    assert len(run_pipeline(config).output_files) == 32
+
+
 def test_json_only_format(tmp_path):
     result = run_pipeline(small_config(DEMO_LEDGER, tmp_path / "out", formats=("json",)))
     names = {p.name for p in result.output_files}
@@ -131,6 +154,19 @@ def test_repeated_swap_mode_is_config_error(tmp_path):
                      modes=(SwapMode.BOTH, SwapMode.TARGET, SwapMode.BOTH))
 
 
+def test_stage_entries_hold_cpu_time_and_peak_rss(tmp_path):
+    result = run_pipeline(small_config(DEMO_LEDGER, tmp_path / "out"))
+    written = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert written["stages"] == result.manifest["stages"]
+    for stage in result.manifest["stages"]:
+        assert set(stage) == {"name", "seconds", "cpu_seconds", "peak_rss_mb",
+                              "children_peak_rss_mb"}
+        for key in ("seconds", "cpu_seconds", "peak_rss_mb", "children_peak_rss_mb"):
+            assert isinstance(stage[key], float) and math.isfinite(stage[key]), stage
+            assert stage[key] >= 0, stage
+        assert stage["peak_rss_mb"] > 0, stage
+
+
 def test_unknown_stage_is_config_error(tmp_path):
     out = tmp_path / "out"
     with pytest.raises(ConfigError, match="'topolgy'"):
@@ -144,8 +180,11 @@ def _strategy_inputs(txs):
     stats = category_stats(g, partition)
     one_time = one_time_users(g, partition)
     ops = extract_ops(ledger_of(txs))
-    signatures = user_signatures(classify_ops(ops)) if ops else []
-    return g, partition, stats, one_time, signatures
+    mask = user_category = np.zeros(0, dtype=np.int64)
+    if ops:
+        signatures = user_signatures(classify_ops(ops))
+        mask, user_category = signatures.mask, user_categories(g, partition, signatures)
+    return g, partition, stats, one_time, mask, user_category
 
 
 def test_strategy_shares_zero_without_one_time_users():
@@ -153,8 +192,8 @@ def test_strategy_shares_zero_without_one_time_users():
         tx("t1", 0, "A", "B", 5), tx("t2", 1, "B", "A", 5),
         tx("t3", 2, "A", "B", 5), tx("t4", 3, "B", "A", 5),
     ]
-    g, partition, stats, one_time, signatures = _strategy_inputs(txs)
-    report = strategy_report(g.volume, stats, one_time, signatures, partition)
+    g, partition, stats, one_time, mask, user_category = _strategy_inputs(txs)
+    report = strategy_report(g.volume, stats, one_time, mask, user_category)
     assert report.one_time_collector_share == 0.0
     assert report.dag_collector_volume_share == 0.0
 
@@ -171,8 +210,8 @@ def test_strategy_planted_one_time_feeders():
     for i in range(10):
         planted += Decimal(7)
         txs.append(tx(f"f{i:02d}", 10 + i, f"feeder{i:02d}", "A", 7))
-    g, partition, stats, one_time, signatures = _strategy_inputs(txs)
-    report = strategy_report(g.volume, stats, one_time, signatures, partition)
+    g, partition, stats, one_time, mask, user_category = _strategy_inputs(txs)
+    report = strategy_report(g.volume, stats, one_time, mask, user_category)
     assert partition.node_category[ "feeder00"].value == "in-single-node"
     assert report.one_time_collector_share == pytest.approx(float(Decimal(70) / g.volume))
 
@@ -181,8 +220,8 @@ def test_strategy_hfq1_share_and_breakdown():
     # One fast pass around a 4-cycle: u1..u3 each receive then forward within
     # a second (u0 only opens the round and closes it, so it has no op).
     txs = [tx(f"t{i}", 10 + i, f"u{i}", f"u{(i + 1) % 4}", 3) for i in range(4)]
-    g, partition, stats, one_time, signatures = _strategy_inputs(txs)
-    report = strategy_report(g.volume, stats, one_time, signatures, partition)
+    g, partition, stats, one_time, mask, user_category = _strategy_inputs(txs)
+    report = strategy_report(g.volume, stats, one_time, mask, user_category)
     assert report.hfq1_only_user_share == 1.0
     assert set(report.hfq1_only_breakdown) == {"scc0"}
 

@@ -1,18 +1,34 @@
 import random
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ledgerflow.errors import DataError
 from ledgerflow.graph import aggregate
+from ledgerflow.pipeline import strategy_report
 from ledgerflow.recirculation import (
+    SIGNATURE_KEYS,
     FrequencyCategory,
     classify_ops,
     crosstab,
     extract_ops,
+    user_categories,
     user_signatures,
 )
-from ledgerflow.topology import categorize
+from ledgerflow.topology import categorize, category_stats, one_time_users
 
-from oracles import categories_of, ledger_of, oracle_extract_ops, ops_of, tx
+from oracles import (
+    categories_of,
+    dict_view,
+    ledger_of,
+    oracle_extract_ops,
+    ops_of,
+    reference_crosstab,
+    reference_hfq1_only,
+    rows_of,
+    signatures_of,
+    tx,
+)
 
 
 def test_window_with_closing_incoming():
@@ -185,26 +201,26 @@ def test_user_signature_mixed_speeds():
         tx("i3", 2_000_000, "s3", "u"), tx("o3", 2_000_060, "u", "k3"),
         tx("i4", 3_000_000, "s4", "u"), tx("o4", 3_040_000, "u", "k4"),
     ]
-    ops = extract_ops(ledger_of(sorted(txs, key=lambda t: (t.timestamp, t.tx_id))))
-    classified = classify_ops(ops)
-    signatures = {s.user: s for s in user_signatures(classified)}
-    assert FrequencyCategory.HFQ1 in signatures["u"].categories
-    assert FrequencyCategory.LFQ3 in signatures["u"].categories
+    ledger = ledger_of(sorted(txs, key=lambda t: (t.timestamp, t.tx_id)))
+    signatures = user_signatures(classify_ops(extract_ops(ledger)))
+    (mask,) = signatures.mask[signatures.user == ledger.accounts.index("u")].tolist()
+    assert mask & 0b0001 and mask & 0b1000  # HFQ1 and LFQ3
 
 
 def test_singleton_signature():
     ops = _ops_with_durations([3])
     classified = classify_ops(ops)
-    (signature,) = user_signatures(classified)
-    assert signature.categories == frozenset({FrequencyCategory.HFQ1})
-    assert signature.key == "HFQ1"
+    signatures = user_signatures(classified)
+    assert signatures.mask.tolist() == [0b0001]
+    assert SIGNATURE_KEYS[0b0001] == "HFQ1"
 
 
 def test_signature_key_order():
     ops = _ops_with_durations([1, 10, 100, 100000])
     classified = classify_ops(ops)
-    keys = {s.key for s in user_signatures(classified)}
+    keys = {SIGNATURE_KEYS[mask] for mask in user_signatures(classified).mask.tolist()}
     assert all("-" not in k or k.index("HFQ") == 0 for k in keys)
+    assert SIGNATURE_KEYS[0b1011] == "HFQ1-HFQ2-LFQ3"
 
 
 def test_crosstab_alternating_pair_counts_twice():
@@ -242,6 +258,85 @@ def test_crosstab_rejects_foreign_transactions():
         crosstab(g, partition, classified, signatures)
 
 
+def test_crosstab_finds_a_foreign_graphs_nodes_by_name():
+    # As many accounts as the graph has nodes, but "c" is not one of them.
+    txs = [tx("i1", 0, "a", "u"), tx("o1", 1, "u", "c")]
+    g, _ = aggregate(ledger_of([tx("i1", 0, "a", "u"), tx("x1", 1, "u", "b")]))
+    classified = classify_ops(extract_ops(ledger_of(txs)))
+    with pytest.raises(DataError, match="'o1' is not in the graph"):
+        crosstab(g, categorize(g), classified, user_signatures(classified))
+
+
+def test_user_categories_reject_a_foreign_graph():
+    # "u" has an operation, but the graph's ledger never saw it.
+    classified = classify_ops(extract_ops(ledger_of(
+        [tx("i1", 0, "a", "u"), tx("o1", 1, "u", "b")])))
+    g, _ = aggregate(ledger_of([tx("x1", 0, "a", "b"), tx("x2", 1, "b", "c")]))
+    with pytest.raises(DataError, match="user 'u' is not in the graph"):
+        user_categories(g, categorize(g), user_signatures(classified))
+
+
 def test_classify_requires_ops():
     with pytest.raises(DataError):
         classify_ops([])
+
+
+def _every_mask_rows():
+    # User u<m> has one operation in each category of mask m: durations 1,
+    # 10, 100 and 1000 s, eight operations each, fall into HFQ1 to LFQ3
+    # (boundaries 7.75, 55 and 325 s). Pure senders and receivers open and
+    # close the windows.
+    rows, stamp = [], 0
+    for mask in range(1, 16):
+        for bit, duration in enumerate((1, 10, 100, 1000)):
+            if mask >> bit & 1:
+                stamp += 10_000
+                rows.append((stamp, f"src{mask:02d}", f"u{mask:02d}"))
+                rows.append((stamp + duration, f"u{mask:02d}", f"snk{mask:02d}"))
+    return rows
+
+
+def test_every_mask_rows_sign_every_mask():
+    ledger = ledger_of(tx(f"t{i:03d}", *row) for i, row in enumerate(_every_mask_rows()))
+    signatures = user_signatures(classify_ops(extract_ops(ledger)))
+    assert [ledger.accounts[u] for u in signatures.user.tolist()] == [
+        f"u{m:02d}" for m in range(1, 16)]
+    assert signatures.mask.tolist() == list(range(1, 16))
+
+
+# Narrow stamps force ties; "S", which sorts first, is seen only in
+# self-transfers, so account codes and node indices differ when it is.
+SMALL_ROWS = st.lists(
+    st.tuples(st.integers(0, 12), st.sampled_from("Sabcd"), st.sampled_from("Sabcd")),
+    min_size=2, max_size=40,
+).map(lambda rows: [(stamp, a, a if "S" in (a, b) else b) for stamp, a, b in rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(SMALL_ROWS)
+@example(_every_mask_rows())
+def test_signature_columns_match_one_record_per_user(rows):
+    # The crosstab's user table and coverage, and the report's HFQ1-only
+    # share and breakdown, from the mask columns and from one
+    # TemporalSignature per user.
+    ledger = ledger_of(tx(f"t{i:03d}", *row) for i, row in enumerate(rows))
+    clean = ledger.without_self_transfers()
+    ops = extract_ops(clean)
+    if not ops:
+        return
+    g, _ = aggregate(ledger)
+    partition = categorize(g)
+    classified = classify_ops(ops)
+    signatures = user_signatures(classified)
+    records = signatures_of(signatures)
+    assert len(records) == len({op.user for op in ops_of(ops)})
+    mine = crosstab(g, partition, classified, signatures)
+    reference = reference_crosstab(g, dict_view(g, partition), classified, records,
+                                   rows_of(clean))
+    assert mine == reference
+    report = strategy_report(g.volume, category_stats(g, partition),
+                             one_time_users(g, partition), signatures.mask,
+                             user_categories(g, partition, signatures))
+    share, breakdown = reference_hfq1_only(records, partition)
+    assert report.hfq1_only_user_share == share
+    assert report.hfq1_only_breakdown == breakdown
