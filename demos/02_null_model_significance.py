@@ -32,7 +32,7 @@ def main() -> None:
 
     spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=300, master_seed=2020)
     print(f"running {spec.replicas} target-swap replicas ...")
-    stats_ensemble, _ = run_ensemble(graph, spec)
+    stats_ensemble, _, _ = run_ensemble(graph, spec)
     cells = significance(stats, stats_ensemble)
 
     print("\nstrongly significant cells (|preferred score| >= 3):")

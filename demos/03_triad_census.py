@@ -35,7 +35,7 @@ def main() -> None:
 
     spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=200, master_seed=5)
     print(f"\nscoring against {spec.replicas} target-swap replicas ...")
-    _, census_ensemble = run_ensemble(graph, spec)
+    _, census_ensemble, _ = run_ensemble(graph, spec)
     cells = triad_significance(census, census_ensemble)
     print("triad significance for dag0 (nonzero empirical):")
     for cell in cells:

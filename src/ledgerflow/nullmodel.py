@@ -21,9 +21,10 @@ merged replica as a graph, adding parallel links' counts and volumes
 exactly.
 
 An ensemble builds each replica once, re-runs the topological
-categorisation (``topology.label``) on it, and stacks two arrays per
-replica: its category ``FEATURES`` as floats and the triad census of its
-DAG categories. The empirical category sizes are scored against the first
+categorisation (``topology.label``) on it, and stacks three arrays per
+replica: its category ``FEATURES`` as floats, the triad census of its
+DAG categories, and its event counts (self-loops repaired, reseeded or
+not, links merged). The empirical category sizes are scored against the first
 with z-scores, robust z-scores, and an Anderson-Darling normality verdict
 per cell; ``triads`` scores the empirical censuses against the second.
 ``jobs`` forked children (``util.fork_call``) build contiguous slices of it.
@@ -99,11 +100,12 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 
 def _swap(sources: np.ndarray, targets: np.ndarray, mode: SwapMode, seed: int,
-          max_repair_attempts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Swapped integer endpoint columns, before merging parallel links."""
+          max_repair_attempts: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Swapped integer endpoint columns, before merging parallel links, and
+    the number of self-loops repaired."""
     m = sources.size
     if m <= 1:
-        return sources, targets
+        return sources, targets, 0
 
     rng = np.random.default_rng(seed & (2**64 - 1))
     pool = None
@@ -125,6 +127,7 @@ def _swap(sources: np.ndarray, targets: np.ndarray, mode: SwapMode, seed: int,
     # An accepted swap never creates a self-loop, so only the positions
     # that are loops now need visiting, in order, each re-checked when
     # reached (an earlier swap may have repaired it).
+    repairs = 0
     for i in np.flatnonzero(sources == targets).tolist():
         if sources[i] != targets[i]:
             continue
@@ -140,10 +143,11 @@ def _swap(sources: np.ndarray, targets: np.ndarray, mode: SwapMode, seed: int,
             if fixed[i] == column[j] or fixed[j] == column[i]:
                 continue
             column[i], column[j] = column[j], column[i]
+            repairs += 1
             break
         else:
             raise RandomizationError(seed, i)
-    return sources, targets
+    return sources, targets, repairs
 
 
 def randomize(
@@ -153,17 +157,17 @@ def randomize(
     max_repair_attempts: int = EnsembleSpec.max_repair_attempts,
 ) -> LedgerGraph:
     """One randomised replica; parallel links merged by adding their records."""
-    sources, targets = _swap(g.sources, g.targets, mode, seed, max_repair_attempts)
+    sources, targets, _ = _swap(g.sources, g.targets, mode, seed, max_repair_attempts)
     return LedgerGraph._from_rows(g.nodes, sources, targets, g.counts, g.units)
 
 
 def _replica(g: LedgerGraph, spec: EnsembleSpec, index: int) -> tuple[np.ndarray, ...]:
-    """Merged replica links as sorted (sources, targets), plus the merged
-    link that carries each original link record."""
+    """Merged replica links as sorted (sources, targets), the merged link
+    that carries each original link record, and its event counts."""
     seed = derive_seed(spec.master_seed, index)
     for attempt in range(_REPLICA_RETRIES + 1):
         try:
-            sources, targets = _swap(
+            sources, targets, repairs = _swap(
                 g.sources, g.targets, spec.mode, seed, spec.max_repair_attempts
             )
             break
@@ -171,22 +175,22 @@ def _replica(g: LedgerGraph, spec: EnsembleSpec, index: int) -> tuple[np.ndarray
             if attempt == _REPLICA_RETRIES:
                 raise
             seed = derive_seed(derive_seed(spec.master_seed, index), attempt + 1)
-    return merge_links(g.node_count, sources, targets)
+    merged = merge_links(g.node_count, sources, targets)
+    return (*merged, np.array([repairs, attempt > 0, sources.size - merged[0].size]))
 
 
 def _replica_tables(g: LedgerGraph, spec: EnsembleSpec, index: int) -> tuple[np.ndarray, ...]:
-    sources, targets, record_link = _replica(g, spec, index)
-    labels, _ = label(g.node_count, sources, targets)
-    table, volume = tabulate(labels, sources, targets, g.counts, g.units, record_link)
+    sources, targets, record_link, events = _replica(g, spec, index)
+    labels, component = label(g.node_count, sources, targets)
+    table, volume = tabulate(labels, component, sources, targets, g.counts, g.units, record_link)
     features = np.column_stack([table[:, 1:], volume.floats()])
-    return features, triads.label_census(labels, sources, targets)
+    return features, triads.label_census(labels, sources, targets), events
 
 
 def _replica_slice(g: LedgerGraph, spec: EnsembleSpec, start: int,
-                   stop: int) -> tuple[np.ndarray, np.ndarray]:
+                   stop: int) -> tuple[np.ndarray, ...]:
     """The stacked tables of replicas ``start..stop-1``, built in index order."""
-    features, censuses = zip(*(_replica_tables(g, spec, i) for i in range(start, stop)))
-    return np.stack(features), np.stack(censuses)
+    return tuple(map(np.stack, zip(*(_replica_tables(g, spec, i) for i in range(start, stop)))))
 
 
 def _usable_cpus() -> int:
@@ -201,12 +205,14 @@ def run_ensemble(
     g: LedgerGraph,
     spec: EnsembleSpec,
     jobs: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Category features and category triad censuses of every replica.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Category features, category triad censuses and events of every replica.
 
-    A float64 array of replicas × ``CATEGORY_ORDER`` × ``FEATURES`` and an
+    A float64 array of replicas × ``CATEGORY_ORDER`` × ``FEATURES``, an
     int64 array of replicas × ``triads.DEFAULT_CENSUS_CATEGORIES`` ×
-    ``triads.TRIAD_LABELS``. Each replica is built and categorised once;
+    ``triads.TRIAD_LABELS``, and an int64 array of replicas × 3 event
+    counts: self-loops repaired, 1 if reseeded after a
+    ``RandomizationError``, parallel links merged. Each replica is built and categorised once;
     ``jobs`` forked children build contiguous slices of replica indices,
     stacked in index order, and the earliest slice's failure is raised, so
     output and failure (the lowest failing replica's) match any job count.
@@ -222,8 +228,7 @@ def run_ensemble(
             handles.append(fork_call(_replica_slice, g, spec, start, stop))
     finally:  # also when a slice built here fails: an earlier slice's failure wins
         slices = join_all(handles)
-    features, censuses = zip(*slices)
-    return np.concatenate(features), np.concatenate(censuses)
+    return tuple(map(np.concatenate, zip(*slices)))
 
 
 def significance(

@@ -343,6 +343,7 @@ def run_pipeline(
                     ((label, *census.values()) for label, census in census_tables.items()),
                 )
                 writer.json("triad_census", census_tables)
+        events = []
         for mode in config.modes if ensemble_stages else ():
             with _timed(stage_log, ensemble_stages[0]):
                 spec = EnsembleSpec(
@@ -351,7 +352,9 @@ def run_pipeline(
                     master_seed=config.master_seed,
                     max_repair_attempts=config.max_repair_attempts,
                 )
-                stats_ensemble, census_ensemble = run_ensemble(graph, spec, jobs=config.jobs)
+                stats_ensemble, census_ensemble, replica_events = run_ensemble(
+                    graph, spec, jobs=config.jobs)
+                events.append(replica_events)
             if "significance" in stages:
                 with _timed(stage_log, "significance"):
                     seeds[f"significance_{mode.value}"] = config.master_seed
@@ -362,6 +365,13 @@ def run_pipeline(
                     seeds[f"triads_{mode.value}"] = config.master_seed
                     cells = triad_significance(census_tables, census_ensemble)
                     _write_cells(writer, f"triad_significance_{mode.value}", cells, mode.value)
+
+        if events:
+            repairs, reseeded, merged = np.concatenate(events).T
+            stage_log[ensemble_stages[0]].update(
+                replicas=merged.size, self_loop_repairs=int(repairs.sum()),
+                reseeded_replicas=int(reseeded.sum()), links_merged_mean=float(merged.mean()),
+                links_merged_max=int(merged.max()))
 
         # Each recirculating user's signature mask and node-category code.
         mask = user_category = np.zeros(0, dtype=np.int64)

@@ -7,14 +7,17 @@ test for estimated parameters, small-sample corrected, with the standard
 piecewise p-value approximation. Its normal CDF is ``scipy.special.ndtr``,
 the function ``scipy.stats.norm.cdf`` evaluates, so the slow-to-import
 ``scipy.stats`` stays out of the process. ``score_ensemble`` applies all
-three to every (row, column) cell of a table, empirical against replicas;
-category sizes and triad counts are both scored through it.
+three to every (row, column) cell of a table, empirical against replicas,
+in one pass over a cells × replicas array; category sizes and triad counts
+are both scored through it. The one-cell-at-a-time scorer and its 1-D
+Anderson-Darling test are references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -25,8 +28,6 @@ from .errors import AnalysisError
 __all__ = [
     "z_score",
     "robust_z_score",
-    "AndersonDarlingResult",
-    "anderson_darling_normal",
     "SignificanceCell",
     "score_ensemble",
 ]
@@ -51,20 +52,9 @@ def robust_z_score(value: float, samples: Sequence[float]) -> float | None:
     return _standardised(value, float(q2), float(q3 - q1))
 
 
-@dataclass(frozen=True)
-class AndersonDarlingResult:
-    statistic: float          # A^2 with estimated mean and sd
-    corrected: float          # A*^2 = A^2 (1 + 0.75/n + 2.25/n^2)
-    p_value: float
-    rejected: bool            # normality rejected at the 5% level
-
-    @property
-    def verdict(self) -> str:
-        return "rejected" if self.rejected else "not_rejected"
-
-
 def _ad_p_value(a2c: float) -> float:
-    # Piecewise approximation for the case of estimated mean and variance.
+    # Piecewise approximation for the case of estimated mean and variance;
+    # each piece lies in [0, 1], and an infinite or NaN statistic gives 0.
     if a2c < 0.2:
         return 1.0 - math.exp(-13.436 + 101.14 * a2c - 223.73 * a2c * a2c)
     if a2c < 0.34:
@@ -76,28 +66,18 @@ def _ad_p_value(a2c: float) -> float:
     return 0.0
 
 
-def anderson_darling_normal(samples: Sequence[float]) -> AndersonDarlingResult:
-    """Anderson-Darling normality test with mean and sd estimated from data.
-
-    A degenerate (zero-variance) sample is reported as rejected with an
-    infinite statistic: a point mass is as far from normal as it gets.
-    """
-    arr = np.asarray(samples, dtype=float)
-    n = arr.size
-    if n < 4:
-        raise ValueError("Anderson-Darling needs at least 4 observations")
-    sd = arr.std(ddof=1)
-    if sd == 0.0:
-        return AndersonDarlingResult(math.inf, math.inf, 0.0, True)
-    w = (np.sort(arr) - arr.mean()) / sd
-    z = ndtr(w)
-    z = np.clip(z, 1e-300, 1.0 - 1e-16)
-    i = np.arange(1, n + 1)
-    s = np.sum((2 * i - 1.0) / n * (np.log(z) + np.log1p(-z[::-1])))
-    a2 = -n - s
-    a2c = a2 * (1.0 + 0.75 / n + 2.25 / (n * n))
-    p = min(1.0, max(0.0, _ad_p_value(a2c)))
-    return AndersonDarlingResult(float(a2), float(a2c), float(p), p < ALPHA_LEVEL)
+def _anderson_darling(samples: np.ndarray, mean: np.ndarray,
+                      sd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A^2 and A*^2 of each row of a (cells × n) sample array, given each
+    row's mean and sd; both are infinite where the sd is zero."""
+    n = samples.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero sd
+        w = (np.sort(samples, axis=1) - mean[:, None]) / sd[:, None]
+    z = np.clip(ndtr(w), 1e-300, 1.0 - 1e-16)
+    weights = (2 * np.arange(1, n + 1) - 1.0) / n
+    s = np.sum(weights * (np.log(z) + np.log1p(-z[:, ::-1])), axis=1)
+    a2 = np.where(sd == 0.0, np.inf, -n - s)
+    return a2, a2 * (1.0 + 0.75 / n + 2.25 / (n * n))
 
 
 @dataclass(frozen=True)
@@ -119,28 +99,6 @@ class SignificanceCell:
     preferred: str            # "z" when normality holds, else "robust_z"
 
 
-def _cell(category: str, feature: str, empirical: float, samples: np.ndarray) -> SignificanceCell:
-    q1, q2, q3 = np.quantile(samples, [0.25, 0.5, 0.75])
-    mean, sd = float(samples.mean()), float(samples.std(ddof=1))
-    median, iqr = float(q2), float(q3 - q1)
-    ad: AndersonDarlingResult = anderson_darling_normal(samples)
-    return SignificanceCell(
-        category=category,
-        feature=feature,
-        empirical=float(empirical),
-        null_mean=mean,
-        null_sd=sd,
-        null_median=median,
-        null_iqr=iqr,
-        z=_standardised(empirical, mean, sd),
-        robust_z=_standardised(empirical, median, iqr),
-        ad_statistic=None if np.isinf(ad.statistic) else ad.statistic,
-        ad_p_value=ad.p_value,
-        normality=ad.verdict,
-        preferred="robust_z" if ad.rejected else "z",
-    )
-
-
 def score_ensemble(
     empirical: np.ndarray,
     ensemble: np.ndarray,
@@ -150,10 +108,13 @@ def score_ensemble(
     """Score every (row, column) of the empirical table against the replicas.
 
     ``empirical`` is rows × columns and ``ensemble`` replicas × rows ×
-    columns; each cell's samples are copied into a contiguous float64 array,
-    as numpy's pairwise sums depend on memory layout. Cells come out row by
-    row. Requires at least 8 replicas for the Anderson-Darling approximation;
-    raises :class:`AnalysisError` on a value that is not finite in float64.
+    columns. The replicas are copied into one C-contiguous float64 array of
+    cells × replicas, as numpy's pairwise sums depend on memory layout, and
+    every statistic runs along its rows in one pass; only the piecewise
+    Anderson-Darling p-value and the records are made per cell. Cells come
+    out row by row. Requires at least 8 replicas for the Anderson-Darling
+    approximation; raises :class:`AnalysisError` on a value that is not
+    finite in float64.
     """
     if len(ensemble) < _MIN_ENSEMBLE:
         raise AnalysisError(f"ensemble of {len(ensemble)} is below the minimum of {_MIN_ENSEMBLE}")
@@ -162,9 +123,21 @@ def score_ensemble(
     if not finite.all():
         i, j = np.argwhere(~finite)[0].tolist()
         raise AnalysisError(f"cannot score {rows[i]} {columns[j]}: not finite in float64")
+    samples = np.ascontiguousarray(ensemble.reshape(len(ensemble), ensemble[0].size).T)
+    means, sds = samples.mean(axis=1), samples.std(axis=1, ddof=1)
+    q1, medians, q3 = np.quantile(samples, [0.25, 0.5, 0.75], axis=1)
+    statistics, corrected = _anderson_darling(samples, means, sds)
+    per_cell = (np.asarray(empirical, dtype=float).ravel(), means, sds, medians, q3 - q1,
+                statistics, corrected)
     cells = []
-    for i, row in enumerate(rows):
-        for j, column in enumerate(columns):
-            samples = np.ascontiguousarray(ensemble[:, i, j])
-            cells.append(_cell(row, column, empirical[i, j], samples))
+    for (row, column), (value, mean, sd, median, iqr, a2, a2c) in zip(
+        product(rows, columns), zip(*(array.tolist() for array in per_cell))
+    ):
+        p = _ad_p_value(a2c)
+        rejected = p < ALPHA_LEVEL
+        cells.append(SignificanceCell(
+            row, column, value, mean, sd, median, iqr, _standardised(value, mean, sd),
+            _standardised(value, median, iqr), None if math.isinf(a2) else a2, p,
+            "rejected" if rejected else "not_rejected", "robust_z" if rejected else "z",
+        ))
     return cells

@@ -18,11 +18,14 @@ component, are owned by that component; only the three boundary kinds stand
 alone. The partition is complete: category node/link/tx/volume totals add
 up exactly to the graph totals.
 
-The categoriser works on integer endpoint columns: strongly connected
-components and the weak components of non-cyclic links come from
-``scipy.sparse.csgraph``, boundary flags are boolean scatters per component,
-and every node and link gets one category code. Category statistics are
-``np.bincount`` tables over those codes, with volumes summed exactly per
+The categoriser works on integer endpoint columns sorted by source:
+strongly connected components and the weak components of non-cyclic links
+come from ``scipy.sparse.csgraph``, handed a CSR matrix built straight from
+the columns; boundary flags are boolean scatters per component, and every
+node and link gets one category code. Category statistics are
+``np.bincount`` tables over those codes and ``label``'s components (a
+cyclic or acyclic category's weak components; only the single-node and
+boundary links need a weak-components pass), with volumes summed exactly per
 code as ``util.Units`` (int64 units, or ``Decimal``s past int64); a
 ``Decimal`` is built only for a volume that is written (a category or
 one-time row, a total), and a replica's volumes stay int64 until scored as
@@ -147,7 +150,6 @@ class Labels(NamedTuple):
 
     node: np.ndarray       # per node
     link: np.ndarray       # per link
-    scc_codes: np.ndarray  # per cyclic component
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,16 +176,22 @@ _NODE_CATEGORY = [NodeCategory(c) if c in NODE_CATEGORIES else None for c in CAT
 # Indexed by 2 * inbound + outbound (cyclic) or 2 * sends + receives (acyclic).
 _SCC_CODES = np.array([_CODE[c] for c in ("scc0", "sccTout", "sccTin", "sccTmix")])
 _DAG_CODES = np.array([_CODE[c] for c in ("dag0", "dagTout", "dagTin", "dagTmix")])
+_CYCLIC = np.array([c.startswith("scc") for c in CATEGORY_ORDER])
+_PASSED = np.array([not c.startswith(("scc", "dag")) for c in CATEGORY_ORDER])
+_BLOCK = np.cumsum(_PASSED) - 1  # each passed category's block of (category, node) vertices
 
 
 def _components(n: int, sources: np.ndarray, targets: np.ndarray, connection: str) -> np.ndarray:
-    ones = np.ones(sources.size, dtype=np.int8)
-    graph = csr_matrix((ones, (sources, targets)), shape=(n, n))
+    """Strong or weak component id of each node ``0..n-1``; ``sources`` must
+    be sorted, as they are the rows of the CSR matrix handed to csgraph."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
+    graph = csr_matrix((np.ones(sources.size), targets, indptr), shape=(n, n))
     return connected_components(graph, directed=True, connection=connection)[1]
 
 
 def label(n: int, sources: np.ndarray, targets: np.ndarray) -> tuple[Labels, np.ndarray]:
-    """Category codes of a simple digraph on nodes ``0..n-1``.
+    """Category codes of a simple digraph on nodes ``0..n-1``, links sorted by source.
 
     Returns the labels and each node's component id (its SCC for cyclic
     nodes, its weak component of non-cyclic links offset by ``n`` otherwise).
@@ -194,10 +202,9 @@ def label(n: int, sources: np.ndarray, targets: np.ndarray) -> tuple[Labels, np.
     plain = ~s_cyc & ~t_cyc
     wcc = _components(n, sources[plain], targets[plain], "weak")
     dag = ~cyclic & (np.bincount(wcc, minlength=1)[wcc] >= 2)
-    single = ~cyclic & ~dag
     has_out = np.bincount(sources, minlength=n) > 0
     has_in = np.bincount(targets, minlength=n) > 0
-    bridge = single & has_out & has_in
+    bridge = ~cyclic & ~dag & has_out & has_in
 
     # Boundary flags per component; links of bridge single-nodes do not count.
     scc_in, scc_out, dag_sends, dag_receives = np.zeros((4, n), dtype=bool)
@@ -206,25 +213,20 @@ def label(n: int, sources: np.ndarray, targets: np.ndarray) -> tuple[Labels, np.
     dag_sends[wcc[sources[dag[sources] & t_cyc]]] = True
     dag_receives[wcc[targets[s_cyc & dag[targets]]]] = True
 
-    node = np.select(
-        [cyclic, dag, bridge, has_out],
-        [_SCC_CODES[2 * scc_in[scc] + scc_out[scc]],
-         _DAG_CODES[2 * dag_sends[wcc] + dag_receives[wcc]],
-         _CODE["bridge_scc"], _CODE["in-single-node"]],
-        _CODE["out-single-node"],
-    )
-    # Internal links belong to their component, attachments to the
-    # single-node; the rest are boundary links.
-    internal = plain | (s_cyc & t_cyc & (scc[sources] == scc[targets]))
-    link = np.select(
-        [internal, s_cyc & t_cyc, s_cyc & single[targets], s_cyc, single[sources]],
-        [node[sources], _CODE["edge_scc2scc"], node[targets], _CODE["edge_scc2dag"],
-         node[sources]],
-        _CODE["edge_dag2scc"],
-    )
-    first = np.unique(scc[cyclic], return_index=True)[1]
-    labels = Labels(node=node, link=link, scc_codes=node[cyclic][first])
-    return labels, np.where(cyclic, scc, n + wcc)
+    node = np.where(has_out, _CODE["in-single-node"], _CODE["out-single-node"])
+    node[bridge] = _CODE["bridge_scc"]
+    node[dag] = _DAG_CODES[2 * dag_sends[wcc[dag]] + dag_receives[wcc[dag]]]
+    node[cyclic] = _SCC_CODES[2 * scc_in[scc[cyclic]] + scc_out[scc[cyclic]]]
+    # Internal links belong to their component, a single-node's attachment
+    # links to the single-node; the rest are boundary links.
+    link = node[sources]
+    both = np.flatnonzero(s_cyc & t_cyc)
+    link[both[scc[sources[both]] != scc[targets[both]]]] = _CODE["edge_scc2scc"]
+    leaving = np.flatnonzero(s_cyc & ~t_cyc)
+    ends = targets[leaving]
+    link[leaving] = np.where(dag[ends], _CODE["edge_scc2dag"], node[ends])
+    link[dag[sources] & t_cyc] = _CODE["edge_dag2scc"]
+    return Labels(node=node, link=link), np.where(cyclic, scc, n + wcc)
 
 
 def categorize(g: LedgerGraph) -> TopologyPartition:
@@ -235,6 +237,7 @@ def categorize(g: LedgerGraph) -> TopologyPartition:
 
 def tabulate(
     labels: Labels,
+    component: np.ndarray,
     sources: np.ndarray,
     targets: np.ndarray,
     counts: np.ndarray,
@@ -243,30 +246,45 @@ def tabulate(
 ) -> tuple[np.ndarray, Units]:
     """Per-category sizes from array labels: ``(table, volume)``.
 
-    ``table`` is int64, ``CATEGORY_ORDER`` rows by the ``CategoryRow`` count
-    columns (scc, wcc, node, link, tx); ``volume`` holds each category's
-    exact volume. ``counts`` and ``volumes`` are per link record;
-    ``record_link`` maps each record to the link carrying it (identity when
-    omitted). A category's weak components span its owned links plus their
-    endpoints, so e.g. single-nodes attached to one hub form one component.
+    ``labels`` and ``component`` are ``label``'s for the links ``sources ->
+    targets``, sorted by source. ``table`` is int64, ``CATEGORY_ORDER`` rows by the
+    ``CategoryRow`` count columns (scc, wcc, node, link, tx); ``volume``
+    holds each category's exact volume. ``counts`` and ``volumes`` are per
+    link record; ``record_link`` maps each record to the link carrying it
+    (identity when omitted). A category's weak components span its owned
+    links plus their endpoints, so e.g. single-nodes attached to one hub
+    form one component.
     """
     size = len(CATEGORY_ORDER)
     n = labels.node.size
     record_code = labels.link if record_link is None else labels.link[record_link]
     node_count = np.bincount(labels.node, minlength=size)
     link_count = np.bincount(labels.link, minlength=size)
-    scc_count = np.bincount(labels.scc_codes, minlength=size)
     tx_count = np.zeros(size, dtype=np.int64)
     np.add.at(tx_count, record_code, counts)
 
-    # One weak-components pass over (category, node) vertices.
-    keys, ends = np.unique(
-        np.concatenate([labels.link * n + sources, labels.link * n + targets]),
-        return_inverse=True,
-    )
-    vertex_wcc = _components(keys.size, ends[: sources.size], ends[sources.size:], "weak")
-    first = np.unique(vertex_wcc, return_index=True)[1]
-    wcc_count = np.bincount(keys[first] // n, minlength=size)
+    # A cyclic or acyclic category owns exactly the links inside its
+    # components, so its weak components are label's components.
+    code_of = np.full(2 * n, size)
+    code_of[component] = labels.node
+    wcc_count = np.bincount(code_of, minlength=size + 1)[:size]
+    scc_count = np.where(_CYCLIC, wcc_count, 0)
+    # The single-node and boundary-link categories need one weak-components
+    # pass over (category, node) vertices of their links: node v in the
+    # category's block b is b * n + v, renumbered in order over the touched
+    # vertices. The links go in (category, source) order, the CSR rows, which
+    # a stable (radix) sort of their uint8 codes gives.
+    passed = np.flatnonzero(_PASSED[labels.link])
+    passed = passed[np.argsort(labels.link[passed].astype(np.uint8), kind="stable")]
+    code = labels.link[passed]
+    heads, tails = _BLOCK[code] * n + sources[passed], _BLOCK[code] * n + targets[passed]
+    touched = np.zeros(_PASSED.sum() * n, dtype=bool)
+    touched[heads] = touched[tails] = True
+    vertex = np.cumsum(touched) - 1
+    vertex_wcc = _components(int(touched.sum()), vertex[heads], vertex[tails], "weak")
+    wcc_code = np.empty(vertex_wcc.max(initial=-1) + 1, dtype=np.int64)
+    wcc_code[vertex_wcc[vertex[heads]]] = code  # each component holds a link
+    wcc_count[_PASSED] = np.bincount(wcc_code, minlength=size)[_PASSED]
 
     table = np.stack([scc_count, wcc_count, node_count, link_count, tx_count], axis=1)
     return table, volumes.sums(record_code, size)
@@ -274,7 +292,8 @@ def tabulate(
 
 def category_stats(g: LedgerGraph, partition: TopologyPartition) -> dict[str, CategoryRow]:
     """Per-category sizes: components, nodes, links, transactions, volume."""
-    table, volume = tabulate(partition.labels, g.sources, g.targets, g.counts, g.units)
+    table, volume = tabulate(partition.labels, partition.component, g.sources, g.targets,
+                             g.counts, g.units)
     return {name: CategoryRow(*row, total)
             for name, row, total in zip(CATEGORY_ORDER, table.tolist(), volume.to_decimals())}
 

@@ -193,12 +193,20 @@ def check_epochs(seconds: np.ndarray) -> None:
 
 def iso_utc(seconds: np.ndarray) -> list[str]:
     """ISO-8601 UTC stamps of epoch seconds, as ``datetime.isoformat`` writes
-    them. Raises ``ValueError`` outside ``datetime``'s range, the only one
-    where numpy and ``datetime`` agree."""
+    them, with each distinct day formatted once. Raises ``ValueError``
+    outside ``datetime``'s range, the only one where numpy and it agree."""
     seconds = np.asarray(seconds, dtype=np.int64)
     check_epochs(seconds)
-    text = np.datetime_as_string(seconds.astype("datetime64[s]"), unit="s")
-    return [stamp + "+00:00" for stamp in text.tolist()]
+    days, day = np.unique(seconds // 86_400, return_inverse=True)
+    dates = np.datetime_as_string(days.astype("datetime64[D]")).astype("U10")
+    text = np.empty((seconds.size, 25), dtype=np.uint32)  # one code point each
+    text[:, :10] = dates.view(np.uint32).reshape(-1, 10)[day]
+    text[:, 10:] = np.array(["T00:00:00+00:00"]).view(np.uint32)
+    second = (seconds % 86_400).astype(np.uint32)
+    for column, value in ((11, second // 3600), (14, second // 60 % 60), (17, second % 60)):
+        text[:, column] += value // 10
+        text[:, column + 1] += value % 10
+    return text.view("U25").ravel().tolist()
 
 
 def mix64(a: int, b: int) -> int:

@@ -13,9 +13,13 @@ neighbourhood-walk triad census of general digraphs that the closed-form
 acyclic census replaced, and the two power-law fits, each with its own
 cutoff scan, that the shared scan replaced, and the significance scoring
 over one dict table per replica that the stacked replica arrays replaced,
-and the HFQ1-only share that ``strategy_report`` now takes from the
-signature masks. ``dict_view`` expands an array partition into the string-keyed one the
-categoriser used to return, and ``verify_partition`` checks that view's
+with the per-cell scorer (``reference_cell``, and its 1-D
+``anderson_darling_normal``) that one vectorised pass over each table
+replaced, the one-pass weak-component count of every category
+(``reference_wcc_count``) that ``tabulate`` now takes mostly from
+``label``'s components, and the HFQ1-only share that ``strategy_report``
+now takes from the signature masks. ``dict_view`` expands an array
+partition into the string-keyed one the categoriser used to return, and ``verify_partition`` checks that view's
 structural contract. ``keep_everything`` is the filter that admits every
 row, for parses that must give back what was written, and
 ``strongly_connected_components`` lists the strong components that
@@ -45,7 +49,9 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import zeta
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.special import ndtr, zeta
 
 from ledgerflow.degrees import _ALPHA_BOUNDS, MIN_DISTINCT_VALUES, PowerLawFit
 from ledgerflow.graph import LedgerGraph
@@ -70,7 +76,9 @@ from ledgerflow.topology import (
     TopologyPartition,
     _components,
 )
-from ledgerflow.stats import _MIN_ENSEMBLE, SignificanceCell, _cell
+from ledgerflow.stats import (
+    _MIN_ENSEMBLE, ALPHA_LEVEL, SignificanceCell, _ad_p_value, _standardised,
+)
 from ledgerflow.triads import DEFAULT_CENSUS_CATEGORIES, TRIAD_LABELS
 from ledgerflow.util import Units, dsum
 
@@ -311,8 +319,7 @@ def reference_labels(g: LedgerGraph, partition: DictPartition) -> Labels:
     code = {label: i for i, label in enumerate(CATEGORY_ORDER)}
     node = [code[partition.node_category[v]] for v in g.nodes]
     link = [code[partition.edge_label(pair)] for pair in links_of(g)]
-    sccs = [code[c.value] for c in partition.component_category.values() if c.is_scc]
-    return Labels(*(np.array(codes, dtype=np.int64) for codes in (node, link, sccs)))
+    return Labels(*(np.array(codes, dtype=np.int64) for codes in (node, link)))
 
 
 def _strongly_connected(members: tuple[str, ...], adj_pair) -> bool:
@@ -420,6 +427,26 @@ def strongly_connected_components(g: LedgerGraph) -> list[tuple[str, ...]]:
     for v, c in zip(g.nodes, _components(g.node_count, g.sources, g.targets, "strong").tolist()):
         groups.setdefault(c, []).append(v)
     return [tuple(group) for group in groups.values()]
+
+
+def reference_wcc_count(labels: Labels, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Weak components per category in one pass over (category, node)
+    vertices of every link, each vertex joined by the links its category
+    owns: the count ``tabulate`` took before it read the cyclic and acyclic
+    categories' components from ``label``. Its matrix is built from
+    coordinates, so the links may come in any order."""
+    size = len(CATEGORY_ORDER)
+    n = labels.node.size
+    keys, ends = np.unique(
+        np.concatenate([labels.link * n + sources, labels.link * n + targets]),
+        return_inverse=True,
+    )
+    ones = np.ones(sources.size, dtype=np.int8)
+    graph = coo_matrix((ones, (ends[: sources.size], ends[sources.size:])),
+                       shape=(keys.size, keys.size))
+    vertex_wcc = connected_components(graph, directed=True, connection="weak")[1]
+    first = np.unique(vertex_wcc, return_index=True)[1]
+    return np.bincount(keys[first] // max(n, 1), minlength=size)
 
 
 def tarjan_sccs(g: LedgerGraph) -> list[tuple[str, ...]]:
@@ -714,6 +741,65 @@ def _triad_count(census_tables: Mapping[str, Mapping[str, int]], label: str, tri
     return float(census_tables[label][triad])
 
 
+@dataclass(frozen=True)
+class AndersonDarlingResult:
+    statistic: float          # A^2 with estimated mean and sd
+    corrected: float          # A*^2 = A^2 (1 + 0.75/n + 2.25/n^2)
+    p_value: float
+    rejected: bool            # normality rejected at the 5% level
+
+
+def anderson_darling_normal(samples: Sequence[float]) -> AndersonDarlingResult:
+    """Anderson-Darling normality test of one sample, mean and sd estimated
+    from it; the per-cell test that ``score_ensemble``'s pass replaced.
+
+    A degenerate (zero-variance) sample is reported as rejected with an
+    infinite statistic: a point mass is as far from normal as it gets.
+    """
+    arr = np.asarray(samples, dtype=float)
+    n = arr.size
+    if n < 4:
+        raise ValueError("Anderson-Darling needs at least 4 observations")
+    sd = arr.std(ddof=1)
+    if sd == 0.0:
+        return AndersonDarlingResult(math.inf, math.inf, 0.0, True)
+    w = (np.sort(arr) - arr.mean()) / sd
+    z = ndtr(w)
+    z = np.clip(z, 1e-300, 1.0 - 1e-16)
+    i = np.arange(1, n + 1)
+    s = np.sum((2 * i - 1.0) / n * (np.log(z) + np.log1p(-z[::-1])))
+    a2 = -n - s
+    a2c = a2 * (1.0 + 0.75 / n + 2.25 / (n * n))
+    p = min(1.0, max(0.0, _ad_p_value(a2c)))
+    return AndersonDarlingResult(float(a2), float(a2c), float(p), p < ALPHA_LEVEL)
+
+
+def reference_cell(category: str, feature: str, empirical: float,
+                   samples: np.ndarray) -> SignificanceCell:
+    """One scored cell from its contiguous 1-D float64 samples, each
+    statistic taken alone: the per-cell scorer that ``score_ensemble``'s
+    one pass over a table replaced."""
+    q1, q2, q3 = np.quantile(samples, [0.25, 0.5, 0.75])
+    mean, sd = float(samples.mean()), float(samples.std(ddof=1))
+    median, iqr = float(q2), float(q3 - q1)
+    ad = anderson_darling_normal(samples)
+    return SignificanceCell(
+        category=category,
+        feature=feature,
+        empirical=float(empirical),
+        null_mean=mean,
+        null_sd=sd,
+        null_median=median,
+        null_iqr=iqr,
+        z=_standardised(empirical, mean, sd),
+        robust_z=_standardised(empirical, median, iqr),
+        ad_statistic=None if np.isinf(ad.statistic) else ad.statistic,
+        ad_p_value=ad.p_value,
+        normality="rejected" if ad.rejected else "not_rejected",
+        preferred="robust_z" if ad.rejected else "z",
+    )
+
+
 def reference_score_ensemble(
     empirical: Table,
     ensemble: Sequence[Table],
@@ -724,8 +810,7 @@ def reference_score_ensemble(
     """Score every (row, column) of the empirical table against the replicas.
 
     ``value(table, row, column)`` reads one cell of the empirical table or
-    of a replica table. The per-cell statistics are ``stats._cell``'s: this
-    reference checks how cells reach the scorer, not the scorer itself.
+    of a replica table; each cell is scored by ``reference_cell``.
     """
     if len(ensemble) < _MIN_ENSEMBLE:
         raise AnalysisError(f"ensemble of {len(ensemble)} is below the minimum of {_MIN_ENSEMBLE}")
@@ -733,7 +818,7 @@ def reference_score_ensemble(
     for row in rows:
         for column in columns:
             samples = np.array([value(table, row, column) for table in ensemble])
-            cells.append(_cell(row, column, value(empirical, row, column), samples))
+            cells.append(reference_cell(row, column, value(empirical, row, column), samples))
     return cells
 
 
@@ -1317,7 +1402,7 @@ def swapped_links(
 ) -> list[tuple[str, str, LinkRecord]]:
     """``nullmodel._swap`` of a graph's links, before parallel links merge,
     as (source id, target id, record) in link order."""
-    sources, targets = _swap(g.sources, g.targets, mode, seed, max_repair_attempts)
+    sources, targets, _ = _swap(g.sources, g.targets, mode, seed, max_repair_attempts)
     records = map(LinkRecord, g.counts.tolist(), g.units.to_decimals())
     return [(g.nodes[s], g.nodes[t], record)
             for s, t, record in zip(sources.tolist(), targets.tolist(), records)]

@@ -25,7 +25,7 @@ from ledgerflow.nullmodel import (
     run_ensemble,
 )
 from ledgerflow.recirculation import classify_ops, crosstab, extract_ops, user_signatures
-from ledgerflow.stats import anderson_darling_normal, robust_z_score, z_score
+from ledgerflow.stats import robust_z_score, score_ensemble, z_score
 from ledgerflow.synthetic import ScenarioSpec, generate_synthetic
 from ledgerflow.topology import (
     EdgeKind,
@@ -198,7 +198,7 @@ def test_criterion_6_planted_collector_significance():
     assert census_tables["dag0"]["021U"] >= 50
 
     ensemble_spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=200, master_seed=5)
-    _, census_ensemble = run_ensemble(g, ensemble_spec)
+    _, census_ensemble, _ = run_ensemble(g, ensemble_spec)
     cells = triad_significance(census_tables, census_ensemble)
     cell = next(c for c in cells if c.category == "dag0" and c.feature == "021U")
     elapsed = time.perf_counter() - start
@@ -241,13 +241,17 @@ def test_criterion_8_statistical_kernels():
     assert z_score(10, [2, 4, 6]) == pytest.approx(3.0, abs=1e-12)
     assert robust_z_score(10, [1, 2, 3, 4, 5]) == pytest.approx(3.5, abs=1e-12)
 
+    def normality(samples: np.ndarray) -> str:  # of one cell of 10,000 replicas
+        (cell,) = score_ensemble(np.zeros((1, 1)), samples.reshape(-1, 1, 1), ["a"], ["x"])
+        return cell.normality
+
     rejected_uniform = 0
     accepted_normal = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        if anderson_darling_normal(rng.uniform(size=10_000)).rejected:
+        if normality(rng.uniform(size=10_000)) == "rejected":
             rejected_uniform += 1
-        if not anderson_darling_normal(rng.normal(size=10_000)).rejected:
+        if normality(rng.normal(size=10_000)) == "not_rejected":
             accepted_normal += 1
     elapsed = time.perf_counter() - start
     assert rejected_uniform >= 18, f"uniform rejected only {rejected_uniform}/20"

@@ -65,9 +65,9 @@ def _census_rows(tables: Mapping[str, Mapping[str, int]]) -> np.ndarray:
 
 def _replica_stats(g: LedgerGraph, spec: EnsembleSpec, index: int) -> dict[str, CategoryRow]:
     """``tabulate`` on replica ``index`` of the ensemble, as exact rows."""
-    sources, targets, record_link = _replica(g, spec, index)
-    labels, _ = label(g.node_count, sources, targets)
-    table, volume = tabulate(labels, sources, targets, g.counts, g.units, record_link)
+    sources, targets, record_link, _ = _replica(g, spec, index)
+    labels, component = label(g.node_count, sources, targets)
+    table, volume = tabulate(labels, component, sources, targets, g.counts, g.units, record_link)
     return {name: CategoryRow(*row, total)
             for name, row, total in zip(CATEGORY_ORDER, table.tolist(), volume.to_decimals())}
 
@@ -129,9 +129,10 @@ def test_replica_units_sum_to_the_graphs(mode):
     total = int(g.units.values.sum())
     spec = EnsembleSpec(mode=mode, replicas=8, master_seed=3)
     for index in range(spec.replicas):
-        sources, targets, record_link = _replica(g, spec, index)
-        labels, _ = label(g.node_count, sources, targets)
-        _, volume = tabulate(labels, sources, targets, g.counts, g.units, record_link)
+        sources, targets, record_link, _ = _replica(g, spec, index)
+        labels, component = label(g.node_count, sources, targets)
+        _, volume = tabulate(labels, component, sources, targets, g.counts, g.units,
+                             record_link)
         assert int(volume.values.sum()) == total
         assert str(volume.total()) == str(g.volume)
         replica = randomize(g, mode, derive_seed(spec.master_seed, index))
@@ -209,7 +210,7 @@ def test_run_ensemble_deterministic():
 def test_run_ensemble_stacks_arrays_in_replica_order():
     g = random_digraph(random.Random(6), 40)
     spec = EnsembleSpec(mode=SwapMode.SOURCE, replicas=5, master_seed=8)
-    features, censuses = run_ensemble(g, spec)
+    features, censuses, _ = run_ensemble(g, spec)
     assert features.shape == (5, len(CATEGORY_ORDER), len(FEATURES))
     assert features.dtype == np.float64
     assert censuses.shape == (5, len(DEFAULT_CENSUS_CATEGORIES), len(TRIAD_LABELS))
@@ -222,7 +223,7 @@ def test_run_ensemble_conserves_totals():
     rng = random.Random(8)
     g = random_digraph(rng, 50)
     spec = EnsembleSpec(mode=SwapMode.BOTH, replicas=12, master_seed=3)
-    features, _ = run_ensemble(g, spec)
+    features, _, _ = run_ensemble(g, spec)
     for index in range(spec.replicas):
         stats = _replica_stats(g, spec, index)
         assert sum(r.tx_count for r in stats.values()) == g.tx_count
@@ -392,7 +393,7 @@ def test_run_ensemble_tables_come_from_one_replica():
     rng = random.Random(13)
     g = random_digraph(rng, 40)
     spec = EnsembleSpec(mode=SwapMode.SOURCE, replicas=3, master_seed=4)
-    stats_ensemble, census_ensemble = run_ensemble(g, spec)
+    stats_ensemble, census_ensemble, _ = run_ensemble(g, spec)
     for index in range(spec.replicas):
         replica = randomize(g, spec.mode, derive_seed(spec.master_seed, index))
         partition = categorize(replica)
@@ -425,7 +426,7 @@ def test_run_ensemble_matches_dict_reference(mode):
     for trial in range(6):
         g = reweighted(random_digraph(rng, 60), rng)
         spec = EnsembleSpec(mode=mode, replicas=4, master_seed=trial)
-        stats_ensemble, census_ensemble = run_ensemble(g, spec)
+        stats_ensemble, census_ensemble, _ = run_ensemble(g, spec)
         for index in range(spec.replicas):
             replica = randomize(g, mode, derive_seed(spec.master_seed, index))
             partition = reference_categorize(replica)
@@ -446,20 +447,40 @@ def test_replicas_reseed_after_a_failed_repair():
     # in order; the array ensemble must land on the same replicas.
     g = graph_of([("A", "B"), ("B", "A"), ("B", "C")])
     spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=16, master_seed=5, max_repair_attempts=1)
-    stats_ensemble, _ = run_ensemble(g, spec)
-    reseeded = 0
+    stats_ensemble, _, events = run_ensemble(g, spec)
+    reseeded = []
     for index, features in enumerate(stats_ensemble):
         first = derive_seed(spec.master_seed, index)
-        for seed in [first] + [derive_seed(first, attempt) for attempt in (1, 2, 3)]:
+        for attempt, seed in enumerate([first] + [derive_seed(first, a) for a in (1, 2, 3)]):
             try:
                 replica = randomize(g, spec.mode, seed, spec.max_repair_attempts)
                 break
             except RandomizationError:
-                reseeded += 1
+                pass
+        reseeded.append(int(attempt > 0))
         expected = reference_category_stats(replica, reference_categorize(replica))
         assert _replica_stats(g, spec, index) == expected
         assert np.array_equal(features, _features(expected))
-    assert reseeded > 0
+    # the events count each replica that needed a new seed once
+    assert events[:, 1].tolist() == reseeded and 0 < sum(reseeded) < spec.replicas
+
+
+def test_events_count_repairs_and_merges_on_planted_graphs():
+    spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=32, master_seed=9)
+
+    def first_draw(index: int, m: int) -> np.ndarray:
+        # a target swap permutes the target column with its first draw
+        return np.random.default_rng(derive_seed(spec.master_seed, index)).permutation(m)
+
+    # A 2-cycle: a crossed permutation makes both links self-loops, and the
+    # one exchange that repairs the first repairs the second too.
+    crossed = [int(first_draw(index, 2)[0] == 1) for index in range(spec.replicas)]
+    _, _, events = run_ensemble(graph_of([("A", "B"), ("B", "A")]), spec)
+    assert events.tolist() == [[c, 0, 0] for c in crossed] and 0 < sum(crossed) < 32
+    # A's two links merge when both get X, i.e. when Y lands on B's link.
+    y_last = [int(first_draw(index, 3)[2] == 1) for index in range(spec.replicas)]
+    _, _, events = run_ensemble(graph_of([("A", "X"), ("A", "Y"), ("B", "X")]), spec)
+    assert events.tolist() == [[0, 0, y] for y in y_last] and 0 < sum(y_last) < 32
 
 
 def test_randomization_concentrates_cyclic_mass():
@@ -537,7 +558,7 @@ def test_scoring_matches_dict_reference_on_run_ensemble(mode):
         g = reweighted(random_digraph(rng, 60), rng)
         partition = categorize(g)
         spec = EnsembleSpec(mode=mode, replicas=8, master_seed=trial)
-        stats_ensemble, census_ensemble = run_ensemble(g, spec)
+        stats_ensemble, census_ensemble, _ = run_ensemble(g, spec)
         replicas = [randomize(g, mode, derive_seed(spec.master_seed, index))
                     for index in range(spec.replicas)]
         stats_dicts = [reference_category_stats(r, reference_categorize(r)) for r in replicas]

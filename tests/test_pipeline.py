@@ -12,9 +12,10 @@ import pytest
 from ledgerflow import cli, pipeline, util
 from ledgerflow.errors import ConfigError
 from ledgerflow.graph import aggregate
-from ledgerflow.ingest import Ledger
-from ledgerflow.nullmodel import SwapMode
+from ledgerflow.ingest import Ledger, parse_ledger
+from ledgerflow.nullmodel import EnsembleSpec, SwapMode, run_ensemble
 from ledgerflow.pipeline import (
+    ALL_STAGES,
     PipelineConfig,
     run_pipeline,
     strategy_report,
@@ -154,17 +155,47 @@ def test_repeated_swap_mode_is_config_error(tmp_path):
                      modes=(SwapMode.BOTH, SwapMode.TARGET, SwapMode.BOTH))
 
 
+_ENSEMBLE_COUNTS = {"replicas", "self_loop_repairs", "reseeded_replicas", "links_merged_mean",
+                    "links_merged_max"}
+
+
 def test_stage_entries_hold_cpu_time_and_peak_rss(tmp_path):
     result = run_pipeline(small_config(DEMO_LEDGER, tmp_path / "out"))
     written = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert written["stages"] == result.manifest["stages"]
     for stage in result.manifest["stages"]:
+        # the stage that builds the replicas also counts their events
+        counts = _ENSEMBLE_COUNTS if stage["name"] == "significance" else set()
         assert set(stage) == {"name", "seconds", "cpu_seconds", "peak_rss_mb",
-                              "children_peak_rss_mb"}
+                              "children_peak_rss_mb"} | counts
         for key in ("seconds", "cpu_seconds", "peak_rss_mb", "children_peak_rss_mb"):
             assert isinstance(stage[key], float) and math.isfinite(stage[key]), stage
             assert stage[key] >= 0, stage
         assert stage["peak_rss_mb"] > 0, stage
+
+
+@pytest.mark.parametrize("stages", [ALL_STAGES, ("ingest", "triads")])
+def test_first_ensemble_stage_counts_the_null_models_events(tmp_path, stages):
+    # Every mode's replicas are counted once, under the first selected of
+    # the two ensemble stages; the counts are run_ensemble's events.
+    config = small_config(DEMO_LEDGER, tmp_path / "out", modes=tuple(SwapMode), replicas=8)
+    result = run_pipeline(config, stages=frozenset(stages))
+    graph, _ = aggregate(parse_ledger(DEMO_LEDGER, config.column_mapping, config.filter_spec)[0])
+    events = np.concatenate([
+        run_ensemble(graph, EnsembleSpec(mode, replicas=8, master_seed=9))[2] for mode in SwapMode
+    ])
+    entries = {stage["name"]: stage for stage in result.manifest["stages"]}
+    first = "significance" if "significance" in stages else "triads"
+    assert {key: entries[first][key] for key in _ENSEMBLE_COUNTS} == {
+        "replicas": 24,
+        "self_loop_repairs": int(events[:, 0].sum()),
+        "reseeded_replicas": int(events[:, 1].sum()),
+        "links_merged_mean": round(float(events[:, 2].mean()), 6),
+        "links_merged_max": int(events[:, 2].max()),
+    }
+    assert events[:, 0].sum() > 0 and events[:, 2].max() > 0
+    assert all(_ENSEMBLE_COUNTS.isdisjoint(entry) for name, entry in entries.items()
+               if name != first)
 
 
 def test_unknown_stage_is_config_error(tmp_path):

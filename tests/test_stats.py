@@ -1,13 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import anderson
 
 from ledgerflow.errors import AnalysisError
-from ledgerflow.stats import anderson_darling_normal, robust_z_score, score_ensemble, z_score
+from ledgerflow.stats import robust_z_score, score_ensemble, z_score
+
+from oracles import anderson_darling_normal, reference_cell
 
 
 def test_z_score_hand_case():
@@ -73,6 +76,8 @@ def test_ad_statistic_matches_scipy():
         mine = anderson_darling_normal(sample)
         theirs = anderson(sample, "norm", method="interpolate")
         assert mine.statistic == pytest.approx(theirs.statistic, rel=1e-9)
+        (cell,) = score_ensemble(np.zeros((1, 1)), sample.reshape(-1, 1, 1), ["a"], ["x"])
+        assert cell.ad_statistic == pytest.approx(theirs.statistic, rel=1e-9)
 
 
 def test_ad_normal_cdf_is_bit_equal_to_scipy_norm_cdf():
@@ -142,3 +147,54 @@ def test_score_ensemble_scores_each_cell_from_its_replica_column():
         assert cell.empirical == empirical[i, j]
         assert cell.z == z_score(empirical[i, j], samples)
         assert cell.robust_z == robust_z_score(empirical[i, j], samples)
+
+
+def _column(kind: str, replicas: int, rng: np.random.Generator) -> np.ndarray:
+    """One cell's replica values of a given shape."""
+    if kind == "normal":
+        return rng.normal(rng.uniform(-1e3, 1e3), rng.uniform(1e-3, 1e3), replicas)
+    if kind == "constant":  # sd 0: no AD statistic, p 0
+        return np.full(replicas, float(rng.integers(-5, 5)))
+    if kind == "one varies":
+        column = np.full(replicas, 3.0)
+        column[rng.integers(replicas)] = 4.0
+        return column
+    if kind == "ties":  # few distinct counts, often an IQR of 0
+        return rng.choice([0.0, 1.0, 2.0], size=replicas, p=[0.1, 0.8, 0.1])
+    if kind == "huge":  # squares past float64: an infinite sd
+        return rng.uniform(0.5e300, 1e300, replicas) * rng.choice([-1.0, 1.0])
+    # integers past 2**53, rounded to float64 on the way in
+    return (2**53 + rng.integers(0, 2**12, replicas)).astype(float)
+
+
+_KINDS = ("normal", "constant", "one varies", "ties", "huge", "past 2**53")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(8, 64),
+    st.sampled_from([(1, 1), (14, 5), (4, 16), (2, 3)]),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6),
+)
+@example(8, (1, 1), 0, ["constant"])
+@example(64, (14, 5), 1, list(_KINDS))
+def test_score_ensemble_matches_the_per_cell_reference(replicas, shape, seed, kinds):
+    # One vectorised pass per table scores each cell exactly as the per-cell
+    # reference does alone; JSON text tells -0.0 from 0.0 and shows NaN.
+    rng = np.random.default_rng(seed)
+    cells = shape[0] * shape[1]
+    ensemble = np.stack([_column(kinds[k % len(kinds)], replicas, rng) for k in range(cells)],
+                        axis=1).reshape(replicas, *shape)
+    # empirical values on, beside and far from each cell's replicas
+    empirical = np.where(rng.random(shape) < 0.5, ensemble[0],
+                         ensemble[-1] * rng.choice([0.0, -1.0, 2.0], size=shape))
+    rows = [f"r{i}" for i in range(shape[0])]
+    columns = [f"c{j}" for j in range(shape[1])]
+    with np.errstate(all="ignore"):
+        mine = score_ensemble(empirical, ensemble, rows, columns)
+        reference = [reference_cell(row, column, empirical[i, j],
+                                    np.ascontiguousarray(ensemble[:, i, j]))
+                     for i, row in enumerate(rows) for j, column in enumerate(columns)]
+    assert [json.dumps(cell.__dict__) for cell in mine] == \
+        [json.dumps(cell.__dict__) for cell in reference]

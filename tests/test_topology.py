@@ -1,18 +1,22 @@
 import random
 from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ledgerflow.graph import aggregate
+from ledgerflow.nullmodel import EnsembleSpec, SwapMode, _replica
 from ledgerflow.topology import (
     CATEGORY_ORDER,
     categorize,
     category_stats,
+    label,
     one_time_users,
+    tabulate,
 )
-from ledgerflow.util import dsum
+from ledgerflow.util import Units, dsum
 
 from conftest import random_digraph, reweighted
 from oracles import (
@@ -25,6 +29,7 @@ from oracles import (
     reference_categorize,
     reference_category_stats,
     reference_labels,
+    reference_wcc_count,
     strongly_connected_components,
     tarjan_sccs,
     tx,
@@ -249,6 +254,59 @@ def test_wcc_groups_singles_sharing_a_hub():
     stats = category_stats(g, categorize(g))
     assert stats["in-single-node"].node_count == 3
     assert stats["in-single-node"].wcc_count == 2
+
+
+def _wcc_counts(n, sources, targets):
+    """``tabulate``'s wcc column and the one-pass reference count."""
+    labels, component = label(n, sources, targets)
+    table, _ = tabulate(labels, component, sources, targets, np.ones(sources.size, dtype=np.int64),
+                        Units.of([Decimal(1)] * sources.size))
+    return table[:, 1].tolist(), reference_wcc_count(labels, sources, targets).tolist()
+
+
+def test_wcc_count_matches_the_one_pass_reference_on_random_digraphs():
+    rng = random.Random(23)
+    for trial in range(60):
+        g = random_digraph(rng, rng.choice([6, 40, 150]))
+        mine, reference = _wcc_counts(g.node_count, g.sources, g.targets)
+        assert mine == reference
+        # replicas: the swapped graph, its parallel links merged
+        spec = EnsembleSpec(mode=rng.choice(list(SwapMode)), replicas=1, master_seed=trial)
+        sources, targets, _, _ = _replica(g, spec, 0)
+        mine, reference = _wcc_counts(g.node_count, sources, targets)
+        assert mine == reference
+
+
+def _cycle(name: str, size: int = 2) -> list[tuple[str, str]]:
+    return [(f"{name}{k}", f"{name}{(k + 1) % size}") for k in range(size)]
+
+
+@pytest.mark.parametrize("links, expected", [
+    # bridge_scc: hubs H and J share the cycle a's node a0, so they form one
+    # component with their many attachment links; K joins e to f alone. A
+    # bridge's links leave its cycles' boundary flags unset.
+    ([*_cycle("a"), *_cycle("b"), *_cycle("c"), *_cycle("d"), *_cycle("e"), *_cycle("f"),
+      ("a0", "H"), ("b0", "H"), ("H", "c0"), ("H", "d0"), ("H", "d1"), ("a0", "J"), ("J", "d0"),
+      ("e0", "K"), ("K", "f0")],
+     {"bridge_scc": 2, "scc0": 6, "in-single-node": 0, "out-single-node": 0}),
+    # edge_* chains: a -> b -> c directly through b0, b -> c once more from
+    # b1, and c -> x -> y -> d through a DAG
+    ([*_cycle("a", 3), *_cycle("b"), *_cycle("c"), *_cycle("d"), ("a0", "b0"), ("b0", "c0"),
+      ("b1", "c1"), ("c1", "x"), ("x", "y"), ("y", "d0")],
+     {"edge_scc2scc": 2, "edge_scc2dag": 1, "edge_dag2scc": 1, "dagTmix": 1}),
+    # every link inside a cyclic or acyclic component: the pass is empty
+    ([*_cycle("a", 3), *_cycle("b"), ("x", "y"), ("y", "z"), ("w", "y")],
+     {"scc0": 2, "dag0": 1, "bridge_scc": 0, "in-single-node": 0}),
+    # the empty graph
+    ([], {label: 0 for label in CATEGORY_ORDER}),
+])
+def test_wcc_count_on_planted_graphs(links, expected):
+    g = graph_of(links)
+    mine, reference = _wcc_counts(g.node_count, g.sources, g.targets)
+    assert mine == reference
+    assert {label: mine[CATEGORY_ORDER.index(label)] for label in expected} == expected
+    stats = reference_category_stats(g, reference_categorize(g))
+    assert mine == [stats[label].wcc_count for label in CATEGORY_ORDER]
 
 
 def test_one_time_users_directions():

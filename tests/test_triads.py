@@ -221,8 +221,8 @@ def test_triad_significance_parallel_matches_serial():
     g, _ = aggregate(ledger.transactions)
     empirical = category_census(g, categorize(g))
     spec = EnsembleSpec(mode=SwapMode.BOTH, replicas=8, master_seed=6)
-    _, parallel = run_ensemble(g, spec, jobs=2)
-    _, serial = run_ensemble(g, spec, jobs=1)
+    _, parallel, _ = run_ensemble(g, spec, jobs=2)
+    _, serial, _ = run_ensemble(g, spec, jobs=1)
     assert triad_significance(empirical, parallel) == triad_significance(empirical, serial)
 
 

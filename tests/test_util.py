@@ -235,9 +235,15 @@ epochs = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(epochs, max_size=12))
 @example([MIN_EPOCH, MAX_EPOCH, 0, -1])
-# 28 February and 1 March of century years, leap (400, 2000) or not
-@example([_epoch(datetime(y, m, d)) - s for y in (100, 400, 1900, 2000, 2100)
+@example([MIN_EPOCH, MIN_EPOCH + 86_399, MIN_EPOCH + 86_400, MAX_EPOCH - 86_400, MAX_EPOCH])
+# 28 February and 1 March of century years, leap (400, 2000, 2400) or not
+@example([_epoch(datetime(y, m, d)) - s for y in (100, 400, 1900, 2000, 2100, 2400)
           for m, d in ((2, 28), (3, 1)) for s in (0, 1)])
+# leap days, their first and last second, before the Unix epoch and after
+@example([_epoch(datetime(y, 2, 29)) + s for y in (4, 1896, 1904, 1968, 2000, 2400, 9996)
+          for s in (0, 86_399)])
+# one day's stamps out of order, with repeats, beside another day's
+@example([86_399, 0, 3_600, 86_399, -86_400, 45_296, 0, -1])
 def test_iso_utc_matches_datetime_isoformat(seconds):
     expected = [(_UNIX_EPOCH + timedelta(seconds=s)).isoformat() for s in seconds]
     assert iso_utc(np.array(seconds, dtype=np.int64)) == expected
