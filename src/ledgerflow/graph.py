@@ -27,7 +27,6 @@ unpickled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -124,13 +123,6 @@ def aggregate(ledger: Ledger) -> tuple[LedgerGraph, AggregateDiagnostics]:
     Self-transfers (source == target) are dropped and counted; an empty
     ledger yields an empty graph.
     """
-    rows = np.flatnonzero(ledger.source != ledger.target)
-    sources, targets = ledger.source[rows], ledger.target[rows]
-    # Accounts seen only in self-transfers are not nodes.
-    used = np.zeros(len(ledger.accounts), dtype=bool)
-    used[sources] = used[targets] = True
-    node_of = np.cumsum(used) - 1
-    nodes = tuple(compress(ledger.accounts, used.tolist()))
-    graph = LedgerGraph._from_rows(nodes, node_of[sources], node_of[targets], 1,
-                                   ledger.units.take(rows))
-    return graph, AggregateDiagnostics(self_transfers_dropped=len(ledger) - rows.size)
+    kept = ledger.without_self_transfers()  # accounts seen only in self-transfers are not nodes
+    graph = LedgerGraph._from_rows(kept.accounts, kept.source, kept.target, 1, kept.units)
+    return graph, AggregateDiagnostics(self_transfers_dropped=len(ledger) - len(kept))

@@ -36,7 +36,7 @@ import itertools
 import re
 from collections.abc import Iterator, Sequence
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -165,10 +165,22 @@ class Ledger:
         return self.timestamp.size
 
     def without_self_transfers(self) -> "Ledger":
-        """The rows whose source and target differ, same account codes."""
-        return self._take(np.flatnonzero(self.source != self.target))
+        """The rows whose source and target differ, over the accounts they
+        use. Codes keep their order, so the accounts are the nodes, and
+        the codes the node indices, of the graph that ``aggregate`` makes
+        of this ledger."""
+        kept = self._take(np.flatnonzero(self.source != self.target))
+        used = np.zeros(len(self.accounts), dtype=bool)
+        used[kept.source] = used[kept.target] = True
+        if used.all():
+            return kept
+        code = np.cumsum(used) - 1
+        return replace(kept, accounts=tuple(itertools.compress(self.accounts, used.tolist())),
+                       source=code[kept.source], target=code[kept.target])
 
     def _take(self, index: np.ndarray) -> "Ledger":
+        """Rows ``index``, in that order: an ``index`` out of time order
+        gives a ledger that ``extract_ops`` rejects."""
         return Ledger(
             self.accounts,
             self.timestamp[index],

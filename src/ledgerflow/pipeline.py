@@ -304,6 +304,11 @@ def run_pipeline(
                 )
                 if graph.node_count:
                     writer.json("degree_stats", degree_stats(graph).as_dict(), always=True)
+            # The one ledger from here on, for recirculation: the parsed one
+            # is released once the transactions writer has forked with it.
+            if "recirculation" in stages or "report" in stages:
+                ledger = transactions.without_self_transfers()
+            del transactions
 
         with _timed(stage_log, "topology"):
             partition = categorize(graph)
@@ -377,7 +382,7 @@ def run_pipeline(
         mask = user_category = np.zeros(0, dtype=np.int64)
         if "recirculation" in stages or "report" in stages:
             with _timed(stage_log, "recirculation"):
-                ops = extract_ops(transactions.without_self_transfers())
+                ops = extract_ops(ledger)
                 if ops:
                     classified = classify_ops(ops)
                     if "recirculation" in stages and "csv" in writer.formats:

@@ -12,9 +12,12 @@ Equal timestamps order a user's incoming transactions before its outgoing
 ones (funds arrive before they move), sub-ordered by transaction id.
 
 Everything runs on the columnar ledger. Each transaction is one incoming
-event of its target and one outgoing event of its source; one
-``np.lexsort`` orders all events by (user, timestamp, direction, row), and
-a user's stream splits wherever an incoming event follows an outgoing one.
+event of its target and one outgoing event of its source. The rows are in
+time order, so each event's place in (timestamp, direction, row) order
+follows from its row and its run of equal stamps; one ``np.argsort`` of
+the int64 key ``user * 2m + place`` (``m`` rows) orders all events by
+user and then place, and a user's stream splits wherever an incoming
+event follows an outgoing one.
 Operations and signatures are columns (account codes and 4-bit masks); the
 crosstab maps codes to nodes with ``LedgerGraph.node_index``, counts (link
 category, frequency category) and (node category, mask) pairs with
@@ -106,34 +109,64 @@ def extract_ops(ledger: Ledger) -> Operations:
 
     Outgoing transactions before a user's first incoming one belong to no
     operation, and a trailing in-run without any outgoing transaction
-    yields none. Rows are ``(timestamp, tx_id)``-sorted, so the row number
-    breaks timestamp ties in transaction-id order.
+    yields none. Rows are ``(timestamp, tx_id)``-sorted, as every
+    ``Ledger``'s are, so the row number breaks timestamp ties in
+    transaction-id order, and an event's place in time follows from its row;
+    a ledger whose stamps are out of order (a take by an unsorted index) is
+    a :class:`DataError`.
     """
     m = len(ledger)
-    row = np.tile(np.arange(m), 2)
-    user = np.concatenate((ledger.target, ledger.source))
-    stamp = np.tile(ledger.timestamp, 2)
-    outgoing = np.repeat(np.array([False, True]), m)  # incoming sorts first
-    order = np.lexsort((row, outgoing, stamp, user))
-    row, user, stamp, outgoing = row[order], user[order], stamp[order], outgoing[order]
+    stamp = ledger.timestamp
+    if np.any(stamp[1:] < stamp[:-1]):
+        raise DataError("extract_ops needs a ledger whose rows are in time order")
+    span = 2 * m  # event e is row e's incoming event, event m + e row e's outgoing one
+    position = np.int32 if span < 2**31 else np.int64
+    # Rows are in time order, so in (stamp, direction, row) order the events
+    # of a run of L equal stamps from row s take places 2s .. 2s + 2L - 1:
+    # row r's incoming event s + r, its outgoing one L places later.
+    run = np.flatnonzero(np.concatenate(([True], stamp[1:] != stamp[:-1])))
+    length = np.diff(run, append=m)
+    place = np.repeat(run, length) + np.arange(m)
+    del run
+    # user * 2m + place is distinct per event and below (2m + 1) * 2m,
+    # which fits int64 for fewer than 1.5e9 rows. Built in place: no
+    # temporary of the key's size.
+    key = np.empty(span, dtype=np.int64)
+    np.multiply(ledger.target, span, out=key[:m])
+    key[:m] += place
+    np.multiply(ledger.source, span, out=key[m:])
+    key[m:] += place
+    del place
+    key[m:] += np.repeat(length, length)
+    del length
+    order = np.argsort(key).astype(position)
+    user = key[order]
+    del key
+    user //= span
+    outgoing = order >= m
 
     # A segment starts at each user's first event and wherever an incoming
     # event follows an outgoing one; it is an in-run then an out-run.
-    new = np.ones(2 * m, dtype=bool)
+    new = np.ones(span, dtype=bool)
     new[1:] = (user[1:] != user[:-1]) | (outgoing[:-1] & ~outgoing[1:])
-    starts = np.flatnonzero(new)
-    lengths = np.diff(np.append(starts, 2 * m))
-    incoming_before = np.concatenate(([0], np.cumsum(~outgoing)))
-    n_in = incoming_before[starts + lengths] - incoming_before[starts]
+    starts = np.flatnonzero(new).astype(position)
+    del new
+    user = user[starts]
+    lengths = np.diff(starts, append=position(span))
+    n_in = np.add.reduceat(~outgoing, starts, dtype=position)
+    del outgoing, starts
     is_op = (n_in > 0) & (n_in < lengths)
-    first, last = starts[is_op], starts[is_op] + lengths[is_op] - 1
-    bounds = np.concatenate(([0], np.cumsum(lengths[is_op])))
+    bounds = np.concatenate(([0], np.cumsum(lengths[is_op], dtype=np.int64)))
+    rows = order[np.repeat(is_op, lengths)]
+    del order, lengths
+    rows[rows >= m] -= m
+    # An operation's first member is incoming and its last outgoing.
     return Operations(
         ledger=ledger,
-        user=user[first],
-        first_in=stamp[first],
-        last_out=stamp[last],
-        rows=row[np.repeat(is_op, lengths)],
+        user=user[is_op],
+        first_in=stamp[rows[bounds[:-1]]],
+        last_out=stamp[rows[bounds[1:] - 1]],
+        rows=rows,
         bounds=bounds,
         split=bounds[:-1] + n_in[is_op],
     )

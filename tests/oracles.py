@@ -9,6 +9,8 @@ statistics that the integer-array implementations replaced also live here,
 as slow references, and so do the row-at-a-time sort, dict aggregation and
 per-transaction crosstab that the columnar ledger replaced, the one-lexsort
 row order that the stamp sort with id-ordered ties replaced, the
+four-column event lexsort of ``reference_extract_ops`` that one int64 sort
+key replaced in ``extract_ops``, the
 neighbourhood-walk triad census of general digraphs that the closed-form
 acyclic census replaced, and the two power-law fits, each with its own
 cutoff scan, that the shared scan replaced, and the significance scoring
@@ -1088,6 +1090,37 @@ def oracle_extract_ops(transactions) -> list[tuple[str, int, int, tuple[str, ...
                 )
             )
     return ops
+
+
+def reference_extract_ops(ledger: Ledger) -> Operations:
+    """``extract_ops`` as it was before it sorted one int64 key: one
+    ``np.lexsort`` of all events by (user, timestamp, direction, row),
+    over four tiled and permuted 2m-event columns."""
+    m = len(ledger)
+    row = np.tile(np.arange(m), 2)
+    user = np.concatenate((ledger.target, ledger.source))
+    stamp = np.tile(ledger.timestamp, 2)
+    outgoing = np.repeat(np.array([False, True]), m)  # incoming sorts first
+    order = np.lexsort((row, outgoing, stamp, user))
+    row, user, stamp, outgoing = row[order], user[order], stamp[order], outgoing[order]
+    new = np.ones(2 * m, dtype=bool)
+    new[1:] = (user[1:] != user[:-1]) | (outgoing[:-1] & ~outgoing[1:])
+    starts = np.flatnonzero(new)
+    lengths = np.diff(np.append(starts, 2 * m))
+    incoming_before = np.concatenate(([0], np.cumsum(~outgoing)))
+    n_in = incoming_before[starts + lengths] - incoming_before[starts]
+    is_op = (n_in > 0) & (n_in < lengths)
+    first, last = starts[is_op], starts[is_op] + lengths[is_op] - 1
+    bounds = np.concatenate(([0], np.cumsum(lengths[is_op])))
+    return Operations(
+        ledger=ledger,
+        user=user[first],
+        first_in=stamp[first],
+        last_out=stamp[last],
+        rows=row[np.repeat(is_op, lengths)],
+        bounds=bounds,
+        split=bounds[:-1] + n_in[is_op],
+    )
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from ledgerflow.errors import DataError
 from ledgerflow.graph import aggregate
 from ledgerflow.util import dsum
 
-from oracles import LinkRecord, graph_from_links, graph_of, ledger_of, links_of, tx
+from oracles import LinkRecord, graph_from_links, graph_of, ledger_of, links_of, rows_of, tx
 
 
 def test_aggregate_accumulates_per_pair():
@@ -52,6 +52,19 @@ def test_node_index_looks_accounts_up_by_name():
     # "BB" sorts between two nodes and "D" past the last: neither is a node.
     assert g.node_index(("A", "B", "BB", "C", "D")).tolist() == [0, 1, -1, 2, -1]
     assert g.node_index(()).tolist() == []
+
+
+def test_the_ledger_without_self_transfers_is_numbered_as_the_graph():
+    # "bs" is seen only in a self-transfer: it is no node, and no account of
+    # the ledger without self-transfers, so "c" moves from code 3 to 2.
+    ledger = ledger_of([tx("t1", 0, "a", "b"), tx("t2", 1, "bs", "bs"), tx("t3", 2, "b", "c")])
+    g, diag = aggregate(ledger)
+    clean = ledger.without_self_transfers()
+    assert ledger.accounts == ("a", "b", "bs", "c")
+    assert clean.accounts == g.nodes == ("a", "b", "c")
+    assert (clean.source.tolist(), clean.target.tolist()) == ([0, 1], [1, 2])
+    assert rows_of(clean) == [t for t in rows_of(ledger) if t.source != t.target]
+    assert diag.self_transfers_dropped == len(ledger) - len(clean) == 1
 
 
 def test_from_edges_merges_duplicates():

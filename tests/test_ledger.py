@@ -15,6 +15,8 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ledgerflow import ingest
 from ledgerflow.errors import DataError
@@ -66,6 +68,18 @@ def test_rows_follow_the_object_sort():
         ledger = ledger_of(txs)
         assert rows_of(ledger) == reference_sort(txs), trial
         assert ledger.accounts == tuple(sorted({v for t in txs for v in (t.source, t.target)}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(("t0", "t1", "t1\x00", "t2")),
+                          st.sampled_from(NAMES), st.sampled_from(NAMES),
+                          st.sampled_from(AMOUNTS)), max_size=300))
+def test_from_columns_follows_the_object_sort_under_dense_ties(rows):
+    # Four stamps and four ids: long runs of tied stamps, and rows equal in
+    # (stamp, id), which keep their input order (the subtype tells them apart).
+    txs = [tx(tx_id, stamp, source, target, amount, subtype=str(k))
+           for k, (stamp, tx_id, source, target, amount) in enumerate(rows)]
+    assert rows_of(ledger_of(txs)) == reference_sort(txs)
 
 
 def test_from_columns_matches_the_lexsort_order():

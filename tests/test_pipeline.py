@@ -11,8 +11,8 @@ import pytest
 
 from ledgerflow import cli, pipeline, util
 from ledgerflow.errors import ConfigError
-from ledgerflow.graph import aggregate
-from ledgerflow.ingest import Ledger, parse_ledger
+from ledgerflow.graph import LedgerGraph, aggregate
+from ledgerflow.ingest import Ledger, parse_ledger, write_transactions
 from ledgerflow.nullmodel import EnsembleSpec, SwapMode, run_ensemble
 from ledgerflow.pipeline import (
     ALL_STAGES,
@@ -130,6 +130,28 @@ def test_a_run_builds_no_per_row_list_and_no_account_mapping(tmp_path, monkeypat
     ledger.write_text(economy_ledger(600, 3), encoding="utf-8")
     config = PipelineConfig(input_path=ledger, output_dir=tmp_path / "out", replicas=8)
     assert len(run_pipeline(config).output_files) == 32
+
+
+def test_a_run_finds_no_node_by_name(tmp_path, monkeypatch):
+    # "bs" is seen only in a self-transfer, so it is an account of the
+    # parsed ledger but no node; the ledger the run keeps is numbered as the
+    # graph, so crosstab and user_categories take node_index's identity.
+    txs = [tx("t1", 0, "a", "b"), tx("t2", 1, "bs", "bs"), tx("t3", 2, "b", "c"),
+           tx("t4", 3, "c", "b"), tx("t5", 4, "b", "a")]
+    path = tmp_path / "ledger.csv"
+    write_transactions(path, ledger_of(txs))
+    same, node_index = [], LedgerGraph.node_index
+
+    def spy(g, accounts):
+        same.append(accounts == g.nodes)
+        return node_index(g, accounts)
+
+    monkeypatch.setattr(LedgerGraph, "node_index", spy)
+    result = run_pipeline(small_config(path, tmp_path / "out"), DESCRIPTIVE)
+    assert same == [True, True]
+    assert json.loads((tmp_path / "out" / "ingest_diagnostics.json").read_text())[
+        "self_transfers_dropped"] == 1
+    assert "operations.csv" in {p.name for p in result.output_files}
 
 
 def test_json_only_format(tmp_path):
