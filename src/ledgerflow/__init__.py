@@ -6,9 +6,17 @@ weighted directed simple graph, partition the graph into exclusive
 topological categories, test category sizes and triad counts against
 degree-preserving null ensembles, and extract per-user recirculation
 operations with quartile frequency categories.
+
+Importing the package sets ``OPENBLAS_THREAD_TIMEOUT=4`` unless it is set,
+so idle OpenBLAS workers sleep after 2**4 spin cycles, not 2**28; it acts
+only if numpy is not loaded yet, and changes no thread count or result.
 """
 
 __version__ = "0.1.0"  # first, so a submodule may import it at any time
+
+import os
+
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")  # before any submodule imports numpy
 
 from .errors import AnalysisError, ConfigError, DataError, LedgerflowError
 from .graph import AggregateDiagnostics, LedgerGraph, aggregate

@@ -47,8 +47,11 @@ def merge_links(n: int, sources: np.ndarray, targets: np.ndarray) -> tuple[np.nd
     nodes ``0..n-1`` as sorted (sources, targets), plus each row's index
     among them."""
     n = max(n, 1)
-    keys, link_of_row = np.unique(sources * n + targets, return_inverse=True)
-    return keys // n, keys % n, link_of_row
+    keys = sources * n + targets
+    if n * n <= 2**31:  # int32 keys sort faster
+        keys = keys.astype(np.int32)
+    keys, link_of_row = np.unique(keys, return_inverse=True)
+    return *np.divmod(keys.astype(np.int64, copy=False), n), link_of_row
 
 
 class LedgerGraph:

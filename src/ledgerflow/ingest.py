@@ -166,10 +166,13 @@ class Ledger:
 
     def without_self_transfers(self) -> "Ledger":
         """The rows whose source and target differ, over the accounts they
-        use. Codes keep their order, so the accounts are the nodes, and
-        the codes the node indices, of the graph that ``aggregate`` makes
-        of this ledger."""
-        kept = self._take(np.flatnonzero(self.source != self.target))
+        use (this ledger where none is dropped). Codes keep their order, so
+        the accounts are the nodes, and the codes the node indices, of the
+        graph that ``aggregate`` makes of this ledger."""
+        index = np.flatnonzero(self.source != self.target)
+        if index.size == len(self):
+            return self
+        kept = self._take(index)
         used = np.zeros(len(self.accounts), dtype=bool)
         used[kept.source] = used[kept.target] = True
         if used.all():

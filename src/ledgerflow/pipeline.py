@@ -285,8 +285,12 @@ def run_pipeline(
             transactions, diagnostics = parse_ledger(
                 config.input_path, config.column_mapping, config.filter_spec
             )
-            graph, agg_diag = aggregate(transactions)
-            diagnostics.self_transfers_dropped = agg_diag.self_transfers_dropped
+            # The one ledger from here on, self-transfers dropped once for the
+            # graph and recirculation; the parsed one is released once the
+            # transactions writer has forked with it.
+            ledger = transactions.without_self_transfers()
+            graph, _ = aggregate(ledger)
+            diagnostics.self_transfers_dropped = len(transactions) - len(ledger)
             if "ingest" in stages:
                 path = out_dir / "transactions_normalized.csv"
                 write_transactions(path, transactions,
@@ -304,10 +308,6 @@ def run_pipeline(
                 )
                 if graph.node_count:
                     writer.json("degree_stats", degree_stats(graph).as_dict(), always=True)
-            # The one ledger from here on, for recirculation: the parsed one
-            # is released once the transactions writer has forked with it.
-            if "recirculation" in stages or "report" in stages:
-                ledger = transactions.without_self_transfers()
             del transactions
 
         with _timed(stage_log, "topology"):

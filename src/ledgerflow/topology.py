@@ -18,27 +18,21 @@ component, are owned by that component; only the three boundary kinds stand
 alone. The partition is complete: category node/link/tx/volume totals add
 up exactly to the graph totals.
 
-The categoriser works on integer endpoint columns sorted by source:
-strongly connected components and the weak components of non-cyclic links
-come from ``scipy.sparse.csgraph``, handed a CSR matrix built straight from
-the columns; boundary flags are boolean scatters per component, and every
-node and link gets one category code. Category statistics are
-``np.bincount`` tables over those codes and ``label``'s components (a
-cyclic or acyclic category's weak components; only the single-node and
-boundary links need a weak-components pass), with volumes summed exactly per
-code as ``util.Units`` (int64 units, or ``Decimal``s past int64); a
-``Decimal`` is built only for a volume that is written (a category or
-one-time row, a total), and a replica's volumes stay int64 until scored as
-floats. ``categorize`` wraps ``label`` for a :class:`LedgerGraph`: its
-:class:`TopologyPartition` carries the codes and each node's component
-index, in ``g.nodes`` and link-column order, plus an account-id-to-category
-mapping built on first read. ``category_stats`` and ``one_time_users`` read
-the codes with the graph's ``counts`` and ``units`` columns, and
-``recirculation.crosstab`` and ``triads.category_census`` read the codes;
-null replicas call ``label`` and ``tabulate`` on their arrays directly.
-Component ids and edge kinds are derived from the codes where they are
-written (``pipeline``). The string-keyed dict view of a partition and its
-structural check live in ``tests/oracles.py`` as test references.
+The categoriser works on integer endpoint columns sorted by source. The
+strongly connected components, and the weak components of the links between
+non-cyclic nodes, come from ``scipy.sparse.csgraph``, handed CSR matrices
+built straight from the columns. Boundary flags and single-nodes are read
+off the links with exactly one cyclic end, each once, and one table maps a
+node's kind and flags to its category code. Category statistics are
+``np.bincount`` tables over the codes and ``label``'s components, plus one
+weak-components pass over the single-node and boundary links; volumes are
+summed exactly per code as ``util.Units``, and a ``Decimal`` is built only
+for a volume that is written. ``categorize`` wraps ``label`` for a
+:class:`LedgerGraph`: its :class:`TopologyPartition` carries the codes and
+each node's component index, in ``g.nodes`` and link-column order. Null
+replicas call ``label`` and ``tabulate`` on their arrays directly. The
+string-keyed dict view of a partition and its structural check live in
+``tests/oracles.py`` as test references.
 """
 
 from __future__ import annotations
@@ -176,6 +170,11 @@ _NODE_CATEGORY = [NodeCategory(c) if c in NODE_CATEGORIES else None for c in CAT
 # Indexed by 2 * inbound + outbound (cyclic) or 2 * sends + receives (acyclic).
 _SCC_CODES = np.array([_CODE[c] for c in ("scc0", "sccTout", "sccTin", "sccTmix")])
 _DAG_CODES = np.array([_CODE[c] for c in ("dag0", "dagTout", "dagTin", "dagTmix")])
+_BOUNDARY = np.array([_CODE["edge_scc2dag"], _CODE["edge_dag2scc"]])  # by entering a cyclic end
+# Indexed by 4 * kind + flags, for single-nodes (2 * sends + receives; an
+# isolated node is out-single), acyclic and cyclic nodes.
+_NODE_CODES = np.array([_CODE[c] for c in ("out-single-node", "out-single-node",
+                        "in-single-node", "bridge_scc")] + [*_DAG_CODES, *_SCC_CODES])
 _CYCLIC = np.array([c.startswith("scc") for c in CATEGORY_ORDER])
 _PASSED = np.array([not c.startswith(("scc", "dag")) for c in CATEGORY_ORDER])
 _BLOCK = np.cumsum(_PASSED) - 1  # each passed category's block of (category, node) vertices
@@ -190,43 +189,57 @@ def _components(n: int, sources: np.ndarray, targets: np.ndarray, connection: st
     return connected_components(graph, directed=True, connection=connection)[1]
 
 
+def _touched_components(size: int, heads: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Which ids of ``0..size-1`` the links ``heads -> tails`` (``heads``
+    sorted) touch, as a mask and in order, and the weak component of each,
+    taken over those ids alone."""
+    touched = np.zeros(size, dtype=bool)
+    touched[heads] = touched[tails] = True
+    members = np.flatnonzero(touched)
+    vertex = np.empty(size, dtype=np.int64)
+    vertex[members] = np.arange(members.size)
+    return touched, members, _components(members.size, vertex[heads], vertex[tails], "weak")
+
+
 def label(n: int, sources: np.ndarray, targets: np.ndarray) -> tuple[Labels, np.ndarray]:
     """Category codes of a simple digraph on nodes ``0..n-1``, links sorted by source.
 
-    Returns the labels and each node's component id (its SCC for cyclic
-    nodes, its weak component of non-cyclic links offset by ``n`` otherwise).
+    Returns the labels and each node's component id: its SCC for a cyclic
+    node, else ``n`` plus one member's index for an acyclic component and
+    ``n + v`` for single-node v.
     """
     scc = _components(n, sources, targets, "strong")
     cyclic = np.bincount(scc, minlength=1)[scc] >= 2
-    s_cyc, t_cyc = cyclic[sources], cyclic[targets]
-    plain = ~s_cyc & ~t_cyc
-    wcc = _components(n, sources[plain], targets[plain], "weak")
-    dag = ~cyclic & (np.bincount(wcc, minlength=1)[wcc] >= 2)
-    has_out = np.bincount(sources, minlength=n) > 0
-    has_in = np.bincount(targets, minlength=n) > 0
-    bridge = ~cyclic & ~dag & has_out & has_in
+    scc_of = np.where(cyclic, scc, -1)  # at each link end
+    s_scc, t_scc = scc_of[sources], scc_of[targets]
+    s_cyc, t_cyc = s_scc >= 0, t_scc >= 0
+    # A link between non-cyclic ends makes both acyclic; each weak component
+    # of those links is numbered n + one of its members' index.
+    plain = np.flatnonzero(~(s_cyc | t_cyc))
+    dag, members, wcc = _touched_components(n, sources[plain], targets[plain])
+    component = np.where(cyclic, scc, n + np.arange(n))
+    component[members] = n + members[wcc]
 
-    # Boundary flags per component; links of bridge single-nodes do not count.
-    scc_in, scc_out, dag_sends, dag_receives = np.zeros((4, n), dtype=bool)
-    scc_out[scc[sources[s_cyc & ~t_cyc & ~bridge[targets]]]] = True
-    scc_in[scc[targets[~s_cyc & t_cyc & ~bridge[sources]]]] = True
-    dag_sends[wcc[sources[dag[sources] & t_cyc]]] = True
-    dag_receives[wcc[targets[s_cyc & dag[targets]]]] = True
-
-    node = np.where(has_out, _CODE["in-single-node"], _CODE["out-single-node"])
-    node[bridge] = _CODE["bridge_scc"]
-    node[dag] = _DAG_CODES[2 * dag_sends[wcc[dag]] + dag_receives[wcc[dag]]]
-    node[cyclic] = _SCC_CODES[2 * scc_in[scc[cyclic]] + scc_out[scc[cyclic]]]
+    # The links with one cyclic end, the hub, set every flag: at component
+    # + 2n for a link into the hub (the SCC's inbound, the other end's sends),
+    # else at component. The other end is acyclic or a single-node, all of
+    # whose links are such; a bridge single-node's do not count for the SCC.
+    cross = np.flatnonzero(s_cyc != t_cyc)
+    side = n * t_cyc[cross]
+    ends = np.where(side, sources[cross], targets[cross])
+    seen = np.zeros(4 * n, dtype=bool)
+    owner = component[ends]
+    seen[2 * side + owner] = True
+    bridge = ~dag[ends] & seen[owner] & seen[owner + 2 * n]
+    seen[(2 * side + s_scc[cross] + t_scc[cross] + 1)[~bridge]] = True  # the other end's is -1
+    node = _NODE_CODES[4 * (2 * cyclic + dag) + (2 * seen[2 * n:] + seen[:2 * n])[component]]
     # Internal links belong to their component, a single-node's attachment
-    # links to the single-node; the rest are boundary links.
+    # links to the single-node; the rest are boundary links, those of an
+    # acyclic end by direction.
     link = node[sources]
-    both = np.flatnonzero(s_cyc & t_cyc)
-    link[both[scc[sources[both]] != scc[targets[both]]]] = _CODE["edge_scc2scc"]
-    leaving = np.flatnonzero(s_cyc & ~t_cyc)
-    ends = targets[leaving]
-    link[leaving] = np.where(dag[ends], _CODE["edge_scc2dag"], node[ends])
-    link[dag[sources] & t_cyc] = _CODE["edge_dag2scc"]
-    return Labels(node=node, link=link), np.where(cyclic, scc, n + wcc)
+    link[(s_scc != t_scc) & s_cyc & t_cyc] = _CODE["edge_scc2scc"]
+    link[cross] = np.where(dag, _BOUNDARY[:, None], node).ravel()[side + ends]
+    return Labels(node=node, link=link), component
 
 
 def categorize(g: LedgerGraph) -> TopologyPartition:
@@ -271,20 +284,16 @@ def tabulate(
     scc_count = np.where(_CYCLIC, wcc_count, 0)
     # The single-node and boundary-link categories need one weak-components
     # pass over (category, node) vertices of their links: node v in the
-    # category's block b is b * n + v, renumbered in order over the touched
-    # vertices. The links go in (category, source) order, the CSR rows, which
-    # a stable (radix) sort of their uint8 codes gives.
+    # category's block b is b * n + v. The links go in (category, source)
+    # order, which a stable (radix) sort of their uint8 codes gives.
     passed = np.flatnonzero(_PASSED[labels.link])
     passed = passed[np.argsort(labels.link[passed].astype(np.uint8), kind="stable")]
-    code = labels.link[passed]
-    heads, tails = _BLOCK[code] * n + sources[passed], _BLOCK[code] * n + targets[passed]
-    touched = np.zeros(_PASSED.sum() * n, dtype=bool)
-    touched[heads] = touched[tails] = True
-    vertex = np.cumsum(touched) - 1
-    vertex_wcc = _components(int(touched.sum()), vertex[heads], vertex[tails], "weak")
-    wcc_code = np.empty(vertex_wcc.max(initial=-1) + 1, dtype=np.int64)
-    wcc_code[vertex_wcc[vertex[heads]]] = code  # each component holds a link
-    wcc_count[_PASSED] = np.bincount(wcc_code, minlength=size)[_PASSED]
+    block = _BLOCK[labels.link[passed]] * n
+    _, vertex, vertex_wcc = _touched_components(_PASSED.sum() * n, block + sources[passed],
+                                                block + targets[passed])
+    wcc_block = np.empty(vertex_wcc.max(initial=-1) + 1, dtype=np.int64)
+    wcc_block[vertex_wcc] = vertex // n  # each component lies in one block
+    wcc_count[_PASSED] = np.bincount(wcc_block, minlength=_PASSED.sum())
 
     table = np.stack([scc_count, wcc_count, node_count, link_count, tx_count], axis=1)
     return table, volumes.sums(record_code, size)

@@ -7,17 +7,17 @@ classes occur, each in closed form (Moody 1998): with out-, in- and total
 degrees o, i, d per node, m links, n nodes and T transitive triangles (the
 2-paths u -> v -> w whose end pair u -> w is a link), 030T = T,
 021D = sum C(o, 2) - T, 021U = sum C(i, 2) - T, 021C = sum o*i - T,
-012 = m*n - sum d^2 + 3T, and 003 completes C(n, 3). T and the checks that
-the graph is acyclic and simple run on the links' integer keys
-``source * size + target``, sorted once and searched with
-``np.searchsorted``; the 2-paths are expanded from the sorted links' offsets
-per source. The general-digraph census lives in ``tests/oracles.py`` as a
-reference.
-
-A category's subgraph is its nodes and the links that carry its category
-code; boundary links never enter. ``triad_significance`` scores the
+012 = m*n - sum d^2 + 3T, and 003 completes C(n, 3). The 2-paths are
+expanded from the links' sorted integer keys ``source * size + target``,
+and their end pairs looked up with ``np.searchsorted``. A category's
+subgraph is its nodes and the links that carry its code, and no ``dag*``
+link leaves its category, so ``label_census`` takes every category's census
+in one pass with per-category sums, and runs no check: ``topology.label``
+makes these subgraphs simple and acyclic. ``census``, for any caller's
+graph, checks that it is. The general-digraph census lives in
+``tests/oracles.py`` as a reference. ``triad_significance`` scores the
 empirical censuses against those ``nullmodel.run_ensemble`` takes of each
-replica, with the same scoring as the category-size significance.
+replica.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ TRIAD_LABELS: tuple[str, ...] = (
     "030T", "030C", "201", "120D", "120U", "120C", "210", "300",
 )
 
+_ACYCLIC = np.array([category.startswith("dag") for category in CATEGORY_ORDER])
+
 DEFAULT_CENSUS_CATEGORIES: tuple[NodeCategory, ...] = (
     NodeCategory.DAG0,
     NodeCategory.DAG_TIN,
@@ -54,13 +56,45 @@ DEFAULT_CENSUS_CATEGORIES: tuple[NodeCategory, ...] = (
 )
 
 
-def _pairs(degree: np.ndarray) -> int:
-    return int((degree * (degree - 1)).sum()) // 2
-
-
 def _is_link(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Whether each key in ``query`` is one of the sorted ``keys``."""
     return np.take(keys, np.searchsorted(keys, query), mode="clip") == query
+
+
+def _closed_forms(keys: np.ndarray, size: int, group: np.ndarray, nodes: np.ndarray,
+                  check: bool = False) -> np.ndarray:
+    """Census, 003 left 0, of each node group of an acyclic simple digraph as
+    int64 groups × ``TRIAD_LABELS``: ``keys`` are its sorted links ``source *
+    size + target``, ``group`` each node's group (no link joins two groups),
+    ``nodes`` each group's size. ``check`` raises where the closed forms fail."""
+    if check and np.any(keys[1:] == keys[:-1]):
+        raise AnalysisError("parallel links in census input")
+    tails, heads = np.divmod(keys, size)
+    out_deg, in_deg = np.bincount(tails, minlength=size), np.bincount(heads, minlength=size)
+    # The 2-paths: each link tail -> head continues along every out-link
+    # of head, which the sorted links hold in one run from first_out[head].
+    first_out = np.cumsum(out_deg) - out_deg
+    fan = out_deg[heads]
+    firsts = np.repeat(tails, fan)
+    ends = heads[np.arange(fan.sum()) + np.repeat(first_out[heads] - (np.cumsum(fan) - fan), fan)]
+    # A self-loop is its own reverse, a mutual dyad's reverse is a link,
+    # and a 3-cycle closes a 2-path with the reverse of its end pair.
+    if check and _is_link(keys, np.concatenate((heads * size + tails, ends * size + firsts))).any():
+        raise AnalysisError("census input has a self-loop, mutual dyad or 3-cycle")
+    # Each group's links, 2-paths, sum o(o-1), sum i(i-1) and sum d^2, as
+    # exact sums over its links (a node of degree d ends d links).
+    degree, by = out_deg + in_deg, group[tails]
+    sums = np.zeros((5, nodes.size), dtype=np.int64)
+    for row, per_link in zip(sums, (1, fan, out_deg[tails] - 1, in_deg[heads] - 1,
+                                    degree[tails] + degree[heads])):
+        np.add.at(row, by, per_link)
+    m, paths, out_pairs, in_pairs, squares = sums
+    t = np.bincount(group[firsts[_is_link(keys, firsts * size + ends)]], minlength=nodes.size)
+    table = np.zeros((nodes.size, len(TRIAD_LABELS)), dtype=np.int64)
+    table[:, [TRIAD_LABELS.index(label) for label in ("012", "021D", "021U", "021C", "030T")]] = \
+        np.column_stack((m * nodes - squares + 3 * t, out_pairs // 2 - t, in_pairs // 2 - t,
+                         paths - t, t))
+    return table
 
 
 def census(n: int, sources: np.ndarray, targets: np.ndarray) -> dict[str, int]:
@@ -72,38 +106,13 @@ def census(n: int, sources: np.ndarray, targets: np.ndarray) -> dict[str, int]:
     dyad or 3-cycle (where the closed forms fail), or on more than ``n``
     linked nodes.
     """
-    sources = np.asarray(sources, dtype=np.int64)
-    targets = np.asarray(targets, dtype=np.int64)
-    counts = dict.fromkeys(TRIAD_LABELS, 0)
-    m = sources.size
-    if m:
-        size = int(max(sources.max(), targets.max())) + 1
-        out_deg = np.bincount(sources, minlength=size)
-        in_deg = np.bincount(targets, minlength=size)
-        degree = out_deg + in_deg
-        if np.count_nonzero(degree) > n:
-            raise AnalysisError(f"census links touch more than its {n} nodes")
-        keys = np.sort(sources * size + targets)
-        if np.any(keys[1:] == keys[:-1]):
-            raise AnalysisError("parallel links in census input")
-        tails, heads = np.divmod(keys, size)
-        # The 2-paths: each link tail -> head continues along every out-link
-        # of head, which the sorted links hold in one run from first_out[head].
-        first_out = np.cumsum(out_deg) - out_deg
-        fan = out_deg[heads]
-        firsts = np.repeat(tails, fan)
-        ends = heads[np.arange(fan.sum())
-                     + np.repeat(first_out[heads] - (np.cumsum(fan) - fan), fan)]
-        # A self-loop is its own reverse, a mutual dyad's reverse is a link,
-        # and a 3-cycle closes a 2-path with the reverse of its end pair.
-        if _is_link(keys, np.concatenate((heads * size + tails, ends * size + firsts))).any():
-            raise AnalysisError("census input has a self-loop, mutual dyad or 3-cycle")
-        t = int(_is_link(keys, firsts * size + ends).sum())
-        counts["030T"] = t
-        counts["021D"] = _pairs(out_deg) - t
-        counts["021U"] = _pairs(in_deg) - t
-        counts["021C"] = int((out_deg * in_deg).sum()) - t
-        counts["012"] = m * n - int((degree * degree).sum()) + 3 * t
+    sources, targets = np.asarray(sources, dtype=np.int64), np.asarray(targets, dtype=np.int64)
+    if np.unique(np.concatenate((sources, targets))).size > n:
+        raise AnalysisError(f"census links touch more than its {n} nodes")
+    size = int(max(sources.max(initial=0), targets.max(initial=0))) + 1
+    row = _closed_forms(np.sort(sources * size + targets), size, np.zeros(size, dtype=np.intp),
+                        np.array([n]), check=True)[0]
+    counts = dict(zip(TRIAD_LABELS, row.tolist()))
     counts["003"] = n * (n - 1) * (n - 2) // 6 - sum(counts.values())
     return counts
 
@@ -114,18 +123,21 @@ def label_census(
     targets: np.ndarray,
     categories: Sequence[NodeCategory] = DEFAULT_CENSUS_CATEGORIES,
 ) -> np.ndarray:
-    """Census of each category from array labels of one graph's links, as
-    int64 ``categories`` × ``TRIAD_LABELS``.
+    """Census of each acyclic category from array labels of one graph's
+    links, as int64 ``categories`` × ``TRIAD_LABELS``.
 
-    A category's subgraph is its nodes and the links that carry its code.
+    One pass over the links of every ``dag*`` category serves all of them,
+    unchecked: ``label`` makes each a simple acyclic subgraph whose links
+    join two of its own nodes.
     """
-    node_count = np.bincount(labels.node, minlength=len(CATEGORY_ORDER))
-    table = np.zeros((len(categories), len(TRIAD_LABELS)), dtype=np.int64)
-    for row, category in zip(table, categories):
-        code = CATEGORY_ORDER.index(category.value)
-        owned = labels.link == code
-        row[:] = list(census(int(node_count[code]), sources[owned], targets[owned]).values())
-    return table
+    if not all(category.is_dag for category in categories):
+        raise ValueError("label_census counts acyclic categories only")
+    n = max(labels.node.size, 1)
+    owned = np.flatnonzero(_ACYCLIC[labels.link])
+    nodes = np.bincount(labels.node, minlength=len(CATEGORY_ORDER))
+    table = _closed_forms(np.sort(sources[owned] * n + targets[owned]), n, labels.node, nodes)
+    table[:, 0] = nodes * (nodes - 1) * (nodes - 2) // 6 - table.sum(axis=1)
+    return table[[CATEGORY_ORDER.index(category.value) for category in categories]]
 
 
 def category_census(

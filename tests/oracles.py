@@ -12,7 +12,9 @@ row order that the stamp sort with id-ordered ties replaced, the
 four-column event lexsort of ``reference_extract_ops`` that one int64 sort
 key replaced in ``extract_ops``, the
 neighbourhood-walk triad census of general digraphs that the closed-form
-acyclic census replaced, and the two power-law fits, each with its own
+acyclic census replaced, the per-category loop of checked censuses
+(``reference_label_census``) that one unchecked pass over every ``dag*``
+category replaced, and the two power-law fits, each with its own
 cutoff scan, that the shared scan replaced, and the significance scoring
 over one dict table per replica that the stacked replica arrays replaced,
 with the per-cell scorer (``reference_cell``, and its 1-D
@@ -81,7 +83,7 @@ from ledgerflow.topology import (
 from ledgerflow.stats import (
     _MIN_ENSEMBLE, ALPHA_LEVEL, SignificanceCell, _ad_p_value, _standardised,
 )
-from ledgerflow.triads import DEFAULT_CENSUS_CATEGORIES, TRIAD_LABELS
+from ledgerflow.triads import DEFAULT_CENSUS_CATEGORIES, TRIAD_LABELS, census
 from ledgerflow.util import Units, dsum
 
 # --------------------------------------------------------------------------
@@ -1045,6 +1047,23 @@ def walk_census(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> dict[
 def graph_census(g: LedgerGraph) -> dict[str, int]:
     """``walk_census`` of a whole graph."""
     return walk_census(g.nodes, links_of(g).keys())
+
+
+def reference_label_census(
+    labels: Labels,
+    sources: np.ndarray,
+    targets: np.ndarray,
+    categories: Sequence[NodeCategory] = DEFAULT_CENSUS_CATEGORIES,
+) -> np.ndarray:
+    """``triads.label_census`` as one checked ``census`` per category: a
+    category's subgraph is its nodes and the links that carry its code."""
+    node_count = np.bincount(labels.node, minlength=len(CATEGORY_ORDER))
+    table = np.zeros((len(categories), len(TRIAD_LABELS)), dtype=np.int64)
+    for row, category in zip(table, categories):
+        code = CATEGORY_ORDER.index(category.value)
+        owned = labels.link == code
+        row[:] = list(census(int(node_count[code]), sources[owned], targets[owned]).values())
+    return table
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import pickle
 from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ledgerflow.errors import DataError
-from ledgerflow.graph import aggregate
+from ledgerflow.graph import aggregate, merge_links
 from ledgerflow.util import dsum
 
 from oracles import LinkRecord, graph_from_links, graph_of, ledger_of, links_of, rows_of, tx
@@ -65,6 +66,22 @@ def test_the_ledger_without_self_transfers_is_numbered_as_the_graph():
     assert (clean.source.tolist(), clean.target.tolist()) == ([0, 1], [1, 2])
     assert rows_of(clean) == [t for t in rows_of(ledger) if t.source != t.target]
     assert diag.self_transfers_dropped == len(ledger) - len(clean) == 1
+
+
+def test_a_ledger_without_self_transfers_is_itself():
+    ledger = ledger_of([tx("t1", 0, "a", "b"), tx("t2", 1, "b", "c")])
+    assert ledger.without_self_transfers() is ledger
+
+
+@pytest.mark.parametrize("n", [5, 46_340, 46_341, 2**16])  # int32 keys up to 46,340 nodes
+def test_merge_links_sorts_pairs_at_any_node_count(n):
+    sources = np.array([n - 1, 0, n - 1, 2, 0, 2])
+    targets = np.array([n - 2, 3, n - 2, 1, 3, 4])
+    merged_sources, merged_targets, link_of_row = merge_links(n, sources, targets)
+    pairs = sorted(set(zip(sources.tolist(), targets.tolist())))
+    assert list(zip(merged_sources.tolist(), merged_targets.tolist())) == pairs
+    assert merged_sources.dtype == merged_targets.dtype == np.int64
+    assert [pairs[k] for k in link_of_row] == list(zip(sources.tolist(), targets.tolist()))
 
 
 def test_from_edges_merges_duplicates():

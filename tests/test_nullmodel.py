@@ -29,7 +29,7 @@ from ledgerflow.topology import (
     CATEGORY_ORDER, CategoryRow, categorize, category_stats, label, tabulate,
 )
 from ledgerflow.triads import (
-    DEFAULT_CENSUS_CATEGORIES, TRIAD_LABELS, category_census, label_census, triad_significance,
+    DEFAULT_CENSUS_CATEGORIES, TRIAD_LABELS, category_census, triad_significance,
 )
 from ledgerflow.util import dsum, mix64
 
@@ -41,6 +41,7 @@ from oracles import (
     links_of,
     reference_categorize,
     reference_category_stats,
+    reference_label_census,
     reference_labels,
     reference_randomize_endpoints,
     reference_significance,
@@ -439,7 +440,7 @@ def test_run_ensemble_matches_dict_reference(mode):
             assert np.array_equal(stats_ensemble[index], _features(expected))
             labels = reference_labels(replica, partition)
             assert np.array_equal(census_ensemble[index],
-                                  label_census(labels, replica.sources, replica.targets))
+                                  reference_label_census(labels, replica.sources, replica.targets))
 
 
 def test_replicas_reseed_after_a_failed_repair():

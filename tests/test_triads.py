@@ -7,14 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ledgerflow.graph import aggregate
-from ledgerflow.nullmodel import EnsembleSpec, SwapMode, run_ensemble
+from ledgerflow.nullmodel import EnsembleSpec, RandomizationError, SwapMode, randomize, run_ensemble
 from ledgerflow.synthetic import ScenarioSpec, generate_synthetic
-from ledgerflow.topology import categorize
+from ledgerflow.topology import CATEGORY_ORDER, NodeCategory, categorize
 from ledgerflow.errors import AnalysisError
-from ledgerflow.triads import TRIAD_LABELS, category_census, census, triad_significance
+from ledgerflow.triads import (
+    DEFAULT_CENSUS_CATEGORIES, TRIAD_LABELS, category_census, census, label_census,
+    triad_significance,
+)
 
 from conftest import random_digraph
-from oracles import brute_force_census, graph_census, graph_of, links_of, walk_census
+from oracles import (
+    brute_force_census, graph_census, graph_of, links_of, reference_label_census, walk_census,
+)
 
 MUTUAL_OR_CYCLIC = ("102", "111D", "111U", "030C", "201", "120D", "120U", "120C", "210", "300")
 ZERO = dict.fromkeys(TRIAD_LABELS, 0)
@@ -132,6 +137,38 @@ def test_closed_form_refuses_graphs_it_does_not_fit(n, pairs, message):
     ends = np.array(pairs, dtype=np.int64)
     with pytest.raises(AnalysisError, match=message):
         census(n, ends[:, 0], ends[:, 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([6, 15, 40]),
+       st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.sampled_from(list(SwapMode)))
+def test_one_pass_census_matches_the_checked_census_per_category(rnd, max_nodes, density, mode):
+    # The replica path's kernel runs none of census's checks; label must
+    # hand it simple acyclic categories, on graphs and on their replicas.
+    g = random_digraph(rnd, max_nodes, density)
+    graphs = [g]
+    try:
+        graphs.append(randomize(g, mode, rnd.getrandbits(64)))
+    except RandomizationError:
+        pass
+    for h in graphs:
+        labels = categorize(h).labels
+        table = label_census(labels, h.sources, h.targets)
+        assert np.array_equal(table, reference_label_census(labels, h.sources, h.targets))
+        assert np.array_equal(label_census(labels, h.sources, h.targets,
+                                           DEFAULT_CENSUS_CATEGORIES[::-1]), table[::-1])
+        for row, category in zip(table.tolist(), DEFAULT_CENSUS_CATEGORIES):
+            code = CATEGORY_ORDER.index(category.value)
+            owned = labels.link == code
+            nodes = [h.nodes[v] for v in np.flatnonzero(labels.node == code)]
+            links = [(h.nodes[s], h.nodes[t]) for s, t in zip(h.sources[owned], h.targets[owned])]
+            assert dict(zip(TRIAD_LABELS, row)) == brute_force_census(nodes, links)
+
+
+def test_one_pass_census_takes_acyclic_categories_only():
+    g = graph_of([("A", "B"), ("B", "A")])
+    with pytest.raises(ValueError, match="acyclic"):
+        label_census(categorize(g).labels, g.sources, g.targets, (NodeCategory.SCC0,))
 
 
 def test_census_matches_brute_force_on_random_graphs():
