@@ -7,8 +7,9 @@ header; timestamps may be ISO-8601 or integer epoch seconds inside
 ``datetime``'s UTC range. Parsing validates each row and returns a
 columnar :class:`Ledger` sorted by (timestamp, tx_id) together with a
 diagnostics record: int64 timestamps, int64 source and target codes
-into the sorted account ids, the ids and subtypes as read with each row's
-int64 position in them, int64 codes into a table of the distinct amounts'
+into the sorted account ids, the ids as read with each row's int64
+position in them, one int32 code per row read into a table of the distinct
+subtypes, int64 codes into a table of the distinct amounts'
 ``Decimal``s, and the amounts again as ``util.Units``: int64 units at one
 scale for the whole ledger, each row's exponent beside them (or, past
 int64, the ``Decimal`` fallback). No per-row object is built, each distinct
@@ -45,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .util import MAX_EPOCH, MIN_EPOCH, Rendered, Units, check_epochs, iso_utc, write_csv
+from .util import MAX_EPOCH, MIN_EPOCH, Coded, Units, check_epochs, iso_rows, write_csv
 
 __all__ = [
     "Ledger",
@@ -64,10 +65,11 @@ class Ledger:
 
     ``timestamp`` is int64 UTC epoch seconds; ``source`` and ``target`` are
     int64 codes into ``accounts``, the account ids in code-point order, so
-    code order is string order. Row ``k``'s id and subtype are at
-    ``row[k]`` in ``ids`` and ``subtypes``, the lists read (with a file's
-    filtered rows); ``tx_id`` and ``subtype`` build the per-row lists on
-    each call, as ``amount`` does. A row's amount is
+    code order is string order. Row ``k``'s id is ``ids[row[k]]``, ``ids``
+    being the list read (with a file's filtered rows), and its subtype is
+    ``subtype_table[subtypes[row[k]]]``, ``subtypes`` holding one int32
+    code per item of ``ids``; ``tx_id`` and ``subtype`` build the per-row
+    lists on each call, as ``amount`` does. A row's amount is
     ``amount_table[amount_code[k]]``, the table holding each distinct
     amount text's ``Decimal`` once; ``units`` holds the amounts as
     :class:`Units`, which every volume is summed from.
@@ -79,18 +81,19 @@ class Ledger:
     target: np.ndarray
     row: np.ndarray
     ids: list[str]
-    subtypes: list[str]
+    subtypes: np.ndarray
+    subtype_table: list[str]
     amount_table: list[Decimal]
     amount_code: np.ndarray
     units: Units
 
     @property
     def tx_id(self) -> list[str]:
-        return _take_list(self.ids, self.row)
+        return [self.ids[i] for i in self.row.tolist()]
 
     @property
     def subtype(self) -> list[str]:
-        return _take_list(self.subtypes, self.row)
+        return np.array(self.subtype_table, dtype=object)[self.subtypes[self.row]].tolist()
 
     @property
     def amount(self) -> list[Decimal]:
@@ -120,17 +123,20 @@ class Ledger:
         amount_code = _encode(list(map(str, amount)), texts)
         amounts = np.empty(len(texts), dtype=object)
         amounts[amount_code] = amount
+        subtypes: dict[str, int] = {}
+        subtype_code = _encode(list(subtype), subtypes, np.int32)
         return cls._select(np.array(timestamp, dtype=np.int64), list(tx_id), list(code), source,
-                           target, amounts.tolist(), amount_code, list(subtype),
+                           target, amounts.tolist(), amount_code, subtype_code, list(subtypes),
                            np.arange(len(timestamp)))
 
     @classmethod
-    def _select(cls, stamps, tx_id, names, source, target, amounts, amount_code, subtype,
-                rows) -> "Ledger":
+    def _select(cls, stamps, tx_id, names, source, target, amounts, amount_code, subtype_code,
+                subtypes, rows) -> "Ledger":
         """Rows ``rows`` of unsorted columns, sorted. ``source`` and
         ``target`` are codes into ``names``, distinct account ids in any
-        order, and ``amount_code`` into ``amounts``, decimals in any order;
-        the ledger keeps the ``tx_id`` and ``subtype`` lists as they are."""
+        order, ``amount_code`` into ``amounts``, decimals in any order, and
+        ``subtype_code`` into ``subtypes``; the ledger keeps the ``tx_id``
+        list and the subtype codes as they are."""
         order = rows[np.argsort(stamps[rows], kind="stable")]
         stamps = stamps[order]
         # Runs of equal stamps are put in the code-point order of their ids,
@@ -155,7 +161,8 @@ class Ledger:
             recode[target],
             order,
             tx_id,
-            subtype,
+            subtype_code,
+            subtypes,
             amounts,
             amount_code,
             Units.of(amounts, amount_code),
@@ -192,6 +199,7 @@ class Ledger:
             self.row[index],
             self.ids,
             self.subtypes,
+            self.subtype_table,
             self.amount_table,
             self.amount_code[index],
             self.units.take(index),
@@ -201,16 +209,11 @@ class Ledger:
         return f"Ledger(rows={len(self)}, accounts={len(self.accounts)})"
 
 
-def _encode(values: list[str], code: dict[str, int]) -> np.ndarray:
-    """The int64 codes of ``values`` in ``code``, which gives each value it
-    does not hold yet the next code."""
+def _encode(values: list[str], code: dict[str, int], dtype=np.int64) -> np.ndarray:
+    """The codes of ``values`` in ``code``, which gives each value it does
+    not hold yet the next code."""
     code.update(zip(set(values).difference(code), itertools.count(len(code))))
-    return np.fromiter(map(code.__getitem__, values), np.int64, len(values))
-
-
-def _take_list(values: list, rows: np.ndarray) -> list:
-    """The items of ``values`` at ``rows``, as a list."""
-    return [values[i] for i in rows.tolist()]
+    return np.fromiter(map(code.__getitem__, values), dtype, len(values))
 
 
 @dataclass(frozen=True)
@@ -485,19 +488,18 @@ def _parse_blocks(
     excluded = filter_spec.exclude_accounts
     # Every row is checked, filtered or not; the filter and the sort are
     # then applied as one take. Accounts and amount texts become codes block
-    # by block, each amount text converted once, and equal subtypes share
-    # one object.
+    # by block, each amount text converted once, and so do subtypes.
     stamps: list[np.ndarray] = []
     kept: list[np.ndarray] = []
     sources: list[np.ndarray] = []
     targets: list[np.ndarray] = []
     tx_ids: list[str] = []
     amount_codes: list[np.ndarray] = []
-    subtypes: list[str] = []
+    subtype_codes: list[np.ndarray] = []
     accounts: dict[str, int] = {}
     amount_of: dict[str, int] = {}
     decimals: list[Decimal] = []
-    shared: dict[str, str] = {}
+    subtypes: dict[str, int] = {}
     seen_ids: set[str] = set()
     rows = 0
     for block in itertools.chain((first,), blocks):
@@ -535,13 +537,14 @@ def _parse_blocks(
         targets.append(_encode(target, accounts))
         tx_ids += tx_id
         amount_codes.append(amount)
-        subtypes += map(shared.setdefault, subtype, subtype)
+        subtype_codes.append(_encode(subtype, subtypes, np.int32))
         rows += n
     del seen_ids, amount_of
     rows_kept = np.concatenate(kept)
     ledger = Ledger._select(np.concatenate(stamps), tx_ids, list(accounts),
                             np.concatenate(sources), np.concatenate(targets),
-                            decimals, np.concatenate(amount_codes), subtypes, rows_kept)
+                            decimals, np.concatenate(amount_codes),
+                            np.concatenate(subtype_codes), list(subtypes), rows_kept)
     return ledger, IngestDiagnostics(rows_read=rows, rows_filtered=rows - len(rows_kept))
 
 
@@ -631,10 +634,12 @@ def _parse_rows(
     diagnostics.duplicate_tx_ids = duplicates
     accounts: dict[str, int] = {}
     source, target = _encode(sources, accounts), _encode(targets, accounts)
+    subtype_of: dict[str, int] = {}
+    subtype_code = _encode(subtypes, subtype_of, np.int32)
     rows = np.arange(len(stamps))
     ledger = Ledger._select(np.array(stamps, dtype=np.int64), tx_ids, list(accounts), source,
-                            target, decimals, np.array(amount_codes, dtype=np.int64), subtypes,
-                            rows)
+                            target, decimals, np.array(amount_codes, dtype=np.int64),
+                            subtype_code, list(subtype_of), rows)
     return ledger, diagnostics
 
 
@@ -646,26 +651,21 @@ def write_transactions(
     """Write a normalized ledger CSV in (timestamp, tx_id) order under the
     default column names (round-trips with parse).
 
-    Every column is :class:`Rendered`, so ``write_csv`` turns it into text
-    one chunk of rows at a time (ids and subtypes are taken by ``row``). A stamp
-    outside ``datetime``'s range raises ``ValueError`` before the file is
-    opened. ``write(path, header, columns)`` writes the file; the default,
-    ``write_csv``, writes it here and now, and a caller may hand the
-    columns to another writer (the pipeline writes them in a forked child).
+    Every column is :class:`Coded`: ids by ``row``, accounts, amounts and
+    subtypes as codes into their tables, and stamps through ``iso_rows`` a
+    chunk of rows at a time. A stamp outside ``datetime``'s range raises
+    ``ValueError`` before the file is opened. ``write(path, header,
+    columns)`` writes the file; the default, ``write_csv``, writes it here
+    and now, and a caller may hand the columns to another writer (the
+    pipeline writes them in a forked child).
     """
     check_epochs(ledger.timestamp)
-    accounts = np.array(ledger.accounts, dtype=object)
-    amounts = np.array(list(map(str, ledger.amount_table)), dtype=object)
-
-    def account_ids(codes: np.ndarray) -> list[str]:
-        return accounts[codes].tolist()
-
+    accounts = ledger.accounts
     write(
         Path(path),
         ColumnMapping().names,
-        (Rendered(ledger.row, lambda rows: _take_list(ledger.ids, rows)),
-         Rendered(ledger.timestamp, iso_utc), Rendered(ledger.source, account_ids),
-         Rendered(ledger.target, account_ids),
-         Rendered(ledger.amount_code, lambda codes: amounts[codes].tolist()),
-         Rendered(ledger.row, lambda rows: _take_list(ledger.subtypes, rows))),
+        (Coded(ledger.row, ledger.ids), Coded(ledger.timestamp, iso_rows),
+         Coded(ledger.source, accounts), Coded(ledger.target, accounts),
+         Coded(ledger.amount_code, list(map(str, ledger.amount_table))),
+         Coded(ledger.subtypes[ledger.row], ledger.subtype_table)),
     )

@@ -14,9 +14,10 @@ permuted int64 endpoint column with its self-loops repaired. Parallel links
 merge through ``graph.merge_links`` (``np.unique`` on ``source * n +
 target``), the step that aggregation uses too; inside an ensemble the
 per-link counts and volumes (the graph's int64 units) stay in the original
-link order, and ``topology.tabulate`` sums them per category through the
-merge's row-to-link index, so a replica's category volumes are int64 sums,
-scored as floats, and no ``Decimal`` is built. ``randomize`` builds the
+link order, and ``topology.tabulate`` gives each record its category
+through the merge's row-to-link index; ``Units.float_sums`` sums the units
+per category, so a replica's category volumes are int64 sums, scored as
+floats, and no exponent or ``Decimal`` is taken. ``randomize`` builds the
 merged replica as a graph, adding parallel links' counts and volumes
 exactly.
 
@@ -182,8 +183,8 @@ def _replica(g: LedgerGraph, spec: EnsembleSpec, index: int) -> tuple[np.ndarray
 def _replica_tables(g: LedgerGraph, spec: EnsembleSpec, index: int) -> tuple[np.ndarray, ...]:
     sources, targets, record_link, events = _replica(g, spec, index)
     labels, component = label(g.node_count, sources, targets)
-    table, volume = tabulate(labels, component, sources, targets, g.counts, g.units, record_link)
-    features = np.column_stack([table[:, 1:], volume.floats()])
+    table, record_code = tabulate(labels, component, sources, targets, g.counts, record_link)
+    features = np.column_stack([table[:, 1:], g.units.float_sums(record_code, len(table))])
     return features, triads.label_census(labels, sources, targets), events
 
 

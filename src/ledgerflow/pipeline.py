@@ -57,7 +57,7 @@ from .topology import (
 )
 from .triads import TRIAD_LABELS, category_census, triad_significance
 from .util import (
-    Rendered, fork_call, format_duration, iso_utc, join_all, text_columns, write_csv, write_json,
+    Coded, fork_call, format_duration, iso_rows, join_all, text_columns, write_csv, write_json,
 )
 
 __all__ = [
@@ -176,10 +176,10 @@ class _Writer:
     The bulk tables (``transactions_normalized``, ``node_assignment`` with
     ``edge_assignment``, ``operations``) are handed off where the serial run
     would write them, each to a forked child (``util.fork_call``) that
-    renders its text beside the analysis; the transactions child takes the
-    ids and subtypes by ``ledger.row`` one chunk at a time, so the parent
-    copies no per-row list. ``join`` waits for them: before
-    ``manifest.json``, and in ``run_pipeline``'s ``finally``.
+    writes its bytes beside the analysis; every column is codes into a
+    table of distinct cells (``util.Coded``), so the parent builds no
+    per-row text. ``join`` waits for them: before ``manifest.json``, and in
+    ``run_pipeline``'s ``finally``.
     """
 
     def __init__(self, out_dir: Path, formats: tuple[str, ...]):
@@ -198,7 +198,7 @@ class _Writer:
         join_all(self.pending)
 
     def csv(self, name: str, header, rows=(), columns=None) -> None:
-        """A small table given as rows of cells, or as columns of text."""
+        """A small table given as rows of cells, or as ``write_csv`` columns."""
         if "csv" in self.formats:
             path = self.out_dir / f"{name}.csv"
             write_csv(path, header, columns or text_columns(rows, len(header)))
@@ -237,16 +237,21 @@ def _write_cells(writer: _Writer, name: str, cells: Sequence[SignificanceCell], 
 
 @contextmanager
 def _timed(stages: dict[str, dict[str, float]], name: str):
-    """Add the wall and CPU time of the ``with`` block to ``stages[name]``,
-    and set there the peak RSS so far of this process and of its reaped
-    children, in MB."""
+    """Add the wall and CPU time of the ``with`` block, and the CPU time of
+    the children reaped in it, to ``stages[name]``, and set there the peak
+    RSS so far of this process and of its reaped children, in MB."""
     wall, cpu = time.perf_counter(), time.process_time()
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     yield
-    stage = stages.setdefault(name, {"seconds": 0.0, "cpu_seconds": 0.0})
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    stage = stages.setdefault(name, {"seconds": 0.0, "cpu_seconds": 0.0,
+                                     "children_cpu_seconds": 0.0})
     stage["seconds"] += time.perf_counter() - wall
     stage["cpu_seconds"] += time.process_time() - cpu
+    stage["children_cpu_seconds"] += (children.ru_utime + children.ru_stime
+                                      - before.ru_utime - before.ru_stime)
     stage["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB
-    stage["children_peak_rss_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    stage["children_peak_rss_mb"] = children.ru_maxrss / 1024
 
 
 ALL_STAGES: tuple[str, ...] = (
@@ -386,7 +391,8 @@ def run_pipeline(
                 if ops:
                     classified = classify_ops(ops)
                     if "recirculation" in stages and "csv" in writer.formats:
-                        _write_operations(writer, classified)
+                        path = out_dir / "operations.csv"
+                        writer.fork((path,), _write_operations, path, classified)
                     signatures = user_signatures(classified)
                     mask = signatures.mask
                     user_category = user_categories(graph, partition, signatures)
@@ -442,7 +448,6 @@ def run_pipeline(
 
 
 _CATEGORY_NAMES = np.array(CATEGORY_ORDER, dtype=object)
-_SIGNATURE_NAMES = np.array(SIGNATURE_KEYS, dtype=object)
 # Component id prefix per node category code.
 _COMPONENT_KINDS = np.array(
     ["scc:" if c.startswith("scc") else "dag:" if c.startswith("dag") else "node:"
@@ -450,64 +455,61 @@ _COMPONENT_KINDS = np.array(
     dtype=object,
 )
 # Edge kind by category code for boundary links, then internal and attachment.
-_EDGE_KINDS = np.array(
-    CATEGORY_ORDER + (EdgeKind.INTERNAL.value, EdgeKind.ATTACHMENT.value), dtype=object
-)
+_EDGE_KINDS = CATEGORY_ORDER + (EdgeKind.INTERNAL.value, EdgeKind.ATTACHMENT.value)
 _BOUNDARY_CODES = [CATEGORY_ORDER.index(c) for c in EDGE_CATEGORIES]
 
 
 def _write_assignments(
     node_path: Path, edge_path: Path, g: LedgerGraph, partition: TopologyPartition
 ) -> None:
-    """``node_assignment`` and ``edge_assignment``, indexed from the codes.
+    """``node_assignment`` and ``edge_assignment``, as codes into tables.
 
     A component is named by its kind and its first member. A boundary link
-    has no owner; any other link belongs to the larger component index of
-    its ends: its own component when internal, the single-node (whose
-    index is offset past every SCC's) when an attachment.
+    has no owner (the empty name after the components'); any other link
+    belongs to the larger component index of its ends: its own component
+    when internal, the single-node (whose index is offset past every
+    SCC's) when an attachment.
     """
     labels, component = partition.labels, partition.component
     nodes = np.array(g.nodes, dtype=object)
     index, first, of_node = np.unique(component, return_index=True, return_inverse=True)
-    name = _COMPONENT_KINDS[labels.node[first]] + nodes[first]
+    names = (_COMPONENT_KINDS[labels.node[first]] + nodes[first]).tolist()
     write_csv(
         node_path,
         ("node_id", "category", "component_id"),
-        (g.nodes, _CATEGORY_NAMES[labels.node].tolist(), name[of_node].tolist()),
+        (g.nodes, Coded(labels.node, CATEGORY_ORDER), Coded(of_node, names)),
     )
     cs, ct = component[g.sources], component[g.targets]
     boundary = np.isin(labels.link, _BOUNDARY_CODES)
-    owner = name[np.searchsorted(index, np.maximum(cs, ct))]
+    owner = np.where(boundary, index.size, np.searchsorted(index, np.maximum(cs, ct)))
     write_csv(
         edge_path,
         ("source", "target", "kind", "component_id", "category_label"),
         (
-            nodes[g.sources].tolist(),
-            nodes[g.targets].tolist(),
-            _EDGE_KINDS[np.where(boundary, labels.link, len(CATEGORY_ORDER) + (cs != ct))].tolist(),
-            np.where(boundary, "", owner).tolist(),
-            _CATEGORY_NAMES[labels.link].tolist(),
+            Coded(g.sources, g.nodes),
+            Coded(g.targets, g.nodes),
+            Coded(np.where(boundary, labels.link, len(CATEGORY_ORDER) + (cs != ct)), _EDGE_KINDS),
+            Coded(owner, names + [""]),
+            Coded(labels.link, CATEGORY_ORDER),
         ),
     )
 
 
-def _str_cells(values: np.ndarray) -> list[str]:
-    return list(map(str, values.tolist()))
+def _int_cells(values: np.ndarray) -> Coded:
+    """Integers as codes into the table of their distinct texts."""
+    table, codes = np.unique(values, return_inverse=True)
+    return Coded(codes, list(map(str, table.tolist())))
 
 
-def _write_operations(writer: _Writer, classified: ClassifiedOps) -> None:
-    """``operations``, from integer columns that the forked writer renders."""
+def _write_operations(path: Path, classified: ClassifiedOps) -> None:
+    """``operations``, as codes into tables."""
     ops = classified.ops
-    accounts = np.array(ops.ledger.accounts, dtype=object)
-    labels = np.array([c.value for c in FrequencyCategory], dtype=object)
-    path = writer.out_dir / "operations.csv"
-    writer.fork(
-        (path,), write_csv, path,
+    write_csv(
+        path,
         ("user", "first_in", "last_out", "duration_seconds", "n_in", "n_out", "category"),
-        (Rendered(ops.user, lambda codes: accounts[codes].tolist()),
-         Rendered(ops.first_in, iso_utc), Rendered(ops.last_out, iso_utc),
-         *(Rendered(column, _str_cells) for column in (ops.duration, ops.n_in, ops.n_out)),
-         Rendered(classified.codes, lambda codes: labels[codes].tolist())),
+        (Coded(ops.user, ops.ledger.accounts), Coded(ops.first_in, iso_rows),
+         Coded(ops.last_out, iso_rows), *map(_int_cells, (ops.duration, ops.n_in, ops.n_out)),
+         Coded(classified.codes, [c.value for c in FrequencyCategory])),
     )
 
 
@@ -540,14 +542,13 @@ def _write_recirculation(
         },
         always=True,
     )
-    accounts = signatures.ledger.accounts
     writer.csv(
         "user_signatures",
         ("user", "signature", "node_category"),
         columns=(
-            [accounts[u] for u in signatures.user.tolist()],
-            _SIGNATURE_NAMES[signatures.mask].tolist(),
-            _CATEGORY_NAMES[user_category].tolist(),
+            Coded(signatures.user, signatures.ledger.accounts),
+            Coded(signatures.mask, SIGNATURE_KEYS),
+            Coded(user_category, CATEGORY_ORDER),
         ),
     )
     writer.csv(

@@ -48,7 +48,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .graph import LedgerGraph
-from .util import Units
 
 __all__ = [
     "NodeCategory",
@@ -254,19 +253,18 @@ def tabulate(
     sources: np.ndarray,
     targets: np.ndarray,
     counts: np.ndarray,
-    volumes: Units,
     record_link: np.ndarray | None = None,
-) -> tuple[np.ndarray, Units]:
-    """Per-category sizes from array labels: ``(table, volume)``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-category sizes from array labels: ``(table, record_code)``.
 
     ``labels`` and ``component`` are ``label``'s for the links ``sources ->
     targets``, sorted by source. ``table`` is int64, ``CATEGORY_ORDER`` rows by the
-    ``CategoryRow`` count columns (scc, wcc, node, link, tx); ``volume``
-    holds each category's exact volume. ``counts`` and ``volumes`` are per
-    link record; ``record_link`` maps each record to the link carrying it
-    (identity when omitted). A category's weak components span its owned
-    links plus their endpoints, so e.g. single-nodes attached to one hub
-    form one component.
+    ``CategoryRow`` count columns (scc, wcc, node, link, tx); ``record_code``
+    is the category of each link record, which volumes are summed by.
+    ``counts`` is per link record; ``record_link`` maps each record to the
+    link carrying it (identity when omitted). A category's weak components
+    span its owned links plus their endpoints, so e.g. single-nodes
+    attached to one hub form one component.
     """
     size = len(CATEGORY_ORDER)
     n = labels.node.size
@@ -296,15 +294,16 @@ def tabulate(
     wcc_count[_PASSED] = np.bincount(wcc_block, minlength=_PASSED.sum())
 
     table = np.stack([scc_count, wcc_count, node_count, link_count, tx_count], axis=1)
-    return table, volumes.sums(record_code, size)
+    return table, record_code
 
 
 def category_stats(g: LedgerGraph, partition: TopologyPartition) -> dict[str, CategoryRow]:
     """Per-category sizes: components, nodes, links, transactions, volume."""
-    table, volume = tabulate(partition.labels, partition.component, g.sources, g.targets,
-                             g.counts, g.units)
+    table, link_code = tabulate(partition.labels, partition.component, g.sources, g.targets,
+                                g.counts)
+    volume = g.units.sums(link_code, len(table)).to_decimals()
     return {name: CategoryRow(*row, total)
-            for name, row, total in zip(CATEGORY_ORDER, table.tolist(), volume.to_decimals())}
+            for name, row, total in zip(CATEGORY_ORDER, table.tolist(), volume)}
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,14 @@ class Units:
         np.minimum.at(exponent, groups, self.exponent)
         return Units(values, exponent, self.scale)
 
+    def float_sums(self, groups: np.ndarray, size: int) -> np.ndarray:
+        """``sums(groups, size).floats()``, without each group's exponent (left at 0)."""
+        if self.values is None:
+            return self.sums(groups, size).floats()
+        values = np.zeros(size, dtype=np.int64)
+        np.add.at(values, groups, self.values)
+        return Units(values, np.zeros(size, dtype=np.int8), self.scale).floats()
+
     def total(self) -> Decimal:
         """The exact sum of every amount."""
         if self.values is None:
@@ -191,22 +199,28 @@ def check_epochs(seconds: np.ndarray) -> None:
         raise ValueError("timestamp outside 0001-01-01T00:00:00Z .. 9999-12-31T23:59:59Z")
 
 
-def iso_utc(seconds: np.ndarray) -> list[str]:
+def iso_rows(seconds: np.ndarray) -> np.ndarray:
     """ISO-8601 UTC stamps of epoch seconds, as ``datetime.isoformat`` writes
-    them, with each distinct day formatted once. Raises ``ValueError``
-    outside ``datetime``'s range, the only one where numpy and it agree."""
+    them, one 25-byte uint8 row each, with each distinct day formatted
+    once. Raises ``ValueError`` outside ``datetime``'s range, the only one
+    where numpy and it agree."""
     seconds = np.asarray(seconds, dtype=np.int64)
     check_epochs(seconds)
     days, day = np.unique(seconds // 86_400, return_inverse=True)
-    dates = np.datetime_as_string(days.astype("datetime64[D]")).astype("U10")
-    text = np.empty((seconds.size, 25), dtype=np.uint32)  # one code point each
-    text[:, :10] = dates.view(np.uint32).reshape(-1, 10)[day]
-    text[:, 10:] = np.array(["T00:00:00+00:00"]).view(np.uint32)
-    second = (seconds % 86_400).astype(np.uint32)
-    for column, value in ((11, second // 3600), (14, second // 60 % 60), (17, second % 60)):
-        text[:, column] += value // 10
-        text[:, column + 1] += value % 10
-    return text.view("U25").ravel().tolist()
+    dates = np.datetime_as_string(days.astype("datetime64[D]")).astype("S10")
+    rows = np.empty((seconds.size, 25), dtype=np.uint8)
+    rows[:, :10] = dates.view(np.uint8).reshape(-1, 10)[day]
+    rows[:, 10:] = np.frombuffer(b"T00:00:00+00:00", dtype=np.uint8)
+    clock = (seconds % 86_400).astype(np.uint32)
+    for column, value in ((11, clock // 3600), (14, clock // 60 % 60), (17, clock % 60)):
+        rows[:, column] += value // 10
+        rows[:, column + 1] += value % 10
+    return rows
+
+
+def iso_utc(seconds: np.ndarray) -> list[str]:
+    """The stamps of :func:`iso_rows` as text."""
+    return iso_rows(seconds).view("S25").ravel().astype("U25").tolist()
 
 
 def mix64(a: int, b: int) -> int:
@@ -256,26 +270,19 @@ def write_json(path: Path, obj) -> None:
     Path(path).write_text(to_json(obj), encoding="utf-8")
 
 
+# A CSV chunk is at most this many rows, and at most about this many bytes
+# of rows padded to its widest cells: a wide cell splits its chunk instead.
 _CHUNK_ROWS = 1 << 15
+_CHUNK_BYTES = 1 << 22
 
 
-def _needs_quotes(text: str) -> bool:
-    # What csv.writer quotes with a "\n" line terminator, plus "\r", which
-    # it leaves bare so that the row would not parse back.
-    return '"' in text or "," in text or "\n" in text or "\r" in text
-
-
-def _lines(columns: Sequence[Sequence[str]]) -> str:
-    """CSV lines of one or more rows given as equal-length text columns."""
-    cells = []
-    for column in columns:
-        if _needs_quotes("".join(column)):
-            column = ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c
-                      for c in column]
-        cells.append(column)
-    if len(cells) == 1:  # a row of one empty cell would read back as no row
-        cells = [[c or '""' for c in cells[0]]]
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
+def _quoted(text: str, alone: bool) -> str:
+    """A cell as ``csv.writer`` writes it, and quoted also where it holds
+    ``\r``, which csv.writer leaves bare; when ``alone`` (one column), an
+    empty cell as ``""``, as a row of one empty cell reads back as no row."""
+    if '"' in text or "," in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text or ('""' if alone else "")
 
 
 def text_columns(rows: Iterable[Sequence], width: int) -> list[list[str]]:
@@ -288,36 +295,93 @@ def text_columns(rows: Iterable[Sequence], width: int) -> list[list[str]]:
 
 
 @dataclass(frozen=True)
-class Rendered:
-    """A column of ``values`` that ``render`` turns into text a slice at a
-    time: ``Rendered(values, render)[a:b]`` is ``render(values[a:b])``."""
+class Coded:
+    """A CSV column as int ``codes`` into ``table``: a sequence of cell texts,
+    or :func:`iso_rows`, which writes the codes, epoch seconds, as stamps."""
 
-    values: Sequence
-    render: Callable[[Sequence], list[str]]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, rows: slice) -> list[str]:
-        return self.render(self.values[rows])
+    codes: np.ndarray
+    table: Sequence[str] | Callable[[np.ndarray], np.ndarray]
 
 
-def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence[str]]) -> None:
-    """Write a CSV from equal-length columns of text cells, one line per row.
+class _CellBytes:
+    """A table's cells, each quoted and UTF-8 encoded once: cell ``k`` is
+    ``data[start[k]:][:length[k]]``, and ``data`` ends in ``width + 1`` spare bytes."""
 
-    A column is any sequence whose slices are lists of text, such as a
-    list of str or a :class:`Rendered` column; it is sliced a chunk of rows
-    at a time, so only one chunk of a rendered column exists as text.
-    Cells are quoted as ``csv.writer`` quotes them (minimal quoting, doubled
-    quotes, a lone empty cell as ``""``), and also when they hold ``\r``.
-    Rows are joined and written a chunk at a time, so the file's text is
-    never held whole.
+    def __init__(self, texts: Sequence[str], alone: bool):
+        joined = "\n".join(texts)
+        if ('"' in joined or "," in joined or "\r" in joined
+                or joined.count("\n") + 1 != len(texts) or alone and "" in texts):
+            cells = [_quoted(text, alone).encode("utf-8") for text in texts]
+            data = b"".join(cells)
+            self.length = np.fromiter(map(len, cells), np.int64, len(cells))
+            self.start = np.cumsum(self.length) - self.length
+        else:  # no cell needs quotes, and each ends at a line end
+            data = (joined + "\n").encode("utf-8")
+            end = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+            self.start = np.concatenate(([0], end[:-1] + 1))
+            self.length = end - self.start
+        self.width = int(self.length.max(initial=0))
+        self.data = np.frombuffer(data + bytes(self.width + 1), dtype=np.uint8)
+
+    def rows(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cells of ``codes`` as uint8 rows padded alike, and their lengths."""
+        start, length = self.start[codes], self.length[codes]
+        width = max(1, int(length.max()))
+        windows = np.ndarray((self.data.size - width + 1,), f"V{width}", self.data, strides=(1,))
+        return windows[start].view(np.uint8).reshape(-1, width), length
+
+
+def _chunk(cells: Sequence, codes: Sequence[np.ndarray]) -> bytes:
+    """CSV lines of a chunk: each column's padded cells and separator side
+    by side, then the padding dropped."""
+    rows, offset = codes[0].size, 0
+    pieces, padded = [], []
+    for k, (column, chunk) in enumerate(zip(cells, codes)):
+        if callable(column):  # iso_rows: stamps of one width
+            block = column(chunk)
+        else:
+            block, length = column.rows(chunk)
+            if length.min() < block.shape[1]:
+                padded.append((offset, length, block.shape[1]))
+        pieces += (block, np.full((rows, 1), b",\n"[k == len(cells) - 1], dtype=np.uint8))
+        offset += block.shape[1] + 1
+    text = np.concatenate(pieces, axis=1)
+    if not padded:
+        return text.tobytes()
+    keep = np.ones(text.shape, dtype=bool)
+    for offset, length, width in padded:
+        keep[:, offset:offset + width] = np.arange(width) < length[:, None]
+    return text[keep].tobytes()
+
+
+def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence[str] | Coded]) -> None:
+    """Write a CSV from equal-length columns, one line per row.
+
+    A column is a :class:`Coded` or a sequence of cell texts (row ``k``'s
+    code is ``k``). The cells of each table are quoted (see ``_quoted``)
+    and encoded once, whichever columns share it; rows are then gathered
+    as bytes and written a chunk at a time, so the file is never held whole.
     """
-    rows = len(columns[0]) if columns else 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_lines([[name] for name in header]))
-        for start in range(0, rows, _CHUNK_ROWS):
-            fh.write(_lines([column[start:start + _CHUNK_ROWS] for column in columns]))
+    alone = len(columns) == 1
+    encoded: dict[int, _CellBytes] = {}
+    cells, codes = [], []
+    for column in columns:
+        column = column if isinstance(column, Coded) else Coded(np.arange(len(column)), column)
+        table = column.table
+        if not callable(table):
+            table = encoded[id(table)] = encoded.get(id(table)) or _CellBytes(table, alone)
+        cells.append(table)
+        codes.append(np.asarray(column.codes))
+    with open(path, "wb") as fh:
+        names = (_quoted(name, len(header) == 1) for name in header)
+        fh.write((",".join(names) + "\n").encode("utf-8"))
+        for start in range(0, codes[0].size if codes else 0, _CHUNK_ROWS):
+            chunk = [c[start:start + _CHUNK_ROWS] for c in codes]
+            width = sum(25 if callable(t) else int(t.length[c].max())
+                        for t, c in zip(cells, chunk))
+            step = max(1, _CHUNK_BYTES // (width + len(cells)))  # bytes of a padded row
+            for at in range(0, chunk[0].size, step):
+                fh.write(_chunk(cells, [c[at:at + step] for c in chunk]))
 
 
 class Forked:

@@ -22,7 +22,9 @@ with the per-cell scorer (``reference_cell``, and its 1-D
 replaced, the one-pass weak-component count of every category
 (``reference_wcc_count``) that ``tabulate`` now takes mostly from
 ``label``'s components, and the HFQ1-only share that ``strategy_report``
-now takes from the signature masks. ``dict_view`` expands an array
+now takes from the signature masks, and the CSV writer that built one
+string per cell and joined each row (``reference_csv_text``) that
+``util.write_csv``'s byte tables replaced. ``dict_view`` expands an array
 partition into the string-keyed one the categoriser used to return, and ``verify_partition`` checks that view's
 structural contract. ``keep_everything`` is the filter that admits every
 row, for parses that must give back what was written, and
@@ -1527,3 +1529,29 @@ def reference_hfq1_only(signatures: Sequence[TemporalSignature],
     share = len(hfq1_only) / len(signatures) if signatures else 0.0
     counts = Counter(partition.node_category[s.user].value for s in hfq1_only)
     return share, {label: count / len(hfq1_only) for label, count in sorted(counts.items())}
+
+
+def _needs_quotes(text: str) -> bool:
+    # What csv.writer quotes with a "\n" line terminator, plus "\r", which
+    # it leaves bare so that the row would not parse back.
+    return '"' in text or "," in text or "\n" in text or "\r" in text
+
+
+def _lines(columns: Sequence[Sequence[str]]) -> str:
+    """CSV lines of one or more rows given as equal-length text columns."""
+    cells = []
+    for column in columns:
+        if _needs_quotes("".join(column)):
+            column = ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c
+                      for c in column]
+        cells.append(column)
+    if len(cells) == 1:  # a row of one empty cell would read back as no row
+        cells = [[c or '""' for c in cells[0]]]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def reference_csv_text(header: Sequence[str], columns: Sequence[Sequence[str]]) -> str:
+    """The text ``util.write_csv`` writes for columns of cell texts, built
+    row by row: each cell quoted where it must be, each row joined."""
+    rows = _lines(columns) if columns and columns[0] else ""
+    return _lines([[name] for name in header]) + rows

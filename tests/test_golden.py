@@ -3,7 +3,9 @@
 One ledger is a small seeded economy (a Pareto-weighted core plus planted
 cycles, feeders, sinks, bridges and stars) so every topology kind occurs;
 the other is the demo ledger shipped in ``demos/data``, whose collector
-stars give non-zero triad censuses.
+stars give non-zero triad censuses. Variants of the seeded economy rewrite
+its amounts, or put cells that need quoting (commas, quotes, ``\r``,
+``\n``) and non-ASCII text into its ids, accounts and kept subtypes.
 Every bundle file is hashed; the manifest is hashed without its wall times,
 input path, library versions and worker count, the only fields that may
 differ between runs of the same code. ``ledgerflow generate`` is held to
@@ -11,7 +13,9 @@ golden hashes too: the ledger and ground truth of one fixed scenario and
 seed.
 """
 
+import csv
 import hashlib
+import io
 import json
 import random
 from datetime import datetime, timezone
@@ -20,6 +24,8 @@ from pathlib import Path
 import pytest
 
 from ledgerflow.cli import main
+from ledgerflow.ingest import FilterSpec
+from ledgerflow.pipeline import PipelineConfig, run_pipeline
 
 DEMO_LEDGER = Path(__file__).resolve().parent.parent / "demos" / "data" / "demo_ledger.csv"
 
@@ -295,6 +301,74 @@ PAST_INT64_GOLDEN = {
         "b96ac76248c3390bf8133a1a6496e974313712de6c538ea832c9c55c0cc4dfad",
 }
 
+# Recorded with the writer that built one string per cell.
+QUOTED_GOLDEN = {
+    "category_stats.csv":
+        "4e8fdcd4b7009a3e893e983709f5734e13b8629f9a63032fb57cb9921df555b8",
+    "category_stats.json":
+        "7f61f9d874292fdb68727b84cc6613a6ec9f6a1b098334f1e7ce6fb610c8ef51",
+    "degree_stats.json":
+        "a3d73b4d91705be092c311d6d87a5ebb2ddb09174fbafa50f2f98e7ae417e168",
+    "edge_assignment.csv":
+        "13b46d980c0fb617524a6966edb1f5b249aa1aa0a0f3a7461608664088ef1e8e",
+    "ingest_diagnostics.json":
+        "ac38847f361b6217c23a8817e6b1f0a3741f4d84c4a47af9abb8fe648a799e0b",
+    "ledger_totals.json":
+        "757bd67ae9f1a7ca669dae76f0dac20c4f268edc3effdd42b798e01c94b67fc1",
+    "manifest.json":
+        "3b06ac2db5535e799aeaef857bba53291188d40b1b7bc2b4a66359382d10429b",
+    "node_assignment.csv":
+        "a0f1c46db5a12202d1f867e5794c6f2fc1caa17957a29185bb2a8b3da9d2dcdb",
+    "one_time_users.csv":
+        "ecf1178bc073833dccd7309c97042c89e2522951d372683e77dcde87133088ae",
+    "one_time_users.json":
+        "b5d11273f95823bfe4386fd88ca97f74b83719944413a333051f1e99e2e95333",
+    "operations.csv":
+        "088513dbfd2ae75dbaa0d3841e49fc49107d0c9bb8e6d067351c5907973d07ec",
+    "recirculation_boundaries.json":
+        "d9fe84c8afe23f01bc6548248334447e343b215ded5ca35adc01890b78823471",
+    "recirculation_coverage.json":
+        "4a18ec700d2309940ce599de10ad44eed713f8a86adea56a7dd3529714b9d737",
+    "recirculation_tx_crosstab.csv":
+        "48f10058f2c8f4ea42893a074522213f62403391b7a1223b2d09b5d833af2cb4",
+    "recirculation_user_crosstab.csv":
+        "f54628d601d8cd4f473f15af5ceda02b4094c8de47490a15c712580c7eb8da0a",
+    "significance_both.csv":
+        "b49ebaae4c08a55e044cd4a1f16d878b491e7cced813533c964ceeddc691f0c6",
+    "significance_both.json":
+        "f2500cc17b66ebebde93fb135dc1836506cdd4c18084ff75f0b9d506fbc763d5",
+    "significance_source.csv":
+        "5aacb6f32c131102ecc8a56e9032e6c2e738d8d34f9ab49eecf23e4204cb9033",
+    "significance_source.json":
+        "d318c0804023637925e8ebd39a38ac4e7599dc681a2102ca5b7a2b4a108538ab",
+    "significance_target.csv":
+        "2f5394bea3eb77ab1428aa049215bf798da20c19db3582535272fbcd22fb9ca6",
+    "significance_target.json":
+        "7f0cbd5edc2f0dd7c0eb420065d8182a790cf41a353ad49210fcbaba961e6b2b",
+    "strategy_report.json":
+        "2e8a5451ecf6949e163f31d4a3acf670fb8a4c0c7e3bb1d4a99f1974fd32e6c1",
+    "transactions_normalized.csv":
+        "631e695a9b86a8b4ef8a2cb6e89c96955b3e31d2a406272311ff4906f6800fcc",
+    "triad_census.csv":
+        "8753ed861d123b7812dfaa0e63beb45262f2c387026b650590046f199933096d",
+    "triad_census.json":
+        "210c435d7f37d8eab29932fce9cabf4015233b70a82f53aa386bc3430c53e45f",
+    "triad_significance_both.csv":
+        "d5a0644f57e2f3f21650dfb48e2e865ebab53e856a6a11ad8dd683ffcb1ab045",
+    "triad_significance_both.json":
+        "98546b1fca410620129064c1dc4d5435a9c4986c8ac8338098bcdf7a81b2683b",
+    "triad_significance_source.csv":
+        "1cde62d547be33a9579ad69515ae5f5344ad79f034ccb0f99de0d6c23d9e0104",
+    "triad_significance_source.json":
+        "f80d8f5386cbde880e545755d72e141d2d3c42a7de50bd7232ea6785d12afbed",
+    "triad_significance_target.csv":
+        "0132dd0d1bbdc1370c0b6c3044350e5e726ecb0223f306bbd65596eae2a65763",
+    "triad_significance_target.json":
+        "d2063cacc204a2b551a1aa72c871b9d0fdcbe03ee1d86cc636bc0f27af131bf6",
+    "user_signatures.csv":
+        "778ed047309380c508ce429ec174db52ecaf319d1c5bc4b911ac6995ea9f3504",
+}
+
 # Every structure kind, in a two-day horizon.
 GENERATE_ARGS = ["--seed", "7", "--cycles", "3", "--cycle-length", "4", "--cliques", "2",
                  "--clique-size", "3", "--stars", "2", "--star-arms", "3", "--dyads", "3",
@@ -382,6 +456,31 @@ def _with_amounts(text: str, amounts: tuple[str, ...]) -> str:
     return "".join(lines)
 
 
+# Cells that csv.writer quotes (a comma, a quote, "\r", "\n") and
+# non-ASCII text, put into ids, accounts and kept subtypes in turn.
+_MARKS = (",", '"', "\r", "\n", "é字", "")
+_QUOTED_SUBTYPES = tuple(f"STAND{mark}ARD" for mark in _MARKS)
+
+
+def _with_quoted_cells(text: str) -> str:
+    """``text`` with every id, account and STANDARD subtype holding one of
+    ``_MARKS`` inside it, written back by ``csv.writer`` (CRLF line ends,
+    so the row loop parses it)."""
+    header, *rows = csv.reader(io.StringIO(text))
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for k, (tx_id, stamp, source, target, amount, subtype) in enumerate(rows):
+        def account(name: str) -> str:
+            number = int(name.removeprefix("acct"))
+            return f"a{_MARKS[number % len(_MARKS)]}cct{number:04d}"
+        if subtype == "STANDARD":
+            subtype = _QUOTED_SUBTYPES[k % len(_QUOTED_SUBTYPES)]
+        writer.writerow((f"g{_MARKS[k % len(_MARKS)]}{tx_id}", stamp, account(source),
+                         account(target), amount, subtype))
+    return out.getvalue()
+
+
 def _file_hashes(bundle) -> dict[str, str]:
     hashes = {}
     for path in sorted(bundle.iterdir()):
@@ -428,6 +527,18 @@ def test_golden_bundle_of_rewritten_amounts(tmp_path, amounts, golden):
             "--replicas", "8", "--seed", "5"]
     assert main(args) == 0
     assert _file_hashes(out) == golden
+
+
+def test_golden_bundle_of_quoted_cells(tmp_path):
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text(_with_quoted_cells(_ledger_text(300, 11)), encoding="utf-8", newline="")
+    out = tmp_path / "out"
+    config = PipelineConfig(input_path=ledger, output_dir=out, replicas=8, master_seed=5,
+                            filter_spec=FilterSpec(keep_subtypes=_QUOTED_SUBTYPES))
+    run_pipeline(config)
+    transactions = (out / "transactions_normalized.csv").read_bytes()
+    assert all(b'"g' + mark in transactions for mark in (b",", b'"', b"\r", b"\n"))
+    assert _file_hashes(out) == QUOTED_GOLDEN
 
 
 def test_demo_golden_bundle(tmp_path):

@@ -252,9 +252,9 @@ def test_write_transactions_renders_a_chunk_at_a_time(tmp_path, monkeypatch):
 
     def spy(seconds):
         rendered.append(len(seconds))
-        return util.iso_utc(seconds)
+        return util.iso_rows(seconds)
 
-    monkeypatch.setattr(ingest, "iso_utc", spy)
+    monkeypatch.setattr(ingest, "iso_rows", spy)
     txs = [
         Transaction(1_600_000_000 + 3_600 * i, 't"9' if i == 9 else f"t{i:02d}", f"a{i % 3}",
                     "b,c" if i == 10 else f"b{i % 4}", Decimal(i) / 4, "STANDARD")

@@ -68,7 +68,8 @@ def _replica_stats(g: LedgerGraph, spec: EnsembleSpec, index: int) -> dict[str, 
     """``tabulate`` on replica ``index`` of the ensemble, as exact rows."""
     sources, targets, record_link, _ = _replica(g, spec, index)
     labels, component = label(g.node_count, sources, targets)
-    table, volume = tabulate(labels, component, sources, targets, g.counts, g.units, record_link)
+    table, record_code = tabulate(labels, component, sources, targets, g.counts, record_link)
+    volume = g.units.sums(record_code, len(CATEGORY_ORDER))
     return {name: CategoryRow(*row, total)
             for name, row, total in zip(CATEGORY_ORDER, table.tolist(), volume.to_decimals())}
 
@@ -132,8 +133,8 @@ def test_replica_units_sum_to_the_graphs(mode):
     for index in range(spec.replicas):
         sources, targets, record_link, _ = _replica(g, spec, index)
         labels, component = label(g.node_count, sources, targets)
-        _, volume = tabulate(labels, component, sources, targets, g.counts, g.units,
-                             record_link)
+        _, record_code = tabulate(labels, component, sources, targets, g.counts, record_link)
+        volume = g.units.sums(record_code, len(CATEGORY_ORDER))
         assert int(volume.values.sum()) == total
         assert str(volume.total()) == str(g.volume)
         replica = randomize(g, mode, derive_seed(spec.master_seed, index))

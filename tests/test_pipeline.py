@@ -13,7 +13,7 @@ from ledgerflow import cli, pipeline, util
 from ledgerflow.errors import ConfigError
 from ledgerflow.graph import LedgerGraph, aggregate
 from ledgerflow.ingest import Ledger, parse_ledger, write_transactions
-from ledgerflow.nullmodel import EnsembleSpec, SwapMode, run_ensemble
+from ledgerflow.nullmodel import EnsembleSpec, SwapMode, _usable_cpus, run_ensemble
 from ledgerflow.pipeline import (
     ALL_STAGES,
     PipelineConfig,
@@ -188,12 +188,24 @@ def test_stage_entries_hold_cpu_time_and_peak_rss(tmp_path):
     for stage in result.manifest["stages"]:
         # the stage that builds the replicas also counts their events
         counts = _ENSEMBLE_COUNTS if stage["name"] == "significance" else set()
-        assert set(stage) == {"name", "seconds", "cpu_seconds", "peak_rss_mb",
-                              "children_peak_rss_mb"} | counts
-        for key in ("seconds", "cpu_seconds", "peak_rss_mb", "children_peak_rss_mb"):
+        assert set(stage) == {"name", "seconds", "cpu_seconds", "children_cpu_seconds",
+                              "peak_rss_mb", "children_peak_rss_mb"} | counts
+        for key in ("seconds", "cpu_seconds", "children_cpu_seconds", "peak_rss_mb",
+                    "children_peak_rss_mb"):
             assert isinstance(stage[key], float) and math.isfinite(stage[key]), stage
             assert stage[key] >= 0, stage
         assert stage["peak_rss_mb"] > 0, stage
+
+
+def test_children_cpu_is_counted_where_the_children_are_reaped(tmp_path):
+    # The forked writers are reaped at the final join, timed under ingest,
+    # and the replica slices under the first ensemble stage.
+    if _usable_cpus() < 2:
+        pytest.skip("replica slices fork only with two usable CPUs")
+    result = run_pipeline(small_config(DEMO_LEDGER, tmp_path / "out", replicas=8, jobs=2))
+    cpu = {stage["name"]: stage["children_cpu_seconds"] for stage in result.manifest["stages"]}
+    assert cpu.pop("ingest") > 0 and cpu.pop("significance") > 0
+    assert cpu == dict.fromkeys(("topology", "triads", "recirculation", "report"), 0.0)
 
 
 @pytest.mark.parametrize("stages", [ALL_STAGES, ("ingest", "triads")])

@@ -16,7 +16,7 @@ from ledgerflow.topology import (
     one_time_users,
     tabulate,
 )
-from ledgerflow.util import Units, dsum
+from ledgerflow.util import dsum
 
 from conftest import random_digraph, reweighted
 from oracles import (
@@ -259,8 +259,7 @@ def test_wcc_groups_singles_sharing_a_hub():
 def _wcc_counts(n, sources, targets):
     """``tabulate``'s wcc column and the one-pass reference count."""
     labels, component = label(n, sources, targets)
-    table, _ = tabulate(labels, component, sources, targets, np.ones(sources.size, dtype=np.int64),
-                        Units.of([Decimal(1)] * sources.size))
+    table, _ = tabulate(labels, component, sources, targets, np.ones(sources.size, dtype=np.int64))
     return table[:, 1].tolist(), reference_wcc_count(labels, sources, targets).tolist()
 
 

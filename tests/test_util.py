@@ -5,8 +5,10 @@ import io
 import itertools
 import os
 import signal
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from decimal import Context, Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,11 +19,11 @@ from ledgerflow import util
 from ledgerflow.errors import DataError
 from ledgerflow.topology import categorize, category_stats
 from ledgerflow.util import (
-    MAX_EPOCH, MIN_EPOCH, Units, dsum, format_duration, group_sums, iso_utc, mix64, text_columns,
-    to_json, write_csv,
+    MAX_EPOCH, MIN_EPOCH, Coded, Units, dsum, format_duration, group_sums, iso_rows, iso_utc,
+    mix64, text_columns, to_json, write_csv,
 )
 
-from oracles import LinkRecord, graph_from_links
+from oracles import LinkRecord, graph_from_links, reference_csv_text
 
 
 def test_dsum_exact_on_many_small_amounts():
@@ -206,6 +208,80 @@ def test_write_csv_quotes_carriage_returns(tmp_path):
     assert path.read_bytes() == b'id,name\n1,"a\rb"\n2,c\n'
     with open(path, encoding="utf-8", newline="") as fh:
         assert list(csv.reader(fh)) == [["id", "name"], ["1", "a\rb"], ["2", "c"]]
+
+
+# Cells that need quotes, "\r" among them, and cells that need none, so
+# that a table is encoded both ways; with empty, NUL and non-ASCII cells.
+quoted_cells = st.text(st.sampled_from([",", '"', "\n", "\r", "\x00", "a", "é", "字"]),
+                       max_size=4)
+plain_cells = st.text(st.sampled_from(["a", "7", " ", "\x00", "é", "字"]), max_size=4)
+
+
+@st.composite
+def coded_tables(draw):
+    """A header, ``write_csv`` columns and the same columns as cell texts.
+
+    A column is codes into a table, codes into the first column's table
+    (one table for two columns), epoch seconds through ``iso_rows``, or a
+    list of texts; codes repeat at random."""
+    rows = draw(st.integers(0, 12))
+    width = draw(st.integers(1, 4))
+    header = draw(st.lists(quoted_cells | plain_cells, min_size=width, max_size=width))
+    columns, texts = [], []
+    for _ in range(width):
+        kind = draw(st.sampled_from(("table", "shared", "stamps", "texts")))
+        first = columns[0] if columns else None
+        if kind == "shared" and isinstance(first, Coded) and not callable(first.table):
+            table = first.table
+        elif kind in ("table", "shared"):
+            table = draw(st.lists(draw(st.sampled_from((quoted_cells, plain_cells))), min_size=1,
+                                  max_size=6))
+        if kind == "stamps":
+            seconds = np.array(draw(st.lists(st.integers(MIN_EPOCH, MAX_EPOCH), min_size=rows,
+                                             max_size=rows)), dtype=np.int64)
+            columns.append(Coded(seconds, iso_rows))
+            texts.append(iso_utc(seconds))
+        elif kind == "texts":
+            cells = draw(st.lists(quoted_cells | plain_cells, min_size=rows, max_size=rows))
+            columns.append(cells)
+            texts.append(cells)
+        else:
+            codes = draw(st.lists(st.integers(0, len(table) - 1), min_size=rows, max_size=rows))
+            columns.append(Coded(np.array(codes, dtype=np.int64), table))
+            texts.append([table[c] for c in codes])
+    return header, columns, texts
+
+
+@settings(max_examples=400, deadline=None)
+@given(coded_tables(), st.integers(1, 5), st.integers(1, 80))
+def test_write_csv_of_coded_columns_matches_the_row_writer(tmp_path_factory, table, chunk_rows,
+                                                           chunk_bytes):
+    # Chunks of a few rows, which a small byte budget splits again.
+    header, columns, texts = table
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    with (mock.patch.object(util, "_CHUNK_ROWS", chunk_rows),
+          mock.patch.object(util, "_CHUNK_BYTES", chunk_bytes)):
+        write_csv(path, header, columns)
+    assert path.read_bytes() == reference_csv_text(header, texts).encode("utf-8")
+
+
+def test_write_csv_pads_no_chunk_past_its_byte_budget(tmp_path):
+    # One 1 MiB id among 10k rows: rows padded to that width would take
+    # 10 GiB at once, so its chunk is split to the byte budget.
+    ids = [f"t{i}" for i in range(10_000)]
+    ids[5_000] = "x" * (1 << 20)
+    kinds = np.arange(10_000) % 3
+    path = tmp_path / "wide.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, ("id", "kind"),
+                  [Coded(np.arange(10_000), ids), Coded(kinds, ["a", "b", "c"])])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    expected = reference_csv_text(("id", "kind"), [ids, ["abc"[k] for k in kinds.tolist()]])
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_text_columns_renders_none_as_empty():
