@@ -18,25 +18,25 @@ ledger built by hand is built from column lists with ``Ledger.from_columns``,
 which refuses a negative amount or an empty account id, sorts by stamp and
 puts only runs of equal stamps in id order.
 
-A plain file is parsed a block of lines at a time, column by column: each
-line holds one cell per header column, no cell holds a quote, whitespace,
-a carriage return or NUL, every stamp is ``YYYY-MM-DDTHH:MM:SS``, bare or
-with ``+00:00`` (as ``write_transactions`` writes it), every amount is a
-finite, non-negative decimal and the kept rows' ids are distinct. Every
-other file (epoch, ``Z`` or offset stamps, quoted or padded cells, blank
-lines, repeated ids, any error) is parsed from the start by the row loop,
-which validates one ``csv.reader`` row at a time; so every error, with its
-message and row number, comes from the row loop.
+A file is parsed a block of lines at a time, column by column, while its
+blocks are plain: each line holds one cell per header column, no cell holds
+a quote, whitespace, a carriage return or NUL, every stamp is
+``YYYY-MM-DDTHH:MM:SS``, bare or with ``+00:00`` (as ``write_transactions``
+writes it) and every amount is a finite, non-negative decimal. At the first
+block that is not (epoch, ``Z`` or offset stamps, quoted or padded cells,
+blank lines, any error), the row loop takes over and validates one
+``csv.reader`` row at a time to the end of the file; so every error, with
+its message and row number, comes from the row loop.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
+import io
 import itertools
 import re
 from collections.abc import Iterator, Sequence
-from contextlib import closing
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
@@ -116,18 +116,15 @@ class Ledger:
                     raise DataError(f"transaction {tx}: negative amount {value}")
                 if not payer or not payee:
                     raise DataError(f"transaction {tx}: empty account id")
-        code: dict[str, int] = {}
-        source, target = _encode(source, code), _encode(target, code)
+        parsed = _Parsed()
         # Each distinct amount is converted once: its text tells 1.0 from 1.
-        texts: dict[str, int] = {}
-        amount_code = _encode(list(map(str, amount)), texts)
-        amounts = np.empty(len(texts), dtype=object)
-        amounts[amount_code] = amount
-        subtypes: dict[str, int] = {}
-        subtype_code = _encode(list(subtype), subtypes, np.int32)
-        return cls._select(np.array(timestamp, dtype=np.int64), list(tx_id), list(code), source,
-                           target, amounts.tolist(), amount_code, subtype_code, list(subtypes),
-                           np.arange(len(timestamp)))
+        amount_code = _encode(list(map(str, amount)), parsed.amount_of)
+        decimals = np.empty(len(parsed.amount_of), dtype=object)
+        decimals[amount_code] = amount
+        parsed.decimals = decimals.tolist()
+        parsed.add(timestamp, tx_id, source, target, amount_code, list(subtype),
+                   np.arange(len(timestamp)))
+        return parsed.ledger()[0]
 
     @classmethod
     def _select(cls, stamps, tx_id, names, source, target, amounts, amount_code, subtype_code,
@@ -191,19 +188,9 @@ class Ledger:
     def _take(self, index: np.ndarray) -> "Ledger":
         """Rows ``index``, in that order: an ``index`` out of time order
         gives a ledger that ``extract_ops`` rejects."""
-        return Ledger(
-            self.accounts,
-            self.timestamp[index],
-            self.source[index],
-            self.target[index],
-            self.row[index],
-            self.ids,
-            self.subtypes,
-            self.subtype_table,
-            self.amount_table,
-            self.amount_code[index],
-            self.units.take(index),
-        )
+        return replace(self, timestamp=self.timestamp[index], source=self.source[index],
+                       target=self.target[index], row=self.row[index],
+                       amount_code=self.amount_code[index], units=self.units.take(index))
 
     def __repr__(self) -> str:
         return f"Ledger(rows={len(self)}, accounts={len(self.accounts)})"
@@ -297,30 +284,22 @@ def parse_timestamp(raw: str, fmt: str) -> int:
     return seconds
 
 
-def _detect_timestamp_format(value: str) -> str:
-    return "epoch" if _EPOCH.fullmatch(value.strip()) else "iso8601"
-
-
-def _csv_rows(path: Path) -> Iterator[list[str]]:
-    """The CSV rows of ``path``. A file that cannot be read, or is not UTF-8
-    text, raises :class:`DataError` naming it; a row that ``csv.reader``
-    refuses (a cell past ``csv.field_size_limit()``) raises one naming the
-    row, numbered as the row loop numbers it."""
+def _csv_rows(fh, path: Path, first: int) -> Iterator[tuple[int, list[str]]]:
+    """The CSV rows of the binary file ``fh`` from its position, a line start,
+    numbered from ``first``. Text that is not UTF-8, or a row that csv.reader
+    refuses (a cell past ``csv.field_size_limit()``), raises DataError."""
+    # utf-8-sig drops a byte-order mark at the start of the file, which
+    # would otherwise glue itself to the first column name.
+    text = io.TextIOWrapper(fh, encoding="utf-8-sig" if first == 1 else "utf-8", newline="")
+    row_no = first - 1
     try:
-        # utf-8-sig drops a byte-order mark, which would otherwise glue
-        # itself to the first column name.
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            row_no = 0
-            try:
-                for row_no, row in enumerate(csv.reader(fh), start=1):
-                    yield row
-            except csv.Error as exc:
-                raise DataError(f"row {row_no + 1}: {exc}") from None
+        for row_no, row in enumerate(csv.reader(text), start=first):
+            yield row_no, row
+    except csv.Error as exc:
+        raise DataError(f"row {row_no + 1}: {exc}") from None
     except UnicodeDecodeError as exc:
         # exc.start counts from the decoded chunk, not from the file start.
         raise DataError(f"ledger {path} is not UTF-8 text ({exc.reason})") from None
-    except OSError as exc:
-        raise DataError(f"cannot read ledger {path}: {exc.strerror or exc}") from None
 
 
 def _column_indices(names: list[str], schema: ColumnMapping) -> tuple[int | None, ...]:
@@ -353,16 +332,83 @@ def parse_ledger(
     :class:`ConfigError`. Duplicate transaction ids keep the first
     occurrence and are counted in the diagnostics.
 
-    A plain file is read a block at a time, column by column; any other
-    file is parsed from the start by the row loop.
+    The file is read once, plain blocks column by column and, from the first
+    block that is not plain, the rest row by row, both into one ``_Parsed``.
     """
     schema = schema or ColumnMapping()
     filter_spec = filter_spec or FilterSpec()
     path = Path(path)
     if not path.exists():
         raise DataError(f"ledger file not found: {path}")
-    parsed = _parse_plain(path, schema, filter_spec)
-    return parsed if parsed is not None else _parse_rows(path, schema, filter_spec)
+    parsed = _Parsed()
+    try:
+        with open(path, "rb") as fh:
+            names, offset = _parse_blocks(fh, schema, filter_spec, parsed)
+            if offset is not None:
+                fh.seek(offset)
+                # No cell of a plain block holds a quote, so its lines are
+                # whole rows, and the row loop numbers on from them.
+                first = 1 if names is None else parsed.rows + 2
+                _parse_rows(_csv_rows(fh, path, first), names, schema, filter_spec, parsed)
+    except OSError as exc:
+        raise DataError(f"cannot read ledger {path}: {exc.strerror or exc}") from None
+    return parsed.ledger()
+
+
+class _Parsed:
+    """The rows parsed so far by either path: account, amount-text and subtype
+    codes, the set of kept ids, and runs of columns with their kept rows."""
+
+    def __init__(self):
+        self.accounts: dict[str, int] = {}
+        self.amount_of: dict[str, int] = {}
+        self.decimals: list[Decimal] = []
+        self.subtypes: dict[str, int] = {}
+        self.seen_ids: set[str] = set()
+        self.ids: list[str] = []
+        self.runs: list[tuple[np.ndarray, ...]] = []
+        self.rows = self.filtered = self.duplicates = 0
+        self.add([], [], [], [], [], [], np.arange(0))  # so that no file needs a case
+
+    def add(self, stamps, tx_id: list[str], source: list[str], target: list[str],
+            amount_codes, subtype: list[str], kept: np.ndarray) -> None:
+        """Appends a run of rows, ``kept`` indexing those the ledger keeps."""
+        self.runs.append((np.asarray(stamps, dtype=np.int64), _encode(source, self.accounts),
+                          _encode(target, self.accounts), np.asarray(amount_codes, dtype=np.int64),
+                          _encode(subtype, self.subtypes, np.int32), kept + len(self.ids)))
+        self.ids += tx_id
+
+    def first_seen(self, tx_id: list[str], keep: np.ndarray) -> np.ndarray:
+        """The rows in ``keep`` whose ids are not seen yet, now seen; the rest
+        are counted duplicates. Until the first, a run is checked by size alone."""
+        kept = np.flatnonzero(keep)
+        ids = list(itertools.compress(tx_id, keep))
+        seen, before = self.seen_ids, len(self.seen_ids)
+        if not self.duplicates:
+            seen.update(ids)
+            if len(seen) - before == len(ids):
+                return kept
+            # The ids kept before this run, each looked up in turn from now on.
+            self.seen_ids = seen = {self.ids[k] for run in self.runs for k in run[-1].tolist()}
+        first = []
+        for row, tx in zip(kept.tolist(), ids):
+            if tx not in seen:
+                seen.add(tx)
+                first.append(row)
+        self.duplicates += len(ids) - len(first)
+        return np.array(first, dtype=np.int64)
+
+    def ledger(self) -> tuple[Ledger, IngestDiagnostics]:
+        # Neither is needed by the sort, whose peak is parse_ledger's.
+        del self.seen_ids, self.amount_of
+        stamps, source, target, amount_code, subtype_code, kept = zip(*self.runs)
+        # Joined in the call, so that _select's takes free each joined column.
+        ledger = Ledger._select(np.concatenate(stamps), self.ids, list(self.accounts),
+                                np.concatenate(source), np.concatenate(target), self.decimals,
+                                np.concatenate(amount_code), np.concatenate(subtype_code),
+                                list(self.subtypes), np.concatenate(kept))
+        return ledger, IngestDiagnostics(rows_read=self.rows, rows_filtered=self.filtered,
+                                         duplicate_tx_ids=self.duplicates)
 
 
 # The column path reads whole lines in blocks of about this many bytes, so
@@ -377,28 +423,6 @@ _CELL_BYTES = bytes(sorted(set(range(256)) - set(b',\n"\r\0 \t\x0b\x0c\x1c\x1d\x
 _SPACE = re.compile(r"[^\S\n]")  # what str.strip strips, bar the line end
 # A stamp and its comma, with every digit written as 0.
 _ISO_SHAPE = np.frombuffer(b"0000-00-00T00:00:00,", dtype=np.uint8)
-
-
-def _parse_plain(
-    path: Path, schema: ColumnMapping, filter_spec: FilterSpec
-) -> tuple[Ledger, IngestDiagnostics] | None:
-    """The column path: what the row loop would return, or None to leave
-    the file to it.
-
-    It takes a file whose every line holds one cell per header column, with
-    no quote, whitespace, carriage return or NUL; whose every stamp is
-    ``YYYY-MM-DDTHH:MM:SS``, bare or with ``+00:00``; whose every amount is
-    a finite, non-negative decimal; and whose kept rows have distinct ids.
-    Filtered rows are checked too. Nothing is raised here, so every error
-    comes from the row loop.
-    """
-    if schema.timestamp_format == "epoch":
-        return None
-    try:
-        with open(path, "rb") as fh:
-            return _parse_blocks(_line_blocks(fh), schema, filter_spec)
-    except OSError:
-        return None
 
 
 def _line_blocks(fh) -> Iterator[bytes]:
@@ -472,44 +496,37 @@ def _amount_codes(cells: list[str], code: dict[str, int],
     return np.fromiter(map(code.__getitem__, cells), np.int64, len(cells))
 
 
-def _parse_blocks(
-    blocks: Iterator[bytes], schema: ColumnMapping, filter_spec: FilterSpec
-) -> tuple[Ledger, IngestDiagnostics] | None:
-    header, _, first = next(blocks, b"").removeprefix(codecs.BOM_UTF8).partition(b"\n")
+def _parse_blocks(fh, schema: ColumnMapping, filter_spec: FilterSpec,
+                  parsed: _Parsed) -> tuple[list[str] | None, int | None]:
+    """The column path: reads plain blocks into ``parsed``. Returns the
+    header's names and the byte offset of the first block that is not plain
+    (None if none is), or (None, 0) to leave the header too to the row loop.
+    Nothing is raised here, so every error comes from the row loop."""
+    blocks = _line_blocks(fh)
+    head = next(blocks, b"")
+    header, _, first = head.removeprefix(codecs.BOM_UTF8).partition(b"\n")
     names = _plain_cells(header + b"\n", header.count(b",") + 1)
-    if names is None:
-        return None
+    if names is None or schema.timestamp_format == "epoch":
+        return None, 0
     try:
         i_ts, i_src, i_tgt, i_amt, i_id, i_sub = _column_indices(names, schema)
     except ConfigError:
-        return None
+        return None, 0
     width = len(names)
     keep_subtypes = frozenset(filter_spec.keep_subtypes) if i_sub is not None else ()
     excluded = filter_spec.exclude_accounts
     # Every row is checked, filtered or not; the filter and the sort are
     # then applied as one take. Accounts and amount texts become codes block
     # by block, each amount text converted once, and so do subtypes.
-    stamps: list[np.ndarray] = []
-    kept: list[np.ndarray] = []
-    sources: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    tx_ids: list[str] = []
-    amount_codes: list[np.ndarray] = []
-    subtype_codes: list[np.ndarray] = []
-    accounts: dict[str, int] = {}
-    amount_of: dict[str, int] = {}
-    decimals: list[Decimal] = []
-    subtypes: dict[str, int] = {}
-    seen_ids: set[str] = set()
-    rows = 0
+    offset = len(head) - len(first)
     for block in itertools.chain((first,), blocks):
         cells = _plain_cells(block, width)
         if cells is None:
-            return None
+            return names, offset
         source, target = cells[i_src::width], cells[i_tgt::width]
         # An empty account is an error, and a blank row is not counted.
         if "" in source or "" in target:
-            return None
+            return names, offset
         n = len(source)
         subtype = cells[i_sub::width] if i_sub is not None else [""] * n
         keep = np.ones(n, dtype=bool)
@@ -519,128 +536,95 @@ def _parse_blocks(
             keep &= ~np.fromiter(map(excluded.__contains__, source), bool, n)
             keep &= ~np.fromiter(map(excluded.__contains__, target), bool, n)
         stamp = _iso_seconds(cells[i_ts::width])
-        amount = _amount_codes(cells[i_amt::width], amount_of, decimals)
+        amount = _amount_codes(cells[i_amt::width], parsed.amount_of, parsed.decimals)
         if stamp is None or amount is None:
-            return None
+            return names, offset
         if i_id is None:
-            tx_id = list(map("r{:08d}".format, range(rows + 2, rows + 2 + n)))
+            tx_id = list(map("r{:08d}".format, range(parsed.rows + 2, parsed.rows + 2 + n)))
+            kept = np.flatnonzero(keep)
         else:
             tx_id = cells[i_id::width]
-            kept_ids = list(itertools.compress(tx_id, keep))
-            before = len(seen_ids)
-            seen_ids.update(kept_ids)
-            if len(seen_ids) - before != len(kept_ids):
-                return None  # the row loop counts the duplicates
-        stamps.append(stamp)
-        kept.append(np.flatnonzero(keep) + rows)
-        sources.append(_encode(source, accounts))
-        targets.append(_encode(target, accounts))
-        tx_ids += tx_id
-        amount_codes.append(amount)
-        subtype_codes.append(_encode(subtype, subtypes, np.int32))
-        rows += n
-    del seen_ids, amount_of
-    rows_kept = np.concatenate(kept)
-    ledger = Ledger._select(np.concatenate(stamps), tx_ids, list(accounts),
-                            np.concatenate(sources), np.concatenate(targets),
-                            decimals, np.concatenate(amount_codes),
-                            np.concatenate(subtype_codes), list(subtypes), rows_kept)
-    return ledger, IngestDiagnostics(rows_read=rows, rows_filtered=rows - len(rows_kept))
+            kept = parsed.first_seen(tx_id, keep)
+        parsed.rows += n
+        parsed.filtered += n - int(np.count_nonzero(keep))
+        parsed.add(stamp, tx_id, source, target, amount, subtype, kept)
+        offset += len(block)
+    return names, None
 
 
-def _parse_rows(
-    path: Path, schema: ColumnMapping, filter_spec: FilterSpec
-) -> tuple[Ledger, IngestDiagnostics]:
-    """The row loop: csv.reader rows, each validated in turn."""
-    diagnostics = IngestDiagnostics()
+def _parse_rows(rows: Iterator[tuple[int, list[str]]], names: list[str] | None,
+                schema: ColumnMapping, filter_spec: FilterSpec, parsed: _Parsed) -> None:
+    """The row loop: csv.reader rows, each validated in turn, into
+    ``parsed``. ``names`` is the header, or None to read it from ``rows``."""
+    if names is None:
+        header = next(rows, None)
+        if header is None:
+            return  # an empty file
+        names = [name.strip() for name in header[1]]
+    idx_ts, idx_src, idx_tgt, idx_amt, idx_id, idx_sub = _column_indices(names, schema)
+
+    ts_format = schema.timestamp_format
+    if ts_format == "auto" and any(run[-1].size for run in parsed.runs):
+        ts_format = "iso8601"  # what the column path's first kept stamp shows
+    width = len(names)
+    keep_subtypes = filter_spec.keep_subtypes if idx_sub is not None else ()
+    excluded = filter_spec.exclude_accounts
+    amount_of, decimals = parsed.amount_of, parsed.decimals
     stamps: list[int] = []
     tx_ids: list[str] = []
     sources: list[str] = []
     targets: list[str] = []
     amount_codes: list[int] = []
     subtypes: list[str] = []
-    seen_ids: set[str] = set()
-    amount_of: dict[str, int] = {}
-    decimals: list[Decimal] = []
 
-    with closing(_csv_rows(path)) as reader:
+    for row_no, row in rows:
+        if not "".join(row).strip():
+            continue
+        parsed.rows += 1
+        if len(row) < width:
+            raise DataError(f"row {row_no}: expected {width} columns, got {len(row)}")
+
+        subtype = row[idx_sub].strip() if idx_sub is not None else ""
+        source = row[idx_src].strip()
+        target = row[idx_tgt].strip()
+        if (keep_subtypes and subtype not in keep_subtypes) or (
+            source in excluded or target in excluded
+        ):
+            parsed.filtered += 1
+            continue
+
+        if ts_format == "auto":
+            ts_format = "epoch" if _EPOCH.fullmatch(row[idx_ts].strip()) else "iso8601"
         try:
-            header = next(reader)
-        except StopIteration:
-            return Ledger.from_columns([], [], [], [], [], []), diagnostics
-        names = [name.strip() for name in header]
-        idx_ts, idx_src, idx_tgt, idx_amt, idx_id, idx_sub = _column_indices(names, schema)
-
-        ts_format = schema.timestamp_format
-        width = len(names)
-        keep_subtypes = filter_spec.keep_subtypes if idx_sub is not None else ()
-        excluded = filter_spec.exclude_accounts
-        rows_read = rows_filtered = duplicates = 0
-
-        for row_no, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                continue
-            rows_read += 1
-            if len(row) < width:
-                raise DataError(f"row {row_no}: expected {width} columns, got {len(row)}")
-
-            subtype = row[idx_sub].strip() if idx_sub is not None else ""
-            source = row[idx_src].strip()
-            target = row[idx_tgt].strip()
-            if (keep_subtypes and subtype not in keep_subtypes) or (
-                source in excluded or target in excluded
-            ):
-                rows_filtered += 1
-                continue
-
-            if ts_format == "auto":
-                ts_format = _detect_timestamp_format(row[idx_ts])
+            timestamp = parse_timestamp(row[idx_ts], ts_format)
+        except (ValueError, OverflowError) as exc:
+            raise DataError(f"row {row_no}: bad timestamp {row[idx_ts]!r}: {exc}") from None
+        text = row[idx_amt].strip()
+        code = amount_of.get(text)
+        if code is None:
             try:
-                timestamp = parse_timestamp(row[idx_ts], ts_format)
-            except (ValueError, OverflowError) as exc:
-                raise DataError(f"row {row_no}: bad timestamp {row[idx_ts]!r}: {exc}") from None
-            text = row[idx_amt].strip()
-            code = amount_of.get(text)
-            if code is None:
-                try:
-                    amount = Decimal(text)
-                except InvalidOperation:
-                    amount = None
-                # NaN cannot be compared and Infinity cannot be summed exactly.
-                if amount is None or not amount.is_finite():
-                    raise DataError(f"row {row_no}: bad amount {row[idx_amt]!r}")
-                if amount < 0:
-                    raise DataError(f"row {row_no}: negative amount {amount}")
-                code = amount_of[text] = len(decimals)
-                decimals.append(amount)
-            if not source or not target:
-                raise DataError(f"row {row_no}: empty account id")
+                amount = Decimal(text)
+            except InvalidOperation:
+                amount = None
+            # NaN cannot be compared and Infinity cannot be summed exactly.
+            if amount is None or not amount.is_finite():
+                raise DataError(f"row {row_no}: bad amount {row[idx_amt]!r}")
+            if amount < 0:
+                raise DataError(f"row {row_no}: negative amount {amount}")
+            code = amount_of[text] = len(decimals)
+            decimals.append(amount)
+        if not source or not target:
+            raise DataError(f"row {row_no}: empty account id")
 
-            tx_id = row[idx_id].strip() if idx_id is not None else f"r{row_no:08d}"
-            if tx_id in seen_ids:
-                duplicates += 1
-                continue
-            seen_ids.add(tx_id)
+        stamps.append(timestamp)
+        tx_ids.append(row[idx_id].strip() if idx_id is not None else f"r{row_no:08d}")
+        sources.append(source)
+        targets.append(target)
+        amount_codes.append(code)
+        subtypes.append(subtype)
 
-            stamps.append(timestamp)
-            tx_ids.append(tx_id)
-            sources.append(source)
-            targets.append(target)
-            amount_codes.append(code)
-            subtypes.append(subtype)
-
-    diagnostics.rows_read = rows_read
-    diagnostics.rows_filtered = rows_filtered
-    diagnostics.duplicate_tx_ids = duplicates
-    accounts: dict[str, int] = {}
-    source, target = _encode(sources, accounts), _encode(targets, accounts)
-    subtype_of: dict[str, int] = {}
-    subtype_code = _encode(subtypes, subtype_of, np.int32)
-    rows = np.arange(len(stamps))
-    ledger = Ledger._select(np.array(stamps, dtype=np.int64), tx_ids, list(accounts), source,
-                            target, decimals, np.array(amount_codes, dtype=np.int64),
-                            subtype_code, list(subtype_of), rows)
-    return ledger, diagnostics
+    kept = parsed.first_seen(tx_ids, np.ones(len(tx_ids), dtype=bool))
+    parsed.add(stamps, tx_ids, sources, targets, amount_codes, subtypes, kept)
 
 
 def write_transactions(

@@ -132,18 +132,30 @@ def test_out_of_range_timestamp_is_data_error(tmp_path):
 
 def test_cell_past_the_field_limit_is_data_error(tmp_path):
     # csv.reader refuses a cell longer than csv.field_size_limit() (131,072
-    # characters by default); the column path declines such a file.
-    ledger = tmp_path / "ledger.csv"
-    ledger.write_text(
-        "id,timeset,source,target,weight,transfer_subtype\n"
-        f"t1,2020-01-01T00:00:00Z,{'a' * 140_000},b,5,STANDARD\n",
-        encoding="utf-8",
-    )
-    out_dir = tmp_path / "o"
-    assert main(["ingest", str(ledger), "--output", str(out_dir)]) == 3
-    report = json.loads((out_dir / "error_report.json").read_text())
-    assert report["error_type"] == "DataError"
-    assert report["message"].startswith("row 2: field larger than field limit")
+    # characters by default); the column path declines such a file. After
+    # several plain blocks, the row loop takes over at the declined block and
+    # numbers its rows on; a byte that is not UTF-8 and a short row there are
+    # data errors too.
+    header = "id,timeset,source,target,weight,transfer_subtype\n"
+    plain = "".join(f"t{i},2020-01-01T00:00:00,a,b,5,STANDARD\n" for i in range(5000))
+    late = "t9,2020-01-01T00:00:00Z,a,b,5,STANDARD\n"
+    cases = [
+        (f"t1,2020-01-01T00:00:00Z,{'a' * 140_000},b,5,STANDARD\n".encode(),
+         "row 2: field larger than field limit"),
+        ((plain + late.replace(",a,", f",{'a' * 140_000},")).encode(),
+         "row 5002: field larger than field limit"),
+        (plain.encode() + late.encode().replace(b",a,", b",a\xff,"),
+         "ledger {ledger} is not UTF-8 text (invalid start byte)"),
+        ((plain + late.replace(",STANDARD", "")).encode(), "row 5002: expected 6 columns, got 5"),
+    ]
+    for k, (body, message) in enumerate(cases):
+        ledger = tmp_path / f"ledger{k}.csv"
+        ledger.write_bytes(header.encode() + body)
+        out_dir = tmp_path / f"o{k}"
+        assert main(["ingest", str(ledger), "--output", str(out_dir)]) == 3
+        report = json.loads((out_dir / "error_report.json").read_text())
+        assert report["error_type"] == "DataError"
+        assert report["message"].startswith(message.format(ledger=ledger))
 
 
 def _unreadable(tmp_path: Path, kind: str, text: str) -> Path:

@@ -13,6 +13,7 @@ from ledgerflow.errors import ConfigError, DataError
 from ledgerflow.ingest import (
     ColumnMapping,
     FilterSpec,
+    IngestDiagnostics,
     parse_ledger,
     parse_timestamp,
     write_transactions,
@@ -333,8 +334,10 @@ def outcome(path, schema=None, filter_spec=None):
 
 
 def row_loop_outcome(path, schema=None, filter_spec=None):
+    """The row loop's outcome from the header: the column path declines the
+    header, so the row loop reads the whole file."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ingest, "_parse_plain", lambda *args: None)
+        patch.setattr(ingest, "_plain_cells", lambda *args: None)
         return outcome(path, schema, filter_spec)
 
 
@@ -404,19 +407,39 @@ def ledger_bytes(names, rows, brk="", at=1) -> bytes:
 
 @st.composite
 def ledger_files(draw):
-    """Ledger bytes: plain rows, then at most two odd cells and one break."""
+    """Ledger bytes: plain rows, then at most two odd cells and one break.
+
+    Files of up to 40 rows put several plain blocks before the first odd
+    line at small block sizes. Some files put their odd cells and break in
+    their last rows; some filter every row before them (so that ``auto``
+    stamps are first read after the row loop takes over) and give every
+    later row epoch stamps; some repeat a kept id of their first rows in
+    their last ones, on both sides of the row loop's first row.
+    """
     dropped = draw(st.sampled_from([(), (), (), ("id",), ("transfer_subtype",)]))
     names = [name for name in NAMES if name not in dropped]
     rows = [
         {"id": f"t{i}", "timeset": draw(PLAIN_STAMPS),
          **{name: draw(strategy) for name, strategy in PLAIN.items()}}
-        for i in range(draw(st.integers(0, 12)))
+        for i in range(draw(st.integers(0, 40)))
     ]
+    late = draw(st.integers(0, len(rows))) if draw(st.booleans()) else 0
+    if late and draw(st.booleans()):
+        for row in rows[:late]:
+            row.update(source="sys", transfer_subtype="DISBURSEMENT")
+        for i, row in enumerate(rows[late:]):
+            row["timeset"] = str(1600000000 + i)
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if rows else 0):
         name = draw(st.sampled_from(NAMES))
-        draw(st.sampled_from(rows))[name] = draw(st.sampled_from(ODD[name]))
+        draw(st.sampled_from(rows[late:] or rows))[name] = draw(st.sampled_from(ODD[name]))
+    if len(rows) > 3 and draw(st.booleans()):
+        half = len(rows) // 2
+        for i in draw(st.lists(st.integers(half, len(rows) - 1), min_size=1, max_size=3)):
+            first = rows[draw(st.integers(0, half - 1))]
+            first["transfer_subtype"] = rows[i]["transfer_subtype"] = "STANDARD"
+            rows[i]["id"] = first["id"]
     brk = draw(st.sampled_from(BREAKS + ("",) * 2 * len(BREAKS)))
-    return ledger_bytes(names, rows, brk, draw(st.integers(1, len(rows) + 1)))
+    return ledger_bytes(names, rows, brk, draw(st.integers(late + 1, len(rows) + 1)))
 
 
 SCHEMAS = st.sampled_from(
@@ -424,6 +447,10 @@ SCHEMAS = st.sampled_from(
      ColumnMapping(timestamp_format="epoch")])
 FILTERS = st.sampled_from(
     [FilterSpec(), keep_everything(), FilterSpec(exclude_accounts=frozenset({"sys"}))])
+
+
+def refuse_the_row_loop(*args):
+    raise AssertionError("the row loop was called")
 
 
 def both_outcomes(path, schema=None, filter_spec=None, block=ingest._BLOCK_BYTES):
@@ -463,6 +490,8 @@ def test_each_odd_cell_and_break_parses_as_the_row_loop(tmp_path):
     path = tmp_path / "ledger.csv"
     cases = [(name, value, row, "", NAMES)
              for name, values in ODD.items() for value in values for row in (0, 2)]
+    # A cell past csv.field_size_limit(), too long for the fuzzed files.
+    cases += [("source", "a" * 140_000, row, "", NAMES) for row in (0, 2)]
     cases += [(None, None, None, brk, names) for brk in BREAKS + ("",)
               for names in (NAMES, NAMES[1:], NAMES[:-1])]
     for name, value, row, brk, names in cases:
@@ -474,7 +503,9 @@ def test_each_odd_cell_and_break_parses_as_the_row_loop(tmp_path):
             mine, rows_only = both_outcomes(path, block=block)
             assert mine == rows_only, (name, value, row, brk, names, block)
         if name is None and brk == "":  # the plain file takes the column path
-            assert ingest._parse_plain(path, ColumnMapping(), FilterSpec()) is not None
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ingest, "_parse_rows", refuse_the_row_loop)
+                parse_ledger(path)
 
 
 def test_plain_ledgers_take_the_column_path(tmp_path, monkeypatch):
@@ -488,11 +519,59 @@ def test_plain_ledgers_take_the_column_path(tmp_path, monkeypatch):
     normalized = tmp_path / "transactions_normalized.csv"
     write_transactions(normalized, parse_ledger(economy)[0])
     expected = {path: row_loop_outcome(path) for path in (economy, normalized)}
-
-    def refuse(*args):
-        raise AssertionError("the row loop was called")
-
-    monkeypatch.setattr(ingest, "_parse_rows", refuse)
+    monkeypatch.setattr(ingest, "_parse_rows", refuse_the_row_loop)
     for path, rows in expected.items():
         assert outcome(path) == rows
         assert rows[-1].rows_read > 5000
+
+
+def plain_rows(n):
+    """``n`` plain, kept rows with distinct ids and stamps."""
+    return [{"id": f"t{i}", "timeset": f"2020-01-01T{i // 3600:02d}:{i // 60 % 60:02d}:{i % 60:02d}",
+             "source": "ab"[i % 2], "target": "cd"[i % 2], "weight": str(i),
+             "transfer_subtype": "STANDARD"} for i in range(n)]
+
+
+def test_the_row_loop_takes_over_at_the_declined_block(tmp_path, monkeypatch):
+    # A Z on the last stamp of a 200-row file of 64-byte blocks: only the
+    # rows of the last block reach the row loop, which validates each kept
+    # row's stamp; the blocks before it stay on the column path.
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64)
+    rows = plain_rows(200)
+    rows[-1]["timeset"] += "Z"
+    path = tmp_path / "ledger.csv"
+    path.write_bytes(ledger_bytes(NAMES, rows))
+    validated = []
+
+    def counted(raw, fmt):
+        validated.append(raw)
+        return parse_timestamp(raw, fmt)
+
+    monkeypatch.setattr(ingest, "parse_timestamp", counted)
+    mine = outcome(path)
+    assert 1 <= len(validated) <= 2 and validated[-1] == rows[-1]["timeset"]
+    monkeypatch.undo()
+    assert mine == row_loop_outcome(path)
+    assert mine[-1] == IngestDiagnostics(rows_read=200)
+
+
+def test_repeated_ids_are_counted_on_either_path(tmp_path, monkeypatch):
+    # Repeated kept ids alone do not decline the column path; before and
+    # after the row loop takes over, the first occurrence is kept and the
+    # rest counted, as the row loop from the header counts them.
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64)
+    path = tmp_path / "ledger.csv"
+    rows = plain_rows(200)
+    for i in (3, 4, 150):
+        rows[i]["id"] = "t1"
+    rows[160]["transfer_subtype"] = "DISBURSEMENT"
+    rows[170]["id"] = "t160"  # a filtered row's id is not seen
+    path.write_bytes(ledger_bytes(NAMES, rows))
+    expected = row_loop_outcome(path)
+    assert expected[-1] == IngestDiagnostics(rows_read=200, rows_filtered=1, duplicate_tx_ids=3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_parse_rows", refuse_the_row_loop)
+        assert outcome(path) == expected
+    rows[100]["timeset"] += "Z"  # the row loop takes over between the repeats
+    path.write_bytes(ledger_bytes(NAMES, rows))
+    assert outcome(path) == row_loop_outcome(path) == expected
