@@ -22,9 +22,11 @@ A file is parsed a block of lines at a time, column by column, while its
 blocks are plain: each line holds one cell per header column, no cell holds
 a quote, whitespace, a carriage return or NUL, every stamp is
 ``YYYY-MM-DDTHH:MM:SS``, bare or with ``+00:00`` (as ``write_transactions``
-writes it) and every amount is a finite, non-negative decimal. At the first
-block that is not (epoch, ``Z`` or offset stamps, quoted or padded cells,
-blank lines, any error), the row loop takes over and validates one
+writes it) and every amount is a finite, non-negative decimal. The blocks
+are cut into parts, one per usable CPU and each at least ``_PART_BYTES``;
+forked children parse all but the first, merged in file order. At the first
+block that is not plain (epoch, ``Z`` or offset stamps, quoted or padded
+cells, blank lines, any error), the row loop takes over and validates one
 ``csv.reader`` row at a time to the end of the file; so every error, with
 its message and row number, comes from the row loop.
 """
@@ -35,6 +37,7 @@ import codecs
 import csv
 import io
 import itertools
+import os
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
@@ -47,6 +50,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .util import MAX_EPOCH, MIN_EPOCH, Coded, Units, check_epochs, iso_rows, write_csv
+from .util import fork_call, usable_cpus
 
 __all__ = [
     "Ledger",
@@ -332,8 +336,9 @@ def parse_ledger(
     :class:`ConfigError`. Duplicate transaction ids keep the first
     occurrence and are counted in the diagnostics.
 
-    The file is read once, plain blocks column by column and, from the first
-    block that is not plain, the rest row by row, both into one ``_Parsed``.
+    The file is read once into one ``_Parsed``: plain blocks column by column,
+    in parts on forked children (``_parse_parts``), and from the first block
+    that is not plain, the rest row by row.
     """
     schema = schema or ColumnMapping()
     filter_spec = filter_spec or FilterSpec()
@@ -343,7 +348,7 @@ def parse_ledger(
     parsed = _Parsed()
     try:
         with open(path, "rb") as fh:
-            names, offset = _parse_blocks(fh, schema, filter_spec, parsed)
+            names, offset = _parse_parts(fh, schema, filter_spec, parsed)
             if offset is not None:
                 fh.seek(offset)
                 # No cell of a plain block holds a quote, so its lines are
@@ -378,11 +383,10 @@ class _Parsed:
                           _encode(subtype, self.subtypes, np.int32), kept + len(self.ids)))
         self.ids += tx_id
 
-    def first_seen(self, tx_id: list[str], keep: np.ndarray) -> np.ndarray:
-        """The rows in ``keep`` whose ids are not seen yet, now seen; the rest
+    def first_seen(self, tx_id: list[str], kept: np.ndarray) -> np.ndarray:
+        """The rows ``kept`` whose ids are not seen yet, now seen; the rest
         are counted duplicates. Until the first, a run is checked by size alone."""
-        kept = np.flatnonzero(keep)
-        ids = list(itertools.compress(tx_id, keep))
+        ids = [tx_id[k] for k in kept.tolist()]
         seen, before = self.seen_ids, len(self.seen_ids)
         if not self.duplicates:
             seen.update(ids)
@@ -397,6 +401,26 @@ class _Parsed:
                 first.append(row)
         self.duplicates += len(ids) - len(first)
         return np.array(first, dtype=np.int64)
+
+    def merge(self, part: tuple) -> int | None:
+        """Appends a ``_parse_part``'s rows in this one's codes, its kept ids
+        checked and synthesised ones numbered here; returns its offset."""
+        columns, accounts, amounts, subtypes, ids, rows, filtered, duplicates, offset = part
+        stamps, source, target, amount_code, subtype_code, kept = columns
+        if ids is None:
+            tx_id = list(map("r{:08d}".format, range(self.rows + 2, self.rows + 2 + rows)))
+        else:
+            tx_id = ids.split("\n") if rows else []
+            kept = self.first_seen(tx_id, kept)
+        account = _encode(accounts, self.accounts)
+        self.runs.append((stamps, account[source], account[target],
+                          _amount_codes(amounts, self.amount_of, self.decimals)[amount_code],
+                          _encode(subtypes, self.subtypes, np.int32)[subtype_code],
+                          kept + len(self.ids)))
+        self.ids += tx_id
+        self.rows, self.filtered, self.duplicates = (
+            self.rows + rows, self.filtered + filtered, self.duplicates + duplicates)
+        return offset
 
     def ledger(self) -> tuple[Ledger, IngestDiagnostics]:
         # Neither is needed by the sort, whose peak is parse_ledger's.
@@ -417,6 +441,9 @@ class _Parsed:
 # of a block fit csv.reader's default field limit together, so no cell
 # needs measuring against it.
 _BLOCK_BYTES = 1 << 16
+# A part is at least this long: a 6 MiB file parsed no faster in two parts
+# than in one, an 8 MiB file in 0.90 of the time (in-process, 2 vCPUs).
+_PART_BYTES = 4 << 20
 # A plain block with these bytes deleted is its line ends and the commas
 # between cells: it holds no quote, carriage return, NUL or ASCII whitespace.
 _CELL_BYTES = bytes(sorted(set(range(256)) - set(b',\n"\r\0 \t\x0b\x0c\x1c\x1d\x1e\x1f')))
@@ -425,10 +452,12 @@ _SPACE = re.compile(r"[^\S\n]")  # what str.strip strips, bar the line end
 _ISO_SHAPE = np.frombuffer(b"0000-00-00T00:00:00,", dtype=np.uint8)
 
 
-def _line_blocks(fh) -> Iterator[bytes]:
-    """The file's bytes in blocks of whole lines, each ending in a newline."""
+def _line_blocks(fd: int, start: int, stop: int) -> Iterator[bytes]:
+    """Bytes ``start..stop`` of the file in blocks of whole lines, each ending in
+    a newline; ``os.pread`` leaves the offset that forked children share alone."""
     rest = b""
-    while chunk := fh.read(_BLOCK_BYTES):
+    while chunk := os.pread(fd, min(_BLOCK_BYTES, stop - start), start):
+        start += len(chunk)
         chunk = rest + chunk
         end = chunk.rfind(b"\n") + 1
         if end:
@@ -496,37 +525,23 @@ def _amount_codes(cells: list[str], code: dict[str, int],
     return np.fromiter(map(code.__getitem__, cells), np.int64, len(cells))
 
 
-def _parse_blocks(fh, schema: ColumnMapping, filter_spec: FilterSpec,
-                  parsed: _Parsed) -> tuple[list[str] | None, int | None]:
-    """The column path: reads plain blocks into ``parsed``. Returns the
-    header's names and the byte offset of the first block that is not plain
-    (None if none is), or (None, 0) to leave the header too to the row loop.
-    Nothing is raised here, so every error comes from the row loop."""
-    blocks = _line_blocks(fh)
-    head = next(blocks, b"")
-    header, _, first = head.removeprefix(codecs.BOM_UTF8).partition(b"\n")
-    names = _plain_cells(header + b"\n", header.count(b",") + 1)
-    if names is None or schema.timestamp_format == "epoch":
-        return None, 0
-    try:
-        i_ts, i_src, i_tgt, i_amt, i_id, i_sub = _column_indices(names, schema)
-    except ConfigError:
-        return None, 0
+def _parse_blocks(fd: int, start: int, stop: int, layout: tuple, parsed: _Parsed) -> int | None:
+    """Reads the plain blocks of bytes ``start..stop`` (line starts) into
+    ``parsed``; returns the offset of the first block that is not plain, or
+    None. Nothing is raised here, so every error comes from the row loop."""
+    names, (i_ts, i_src, i_tgt, i_amt, i_id, i_sub), keep_subtypes, excluded = layout
     width = len(names)
-    keep_subtypes = frozenset(filter_spec.keep_subtypes) if i_sub is not None else ()
-    excluded = filter_spec.exclude_accounts
     # Every row is checked, filtered or not; the filter and the sort are
     # then applied as one take. Accounts and amount texts become codes block
     # by block, each amount text converted once, and so do subtypes.
-    offset = len(head) - len(first)
-    for block in itertools.chain((first,), blocks):
+    for block in _line_blocks(fd, start, stop):
         cells = _plain_cells(block, width)
         if cells is None:
-            return names, offset
+            return start
         source, target = cells[i_src::width], cells[i_tgt::width]
         # An empty account is an error, and a blank row is not counted.
         if "" in source or "" in target:
-            return names, offset
+            return start
         n = len(source)
         subtype = cells[i_sub::width] if i_sub is not None else [""] * n
         keep = np.ones(n, dtype=bool)
@@ -538,18 +553,73 @@ def _parse_blocks(fh, schema: ColumnMapping, filter_spec: FilterSpec,
         stamp = _iso_seconds(cells[i_ts::width])
         amount = _amount_codes(cells[i_amt::width], parsed.amount_of, parsed.decimals)
         if stamp is None or amount is None:
-            return names, offset
+            return start
+        kept = np.flatnonzero(keep)
         if i_id is None:
             tx_id = list(map("r{:08d}".format, range(parsed.rows + 2, parsed.rows + 2 + n)))
-            kept = np.flatnonzero(keep)
         else:
             tx_id = cells[i_id::width]
-            kept = parsed.first_seen(tx_id, keep)
+            kept = parsed.first_seen(tx_id, kept)
         parsed.rows += n
         parsed.filtered += n - int(np.count_nonzero(keep))
         parsed.add(stamp, tx_id, source, target, amount, subtype, kept)
-        offset += len(block)
-    return names, None
+        start += len(block)
+    return None
+
+
+def _parse_part(fd: int, start: int, stop: int, layout: tuple) -> tuple:
+    """``_parse_blocks`` into a ``_Parsed`` of its own, packed for ``merge``: the
+    runs joined, the tables in code order, the ids as one string (None to
+    synthesise them), the counts and the offset."""
+    parsed = _Parsed()
+    offset = _parse_blocks(fd, start, stop, layout, parsed)
+    return (tuple(map(np.concatenate, zip(*parsed.runs))), list(parsed.accounts),
+            list(parsed.amount_of), list(parsed.subtypes),
+            None if layout[1][4] is None else "\n".join(parsed.ids),
+            parsed.rows, parsed.filtered, parsed.duplicates, offset)
+
+
+def _parse_parts(fh, schema: ColumnMapping, filter_spec: FilterSpec,
+                 parsed: _Parsed) -> tuple[list[str] | None, int | None]:
+    """The column path: the header's names and the offset of the first block
+    that is not plain (None if none is), or (None, 0) to leave the header too
+    to the row loop. Forked children parse the parts after the first (the
+    parent parses a part whose child fails) while this process parses the
+    first; they are merged in file order up to the first that declines."""
+    head = fh.readline()
+    header = head.removeprefix(codecs.BOM_UTF8).removesuffix(b"\n")
+    names = _plain_cells(header + b"\n", header.count(b",") + 1)
+    if names is None or schema.timestamp_format == "epoch":
+        return None, 0
+    try:
+        indices = _column_indices(names, schema)
+    except ConfigError:
+        return None, 0
+    layout = (names, indices, frozenset(filter_spec.keep_subtypes) if indices[5] is not None
+              else (), filter_spec.exclude_accounts)
+    fd, start, stop = fh.fileno(), len(head), os.fstat(fh.fileno()).st_size
+    parts = min(usable_cpus(), (stop - start) // _PART_BYTES)
+    # Each cut is the first line start at or after its share of the bytes.
+    cuts = [fh.seek(start + (stop - start) * k // parts - 1) + len(fh.readline())
+            for k in range(1, parts)]
+    spans = list(zip([start, *cuts], [*cuts, stop]))
+    handles = []
+    try:
+        for span in spans[1:]:
+            handles.append(fork_call(_parse_part, fd, *span, layout))
+        offset = _parse_blocks(fd, *spans[0], layout, parsed)
+        for handle, span in zip(handles, spans[1:]):
+            if offset is not None:
+                break
+            try:
+                part = handle.result()
+            except Exception:  # raised, or killed, in the child
+                part = _parse_part(fd, *span, layout)
+            offset = parsed.merge(part)
+    finally:
+        for handle in handles:
+            handle.cancel()
+    return names, offset
 
 
 def _parse_rows(rows: Iterator[tuple[int, list[str]]], names: list[str] | None,
@@ -570,12 +640,7 @@ def _parse_rows(rows: Iterator[tuple[int, list[str]]], names: list[str] | None,
     keep_subtypes = filter_spec.keep_subtypes if idx_sub is not None else ()
     excluded = filter_spec.exclude_accounts
     amount_of, decimals = parsed.amount_of, parsed.decimals
-    stamps: list[int] = []
-    tx_ids: list[str] = []
-    sources: list[str] = []
-    targets: list[str] = []
-    amount_codes: list[int] = []
-    subtypes: list[str] = []
+    stamps, tx_ids, sources, targets, amount_codes, subtypes = [], [], [], [], [], []
 
     for row_no, row in rows:
         if not "".join(row).strip():
@@ -623,7 +688,7 @@ def _parse_rows(rows: Iterator[tuple[int, list[str]]], names: list[str] | None,
         amount_codes.append(code)
         subtypes.append(subtype)
 
-    kept = parsed.first_seen(tx_ids, np.ones(len(tx_ids), dtype=bool))
+    kept = parsed.first_seen(tx_ids, np.arange(len(tx_ids)))
     parsed.add(stamps, tx_ids, sources, targets, amount_codes, subtypes, kept)
 
 

@@ -33,7 +33,6 @@ per cell; ``triads`` scores the empirical censuses against the second.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -46,7 +45,7 @@ from .graph import LedgerGraph, merge_links
 from .stats import SignificanceCell, score_ensemble
 from .topology import CATEGORY_ORDER, CategoryRow, label, tabulate
 from .topology import categorize, category_stats  # noqa: F401  (perfbench/tracer.py wraps these)
-from .util import fork_call, join_all, mix64
+from .util import fork_call, join_all, mix64, usable_cpus
 
 __all__ = [
     "SwapMode",
@@ -194,14 +193,6 @@ def _replica_slice(g: LedgerGraph, spec: EnsembleSpec, start: int,
     return tuple(map(np.stack, zip(*(_replica_tables(g, spec, i) for i in range(start, stop)))))
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the OS has
-    one, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_ensemble(
     g: LedgerGraph,
     spec: EnsembleSpec,
@@ -219,7 +210,7 @@ def run_ensemble(
     output and failure (the lowest failing replica's) match any job count.
     """
     # A child beyond one per replica, or per CPU this process may use, would idle.
-    jobs = min(jobs, spec.replicas, _usable_cpus())
+    jobs = min(jobs, spec.replicas, usable_cpus())
     if jobs <= 1:
         return _replica_slice(g, spec, 0, spec.replicas)
     bounds = [spec.replicas * k // jobs for k in range(jobs + 1)]

@@ -178,8 +178,8 @@ class _Writer:
     would write them, each to a forked child (``util.fork_call``) that
     writes its bytes beside the analysis; every column is codes into a
     table of distinct cells (``util.Coded``), so the parent builds no
-    per-row text. ``join`` waits for them: before ``manifest.json``, and in
-    ``run_pipeline``'s ``finally``.
+    per-row text. ``join_all(pending)`` waits for them: before
+    ``manifest.json``, and in ``run_pipeline``'s ``finally``.
     """
 
     def __init__(self, out_dir: Path, formats: tuple[str, ...]):
@@ -192,10 +192,6 @@ class _Writer:
         """``fn(*args)``, which writes ``paths``, in a forked child."""
         self.pending.append(fork_call(fn, *args))
         self.written.extend(paths)
-
-    def join(self) -> None:
-        """Reap every child, then raise the earliest one's failure, if any."""
-        join_all(self.pending)
 
     def csv(self, name: str, header, rows=(), columns=None) -> None:
         """A small table given as rows of cells, or as ``write_csv`` columns."""
@@ -409,9 +405,9 @@ def run_pipeline(
                 writer.json("strategy_report", strategy.__dict__, always=True)
 
         with _timed(stage_log, "ingest"):  # the wait for the forked writers
-            writer.join()
+            join_all(writer.pending)
     finally:  # no child outlives the run, and the earliest child's failure wins
-        writer.join()
+        join_all(writer.pending)
 
     manifest = {
         "input": {

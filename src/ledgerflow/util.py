@@ -437,10 +437,18 @@ def join_all(handles: list[Forked]) -> list:
     return values
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has
+    one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def fork_call(fn: Callable, *args) -> Forked:
     """Run ``fn(*args)`` in a forked child; :func:`join_all`, or ``result()``
-    on the handle, gives its value or exception and reaps the child. The
-    pipeline's bulk writers and the replica ensemble's slices run this way.
+    on the handle, gives its value or exception and reaps the child. The bulk
+    writers, the replica slices and the parse's parts run this way.
 
     A value or exception that cannot be pickled comes back as a
     ``RuntimeError`` naming its type and text. The child ignores SIGINT, so

@@ -14,7 +14,7 @@ from oracles import LinkRecord, graph_from_links, graph_of, links_of
 @pytest.fixture(autouse=True)
 def no_child_process_left_behind():
     """Fail a test that leaves a child process running or unreaped (a forked
-    writer, a replica slice)."""
+    writer, a replica slice, a parse part)."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)

@@ -294,7 +294,7 @@ def test_randomization_error_report_is_the_same_at_any_job_count(tmp_path, monke
     )
     config = tmp_path / "run.cfg"
     config.write_text("max_repair_attempts = 1\n", encoding="utf-8")
-    monkeypatch.setattr(nullmodel, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(nullmodel, "usable_cpus", lambda: 2)
     reports = []
     for jobs in ("1", "2"):
         out_dir = tmp_path / f"jobs{jobs}"

@@ -1,6 +1,8 @@
 import codecs
 import csv
 import io
+import os
+import signal
 from datetime import datetime, timezone
 from decimal import Decimal
 
@@ -575,3 +577,184 @@ def test_repeated_ids_are_counted_on_either_path(tmp_path, monkeypatch):
     rows[100]["timeset"] += "Z"  # the row loop takes over between the repeats
     path.write_bytes(ledger_bytes(NAMES, rows))
     assert outcome(path) == row_loop_outcome(path) == expected
+
+
+# --------------------------------------------------------------------------
+# the column path in parts on forked children
+# --------------------------------------------------------------------------
+
+
+def in_parts(patch, data: bytes, parts: int) -> None:
+    """Make ``parse_ledger`` cut the bytes after the header line of ``data``
+    into ``parts`` parts, or three where the sizes round so (three usable
+    CPUs)."""
+    patch.setattr(ingest, "usable_cpus", lambda: 3)
+    patch.setattr(ingest, "_PART_BYTES", max(1, len(data.partition(b"\n")[2]) // parts))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ledger_files(), SCHEMAS, FILTERS, st.sampled_from([1, 20, 64, ingest._BLOCK_BYTES]),
+       st.sampled_from([2, 3]))
+def test_split_parse_matches_the_row_loop(tmp_path_factory, data, schema, filter_spec, block,
+                                          parts):
+    # As test_column_path_matches_the_row_loop, with the bytes after the
+    # header cut into parts that forked children parse: declines in any
+    # part, ids repeated across a cut, parts of filtered rows only, files
+    # without an id column, and auto stamps first read after the row loop
+    # takes over.
+    path = tmp_path_factory.mktemp("fuzz") / "ledger.csv"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as patch:
+        in_parts(patch, data, parts)
+        mine, rows = both_outcomes(path, schema, filter_spec, block)
+    assert mine == rows
+
+
+def even_rows(n):
+    """``n`` plain, kept rows of one length, with distinct ids and stamps."""
+    return [{"id": f"t{i:04d}", "timeset": f"2020-01-01T00:{i // 60:02d}:{i % 60:02d}",
+             "source": "ab"[i % 2], "target": "cd"[i % 2], "weight": f"{i:04d}",
+             "transfer_subtype": "STANDARD"} for i in range(n)]
+
+
+def spy_on_the_parts(monkeypatch) -> tuple[list[int], list[int]]:
+    """The offsets at which forked parts start and the first row number of
+    the row loop, of each parse from now on."""
+    starts, first_rows, csv_rows = [], [], ingest._csv_rows
+
+    def forking(fn, fd, start, stop, layout):
+        starts.append(start)
+        return util.fork_call(fn, fd, start, stop, layout)
+
+    def spied(fh, path, first):
+        first_rows.append(first)
+        return csv_rows(fh, path, first)
+
+    monkeypatch.setattr(ingest, "fork_call", forking)
+    monkeypatch.setattr(ingest, "_csv_rows", spied)
+    return starts, first_rows
+
+
+def odd_stamp(row):
+    row["timeset"] = row["timeset"].replace("T", " ")  # same length, not plain
+
+
+def late_epochs(rows):
+    # The first part is filtered, and the second starts with epoch stamps
+    # (as long as an ISO stamp), which the row loop reads as ``auto``.
+    for row in rows[:20]:
+        row["transfer_subtype"] = "AGENT_IN"
+    for i, row in enumerate(rows[20:]):
+        row["timeset"] = f"{1600000000 + i}.00000000"
+
+
+def repeated_ids(rows):
+    # Across each cut, and inside the first part and each forked one.
+    for i, j in ((3, 25), (25, 45), (19, 20), (39, 41), (4, 6), (22, 30), (41, 50)):
+        rows[j]["id"] = rows[i]["id"]
+
+
+def filtered_part(rows):
+    for row in rows[20:40]:
+        row["transfer_subtype"] = "AGENT_IN"
+
+
+@pytest.mark.parametrize("edit, names, declined", [
+    (lambda rows: odd_stamp(rows[5]), NAMES, 5),  # in the first part
+    (lambda rows: odd_stamp(rows[20]), NAMES, 20),  # at a later part's first block
+    (lambda rows: odd_stamp(rows[30]), NAMES, 30),  # in the middle of a later part
+    (lambda rows: odd_stamp(rows[59]), NAMES, 59),  # on the last row
+    (late_epochs, NAMES, 20),
+    (repeated_ids, NAMES, None),
+    (lambda rows: (repeated_ids(rows), odd_stamp(rows[30])), NAMES, 30),
+    (filtered_part, NAMES, None),
+    (lambda rows: None, NAMES[1:], None),  # no id column
+    (lambda rows: odd_stamp(rows[40]), NAMES[1:], 40),
+])
+def test_each_part_parses_as_the_row_loop(tmp_path, monkeypatch, edit, names, declined):
+    # Sixty rows of one length in three parts of twenty, read in blocks of
+    # one or two rows: the row loop takes over at the block that declines,
+    # and the parts after it are dropped.
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64)
+    rows = even_rows(60)
+    edit(rows)
+    path = tmp_path / "ledger.csv"
+    path.write_bytes(ledger_bytes(names, rows))
+    expected = row_loop_outcome(path)
+    in_parts(monkeypatch, path.read_bytes(), 3)
+    starts, first_rows = spy_on_the_parts(monkeypatch)
+    assert outcome(path) == expected
+    data = path.read_bytes()
+    assert [data.count(b"\n", 0, start) - 1 for start in starts] == [20, 40]
+    if declined is None:
+        assert first_rows == []
+    else:  # data row r is row r + 2 of the file
+        assert first_rows[0] - 2 in ({declined} if declined in (20, 40) else
+                                     {declined - 1, declined})
+
+
+def test_one_usable_cpu_forks_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "ledger.csv"
+    path.write_bytes(ledger_bytes(NAMES, even_rows(60)))
+    expected = row_loop_outcome(path)
+    monkeypatch.setattr(ingest, "_PART_BYTES", 1)
+    monkeypatch.setattr(ingest, "usable_cpus", lambda: 1)
+
+    def refuse_to_fork(*args):
+        raise AssertionError("a part was forked")
+
+    monkeypatch.setattr(ingest, "fork_call", refuse_to_fork)
+    assert outcome(path) == expected
+
+
+@pytest.mark.parametrize("how", ["raise", "kill"])
+def test_a_part_whose_child_fails_is_parsed_here(tmp_path, monkeypatch, how):
+    path = tmp_path / "ledger.csv"
+    rows = even_rows(60)
+    repeated_ids(rows)
+    path.write_bytes(ledger_bytes(NAMES, rows))
+    expected = row_loop_outcome(path)
+    in_parts(monkeypatch, path.read_bytes(), 3)
+    parent, parse_part, here = os.getpid(), ingest._parse_part, []
+
+    def failing(*args):
+        if os.getpid() != parent:
+            if how == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError("the part failed")
+        here.append(args[1])
+        return parse_part(*args)
+
+    monkeypatch.setattr(ingest, "_parse_part", failing)
+    assert outcome(path) == expected
+    assert len(here) == 2  # both forked parts, parsed again here
+
+
+def test_no_child_outlives_an_interrupt_or_an_error(tmp_path, monkeypatch):
+    path = tmp_path / "ledger.csv"
+    rows = even_rows(60)
+    path.write_bytes(ledger_bytes(NAMES, rows))
+    in_parts(monkeypatch, path.read_bytes(), 3)
+    starts, _ = spy_on_the_parts(monkeypatch)
+    parent, parse_blocks = os.getpid(), ingest._parse_blocks
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return parse_blocks(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_parse_blocks", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            parse_ledger(path)
+    assert len(starts) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # The row loop's error after a hand-off in the first part.
+    rows[5]["weight"] = "abcd"
+    path.write_bytes(ledger_bytes(NAMES, rows))
+    with pytest.raises(DataError, match="row 7: bad amount 'abcd'"):
+        parse_ledger(path)
+    assert len(starts) == 4
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

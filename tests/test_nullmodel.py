@@ -265,7 +265,7 @@ def forks(monkeypatch):
 def test_run_ensemble_pool_has_at_most_one_worker_per_replica(monkeypatch, forks):
     import ledgerflow.nullmodel as nullmodel
 
-    monkeypatch.setattr(nullmodel, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(nullmodel, "usable_cpus", lambda: 64)
     g = random_digraph(random.Random(5), 30)
     spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=3, master_seed=2)
     serial = run_ensemble(g, spec, jobs=1)
@@ -278,17 +278,17 @@ def test_run_ensemble_pool_has_at_most_one_worker_per_replica(monkeypatch, forks
 def test_run_ensemble_pool_has_at_most_one_worker_per_usable_cpu(
     monkeypatch, forks, affinity
 ):
-    import ledgerflow.nullmodel as nullmodel
+    import ledgerflow.util as util
 
     # Three CPUs the process may use, out of eight on the machine when the
     # OS reports an affinity mask; three on the machine when it does not.
     if affinity:
-        monkeypatch.setattr(nullmodel.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+        monkeypatch.setattr(util.os, "sched_getaffinity", lambda pid: {0, 2, 5},
                             raising=False)
-        monkeypatch.setattr(nullmodel.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(util.os, "cpu_count", lambda: 8)
     else:
-        monkeypatch.delattr(nullmodel.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(nullmodel.os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(util.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(util.os, "cpu_count", lambda: 3)
     g = random_digraph(random.Random(5), 30)
     spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=12, master_seed=2)
     serial = run_ensemble(g, spec, jobs=1)
@@ -318,7 +318,7 @@ def _forks_fail_after(monkeypatch, count: int) -> None:
 def test_run_ensemble_builds_the_slices_here_when_fork_fails(monkeypatch, forks, forked):
     import ledgerflow.nullmodel as nullmodel
 
-    monkeypatch.setattr(nullmodel, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(nullmodel, "usable_cpus", lambda: 2)
     g = random_digraph(random.Random(9), 30)
     spec = EnsembleSpec(mode=SwapMode.BOTH, replicas=9, master_seed=7)
     serial = run_ensemble(g, spec, jobs=1)
@@ -354,7 +354,7 @@ def test_run_ensemble_raises_the_lowest_failing_replicas_error(monkeypatch, jobs
             raise RandomizationError(index, 0)
         return replica_tables(g, spec, index)
 
-    monkeypatch.setattr(nullmodel, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(nullmodel, "usable_cpus", lambda: 2)
     monkeypatch.setattr(nullmodel, "_replica_tables", failing)
     _forks_fail_after(monkeypatch, forked)
     g = random_digraph(random.Random(3), 30)
@@ -371,7 +371,7 @@ def test_ctrl_c_during_a_forked_ensemble_kills_its_children(monkeypatch):
     def slow(g, spec, index):
         time.sleep(5)
 
-    monkeypatch.setattr(nullmodel, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(nullmodel, "usable_cpus", lambda: 2)
     monkeypatch.setattr(nullmodel, "_replica_tables", slow)
     g = random_digraph(random.Random(3), 30)
     spec = EnsembleSpec(mode=SwapMode.TARGET, replicas=8, master_seed=1)

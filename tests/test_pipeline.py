@@ -13,7 +13,7 @@ from ledgerflow import cli, pipeline, util
 from ledgerflow.errors import ConfigError
 from ledgerflow.graph import LedgerGraph, aggregate
 from ledgerflow.ingest import Ledger, parse_ledger, write_transactions
-from ledgerflow.nullmodel import EnsembleSpec, SwapMode, _usable_cpus, run_ensemble
+from ledgerflow.nullmodel import EnsembleSpec, SwapMode, run_ensemble
 from ledgerflow.pipeline import (
     ALL_STAGES,
     PipelineConfig,
@@ -29,7 +29,7 @@ from ledgerflow.recirculation import (
 )
 from ledgerflow.synthetic import ScenarioSpec
 from ledgerflow.topology import TopologyPartition, categorize, category_stats, one_time_users
-from ledgerflow.util import dsum
+from ledgerflow.util import dsum, usable_cpus
 
 from conftest import economy_ledger
 from oracles import ledger_of, tx
@@ -200,7 +200,7 @@ def test_stage_entries_hold_cpu_time_and_peak_rss(tmp_path):
 def test_children_cpu_is_counted_where_the_children_are_reaped(tmp_path):
     # The forked writers are reaped at the final join, timed under ingest,
     # and the replica slices under the first ensemble stage.
-    if _usable_cpus() < 2:
+    if usable_cpus() < 2:
         pytest.skip("replica slices fork only with two usable CPUs")
     result = run_pipeline(small_config(DEMO_LEDGER, tmp_path / "out", replicas=8, jobs=2))
     cpu = {stage["name"]: stage["children_cpu_seconds"] for stage in result.manifest["stages"]}
