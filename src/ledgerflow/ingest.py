@@ -7,13 +7,14 @@ header; timestamps may be ISO-8601 or integer epoch seconds inside
 ``datetime``'s UTC range. Parsing validates each row and returns a
 columnar :class:`Ledger` sorted by (timestamp, tx_id) together with a
 diagnostics record: int64 timestamps, int64 source and target codes
-into the sorted account ids, the ids as read with each row's int64
-position in them, one int32 code per row read into a table of the distinct
-subtypes, int64 codes into a table of the distinct amounts'
-``Decimal``s, and the amounts again as ``util.Units``: int64 units at one
-scale for the whole ledger, each row's exponent beside them (or, past
-int64, the ``Decimal`` fallback). No per-row object is built, each distinct
-amount text is converted once, and rows are taken by numpy takes alone. A
+into the sorted account ids, the ids as read (one UTF-8 buffer with int
+offsets, ``util.TextTable``) with each row's int64 position in them, one
+int32 code per row read into a table of the distinct subtypes, int64
+codes into a table of the distinct amounts' ``Decimal``s, and the amounts
+again as ``util.Units``: int64 units at one scale for the whole ledger,
+each row's exponent beside them (or, past int64, the ``Decimal``
+fallback). No per-row object outlives the parse, each distinct amount
+text is converted once, and rows are taken by numpy takes alone. A
 ledger built by hand is built from column lists with ``Ledger.from_columns``,
 which refuses a negative amount or an empty account id, sorts by stamp and
 puts only runs of equal stamps in id order.
@@ -40,6 +41,7 @@ import itertools
 import os
 import re
 from collections.abc import Iterator, Sequence
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
@@ -50,7 +52,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .util import MAX_EPOCH, MIN_EPOCH, Coded, Units, check_epochs, iso_rows, write_csv
-from .util import fork_call, usable_cpus
+from .util import TextTable, fork_call, usable_cpus
 
 __all__ = [
     "Ledger",
@@ -70,10 +72,11 @@ class Ledger:
     ``timestamp`` is int64 UTC epoch seconds; ``source`` and ``target`` are
     int64 codes into ``accounts``, the account ids in code-point order, so
     code order is string order. Row ``k``'s id is ``ids[row[k]]``, ``ids``
-    being the list read (with a file's filtered rows), and its subtype is
-    ``subtype_table[subtypes[row[k]]]``, ``subtypes`` holding one int32
-    code per item of ``ids``; ``tx_id`` and ``subtype`` build the per-row
-    lists on each call, as ``amount`` does. A row's amount is
+    being the ids read (with a file's filtered rows) as one
+    :class:`~ledgerflow.util.TextTable`, a UTF-8 buffer with int offsets,
+    and its subtype is ``subtype_table[subtypes[row[k]]]``, ``subtypes``
+    holding one int32 code per item of ``ids``; ``tx_id`` and ``subtype``
+    build the per-row lists on each call, as ``amount`` does. A row's amount is
     ``amount_table[amount_code[k]]``, the table holding each distinct
     amount text's ``Decimal`` once; ``units`` holds the amounts as
     :class:`Units`, which every volume is summed from.
@@ -84,7 +87,7 @@ class Ledger:
     source: np.ndarray
     target: np.ndarray
     row: np.ndarray
-    ids: list[str]
+    ids: TextTable
     subtypes: np.ndarray
     subtype_table: list[str]
     amount_table: list[Decimal]
@@ -93,7 +96,7 @@ class Ledger:
 
     @property
     def tx_id(self) -> list[str]:
-        return [self.ids[i] for i in self.row.tolist()]
+        return self.ids.take(self.row)
 
     @property
     def subtype(self) -> list[str]:
@@ -137,16 +140,19 @@ class Ledger:
         ``target`` are codes into ``names``, distinct account ids in any
         order, ``amount_code`` into ``amounts``, decimals in any order, and
         ``subtype_code`` into ``subtypes``; the ledger keeps the ``tx_id``
-        list and the subtype codes as they are."""
+        table and the subtype codes as they are."""
         order = rows[np.argsort(stamps[rows], kind="stable")]
         stamps = stamps[order]
         # Runs of equal stamps are put in the code-point order of their ids,
-        # by Python's sort, never a numpy string sort (which drops trailing
-        # NULs). Both sorts are stable, so equal ids keep their input order.
+        # by Python's sort of their UTF-8 bytes, never a numpy string sort
+        # (which drops trailing NULs). Both sorts are stable, so equal ids
+        # keep their input order.
         tied = np.concatenate(([False], stamps[1:] == stamps[:-1], [False]))
         edges = np.flatnonzero(tied[1:] != tied[:-1]).tolist()
         for start, stop in zip(edges[::2], edges[1::2]):
-            order[start:stop + 1] = sorted(order[start:stop + 1].tolist(), key=tx_id.__getitem__)
+            run = order[start:stop + 1]
+            ids = tx_id.cells(run)
+            order[start:stop + 1] = run[sorted(range(run.size), key=ids.__getitem__)]
         source, target = source[order], target[order]
         # The accounts of the taken rows, recoded in code-point order.
         used = np.zeros(len(names), dtype=bool)
@@ -304,6 +310,8 @@ def _csv_rows(fh, path: Path, first: int) -> Iterator[tuple[int, list[str]]]:
     except UnicodeDecodeError as exc:
         # exc.start counts from the decoded chunk, not from the file start.
         raise DataError(f"ledger {path} is not UTF-8 text ({exc.reason})") from None
+    finally:
+        text.detach()  # fh stays open, and is closed by its owner
 
 
 def _column_indices(names: list[str], schema: ColumnMapping) -> tuple[int | None, ...]:
@@ -354,7 +362,8 @@ def parse_ledger(
                 # No cell of a plain block holds a quote, so its lines are
                 # whole rows, and the row loop numbers on from them.
                 first = 1 if names is None else parsed.rows + 2
-                _parse_rows(_csv_rows(fh, path, first), names, schema, filter_spec, parsed)
+                with closing(_csv_rows(fh, path, first)) as rows:  # before fh closes
+                    _parse_rows(rows, names, schema, filter_spec, parsed)
     except OSError as exc:
         raise DataError(f"cannot read ledger {path}: {exc.strerror or exc}") from None
     return parsed.ledger()
@@ -383,11 +392,15 @@ class _Parsed:
                           _encode(subtype, self.subtypes, np.int32), kept + len(self.ids)))
         self.ids += tx_id
 
-    def first_seen(self, tx_id: list[str], kept: np.ndarray) -> np.ndarray:
+    def first_seen(self, tx_id: list[str], kept: np.ndarray, last: bool = False) -> np.ndarray:
         """The rows ``kept`` whose ids are not seen yet, now seen; the rest
-        are counted duplicates. Until the first, a run is checked by size alone."""
+        are counted duplicates. Until the first, a run is checked by size
+        alone. The ``last`` run, of distinct ids, is checked without being
+        added when it repeats none."""
         ids = [tx_id[k] for k in kept.tolist()]
         seen, before = self.seen_ids, len(self.seen_ids)
+        if last and seen.isdisjoint(ids):
+            return kept
         if not self.duplicates:
             seen.update(ids)
             if len(seen) - before == len(ids):
@@ -402,16 +415,17 @@ class _Parsed:
         self.duplicates += len(ids) - len(first)
         return np.array(first, dtype=np.int64)
 
-    def merge(self, part: tuple) -> int | None:
+    def merge(self, part: tuple, last: bool) -> int | None:
         """Appends a ``_parse_part``'s rows in this one's codes, its kept ids
-        checked and synthesised ones numbered here; returns its offset."""
+        checked and synthesised ones numbered here; returns its offset.
+        ``last``: no part follows it, so no row loop does if it declines none."""
         columns, accounts, amounts, subtypes, ids, rows, filtered, duplicates, offset = part
         stamps, source, target, amount_code, subtype_code, kept = columns
         if ids is None:
             tx_id = list(map("r{:08d}".format, range(self.rows + 2, self.rows + 2 + rows)))
         else:
             tx_id = ids.split("\n") if rows else []
-            kept = self.first_seen(tx_id, kept)
+            kept = self.first_seen(tx_id, kept, last and offset is None)
         account = _encode(accounts, self.accounts)
         self.runs.append((stamps, account[source], account[target],
                           _amount_codes(amounts, self.amount_of, self.decimals)[amount_code],
@@ -423,11 +437,15 @@ class _Parsed:
         return offset
 
     def ledger(self) -> tuple[Ledger, IngestDiagnostics]:
-        # Neither is needed by the sort, whose peak is parse_ledger's.
+        # Neither is needed by the sort, whose peak is parse_ledger's. The
+        # ids become one table before the sort, so that no id's str
+        # outlives the parse nor adds to the sort's peak.
         del self.seen_ids, self.amount_of
+        ids = TextTable.of(self.ids)
+        del self.ids
         stamps, source, target, amount_code, subtype_code, kept = zip(*self.runs)
         # Joined in the call, so that _select's takes free each joined column.
-        ledger = Ledger._select(np.concatenate(stamps), self.ids, list(self.accounts),
+        ledger = Ledger._select(np.concatenate(stamps), ids, list(self.accounts),
                                 np.concatenate(source), np.concatenate(target), self.decimals,
                                 np.concatenate(amount_code), np.concatenate(subtype_code),
                                 list(self.subtypes), np.concatenate(kept))
@@ -615,7 +633,7 @@ def _parse_parts(fh, schema: ColumnMapping, filter_spec: FilterSpec,
                 part = handle.result()
             except Exception:  # raised, or killed, in the child
                 part = _parse_part(fd, *span, layout)
-            offset = parsed.merge(part)
+            offset = parsed.merge(part, handle is handles[-1])
     finally:
         for handle in handles:
             handle.cancel()

@@ -244,8 +244,9 @@ def _timed(stages: dict[str, dict[str, float]], name: str):
                                      "children_cpu_seconds": 0.0})
     stage["seconds"] += time.perf_counter() - wall
     stage["cpu_seconds"] += time.process_time() - cpu
-    stage["children_cpu_seconds"] += (children.ru_utime + children.ru_stime
-                                      - before.ru_utime - before.ru_stime)
+    # Field by field: (u + s) - u0 - s0 can round to -0.0 when none ran.
+    stage["children_cpu_seconds"] += ((children.ru_utime - before.ru_utime)
+                                      + (children.ru_stime - before.ru_stime))
     stage["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB
     stage["children_peak_rss_mb"] = children.ru_maxrss / 1024
 
@@ -287,8 +288,10 @@ def run_pipeline(
                 config.input_path, config.column_mapping, config.filter_spec
             )
             # The one ledger from here on, self-transfers dropped once for the
-            # graph and recirculation; the parsed one is released once the
-            # transactions writer has forked with it.
+            # graph and recirculation; the parsed one is released as soon as
+            # the transactions writer has forked with it. The writer forks
+            # once the graph is built: a ledger that cannot be summed leaves
+            # no file behind.
             ledger = transactions.without_self_transfers()
             graph, _ = aggregate(ledger)
             diagnostics.self_transfers_dropped = len(transactions) - len(ledger)
@@ -296,6 +299,8 @@ def run_pipeline(
                 path = out_dir / "transactions_normalized.csv"
                 write_transactions(path, transactions,
                                    write=lambda *table: writer.fork((path,), write_csv, *table))
+            del transactions
+            if "ingest" in stages:
                 writer.json("ingest_diagnostics", diagnostics.__dict__, always=True)
                 writer.json(
                     "ledger_totals",
@@ -309,7 +314,6 @@ def run_pipeline(
                 )
                 if graph.node_count:
                     writer.json("degree_stats", degree_stats(graph).as_dict(), always=True)
-            del transactions
 
         with _timed(stage_log, "topology"):
             partition = categorize(graph)
@@ -572,7 +576,9 @@ def _write_recirculation(
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        while block := fh.read(1 << 20):  # not the whole ledger at once
+        # Not the whole ledger at once, and in blocks small enough that the
+        # read buffer never sets a small run's peak RSS.
+        while block := fh.read(1 << 16):
             digest.update(block)
     return digest.hexdigest()
 

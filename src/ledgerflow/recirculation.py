@@ -19,15 +19,17 @@ the int64 key ``user * 2m + place`` (``m`` rows) orders all events by
 user and then place, and a user's stream splits wherever an incoming
 event follows an outgoing one.
 Operations and signatures are columns (account codes and 4-bit masks); the
-crosstab maps codes to nodes with ``LedgerGraph.node_index``, counts (link
-category, frequency category) and (node category, mask) pairs with
-``np.bincount``, and sums the members' volume from the ledger's int64
-units (``util.Units``). ``user_categories`` gives each signature user's
-node category, for the tables the pipeline writes per user.
+crosstab maps codes to nodes with ``LedgerGraph.node_index``, looks up the
+operations' members' links a block at a time, counts (link category,
+frequency category) and (node category, mask) pairs with ``np.bincount``,
+and sums the members' volume from the ledger's int64 units
+(``util.Units``). ``user_categories`` gives each signature user's node
+category, for the tables the pipeline writes per user.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
@@ -291,6 +293,35 @@ class CrosstabResult:
     coverage: RecirculationCoverage
 
 
+# Members are looked up this many at a time, so that no int64 temporary of
+# the lookup is over 1 MiB however many members there are. Smaller blocks
+# made it slower: on the 458,619 members of the 40k ledger (in-process, 2
+# vCPUs) 72 ms at 2**13 and 62 ms at 2**15, against 54 ms at 2**17 and for
+# all members at once.
+_MEMBER_BLOCK = 1 << 17
+
+
+def _member_links(g: LedgerGraph, ops: Operations,
+                  node_of: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Each block of ``ops.rows`` by its start, with each member's link: its
+    (source, target) among ``g``'s sorted keys, ``node_of`` being
+    ``g.node_index(ops.ledger.accounts)``. A member whose link is not in
+    ``g`` is a :class:`DataError`."""
+    ledger = ops.ledger
+    n = g.node_count
+    link_keys = np.append(g.sources * n + g.targets, -1)
+    for start in range(0, ops.rows.size, _MEMBER_BLOCK):
+        rows = ops.rows[start:start + _MEMBER_BLOCK]
+        sources, targets = node_of[ledger.source[rows]], node_of[ledger.target[rows]]
+        keys = sources * n + targets
+        link = np.searchsorted(link_keys[:-1], keys)
+        found = (sources >= 0) & (targets >= 0) & (link_keys[link] == keys)
+        if not found.all():
+            tx_id = ledger.ids[ledger.row[rows[np.argmin(found)]]]
+            raise DataError(f"operation transaction {tx_id!r} is not in the graph")
+        yield start, link
+
+
 def crosstab(
     g: LedgerGraph,
     partition: TopologyPartition,
@@ -305,27 +336,23 @@ def crosstab(
     """
     ops = classified.ops
     ledger = ops.ledger
-    rows = ops.rows
-    member_op = np.repeat(np.arange(len(ops)), np.diff(ops.bounds))
-
-    # Each member's link: its (source, target) among the graph's sorted keys.
-    node_of = g.node_index(ledger.accounts)
-    n = g.node_count
-    sources, targets = node_of[ledger.source[rows]], node_of[ledger.target[rows]]
-    keys = sources * n + targets
-    link_keys = np.append(g.sources * n + g.targets, -1)
-    link = np.searchsorted(link_keys[:-1], keys)
-    found = (sources >= 0) & (targets >= 0) & (link_keys[link] == keys)
-    if not found.all():
-        tx_id = ledger.ids[ledger.row[rows[np.argmin(found)]]]
-        raise DataError(f"operation transaction {tx_id!r} is not in the graph")
-
     width = len(_CATEGORIES)
-    cells = partition.labels.link[link] * width + classified.codes[member_op]
-    counts = np.bincount(cells, minlength=len(CATEGORY_ORDER) * width).reshape(-1, width)
+    counts = np.zeros(len(CATEGORY_ORDER) * width, dtype=np.int64)
+    node_of = g.node_index(ledger.accounts)
+    for start, link in _member_links(g, ops, node_of):
+        # The operations from the one holding member ``start`` to the one
+        # ending at or after the block's end, each with its count of members
+        # in the block.
+        stop = start + link.size
+        first = np.searchsorted(ops.bounds, start, "right") - 1
+        end = np.searchsorted(ops.bounds, stop)
+        sizes = np.diff(np.clip(ops.bounds[first:end + 1], start, stop))
+        codes = np.repeat(classified.codes[first:end], sizes)
+        cells = partition.labels.link[link] * width + codes
+        counts += np.bincount(cells, minlength=counts.size)
     tx_table = {
         label: {c.value: count for c, count in zip(_CATEGORIES, row)}
-        for label, row in zip(CATEGORY_ORDER, counts.tolist())
+        for label, row in zip(CATEGORY_ORDER, counts.reshape(-1, width).tolist())
         if any(row)
     }
 
@@ -334,7 +361,7 @@ def crosstab(
     user_table = {label: {key: count for key, count in zip(SIGNATURE_KEYS, row) if count}
                   for label, row in zip(CATEGORY_ORDER, users.tolist()) if any(row)}
 
-    memberships = np.bincount(rows, minlength=len(ledger))
+    memberships = np.bincount(ops.rows, minlength=len(ledger))
     members = np.flatnonzero(memberships)
     volume_in_ops = ledger.units.take(members).total()
     coverage = RecirculationCoverage(

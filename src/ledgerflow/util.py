@@ -294,6 +294,43 @@ def text_columns(rows: Iterable[Sequence], width: int) -> list[list[str]]:
     return columns
 
 
+@dataclass(frozen=True, eq=False)
+class TextTable:
+    """Texts held as one UTF-8 buffer, each followed by ``"\\n"``: text ``k``
+    is ``data[start[k]:start[k + 1] - 1]``, so no text needs an object of
+    its own. UTF-8 byte order is code-point order."""
+
+    data: bytes
+    start: np.ndarray
+
+    @classmethod
+    def of(cls, texts: Sequence[str]) -> "TextTable":
+        data = ("\n".join(texts) + "\n").encode("utf-8") if len(texts) else b""
+        start = np.zeros(len(texts) + 1, dtype=np.int32 if len(data) < 2**31 else np.int64)
+        if data.count(b"\n") == len(texts):  # no text holds a line end
+            start[1:] = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+            start[1:] += 1
+        else:
+            start[1:] = np.cumsum([len(text.encode("utf-8")) + 1 for text in texts])
+        return cls(data, start)
+
+    def __len__(self) -> int:
+        return self.start.size - 1
+
+    def __getitem__(self, k: int) -> str:
+        k = range(len(self))[k]
+        return self.data[self.start[k]:self.start[k + 1] - 1].decode("utf-8")
+
+    def cells(self, index: np.ndarray) -> list[bytes]:
+        """The UTF-8 bytes of texts ``index``."""
+        start, stop = self.start[index].tolist(), (self.start[index + 1] - 1).tolist()
+        return list(map(self.data.__getitem__, map(slice, start, stop)))
+
+    def take(self, index: np.ndarray) -> list[str]:
+        """Texts ``index``, as a list."""
+        return [cell.decode("utf-8") for cell in self.cells(index)]
+
+
 @dataclass(frozen=True)
 class Coded:
     """A CSV column as int ``codes`` into ``table``: a sequence of cell texts,
@@ -307,19 +344,16 @@ class _CellBytes:
     """A table's cells, each quoted and UTF-8 encoded once: cell ``k`` is
     ``data[start[k]:][:length[k]]``, and ``data`` ends in ``width + 1`` spare bytes."""
 
-    def __init__(self, texts: Sequence[str], alone: bool):
-        joined = "\n".join(texts)
-        if ('"' in joined or "," in joined or "\r" in joined
-                or joined.count("\n") + 1 != len(texts) or alone and "" in texts):
-            cells = [_quoted(text, alone).encode("utf-8") for text in texts]
+    def __init__(self, texts: Sequence[str] | TextTable, alone: bool):
+        table = texts if isinstance(texts, TextTable) else TextTable.of(texts)
+        data, self.start = table.data, table.start[:-1]
+        self.length = np.diff(table.start) - 1
+        if (b'"' in data or b"," in data or b"\r" in data or data.count(b"\n") != len(table)
+                or alone and not self.length.all()):
+            cells = [_quoted(text, alone).encode("utf-8") for text in table]
             data = b"".join(cells)
             self.length = np.fromiter(map(len, cells), np.int64, len(cells))
             self.start = np.cumsum(self.length) - self.length
-        else:  # no cell needs quotes, and each ends at a line end
-            data = (joined + "\n").encode("utf-8")
-            end = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
-            self.start = np.concatenate(([0], end[:-1] + 1))
-            self.length = end - self.start
         self.width = int(self.length.max(initial=0))
         self.data = np.frombuffer(data + bytes(self.width + 1), dtype=np.uint8)
 
@@ -391,7 +425,8 @@ class Forked:
         self._pid, self._fd, self._data = pid, fd, data
 
     def result(self):
-        """Read the outcome and reap the child; return its value or raise its exception."""
+        """Read the outcome and reap the child; return its value or raise its
+        exception. The outcome is read once: its bytes are not kept."""
         if self._fd is not None:
             fd, self._fd = self._fd, None
             with open(fd, "rb") as pipe:
@@ -399,9 +434,13 @@ class Forked:
         if self._pid is not None:
             os.waitpid(self._pid, 0)
             self._pid = None
-        if not self._data:
+        data, self._data = self._data, b""
+        if not data:
             raise RuntimeError("forked child ended without a result")
-        ok, value = pickle.loads(self._data)
+        try:
+            ok, value = pickle.loads(data)
+        except Exception as exc:  # a value that pickles but does not load
+            raise RuntimeError(f"forked child's result does not load: {exc!r}") from None
         if ok:
             return value
         raise value
@@ -451,7 +490,9 @@ def fork_call(fn: Callable, *args) -> Forked:
     writers, the replica slices and the parse's parts run this way.
 
     A value or exception that cannot be pickled comes back as a
-    ``RuntimeError`` naming its type and text. The child ignores SIGINT, so
+    ``RuntimeError`` naming its type and text. Only an exception is loaded
+    in the child to check that it loads; a value that does not load here
+    raises ``RuntimeError`` from ``result()``. The child ignores SIGINT, so
     Ctrl-C stops only the caller. It ends in ``os._exit``, so it never
     returns into the caller's stack nor flushes its stdio buffers. Without
     ``os.fork``, or where ``os.pipe`` or ``os.fork`` raises ``OSError``,
@@ -479,7 +520,8 @@ def fork_call(fn: Callable, *args) -> Forked:
             outcome = (False, exc)
         try:
             data = pickle.dumps(outcome)
-            pickle.loads(data)  # fails for an exception that needs other __init__ arguments
+            if not outcome[0]:
+                pickle.loads(data)  # fails for an exception that needs other __init__ arguments
         except Exception:
             culprit = outcome[1]
             data = pickle.dumps((False, RuntimeError(f"{type(culprit).__name__}: {culprit}")))

@@ -24,7 +24,9 @@ replaced, the one-pass weak-component count of every category
 ``label``'s components, and the HFQ1-only share that ``strategy_report``
 now takes from the signature masks, and the CSV writer that built one
 string per cell and joined each row (``reference_csv_text``) that
-``util.write_csv``'s byte tables replaced. ``dict_view`` expands an array
+``util.write_csv``'s byte tables replaced, and the lookup of every
+operation member's link at once (``reference_member_links``) that the
+crosstab's lookup a block at a time replaced. ``dict_view`` expands an array
 partition into the string-keyed one the categoriser used to return, and ``verify_partition`` checks that view's
 structural contract. ``keep_everything`` is the filter that admits every
 row, for parses that must give back what was written, and
@@ -1178,6 +1180,24 @@ def reference_aggregate(transactions) -> tuple[dict[tuple[str, str], tuple[int, 
         pair: (len(txs), dsum(t.amount for t in txs)) for pair, txs in sorted(buckets.items())
     }
     return links, dropped
+
+
+def reference_member_links(g: LedgerGraph, ops: Operations) -> np.ndarray:
+    """Each operation member's link in ``g``, every member looked up at once
+    among the graph's sorted (source, target) keys; a member whose link is
+    not in ``g`` is a :class:`DataError`."""
+    ledger, rows = ops.ledger, ops.rows
+    node_of = g.node_index(ledger.accounts)
+    n = g.node_count
+    sources, targets = node_of[ledger.source[rows]], node_of[ledger.target[rows]]
+    keys = sources * n + targets
+    link_keys = np.append(g.sources * n + g.targets, -1)
+    link = np.searchsorted(link_keys[:-1], keys)
+    found = (sources >= 0) & (targets >= 0) & (link_keys[link] == keys)
+    if not found.all():
+        tx_id = ledger.ids[ledger.row[rows[np.argmin(found)]]]
+        raise DataError(f"operation transaction {tx_id!r} is not in the graph")
+    return link
 
 
 def reference_crosstab(g, partition, classified, signatures, transactions) -> CrosstabResult:

@@ -1,11 +1,15 @@
 import codecs
 import csv
+import gc
 import io
 import os
 import signal
+import tracemalloc
+import warnings
 from datetime import datetime, timezone
 from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,10 +24,17 @@ from ledgerflow.ingest import (
     parse_timestamp,
     write_transactions,
 )
-from ledgerflow.util import Units
+from ledgerflow.util import TextTable, Units
 
 from conftest import economy_ledger
-from oracles import Transaction, keep_everything, ledger_of, rows_of
+from oracles import (
+    Transaction,
+    keep_everything,
+    ledger_of,
+    reference_csv_text,
+    reference_sort,
+    rows_of,
+)
 
 HEADER = "id,timeset,source,target,weight,transfer_subtype\n"
 
@@ -277,6 +288,50 @@ def test_write_transactions_renders_a_chunk_at_a_time(tmp_path, monkeypatch):
     assert path.read_text(encoding="utf-8") == eager.getvalue()
 
 
+def test_ids_that_need_quotes_write_the_row_writers_bytes(tmp_path):
+    # Quoted ids send the parse through the row loop, which keeps an empty
+    # id too; the ledger written from the id table is the one a row-at-a-time
+    # writer writes, ties in code-point order.
+    ids = ["a,b", 'q"t', "l\nf", "c\rr", "é字", "", "plain", "z", "\x00", "é"]
+    txs = [Transaction(1_600_000_000 + i // 3, tx_id, f"a{i % 3}", f"b{i % 2}",
+                       Decimal(i) / 4, "STANDARD") for i, tx_id in enumerate(ids)]
+
+    def text(rows):
+        columns = [[t.tx_id for t in rows],
+                   [datetime.fromtimestamp(t.timestamp, timezone.utc).isoformat() for t in rows],
+                   [t.source for t in rows], [t.target for t in rows],
+                   [str(t.amount) for t in rows], [t.subtype for t in rows]]
+        return reference_csv_text(ColumnMapping().names, columns).encode("utf-8")
+
+    source, written = tmp_path / "in.csv", tmp_path / "out.csv"
+    source.write_bytes(text(txs))
+    ledger, _ = parse_ledger(source)
+    assert isinstance(ledger.ids, TextTable)
+    write_transactions(written, ledger)
+    assert written.read_bytes() == text(reference_sort(txs))
+
+
+def test_a_parsed_ledger_holds_no_str_per_id(tmp_path):
+    # A str per id would take about 57 bytes of each row (its object and
+    # a list slot); the table takes its UTF-8 bytes, a line end and an
+    # int32 offset. The whole ledger holds about 92 bytes a row, against 144
+    # with a str per id.
+    path = tmp_path / "economy.csv"
+    path.write_text(economy_ledger(2500, 7), encoding="utf-8")
+    parse_ledger(path)  # imports and caches filled
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ledger, diagnostics = parse_ledger(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    rows = diagnostics.rows_read
+    assert rows > 20_000 and len(ledger.ids) == rows
+    assert len(ledger.ids.data) + ledger.ids.start.nbytes <= 16 * rows
+    assert held <= 110 * rows
+
+
 @pytest.mark.parametrize("stamp", [util.MIN_EPOCH - 1, util.MAX_EPOCH + 1])
 def test_out_of_range_stamp_raises_before_the_file_exists(tmp_path, stamp):
     txs = [Transaction(0, "t1", "a", "b", Decimal(1)),
@@ -316,12 +371,22 @@ def _units(units: Units):
 def outcome(path, schema=None, filter_spec=None):
     """What parse_ledger gives: every column (amounts as text) and the
     diagnostics, or the exception's type and message. The ledger's units
-    must be those that ``Units.of`` derives from its amounts."""
+    must be those that ``Units.of`` derives from its amounts, and its id
+    table must hold the list of ids that the parse read."""
+    read, table_of = [], TextTable.of
+
+    def spied(texts):
+        read.append(list(texts))
+        return table_of(texts)
+
     try:
-        ledger, diagnostics = parse_ledger(path, schema, filter_spec)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(TextTable, "of", spied)
+            ledger, diagnostics = parse_ledger(path, schema, filter_spec)
     except Exception as exc:  # noqa: BLE001 - the type is compared
         return type(exc), str(exc)
     assert _units(ledger.units) == _units(Units.of(ledger.amount))
+    assert read == [list(ledger.ids)] == [[ledger.ids[k] for k in range(len(ledger.ids))]]
     return (
         ledger.accounts,
         ledger.timestamp.tolist(),
@@ -557,6 +622,39 @@ def test_the_row_loop_takes_over_at_the_declined_block(tmp_path, monkeypatch):
     assert mine[-1] == IngestDiagnostics(rows_read=200)
 
 
+def test_a_row_loop_parse_leaves_no_file_open(tmp_path):
+    # A Z stamp sends the parse through the row loop, which reads the file
+    # through a text wrapper; one left to the garbage collector warns.
+    rows = [f"t{i},2020-01-01T00:00:0{i}{'Z' if i == 3 else ''},a,b,1,STANDARD\n"
+            for i in range(5)]
+    path = write(tmp_path, "".join(rows))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert len(parse_ledger(path)[0]) == 5
+        rows[4] = rows[4].replace(",1,", ",x,")
+        with pytest.raises(DataError, match="row 6: bad amount 'x'"):
+            parse_ledger(write(tmp_path, "".join(rows)))
+        gc.collect()
+    assert [str(w.message) for w in caught] == []
+
+
+def test_the_last_run_is_checked_without_growing_the_seen_set():
+    def run(parsed, ids, last=False):
+        kept = parsed.first_seen(ids, np.arange(len(ids)), last)
+        n = len(ids)
+        parsed.add([0] * n, ids, ["x"] * n, ["y"] * n, [0] * n, [""] * n, kept)
+        return kept.tolist()
+
+    parsed = ingest._Parsed()
+    assert run(parsed, ["a", "b"]) == [0, 1]
+    assert run(parsed, ["c", "d"], last=True) == [0, 1]
+    assert parsed.seen_ids == {"a", "b"} and parsed.duplicates == 0
+    parsed = ingest._Parsed()
+    assert run(parsed, ["a", "b"]) == [0, 1]
+    assert run(parsed, ["c", "b", "e"], last=True) == [0, 2]
+    assert parsed.duplicates == 1
+
+
 def test_repeated_ids_are_counted_on_either_path(tmp_path, monkeypatch):
     # Repeated kept ids alone do not decline the column path; before and
     # after the row loop takes over, the first occurrence is kept and the
@@ -707,7 +805,18 @@ def test_one_usable_cpu_forks_nothing(tmp_path, monkeypatch):
     assert outcome(path) == expected
 
 
-@pytest.mark.parametrize("how", ["raise", "kill"])
+class _Unloadable:
+    """A value that pickles, and raises when it is loaded."""
+
+    def __reduce__(self):
+        return _refuse_to_load, ()
+
+
+def _refuse_to_load():
+    raise ValueError("not loaded")
+
+
+@pytest.mark.parametrize("how", ["raise", "kill", "unloadable"])
 def test_a_part_whose_child_fails_is_parsed_here(tmp_path, monkeypatch, how):
     path = tmp_path / "ledger.csv"
     rows = even_rows(60)
@@ -721,6 +830,8 @@ def test_a_part_whose_child_fails_is_parsed_here(tmp_path, monkeypatch, how):
         if os.getpid() != parent:
             if how == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
+            if how == "unloadable":  # loaded in the parent alone
+                return _Unloadable()
             raise ValueError("the part failed")
         here.append(args[1])
         return parse_part(*args)

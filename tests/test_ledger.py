@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ledgerflow import ingest
+from ledgerflow import ingest, recirculation
 from ledgerflow.errors import DataError
 from ledgerflow.graph import aggregate
 from ledgerflow.ingest import ColumnMapping, Ledger, parse_ledger, write_transactions
@@ -35,6 +35,7 @@ from oracles import (
     reference_aggregate,
     reference_crosstab,
     reference_ledger_order,
+    reference_member_links,
     reference_sort,
     rows_of,
     signatures_of,
@@ -164,6 +165,38 @@ def test_crosstab_matches_per_transaction_reference():
         assert str(mine.coverage.volume_in_ops) == str(reference.coverage.volume_in_ops)
         checked += 1
     assert checked > 150
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 15])
+def test_crosstab_looks_members_up_as_the_whole_array_lookup(tmp_path, monkeypatch, block):
+    # Blocks of one or seven members split most operations, and the
+    # economy ledgers' many blocks take every kind of boundary.
+    monkeypatch.setattr(recirculation, "_MEMBER_BLOCK", block)
+    rng = random.Random(45)
+    ledgers = [random_ledger(rng, rng.randrange(2, 60)) for _ in range(60)]
+    for seed in (5, 6):
+        path = tmp_path / f"economy-{seed}.csv"
+        path.write_text(economy_ledger(200, seed), encoding="utf-8")
+        ledgers.append(rows_of(parse_ledger(path)[0]))
+    checked = 0
+    for txs in ledgers:
+        clean = [t for t in txs if t.source != t.target]
+        ledger = ledger_of(clean)
+        ops = extract_ops(ledger)
+        if not ops:
+            continue
+        g, _ = aggregate(ledger)
+        blocks = list(recirculation._member_links(g, ops, g.node_index(ledger.accounts)))
+        assert [start for start, _ in blocks] == list(range(0, ops.rows.size, block))
+        links = np.concatenate([link for _, link in blocks])
+        assert links.tolist() == reference_member_links(g, ops).tolist()
+        partition = categorize(g)
+        classified = classify_ops(ops)
+        signatures = user_signatures(classified)
+        assert crosstab(g, partition, classified, signatures) == reference_crosstab(
+            g, dict_view(g, partition), classified, signatures_of(signatures), clean)
+        checked += 1
+    assert checked > 45
 
 
 def test_write_parse_round_trip_keeps_code_point_order(tmp_path):

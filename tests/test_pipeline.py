@@ -197,6 +197,27 @@ def test_stage_entries_hold_cpu_time_and_peak_rss(tmp_path):
         assert stage["peak_rss_mb"] > 0, stage
 
 
+def test_no_stage_field_is_negative_zero(tmp_path, monkeypatch):
+    # Children that used 0.01 s user and 0.02 s system CPU before the run
+    # and none in it: (0.01 + 0.02) - 0.01 - 0.02 is below zero, and rounds
+    # to -0.0 in the manifest.
+    getrusage = pipeline.resource.getrusage
+
+    def no_new_children(who):
+        usage = getrusage(who)
+        if who != pipeline.resource.RUSAGE_CHILDREN:
+            return usage
+        return type("Usage", (), {"ru_utime": 0.01, "ru_stime": 0.02,
+                                  "ru_maxrss": usage.ru_maxrss})()
+
+    monkeypatch.setattr(pipeline.resource, "getrusage", no_new_children)
+    result = run_pipeline(small_config(DEMO_LEDGER, tmp_path / "out"))
+    for stage in result.manifest["stages"]:
+        assert stage["children_cpu_seconds"] == 0.0, stage
+        for key, value in stage.items():
+            assert key == "name" or math.copysign(1.0, value) == 1.0, (key, stage)
+
+
 def test_children_cpu_is_counted_where_the_children_are_reaped(tmp_path):
     # The forked writers are reaped at the final join, timed under ingest,
     # and the replica slices under the first ensemble stage.

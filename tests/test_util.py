@@ -19,8 +19,8 @@ from ledgerflow import util
 from ledgerflow.errors import DataError
 from ledgerflow.topology import categorize, category_stats
 from ledgerflow.util import (
-    MAX_EPOCH, MIN_EPOCH, Coded, Units, dsum, format_duration, group_sums, iso_rows, iso_utc,
-    mix64, text_columns, to_json, write_csv,
+    MAX_EPOCH, MIN_EPOCH, Coded, TextTable, Units, dsum, format_duration, group_sums, iso_rows,
+    iso_utc, mix64, text_columns, to_json, write_csv,
 )
 
 from oracles import LinkRecord, graph_from_links, reference_csv_text
@@ -236,6 +236,8 @@ def coded_tables(draw):
         elif kind in ("table", "shared"):
             table = draw(st.lists(draw(st.sampled_from((quoted_cells, plain_cells))), min_size=1,
                                   max_size=6))
+            if draw(st.booleans()):
+                table = TextTable.of(table)
         if kind == "stamps":
             seconds = np.array(draw(st.lists(st.integers(MIN_EPOCH, MAX_EPOCH), min_size=rows,
                                              max_size=rows)), dtype=np.int64)
@@ -263,6 +265,23 @@ def test_write_csv_of_coded_columns_matches_the_row_writer(tmp_path_factory, tab
           mock.patch.object(util, "_CHUNK_BYTES", chunk_bytes)):
         write_csv(path, header, columns)
     assert path.read_bytes() == reference_csv_text(header, texts).encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(quoted_cells | plain_cells | cells, max_size=8))
+def test_text_table_holds_its_texts(texts):
+    table = TextTable.of(texts)
+    assert len(table) == len(texts)
+    assert list(table) == [table[k] for k in range(len(texts))] == texts
+    assert [table[k - len(texts)] for k in range(len(texts))] == texts
+    index = np.array([k for k in range(len(texts)) for _ in range(k % 3)], dtype=np.int64)
+    assert table.take(index) == [texts[k] for k in index.tolist()]
+    assert table.cells(index) == [texts[k].encode("utf-8") for k in index.tolist()]
+    # UTF-8 byte order is code-point order.
+    assert sorted(range(len(texts)), key=table.cells(np.arange(len(texts))).__getitem__) == \
+        sorted(range(len(texts)), key=texts.__getitem__)
+    with pytest.raises(IndexError):
+        table[len(texts)]
 
 
 def test_write_csv_pads_no_chunk_past_its_byte_budget(tmp_path):
@@ -359,6 +378,27 @@ def test_unpicklable_exception_arrives_as_runtime_error():
     handle = util.fork_call(_raise, Unpicklable("disk gone"))
     with pytest.raises(RuntimeError, match="^Unpicklable: disk gone$"):
         handle.result()
+
+
+class _Unloadable:
+    """A value that pickles, and raises when it is loaded."""
+
+    def __reduce__(self):
+        return _raise, (ValueError("not loaded"),)
+
+
+def test_a_value_that_does_not_load_is_a_runtime_error_here():
+    # The child sends a value without loading it first: the load fails here.
+    handle = util.fork_call(_Unloadable)
+    with pytest.raises(RuntimeError, match="^forked child's result does not load: "
+                                           "ValueError\\('not loaded'\\)$"):
+        handle.result()
+
+
+def test_a_result_keeps_no_bytes():
+    handle = util.fork_call(bytes, 1 << 20)
+    assert handle.result() == bytes(1 << 20)
+    assert handle._data == b""
 
 
 def test_fork_call_runs_in_process_when_fork_fails(monkeypatch):
