@@ -11,7 +11,7 @@ components (dag0).
 from pathlib import Path
 
 from ledgerflow import aggregate, categorize, category_stats, parse_ledger
-from ledgerflow.topology import CATEGORY_ORDER
+from ledgerflow.topology import CATEGORY_KIND, CATEGORY_ORDER
 
 LEDGER = Path(__file__).parent / "data" / "demo_ledger.csv"
 
@@ -31,11 +31,11 @@ def main() -> None:
     stats = category_stats(graph, partition)
 
     print("\ncategory                sccs  wccs  nodes  links     tx  volume")
-    for label in CATEGORY_ORDER:
+    for label, kind in zip(CATEGORY_ORDER, CATEGORY_KIND):
         row = stats[label]
         if row.node_count == 0 and row.link_count == 0:
             continue
-        sccs = row.scc_count if label.startswith("scc") else "-"
+        sccs = row.scc_count if kind == "scc" else "-"
         print(f"{label:<22} {sccs:>5} {row.wcc_count:>5} {row.node_count:>6} "
               f"{row.link_count:>6} {row.tx_count:>6}  {row.volume}")
 

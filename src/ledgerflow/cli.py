@@ -5,9 +5,9 @@ report, generate, run. Global flags pick the config file, seed, worker
 count, output directory, and table format. A flag overrides the config
 file, and a setting given by neither keeps the default of the dataclass
 that owns it (``PipelineConfig``, ``ColumnMapping``, ``FilterSpec``).
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 analysis
-error or any other failure; every failure writes ``error_report.json``
-once the output directory is known.
+Exit codes: 0 success, 2 configuration error (a command line that does not
+parse too), 3 data error, 4 analysis error or any other failure; every
+failure writes ``error_report.json`` once the output directory is known.
 """
 
 from __future__ import annotations
@@ -132,6 +132,18 @@ def _build_scenario(args: argparse.Namespace) -> ScenarioSpec:
         raise ConfigError(str(exc)) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a bad or unknown flag, or no subcommand
+        raise ConfigError(message)
+
+
+def _argv_output(argv: list[str] | None) -> Path | None:
+    """The ``--output`` that a command line gives, read even where it does not parse."""
+    scan = argparse.ArgumentParser(add_help=False)
+    scan.add_argument("--output", nargs="?", type=Path)
+    return scan.parse_known_args(argv)[0].output
+
+
 def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     default = argparse.SUPPRESS if suppress else None
     parser.add_argument("--config", metavar="FILE", default=default,
@@ -147,7 +159,7 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ledgerflow",
         description="Topology, null-model significance, and recirculation analytics "
         "for transaction ledgers.",
@@ -209,13 +221,16 @@ _FAILURES = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     # The flag until the configuration resolves the run's output directory.
-    output = Path(args.output) if args.output else None
+    output = _argv_output(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except ConfigError:  # a command line that does not parse
+            output = output or Path(_OUTPUT_DIR)
+            raise
         if args.command == "generate":
-            output = Path(args.output or _OUTPUT_DIR)
+            output = output or Path(_OUTPUT_DIR)
             spec = _build_scenario(args)
             seed = PipelineConfig.master_seed if args.seed is None else args.seed
             ledger_path, truth_path = write_scenario(output, spec, seed)

@@ -75,8 +75,7 @@ class Ledger:
     being the ids read (with a file's filtered rows) as one
     :class:`~ledgerflow.util.TextTable`, a UTF-8 buffer with int offsets,
     and its subtype is ``subtype_table[subtypes[row[k]]]``, ``subtypes``
-    holding one int32 code per item of ``ids``; ``tx_id`` and ``subtype``
-    build the per-row lists on each call, as ``amount`` does. A row's amount is
+    holding one int32 code per item of ``ids``. A row's amount is
     ``amount_table[amount_code[k]]``, the table holding each distinct
     amount text's ``Decimal`` once; ``units`` holds the amounts as
     :class:`Units`, which every volume is summed from.
@@ -93,19 +92,6 @@ class Ledger:
     amount_table: list[Decimal]
     amount_code: np.ndarray
     units: Units
-
-    @property
-    def tx_id(self) -> list[str]:
-        return self.ids.take(self.row)
-
-    @property
-    def subtype(self) -> list[str]:
-        return np.array(self.subtype_table, dtype=object)[self.subtypes[self.row]].tolist()
-
-    @property
-    def amount(self) -> list[Decimal]:
-        """Each row's ``Decimal`` amount, as a list built on each call."""
-        return np.array(self.amount_table, dtype=object)[self.amount_code].tolist()
 
     @classmethod
     def from_columns(cls, timestamp, tx_id, source, target, amount, subtype) -> "Ledger":
@@ -269,6 +255,7 @@ class IngestDiagnostics:
 _EPOCH = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
 _UNIX_EPOCH = datetime(1970, 1, 1)
 _UNIX_EPOCH_UTC = _UNIX_EPOCH.replace(tzinfo=timezone.utc)
+_row_id = "r{:08d}".format  # a row's id, from its line number, where the file has none
 
 
 def parse_timestamp(raw: str, fmt: str) -> int:
@@ -422,7 +409,7 @@ class _Parsed:
         columns, accounts, amounts, subtypes, ids, rows, filtered, duplicates, offset = part
         stamps, source, target, amount_code, subtype_code, kept = columns
         if ids is None:
-            tx_id = list(map("r{:08d}".format, range(self.rows + 2, self.rows + 2 + rows)))
+            tx_id = list(map(_row_id, range(self.rows + 2, self.rows + 2 + rows)))
         else:
             tx_id = ids.split("\n") if rows else []
             kept = self.first_seen(tx_id, kept, last and offset is None)
@@ -574,7 +561,7 @@ def _parse_blocks(fd: int, start: int, stop: int, layout: tuple, parsed: _Parsed
             return start
         kept = np.flatnonzero(keep)
         if i_id is None:
-            tx_id = list(map("r{:08d}".format, range(parsed.rows + 2, parsed.rows + 2 + n)))
+            tx_id = list(map(_row_id, range(parsed.rows + 2, parsed.rows + 2 + n)))
         else:
             tx_id = cells[i_id::width]
             kept = parsed.first_seen(tx_id, kept)
@@ -700,7 +687,7 @@ def _parse_rows(rows: Iterator[tuple[int, list[str]]], names: list[str] | None,
             raise DataError(f"row {row_no}: empty account id")
 
         stamps.append(timestamp)
-        tx_ids.append(row[idx_id].strip() if idx_id is not None else f"r{row_no:08d}")
+        tx_ids.append(row[idx_id].strip() if idx_id is not None else _row_id(row_no))
         sources.append(source)
         targets.append(target)
         amount_codes.append(code)

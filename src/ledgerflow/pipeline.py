@@ -45,8 +45,8 @@ from .recirculation import (
 from .stats import _MIN_ENSEMBLE, SignificanceCell
 from .synthetic import ScenarioSpec, generate_synthetic
 from .topology import (
+    CATEGORY_KIND,
     CATEGORY_ORDER,
-    EDGE_CATEGORIES,
     CategoryRow,
     EdgeKind,
     OneTimeUserTable,
@@ -208,13 +208,13 @@ class _Writer:
 
 
 def _category_stats_rows(stats: Mapping[str, CategoryRow]):
-    for label in CATEGORY_ORDER:
+    for label, kind in zip(CATEGORY_ORDER, CATEGORY_KIND):
         row = stats[label]
-        is_edge = label.startswith("edge_")
+        is_edge = kind == "edge"
         yield (
             "-" if is_edge else label,
             label if is_edge else "=",
-            row.scc_count if label.startswith("scc") else None,
+            row.scc_count if kind == "scc" else None,
             row.wcc_count,
             row.node_count,
             row.link_count,
@@ -251,6 +251,16 @@ def _timed(stages: dict[str, dict[str, float]], name: str):
     stage["children_peak_rss_mb"] = children.ru_maxrss / 1024
 
 
+def _output_dir(path: Path) -> Path:
+    """The directory ``path``, made if need be, or a :class:`ConfigError`."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory not writable: {out_dir}: {exc}") from None
+    return out_dir
+
+
 ALL_STAGES: tuple[str, ...] = (
     "ingest", "topology", "significance", "triads", "recirculation", "report",
 )
@@ -273,11 +283,7 @@ def run_pipeline(
         raise AnalysisError(
             f"ensemble of {config.replicas} is below the minimum of {_MIN_ENSEMBLE}"
         )
-    out_dir = Path(config.output_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"output directory not writable: {out_dir}: {exc}") from None
+    out_dir = _output_dir(config.output_dir)
     writer = _Writer(out_dir, tuple(config.formats))
     try:
         # A stage entered again adds to its time; the manifest lists stages in
@@ -449,14 +455,10 @@ def run_pipeline(
 
 _CATEGORY_NAMES = np.array(CATEGORY_ORDER, dtype=object)
 # Component id prefix per node category code.
-_COMPONENT_KINDS = np.array(
-    ["scc:" if c.startswith("scc") else "dag:" if c.startswith("dag") else "node:"
-     for c in CATEGORY_ORDER],
-    dtype=object,
-)
+_COMPONENT_KINDS = np.array([f"{kind}:" for kind in CATEGORY_KIND], dtype=object)
 # Edge kind by category code for boundary links, then internal and attachment.
 _EDGE_KINDS = CATEGORY_ORDER + (EdgeKind.INTERNAL.value, EdgeKind.ATTACHMENT.value)
-_BOUNDARY_CODES = [CATEGORY_ORDER.index(c) for c in EDGE_CATEGORIES]
+_BOUNDARY = np.array(CATEGORY_KIND) == "edge"
 
 
 def _write_assignments(
@@ -480,7 +482,7 @@ def _write_assignments(
         (g.nodes, Coded(labels.node, CATEGORY_ORDER), Coded(of_node, names)),
     )
     cs, ct = component[g.sources], component[g.targets]
-    boundary = np.isin(labels.link, _BOUNDARY_CODES)
+    boundary = _BOUNDARY[labels.link]
     owner = np.where(boundary, index.size, np.searchsorted(index, np.maximum(cs, ct)))
     write_csv(
         edge_path,
@@ -585,8 +587,7 @@ def _sha256(path: Path) -> str:
 
 def write_scenario(out_dir: Path, spec: ScenarioSpec, seed: int) -> tuple[Path, Path]:
     """Write a synthetic ledger plus its ground-truth categories."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(out_dir)
     ledger = generate_synthetic(spec, seed)
     ledger_path = out_dir / "ledger.csv"
     truth_path = out_dir / "ground_truth.csv"

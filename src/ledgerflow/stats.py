@@ -9,8 +9,9 @@ the function ``scipy.stats.norm.cdf`` evaluates, so the slow-to-import
 ``scipy.stats`` stays out of the process. ``score_ensemble`` applies all
 three to every (row, column) cell of a table, empirical against replicas,
 in one pass over a cells × replicas array; category sizes and triad counts
-are both scored through it. The one-cell-at-a-time scorer and its 1-D
-Anderson-Darling test are references in ``tests/oracles.py``.
+are both scored through it. The one-cell-at-a-time scorer, its 1-D
+Anderson-Darling test and the scalar z-scores are references in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from scipy.special import ndtr
 from .errors import AnalysisError
 
 __all__ = [
-    "z_score",
-    "robust_z_score",
     "SignificanceCell",
     "score_ensemble",
 ]
@@ -38,18 +37,6 @@ _MIN_ENSEMBLE = 8
 
 def _standardised(value: float, centre: float, scale: float) -> float | None:
     return None if scale == 0.0 else (float(value) - centre) / scale
-
-
-def z_score(value: float, samples: Sequence[float]) -> float | None:
-    """(value - mean) / sample sd; None when the sd is zero."""
-    arr = np.asarray(samples, dtype=float)
-    return _standardised(value, float(arr.mean()), float(arr.std(ddof=1)))
-
-
-def robust_z_score(value: float, samples: Sequence[float]) -> float | None:
-    """(value - median) / IQR with linear-interpolation quartiles; None when IQR is zero."""
-    q1, q2, q3 = np.quantile(np.asarray(samples, dtype=float), [0.25, 0.5, 0.75])
-    return _standardised(value, float(q2), float(q3 - q1))
 
 
 def _ad_p_value(a2c: float) -> float:

@@ -57,6 +57,7 @@ __all__ = [
     "OneTimeRow",
     "OneTimeUserTable",
     "CATEGORY_ORDER",
+    "CATEGORY_KIND",
     "NODE_CATEGORIES",
     "EDGE_CATEGORIES",
     "Labels",
@@ -80,18 +81,6 @@ class NodeCategory(str, Enum):
     IN_SINGLE = "in-single-node"
     OUT_SINGLE = "out-single-node"
     BRIDGE_SCC = "bridge_scc"
-
-    @property
-    def is_scc(self) -> bool:
-        return self.value.startswith("scc")
-
-    @property
-    def is_dag(self) -> bool:
-        return self.value.startswith("dag")
-
-    @property
-    def is_single(self) -> bool:
-        return not (self.is_scc or self.is_dag)
 
 
 class EdgeKind(str, Enum):
@@ -126,6 +115,11 @@ CATEGORY_ORDER: tuple[str, ...] = (
     "edge_scc2dag",
     "edge_scc2scc",
 )
+# Each category's kind, by code, read off its name here alone: "scc" (cyclic),
+# "dag" (acyclic), "node" (single-node) or "edge" (boundary link).
+CATEGORY_KIND: tuple[str, ...] = tuple(
+    "edge" if c in EDGE_CATEGORIES else c[:3] if c.startswith(("scc", "dag")) else "node"
+    for c in CATEGORY_ORDER)
 
 
 @dataclass(frozen=True)
@@ -174,8 +168,8 @@ _BOUNDARY = np.array([_CODE["edge_scc2dag"], _CODE["edge_dag2scc"]])  # by enter
 # isolated node is out-single), acyclic and cyclic nodes.
 _NODE_CODES = np.array([_CODE[c] for c in ("out-single-node", "out-single-node",
                         "in-single-node", "bridge_scc")] + [*_DAG_CODES, *_SCC_CODES])
-_CYCLIC = np.array([c.startswith("scc") for c in CATEGORY_ORDER])
-_PASSED = np.array([not c.startswith(("scc", "dag")) for c in CATEGORY_ORDER])
+_CYCLIC = np.array(CATEGORY_KIND) == "scc"
+_PASSED = np.isin(CATEGORY_KIND, ("node", "edge"))
 _BLOCK = np.cumsum(_PASSED) - 1  # each passed category's block of (category, node) vertices
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import AnalysisError
 from .graph import LedgerGraph
 from .stats import SignificanceCell, score_ensemble
-from .topology import CATEGORY_ORDER, Labels, NodeCategory, TopologyPartition
+from .topology import CATEGORY_KIND, CATEGORY_ORDER, Labels, NodeCategory, TopologyPartition
 from .topology import categorize  # noqa: F401  (perfbench/tracer.py wraps triads.categorize)
 
 __all__ = [
@@ -46,7 +46,7 @@ TRIAD_LABELS: tuple[str, ...] = (
     "030T", "030C", "201", "120D", "120U", "120C", "210", "300",
 )
 
-_ACYCLIC = np.array([category.startswith("dag") for category in CATEGORY_ORDER])
+_ACYCLIC = np.array(CATEGORY_KIND) == "dag"
 
 DEFAULT_CENSUS_CATEGORIES: tuple[NodeCategory, ...] = (
     NodeCategory.DAG0,
@@ -130,14 +130,15 @@ def label_census(
     unchecked: ``label`` makes each a simple acyclic subgraph whose links
     join two of its own nodes.
     """
-    if not all(category.is_dag for category in categories):
+    codes = [CATEGORY_ORDER.index(category.value) for category in categories]
+    if not _ACYCLIC[codes].all():
         raise ValueError("label_census counts acyclic categories only")
     n = max(labels.node.size, 1)
     owned = np.flatnonzero(_ACYCLIC[labels.link])
     nodes = np.bincount(labels.node, minlength=len(CATEGORY_ORDER))
     table = _closed_forms(np.sort(sources[owned] * n + targets[owned]), n, labels.node, nodes)
     table[:, 0] = nodes * (nodes - 1) * (nodes - 2) // 6 - table.sum(axis=1)
-    return table[[CATEGORY_ORDER.index(category.value) for category in categories]]
+    return table[codes]
 
 
 def category_census(

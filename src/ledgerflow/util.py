@@ -218,11 +218,6 @@ def iso_rows(seconds: np.ndarray) -> np.ndarray:
     return rows
 
 
-def iso_utc(seconds: np.ndarray) -> list[str]:
-    """The stamps of :func:`iso_rows` as text."""
-    return iso_rows(seconds).view("S25").ravel().astype("U25").tolist()
-
-
 def mix64(a: int, b: int) -> int:
     """Mix two integers into one 64-bit seed.
 
@@ -257,8 +252,6 @@ class _Encoder(json.JSONEncoder):
     def default(self, o):
         if isinstance(o, Decimal):
             return str(o)
-        if isinstance(o, (set, frozenset)):
-            return sorted(o)
         return super().default(o)
 
 
@@ -325,10 +318,6 @@ class TextTable:
         """The UTF-8 bytes of texts ``index``."""
         start, stop = self.start[index].tolist(), (self.start[index + 1] - 1).tolist()
         return list(map(self.data.__getitem__, map(slice, start, stop)))
-
-    def take(self, index: np.ndarray) -> list[str]:
-        """Texts ``index``, as a list."""
-        return [cell.decode("utf-8") for cell in self.cells(index)]
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,12 @@ from ledgerflow.util import Units, dsum
 # --------------------------------------------------------------------------
 
 
+def kind_of(category: str) -> str:
+    """A category's kind read off its name, as ``topology.CATEGORY_KIND``
+    holds it: "scc", "dag", "edge" (a boundary link) or "node" (a single-node)."""
+    return next((kind for kind in ("scc", "dag", "edge") if category.startswith(kind)), "node")
+
+
 def naive_categorize(g: LedgerGraph):
     """Category and component (as a frozenset) per node, plus edge kinds.
 
@@ -291,7 +297,7 @@ def dict_view(g: LedgerGraph, partition: TopologyPartition) -> DictPartition:
     for c, group in groups.items():
         members = tuple(nodes[i] for i in group)
         category = NodeCategory(CATEGORY_ORDER[node_codes[group[0]]])
-        kind = "scc" if category.is_scc else "dag" if category.is_dag else "node"
+        kind = kind_of(category)
         cid = cid_of[c] = f"{kind}:{members[0]}"
         components[cid] = members
         component_category[cid] = category
@@ -391,11 +397,11 @@ def verify_partition(g: LedgerGraph, partition: DictPartition) -> None:
 
     out_adj, in_adj = adjacency(g)
     for cid, members in partition.components.items():
-        category = partition.component_category[cid]
-        if category.is_scc:
+        kind = kind_of(partition.component_category[cid])
+        if kind == "scc":
             if len(members) < 2 or not _strongly_connected(members, (out_adj, in_adj)):
                 raise ValueError(f"{cid} is not a strongly connected component")
-        elif category.is_dag:
+        elif kind == "dag":
             if len(members) < 2 or not _acyclic(members, links):
                 raise ValueError(f"{cid} is not an acyclic component")
         else:
@@ -403,13 +409,13 @@ def verify_partition(g: LedgerGraph, partition: DictPartition) -> None:
                 raise ValueError(f"{cid} is a single-node component with {len(members)} nodes")
 
     for (source, target) in links:
-        sc = partition.node_category[source]
-        tc = partition.node_category[target]
-        if sc.is_dag and tc.is_dag and partition.node_component[source] != partition.node_component[target]:
+        sk = kind_of(partition.node_category[source])
+        tk = kind_of(partition.node_category[target])
+        if sk == tk == "dag" and partition.node_component[source] != partition.node_component[target]:
             raise ValueError(f"link {source}->{target} joins two distinct DAG components")
-        if (sc.is_single and tc.is_dag) or (sc.is_dag and tc.is_single):
+        if {sk, tk} == {"node", "dag"}:
             raise ValueError(f"link {source}->{target} joins a single-node and a DAG")
-        if sc.is_single and tc.is_single:
+        if sk == tk == "node":
             raise ValueError(f"link {source}->{target} joins two single-nodes")
 
     for v, category in partition.node_category.items():
@@ -713,7 +719,7 @@ def reference_category_stats(
 
     scc_count: dict[str, int] = {label: 0 for label in CATEGORY_ORDER}
     for cid, category in partition.component_category.items():
-        if category.is_scc:
+        if kind_of(category) == "scc":
             scc_count[category.value] += 1
 
     result: dict[str, CategoryRow] = {}
@@ -780,6 +786,18 @@ def anderson_darling_normal(samples: Sequence[float]) -> AndersonDarlingResult:
     a2c = a2 * (1.0 + 0.75 / n + 2.25 / (n * n))
     p = min(1.0, max(0.0, _ad_p_value(a2c)))
     return AndersonDarlingResult(float(a2), float(a2c), float(p), p < ALPHA_LEVEL)
+
+
+def z_score(value: float, samples: Sequence[float]) -> float | None:
+    """(value - mean) / sample sd; None when the sd is zero."""
+    arr = np.asarray(samples, dtype=float)
+    return _standardised(value, float(arr.mean()), float(arr.std(ddof=1)))
+
+
+def robust_z_score(value: float, samples: Sequence[float]) -> float | None:
+    """(value - median) / IQR with linear-interpolation quartiles; None when IQR is zero."""
+    q1, q2, q3 = np.quantile(np.asarray(samples, dtype=float), [0.25, 0.5, 0.75])
+    return _standardised(value, float(q2), float(q3 - q1))
 
 
 def reference_cell(category: str, feature: str, empirical: float,
@@ -1418,14 +1436,29 @@ def ledger_of(rows: Iterable[Transaction]) -> Ledger:
     return Ledger.from_columns(*([getattr(t, f.name) for t in rows] for f in fields(Transaction)))
 
 
+def ids_of(ledger: Ledger) -> list[str]:
+    """Each row's id, decoded from the ledger's id table."""
+    return [cell.decode("utf-8") for cell in ledger.ids.cells(ledger.row)]
+
+
+def amounts_of(ledger: Ledger) -> list[Decimal]:
+    """Each row's ``Decimal`` amount, from the ledger's amount table."""
+    return [ledger.amount_table[code] for code in ledger.amount_code.tolist()]
+
+
+def subtypes_of(ledger: Ledger) -> list[str]:
+    """Each row's subtype, from the ledger's subtype table."""
+    return [ledger.subtype_table[code] for code in ledger.subtypes[ledger.row].tolist()]
+
+
 def rows_of(ledger: Ledger) -> list[Transaction]:
-    """A ledger's rows as transactions, in ledger order."""
+    """A ledger's rows as transactions, in ledger order, read off its columns."""
     accounts = ledger.accounts
     return [
         Transaction(stamp, tx_id, accounts[source], accounts[target], amount, subtype)
         for stamp, tx_id, source, target, amount, subtype in zip(
-            ledger.timestamp.tolist(), ledger.tx_id, ledger.source.tolist(),
-            ledger.target.tolist(), ledger.amount, ledger.subtype)
+            ledger.timestamp.tolist(), ids_of(ledger), ledger.source.tolist(),
+            ledger.target.tolist(), amounts_of(ledger), subtypes_of(ledger))
     ]
 
 
@@ -1500,7 +1533,7 @@ class RecirculationOp:
 def ops_of(ops: Operations) -> list[RecirculationOp]:
     """Operation columns as one record per operation, in order."""
     ledger = ops.ledger
-    ids = ledger.tx_id  # the property builds the list on each call
+    ids = ids_of(ledger)
     tx_ids = [ids[r] for r in ops.rows.tolist()]
     bounds = ops.bounds.tolist()
     return [

@@ -25,7 +25,7 @@ from ledgerflow.nullmodel import (
     run_ensemble,
 )
 from ledgerflow.recirculation import classify_ops, crosstab, extract_ops, user_signatures
-from ledgerflow.stats import robust_z_score, score_ensemble, z_score
+from ledgerflow.stats import score_ensemble
 from ledgerflow.synthetic import ScenarioSpec, generate_synthetic
 from ledgerflow.topology import (
     EdgeKind,
@@ -46,10 +46,12 @@ from oracles import (
     naive_categorize,
     oracle_extract_ops,
     ops_of,
+    robust_z_score,
     strongly_connected_components,
     swapped_links,
     tx,
     verify_partition,
+    z_score,
 )
 
 MUTUAL_OR_CYCLIC = ("102", "111D", "111U", "030C", "201", "120D", "120U", "120C", "210", "300")

@@ -86,6 +86,44 @@ def test_significance_mode_flag(tmp_path):
     assert not (out_dir / "significance_target.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "x.csv", "--replicas", "abc"],  # a flag's value
+    ["run", "x.csv", "--bogus"],  # an unknown flag
+    ["--seed", "1"],  # no subcommand
+    ["run", "--mode"],  # a flag without its value
+])
+@pytest.mark.parametrize("flags", [[], ["--output", "{}"], ["--output={}"]])
+def test_a_command_line_that_does_not_parse_is_config_error(tmp_path, monkeypatch, capsys,
+                                                            argv, flags):
+    # The report goes to the --output the command line names, else to the default.
+    monkeypatch.chdir(tmp_path)
+    out_dir = tmp_path / ("OUT" if flags else "ledgerflow-out")
+    assert main([flag.format(out_dir) for flag in flags] + argv) == 2
+    assert [p.name for p in tmp_path.iterdir()] == [out_dir.name]
+    report = json.loads((out_dir / "error_report.json").read_text())
+    assert report["error_type"] == "ConfigError"
+    assert report["exit_code"] == 2
+    assert capsys.readouterr().err == f"configuration error: {report['message']}\n"
+
+
+def test_help_exits_0_and_writes_no_report(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--help", "--output", str(tmp_path / "OUT")])
+    assert exit_info.value.code == 0
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().out.startswith("usage: ledgerflow run")
+
+
+@pytest.mark.parametrize("command", [["generate"], ["ingest", str(DEMO_LEDGER)]])
+def test_an_output_path_that_is_a_file_is_config_error(tmp_path, capsys, command):
+    out = tmp_path / "F"
+    out.write_text("a file\n")
+    assert main(command + ["--output", str(out)]) == 2
+    assert out.read_text() == "a file\n"
+    assert "configuration error: output directory not writable" in capsys.readouterr().err
+
+
 def test_missing_input_is_config_error(tmp_path):
     assert main(["run", "--output", str(tmp_path / "x")]) == 2
 

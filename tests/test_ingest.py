@@ -29,11 +29,14 @@ from ledgerflow.util import TextTable, Units
 from conftest import economy_ledger
 from oracles import (
     Transaction,
+    amounts_of,
+    ids_of,
     keep_everything,
     ledger_of,
     reference_csv_text,
     reference_sort,
     rows_of,
+    subtypes_of,
 )
 
 HEADER = "id,timeset,source,target,weight,transfer_subtype\n"
@@ -385,16 +388,16 @@ def outcome(path, schema=None, filter_spec=None):
             ledger, diagnostics = parse_ledger(path, schema, filter_spec)
     except Exception as exc:  # noqa: BLE001 - the type is compared
         return type(exc), str(exc)
-    assert _units(ledger.units) == _units(Units.of(ledger.amount))
+    assert _units(ledger.units) == _units(Units.of(amounts_of(ledger)))
     assert read == [list(ledger.ids)] == [[ledger.ids[k] for k in range(len(ledger.ids))]]
     return (
         ledger.accounts,
         ledger.timestamp.tolist(),
         ledger.source.tolist(),
         ledger.target.tolist(),
-        ledger.tx_id,
-        list(map(str, ledger.amount)),
-        ledger.subtype,
+        ids_of(ledger),
+        list(map(str, amounts_of(ledger))),
+        subtypes_of(ledger),
         _units(ledger.units),
         diagnostics,
     )
@@ -789,6 +792,19 @@ def test_each_part_parses_as_the_row_loop(tmp_path, monkeypatch, edit, names, de
     else:  # data row r is row r + 2 of the file
         assert first_rows[0] - 2 in ({declined} if declined in (20, 40) else
                                      {declined - 1, declined})
+
+
+def test_rows_without_an_id_are_named_by_their_line(tmp_path, monkeypatch):
+    # Data row r is line r + 2 of the file: on the column path, in forked
+    # parts and in the row loop.
+    path = tmp_path / "ledger.csv"
+    path.write_bytes(ledger_bytes(NAMES[1:], even_rows(60)))
+    ids = [f"r{line:08d}" for line in range(2, 62)]
+    assert outcome(path)[4] == row_loop_outcome(path)[4] == ids
+    in_parts(monkeypatch, path.read_bytes(), 3)
+    starts, _ = spy_on_the_parts(monkeypatch)
+    assert outcome(path)[4] == ids
+    assert len(starts) == 2
 
 
 def test_one_usable_cpu_forks_nothing(tmp_path, monkeypatch):

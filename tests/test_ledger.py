@@ -28,7 +28,9 @@ from ledgerflow.topology import categorize
 from conftest import economy_ledger
 from oracles import (
     Transaction,
+    amounts_of,
     dict_view,
+    ids_of,
     keep_everything,
     ledger_of,
     links_of,
@@ -39,6 +41,7 @@ from oracles import (
     reference_sort,
     rows_of,
     signatures_of,
+    subtypes_of,
     tx,
 )
 
@@ -100,11 +103,11 @@ def test_from_columns_matches_the_lexsort_order():
         stamps, ids, sources, targets, amounts, subtypes = (
             [column[i] for i in order] for column in columns)
         assert ledger.timestamp.tolist() == stamps, trial
-        assert ledger.tx_id == ids, trial
+        assert ids_of(ledger) == ids, trial
         assert [ledger.accounts[c] for c in ledger.source.tolist()] == sources, trial
         assert [ledger.accounts[c] for c in ledger.target.tolist()] == targets, trial
-        assert list(map(str, ledger.amount)) == list(map(str, amounts)), trial
-        assert ledger.subtype == subtypes, trial
+        assert list(map(str, amounts_of(ledger))) == list(map(str, amounts)), trial
+        assert subtypes_of(ledger) == subtypes, trial
         assert ledger.accounts == tuple(sorted(set(sources).union(targets))), trial
         assert rows_of(ledger.without_self_transfers()) == [
             t for t in rows_of(ledger) if t.source != t.target], trial
@@ -224,20 +227,20 @@ def test_takes_give_the_ids_and_subtypes_of_list_takes():
         txs = [dataclasses.replace(t, subtype=rng.choice(SUBTYPES))
                for t in random_ledger(rng, rng.randrange(0, 40), self_share=0.3)]
         ledger = ledger_of(txs)
-        ids, subtypes = ledger.tx_id, ledger.subtype
+        ids, subtypes = ids_of(ledger), subtypes_of(ledger)
         n = len(ledger)
         i = np.array([rng.randrange(n) for _ in range(rng.randrange(2 * n + 1))], dtype=np.int64)
         j = np.array([rng.randrange(i.size) for _ in range(rng.randrange(2 * i.size + 1))],
                      dtype=np.int64)
         taken = ledger._take(i)._take(j)
         rows = i[j].tolist()
-        assert taken.tx_id == [ids[r] for r in rows], trial
-        assert taken.subtype == [subtypes[r] for r in rows], trial
+        assert ids_of(taken) == [ids[r] for r in rows], trial
+        assert subtypes_of(taken) == [subtypes[r] for r in rows], trial
         assert len(taken) == len(rows)
         kept = [r for r, t in enumerate(rows_of(ledger)) if t.source != t.target]
         clean = ledger.without_self_transfers()
-        assert clean.tx_id == [ids[r] for r in kept], trial
-        assert clean.subtype == [subtypes[r] for r in kept], trial
+        assert ids_of(clean) == [ids[r] for r in kept], trial
+        assert subtypes_of(clean) == [subtypes[r] for r in kept], trial
 
 
 def test_long_ledger_round_trips_and_writes_what_csv_writes(tmp_path):
@@ -294,12 +297,12 @@ def test_from_columns_and_the_row_loop_give_the_column_paths_rows(tmp_path, monk
     order = list(range(len(columns)))
     random.Random(49).shuffle(order)
     by_hand = Ledger.from_columns(*([column[k] for k in order] for column in (
-        columns.timestamp.tolist(), columns.tx_id,
+        columns.timestamp.tolist(), ids_of(columns),
         [columns.accounts[c] for c in columns.source.tolist()],
-        [columns.accounts[c] for c in columns.target.tolist()], columns.amount,
-        columns.subtype)))
+        [columns.accounts[c] for c in columns.target.tolist()], amounts_of(columns),
+        subtypes_of(columns))))
     assert len(row_loop.ids) == len(by_hand.ids) == len(columns)
     for ledger in (row_loop, by_hand):
-        assert ledger.tx_id == columns.tx_id
-        assert ledger.subtype == columns.subtype
+        assert ids_of(ledger) == ids_of(columns)
+        assert subtypes_of(ledger) == subtypes_of(columns)
         assert sorted(ledger.row.tolist()) == list(range(len(columns)))

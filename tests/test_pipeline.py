@@ -12,7 +12,7 @@ import pytest
 from ledgerflow import cli, pipeline, util
 from ledgerflow.errors import ConfigError
 from ledgerflow.graph import LedgerGraph, aggregate
-from ledgerflow.ingest import Ledger, parse_ledger, write_transactions
+from ledgerflow.ingest import parse_ledger, write_transactions
 from ledgerflow.nullmodel import EnsembleSpec, SwapMode, run_ensemble
 from ledgerflow.pipeline import (
     ALL_STAGES,
@@ -118,14 +118,12 @@ def test_economy_ledgers_sum_no_decimals(tmp_path, monkeypatch):
 
 
 def test_a_run_builds_no_per_row_list_and_no_account_mapping(tmp_path, monkeypatch):
-    # The writer takes ids and subtypes by row a chunk at a time, and no
-    # stage reads the partition's account-id mapping.
+    # No stage reads the partition's account-id mapping; a ledger has no
+    # per-row list of ids, subtypes or amounts to build.
     def refuse(self):
-        raise AssertionError("a per-row list or the account mapping was built")
+        raise AssertionError("the account mapping was built")
 
-    for cls, name in ((Ledger, "tx_id"), (Ledger, "subtype"),
-                      (TopologyPartition, "node_category")):
-        monkeypatch.setattr(cls, name, property(refuse))
+    monkeypatch.setattr(TopologyPartition, "node_category", property(refuse))
     ledger = tmp_path / "economy.csv"
     ledger.write_text(economy_ledger(600, 3), encoding="utf-8")
     config = PipelineConfig(input_path=ledger, output_dir=tmp_path / "out", replicas=8)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.stats import anderson
 
 from ledgerflow.errors import AnalysisError
-from ledgerflow.stats import robust_z_score, score_ensemble, z_score
+from ledgerflow.stats import score_ensemble
 
-from oracles import anderson_darling_normal, reference_cell
+from oracles import anderson_darling_normal, reference_cell, robust_z_score, z_score
 
 
 def test_z_score_hand_case():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ledgerflow.graph import aggregate
 from ledgerflow.nullmodel import EnsembleSpec, SwapMode, _replica
 from ledgerflow.topology import (
+    CATEGORY_KIND,
     CATEGORY_ORDER,
     categorize,
     category_stats,
@@ -23,6 +24,7 @@ from oracles import (
     dict_view,
     graph_from_links,
     graph_of,
+    kind_of,
     ledger_of,
     links_of,
     naive_categorize,
@@ -40,6 +42,11 @@ from oracles import (
 def cats(g):
     p = dict_view(g, categorize(g))
     return {v: p.node_category[v].value for v in g.nodes}, p
+
+
+def test_each_category_kind_is_the_one_its_name_gives():
+    assert CATEGORY_KIND == tuple(map(kind_of, CATEGORY_ORDER))
+    assert set(CATEGORY_KIND) == {"scc", "dag", "node", "edge"}
 
 
 def test_isolated_two_cycle_is_scc0():
@@ -219,7 +226,7 @@ def test_idempotence_on_component_subgraphs():
         assert len(sub_p.components) == 1
         (sub_members,) = sub_p.components.values()
         assert set(sub_members) == member_set
-        expected = "scc0" if p.component_category[cid].is_scc else "dag0"
+        expected = "scc0" if kind_of(p.component_category[cid]) == "scc" else "dag0"
         assert next(iter(sub_p.component_category.values())).value == expected
 
 

@@ -20,10 +20,15 @@ from ledgerflow.errors import DataError
 from ledgerflow.topology import categorize, category_stats
 from ledgerflow.util import (
     MAX_EPOCH, MIN_EPOCH, Coded, TextTable, Units, dsum, format_duration, group_sums, iso_rows,
-    iso_utc, mix64, text_columns, to_json, write_csv,
+    mix64, text_columns, to_json, write_csv,
 )
 
 from oracles import LinkRecord, graph_from_links, reference_csv_text
+
+
+def iso_texts(seconds: np.ndarray) -> list[str]:
+    """The stamps of ``iso_rows`` as text."""
+    return [row.tobytes().decode("ascii") for row in iso_rows(seconds)]
 
 
 def test_dsum_exact_on_many_small_amounts():
@@ -242,7 +247,7 @@ def coded_tables(draw):
             seconds = np.array(draw(st.lists(st.integers(MIN_EPOCH, MAX_EPOCH), min_size=rows,
                                              max_size=rows)), dtype=np.int64)
             columns.append(Coded(seconds, iso_rows))
-            texts.append(iso_utc(seconds))
+            texts.append(iso_texts(seconds))
         elif kind == "texts":
             cells = draw(st.lists(quoted_cells | plain_cells, min_size=rows, max_size=rows))
             columns.append(cells)
@@ -275,7 +280,6 @@ def test_text_table_holds_its_texts(texts):
     assert list(table) == [table[k] for k in range(len(texts))] == texts
     assert [table[k - len(texts)] for k in range(len(texts))] == texts
     index = np.array([k for k in range(len(texts)) for _ in range(k % 3)], dtype=np.int64)
-    assert table.take(index) == [texts[k] for k in index.tolist()]
     assert table.cells(index) == [texts[k].encode("utf-8") for k in index.tolist()]
     # UTF-8 byte order is code-point order.
     assert sorted(range(len(texts)), key=table.cells(np.arange(len(texts))).__getitem__) == \
@@ -341,13 +345,13 @@ epochs = st.one_of(
 @example([86_399, 0, 3_600, 86_399, -86_400, 45_296, 0, -1])
 def test_iso_utc_matches_datetime_isoformat(seconds):
     expected = [(_UNIX_EPOCH + timedelta(seconds=s)).isoformat() for s in seconds]
-    assert iso_utc(np.array(seconds, dtype=np.int64)) == expected
+    assert iso_texts(np.array(seconds, dtype=np.int64)) == expected
 
 
 @pytest.mark.parametrize("seconds", [MIN_EPOCH - 1, MAX_EPOCH + 1])
 def test_iso_utc_refuses_stamps_outside_datetime(seconds):
     with pytest.raises(ValueError, match="timestamp outside"):
-        iso_utc(np.array([0, seconds]))
+        iso_texts(np.array([0, seconds]))
 
 
 def _open_fds() -> list[str]:
