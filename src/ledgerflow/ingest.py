@@ -25,11 +25,12 @@ a quote, whitespace, a carriage return or NUL, every stamp is
 ``YYYY-MM-DDTHH:MM:SS``, bare or with ``+00:00`` (as ``write_transactions``
 writes it) and every amount is a finite, non-negative decimal. The blocks
 are cut into parts, one per usable CPU and each at least ``_PART_BYTES``;
-forked children parse all but the first, merged in file order. At the first
-block that is not plain (epoch, ``Z`` or offset stamps, quoted or padded
-cells, blank lines, any error), the row loop takes over and validates one
-``csv.reader`` row at a time to the end of the file; so every error, with
-its message and row number, comes from the row loop.
+of two or more, each is parsed by a forked child and this process merges
+them in file order, so the parse's garbage stays in the children. At the
+first block that is not plain (epoch, ``Z`` or offset stamps, quoted or
+padded cells, blank lines, any error), the row loop takes over and validates
+one ``csv.reader`` row at a time to the end of the file; so every error,
+with its message and row number, comes from the row loop.
 """
 
 from __future__ import annotations
@@ -588,9 +589,10 @@ def _parse_parts(fh, schema: ColumnMapping, filter_spec: FilterSpec,
                  parsed: _Parsed) -> tuple[list[str] | None, int | None]:
     """The column path: the header's names and the offset of the first block
     that is not plain (None if none is), or (None, 0) to leave the header too
-    to the row loop. Forked children parse the parts after the first (the
-    parent parses a part whose child fails) while this process parses the
-    first; they are merged in file order up to the first that declines."""
+    to the row loop. A single part is parsed here. Of two or more, each is
+    parsed by a forked child (here, when its child fails) and this process
+    only merges them, in file order up to the first that declines, so no
+    block's cells reach its heap."""
     head = fh.readline()
     header = head.removeprefix(codecs.BOM_UTF8).removesuffix(b"\n")
     names = _plain_cells(header + b"\n", header.count(b",") + 1)
@@ -607,20 +609,21 @@ def _parse_parts(fh, schema: ColumnMapping, filter_spec: FilterSpec,
     # Each cut is the first line start at or after its share of the bytes.
     cuts = [fh.seek(start + (stop - start) * k // parts - 1) + len(fh.readline())
             for k in range(1, parts)]
+    if not cuts:
+        return names, _parse_blocks(fd, start, stop, layout, parsed)
     spans = list(zip([start, *cuts], [*cuts, stop]))
     handles = []
     try:
-        for span in spans[1:]:
+        for span in spans:
             handles.append(fork_call(_parse_part, fd, *span, layout))
-        offset = _parse_blocks(fd, *spans[0], layout, parsed)
-        for handle, span in zip(handles, spans[1:]):
-            if offset is not None:
-                break
+        for handle, span in zip(handles, spans):
             try:
                 part = handle.result()
             except Exception:  # raised, or killed, in the child
                 part = _parse_part(fd, *span, layout)
             offset = parsed.merge(part, handle is handles[-1])
+            if offset is not None:
+                break
     finally:
         for handle in handles:
             handle.cancel()

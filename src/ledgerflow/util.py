@@ -9,6 +9,7 @@ any order, and hold to 60 significant digits.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import pickle
@@ -414,22 +415,21 @@ class Forked:
         self._pid, self._fd, self._data = pid, fd, data
 
     def result(self):
-        """Read the outcome and reap the child; return its value or raise its
-        exception. The outcome is read once: its bytes are not kept."""
+        """Load the outcome and reap the child; return its value or raise its
+        exception. A child's outcome is loaded straight from the pipe, so its
+        pickle is never held whole, and the pipe is closed before the child
+        is reaped; a call run here keeps its pickle until this loads it once.
+        A pipe that ends before a whole result gives ``RuntimeError``."""
         if self._fd is not None:
             fd, self._fd = self._fd, None
             with open(fd, "rb") as pipe:
-                self._data = pipe.read()
+                ok, value = _load(pipe)
+        else:
+            data, self._data = self._data, b""
+            ok, value = _load(io.BufferedReader(io.BytesIO(data)))
         if self._pid is not None:
             os.waitpid(self._pid, 0)
             self._pid = None
-        data, self._data = self._data, b""
-        if not data:
-            raise RuntimeError("forked child ended without a result")
-        try:
-            ok, value = pickle.loads(data)
-        except Exception as exc:  # a value that pickles but does not load
-            raise RuntimeError(f"forked child's result does not load: {exc!r}") from None
         if ok:
             return value
         raise value
@@ -443,6 +443,17 @@ class Forked:
             os.kill(self._pid, signal.SIGKILL)
             os.waitpid(self._pid, 0)
             self._pid = None
+
+
+def _load(file) -> tuple[bool, object]:
+    """The (ok, value) pickled in ``file``, or (False, RuntimeError) when it
+    holds nothing or not all of a result that loads."""
+    if not file.peek(1):
+        return False, RuntimeError("forked child ended without a result")
+    try:
+        return pickle.load(file)
+    except Exception as exc:  # a value that pickles but does not load, or a cut pickle
+        return False, RuntimeError(f"forked child's result does not load: {exc!r}")
 
 
 def join_all(handles: list[Forked]) -> list:
@@ -476,7 +487,9 @@ def usable_cpus() -> int:
 def fork_call(fn: Callable, *args) -> Forked:
     """Run ``fn(*args)`` in a forked child; :func:`join_all`, or ``result()``
     on the handle, gives its value or exception and reaps the child. The bulk
-    writers, the replica slices and the parse's parts run this way.
+    writers, the replica slices and the parse's parts run this way. The child
+    writes its pickled outcome to a pipe, and ``result()`` loads it from the
+    pipe as it comes.
 
     A value or exception that cannot be pickled comes back as a
     ``RuntimeError`` naming its type and text. Only an exception is loaded

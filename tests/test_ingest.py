@@ -786,7 +786,7 @@ def test_each_part_parses_as_the_row_loop(tmp_path, monkeypatch, edit, names, de
     starts, first_rows = spy_on_the_parts(monkeypatch)
     assert outcome(path) == expected
     data = path.read_bytes()
-    assert [data.count(b"\n", 0, start) - 1 for start in starts] == [20, 40]
+    assert [data.count(b"\n", 0, start) - 1 for start in starts] == [0, 20, 40]
     if declined is None:
         assert first_rows == []
     else:  # data row r is row r + 2 of the file
@@ -804,7 +804,27 @@ def test_rows_without_an_id_are_named_by_their_line(tmp_path, monkeypatch):
     in_parts(monkeypatch, path.read_bytes(), 3)
     starts, _ = spy_on_the_parts(monkeypatch)
     assert outcome(path)[4] == ids
-    assert len(starts) == 2
+    assert len(starts) == 3
+
+
+def test_a_split_parse_runs_no_column_block_here(tmp_path, monkeypatch):
+    # Each part is parsed in a child of its own; this process only merges.
+    path = tmp_path / "ledger.csv"
+    path.write_bytes(ledger_bytes(NAMES, even_rows(60)))
+    expected = row_loop_outcome(path)
+    in_parts(monkeypatch, path.read_bytes(), 3)
+    pids, parse_blocks = tmp_path / "pids", ingest._parse_blocks
+
+    def spied(*args):
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return parse_blocks(*args)
+
+    monkeypatch.setattr(ingest, "_parse_blocks", spied)
+    assert outcome(path) == expected
+    parsed_by = pids.read_text().split()
+    assert len(set(parsed_by)) == len(parsed_by) == 3
+    assert str(os.getpid()) not in parsed_by
 
 
 def test_one_usable_cpu_forks_nothing(tmp_path, monkeypatch):
@@ -854,7 +874,7 @@ def test_a_part_whose_child_fails_is_parsed_here(tmp_path, monkeypatch, how):
 
     monkeypatch.setattr(ingest, "_parse_part", failing)
     assert outcome(path) == expected
-    assert len(here) == 2  # both forked parts, parsed again here
+    assert len(here) == 3  # every forked part, parsed again here
 
 
 def test_no_child_outlives_an_interrupt_or_an_error(tmp_path, monkeypatch):
@@ -863,18 +883,15 @@ def test_no_child_outlives_an_interrupt_or_an_error(tmp_path, monkeypatch):
     path.write_bytes(ledger_bytes(NAMES, rows))
     in_parts(monkeypatch, path.read_bytes(), 3)
     starts, _ = spy_on_the_parts(monkeypatch)
-    parent, parse_blocks = os.getpid(), ingest._parse_blocks
 
-    def interrupted(*args):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        return parse_blocks(*args)
+    def interrupted(parsed, part, last):  # as the parent merges the first part
+        raise KeyboardInterrupt
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ingest, "_parse_blocks", interrupted)
+        patch.setattr(ingest._Parsed, "merge", interrupted)
         with pytest.raises(KeyboardInterrupt):
             parse_ledger(path)
-    assert len(starts) == 2
+    assert len(starts) == 3
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     # The row loop's error after a hand-off in the first part.
@@ -882,6 +899,6 @@ def test_no_child_outlives_an_interrupt_or_an_error(tmp_path, monkeypatch):
     path.write_bytes(ledger_bytes(NAMES, rows))
     with pytest.raises(DataError, match="row 7: bad amount 'abcd'"):
         parse_ledger(path)
-    assert len(starts) == 4
+    assert len(starts) == 6
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

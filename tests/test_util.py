@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import os
+import select
 import signal
 import tracemalloc
 from datetime import datetime, timedelta, timezone
@@ -403,6 +404,30 @@ def test_a_result_keeps_no_bytes():
     handle = util.fork_call(bytes, 1 << 20)
     assert handle.result() == bytes(1 << 20)
     assert handle._data == b""
+
+
+def test_a_child_killed_in_the_middle_of_its_result_is_a_runtime_error():
+    # The result is larger than a pipe holds, so the child is still writing.
+    handle = util.fork_call(bytes, 16 << 20)
+    select.select([handle._fd], [], [])
+    os.kill(handle._pid, signal.SIGKILL)
+    with pytest.raises(RuntimeError, match="^forked child's result does not load: "):
+        handle.result()
+    assert handle._pid is None  # reaped; the autouse fixture checks it too
+
+
+def test_a_result_is_loaded_from_the_pipe_as_it_comes():
+    # Reading the whole pickle first would trace about twice the value.
+    size = 8 << 20
+    handle = util.fork_call(bytes, size)
+    tracemalloc.start()
+    try:
+        value = handle.result()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == bytes(size)
+    assert peak < 1.5 * size
 
 
 def test_fork_call_runs_in_process_when_fork_fails(monkeypatch):
