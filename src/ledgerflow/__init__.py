@@ -52,7 +52,6 @@ from .stats import SignificanceCell
 from .triads import (
     TRIAD_LABELS,
     category_census,
-    census,
     triad_significance,
 )
 from .recirculation import (
@@ -102,7 +101,6 @@ __all__ = [
     "significance",
     "TRIAD_LABELS",
     "category_census",
-    "census",
     "triad_significance",
     "ClassifiedOps",
     "FrequencyCategory",

@@ -24,13 +24,14 @@ blocks are plain: each line holds one cell per header column, no cell holds
 a quote, whitespace, a carriage return or NUL, every stamp is
 ``YYYY-MM-DDTHH:MM:SS``, bare or with ``+00:00`` (as ``write_transactions``
 writes it) and every amount is a finite, non-negative decimal. The blocks
-are cut into parts, one per usable CPU and each at least ``_PART_BYTES``;
-of two or more, each is parsed by a forked child and this process merges
-them in file order, so the parse's garbage stays in the children. At the
-first block that is not plain (epoch, ``Z`` or offset stamps, quoted or
-padded cells, blank lines, any error), the row loop takes over and validates
-one ``csv.reader`` row at a time to the end of the file; so every error,
-with its message and row number, comes from the row loop.
+are cut into parts, one per usable CPU or per ``_PART_BYTES`` where that
+gives fewer (one at least); a forked child parses each, and this process
+merges them in file order, so the parse's garbage stays in the children.
+At the first block that is not plain (epoch, ``Z`` or offset stamps, quoted
+or padded cells, blank lines, any error), or at a part whose child fails,
+the row loop takes over and validates one ``csv.reader`` row at a time to
+the end of the file; so every error, with its message and row number,
+comes from the row loop.
 """
 
 from __future__ import annotations
@@ -334,13 +335,17 @@ def parse_ledger(
 
     The file is read once into one ``_Parsed``: plain blocks column by column,
     in parts on forked children (``_parse_parts``), and from the first block
-    that is not plain, the rest row by row.
+    that is not plain, the rest row by row. A path that is not a regular
+    file (a FIFO, a pipe, a directory) raises :class:`DataError`.
     """
     schema = schema or ColumnMapping()
     filter_spec = filter_spec or FilterSpec()
     path = Path(path)
     if not path.exists():
         raise DataError(f"ledger file not found: {path}")
+    if not path.is_file():
+        raise DataError(f"ledger {path} is not a regular file: the parse reads it by offset, "
+                        "and the manifest hashes it again")
     parsed = _Parsed()
     try:
         with open(path, "rb") as fh:
@@ -531,23 +536,26 @@ def _amount_codes(cells: list[str], code: dict[str, int],
     return np.fromiter(map(code.__getitem__, cells), np.int64, len(cells))
 
 
-def _parse_blocks(fd: int, start: int, stop: int, layout: tuple, parsed: _Parsed) -> int | None:
-    """Reads the plain blocks of bytes ``start..stop`` (line starts) into
-    ``parsed``; returns the offset of the first block that is not plain, or
-    None. Nothing is raised here, so every error comes from the row loop."""
+def _parse_part(fd: int, start: int, stop: int, layout: tuple) -> tuple:
+    """The plain blocks of bytes ``start..stop`` (line starts) read into a
+    ``_Parsed`` of its own, packed for ``merge``: the runs joined, the tables
+    in code order, the ids as one string (None for ``merge`` to number), the
+    counts and the offset of the first block that is not plain, or None.
+    Nothing is raised here, so every error comes from the row loop."""
     names, (i_ts, i_src, i_tgt, i_amt, i_id, i_sub), keep_subtypes, excluded = layout
     width = len(names)
+    parsed = _Parsed()
     # Every row is checked, filtered or not; the filter and the sort are
     # then applied as one take. Accounts and amount texts become codes block
     # by block, each amount text converted once, and so do subtypes.
     for block in _line_blocks(fd, start, stop):
         cells = _plain_cells(block, width)
         if cells is None:
-            return start
+            break
         source, target = cells[i_src::width], cells[i_tgt::width]
         # An empty account is an error, and a blank row is not counted.
         if "" in source or "" in target:
-            return start
+            break
         n = len(source)
         subtype = cells[i_sub::width] if i_sub is not None else [""] * n
         keep = np.ones(n, dtype=bool)
@@ -559,10 +567,10 @@ def _parse_blocks(fd: int, start: int, stop: int, layout: tuple, parsed: _Parsed
         stamp = _iso_seconds(cells[i_ts::width])
         amount = _amount_codes(cells[i_amt::width], parsed.amount_of, parsed.decimals)
         if stamp is None or amount is None:
-            return start
+            break
         kept = np.flatnonzero(keep)
         if i_id is None:
-            tx_id = list(map(_row_id, range(parsed.rows + 2, parsed.rows + 2 + n)))
+            tx_id = [""] * n  # a place for each row's id, which merge writes
         else:
             tx_id = cells[i_id::width]
             kept = parsed.first_seen(tx_id, kept)
@@ -570,29 +578,22 @@ def _parse_blocks(fd: int, start: int, stop: int, layout: tuple, parsed: _Parsed
         parsed.filtered += n - int(np.count_nonzero(keep))
         parsed.add(stamp, tx_id, source, target, amount, subtype, kept)
         start += len(block)
-    return None
-
-
-def _parse_part(fd: int, start: int, stop: int, layout: tuple) -> tuple:
-    """``_parse_blocks`` into a ``_Parsed`` of its own, packed for ``merge``: the
-    runs joined, the tables in code order, the ids as one string (None to
-    synthesise them), the counts and the offset."""
-    parsed = _Parsed()
-    offset = _parse_blocks(fd, start, stop, layout, parsed)
+    else:
+        start = None  # every block is plain
     return (tuple(map(np.concatenate, zip(*parsed.runs))), list(parsed.accounts),
             list(parsed.amount_of), list(parsed.subtypes),
-            None if layout[1][4] is None else "\n".join(parsed.ids),
-            parsed.rows, parsed.filtered, parsed.duplicates, offset)
+            None if i_id is None else "\n".join(parsed.ids),
+            parsed.rows, parsed.filtered, parsed.duplicates, start)
 
 
 def _parse_parts(fh, schema: ColumnMapping, filter_spec: FilterSpec,
                  parsed: _Parsed) -> tuple[list[str] | None, int | None]:
     """The column path: the header's names and the offset of the first block
     that is not plain (None if none is), or (None, 0) to leave the header too
-    to the row loop. A single part is parsed here. Of two or more, each is
-    parsed by a forked child (here, when its child fails) and this process
-    only merges them, in file order up to the first that declines, so no
-    block's cells reach its heap."""
+    to the row loop. Each part is parsed by a forked child, a one-part file's
+    too, and this process only merges them, in file order up to the first
+    that declines, so no block's cells reach its heap. A part whose child
+    fails is declined whole: the row loop reads on from its first line."""
     head = fh.readline()
     header = head.removeprefix(codecs.BOM_UTF8).removesuffix(b"\n")
     names = _plain_cells(header + b"\n", header.count(b",") + 1)
@@ -609,8 +610,6 @@ def _parse_parts(fh, schema: ColumnMapping, filter_spec: FilterSpec,
     # Each cut is the first line start at or after its share of the bytes.
     cuts = [fh.seek(start + (stop - start) * k // parts - 1) + len(fh.readline())
             for k in range(1, parts)]
-    if not cuts:
-        return names, _parse_blocks(fd, start, stop, layout, parsed)
     spans = list(zip([start, *cuts], [*cuts, stop]))
     handles = []
     try:
@@ -620,7 +619,8 @@ def _parse_parts(fh, schema: ColumnMapping, filter_spec: FilterSpec,
             try:
                 part = handle.result()
             except Exception:  # raised, or killed, in the child
-                part = _parse_part(fd, *span, layout)
+                offset = span[0]
+                break
             offset = parsed.merge(part, handle is handles[-1])
             if offset is not None:
                 break

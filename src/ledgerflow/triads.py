@@ -13,11 +13,10 @@ and their end pairs looked up with ``np.searchsorted``. A category's
 subgraph is its nodes and the links that carry its code, and no ``dag*``
 link leaves its category, so ``label_census`` takes every category's census
 in one pass with per-category sums, and runs no check: ``topology.label``
-makes these subgraphs simple and acyclic. ``census``, for any caller's
-graph, checks that it is. The general-digraph census lives in
-``tests/oracles.py`` as a reference. ``triad_significance`` scores the
-empirical censuses against those ``nullmodel.run_ensemble`` takes of each
-replica.
+makes these subgraphs simple and acyclic. A checked census of one graph,
+and the general-digraph census, live in ``tests/oracles.py`` as references.
+``triad_significance`` scores the empirical censuses against those
+``nullmodel.run_ensemble`` takes of each replica.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AnalysisError
 from .graph import LedgerGraph
 from .stats import SignificanceCell, score_ensemble
 from .topology import CATEGORY_KIND, CATEGORY_ORDER, Labels, NodeCategory, TopologyPartition
@@ -35,7 +33,6 @@ from .topology import categorize  # noqa: F401  (perfbench/tracer.py wraps triad
 __all__ = [
     "TRIAD_LABELS",
     "DEFAULT_CENSUS_CATEGORIES",
-    "census",
     "label_census",
     "category_census",
     "triad_significance",
@@ -56,19 +53,11 @@ DEFAULT_CENSUS_CATEGORIES: tuple[NodeCategory, ...] = (
 )
 
 
-def _is_link(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Whether each key in ``query`` is one of the sorted ``keys``."""
-    return np.take(keys, np.searchsorted(keys, query), mode="clip") == query
-
-
-def _closed_forms(keys: np.ndarray, size: int, group: np.ndarray, nodes: np.ndarray,
-                  check: bool = False) -> np.ndarray:
+def _closed_forms(keys: np.ndarray, size: int, group: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Census, 003 left 0, of each node group of an acyclic simple digraph as
     int64 groups × ``TRIAD_LABELS``: ``keys`` are its sorted links ``source *
     size + target``, ``group`` each node's group (no link joins two groups),
-    ``nodes`` each group's size. ``check`` raises where the closed forms fail."""
-    if check and np.any(keys[1:] == keys[:-1]):
-        raise AnalysisError("parallel links in census input")
+    ``nodes`` each group's size. Nothing checks that the closed forms fit."""
     tails, heads = np.divmod(keys, size)
     out_deg, in_deg = np.bincount(tails, minlength=size), np.bincount(heads, minlength=size)
     # The 2-paths: each link tail -> head continues along every out-link
@@ -77,10 +66,6 @@ def _closed_forms(keys: np.ndarray, size: int, group: np.ndarray, nodes: np.ndar
     fan = out_deg[heads]
     firsts = np.repeat(tails, fan)
     ends = heads[np.arange(fan.sum()) + np.repeat(first_out[heads] - (np.cumsum(fan) - fan), fan)]
-    # A self-loop is its own reverse, a mutual dyad's reverse is a link,
-    # and a 3-cycle closes a 2-path with the reverse of its end pair.
-    if check and _is_link(keys, np.concatenate((heads * size + tails, ends * size + firsts))).any():
-        raise AnalysisError("census input has a self-loop, mutual dyad or 3-cycle")
     # Each group's links, 2-paths, sum o(o-1), sum i(i-1) and sum d^2, as
     # exact sums over its links (a node of degree d ends d links).
     degree, by = out_deg + in_deg, group[tails]
@@ -89,32 +74,15 @@ def _closed_forms(keys: np.ndarray, size: int, group: np.ndarray, nodes: np.ndar
                                     degree[tails] + degree[heads])):
         np.add.at(row, by, per_link)
     m, paths, out_pairs, in_pairs, squares = sums
-    t = np.bincount(group[firsts[_is_link(keys, firsts * size + ends)]], minlength=nodes.size)
+    # A 2-path whose end pair is a link closes a transitive triangle.
+    pairs = firsts * size + ends
+    closed = np.take(keys, np.searchsorted(keys, pairs), mode="clip") == pairs
+    t = np.bincount(group[firsts[closed]], minlength=nodes.size)
     table = np.zeros((nodes.size, len(TRIAD_LABELS)), dtype=np.int64)
     table[:, [TRIAD_LABELS.index(label) for label in ("012", "021D", "021U", "021C", "030T")]] = \
         np.column_stack((m * nodes - squares + 3 * t, out_pairs // 2 - t, in_pairs // 2 - t,
                          paths - t, t))
     return table
-
-
-def census(n: int, sources: np.ndarray, targets: np.ndarray) -> dict[str, int]:
-    """Triad census of an acyclic simple digraph with ``n`` nodes.
-
-    ``sources[k] -> targets[k]`` are its links as non-negative integer node
-    ids, not necessarily ``0..n-1``; nodes without links are isolated.
-    Raises :class:`AnalysisError` on a self-loop, parallel link, mutual
-    dyad or 3-cycle (where the closed forms fail), or on more than ``n``
-    linked nodes.
-    """
-    sources, targets = np.asarray(sources, dtype=np.int64), np.asarray(targets, dtype=np.int64)
-    if np.unique(np.concatenate((sources, targets))).size > n:
-        raise AnalysisError(f"census links touch more than its {n} nodes")
-    size = int(max(sources.max(initial=0), targets.max(initial=0))) + 1
-    row = _closed_forms(np.sort(sources * size + targets), size, np.zeros(size, dtype=np.intp),
-                        np.array([n]), check=True)[0]
-    counts = dict(zip(TRIAD_LABELS, row.tolist()))
-    counts["003"] = n * (n - 1) * (n - 2) // 6 - sum(counts.values())
-    return counts
 
 
 def label_census(

@@ -12,11 +12,12 @@ row order that the stamp sort with id-ordered ties replaced, the
 four-column event lexsort of ``reference_extract_ops`` that one int64 sort
 key replaced in ``extract_ops``, the
 neighbourhood-walk triad census of general digraphs that the closed-form
-acyclic census replaced, the per-category loop of checked censuses
-(``reference_label_census``) that one unchecked pass over every ``dag*``
-category replaced, and the two power-law fits, each with its own
-cutoff scan, that the shared scan replaced, and the significance scoring
-over one dict table per replica that the stacked replica arrays replaced,
+acyclic census replaced, the checked closed-form census of one graph
+(``census``) and the per-category loop of them (``reference_label_census``)
+that one unchecked pass over every ``dag*`` category replaced, and the two
+power-law fits, each with its own cutoff scan, that the shared scan
+replaced, and the significance scoring over one dict table per replica
+that the stacked replica arrays replaced,
 with the per-cell scorer (``reference_cell``, and its 1-D
 ``anderson_darling_normal``) that one vectorised pass over each table
 replaced, the one-pass weak-component count of every category
@@ -87,7 +88,7 @@ from ledgerflow.topology import (
 from ledgerflow.stats import (
     _MIN_ENSEMBLE, ALPHA_LEVEL, SignificanceCell, _ad_p_value, _standardised,
 )
-from ledgerflow.triads import DEFAULT_CENSUS_CATEGORIES, TRIAD_LABELS, census
+from ledgerflow.triads import DEFAULT_CENSUS_CATEGORIES, TRIAD_LABELS, _closed_forms
 from ledgerflow.util import Units, dsum
 
 # --------------------------------------------------------------------------
@@ -1069,6 +1070,39 @@ def walk_census(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> dict[
 def graph_census(g: LedgerGraph) -> dict[str, int]:
     """``walk_census`` of a whole graph."""
     return walk_census(g.nodes, links_of(g).keys())
+
+
+def census(n: int, sources: np.ndarray, targets: np.ndarray) -> dict[str, int]:
+    """Triad census of an acyclic simple digraph with ``n`` nodes, by the
+    closed forms of ``triads._closed_forms``, which ``label_census`` runs
+    unchecked; the graph is checked here first.
+
+    ``sources[k] -> targets[k]`` are its links as non-negative integer node
+    ids, not necessarily ``0..n-1``; nodes without links are isolated.
+    Raises :class:`AnalysisError` on a self-loop, parallel link, mutual
+    dyad or 3-cycle (where the closed forms fail), or on more than ``n``
+    linked nodes.
+    """
+    sources, targets = np.asarray(sources, dtype=np.int64), np.asarray(targets, dtype=np.int64)
+    if np.unique(np.concatenate((sources, targets))).size > n:
+        raise AnalysisError(f"census links touch more than its {n} nodes")
+    links = set(zip(sources.tolist(), targets.tolist()))
+    if len(links) < sources.size:
+        raise AnalysisError("parallel links in census input")
+    heads = {}
+    for tail, head in links:
+        heads.setdefault(tail, []).append(head)
+    # A self-loop is its own reverse, a mutual dyad's reverse is a link,
+    # and a 3-cycle closes a 2-path with the reverse of its end pair.
+    for tail, head in links:
+        if (head, tail) in links or any((end, tail) in links for end in heads.get(head, ())):
+            raise AnalysisError("census input has a self-loop, mutual dyad or 3-cycle")
+    size = int(max(sources.max(initial=0), targets.max(initial=0))) + 1
+    row = _closed_forms(np.sort(sources * size + targets), size, np.zeros(size, dtype=np.intp),
+                        np.array([n]))[0]
+    counts = dict(zip(TRIAD_LABELS, row.tolist()))
+    counts["003"] = n * (n - 1) * (n - 2) // 6 - sum(counts.values())
+    return counts
 
 
 def reference_label_census(

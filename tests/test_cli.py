@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -197,11 +198,14 @@ def test_cell_past_the_field_limit_is_data_error(tmp_path):
 
 
 def _unreadable(tmp_path: Path, kind: str, text: str) -> Path:
-    """A path that cannot be read as UTF-8 text: missing, a directory, or
-    ``text`` with a byte that is not UTF-8 in its last line."""
+    """A path that cannot be read as UTF-8 text: missing, a directory, a
+    FIFO without a writer, or ``text`` with a byte that is not UTF-8 in its
+    last line."""
     path = tmp_path / f"{kind}.txt"
     if kind == "directory":
         path.mkdir()
+    elif kind == "fifo":
+        os.mkfifo(path)
     elif kind == "not-utf8":
         path.write_bytes(text.encode() + b"a\xff")
     return path
@@ -217,7 +221,7 @@ def test_unreadable_config_file_is_config_error(tmp_path, kind):
     assert str(config) in report["message"]
 
 
-@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+@pytest.mark.parametrize("kind", ["directory", "fifo", "not-utf8"])
 def test_unreadable_ledger_is_data_error(tmp_path, kind):
     # The bad byte sits in an account cell past the first read buffer.
     rows = "".join(f"t{i},2020-01-01T00:00:00Z,a,b,5,STANDARD\n" for i in range(4000))

@@ -4,10 +4,13 @@ import gc
 import io
 import os
 import signal
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from datetime import datetime, timezone
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,6 +197,33 @@ def test_missing_optional_columns(tmp_path):
 def test_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError, match="not found"):
         parse_ledger(tmp_path / "nope.csv")
+
+
+def test_a_fifo_or_a_pipe_is_data_error(tmp_path):
+    # A FIFO without a writer blocks open() until one comes, and a pipe has
+    # no offsets to read by: each must raise before the file is opened. The
+    # parses run in a subprocess, so that a hang fails instead of waiting.
+    fifo = tmp_path / "ledger.fifo"
+    os.mkfifo(fifo)
+    script = (
+        "import os, sys\n"
+        "from ledgerflow.ingest import parse_ledger\n"
+        "read, _ = os.pipe()\n"
+        "for path in (sys.argv[1], f'/dev/fd/{read}'):\n"
+        "    try:\n"
+        "        parse_ledger(path)\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__, exc)\n"
+    )
+    paths = [str(Path(ingest.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run([sys.executable, "-c", script, str(fifo)], capture_output=True,
+                            text=True, env=env, timeout=60, check=True)
+    lines = result.stdout.splitlines()
+    assert len(lines) == 2
+    for line, path in zip(lines, (fifo, "/dev/fd/")):
+        assert line.startswith(f"DataError ledger {path}")
+        assert "not a regular file" in line
 
 
 def test_header_only_file_is_empty(tmp_path):
@@ -540,6 +570,13 @@ def test_column_path_matches_the_row_loop(tmp_path_factory, data, schema, filter
     path.write_bytes(data)
     mine, rows = both_outcomes(path, schema, filter_spec, block)
     assert mine == rows
+    assert_only_data_or_config_errors(mine)
+
+
+def assert_only_data_or_config_errors(mine):
+    """An ``outcome`` that is an exception is a DataError or a ConfigError."""
+    if isinstance(mine[0], type):
+        assert mine[0] in (DataError, ConfigError), mine
 
 
 PLAIN_ROWS = (
@@ -709,6 +746,7 @@ def test_split_parse_matches_the_row_loop(tmp_path_factory, data, schema, filter
         in_parts(patch, data, parts)
         mine, rows = both_outcomes(path, schema, filter_spec, block)
     assert mine == rows
+    assert_only_data_or_config_errors(mine)
 
 
 def even_rows(n):
@@ -808,37 +846,45 @@ def test_rows_without_an_id_are_named_by_their_line(tmp_path, monkeypatch):
 
 
 def test_a_split_parse_runs_no_column_block_here(tmp_path, monkeypatch):
-    # Each part is parsed in a child of its own; this process only merges.
+    # Each part is parsed in a child of its own, a one-part file's only part
+    # too; this process only merges.
     path = tmp_path / "ledger.csv"
     path.write_bytes(ledger_bytes(NAMES, even_rows(60)))
     expected = row_loop_outcome(path)
-    in_parts(monkeypatch, path.read_bytes(), 3)
-    pids, parse_blocks = tmp_path / "pids", ingest._parse_blocks
+    pids, parse_part = tmp_path / "pids", ingest._parse_part
 
     def spied(*args):
         with open(pids, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return parse_blocks(*args)
+        return parse_part(*args)
 
-    monkeypatch.setattr(ingest, "_parse_blocks", spied)
+    monkeypatch.setattr(ingest, "_parse_part", spied)
+    assert outcome(path) == expected  # 60 rows: one part
+    assert len(pids.read_text().split()) == 1
+    in_parts(monkeypatch, path.read_bytes(), 3)
     assert outcome(path) == expected
     parsed_by = pids.read_text().split()
-    assert len(set(parsed_by)) == len(parsed_by) == 3
+    assert len(set(parsed_by)) == len(parsed_by) == 4
     assert str(os.getpid()) not in parsed_by
 
 
-def test_one_usable_cpu_forks_nothing(tmp_path, monkeypatch):
+def test_one_usable_cpu_parses_one_part_in_one_child(tmp_path, monkeypatch):
     path = tmp_path / "ledger.csv"
     path.write_bytes(ledger_bytes(NAMES, even_rows(60)))
     expected = row_loop_outcome(path)
     monkeypatch.setattr(ingest, "_PART_BYTES", 1)
     monkeypatch.setattr(ingest, "usable_cpus", lambda: 1)
+    starts, first_rows = spy_on_the_parts(monkeypatch)
+    parent, parse_part = os.getpid(), ingest._parse_part
 
-    def refuse_to_fork(*args):
-        raise AssertionError("a part was forked")
+    def in_a_child(*args):
+        assert os.getpid() != parent, "a part was parsed here"
+        return parse_part(*args)
 
-    monkeypatch.setattr(ingest, "fork_call", refuse_to_fork)
+    monkeypatch.setattr(ingest, "_parse_part", in_a_child)
     assert outcome(path) == expected
+    assert starts == [len(path.read_bytes().partition(b"\n")[0]) + 1]
+    assert first_rows == []
 
 
 class _Unloadable:
@@ -854,27 +900,35 @@ def _refuse_to_load():
 
 @pytest.mark.parametrize("how", ["raise", "kill", "unloadable"])
 def test_a_part_whose_child_fails_is_parsed_here(tmp_path, monkeypatch, how):
+    # The second part's child fails: this process merges the first part and
+    # runs no column block itself; the row loop reads on from the failed
+    # part's first line, so the part is parsed here, row by row.
     path = tmp_path / "ledger.csv"
     rows = even_rows(60)
     repeated_ids(rows)
     path.write_bytes(ledger_bytes(NAMES, rows))
     expected = row_loop_outcome(path)
-    in_parts(monkeypatch, path.read_bytes(), 3)
+    data = path.read_bytes()
+    in_parts(monkeypatch, data, 3)
+    starts, first_rows = spy_on_the_parts(monkeypatch)
+    second = len(b"".join(data.splitlines(keepends=True)[:21]))  # data row 20's line
     parent, parse_part, here = os.getpid(), ingest._parse_part, []
 
     def failing(*args):
-        if os.getpid() != parent:
+        if os.getpid() == parent:
+            here.append(args[1])
+        elif args[1] == second:
             if how == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
             if how == "unloadable":  # loaded in the parent alone
                 return _Unloadable()
             raise ValueError("the part failed")
-        here.append(args[1])
         return parse_part(*args)
 
     monkeypatch.setattr(ingest, "_parse_part", failing)
     assert outcome(path) == expected
-    assert len(here) == 3  # every forked part, parsed again here
+    assert starts[1] == second and here == []
+    assert first_rows == [22]  # data row 20 is line 22 of the file
 
 
 def test_no_child_outlives_an_interrupt_or_an_error(tmp_path, monkeypatch):
@@ -900,5 +954,19 @@ def test_no_child_outlives_an_interrupt_or_an_error(tmp_path, monkeypatch):
     with pytest.raises(DataError, match="row 7: bad amount 'abcd'"):
         parse_ledger(path)
     assert len(starts) == 6
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # A one-part file, interrupted as this process waits for its child.
+    path.write_bytes(ledger_bytes(NAMES, even_rows(60)))
+    monkeypatch.setattr(ingest, "_PART_BYTES", len(path.read_bytes()))
+
+    def waited(handle):
+        raise KeyboardInterrupt
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(util.Forked, "result", waited)
+        with pytest.raises(KeyboardInterrupt):
+            parse_ledger(path)
+    assert len(starts) == 7
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -164,12 +164,12 @@ def test_benchmark_hooks_resolve():
         assert arguments <= set(inspect.signature(functions[span]).parameters), span
 
 
-# The row, link-mapping and op-record forms of the tables, and the scalar
-# z-scores, live in tests/oracles.py; the package holds its tables as
-# columns only. The per-row lists, the kind flags and iso_utc, which no
-# stage called, are gone.
+# The row, link-mapping and op-record forms of the tables, the scalar
+# z-scores and the checked single-graph census live in tests/oracles.py;
+# the package holds its tables as columns only. The per-row lists, the kind
+# flags and iso_utc, which no stage called, are gone.
 MOVED_NAMES = {"Transaction", "as_ledger", "LinkRecord", "randomize_endpoints", "RecirculationOp",
-               "z_score", "robust_z_score", "iso_utc"}
+               "z_score", "robust_z_score", "iso_utc", "census"}
 MOVED_MEMBERS = {
     ("ingest", "Ledger"): ("from_transactions", "__getitem__", "tx_id", "subtype", "amount"),
     ("util", "TextTable"): ("take",),

@@ -12,13 +12,13 @@ from ledgerflow.synthetic import ScenarioSpec, generate_synthetic
 from ledgerflow.topology import CATEGORY_ORDER, NodeCategory, categorize
 from ledgerflow.errors import AnalysisError
 from ledgerflow.triads import (
-    DEFAULT_CENSUS_CATEGORIES, TRIAD_LABELS, category_census, census, label_census,
-    triad_significance,
+    DEFAULT_CENSUS_CATEGORIES, TRIAD_LABELS, category_census, label_census, triad_significance,
 )
 
 from conftest import random_digraph
 from oracles import (
-    brute_force_census, graph_census, graph_of, links_of, reference_label_census, walk_census,
+    brute_force_census, census, graph_census, graph_of, links_of, reference_label_census,
+    walk_census,
 )
 
 MUTUAL_OR_CYCLIC = ("102", "111D", "111U", "030C", "201", "120D", "120U", "120C", "210", "300")
