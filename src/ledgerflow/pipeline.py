@@ -159,8 +159,9 @@ def strategy_report(
 
     hfq1_only = user_category[mask == 1]  # mask 1: HFQ1 alone
     hfq1_share = hfq1_only.size / mask.size if mask.size else 0.0
-    labels, counts = np.unique(_CATEGORY_NAMES[hfq1_only], return_counts=True)
-    breakdown = dict(zip(labels.tolist(), (counts / hfq1_only.size).tolist()))
+    counts = np.bincount(hfq1_only, minlength=len(CATEGORY_ORDER)).tolist()
+    breakdown = {label: count / hfq1_only.size
+                 for label, count in zip(CATEGORY_ORDER, counts) if count}
 
     return StrategySignalReport(
         one_time_collector_share=one_time_share,
@@ -321,30 +322,32 @@ def run_pipeline(
                 if graph.node_count:
                     writer.json("degree_stats", degree_stats(graph).as_dict(), always=True)
 
-        with _timed(stage_log, "topology"):
-            partition = categorize(graph)
-            stats = category_stats(graph, partition)
-            one_time = one_time_users(graph, partition)
-            if "topology" in stages:
-                if "csv" in writer.formats:
-                    paths = (out_dir / "node_assignment.csv", out_dir / "edge_assignment.csv")
-                    writer.fork(paths, _write_assignments, *paths, graph, partition)
-                writer.csv(
-                    "category_stats",
-                    ("node_label", "edge_label", "sccs", "wccs", "nodes", "links", "transactions",
-                     "volume"),
-                    _category_stats_rows(stats),
-                )
-                writer.json("category_stats",
-                            {label: stats[label].__dict__ for label in CATEGORY_ORDER})
-                writer.csv(
-                    "one_time_users",
-                    ("category", "one_outgoing", "one_incoming", "outgoing_volume",
-                     "incoming_volume"),
-                    ((label, *row.__dict__.values())
-                     for label, row in [*one_time.rows.items(), ("total", one_time.total)]),
-                )
-                writer.json("one_time_users", asdict(one_time))
+        # Every stage but ingest reads the partition or its stats.
+        if stages - {"ingest"}:
+            with _timed(stage_log, "topology"):
+                partition = categorize(graph)
+                stats = category_stats(graph, partition)
+                one_time = one_time_users(graph, partition)
+                if "topology" in stages:
+                    if "csv" in writer.formats:
+                        paths = (out_dir / "node_assignment.csv", out_dir / "edge_assignment.csv")
+                        writer.fork(paths, _write_assignments, *paths, graph, partition)
+                    writer.csv(
+                        "category_stats",
+                        ("node_label", "edge_label", "sccs", "wccs", "nodes", "links",
+                         "transactions", "volume"),
+                        _category_stats_rows(stats),
+                    )
+                    writer.json("category_stats",
+                                {label: stats[label].__dict__ for label in CATEGORY_ORDER})
+                    writer.csv(
+                        "one_time_users",
+                        ("category", "one_outgoing", "one_incoming", "outgoing_volume",
+                         "incoming_volume"),
+                        ((label, *row.__dict__.values())
+                         for label, row in [*one_time.rows.items(), ("total", one_time.total)]),
+                    )
+                    writer.json("one_time_users", asdict(one_time))
 
         # significance and triads: one ensemble per mode feeds both; the
         # replica builds are timed under the first selected of the two stages
@@ -453,7 +456,6 @@ def run_pipeline(
     return PipelineResult(manifest=manifest, output_files=tuple(writer.written))
 
 
-_CATEGORY_NAMES = np.array(CATEGORY_ORDER, dtype=object)
 # Component id prefix per node category code.
 _COMPONENT_KINDS = np.array([f"{kind}:" for kind in CATEGORY_KIND], dtype=object)
 # Edge kind by category code for boundary links, then internal and attachment.
@@ -474,16 +476,16 @@ def _write_assignments(
     """
     labels, component = partition.labels, partition.component
     nodes = np.array(g.nodes, dtype=object)
-    index, first, of_node = np.unique(component, return_index=True, return_inverse=True)
+    _, first, of_node = np.unique(component, return_index=True, return_inverse=True)
     names = (_COMPONENT_KINDS[labels.node[first]] + nodes[first]).tolist()
     write_csv(
         node_path,
         ("node_id", "category", "component_id"),
         (g.nodes, Coded(labels.node, CATEGORY_ORDER), Coded(of_node, names)),
     )
-    cs, ct = component[g.sources], component[g.targets]
+    cs, ct = of_node[g.sources], of_node[g.targets]  # ranks, in component index order
     boundary = _BOUNDARY[labels.link]
-    owner = np.where(boundary, index.size, np.searchsorted(index, np.maximum(cs, ct)))
+    owner = np.where(boundary, first.size, np.maximum(cs, ct))
     write_csv(
         edge_path,
         ("source", "target", "kind", "component_id", "category_label"),

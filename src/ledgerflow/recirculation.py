@@ -333,22 +333,16 @@ def crosstab(
     ``g`` and ``partition`` must come from the ledger the operations were
     extracted from, and ``signatures`` from ``classified``; a member
     transaction whose link is not in ``g`` is a :class:`DataError`.
+    Each member's frequency code is built once, a byte per member.
     """
     ops = classified.ops
     ledger = ops.ledger
     width = len(_CATEGORIES)
     counts = np.zeros(len(CATEGORY_ORDER) * width, dtype=np.int64)
     node_of = g.node_index(ledger.accounts)
+    codes = np.repeat(classified.codes.astype(np.uint8), np.diff(ops.bounds))
     for start, link in _member_links(g, ops, node_of):
-        # The operations from the one holding member ``start`` to the one
-        # ending at or after the block's end, each with its count of members
-        # in the block.
-        stop = start + link.size
-        first = np.searchsorted(ops.bounds, start, "right") - 1
-        end = np.searchsorted(ops.bounds, stop)
-        sizes = np.diff(np.clip(ops.bounds[first:end + 1], start, stop))
-        codes = np.repeat(classified.codes[first:end], sizes)
-        cells = partition.labels.link[link] * width + codes
+        cells = partition.labels.link[link] * width + codes[start:start + link.size]
         counts += np.bincount(cells, minlength=counts.size)
     tx_table = {
         label: {c.value: count for c, count in zip(_CATEGORIES, row)}

@@ -9,7 +9,6 @@ any order, and hold to 60 significant digits.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import pickle
@@ -409,27 +408,25 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence[str]
 
 
 class Forked:
-    """A :func:`fork_call`'s child (pid and pipe), or the outcome of a call run here."""
+    """A :func:`fork_call`'s child (pid and pipe), or the value of a call run here."""
 
-    def __init__(self, pid: int | None, fd: int | None, data: bytes = b""):
-        self._pid, self._fd, self._data = pid, fd, data
+    def __init__(self, pid: int | None, fd: int | None, value=None):
+        self._pid, self._fd, self._value = pid, fd, value
 
     def result(self):
         """Load the outcome and reap the child; return its value or raise its
         exception. A child's outcome is loaded straight from the pipe, so its
         pickle is never held whole, and the pipe is closed before the child
-        is reaped; a call run here keeps its pickle until this loads it once.
+        is reaped; a call run here gives its value, once, and keeps none.
         A pipe that ends before a whole result gives ``RuntimeError``."""
-        if self._fd is not None:
-            fd, self._fd = self._fd, None
-            with open(fd, "rb") as pipe:
-                ok, value = _load(pipe)
-        else:
-            data, self._data = self._data, b""
-            ok, value = _load(io.BufferedReader(io.BytesIO(data)))
-        if self._pid is not None:
-            os.waitpid(self._pid, 0)
-            self._pid = None
+        if self._fd is None:
+            value, self._value = self._value, None
+            return value
+        fd, self._fd = self._fd, None
+        with open(fd, "rb") as pipe:
+            ok, value = _load(pipe)
+        os.waitpid(self._pid, 0)
+        self._pid = None
         if ok:
             return value
         raise value
@@ -498,7 +495,8 @@ def fork_call(fn: Callable, *args) -> Forked:
     Ctrl-C stops only the caller. It ends in ``os._exit``, so it never
     returns into the caller's stack nor flushes its stdio buffers. Without
     ``os.fork``, or where ``os.pipe`` or ``os.fork`` raises ``OSError``,
-    ``fn`` runs here and now, and its exception propagates from this call.
+    ``fn`` runs here and now, its exception propagating from this call, and
+    ``result()`` returns its value unpickled.
     """
     pid, fds = None, ()
     if hasattr(os, "fork"):
@@ -509,7 +507,7 @@ def fork_call(fn: Callable, *args) -> Forked:
             for fd in fds:
                 os.close(fd)
     if pid is None:
-        return Forked(None, None, pickle.dumps((True, fn(*args))))
+        return Forked(None, None, fn(*args))
     if pid:
         os.close(fds[1])
         return Forked(pid, fds[0])

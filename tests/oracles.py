@@ -1440,6 +1440,8 @@ class Transaction:
     subtype: str = ""
 
     def __post_init__(self):
+        if not self.amount.is_finite():
+            raise DataError(f"transaction {self.tx_id}: bad amount {self.amount}")
         if self.amount < 0:
             raise DataError(f"transaction {self.tx_id}: negative amount {self.amount}")
         if not self.source or not self.target:

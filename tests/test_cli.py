@@ -532,6 +532,25 @@ def test_misspelt_timestamp_format_is_config_error(tmp_path, output_flag):
     assert "epohc" in report["message"]
 
 
+def test_a_column_mapped_to_two_fields_is_config_error(tmp_path):
+    # 'acct' as source and target used to drop every row as a self-transfer.
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text(
+        "id,timeset,acct,weight,transfer_subtype\n"
+        "t1,2020-01-01T00:00:00Z,a,1,STANDARD\n"
+        "t2,2020-01-01T00:00:01Z,b,2,STANDARD\n",
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    config.write_text("col_source = acct\ncol_target = acct\n", encoding="utf-8")
+    assert main(["--config", str(config), "ingest", str(ledger), "--output", str(out_dir)]) == 2
+    assert [p.name for p in out_dir.iterdir()] == ["error_report.json"]
+    report = json.loads((out_dir / "error_report.json").read_text())
+    assert report["error_type"] == "ConfigError"
+    assert report["message"] == "column 'acct' is mapped to 'source' and 'target'"
+
+
 def test_repeated_mapped_column_is_config_error(tmp_path):
     # The last of two 'weight' columns used to be read without notice.
     ledger = tmp_path / "ledger.csv"

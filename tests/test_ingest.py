@@ -145,6 +145,18 @@ def test_missing_required_column_is_config_error(tmp_path):
         parse_ledger(path)
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(source="acct", target="acct"), "column 'acct' is mapped to 'source' and 'target'"),
+    (dict(source="weight"), "column 'weight' is mapped to 'source' and 'amount'"),
+    (dict(subtype="id"), "column 'id' is mapped to 'tx_id' and 'subtype'"),
+], ids=["source-target", "source-amount", "tx_id-subtype"])
+def test_a_column_mapped_to_two_fields_is_config_error(fields, message):
+    # Such a mapping used to parse: one column read as two fields.
+    with pytest.raises(ConfigError) as refused:
+        ColumnMapping(**fields)
+    assert str(refused.value) == message
+
+
 def test_bad_timestamp_reports_row_number(tmp_path):
     path = write(
         tmp_path,

@@ -120,7 +120,13 @@ def test_from_columns_matches_the_lexsort_order():
     ([("t1", 3, "", "b", "-1")], "transaction t1: negative amount -1"),
     # The first bad row in input order is named, not the first in time.
     ([("t9", 9, "a", "", "1"), ("t1", 1, "a", "b", "-1")], "transaction t9: empty account id"),
-], ids=["negative", "empty-source", "empty-target", "amount-first", "input-order"])
+    # The parse's rule: an amount that is not finite is a bad amount.
+    ([("t1", 3, "a", "b", "NaN")], "transaction t1: bad amount NaN"),
+    ([("t1", 3, "a", "b", "sNaN")], "transaction t1: bad amount sNaN"),
+    ([("t1", 3, "a", "b", "Infinity")], "transaction t1: bad amount Infinity"),
+    ([("t1", 3, "", "b", "-Infinity")], "transaction t1: bad amount -Infinity"),
+], ids=["negative", "empty-source", "empty-target", "amount-first", "input-order", "nan", "snan",
+        "infinity", "minus-infinity"])
 def test_from_columns_refuses_what_a_transaction_refuses(rows, message):
     # A hand-built ledger is built with from_columns: it makes the checks
     # a Transaction row makes, with the same messages.

@@ -251,6 +251,20 @@ def test_first_ensemble_stage_counts_the_null_models_events(tmp_path, stages):
                if name != first)
 
 
+def test_an_ingest_run_records_only_its_own_stage(tmp_path):
+    # The topology stage used to run, and write nothing, in an ingest run.
+    result = run_pipeline(small_config(DEMO_LEDGER, tmp_path / "ingest"), frozenset({"ingest"}))
+    assert [s["name"] for s in result.manifest["stages"]] == ["ingest"]
+    with_topology = run_pipeline(small_config(DEMO_LEDGER, tmp_path / "both"),
+                                 frozenset({"ingest", "topology"}))
+    assert [s["name"] for s in with_topology.manifest["stages"]] == ["ingest", "topology"]
+    files = _bundle(tmp_path / "ingest")
+    assert sorted(files) == ["degree_stats.json", "ingest_diagnostics.json", "ledger_totals.json",
+                             "transactions_normalized.csv"]
+    assert files == {name: data for name, data in _bundle(tmp_path / "both").items()
+                     if name in files}
+
+
 def test_unknown_stage_is_config_error(tmp_path):
     out = tmp_path / "out"
     with pytest.raises(ConfigError, match="'topolgy'"):

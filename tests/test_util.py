@@ -7,6 +7,7 @@ import os
 import select
 import signal
 import tracemalloc
+import weakref
 from datetime import datetime, timedelta, timezone
 from decimal import Context, Decimal
 from unittest import mock
@@ -400,10 +401,31 @@ def test_a_value_that_does_not_load_is_a_runtime_error_here():
         handle.result()
 
 
-def test_a_result_keeps_no_bytes():
-    handle = util.fork_call(bytes, 1 << 20)
-    assert handle.result() == bytes(1 << 20)
-    assert handle._data == b""
+class _Held:
+    """A value that a weakref can follow."""
+
+
+def _no_fork():
+    # Raised without _raise, whose frame and exception would hold each
+    # other, and fork_call's arguments with them, until a collection.
+    raise OSError(errno.EAGAIN, "no more processes")
+
+
+def test_a_result_is_not_kept_by_its_handle(monkeypatch):
+    # Once a handle has given its value, the caller's reference is the last.
+    handle = util.fork_call(_Held)
+    value = handle.result()
+    held = weakref.ref(value)
+    del value
+    assert held() is None
+    # Run here (the fork fails), the value is the callee's own, not a copy.
+    monkeypatch.setattr(os, "fork", _no_fork)
+    value = _Held()
+    held = weakref.ref(value)
+    handle = util.fork_call(lambda given: given, value)
+    del value
+    given_back = handle.result() is held()  # outside an assert, which keeps its operands
+    assert given_back and held() is None
 
 
 def test_a_child_killed_in_the_middle_of_its_result_is_a_runtime_error():
